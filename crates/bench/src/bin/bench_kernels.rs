@@ -10,7 +10,7 @@
 
 use bconv_bench::session_times;
 use bconv_core::BlockingPattern;
-use bconv_graph::{KernelPolicy, Segment, Session};
+use bconv_graph::{KernelPolicy, PlanSpec, Segment, Session};
 use bconv_models::small::vgg16_small;
 use bconv_tensor::error::TensorError;
 use bconv_tensor::init::{seeded_rng, uniform_tensor};
@@ -35,8 +35,7 @@ struct Measurement {
 fn build(kernel: KernelPolicy, threads: usize) -> Result<Session, TensorError> {
     Session::builder()
         .network(vgg16_small(32))
-        .pattern(BlockingPattern::hierarchical(2))
-        .kernel(kernel)
+        .planner(PlanSpec::new().pattern(BlockingPattern::hierarchical(2)).kernel(kernel))
         .threads(threads)
         .seed(2018)
         .build()
@@ -100,13 +99,8 @@ fn run() -> Result<(), Box<dyn std::error::Error>> {
             .plan()
             .segments()
             .iter()
-            .filter_map(|s| match s {
-                Segment::Fused { chain, .. } => Some(chain.in_grid().num_blocks()),
-                Segment::Spliced { pipeline, .. } => {
-                    pipeline.groups().iter().map(|g| g.in_grid().num_blocks()).max()
-                }
-                Segment::Single(_) => None,
-            })
+            .flat_map(Segment::groups)
+            .map(|(chain, _)| chain.in_grid().num_blocks())
             .max()
             .unwrap_or(1);
         let effective = cfg.threads.min(avail).min(blocks);

@@ -15,7 +15,7 @@
 use bconv_accel::platform::zc706;
 use bconv_bench::session_times;
 use bconv_core::BlockingPattern;
-use bconv_graph::{tune, AccelCost, Session, TuneOptions};
+use bconv_graph::{tune, AccelCost, PlanSpec, Session, TuneOptions};
 use bconv_models::small::vgg16_small;
 use bconv_models::Network;
 use bconv_tensor::init::{seeded_rng, uniform_tensor};
@@ -79,24 +79,20 @@ fn run() -> Result<(), Box<dyn std::error::Error>> {
     let mut results: Vec<Measurement> = Vec::new();
     for w in workloads() {
         let build = |accel: bool| {
-            let b = Session::builder()
-                .network(w.net.clone())
-                .pattern(BlockingPattern::hierarchical(2))
-                .seed(2018)
-                .threads(1);
-            if accel {
+            let spec = PlanSpec::new().pattern(BlockingPattern::hierarchical(2));
+            let spec = if accel {
                 // The AccelCost twin of the element budget: same
                 // intermediate capacity in bits, a generous extra buffer
                 // so compatible boundaries splice.
-                b.cost_model(AccelCost::with_buffers(
+                spec.cost_model(AccelCost::with_buffers(
                     zc706(),
                     w.budget_elems as u64 * 32 / 2,
                     1 << 24,
                 ))
             } else {
-                b.on_chip_budget(w.budget_elems)
-            }
-            .build()
+                spec.on_chip_budget(w.budget_elems)
+            };
+            Session::builder().network(w.net.clone()).planner(spec).seed(2018).threads(1).build()
         };
         let element = build(false)?;
         let accel = build(true)?;

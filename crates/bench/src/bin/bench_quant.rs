@@ -32,7 +32,7 @@
 //! Usage: `bench_quant [--quick] [--out PATH]`
 
 use bconv_core::plan::NetworkPlan;
-use bconv_graph::{Backend, Session, SessionBuilder};
+use bconv_graph::{Backend, PlanSpec, Session};
 use bconv_models::layer::LayerKind;
 use bconv_models::Network;
 use bconv_tensor::init::{seeded_rng, uniform_tensor};
@@ -79,14 +79,19 @@ fn build(net: &Network, cfg: &Config) -> Result<Session, TensorError> {
         None => Backend::Blocked,
         Some((w, a)) => Backend::Quantized { weight_bits: w, act_bits: a },
     };
-    let mut b: SessionBuilder =
-        Session::builder().network(net.clone()).backend(backend).seed(2018).threads(1);
+    let mut spec = PlanSpec::new();
     if !cfg.blocked {
         // Direct schedule: no blocking, every conv a whole-map segment
         // (dense QConv2d on the quantized backend).
-        b = b.plan(NetworkPlan::unblocked(conv_count(net)));
+        spec = spec.network_plan(NetworkPlan::unblocked(conv_count(net)));
     }
-    b.build()
+    Session::builder()
+        .network(net.clone())
+        .backend(backend)
+        .planner(spec)
+        .seed(2018)
+        .threads(1)
+        .build()
 }
 
 /// The distinct conv kernel kinds a session resolved, `+`-joined — one

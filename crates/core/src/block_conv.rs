@@ -42,7 +42,9 @@ pub struct BlockConv2d {
 /// the kernel's own scratch. One per worker thread.
 #[derive(Debug, Default)]
 pub struct BlockConvScratch {
-    padded: Tensor,
+    /// The locally padded block. Crate-visible so a fused quantized stage
+    /// pads into the same buffer its float twin would.
+    pub(crate) padded: Tensor,
     conv: ConvScratch,
 }
 

@@ -49,36 +49,17 @@ impl ChainOp {
     }
 }
 
-/// A fusion-group stage whose convolution is already solved: the planner's
-/// trial walk runs [`BlockConv2d::plan_with_kernel`] to validate every
-/// candidate extension, so assembling the final chain from [`PlannedOp`]s
-/// (via [`FusedChain::from_planned`]) reuses those Equation 2 solutions
-/// instead of re-solving them.
-#[derive(Debug, Clone)]
-#[allow(clippy::large_enum_variant)] // conv stages dominate by design
-pub enum PlannedOp {
-    /// A solved block convolution.
-    Conv(BlockConv2d),
-    /// Element-wise ReLU.
-    Relu,
-    /// `k × k` max pooling with stride `k`.
-    MaxPool {
-        /// Pooling window and stride.
-        k: usize,
-    },
-}
-
 #[derive(Debug, Clone)]
 #[allow(clippy::large_enum_variant)] // conv stages dominate by design
 enum Stage {
-    Conv(BlockConv2d),
-    /// A quantized block convolution: `plan` carries the Equation 2 padding
-    /// schedule and grids, `op` the integer arithmetic. The block executor
+    /// A block convolution: `plan` carries the Equation 2 padding schedule
+    /// and grids (plus, on the float path, the packed weights). A quantized
+    /// stage also carries `qop`, the integer arithmetic: the block executor
     /// pads once via the plan and hands the padded block to the quantized
     /// kernel — no double padding.
-    QConv {
+    Conv {
         plan: BlockConv2d,
-        op: QuantChainOp,
+        qop: Option<QuantChainOp>,
     },
     Relu,
     Pool {
@@ -141,7 +122,6 @@ pub struct BlockScratch {
     cur: Tensor,
     next: Tensor,
     conv: BlockConvScratch,
-    qpad: Tensor,
     qconv: QConvScratch,
 }
 
@@ -193,113 +173,37 @@ pub struct FusedChain {
 }
 
 impl FusedChain {
-    /// Plans a fusion group for inputs tiled by `grid`.
+    /// Plans a fusion group for inputs tiled by `grid` — the one way to
+    /// build a chain.
     ///
     /// Convolutions must be stride-1 (strided layers are expressed as
     /// conv + pool per the paper's baseline rewrite); pooling requires the
-    /// grid to stay aligned ([`BlockGrid::downscale`]).
+    /// grid to stay aligned ([`BlockGrid::downscale`]). Every conv stage
+    /// resolves its kernel (direct loop vs im2col+GEMM) under `policy` at
+    /// plan time, so execution carries no per-run dispatch.
     ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::InvalidParameter`] when a stage cannot be
-    /// blocked under the running grid.
-    pub fn plan(
-        ops: Vec<ChainOp>,
-        grid: BlockGrid,
-        pad_mode: PadMode,
-    ) -> Result<Self, TensorError> {
-        Self::plan_with_kernel(ops, grid, pad_mode, KernelPolicy::default())
-    }
-
-    /// [`plan`](Self::plan) with an explicit [`KernelPolicy`]: every conv
-    /// stage resolves its kernel (direct loop vs im2col+GEMM) under the
-    /// policy at plan time, so execution carries no per-run dispatch.
-    ///
-    /// # Errors
-    ///
-    /// See [`FusedChain::plan`].
-    pub fn plan_with_kernel(
-        ops: Vec<ChainOp>,
-        grid: BlockGrid,
-        pad_mode: PadMode,
-        policy: KernelPolicy,
-    ) -> Result<Self, TensorError> {
-        let in_grid = grid.clone();
-        let mut cur = grid;
-        let mut stages = Vec::with_capacity(ops.len());
-        for op in ops {
-            match op {
-                ChainOp::Conv(conv) => {
-                    if conv.geom().stride != 1 {
-                        return Err(TensorError::invalid(
-                            "fused convolutions must be stride-1; express stride as conv + pool",
-                        ));
-                    }
-                    let bconv = BlockConv2d::plan_with_kernel(conv, cur.clone(), pad_mode, policy)?
-                        .with_packed_weights();
-                    cur = bconv.output_grid()?;
-                    stages.push(Stage::Conv(bconv));
-                }
-                ChainOp::Relu => stages.push(Stage::Relu),
-                ChainOp::MaxPool { k } => {
-                    cur = cur.downscale(k)?;
-                    stages.push(Stage::Pool { k });
-                }
-            }
-        }
-        Ok(Self { stages, in_grid, out_grid: cur })
-    }
-
-    /// Plans a **quantized** fusion group: every convolution executes
-    /// through the integer path of [`bconv_quant::qconv::QConv2d`] — i32
-    /// activations, i64 accumulators — with its input activations
-    /// requantized at the stage's calibrated parameters. Block padding
-    /// follows the same Equation 2 schedule and `pad_mode` as the float
-    /// plan, applied once per block (the quantized kernel runs prepadded).
-    ///
-    /// `act_params` holds the frozen input-activation [`QParams`] of each
-    /// [`ChainOp::Conv`], in op order.
+    /// `quant` selects the precision. `None` plans a float chain. `Some((
+    /// weight_bits, act_params))` plans a **quantized** one: every
+    /// convolution executes through the integer path of
+    /// [`bconv_quant::qconv::QConv2d`] — i32 activations, i64 accumulators,
+    /// the direct loop or the `i16` im2col+GEMM exactly where the float
+    /// path would pick its twin — with its input activations requantized at
+    /// `act_params[i]`, the frozen input-activation [`QParams`] of the
+    /// `i`-th [`ChainOp::Conv`]. Block padding follows the same Equation 2
+    /// schedule and `pad_mode` on both paths, applied once per block.
     ///
     /// # Errors
     ///
     /// Returns [`TensorError::InvalidParameter`] when a stage cannot be
     /// blocked under the running grid, when `act_params` does not cover
-    /// exactly the chain's convolutions, or when a convolution's weights
-    /// are all zero (no quantized form).
-    pub fn plan_quantized(
+    /// exactly the chain's convolutions, or when a quantized convolution's
+    /// weights are all zero (no quantized form).
+    pub fn plan(
         ops: Vec<ChainOp>,
         grid: BlockGrid,
         pad_mode: PadMode,
-        weight_bits: u8,
-        act_params: &[QParams],
-    ) -> Result<Self, TensorError> {
-        Self::plan_quantized_with_kernel(
-            ops,
-            grid,
-            pad_mode,
-            weight_bits,
-            act_params,
-            KernelPolicy::default(),
-        )
-    }
-
-    /// [`plan_quantized`](Self::plan_quantized) with an explicit
-    /// [`KernelPolicy`]: each quantized conv resolves the policy on its
-    /// (geometry-identical) float layer and executes through the matching
-    /// integer kernel — the direct i64-accumulator loop or the `i16`
-    /// im2col+GEMM fast path — so `Auto` picks the integer GEMM exactly
-    /// where the float path would pick im2col+GEMM.
-    ///
-    /// # Errors
-    ///
-    /// See [`FusedChain::plan_quantized`].
-    pub fn plan_quantized_with_kernel(
-        ops: Vec<ChainOp>,
-        grid: BlockGrid,
-        pad_mode: PadMode,
-        weight_bits: u8,
-        act_params: &[QParams],
         policy: KernelPolicy,
+        quant: Option<(u8, &[QParams])>,
     ) -> Result<Self, TensorError> {
         let in_grid = grid.clone();
         let mut cur = grid;
@@ -313,18 +217,6 @@ impl FusedChain {
                             "fused convolutions must be stride-1; express stride as conv + pool",
                         ));
                     }
-                    let params = act_params.get(conv_idx).copied().ok_or_else(|| {
-                        TensorError::invalid(format!(
-                            "plan_quantized: {} act-param sets for conv stage {}",
-                            act_params.len(),
-                            conv_idx + 1
-                        ))
-                    })?;
-                    conv_idx += 1;
-                    // The plan's resolved kernel drives the *integer*
-                    // loops: the QuantChainOp inherits it and runs either
-                    // the direct loop or the i16 im2col+GEMM. Float weight
-                    // packing is skipped — this plan only ever pads blocks.
                     let plan = BlockConv2d::plan_with_kernel(
                         Arc::clone(&conv),
                         cur.clone(),
@@ -332,14 +224,33 @@ impl FusedChain {
                         policy,
                     )?;
                     cur = plan.output_grid()?;
-                    let op = QuantChainOp::from_conv_with_kernel(
-                        &conv,
-                        weight_bits,
-                        params,
-                        plan.kernel(),
-                    )
-                    .ok_or_else(|| TensorError::invalid("plan_quantized: all-zero conv weights"))?;
-                    stages.push(Stage::QConv { plan, op });
+                    let stage = match quant {
+                        None => Stage::Conv { plan: plan.with_packed_weights(), qop: None },
+                        // The plan's resolved kernel drives the *integer*
+                        // loops. Float weight packing is skipped — this
+                        // plan only ever pads blocks.
+                        Some((weight_bits, act_params)) => {
+                            let params = act_params.get(conv_idx).copied().ok_or_else(|| {
+                                TensorError::invalid(format!(
+                                    "FusedChain::plan: {} act-param sets for conv stage {}",
+                                    act_params.len(),
+                                    conv_idx + 1
+                                ))
+                            })?;
+                            let qop = QuantChainOp::from_conv_with_kernel(
+                                &conv,
+                                weight_bits,
+                                params,
+                                plan.kernel(),
+                            )
+                            .ok_or_else(|| {
+                                TensorError::invalid("FusedChain::plan: all-zero conv weights")
+                            })?;
+                            Stage::Conv { plan, qop: Some(qop) }
+                        }
+                    };
+                    conv_idx += 1;
+                    stages.push(stage);
                 }
                 ChainOp::Relu => stages.push(Stage::Relu),
                 ChainOp::MaxPool { k } => {
@@ -348,115 +259,14 @@ impl FusedChain {
                 }
             }
         }
-        if conv_idx != act_params.len() {
-            return Err(TensorError::invalid(format!(
-                "plan_quantized: {} act-param sets for {} conv stages",
-                act_params.len(),
-                conv_idx
-            )));
-        }
-        Ok(Self { stages, in_grid, out_grid: cur })
-    }
-
-    /// Assembles a chain from pre-solved stages, validating grid continuity
-    /// instead of re-solving each convolution's Equation 2 padding
-    /// schedule: each conv stage must have been planned on exactly the grid
-    /// the preceding stages produce.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::ShapeMismatch`] when a conv stage was planned
-    /// on a different grid than the running one, and
-    /// [`TensorError::InvalidParameter`] when pooling misaligns the grid.
-    pub fn from_planned(ops: Vec<PlannedOp>, in_grid: BlockGrid) -> Result<Self, TensorError> {
-        let mut cur = in_grid.clone();
-        let mut stages = Vec::with_capacity(ops.len());
-        for op in ops {
-            match op {
-                PlannedOp::Conv(bconv) => {
-                    if bconv.grid() != &cur {
-                        return Err(TensorError::shape_mismatch(
-                            "FusedChain::from_planned conv stage grid",
-                            cur.to_string(),
-                            bconv.grid().to_string(),
-                        ));
-                    }
-                    cur = bconv.output_grid()?;
-                    stages.push(Stage::Conv(bconv.with_packed_weights()));
-                }
-                PlannedOp::Relu => stages.push(Stage::Relu),
-                PlannedOp::MaxPool { k } => {
-                    cur = cur.downscale(k)?;
-                    stages.push(Stage::Pool { k });
-                }
+        if let Some((_, act_params)) = quant {
+            if act_params.len() != conv_idx {
+                return Err(TensorError::invalid(format!(
+                    "FusedChain::plan: {} act-param sets for {} conv stages",
+                    act_params.len(),
+                    conv_idx
+                )));
             }
-        }
-        Ok(Self { stages, in_grid, out_grid: cur })
-    }
-
-    /// [`from_planned`](Self::from_planned) on the quantized integer path:
-    /// each pre-solved conv plan keeps its padding schedule and grids, and
-    /// gains a [`QuantChainOp`] quantized at `weight_bits` with the stage's
-    /// calibrated input-activation [`QParams`] (one per conv, in order).
-    ///
-    /// # Errors
-    ///
-    /// As [`from_planned`](Self::from_planned), plus
-    /// [`TensorError::InvalidParameter`] when `act_params` does not cover
-    /// exactly the chain's convolutions or a convolution's weights are all
-    /// zero (no quantized form).
-    pub fn from_planned_quantized(
-        ops: Vec<PlannedOp>,
-        in_grid: BlockGrid,
-        weight_bits: u8,
-        act_params: &[QParams],
-    ) -> Result<Self, TensorError> {
-        let mut cur = in_grid.clone();
-        let mut stages = Vec::with_capacity(ops.len());
-        let mut conv_idx = 0usize;
-        for op in ops {
-            match op {
-                PlannedOp::Conv(plan) => {
-                    if plan.grid() != &cur {
-                        return Err(TensorError::shape_mismatch(
-                            "FusedChain::from_planned_quantized conv stage grid",
-                            cur.to_string(),
-                            plan.grid().to_string(),
-                        ));
-                    }
-                    let params = act_params.get(conv_idx).copied().ok_or_else(|| {
-                        TensorError::invalid(format!(
-                            "from_planned_quantized: {} act-param sets for conv stage {}",
-                            act_params.len(),
-                            conv_idx + 1
-                        ))
-                    })?;
-                    conv_idx += 1;
-                    cur = plan.output_grid()?;
-                    let op = QuantChainOp::from_conv_with_kernel(
-                        plan.conv(),
-                        weight_bits,
-                        params,
-                        plan.kernel(),
-                    )
-                    .ok_or_else(|| {
-                        TensorError::invalid("from_planned_quantized: all-zero conv weights")
-                    })?;
-                    stages.push(Stage::QConv { plan, op });
-                }
-                PlannedOp::Relu => stages.push(Stage::Relu),
-                PlannedOp::MaxPool { k } => {
-                    cur = cur.downscale(k)?;
-                    stages.push(Stage::Pool { k });
-                }
-            }
-        }
-        if conv_idx != act_params.len() {
-            return Err(TensorError::invalid(format!(
-                "from_planned_quantized: {} act-param sets for {} conv stages",
-                act_params.len(),
-                conv_idx
-            )));
         }
         Ok(Self { stages, in_grid, out_grid: cur })
     }
@@ -466,7 +276,7 @@ impl FusedChain {
     /// bitwidth throughout, so the first quantized stage is authoritative.
     pub fn act_bits(&self) -> Option<u8> {
         self.stages.iter().find_map(|s| match s {
-            Stage::QConv { op, .. } => Some(op.act_params().bits()),
+            Stage::Conv { qop: Some(op), .. } => Some(op.act_params().bits()),
             _ => None,
         })
     }
@@ -494,8 +304,7 @@ impl FusedChain {
     /// Output channel count given the input channel count.
     pub fn out_channels(&self, c_in: usize) -> usize {
         self.stages.iter().fold(c_in, |c, s| match s {
-            Stage::Conv(b) => b.conv().c_out(),
-            Stage::QConv { op, .. } => op.qconv().c_out(),
+            Stage::Conv { plan, .. } => plan.conv().c_out(),
             _ => c,
         })
     }
@@ -504,8 +313,7 @@ impl FusedChain {
     /// quantized), in order.
     pub fn convs(&self) -> impl Iterator<Item = &BlockConv2d> {
         self.stages.iter().filter_map(|s| match s {
-            Stage::Conv(b) => Some(b),
-            Stage::QConv { plan, .. } => Some(plan),
+            Stage::Conv { plan, .. } => Some(plan),
             _ => None,
         })
     }
@@ -534,8 +342,8 @@ impl FusedChain {
         input.crop_into(b.h0, b.w0, b.bh, b.bw, &mut scratch.cur)?;
         for stage in &self.stages {
             match stage {
-                Stage::Conv(bconv) => {
-                    bconv.forward_block_into(
+                Stage::Conv { plan, qop: None } => {
+                    plan.forward_block_into(
                         &scratch.cur,
                         row,
                         col,
@@ -543,12 +351,12 @@ impl FusedChain {
                         &mut scratch.conv,
                     )?;
                 }
-                Stage::QConv { plan, op } => {
+                Stage::Conv { plan, qop: Some(op) } => {
                     // Pad once (Equation 2 schedule, session pad mode), then
                     // hand the padded block to the integer kernel.
-                    plan.pad_block_into(&scratch.cur, row, col, &mut scratch.qpad)?;
+                    plan.pad_block_into(&scratch.cur, row, col, &mut scratch.conv.padded)?;
                     op.forward_prepadded_into(
-                        &scratch.qpad,
+                        &scratch.conv.padded,
                         &mut scratch.next,
                         &mut scratch.qconv,
                     )?;
@@ -576,46 +384,32 @@ impl FusedChain {
     ///
     /// Returns shape errors if `input` does not match the planned grid.
     pub fn run_fused(&self, input: &Tensor) -> Result<(Tensor, MemStats), TensorError> {
-        self.run_fused_threads(input, 1)
-    }
-
-    /// [`run_fused`](Self::run_fused) with the blocks dispatched across
-    /// `threads` scoped worker threads (clamped to the block count; `<= 1`
-    /// runs serially). Blocks are independent by construction and write
-    /// disjoint output regions, so every block runs the same per-block
-    /// routine as the serial path, each worker reuses one [`BlockScratch`]
-    /// across its contiguous chunk, and the output is **bitwise identical
-    /// at any thread count**. [`MemStats`] stay exact: off-chip traffic is
-    /// the group input + output and the working-set peak is a max over
-    /// blocks — both scheduling-invariant.
-    ///
-    /// # Errors
-    ///
-    /// Returns shape errors if `input` does not match the planned grid.
-    pub fn run_fused_threads(
-        &self,
-        input: &Tensor,
-        threads: usize,
-    ) -> Result<(Tensor, MemStats), TensorError> {
         let mut out = Tensor::default();
-        let mut scratch = BlockScratch::new();
-        let stats = self.run_fused_into(input, threads, &mut out, &mut scratch)?;
+        let stats = self.run_fused_into(input, 1, &mut out, &mut BlockScratch::new())?;
         Ok((out, stats))
     }
 
-    /// [`run_fused_threads`](Self::run_fused_threads) into caller-owned
-    /// buffers — the serving-path primitive. `out` is reshaped to the
-    /// group's output map and every element is overwritten (the output
-    /// grid tiles it exactly); on the serial path `scratch` carries all
-    /// block intermediates, so a caller that reuses both across requests
-    /// performs **zero steady-state allocation** per run. The chain is
-    /// batch-aware: inputs may carry any batch size `n` (coalesced
-    /// requests run as one map), block buffers simply grow with `n` the
-    /// first time and are handed back through `scratch` for the next run.
+    /// [`run_fused`](Self::run_fused) into caller-owned buffers — the
+    /// serving-path primitive — with the blocks dispatched across
+    /// `threads` scoped worker threads (clamped to the block count; `<= 1`
+    /// runs serially). `out` is reshaped to the group's output map and
+    /// every element is overwritten (the output grid tiles it exactly); on
+    /// the serial path `scratch` carries all block intermediates, so a
+    /// caller that reuses both across requests performs **zero
+    /// steady-state allocation** per run. The chain is batch-aware: inputs
+    /// may carry any batch size `n` (coalesced requests run as one map),
+    /// block buffers simply grow with `n` the first time and are handed
+    /// back through `scratch` for the next run.
     ///
-    /// With `threads > 1` each scoped worker owns a private scratch for
-    /// the duration of the call (`scratch` is bypassed — per-worker
-    /// buffers cannot outlive the scope).
+    /// Blocks are independent by construction and write disjoint output
+    /// regions, so every block runs the same per-block routine as the
+    /// serial path and the output is **bitwise identical at any thread
+    /// count**. [`MemStats`] stay exact: off-chip traffic is the group
+    /// input + output and the working-set peak is a max over blocks — both
+    /// scheduling-invariant. With `threads > 1` each scoped worker owns a
+    /// private scratch for the duration of the call and reuses it across
+    /// its contiguous chunk (`scratch` is bypassed — per-worker buffers
+    /// cannot outlive the scope).
     ///
     /// # Errors
     ///
@@ -726,8 +520,8 @@ impl FusedChain {
         let last = self.stages.iter().rposition(|s| !matches!(s, Stage::Relu));
         for (idx, stage) in self.stages.iter().enumerate() {
             let next = match stage {
-                Stage::Conv(bconv) => bconv.forward(&cur)?,
-                Stage::QConv { plan, op } => qconv_forward_map(plan, op, &cur)?,
+                Stage::Conv { plan, qop: None } => plan.forward(&cur)?,
+                Stage::Conv { plan, qop: Some(op) } => qconv_forward_map(plan, op, &cur)?,
                 Stage::Relu => {
                     relu_inplace(&mut cur);
                     continue;
@@ -748,7 +542,7 @@ impl FusedChain {
 
 /// Whole-map quantized block convolution: split by the plan's grid, pad
 /// each block locally, run the integer kernel, concatenate — the
-/// layer-wise counterpart of the fused [`Stage::QConv`] path (same
+/// layer-wise counterpart of a fused quantized conv stage (same
 /// mathematics, conventional schedule).
 fn qconv_forward_map(
     plan: &BlockConv2d,
@@ -828,12 +622,6 @@ impl FusedPipeline {
         &self.groups
     }
 
-    /// Consumes the pipeline, returning its groups (e.g. to re-splice with
-    /// another group appended) without cloning the planned stages.
-    pub fn into_groups(self) -> Vec<FusedChain> {
-        self.groups
-    }
-
     /// Executes all groups fused; intermediate maps between groups stay in
     /// the on-chip extra buffer, so off-chip traffic is still input + final
     /// output only.
@@ -842,34 +630,19 @@ impl FusedPipeline {
     ///
     /// Propagates per-group execution errors.
     pub fn run_fused(&self, input: &Tensor) -> Result<(Tensor, MemStats), TensorError> {
-        self.run_fused_threads(input, 1)
-    }
-
-    /// [`run_fused`](Self::run_fused) with each group's blocks dispatched
-    /// across `threads` scoped workers (see
-    /// [`FusedChain::run_fused_threads`]): groups still run in order — the
-    /// splice is a sequencing point — so the output is bitwise identical
-    /// at any thread count.
-    ///
-    /// # Errors
-    ///
-    /// Propagates per-group execution errors.
-    pub fn run_fused_threads(
-        &self,
-        input: &Tensor,
-        threads: usize,
-    ) -> Result<(Tensor, MemStats), TensorError> {
         let mut out = Tensor::default();
-        let mut scratch = PipelineScratch::new();
-        let stats = self.run_fused_into(input, threads, &mut out, &mut scratch)?;
+        let stats = self.run_fused_into(input, 1, &mut out, &mut PipelineScratch::new())?;
         Ok((out, stats))
     }
 
-    /// [`run_fused_threads`](Self::run_fused_threads) into caller-owned
-    /// buffers: `out` receives the final group's output and `scratch`
-    /// carries the per-block intermediates plus the two alternating
-    /// group-boundary maps (the accelerator's extra buffer), so a caller
-    /// that reuses both performs no steady-state allocation.
+    /// [`run_fused`](Self::run_fused) into caller-owned buffers, each
+    /// group's blocks dispatched across `threads` scoped workers (see
+    /// [`FusedChain::run_fused_into`]): `out` receives the final group's
+    /// output and `scratch` carries the per-block intermediates plus the
+    /// two alternating group-boundary maps (the accelerator's extra
+    /// buffer), so a caller that reuses both performs no steady-state
+    /// allocation. Groups still run in order — the splice is a sequencing
+    /// point — so the output is bitwise identical at any thread count.
     ///
     /// [`MemStats`] stay exact and scheduling-invariant: off-chip traffic
     /// is the pipeline input + final output only, and the working-set peak
@@ -954,9 +727,30 @@ mod tests {
         he_conv2d(c_in, c_out, ConvGeom::same(3), 1, &mut seeded_rng(seed)).unwrap()
     }
 
+    /// A float chain under the default kernel policy.
+    fn plan_float(
+        ops: Vec<ChainOp>,
+        grid: BlockGrid,
+        pad_mode: PadMode,
+    ) -> Result<FusedChain, TensorError> {
+        FusedChain::plan(ops, grid, pad_mode, KernelPolicy::default(), None)
+    }
+
+    /// A quantized chain under the default kernel policy.
+    fn plan_quant(
+        ops: Vec<ChainOp>,
+        grid: BlockGrid,
+        pad_mode: PadMode,
+        weight_bits: u8,
+        act_params: &[QParams],
+    ) -> Result<FusedChain, TensorError> {
+        let quant = Some((weight_bits, act_params));
+        FusedChain::plan(ops, grid, pad_mode, KernelPolicy::default(), quant)
+    }
+
     fn three_layer_chain(grid: BlockGrid) -> FusedChain {
         // The Figure 2(b) scenario: three consecutive 3x3 convolutions.
-        FusedChain::plan(
+        plan_float(
             vec![
                 ChainOp::conv(conv(2, 4, 1)),
                 ChainOp::Relu,
@@ -997,7 +791,7 @@ mod tests {
     #[test]
     fn fused_working_set_is_block_sized() {
         let grid = BlockGrid::from_pattern(16, 16, BlockingPattern::hierarchical(4)).unwrap();
-        let chain = FusedChain::plan(
+        let chain = plan_float(
             vec![ChainOp::conv(conv(2, 2, 7)), ChainOp::conv(conv(2, 2, 8))],
             grid,
             PadMode::Zero,
@@ -1015,7 +809,7 @@ mod tests {
     #[test]
     fn pooling_inside_a_fused_group() {
         let grid = BlockGrid::from_pattern(8, 8, BlockingPattern::hierarchical(2)).unwrap();
-        let chain = FusedChain::plan(
+        let chain = plan_float(
             vec![
                 ChainOp::conv(conv(1, 2, 11)),
                 ChainOp::Relu,
@@ -1038,7 +832,7 @@ mod tests {
         let grid = BlockGrid::single(8, 8);
         let mut rng = seeded_rng(14);
         let strided = he_conv2d(1, 1, ConvGeom::new(3, 2, 1), 1, &mut rng).unwrap();
-        assert!(FusedChain::plan(vec![ChainOp::conv(strided)], grid, PadMode::Zero).is_err());
+        assert!(plan_float(vec![ChainOp::conv(strided)], grid, PadMode::Zero).is_err());
     }
 
     #[test]
@@ -1046,7 +840,7 @@ mod tests {
         // Group 1: conv+pool under 4x4 blocks of an 16x16 map -> 8x8 map of
         // 2x2 blocks; splice into a single block for group 2 (Figure 10).
         let g1_grid = BlockGrid::from_pattern(16, 16, BlockingPattern::fixed(4)).unwrap();
-        let g1 = FusedChain::plan(
+        let g1 = plan_float(
             vec![ChainOp::conv(conv(1, 2, 21)), ChainOp::MaxPool { k: 2 }],
             g1_grid,
             PadMode::Zero,
@@ -1054,8 +848,7 @@ mod tests {
         .unwrap();
         let g2_grid = g1.out_grid().clone().merge(4).unwrap();
         assert_eq!(g2_grid.num_blocks(), 1);
-        let g2 =
-            FusedChain::plan(vec![ChainOp::conv(conv(2, 1, 22))], g2_grid, PadMode::Zero).unwrap();
+        let g2 = plan_float(vec![ChainOp::conv(conv(2, 1, 22))], g2_grid, PadMode::Zero).unwrap();
         let pipeline = FusedPipeline::new(vec![g1, g2]).unwrap();
         let input = uniform_tensor([1, 1, 16, 16], -1.0, 1.0, &mut seeded_rng(23));
         let (fused, fs) = pipeline.run_fused(&input).unwrap();
@@ -1067,60 +860,16 @@ mod tests {
     }
 
     #[test]
-    fn from_planned_reuses_trial_solves_bitwise() {
-        // Assembling a chain from pre-solved BlockConv2d stages (the
-        // planner's trial-walk artifacts) must execute identically to
-        // re-solving through plan().
-        let grid = BlockGrid::from_pattern(8, 8, BlockingPattern::hierarchical(2)).unwrap();
-        let c1 = Arc::new(conv(1, 2, 61));
-        let c2 = Arc::new(conv(2, 1, 62));
-        let b1 = BlockConv2d::plan(Arc::clone(&c1), grid.clone(), PadMode::Zero).unwrap();
-        let pooled = b1.output_grid().unwrap().downscale(2).unwrap();
-        let b2 = BlockConv2d::plan(Arc::clone(&c2), pooled, PadMode::Zero).unwrap();
-        let planned = FusedChain::from_planned(
-            vec![
-                PlannedOp::Conv(b1),
-                PlannedOp::Relu,
-                PlannedOp::MaxPool { k: 2 },
-                PlannedOp::Conv(b2),
-            ],
-            grid.clone(),
-        )
-        .unwrap();
-        let solved = FusedChain::plan(
-            vec![ChainOp::Conv(c1), ChainOp::Relu, ChainOp::MaxPool { k: 2 }, ChainOp::Conv(c2)],
-            grid,
-            PadMode::Zero,
-        )
-        .unwrap();
-        let input = uniform_tensor([1, 1, 8, 8], -1.0, 1.0, &mut seeded_rng(63));
-        let (a, sa) = planned.run_fused(&input).unwrap();
-        let (b, sb) = solved.run_fused(&input).unwrap();
-        assert_eq!(a.data(), b.data());
-        assert_eq!(sa, sb);
-    }
-
-    #[test]
-    fn from_planned_rejects_grid_discontinuity() {
-        // A conv solved on the wrong grid cannot silently join a chain.
-        let grid = BlockGrid::from_pattern(8, 8, BlockingPattern::hierarchical(2)).unwrap();
-        let other = BlockGrid::single(8, 8);
-        let bconv = BlockConv2d::plan(conv(1, 1, 64), other, PadMode::Zero).unwrap();
-        assert!(FusedChain::from_planned(vec![PlannedOp::Conv(bconv)], grid).is_err());
-    }
-
-    #[test]
     fn pipeline_scratch_execution_is_thread_invariant() {
         let g1_grid = BlockGrid::from_pattern(16, 16, BlockingPattern::fixed(4)).unwrap();
-        let g1 = FusedChain::plan(
+        let g1 = plan_float(
             vec![ChainOp::conv(conv(1, 2, 71)), ChainOp::MaxPool { k: 2 }],
             g1_grid,
             PadMode::Zero,
         )
         .unwrap();
         let g2_grid = g1.out_grid().clone().merge(2).unwrap();
-        let g2 =
-            FusedChain::plan(vec![ChainOp::conv(conv(2, 1, 72))], g2_grid, PadMode::Zero).unwrap();
+        let g2 = plan_float(vec![ChainOp::conv(conv(2, 1, 72))], g2_grid, PadMode::Zero).unwrap();
         let pipeline = FusedPipeline::new(vec![g1, g2]).unwrap();
         let input = uniform_tensor([1, 1, 16, 16], -1.0, 1.0, &mut seeded_rng(73));
         let (serial, ss) = pipeline.run_fused(&input).unwrap();
@@ -1152,14 +901,14 @@ mod tests {
         let grid = BlockGrid::from_pattern(8, 8, BlockingPattern::hierarchical(2)).unwrap();
         let ops = vec![ChainOp::conv(conv(2, 4, 31)), ChainOp::Relu, ChainOp::conv(conv(4, 2, 32))];
         let input = uniform_tensor([1, 2, 8, 8], -1.0, 1.0, &mut seeded_rng(33));
-        let float_chain = FusedChain::plan(ops.clone(), grid.clone(), PadMode::Zero).unwrap();
+        let float_chain = plan_float(ops.clone(), grid.clone(), PadMode::Zero).unwrap();
         assert_eq!(float_chain.act_bits(), None);
         let (float_out, fs) = float_chain.run_fused(&input).unwrap();
         // Calibrate each conv stage's input from the float path.
-        let head = FusedChain::plan(ops[..2].to_vec(), grid.clone(), PadMode::Zero).unwrap();
+        let head = plan_float(ops[..2].to_vec(), grid.clone(), PadMode::Zero).unwrap();
         let (mid, _) = head.run_fused(&input).unwrap();
         let params = [calibrated(&input, 8), calibrated(&mid, 8)];
-        let qchain = FusedChain::plan_quantized(ops, grid, PadMode::Zero, 8, &params).unwrap();
+        let qchain = plan_quant(ops, grid, PadMode::Zero, 8, &params).unwrap();
         assert_eq!(qchain.act_bits(), Some(8));
         let (q_fused, qs) = qchain.run_fused(&input).unwrap();
         let (q_layer, _) = qchain.run_layerwise(&input).unwrap();
@@ -1188,18 +937,12 @@ mod tests {
         let input = uniform_tensor([1, 1, 8, 8], 0.5, 1.0, &mut seeded_rng(36));
         let params = [calibrated(&input, 8)];
         let run = |mode| {
-            let chain = FusedChain::plan_quantized(
-                vec![ChainOp::conv(cv.clone())],
-                grid.clone(),
-                mode,
-                8,
-                &params,
-            )
-            .unwrap();
+            let chain = plan_quant(vec![ChainOp::conv(cv.clone())], grid.clone(), mode, 8, &params)
+                .unwrap();
             chain.run_fused(&input).unwrap().0
         };
         let float_rep =
-            FusedChain::plan(vec![ChainOp::conv(cv.clone())], grid.clone(), PadMode::Replicate)
+            plan_float(vec![ChainOp::conv(cv.clone())], grid.clone(), PadMode::Replicate)
                 .unwrap()
                 .run_fused(&input)
                 .unwrap()
@@ -1216,23 +959,18 @@ mod tests {
         let grid = BlockGrid::single(8, 8);
         let ops = vec![ChainOp::conv(conv(2, 2, 41))];
         let p = QParams::from_abs_max(1.0, 8);
-        assert!(
-            FusedChain::plan_quantized(ops.clone(), grid.clone(), PadMode::Zero, 8, &[]).is_err()
-        );
-        assert!(FusedChain::plan_quantized(ops, grid, PadMode::Zero, 8, &[p, p]).is_err());
+        assert!(plan_quant(ops.clone(), grid.clone(), PadMode::Zero, 8, &[]).is_err());
+        assert!(plan_quant(ops, grid, PadMode::Zero, 8, &[p, p]).is_err());
     }
 
     #[test]
     fn pipeline_rejects_mixed_precision_groups() {
         // One MemStats word width per pipeline: float + quantized groups
         // cannot share a run without misreporting offchip_bits.
-        let f = FusedChain::plan(
-            vec![ChainOp::conv(conv(1, 1, 51))],
-            BlockGrid::single(8, 8),
-            PadMode::Zero,
-        )
-        .unwrap();
-        let q = FusedChain::plan_quantized(
+        let f =
+            plan_float(vec![ChainOp::conv(conv(1, 1, 51))], BlockGrid::single(8, 8), PadMode::Zero)
+                .unwrap();
+        let q = plan_quant(
             vec![ChainOp::conv(conv(1, 1, 52))],
             BlockGrid::single(8, 8),
             PadMode::Zero,
@@ -1246,14 +984,10 @@ mod tests {
 
     #[test]
     fn pipeline_rejects_mismatched_groups() {
-        let g1 = FusedChain::plan(
-            vec![ChainOp::MaxPool { k: 2 }],
-            BlockGrid::single(8, 8),
-            PadMode::Zero,
-        )
-        .unwrap();
-        let g2 =
-            FusedChain::plan(vec![ChainOp::Relu], BlockGrid::single(8, 8), PadMode::Zero).unwrap();
+        let g1 =
+            plan_float(vec![ChainOp::MaxPool { k: 2 }], BlockGrid::single(8, 8), PadMode::Zero)
+                .unwrap();
+        let g2 = plan_float(vec![ChainOp::Relu], BlockGrid::single(8, 8), PadMode::Zero).unwrap();
         assert!(FusedPipeline::new(vec![g1, g2]).is_err());
     }
 }

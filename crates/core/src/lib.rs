@@ -41,7 +41,5 @@ pub mod plan;
 
 pub use block_conv::{BlockConv2d, BlockConvScratch};
 pub use blocking::{Block, BlockGrid, BlockingPattern};
-pub use fusion::{
-    BlockScratch, ChainOp, FusedChain, FusedPipeline, MemStats, PipelineScratch, PlannedOp,
-};
+pub use fusion::{BlockScratch, ChainOp, FusedChain, FusedPipeline, MemStats, PipelineScratch};
 pub use plan::{LayerBlocking, NetworkPlan};

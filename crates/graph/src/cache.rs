@@ -2,15 +2,16 @@
 //! on disk, and rebuild it on the next process start without re-running
 //! the planner walk.
 //!
-//! The serialized form stores the plan's *decisions* — segment node
-//! lists, each fused group's input [`BlockGrid`] — not its solved block
-//! convolutions. Loading re-solves Equation 2 per stored grid through
-//! [`BlockConv2d::plan_with_kernel`] and reassembles chains with
-//! [`FusedChain::from_planned`] (or the quantized variant against the
-//! session's freshly calibrated spec), exactly the path the planner's own
-//! `finalize` takes — so a cache-loaded session executes bitwise
-//! identically to a freshly planned one, while skipping the planner walk
-//! entirely (asserted via [`crate::plan::planner_invocations`]).
+//! The serialized form stores the plan's *decisions* (the planner's
+//! `PlanDecisions`) — which consecutive nodes fuse under which input
+//! [`BlockGrid`], which groups splice, and the report's cuts and splices —
+//! not its solved block convolutions. Loading parses the decisions back
+//! and hands them to the same `assemble` step that finishes a fresh
+//! planner walk (against the session's freshly calibrated spec, for a
+//! quantized backend), so a cache-loaded session executes bitwise
+//! identically to a freshly planned one by construction, and the load
+//! path has no way to reach the walk: its plans carry
+//! [`PlanProvenance::CacheLoaded`].
 //!
 //! Entries are keyed by [`PlanKey`]: network content hash × blocking
 //! pattern × backend × cost-model parameters × kernel policy × pad mode ×
@@ -22,28 +23,35 @@
 //! The codec is a hand-rolled recursive-descent JSON reader and a
 //! string-builder writer (the same offline idiom as `bconv_bench`'s
 //! `check` module): no serde, objects as ordered `Vec<(String, Json)>`
-//! pairs, every malformed byte a typed error rather than a panic.
+//! pairs, nesting capped, every malformed byte a typed error rather than
+//! a panic.
 
 use std::path::{Path, PathBuf};
-use std::sync::Arc;
 
 use bconv_core::blocking::{BlockGrid, BlockingPattern};
-use bconv_core::fusion::{FusedChain, FusedPipeline, PlannedOp};
 use bconv_core::plan::{LayerBlocking, NetworkPlan};
-use bconv_core::BlockConv2d;
 use bconv_tensor::kernel::KernelPolicy;
 use bconv_tensor::pad::PadMode;
 
 use crate::cost::CostModel;
 use crate::ir::{Graph, NodeId, NodeOp};
-use crate::plan::{ExecPlan, PlanProvenance, PlanReport, Segment, SpliceReport};
+use crate::plan::{
+    assemble, ExecPlan, GroupDecision, PlanDecisions, PlanProvenance, PlanReport, SegmentDecision,
+    SpliceReport,
+};
 use crate::quantize::GraphQuantSpec;
 use crate::session::Backend;
+use crate::tune::pattern_from_name;
 
 /// Serialized-plan schema version; bumped when the layout changes so old
 /// entries are rejected as [`PlanCacheError::Incompatible`], not
 /// misparsed.
-const SCHEMA_VERSION: u64 = 1;
+const SCHEMA_VERSION: usize = 2;
+
+/// Deepest nesting the JSON reader follows. Plan files nest 8 deep (a grid
+/// segment pair inside a group inside a segment); a file of 20 000 `[`
+/// must be a parse error, not a stack overflow.
+const MAX_JSON_DEPTH: usize = 16;
 
 // ---------------------------------------------------------------------
 // Minimal JSON value + parser (offline codec, no serde)
@@ -101,7 +109,9 @@ impl Json {
     /// The value as a non-negative integer, rejecting fractions.
     pub(crate) fn as_u64(&self) -> Option<u64> {
         let n = self.as_f64()?;
-        if n < 0.0 || n.fract() != 0.0 || n > u64::MAX as f64 {
+        // `u64::MAX as f64` rounds up to 2^64, which a saturating cast
+        // would silently accept as `u64::MAX`.
+        if n < 0.0 || n.fract() != 0.0 || n >= u64::MAX as f64 {
             return None;
         }
         Some(n as u64)
@@ -115,7 +125,7 @@ impl Json {
 /// Parses one JSON document, rejecting trailing garbage.
 pub(crate) fn parse_json(text: &str) -> Result<Json, String> {
     let bytes = text.as_bytes();
-    let (value, mut pos) = parse_value(bytes, 0)?;
+    let (value, mut pos) = parse_value(bytes, 0, 0)?;
     pos = skip_ws(bytes, pos);
     if pos != bytes.len() {
         return Err(format!("trailing bytes at offset {pos}"));
@@ -130,11 +140,15 @@ fn skip_ws(bytes: &[u8], mut pos: usize) -> usize {
     pos
 }
 
-fn parse_value(bytes: &[u8], pos: usize) -> Result<(Json, usize), String> {
+/// Parses the value at `pos`, itself nested inside `depth` containers.
+fn parse_value(bytes: &[u8], pos: usize, depth: usize) -> Result<(Json, usize), String> {
     let pos = skip_ws(bytes, pos);
     match bytes.get(pos) {
-        Some(b'{') => parse_object(bytes, pos + 1),
-        Some(b'[') => parse_array(bytes, pos + 1),
+        Some(b'{' | b'[') if depth >= MAX_JSON_DEPTH => {
+            Err(format!("nesting deeper than {MAX_JSON_DEPTH} at offset {pos}"))
+        }
+        Some(b'{') => parse_object(bytes, pos + 1, depth + 1),
+        Some(b'[') => parse_array(bytes, pos + 1, depth + 1),
         Some(b'"') => {
             let (s, next) = parse_string(bytes, pos + 1)?;
             Ok((Json::Str(s), next))
@@ -209,14 +223,14 @@ fn parse_string(bytes: &[u8], mut pos: usize) -> Result<(String, usize), String>
     }
 }
 
-fn parse_array(bytes: &[u8], mut pos: usize) -> Result<(Json, usize), String> {
+fn parse_array(bytes: &[u8], mut pos: usize, depth: usize) -> Result<(Json, usize), String> {
     let mut items = Vec::new();
     pos = skip_ws(bytes, pos);
     if bytes.get(pos) == Some(&b']') {
         return Ok((Json::Arr(items), pos + 1));
     }
     loop {
-        let (value, next) = parse_value(bytes, pos)?;
+        let (value, next) = parse_value(bytes, pos, depth)?;
         items.push(value);
         pos = skip_ws(bytes, next);
         match bytes.get(pos) {
@@ -227,7 +241,7 @@ fn parse_array(bytes: &[u8], mut pos: usize) -> Result<(Json, usize), String> {
     }
 }
 
-fn parse_object(bytes: &[u8], mut pos: usize) -> Result<(Json, usize), String> {
+fn parse_object(bytes: &[u8], mut pos: usize, depth: usize) -> Result<(Json, usize), String> {
     let mut pairs = Vec::new();
     pos = skip_ws(bytes, pos);
     if bytes.get(pos) == Some(&b'}') {
@@ -243,7 +257,7 @@ fn parse_object(bytes: &[u8], mut pos: usize) -> Result<(Json, usize), String> {
         if bytes.get(pos) != Some(&b':') {
             return Err(format!("expected ':' at offset {pos}"));
         }
-        let (value, next) = parse_value(bytes, pos + 1)?;
+        let (value, next) = parse_value(bytes, pos + 1, depth)?;
         pairs.push((key, value));
         pos = skip_ws(bytes, next);
         match bytes.get(pos) {
@@ -468,8 +482,9 @@ pub enum PlanCacheError {
         /// The key the entry was stored under.
         found: String,
     },
-    /// The entry's decisions no longer rebuild against this graph (e.g.
-    /// node ids out of range, grids that fail Equation 2).
+    /// The entry's decisions do not assemble against this graph (e.g. node
+    /// ids out of range, grids that fail Equation 2) or it was written
+    /// under another schema version.
     Incompatible(String),
 }
 
@@ -514,10 +529,10 @@ impl PlanCache {
         self.dir.join(format!("{}.json", key.file_stem()))
     }
 
-    /// Loads and rebuilds the pinned plan for `key`, re-solving block
-    /// plans against `graph` under `pad`/`kernel` (and, for quantized
-    /// sessions, the freshly calibrated `quant` spec). On success the
-    /// plan's provenance is [`PlanProvenance::CacheLoaded`].
+    /// Loads the pinned decisions for `key` and assembles them against
+    /// `graph` under `pad`/`kernel` (and, for quantized sessions, the
+    /// freshly calibrated `quant` spec). On success the plan's provenance
+    /// is [`PlanProvenance::CacheLoaded`].
     ///
     /// # Errors
     ///
@@ -534,28 +549,25 @@ impl PlanCache {
         let path = self.path_for(key);
         let text = std::fs::read_to_string(&path).map_err(|e| PlanCacheError::Io(e.to_string()))?;
         let doc = parse_json(&text).map_err(PlanCacheError::Parse)?;
-        let version = doc
-            .get("version")
-            .and_then(Json::as_u64)
-            .ok_or_else(|| PlanCacheError::Parse("missing version".to_string()))?;
+        let version = usize_field(&doc, "version")?;
         if version != SCHEMA_VERSION {
             return Err(PlanCacheError::Incompatible(format!(
                 "schema version {version}, expected {SCHEMA_VERSION}"
             )));
         }
-        let found = doc
-            .get("key")
-            .and_then(Json::as_str)
-            .ok_or_else(|| PlanCacheError::Parse("missing key".to_string()))?;
+        let found = str_field(&doc, "key")?;
         let expected = key.canonical();
         if found != expected {
             return Err(PlanCacheError::KeyMismatch { expected, found: found.to_string() });
         }
-        rebuild_plan(&doc, key, graph, pad, kernel, quant)
+        let mut decisions = parse_decisions(&doc)?;
+        decisions.report.provenance = PlanProvenance::CacheLoaded { key: expected };
+        assemble(decisions, graph, pad, kernel, quant)
+            .map_err(|e| PlanCacheError::Incompatible(e.to_string()))
     }
 
-    /// Serializes `plan` under `key`, creating the cache directory if
-    /// needed.
+    /// Serializes `plan`'s decisions under `key`, creating the cache
+    /// directory if needed.
     ///
     /// # Errors
     ///
@@ -564,21 +576,23 @@ impl PlanCache {
     /// not a build failure.
     pub fn store(&self, key: &PlanKey, plan: &ExecPlan) -> Result<(), PlanCacheError> {
         std::fs::create_dir_all(&self.dir).map_err(|e| PlanCacheError::Io(e.to_string()))?;
-        let text = serialize_plan(key, plan);
+        let text = serialize_decisions(key, plan.decisions());
         std::fs::write(self.path_for(key), text).map_err(|e| PlanCacheError::Io(e.to_string()))
     }
 }
 
 // ---------------------------------------------------------------------
-// Serialization
+// The decisions codec
 // ---------------------------------------------------------------------
 
+fn list_json<T>(items: &[T], item: impl Fn(&T) -> String) -> String {
+    let items: Vec<String> = items.iter().map(item).collect();
+    format!("[{}]", items.join(","))
+}
+
 fn grid_json(grid: &BlockGrid) -> String {
-    let segs = |pairs: &[(usize, usize)]| -> String {
-        let items: Vec<String> =
-            pairs.iter().map(|(start, size)| format!("[{start},{size}]")).collect();
-        format!("[{}]", items.join(","))
-    };
+    let segs =
+        |pairs: &[(usize, usize)]| list_json(pairs, |(start, size)| format!("[{start},{size}]"));
     format!(
         "{{\"h\":{},\"w\":{},\"rows\":{},\"cols\":{}}}",
         grid.h(),
@@ -588,374 +602,125 @@ fn grid_json(grid: &BlockGrid) -> String {
     )
 }
 
-fn nodes_json(nodes: &[NodeId]) -> String {
-    let items: Vec<String> = nodes.iter().map(|n| n.to_string()).collect();
-    format!("[{}]", items.join(","))
-}
-
-/// Serializes a compiled plan (with its key) to the cache document form.
-pub fn serialize_plan(key: &PlanKey, plan: &ExecPlan) -> String {
-    let mut out = String::new();
-    out.push_str("{\n");
-    out.push_str(&format!("  \"version\": {SCHEMA_VERSION},\n"));
-    out.push_str(&format!("  \"key\": \"{}\",\n", escape_json(&key.canonical())));
-    let pattern = match plan.pattern() {
-        BlockingPattern::Fixed { th, tw } => {
-            format!("{{\"kind\":\"fixed\",\"th\":{th},\"tw\":{tw}}}")
-        }
-        BlockingPattern::Hierarchical { gh, gw } => {
-            format!("{{\"kind\":\"hierarchical\",\"gh\":{gh},\"gw\":{gw}}}")
-        }
-    };
-    out.push_str(&format!("  \"pattern\": {pattern},\n"));
-    match plan.act_bits() {
-        Some(bits) => out.push_str(&format!("  \"act_bits\": {bits},\n")),
-        None => out.push_str("  \"act_bits\": null,\n"),
-    }
-    out.push_str(&format!("  \"blocked_convs\": {},\n", plan.blocked_convs()));
-    out.push_str(&format!("  \"total_convs\": {},\n", plan.total_convs()));
-    let report = plan.report();
-    let cuts: Vec<String> = report.cost_cuts.iter().map(|n| n.to_string()).collect();
-    let splices: Vec<String> = report
-        .splices
-        .iter()
-        .map(|s| {
-            format!(
-                "{{\"from\":{},\"to\":{},\"saved\":{}}}",
-                s.from_node, s.to_node, s.saved_offchip_elems
-            )
-        })
-        .collect();
-    out.push_str(&format!(
-        "  \"report\": {{\"cost_model\":\"{}\",\"cost_cuts\":[{}],\"splices\":[{}]}},\n",
-        escape_json(&report.cost_model),
-        cuts.join(","),
-        splices.join(",")
-    ));
-    out.push_str("  \"segments\": [\n");
-    let seg_lines: Vec<String> = plan
-        .segments()
+/// Serializes plan decisions (with their key) to the cache document form.
+pub(crate) fn serialize_decisions(key: &PlanKey, decisions: &PlanDecisions) -> String {
+    let ids = |nodes: &[NodeId]| list_json(nodes, NodeId::to_string);
+    let report = &decisions.report;
+    let splices = list_json(&report.splices, |s| {
+        format!(
+            "{{\"from\":{},\"to\":{},\"saved\":{}}}",
+            s.from_node, s.to_node, s.saved_offchip_elems
+        )
+    });
+    let segments: Vec<String> = decisions
+        .segments
         .iter()
         .map(|seg| match seg {
-            Segment::Single(id) => format!("    {{\"kind\":\"single\",\"node\":{id}}}"),
-            Segment::Fused { nodes, chain, .. } => format!(
-                "    {{\"kind\":\"fused\",\"nodes\":{},\"grid\":{}}}",
-                nodes_json(nodes),
-                grid_json(chain.in_grid())
-            ),
-            Segment::Spliced { nodes, pipeline, .. } => {
-                let groups: Vec<String> = pipeline
-                    .groups()
-                    .iter()
-                    .map(|g| format!("{{\"len\":{},\"grid\":{}}}", g.len(), grid_json(g.in_grid())))
-                    .collect();
-                format!(
-                    "    {{\"kind\":\"spliced\",\"nodes\":{},\"groups\":[{}]}}",
-                    nodes_json(nodes),
-                    groups.join(",")
-                )
+            SegmentDecision::Single(id) => format!("    {{\"node\":{id}}}"),
+            SegmentDecision::Groups(groups) => {
+                let groups = list_json(groups, |g| {
+                    format!("{{\"nodes\":{},\"grid\":{}}}", ids(&g.nodes), grid_json(&g.grid))
+                });
+                format!("    {{\"groups\":{groups}}}")
             }
         })
         .collect();
-    out.push_str(&seg_lines.join(",\n"));
-    out.push_str("\n  ]\n}\n");
-    out
+    format!(
+        "{{\n  \"version\": {SCHEMA_VERSION},\n  \"key\": \"{}\",\n  \"pattern\": \"{}\",\n  \
+         \"report\": {{\"cost_model\":\"{}\",\"cost_cuts\":{},\"splices\":{splices}}},\n  \
+         \"segments\": [\n{}\n  ]\n}}\n",
+        escape_json(&key.canonical()),
+        decisions.pattern,
+        escape_json(&report.cost_model),
+        ids(&report.cost_cuts),
+        segments.join(",\n")
+    )
 }
 
-// ---------------------------------------------------------------------
-// Rebuild (deserialization)
-// ---------------------------------------------------------------------
+fn not_a(what: &str) -> PlanCacheError {
+    PlanCacheError::Parse(format!("missing or malformed {what}"))
+}
+
+fn field<'a>(obj: &'a Json, name: &str) -> Result<&'a Json, PlanCacheError> {
+    obj.get(name).ok_or_else(|| not_a(name))
+}
+
+fn str_field<'a>(obj: &'a Json, name: &str) -> Result<&'a str, PlanCacheError> {
+    field(obj, name)?.as_str().ok_or_else(|| not_a(name))
+}
+
+fn arr_field<'a>(obj: &'a Json, name: &str) -> Result<&'a [Json], PlanCacheError> {
+    field(obj, name)?.as_arr().ok_or_else(|| not_a(name))
+}
+
+fn usize_field(obj: &Json, name: &str) -> Result<usize, PlanCacheError> {
+    field(obj, name)?.as_usize().ok_or_else(|| not_a(name))
+}
+
+/// An array member of non-negative integers (node ids).
+fn ids_field(obj: &Json, name: &str) -> Result<Vec<NodeId>, PlanCacheError> {
+    arr_field(obj, name)?.iter().map(|n| n.as_usize().ok_or_else(|| not_a(name))).collect()
+}
 
 fn parse_grid(value: &Json) -> Result<BlockGrid, PlanCacheError> {
-    let field = |name: &str| -> Result<usize, PlanCacheError> {
-        value
-            .get(name)
-            .and_then(Json::as_usize)
-            .ok_or_else(|| PlanCacheError::Parse(format!("grid missing {name}")))
-    };
     let segs = |name: &str| -> Result<Vec<(usize, usize)>, PlanCacheError> {
-        let arr = value
-            .get(name)
-            .and_then(Json::as_arr)
-            .ok_or_else(|| PlanCacheError::Parse(format!("grid missing {name}")))?;
-        arr.iter()
-            .map(|pair| {
-                let items = pair
-                    .as_arr()
-                    .ok_or_else(|| PlanCacheError::Parse("grid segment not a pair".into()))?;
-                match items {
-                    [a, b] => match (a.as_usize(), b.as_usize()) {
-                        (Some(start), Some(size)) => Ok((start, size)),
-                        _ => Err(PlanCacheError::Parse("grid segment not integers".into())),
-                    },
-                    _ => Err(PlanCacheError::Parse("grid segment not a pair".into())),
-                }
+        arr_field(value, name)?
+            .iter()
+            .map(|pair| match pair.as_arr() {
+                Some([a, b]) => a.as_usize().zip(b.as_usize()).ok_or_else(|| not_a(name)),
+                _ => Err(not_a(name)),
             })
             .collect()
     };
-    BlockGrid::from_segments(field("h")?, field("w")?, segs("rows")?, segs("cols")?)
-        .map_err(|e| PlanCacheError::Incompatible(format!("stored grid invalid: {e}")))
+    BlockGrid::from_segments(
+        usize_field(value, "h")?,
+        usize_field(value, "w")?,
+        segs("rows")?,
+        segs("cols")?,
+    )
+    .map_err(|e| PlanCacheError::Incompatible(format!("stored grid invalid: {e}")))
 }
 
-fn parse_nodes(value: &Json) -> Result<Vec<NodeId>, PlanCacheError> {
-    let arr = value
-        .get("nodes")
-        .and_then(Json::as_arr)
-        .ok_or_else(|| PlanCacheError::Parse("segment missing nodes".to_string()))?;
-    arr.iter()
-        .map(|n| {
-            n.as_usize().ok_or_else(|| PlanCacheError::Parse("node id not an integer".to_string()))
-        })
-        .collect()
-}
-
-/// Re-solves the planned ops of one fused group from its stored node list
-/// and input grid — the same [`BlockConv2d::plan_with_kernel`] calls the
-/// planner's trial walk made, in the same order, so the rebuilt chain is
-/// bit-identical. Returns the ops and the number of blocked convs.
-fn rebuild_ops(
-    graph: &Graph,
-    nodes: &[NodeId],
-    start: &BlockGrid,
-    pad: PadMode,
-    kernel: KernelPolicy,
-) -> Result<(Vec<PlannedOp>, usize), PlanCacheError> {
-    let mut cur = start.clone();
-    let mut ops = Vec::with_capacity(nodes.len());
-    let mut convs = 0usize;
-    for &id in nodes {
-        let node = graph
-            .nodes()
-            .get(id)
-            .ok_or_else(|| PlanCacheError::Incompatible(format!("node {id} out of range")))?;
-        match &node.op {
-            NodeOp::Conv { conv, .. } => {
-                let bconv =
-                    BlockConv2d::plan_with_kernel(Arc::clone(conv), cur.clone(), pad, kernel)
-                        .map_err(|e| {
-                            PlanCacheError::Incompatible(format!("node {id} unplannable: {e}"))
-                        })?;
-                cur = bconv.output_grid().map_err(|e| {
-                    PlanCacheError::Incompatible(format!("node {id} output grid: {e}"))
-                })?;
-                ops.push(PlannedOp::Conv(bconv));
-                convs += 1;
-            }
-            NodeOp::Relu => ops.push(PlannedOp::Relu),
-            NodeOp::MaxPool { k, s, p } if k == s && *p == 0 => {
-                cur = cur.downscale(*k).map_err(|e| {
-                    PlanCacheError::Incompatible(format!("node {id} pool grid: {e}"))
-                })?;
-                ops.push(PlannedOp::MaxPool { k: *k });
-            }
-            op => {
-                return Err(PlanCacheError::Incompatible(format!(
-                    "node {id} ({}) cannot appear in a fused group",
-                    op.mnemonic()
-                )));
-            }
-        }
-    }
-    Ok((ops, convs))
-}
-
-/// Builds one [`FusedChain`] from rebuilt ops, on the float or quantized
-/// path to match the session backend.
-fn rebuild_chain(
-    nodes: &[NodeId],
-    ops: Vec<PlannedOp>,
-    start: BlockGrid,
-    quant: Option<&GraphQuantSpec>,
-) -> Result<FusedChain, PlanCacheError> {
-    match quant {
-        None => FusedChain::from_planned(ops, start)
-            .map_err(|e| PlanCacheError::Incompatible(format!("chain rebuild: {e}"))),
-        Some(spec) => {
-            let mut params = Vec::new();
-            for (&id, op) in nodes.iter().zip(&ops) {
-                if matches!(op, PlannedOp::Conv(_)) {
-                    params.push(spec.act_params(id).ok_or_else(|| {
-                        PlanCacheError::Incompatible(format!(
-                            "no calibrated activation range for node {id}"
-                        ))
-                    })?);
-                }
-            }
-            FusedChain::from_planned_quantized(ops, start, spec.weight_bits, &params)
-                .map_err(|e| PlanCacheError::Incompatible(format!("chain rebuild: {e}")))
-        }
-    }
-}
-
-/// Input reference of a segment's first node, read from the graph (the
-/// graph is the authority on wiring; the file only stores decisions).
-fn segment_input(graph: &Graph, first: NodeId) -> Result<crate::ir::NodeRef, PlanCacheError> {
-    graph
-        .nodes()
-        .get(first)
-        .map(|n| n.input)
-        .ok_or_else(|| PlanCacheError::Incompatible(format!("node {first} out of range")))
-}
-
-fn rebuild_plan(
-    doc: &Json,
-    key: &PlanKey,
-    graph: &Graph,
-    pad: PadMode,
-    kernel: KernelPolicy,
-    quant: Option<&GraphQuantSpec>,
-) -> Result<ExecPlan, PlanCacheError> {
-    let stored_act_bits =
-        match doc.get("act_bits") {
-            Some(Json::Null) | None => None,
-            Some(v) => Some(v.as_u64().and_then(|b| u8::try_from(b).ok()).ok_or_else(|| {
-                PlanCacheError::Parse("act_bits not a small integer".to_string())
-            })?),
-        };
-    let expected_act_bits = quant.map(|spec| spec.act_bits);
-    if stored_act_bits != expected_act_bits {
-        return Err(PlanCacheError::Incompatible(format!(
-            "stored act_bits {stored_act_bits:?} but session expects {expected_act_bits:?}"
-        )));
-    }
-    let pattern_doc =
-        doc.get("pattern").ok_or_else(|| PlanCacheError::Parse("missing pattern".to_string()))?;
-    let pfield = |name: &str| -> Result<usize, PlanCacheError> {
-        pattern_doc
-            .get(name)
-            .and_then(Json::as_usize)
-            .ok_or_else(|| PlanCacheError::Parse(format!("pattern missing {name}")))
-    };
-    let pattern = match pattern_doc.get("kind").and_then(Json::as_str) {
-        Some("fixed") => BlockingPattern::Fixed { th: pfield("th")?, tw: pfield("tw")? },
-        Some("hierarchical") => {
-            BlockingPattern::Hierarchical { gh: pfield("gh")?, gw: pfield("gw")? }
-        }
-        _ => return Err(PlanCacheError::Parse("unknown pattern kind".to_string())),
-    };
-
-    let report_doc =
-        doc.get("report").ok_or_else(|| PlanCacheError::Parse("missing report".to_string()))?;
-    let cost_model = report_doc
-        .get("cost_model")
-        .and_then(Json::as_str)
-        .ok_or_else(|| PlanCacheError::Parse("report missing cost_model".to_string()))?
-        .to_string();
-    let cost_cuts: Vec<NodeId> = report_doc
-        .get("cost_cuts")
-        .and_then(Json::as_arr)
-        .ok_or_else(|| PlanCacheError::Parse("report missing cost_cuts".to_string()))?
-        .iter()
-        .map(|n| {
-            n.as_usize().ok_or_else(|| PlanCacheError::Parse("cost cut not an integer".to_string()))
-        })
-        .collect::<Result<_, _>>()?;
-    let splices: Vec<SpliceReport> = report_doc
-        .get("splices")
-        .and_then(Json::as_arr)
-        .ok_or_else(|| PlanCacheError::Parse("report missing splices".to_string()))?
+/// Parses the decisions of a cache document (its version and key already
+/// checked). Whether they fit a graph is `assemble`'s call.
+pub(crate) fn parse_decisions(doc: &Json) -> Result<PlanDecisions, PlanCacheError> {
+    let pattern = pattern_from_name(str_field(doc, "pattern")?).ok_or_else(|| not_a("pattern"))?;
+    let report = field(doc, "report")?;
+    let splices = arr_field(report, "splices")?
         .iter()
         .map(|s| {
-            let field = |name: &str| -> Result<usize, PlanCacheError> {
-                s.get(name)
-                    .and_then(Json::as_usize)
-                    .ok_or_else(|| PlanCacheError::Parse(format!("splice missing {name}")))
-            };
             Ok(SpliceReport {
-                from_node: field("from")?,
-                to_node: field("to")?,
-                saved_offchip_elems: field("saved")?,
+                from_node: usize_field(s, "from")?,
+                to_node: usize_field(s, "to")?,
+                saved_offchip_elems: usize_field(s, "saved")?,
             })
         })
-        .collect::<Result<_, _>>()?;
-
-    let seg_docs = doc
-        .get("segments")
-        .and_then(Json::as_arr)
-        .ok_or_else(|| PlanCacheError::Parse("missing segments".to_string()))?;
-    let mut segments = Vec::with_capacity(seg_docs.len());
-    let mut blocked_convs = 0usize;
-    for seg in seg_docs {
-        match seg.get("kind").and_then(Json::as_str) {
-            Some("single") => {
-                let id = seg
-                    .get("node")
-                    .and_then(Json::as_usize)
-                    .ok_or_else(|| PlanCacheError::Parse("single missing node".to_string()))?;
-                if graph.nodes().get(id).is_none() {
-                    return Err(PlanCacheError::Incompatible(format!("node {id} out of range")));
-                }
-                segments.push(Segment::Single(id));
-            }
-            Some("fused") => {
-                let nodes = parse_nodes(seg)?;
-                let first = *nodes.first().ok_or_else(|| {
-                    PlanCacheError::Parse("fused segment with no nodes".to_string())
-                })?;
-                let grid = parse_grid(seg.get("grid").ok_or_else(|| {
-                    PlanCacheError::Parse("fused segment missing grid".to_string())
-                })?)?;
-                let (ops, convs) = rebuild_ops(graph, &nodes, &grid, pad, kernel)?;
-                blocked_convs += convs;
-                let chain = rebuild_chain(&nodes, ops, grid, quant)?;
-                let input = segment_input(graph, first)?;
-                segments.push(Segment::Fused { nodes, chain, input });
-            }
-            Some("spliced") => {
-                let nodes = parse_nodes(seg)?;
-                let first = *nodes.first().ok_or_else(|| {
-                    PlanCacheError::Parse("spliced segment with no nodes".to_string())
-                })?;
-                let group_docs = seg.get("groups").and_then(Json::as_arr).ok_or_else(|| {
-                    PlanCacheError::Parse("spliced segment missing groups".to_string())
-                })?;
-                let mut cursor = 0usize;
-                let mut groups = Vec::with_capacity(group_docs.len());
-                for g in group_docs {
-                    let len = g
-                        .get("len")
-                        .and_then(Json::as_usize)
-                        .ok_or_else(|| PlanCacheError::Parse("group missing len".to_string()))?;
-                    let span = nodes.get(cursor..cursor + len).ok_or_else(|| {
-                        PlanCacheError::Parse("group lengths exceed node list".to_string())
-                    })?;
-                    cursor += len;
-                    let grid =
-                        parse_grid(g.get("grid").ok_or_else(|| {
-                            PlanCacheError::Parse("group missing grid".to_string())
-                        })?)?;
-                    let (ops, convs) = rebuild_ops(graph, span, &grid, pad, kernel)?;
-                    blocked_convs += convs;
-                    groups.push(rebuild_chain(span, ops, grid, quant)?);
-                }
-                if cursor != nodes.len() {
-                    return Err(PlanCacheError::Parse(
-                        "group lengths do not cover the node list".to_string(),
-                    ));
-                }
-                let pipeline = FusedPipeline::new(groups)
-                    .map_err(|e| PlanCacheError::Incompatible(format!("pipeline rebuild: {e}")))?;
-                let input = segment_input(graph, first)?;
-                segments.push(Segment::Spliced { nodes, pipeline, input });
-            }
-            _ => return Err(PlanCacheError::Parse("unknown segment kind".to_string())),
-        }
-    }
-
+        .collect::<Result<_, PlanCacheError>>()?;
     let report = PlanReport {
-        cost_model,
-        cost_cuts,
+        cost_model: str_field(report, "cost_model")?.to_string(),
+        cost_cuts: ids_field(report, "cost_cuts")?,
         splices,
-        provenance: PlanProvenance::CacheLoaded { key: key.canonical() },
+        provenance: PlanProvenance::default(),
     };
-    Ok(ExecPlan::from_parts(
-        segments,
-        pattern,
-        blocked_convs,
-        graph.conv_count(),
-        stored_act_bits,
-        report,
-    ))
+    let segments = arr_field(doc, "segments")?
+        .iter()
+        .map(|seg| {
+            if seg.get("node").is_some() {
+                return Ok(SegmentDecision::Single(usize_field(seg, "node")?));
+            }
+            let groups = arr_field(seg, "groups")?
+                .iter()
+                .map(|g| {
+                    Ok(GroupDecision {
+                        nodes: ids_field(g, "nodes")?,
+                        grid: parse_grid(field(g, "grid")?)?,
+                    })
+                })
+                .collect::<Result<_, PlanCacheError>>()?;
+            Ok(SegmentDecision::Groups(groups))
+        })
+        .collect::<Result<_, PlanCacheError>>()?;
+    Ok(PlanDecisions { pattern, segments, report })
 }
 
 #[cfg(test)]
@@ -985,6 +750,90 @@ mod tests {
         for bad in ["", "{", "{\"a\":}", "[1,", "{\"a\" 1}", "{} trailing", "nul", "1e999"] {
             assert!(parse_json(bad).is_err(), "{bad:?} should fail");
         }
+    }
+
+    #[test]
+    fn hostile_nesting_is_a_parse_error_not_a_stack_overflow() {
+        // 20 kB of `[` used to recurse once per byte and abort the process.
+        for open in ["[", "{\"a\":", "[{\"a\":"] {
+            let err = parse_json(&open.repeat(20_000)).unwrap_err();
+            assert!(err.contains("nesting"), "{err}");
+        }
+        // A real plan document's depth stays well inside the cap.
+        let nested = format!("{}1{}", "[".repeat(MAX_JSON_DEPTH), "]".repeat(MAX_JSON_DEPTH));
+        assert!(parse_json(&nested).is_ok());
+        assert!(parse_json(&format!("[{nested}]")).is_err());
+    }
+
+    #[test]
+    fn integers_past_u64_are_rejected_not_saturated() {
+        // 2^64 parses to exactly `u64::MAX as f64`; the cast would saturate.
+        for big in ["18446744073709551616", "18446744073709551615", "1e300"] {
+            let doc = parse_json(big).unwrap();
+            assert_eq!(doc.as_u64(), None, "{big}");
+            assert_eq!(doc.as_usize(), None, "{big}");
+        }
+        // The largest integer below 2^64 an f64 holds still converts.
+        assert_eq!(parse_json("18446744073709549568").unwrap().as_u64(), Some(u64::MAX - 2047));
+    }
+
+    #[test]
+    fn decisions_round_trip_through_the_codec() {
+        use crate::cost::AccelCost;
+        use crate::ir::LowerOptions;
+        use crate::plan::{Planner, PlannerOptions};
+        use bconv_accel::platform::zc706;
+        use bconv_models::small::{vdsr_small, vgg16_small};
+        use std::sync::Arc;
+
+        let spliced: Arc<dyn CostModel> =
+            Arc::new(AccelCost::with_buffers(zc706(), 1500 * 32 / 2, 1 << 24));
+        let configs = [
+            (BlockingPattern::hierarchical(2), None),
+            (BlockingPattern::fixed(8), None),
+            (BlockingPattern::hierarchical(2), Some(spliced)),
+        ];
+        let mut splices = 0;
+        for net in [vgg16_small(32), vdsr_small(24, 4, 8)] {
+            let graph = Graph::lower(&net, &LowerOptions::default()).unwrap();
+            for (pattern, cost_model) in &configs {
+                let planner = Planner::new(PlannerOptions {
+                    pattern: *pattern,
+                    cost_model: cost_model.clone(),
+                    ..PlannerOptions::default()
+                });
+                // Reference and Blocked walk at 32 bits per element, the
+                // quantized backends at their activation width.
+                for backend in [
+                    Backend::Reference,
+                    Backend::Blocked,
+                    Backend::Quantized { weight_bits: 8, act_bits: 8 },
+                    Backend::Quantized { weight_bits: 8, act_bits: 16 },
+                ] {
+                    let bits = match backend {
+                        Backend::Quantized { act_bits, .. } => act_bits,
+                        _ => 32,
+                    };
+                    let decisions = planner.walk(&graph, bits).unwrap();
+                    splices += decisions.report.splices.len();
+                    let key = PlanKey::for_build(
+                        &graph,
+                        2018,
+                        *pattern,
+                        None,
+                        backend,
+                        planner.cost_model(),
+                        KernelPolicy::Auto,
+                        PadMode::Zero,
+                    );
+                    let text = serialize_decisions(&key, &decisions);
+                    let doc = parse_json(&text).unwrap();
+                    assert_eq!(doc.get("key").and_then(Json::as_str), Some(&*key.canonical()));
+                    assert_eq!(parse_decisions(&doc).unwrap(), decisions, "{text}");
+                }
+            }
+        }
+        assert!(splices > 0, "the AccelCost configuration must exercise spliced segments");
     }
 
     #[test]

@@ -19,7 +19,7 @@
 //! [`Session`] ties the stages together behind a builder:
 //!
 //! ```
-//! use bconv_graph::Session;
+//! use bconv_graph::{PlanSpec, Session};
 //! use bconv_core::BlockingPattern;
 //! use bconv_models::small::vgg16_small;
 //! use bconv_tensor::{PadMode, Tensor};
@@ -27,8 +27,7 @@
 //! # fn main() -> Result<(), bconv_tensor::TensorError> {
 //! let session = Session::builder()
 //!     .network(vgg16_small(32))
-//!     .pattern(BlockingPattern::hierarchical(2))
-//!     .pad(PadMode::Zero)
+//!     .planner(PlanSpec::new().pattern(BlockingPattern::hierarchical(2)).pad(PadMode::Zero))
 //!     .build()?;
 //! let report = session.run(&Tensor::filled([1, 3, 32, 32], 0.5))?;
 //! println!("{} -> {:?}, {} off-chip elements",
@@ -54,8 +53,7 @@ pub use cost::{AccelCost, CostModel, ElementBudget, SpliceCost, StageCost};
 pub use exec::{BlockedExecutor, ExecScratch, Executor, ReferenceExecutor, RunReport};
 pub use ir::{Graph, LowerOptions, Node, NodeId, NodeOp, NodeRef};
 pub use plan::{
-    planner_invocations, ExecPlan, PlanProvenance, PlanReport, Planner, PlannerOptions, Segment,
-    SpliceReport,
+    ExecPlan, PlanProvenance, PlanReport, Planner, PlannerOptions, Segment, SpliceReport,
 };
 pub use quantize::{GraphQuantSpec, QuantizedExecutor};
 pub use serve::metrics::ServeMetrics;

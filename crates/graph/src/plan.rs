@@ -17,12 +17,20 @@
 //! extra buffer instead of a DRAM round trip. Every decision is recorded
 //! in the plan's [`PlanReport`], so benches and tests can assert the
 //! planner's choices, not just its outputs.
+//!
+//! Planning is one pipeline. The greedy walk and the splice pass produce
+//! a crate-private `PlanDecisions` value — which consecutive nodes fuse
+//! under which input [`BlockGrid`], and which groups splice — and
+//! `assemble` is the only code that turns decisions into [`FusedChain`]s,
+//! [`FusedPipeline`]s and [`Segment`]s. A fresh plan is walk → assemble; a
+//! [`crate::cache::PlanCache`] hit is parse → the same assemble. The
+//! walk's own block-convolution solves only validate candidates and are
+//! discarded.
 
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use bconv_core::blocking::{BlockGrid, BlockingPattern};
-use bconv_core::fusion::{FusedChain, FusedPipeline, PlannedOp};
+use bconv_core::fusion::{ChainOp, FusedChain, FusedPipeline};
 use bconv_core::plan::{LayerBlocking, NetworkPlan};
 use bconv_core::BlockConv2d;
 use bconv_tensor::kernel::KernelPolicy;
@@ -30,22 +38,8 @@ use bconv_tensor::pad::PadMode;
 use bconv_tensor::TensorError;
 
 use crate::cost::{CostModel, ElementBudget, SpliceCost, StageCost};
-use crate::ir::{Graph, NodeId, NodeOp, NodeRef};
+use crate::ir::{Graph, Node, NodeId, NodeOp, NodeRef};
 use crate::quantize::GraphQuantSpec;
-
-/// Process-wide count of full planner walks ([`Planner::plan`] /
-/// [`Planner::plan_quantized`]). A [`crate::cache::PlanCache`] hit rebuilds
-/// the plan from its serialized form without a walk, so tests assert this
-/// counter stays flat across cache-loaded builds — the "skips planning
-/// entirely" guarantee, counted rather than trusted.
-static PLANNER_INVOCATIONS: AtomicU64 = AtomicU64::new(0);
-
-/// Number of full planner walks this process has run. Monotone; a
-/// [`crate::cache::PlanCache`] hit leaves it untouched. Mirrors
-/// [`crate::quantize::calibration_passes`].
-pub fn planner_invocations() -> u64 {
-    PLANNER_INVOCATIONS.load(Ordering::Relaxed)
-}
 
 /// Planner configuration.
 #[derive(Debug, Clone)]
@@ -131,6 +125,23 @@ impl Segment {
             Self::Single(id) => *id,
         }
     }
+
+    /// The fusion groups of the segment, each with the nodes it covers
+    /// (every chain stage covers exactly one node, so the flat node list
+    /// splits back into groups by chain length). Empty for whole-map
+    /// segments.
+    pub fn groups(&self) -> impl Iterator<Item = (&FusedChain, &[NodeId])> {
+        let (chains, mut rest): (&[FusedChain], &[NodeId]) = match self {
+            Self::Fused { nodes, chain, .. } => (std::slice::from_ref(chain), nodes),
+            Self::Spliced { nodes, pipeline, .. } => (pipeline.groups(), nodes),
+            Self::Single(_) => (&[], &[]),
+        };
+        chains.iter().map(move |chain| {
+            let (span, tail) = rest.split_at(chain.len().min(rest.len()));
+            rest = tail;
+            (chain, span)
+        })
+    }
 }
 
 /// One splice the planner took: the fused-group boundary whose feature map
@@ -194,7 +205,7 @@ impl PlanProvenance {
 /// The planner's decisions, segment structure aside: which cost model
 /// ruled, where it cut, and which boundaries it spliced. Benches and
 /// tests assert against this instead of reverse-engineering segments.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct PlanReport {
     /// Name of the cost model that made the decisions.
     pub cost_model: String,
@@ -217,42 +228,55 @@ impl PlanReport {
     }
 }
 
-/// A compiled execution plan: an ordered segment list plus the planner's
-/// decision report.
+/// One fusion group as the planner decided it: the consecutive nodes it
+/// covers and the block grid on its input.
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) struct GroupDecision {
+    pub(crate) nodes: Vec<NodeId>,
+    pub(crate) grid: BlockGrid,
+}
+
+/// One segment of the planner's decisions.
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) enum SegmentDecision {
+    /// A node executed on whole feature maps.
+    Single(NodeId),
+    /// One fusion group, or several spliced into a pipeline.
+    Groups(Vec<GroupDecision>),
+}
+
+/// Everything a compiled plan reduces to: the output of the planner walk,
+/// the content of a [`crate::cache::PlanCache`] entry, and the only input
+/// (beside the graph and the execution knobs) of [`assemble`].
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) struct PlanDecisions {
+    pub(crate) pattern: BlockingPattern,
+    /// Covers every graph node exactly once, in node order.
+    pub(crate) segments: Vec<SegmentDecision>,
+    pub(crate) report: PlanReport,
+}
+
+/// A compiled execution plan: the planner's decisions and the ordered
+/// segment list assembled from them.
 #[derive(Debug, Clone)]
 pub struct ExecPlan {
     segments: Vec<Segment>,
-    pattern: BlockingPattern,
+    decisions: PlanDecisions,
     blocked_convs: usize,
     total_convs: usize,
     act_bits: Option<u8>,
-    report: PlanReport,
 }
 
 impl ExecPlan {
-    /// Reassembles a plan from parts — the deserialization path of
-    /// [`crate::cache::PlanCache`], which rebuilds segments by re-solving
-    /// block plans from stored grids rather than re-running the planner
-    /// walk.
-    pub(crate) fn from_parts(
-        segments: Vec<Segment>,
-        pattern: BlockingPattern,
-        blocked_convs: usize,
-        total_convs: usize,
-        act_bits: Option<u8>,
-        report: PlanReport,
-    ) -> Self {
-        Self { segments, pattern, blocked_convs, total_convs, act_bits, report }
-    }
-
-    /// Mutable decision report, for the build path to stamp provenance.
-    pub(crate) fn report_mut(&mut self) -> &mut PlanReport {
-        &mut self.report
+    /// The decisions the plan was assembled from (what a plan cache
+    /// stores).
+    pub(crate) fn decisions(&self) -> &PlanDecisions {
+        &self.decisions
     }
 
     /// Blocking pattern the plan was compiled under.
     pub fn pattern(&self) -> BlockingPattern {
-        self.pattern
+        self.decisions.pattern
     }
 
     /// Total convolutions in the source graph (blocked or not).
@@ -276,20 +300,13 @@ impl ExecPlan {
 
     /// The planner's decision report (cost model, cuts, splices).
     pub fn report(&self) -> &PlanReport {
-        &self.report
+        &self.decisions.report
     }
 
     /// Number of fusion groups (spliced pipelines count each constituent
     /// group).
     pub fn fusion_groups(&self) -> usize {
-        self.segments
-            .iter()
-            .map(|s| match s {
-                Segment::Fused { .. } => 1,
-                Segment::Spliced { pipeline, .. } => pipeline.groups().len(),
-                Segment::Single(_) => 0,
-            })
-            .sum()
+        self.segments.iter().map(|s| s.groups().count()).sum()
     }
 
     /// Number of convolutions executing as block convolutions.
@@ -308,37 +325,27 @@ impl ExecPlan {
 
     /// Human-readable plan summary, one line per segment.
     pub fn describe(&self, graph: &Graph) -> String {
-        let name = |n: NodeId| graph.nodes()[n].name.as_str();
+        let names = |ids: &[NodeId]| -> String {
+            let names: Vec<&str> = ids.iter().map(|&n| graph.nodes()[n].name.as_str()).collect();
+            names.join(" -> ")
+        };
+        let pattern = self.pattern();
         let mut out = String::new();
         for (i, seg) in self.segments.iter().enumerate() {
             match seg {
                 Segment::Fused { nodes, chain, .. } => {
-                    let names: Vec<&str> = nodes.iter().map(|&n| name(n)).collect();
                     out.push_str(&format!(
-                        "segment {i}: fused [{}] under {} ({} blocks)\n",
-                        names.join(" -> "),
-                        self.pattern,
+                        "segment {i}: fused [{}] under {pattern} ({} blocks)\n",
+                        names(nodes),
                         chain.in_grid().num_blocks(),
                     ));
                 }
-                Segment::Spliced { nodes, pipeline, .. } => {
-                    // Each chain stage covers exactly one node, so the flat
-                    // node list splits back into groups by chain length.
-                    let mut cursor = 0usize;
-                    let groups: Vec<String> = pipeline
-                        .groups()
-                        .iter()
-                        .map(|g| {
-                            let span = &nodes[cursor..cursor + g.len()];
-                            cursor += g.len();
-                            let names: Vec<&str> = span.iter().map(|&n| name(n)).collect();
-                            format!("[{}]", names.join(" -> "))
-                        })
-                        .collect();
+                Segment::Spliced { pipeline, .. } => {
+                    let groups: Vec<String> =
+                        seg.groups().map(|(_, ids)| format!("[{}]", names(ids))).collect();
                     out.push_str(&format!(
-                        "segment {i}: spliced {} under {} ({} groups)\n",
+                        "segment {i}: spliced {} under {pattern} ({} groups)\n",
                         groups.join(" => "),
-                        self.pattern,
                         pipeline.groups().len(),
                     ));
                 }
@@ -356,6 +363,146 @@ impl ExecPlan {
     }
 }
 
+/// Turns decisions into an executable plan — the only code that solves
+/// fused stages and builds [`FusedChain`]s, [`FusedPipeline`]s and
+/// [`Segment`]s, shared by fresh planning and cache loads, so the two
+/// cannot drift apart. With a quantization spec every fused conv is built
+/// on the integer path, carrying the calibrated activation range of its
+/// graph node.
+///
+/// Decisions may come from a cache file, so they are checked against the
+/// graph rather than trusted: segments must cover the nodes exactly once
+/// in order, every fused node but a segment's first must be the sole
+/// reader of its predecessor, and each group's grid must tile its input
+/// map.
+///
+/// # Errors
+///
+/// Returns [`TensorError::InvalidParameter`] when the decisions do not fit
+/// the graph, a stage cannot be blocked under its group's grid, or a fused
+/// conv node has no calibrated activation range in `quant`.
+pub(crate) fn assemble(
+    decisions: PlanDecisions,
+    graph: &Graph,
+    pad: PadMode,
+    kernel: KernelPolicy,
+    quant: Option<&GraphQuantSpec>,
+) -> Result<ExecPlan, TensorError> {
+    let nodes = graph.nodes();
+    let mut segments = Vec::with_capacity(decisions.segments.len());
+    let mut blocked_convs = 0usize;
+    let mut next_id: NodeId = 0;
+    for seg in &decisions.segments {
+        match seg {
+            SegmentDecision::Single(id) => {
+                if *id != next_id || *id >= nodes.len() {
+                    return Err(misfit(format!("whole-map node {id} where {next_id} is due")));
+                }
+                next_id += 1;
+                segments.push(Segment::Single(*id));
+            }
+            SegmentDecision::Groups(groups) => {
+                let first = next_id;
+                let mut chains = Vec::with_capacity(groups.len());
+                for group in groups {
+                    let opens_segment = next_id == first;
+                    let chain =
+                        assemble_group(group, graph, next_id, opens_segment, pad, kernel, quant)?;
+                    blocked_convs += chain.convs().count();
+                    next_id += group.nodes.len();
+                    chains.push(chain);
+                }
+                if chains.is_empty() {
+                    return Err(misfit("a fused segment without groups".to_string()));
+                }
+                let (ids, input) = ((first..next_id).collect(), nodes[first].input);
+                segments.push(match <[FusedChain; 1]>::try_from(chains) {
+                    Ok([chain]) => Segment::Fused { nodes: ids, chain, input },
+                    Err(chains) => Segment::Spliced {
+                        nodes: ids,
+                        pipeline: FusedPipeline::new(chains)?,
+                        input,
+                    },
+                });
+            }
+        }
+    }
+    if next_id != nodes.len() {
+        return Err(misfit(format!("cover {next_id} of {} nodes", nodes.len())));
+    }
+    Ok(ExecPlan {
+        segments,
+        decisions,
+        blocked_convs,
+        total_convs: graph.conv_count(),
+        act_bits: quant.map(|spec| spec.act_bits),
+    })
+}
+
+fn misfit(what: String) -> TensorError {
+    TensorError::invalid(format!("plan decisions: {what}"))
+}
+
+/// Builds the chain of one decided group, which must cover the nodes from
+/// `start` on. A group that opens its segment reads a materialised map;
+/// any other continues the pipeline of the group before it.
+fn assemble_group(
+    group: &GroupDecision,
+    graph: &Graph,
+    start: NodeId,
+    opens_segment: bool,
+    pad: PadMode,
+    kernel: KernelPolicy,
+    quant: Option<&GraphQuantSpec>,
+) -> Result<FusedChain, TensorError> {
+    let end = start + group.nodes.len();
+    let span = graph
+        .nodes()
+        .get(start..end)
+        .filter(|span| !span.is_empty() && group.nodes.iter().copied().eq(start..end))
+        .ok_or_else(|| {
+            misfit(format!("a group of nodes {:?} where node {start} is due", group.nodes))
+        })?;
+    let s = span[0].in_shape;
+    if (group.grid.h(), group.grid.w()) != (s.h, s.w) {
+        return Err(misfit(format!("grid {} on the {s} input of node {start}", group.grid)));
+    }
+    let mut ops = Vec::with_capacity(span.len());
+    let mut params = Vec::new();
+    for (id, node) in (start..end).zip(span) {
+        if (id > start || !opens_segment)
+            && (node.input != NodeRef::Node(id - 1) || graph.consumer_count(id - 1) != 1)
+        {
+            return Err(misfit(format!("node {id} is not fed by node {} alone", id - 1)));
+        }
+        ops.push(match &node.op {
+            NodeOp::Conv { conv, .. } => {
+                if let Some(spec) = quant {
+                    params.push(spec.act_params(id).ok_or_else(|| {
+                        TensorError::invalid(format!(
+                            "no calibrated activation range for conv node {}",
+                            node.name
+                        ))
+                    })?);
+                }
+                // Weights are shared, not cloned: the chain stage and the
+                // graph node hold the same Arc<Conv2d> allocation.
+                ChainOp::Conv(Arc::clone(conv))
+            }
+            NodeOp::Relu => ChainOp::Relu,
+            NodeOp::MaxPool { k, s, p } if k == s && *p == 0 => ChainOp::MaxPool { k: *k },
+            op => {
+                return Err(misfit(format!(
+                    "node {id} ({}) cannot be a fused stage",
+                    op.mnemonic()
+                )));
+            }
+        });
+    }
+    let quant = quant.map(|spec| (spec.weight_bits, params.as_slice()));
+    FusedChain::plan(ops, group.grid.clone(), pad, kernel, quant)
+}
+
 /// Compiles [`Graph`]s into [`ExecPlan`]s.
 #[derive(Debug, Clone)]
 pub struct Planner {
@@ -369,31 +516,26 @@ impl Default for Planner {
     }
 }
 
-/// In-progress fusion group during the greedy walk. `ops` holds the
-/// already-solved [`BlockConv2d`] plans of the trial walk, so finalizing
-/// the chain never re-solves a padding schedule; `costs` mirrors the
-/// conv/pool stages in [`StageCost`] units for the cost model.
-struct OpenChain {
-    nodes: Vec<NodeId>,
-    /// The id of the most recently joined node (always `nodes.last()`,
-    /// tracked separately so the walk never unwraps an empty list).
+/// A run of fused groups as the walk and the splice pass see it: the
+/// decisions, plus what the cost model needs to judge extending or splicing
+/// it. One group while the walk extends it; more once the splice pass has
+/// merged neighbours.
+struct FusedRun {
+    groups: Vec<GroupDecision>,
+    first_node: NodeId,
     last_node: NodeId,
-    ops: Vec<PlannedOp>,
+    /// Grid on the run's output.
+    out_grid: BlockGrid,
+    /// The conv/pool stages of every group, in [`StageCost`] units.
     costs: Vec<StageCost>,
-    input: NodeRef,
-    start_grid: BlockGrid,
-    cur_grid: BlockGrid,
-    cur_channels: usize,
-    has_blocked_conv: bool,
+    /// Boundary-map sizes at the group joints (elements).
+    boundaries: Vec<usize>,
 }
 
-/// A walked segment paired with the stage costs of its fused group (used
-/// by the splice pass; `None` for whole-map segments) and, for spliced
-/// pipelines, the boundary-map sizes at its group joints (elements).
-struct WalkedSegment {
-    seg: Segment,
-    costs: Option<Vec<StageCost>>,
-    boundaries: Vec<usize>,
+/// One walked segment, before the splice pass.
+enum Walked {
+    Single(NodeId),
+    Fused(FusedRun),
 }
 
 impl Planner {
@@ -421,7 +563,7 @@ impl Planner {
     /// Returns [`TensorError::InvalidParameter`] when an explicit plan does
     /// not cover exactly the graph's conv layers — silently defaulting the
     /// tail would execute a different plan than the caller asked for.
-    fn decisions(&self, graph: &Graph) -> Result<Vec<LayerBlocking>, TensorError> {
+    fn layer_blocking(&self, graph: &Graph) -> Result<Vec<LayerBlocking>, TensorError> {
         if let Some(plan) = &self.opts.plan {
             if plan.len() != graph.conv_count() {
                 return Err(TensorError::invalid(format!(
@@ -451,7 +593,8 @@ impl Planner {
     /// accepts the extension. Anything else cuts the group — an off-chip
     /// boundary, exactly as the paper's normal-convolution fusion points
     /// do. A second pass then offers adjacent compatible groups to the
-    /// cost model for splicing into [`FusedPipeline`] segments.
+    /// cost model for splicing into [`FusedPipeline`] segments, and the
+    /// resulting decisions are assembled into chains.
     ///
     /// # Errors
     ///
@@ -459,14 +602,13 @@ impl Planner {
     /// cover exactly the graph's conv layers, or if a planned chain fails
     /// to re-validate (cannot happen for grids the trial walk accepted).
     pub fn plan(&self, graph: &Graph) -> Result<ExecPlan, TensorError> {
-        self.plan_inner(graph, None)
+        self.compile(graph, None, PlanProvenance::Fresh)
     }
 
     /// [`plan`](Self::plan) with every fused convolution compiled to the
     /// quantized integer path: the fusion-group walk (and therefore the
-    /// segment structure) is identical to the float plan, but chains are
-    /// built from the trial walk's solved block plans via
-    /// [`FusedChain::from_planned_quantized`] with `spec`'s weight
+    /// segment structure) is the float plan's, judged at the spec's
+    /// activation bitwidth, and chains are assembled with `spec`'s weight
     /// bitwidth and the calibrated per-node activation ranges. Splices are
     /// taken under the same rules — every group of a quantized plan shares
     /// the spec's activation bitwidth, so [`FusedPipeline`]'s
@@ -481,36 +623,40 @@ impl Planner {
         graph: &Graph,
         spec: &GraphQuantSpec,
     ) -> Result<ExecPlan, TensorError> {
-        self.plan_inner(graph, Some(spec))
+        self.compile(graph, Some(spec), PlanProvenance::Fresh)
     }
 
-    fn plan_inner(
+    /// Walk → assemble, stamping where the configuration came from.
+    pub(crate) fn compile(
         &self,
         graph: &Graph,
         quant: Option<&GraphQuantSpec>,
+        provenance: PlanProvenance,
     ) -> Result<ExecPlan, TensorError> {
-        PLANNER_INVOCATIONS.fetch_add(1, Ordering::Relaxed);
-        let decisions = self.decisions(graph)?;
-        let bits = quant.map_or(32, |spec| spec.act_bits);
+        let mut decisions = self.walk(graph, quant.map_or(32, |spec| spec.act_bits))?;
+        decisions.report.provenance = provenance;
+        assemble(decisions, graph, self.opts.pad_mode, self.opts.kernel, quant)
+    }
+
+    /// The greedy walk plus the splice pass, for feature maps of `bits`
+    /// per element: the planner's decisions, nothing built.
+    pub(crate) fn walk(&self, graph: &Graph, bits: u8) -> Result<PlanDecisions, TensorError> {
+        let layer_blocking = self.layer_blocking(graph)?;
         let mut report =
             PlanReport { cost_model: self.model.name().to_string(), ..PlanReport::default() };
-        let mut walked: Vec<WalkedSegment> = Vec::new();
-        let mut open: Option<OpenChain> = None;
-        let mut blocked_convs = 0usize;
+        let mut walked: Vec<Walked> = Vec::new();
+        let mut open: Option<FusedRun> = None;
 
         for (id, node) in graph.nodes().iter().enumerate() {
-            // Can this node extend the currently open chain?
-            if let Some(mut chain) = open.take() {
-                let prev = chain.last_node;
+            // Can this node extend the currently open group?
+            if let Some(mut run) = open.take() {
+                let prev = run.last_node;
                 let continues =
                     node.input == NodeRef::Node(prev) && graph.consumer_count(prev) == 1;
                 if continues {
-                    match self.try_extend(&mut chain, id, node, &decisions, bits) {
+                    match self.try_extend(&mut run, id, node, &layer_blocking, bits) {
                         Extend::Extended => {
-                            if let NodeOp::Conv { .. } = node.op {
-                                blocked_convs += 1;
-                            }
-                            open = Some(chain);
+                            open = Some(run);
                             continue;
                         }
                         Extend::CutByModel => report.cost_cuts.push(id),
@@ -518,339 +664,207 @@ impl Planner {
                     }
                 }
                 // The node did not join: close the group.
-                walked.push(Self::finalize(chain, graph, quant)?);
+                walked.push(Walked::Fused(run));
             }
 
             // Try to open a new group at this node; otherwise run it whole.
-            if let Some(chain) = self.try_open(id, node, &decisions, bits)? {
-                blocked_convs += 1;
-                open = Some(chain);
-            } else {
-                walked.push(WalkedSegment {
-                    seg: Segment::Single(id),
-                    costs: None,
-                    boundaries: Vec::new(),
-                });
+            open = self.try_open(id, node, &layer_blocking, bits);
+            if open.is_none() {
+                walked.push(Walked::Single(id));
             }
         }
-        if let Some(chain) = open.take() {
-            walked.push(Self::finalize(chain, graph, quant)?);
-        }
+        walked.extend(open.map(Walked::Fused));
 
-        let segments = self.splice_pass(graph, walked, bits, &mut report)?;
-
-        Ok(ExecPlan {
-            segments,
-            pattern: self.opts.pattern,
-            blocked_convs,
-            total_convs: graph.conv_count(),
-            act_bits: quant.map(|spec| spec.act_bits),
-            report,
-        })
+        let segments = self.splice_pass(graph, walked, bits, &mut report);
+        Ok(PlanDecisions { pattern: self.opts.pattern, segments, report })
     }
 
     /// Offers every adjacent pair of fused groups to the cost model for
     /// splicing: the downstream group must read exactly the upstream
-    /// group's (single-consumer) output, and the pipeline's precision and
-    /// boundary-map validation must hold — then the boundary map stays on
-    /// chip. A pipeline keeps growing while the model keeps accepting, so
-    /// three or more groups can splice into one segment.
+    /// group's (single-consumer) output, and the boundary maps must line
+    /// up — then the boundary map stays on chip. A pipeline keeps growing
+    /// while the model keeps accepting, so three or more groups can splice
+    /// into one segment.
     fn splice_pass(
         &self,
         graph: &Graph,
-        walked: Vec<WalkedSegment>,
+        walked: Vec<Walked>,
         bits: u8,
         report: &mut PlanReport,
-    ) -> Result<Vec<Segment>, TensorError> {
-        /// Output grid of a fused/spliced segment's last group.
-        fn last_chain(seg: &Segment) -> Option<&FusedChain> {
-            match seg {
-                Segment::Fused { chain, .. } => Some(chain),
-                Segment::Spliced { pipeline, .. } => pipeline.groups().last(),
-                Segment::Single(_) => None,
-            }
-        }
-        let mut out: Vec<WalkedSegment> = Vec::with_capacity(walked.len());
+    ) -> Vec<SegmentDecision> {
+        let mut out: Vec<Walked> = Vec::with_capacity(walked.len());
         for cur in walked {
-            let splice = match (out.last(), &cur) {
-                (
-                    Some(prev @ WalkedSegment { costs: Some(prev_costs), .. }),
-                    WalkedSegment {
-                        seg: Segment::Fused { input, nodes, chain },
-                        costs: Some(cur_costs),
-                        ..
-                    },
-                ) => last_chain(&prev.seg).and_then(|prev_chain| {
-                    let prev_out = prev.seg.output_node();
-                    // The downstream group must read exactly the upstream
-                    // group's output, the boundary must have no other
-                    // consumer, and the pipeline must be expressible (maps
-                    // line up, one precision throughout) — the same
-                    // conditions FusedPipeline::new validates.
-                    let compatible = *input == NodeRef::Node(prev_out)
-                        && graph.consumer_count(prev_out) == 1
-                        && prev_chain.out_grid().h() == chain.in_grid().h()
-                        && prev_chain.out_grid().w() == chain.in_grid().w()
-                        && prev_chain.act_bits() == chain.act_bits();
-                    let boundary_elems = {
-                        let s = graph.nodes()[prev_out].out_shape;
-                        s.c * s.h * s.w
-                    };
-                    // Peak extra-buffer occupancy of the prospective
-                    // pipeline: while a middle group runs, its source and
-                    // destination boundary maps are both resident, so the
-                    // peak is the largest adjacent-boundary pair.
-                    let peak_extra_elems =
-                        prev.boundaries.last().map_or(boundary_elems, |&b| b + boundary_elems).max(
-                            prev.boundaries.windows(2).map(|w| w[0] + w[1]).max().unwrap_or(0),
-                        );
-                    let boundary =
-                        SpliceCost { boundary_elems, peak_extra_elems, bits_per_elem: bits };
-                    (compatible && self.model.allow_splice(prev_costs, cur_costs, &boundary))
-                        .then_some((prev_out, nodes[0], boundary.boundary_elems))
-                }),
-                _ => None,
-            };
-            let Some((from_node, to_node, boundary_elems)) = splice else {
-                out.push(cur);
-                continue;
-            };
-            // A splice decision implies `out.last()` matched above, so the
-            // pop yields that same upstream segment; an empty stack would
-            // be a walk bug and degrades to the no-splice path.
-            let Some(prev) = out.pop() else {
-                out.push(cur);
-                continue;
-            };
-            let (mut groups, mut nodes_all, p_input) = match prev.seg {
-                Segment::Fused { nodes, chain, input } => (vec![chain], nodes, input),
-                Segment::Spliced { nodes, pipeline, input } => {
-                    (pipeline.into_groups(), nodes, input)
+            let next = match cur {
+                Walked::Fused(run) => run,
+                single @ Walked::Single(_) => {
+                    out.push(single);
+                    continue;
                 }
-                Segment::Single(_) => unreachable!("spliceable segments are fused"),
             };
-            let WalkedSegment {
-                seg: Segment::Fused { nodes, chain, .. },
-                costs: Some(cur_costs),
-                ..
-            } = cur
-            else {
-                unreachable!("splice candidates are fused segments");
-            };
-            groups.push(chain);
-            // Compatibility was pre-checked above, so construction cannot
-            // fail; propagate rather than panic if it ever does.
-            let pipeline = FusedPipeline::new(groups)?;
-            report.splices.push(SpliceReport {
-                from_node,
-                to_node,
-                saved_offchip_elems: 2 * boundary_elems,
-            });
-            nodes_all.extend(nodes);
-            // Splice candidates matched `costs: Some(..)` above; an absent
-            // cost vector degrades to empty rather than panicking.
-            let mut costs = prev.costs.unwrap_or_default();
-            costs.extend(cur_costs);
-            let mut boundaries = prev.boundaries;
-            boundaries.push(boundary_elems);
-            out.push(WalkedSegment {
-                seg: Segment::Spliced { nodes: nodes_all, pipeline, input: p_input },
-                costs: Some(costs),
-                boundaries,
-            });
+            if let Some(Walked::Fused(prev)) = out.last_mut() {
+                if let Some(boundary_elems) = self.offer_splice(graph, prev, &next, bits) {
+                    report.splices.push(SpliceReport {
+                        from_node: prev.last_node,
+                        to_node: next.first_node,
+                        saved_offchip_elems: 2 * boundary_elems,
+                    });
+                    prev.groups.extend(next.groups);
+                    prev.last_node = next.last_node;
+                    prev.out_grid = next.out_grid;
+                    prev.costs.extend(next.costs);
+                    prev.boundaries.push(boundary_elems);
+                    continue;
+                }
+            }
+            out.push(Walked::Fused(next));
         }
-        Ok(out.into_iter().map(|w| w.seg).collect())
+        out.into_iter()
+            .map(|w| match w {
+                Walked::Single(id) => SegmentDecision::Single(id),
+                Walked::Fused(run) => SegmentDecision::Groups(run.groups),
+            })
+            .collect()
+    }
+
+    /// Whether `next` can and should splice onto `prev`: the size of the
+    /// boundary map that then stays on chip, in elements.
+    fn offer_splice(
+        &self,
+        graph: &Graph,
+        prev: &FusedRun,
+        next: &FusedRun,
+        bits: u8,
+    ) -> Option<usize> {
+        // The downstream group must read exactly the upstream group's
+        // output, the boundary must have no other consumer, and the maps
+        // must line up — the conditions FusedPipeline::new validates
+        // (one precision throughout holds for every plan).
+        let compatible = graph.nodes()[next.first_node].input == NodeRef::Node(prev.last_node)
+            && graph.consumer_count(prev.last_node) == 1
+            && next.groups.first().is_some_and(|g| {
+                (prev.out_grid.h(), prev.out_grid.w()) == (g.grid.h(), g.grid.w())
+            });
+        let boundary_elems = {
+            let s = graph.nodes()[prev.last_node].out_shape;
+            s.c * s.h * s.w
+        };
+        // Peak extra-buffer occupancy of the prospective pipeline: while a
+        // middle group runs, its source and destination boundary maps are
+        // both resident, so the peak is the largest adjacent-boundary pair.
+        let peak_extra_elems = prev
+            .boundaries
+            .last()
+            .map_or(boundary_elems, |&b| b + boundary_elems)
+            .max(prev.boundaries.windows(2).map(|w| w[0] + w[1]).max().unwrap_or(0));
+        let boundary = SpliceCost { boundary_elems, peak_extra_elems, bits_per_elem: bits };
+        (compatible && self.model.allow_splice(&prev.costs, &next.costs, &boundary))
+            .then_some(boundary_elems)
+    }
+
+    /// Solves one stage on the running grid: the grid it leaves behind and
+    /// its [`StageCost`] (`None` for the in-place ReLU, which costs the
+    /// model nothing). `None` overall when `node` cannot be a fused stage
+    /// here — a structural cut, not the model's.
+    fn solve_stage(
+        &self,
+        node: &Node,
+        layer_blocking: &[LayerBlocking],
+        grid: &BlockGrid,
+        bits: u8,
+    ) -> Option<(BlockGrid, Option<StageCost>)> {
+        let (out_grid, macs) = match &node.op {
+            NodeOp::Relu => return Some((grid.clone(), None)),
+            // Fused pooling is k×k/stride-k only, on aligned block borders.
+            NodeOp::MaxPool { k, s, p } if k == s && *p == 0 => (grid.downscale(*k).ok()?, 0),
+            NodeOp::Conv { conv, conv_ordinal } => {
+                // Strided convs run whole-map (paper §II-F rewrites them
+                // to conv + pool instead); a Normal conv is a fusion
+                // point; and in mixed-pattern plans only the session
+                // pattern fuses.
+                let blocked = layer_blocking.get(*conv_ordinal).copied();
+                if conv.geom().stride != 1
+                    || blocked != Some(LayerBlocking::Blocked(self.opts.pattern))
+                {
+                    return None;
+                }
+                // `None` here: Equation 2 unsolvable for this geometry.
+                let bconv = BlockConv2d::plan_with_kernel(
+                    Arc::clone(conv),
+                    grid.clone(),
+                    self.opts.pad_mode,
+                    self.opts.kernel,
+                )
+                .ok()?;
+                (bconv.output_grid().ok()?, bconv.macs())
+            }
+            _ => return None,
+        };
+        let (i, o) = (node.in_shape, node.out_shape);
+        let cost = StageCost {
+            in_block_elems: grid.max_block_area() * i.c,
+            out_block_elems: out_grid.max_block_area() * o.c,
+            in_map_elems: i.c * i.h * i.w,
+            out_map_elems: o.c * o.h * o.w,
+            macs,
+            bits_per_elem: bits,
+        };
+        Some((out_grid, Some(cost)))
     }
 
     /// Opens a fusion group if `node` is a blocked, fusable convolution.
+    /// The cost model governs fusion-group *depth*, not blocking itself — a
+    /// blocked conv whose own buffers exceed the model's capacity still
+    /// opens a (single-op) group, so plan semantics stay numerically
+    /// invariant under any model.
     fn try_open(
         &self,
         id: NodeId,
-        node: &crate::ir::Node,
-        decisions: &[LayerBlocking],
+        node: &Node,
+        layer_blocking: &[LayerBlocking],
         bits: u8,
-    ) -> Result<Option<OpenChain>, TensorError> {
-        let NodeOp::Conv { conv, conv_ordinal } = &node.op else {
-            return Ok(None);
-        };
-        if conv.geom().stride != 1 {
-            return Ok(None); // strided convs run whole-map (paper §II-F
-                             // rewrites them to conv + pool instead)
+    ) -> Option<FusedRun> {
+        if !matches!(node.op, NodeOp::Conv { .. }) {
+            return None;
         }
-        let Some(LayerBlocking::Blocked(pattern)) = decisions.get(*conv_ordinal).copied() else {
-            return Ok(None);
-        };
-        if pattern != self.opts.pattern {
-            // Mixed-pattern plans: only the session pattern fuses; other
-            // patterns fall back to whole-map execution.
-            return Ok(None);
-        }
-        let Ok(grid) = BlockGrid::from_pattern(node.in_shape.h, node.in_shape.w, pattern) else {
-            return Ok(None); // resolution too small to split
-        };
-        // Weights are shared, not cloned: the chain stage and the graph
-        // node hold the same Arc<Conv2d> allocation.
-        let Ok(bconv) = BlockConv2d::plan_with_kernel(
-            Arc::clone(conv),
-            grid.clone(),
-            self.opts.pad_mode,
-            self.opts.kernel,
-        ) else {
-            return Ok(None); // Equation 2 unsolvable for this geometry
-        };
-        let out_grid = bconv.output_grid()?;
-        // Note: the cost model governs fusion-group *depth*, not blocking
-        // itself — a blocked conv whose own buffers exceed the model's
-        // capacity still opens a (single-op) group so plan semantics stay
-        // numerically invariant under any model.
-        let cost = StageCost {
-            in_block_elems: grid.max_block_area() * conv.c_in(),
-            out_block_elems: out_grid.max_block_area() * conv.c_out(),
-            in_map_elems: node.in_shape.c * node.in_shape.h * node.in_shape.w,
-            out_map_elems: node.out_shape.c * node.out_shape.h * node.out_shape.w,
-            macs: bconv.macs(),
-            bits_per_elem: bits,
-        };
-        Ok(Some(OpenChain {
-            nodes: vec![id],
+        // `None` here: resolution too small to split.
+        let grid =
+            BlockGrid::from_pattern(node.in_shape.h, node.in_shape.w, self.opts.pattern).ok()?;
+        let (out_grid, cost) = self.solve_stage(node, layer_blocking, &grid, bits)?;
+        Some(FusedRun {
+            groups: vec![GroupDecision { nodes: vec![id], grid }],
+            first_node: id,
             last_node: id,
-            ops: vec![PlannedOp::Conv(bconv)],
-            costs: vec![cost],
-            input: node.input,
-            start_grid: grid,
-            cur_grid: out_grid,
-            cur_channels: conv.c_out(),
-            has_blocked_conv: true,
-        }))
-    }
-
-    /// Attempts to extend an open chain with `node`.
-    fn try_extend(
-        &self,
-        chain: &mut OpenChain,
-        id: NodeId,
-        node: &crate::ir::Node,
-        decisions: &[LayerBlocking],
-        bits: u8,
-    ) -> Extend {
-        match &node.op {
-            NodeOp::Relu => {
-                chain.nodes.push(id);
-                chain.last_node = id;
-                chain.ops.push(PlannedOp::Relu);
-                Extend::Extended
-            }
-            NodeOp::MaxPool { k, s, p } => {
-                if k != s || *p != 0 {
-                    return Extend::Cut; // fused pooling is k×k/stride-k only
-                }
-                let Ok(next) = chain.cur_grid.downscale(*k) else {
-                    return Extend::Cut; // block boundaries misaligned
-                };
-                let cost = StageCost {
-                    in_block_elems: chain.cur_grid.max_block_area() * chain.cur_channels,
-                    out_block_elems: next.max_block_area() * chain.cur_channels,
-                    in_map_elems: node.in_shape.c * node.in_shape.h * node.in_shape.w,
-                    out_map_elems: node.out_shape.c * node.out_shape.h * node.out_shape.w,
-                    macs: 0,
-                    bits_per_elem: bits,
-                };
-                if !self.model.allow_extend(&chain.costs, &cost) {
-                    return Extend::CutByModel;
-                }
-                chain.cur_grid = next;
-                chain.nodes.push(id);
-                chain.last_node = id;
-                chain.ops.push(PlannedOp::MaxPool { k: *k });
-                chain.costs.push(cost);
-                Extend::Extended
-            }
-            NodeOp::Conv { conv, conv_ordinal } => {
-                if conv.geom().stride != 1 {
-                    return Extend::Cut;
-                }
-                let Some(LayerBlocking::Blocked(pattern)) = decisions.get(*conv_ordinal).copied()
-                else {
-                    return Extend::Cut; // Normal conv = fusion point
-                };
-                if pattern != self.opts.pattern {
-                    return Extend::Cut;
-                }
-                let Ok(bconv) = BlockConv2d::plan_with_kernel(
-                    Arc::clone(conv),
-                    chain.cur_grid.clone(),
-                    self.opts.pad_mode,
-                    self.opts.kernel,
-                ) else {
-                    return Extend::Cut;
-                };
-                let Ok(out_grid) = bconv.output_grid() else {
-                    return Extend::Cut;
-                };
-                let cost = StageCost {
-                    in_block_elems: chain.cur_grid.max_block_area() * conv.c_in(),
-                    out_block_elems: out_grid.max_block_area() * conv.c_out(),
-                    in_map_elems: node.in_shape.c * node.in_shape.h * node.in_shape.w,
-                    out_map_elems: node.out_shape.c * node.out_shape.h * node.out_shape.w,
-                    macs: bconv.macs(),
-                    bits_per_elem: bits,
-                };
-                if !self.model.allow_extend(&chain.costs, &cost) {
-                    return Extend::CutByModel;
-                }
-                chain.cur_grid = out_grid;
-                chain.cur_channels = conv.c_out();
-                chain.nodes.push(id);
-                chain.last_node = id;
-                chain.ops.push(PlannedOp::Conv(bconv));
-                chain.costs.push(cost);
-                Extend::Extended
-            }
-            _ => Extend::Cut,
-        }
-    }
-
-    /// Converts an open chain into a fused segment, assembling the chain
-    /// from the trial walk's already-solved [`BlockConv2d`] stages (no
-    /// re-solving of Equation 2 padding schedules). Chains always contain
-    /// at least one blocked conv (groups only open at one), so even a
-    /// single-op chain must execute through the blocked path to preserve
-    /// the plan's numerics. With a quantization spec, the chain is built
-    /// on the integer path, each conv stage carrying the calibrated
-    /// activation range of its graph node.
-    fn finalize(
-        chain: OpenChain,
-        graph: &Graph,
-        quant: Option<&GraphQuantSpec>,
-    ) -> Result<WalkedSegment, TensorError> {
-        debug_assert!(chain.has_blocked_conv);
-        let fused = match quant {
-            None => FusedChain::from_planned(chain.ops, chain.start_grid)?,
-            Some(spec) => {
-                let mut params = Vec::new();
-                for (&node_id, op) in chain.nodes.iter().zip(&chain.ops) {
-                    if matches!(op, PlannedOp::Conv(_)) {
-                        params.push(spec.act_params(node_id).ok_or_else(|| {
-                            TensorError::invalid(format!(
-                                "no calibrated activation range for conv node {}",
-                                graph.nodes()[node_id].name
-                            ))
-                        })?);
-                    }
-                }
-                FusedChain::from_planned_quantized(
-                    chain.ops,
-                    chain.start_grid,
-                    spec.weight_bits,
-                    &params,
-                )?
-            }
-        };
-        Ok(WalkedSegment {
-            seg: Segment::Fused { nodes: chain.nodes, chain: fused, input: chain.input },
-            costs: Some(chain.costs),
+            out_grid,
+            costs: cost.into_iter().collect(),
             boundaries: Vec::new(),
         })
+    }
+
+    /// Attempts to extend the open group with `node`.
+    fn try_extend(
+        &self,
+        run: &mut FusedRun,
+        id: NodeId,
+        node: &Node,
+        layer_blocking: &[LayerBlocking],
+        bits: u8,
+    ) -> Extend {
+        let Some((out_grid, cost)) = self.solve_stage(node, layer_blocking, &run.out_grid, bits)
+        else {
+            return Extend::Cut;
+        };
+        if let Some(cost) = cost {
+            if !self.model.allow_extend(&run.costs, &cost) {
+                return Extend::CutByModel;
+            }
+            run.costs.push(cost);
+        }
+        if let Some(group) = run.groups.last_mut() {
+            group.nodes.push(id);
+        }
+        run.last_node = id;
+        run.out_grid = out_grid;
+        Extend::Extended
     }
 }
 
@@ -1099,14 +1113,122 @@ mod tests {
         .plan(&g)
         .unwrap();
         for seg in plan.segments() {
-            let Segment::Spliced { nodes, pipeline, .. } = seg else { continue };
-            let mut cursor = 0usize;
-            for group in &pipeline.groups()[..pipeline.groups().len() - 1] {
-                cursor += group.len();
-                let boundary = nodes[cursor - 1];
+            let spans: Vec<&[NodeId]> = seg.groups().map(|(_, ids)| ids).collect();
+            for upstream in &spans[..spans.len().saturating_sub(1)] {
+                let boundary = *upstream.last().unwrap();
                 assert_eq!(g.consumer_count(boundary), 1, "spliced boundary {boundary} fans out");
             }
         }
+    }
+
+    #[test]
+    fn segment_groups_split_the_node_list_by_chain_length() {
+        let g = lower(&vgg16_small(32));
+        let plan = Planner::new(PlannerOptions {
+            cost_model: Some(accel_like_budget(1500)),
+            ..PlannerOptions::default()
+        })
+        .plan(&g)
+        .unwrap();
+        for seg in plan.segments() {
+            let groups: Vec<_> = seg.groups().collect();
+            match seg {
+                Segment::Single(_) => assert!(groups.is_empty()),
+                Segment::Fused { nodes, chain, .. } => {
+                    assert_eq!(groups.len(), 1);
+                    assert!(std::ptr::eq(groups[0].0, chain));
+                    assert_eq!(groups[0].1, nodes.as_slice());
+                }
+                Segment::Spliced { nodes, pipeline, .. } => {
+                    assert_eq!(groups.len(), pipeline.groups().len());
+                    let flat: Vec<NodeId> =
+                        groups.iter().flat_map(|(_, ids)| ids.iter().copied()).collect();
+                    assert_eq!(&flat, nodes);
+                    for (chain, ids) in groups {
+                        assert_eq!(chain.len(), ids.len());
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn assemble_rejects_decisions_that_do_not_fit_the_graph() {
+        // Decisions can come from a cache file: anything that is not the
+        // in-order partition into wired chains the walk produces must be a
+        // typed error, never a plan that executes something else.
+        let g = lower(&resnet18_small(32));
+        let planner = Planner::new(PlannerOptions::default());
+        let good = planner.walk(&g, 32).unwrap();
+        let build = |d: PlanDecisions| assemble(d, &g, PadMode::Zero, KernelPolicy::Auto, None);
+        assert!(build(good.clone()).is_ok());
+
+        let first_group = good
+            .segments
+            .iter()
+            .position(|s| matches!(s, SegmentDecision::Groups(_)))
+            .expect("resnet plans at least one fused group");
+        let mutate = |f: &dyn Fn(&mut Vec<SegmentDecision>)| {
+            let mut d = good.clone();
+            f(&mut d.segments);
+            d
+        };
+        let bad = [
+            // A segment dropped, duplicated, or out of order.
+            mutate(&|s| drop(s.remove(0))),
+            mutate(&|s| s.insert(0, s[0].clone())),
+            mutate(&|s| s.swap(0, 1)),
+            mutate(&|s| drop(s.pop())),
+            // A node past the end of the graph.
+            mutate(&|s| s.push(SegmentDecision::Single(g.nodes().len()))),
+            // Empty groups.
+            mutate(&|s| s[first_group] = SegmentDecision::Groups(Vec::new())),
+            mutate(&|s| {
+                if let SegmentDecision::Groups(groups) = &mut s[first_group] {
+                    groups[0].nodes.clear();
+                }
+            }),
+            // A grid that does not tile the group's input map.
+            mutate(&|s| {
+                if let SegmentDecision::Groups(groups) = &mut s[first_group] {
+                    groups[0].grid = BlockGrid::single(3, 3);
+                }
+            }),
+            // Everything in one "group": Add / GAP / FC nodes cannot fuse
+            // and residual sources fan out.
+            mutate(&|s| {
+                let grid = BlockGrid::single(32, 32);
+                *s = vec![SegmentDecision::Groups(vec![GroupDecision {
+                    nodes: (0..g.nodes().len()).collect(),
+                    grid,
+                }])];
+            }),
+        ];
+        for (i, d) in bad.into_iter().enumerate() {
+            assert!(build(d).is_err(), "misfit decisions #{i} were assembled");
+        }
+
+        // Splicing two groups across a boundary another node still reads
+        // (a residual source) would keep that map on chip and starve the
+        // other reader.
+        let mut fanout_pairs = 0;
+        for i in 0..good.segments.len() - 1 {
+            let (SegmentDecision::Groups(a), SegmentDecision::Groups(b)) =
+                (&good.segments[i], &good.segments[i + 1])
+            else {
+                continue;
+            };
+            let boundary = *a.last().and_then(|grp| grp.nodes.last()).unwrap();
+            if g.consumer_count(boundary) == 1 {
+                continue;
+            }
+            fanout_pairs += 1;
+            let mut d = good.clone();
+            d.segments[i] = SegmentDecision::Groups([a.as_slice(), b.as_slice()].concat());
+            d.segments.remove(i + 1);
+            assert!(build(d).is_err(), "spliced across fan-out boundary {boundary}");
+        }
+        assert!(fanout_pairs > 0, "resnet should have adjacent groups cut by fan-out");
     }
 
     #[test]

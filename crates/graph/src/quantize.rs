@@ -13,8 +13,8 @@
 //!    per-batch maxima (the Distiller-style PTQ policy).
 //! 2. **Quantized planning** ([`crate::plan::Planner::plan_quantized`]) —
 //!    the same fusion-group walk as the float plan, but chains are built
-//!    with [`bconv_core::fusion::FusedChain::plan_quantized`]: integer
-//!    convolution stages with per-stage requantization.
+//!    by [`bconv_core::fusion::FusedChain::plan`] on its quantized path:
+//!    integer convolution stages with per-stage requantization.
 //! 3. **Execution** ([`QuantizedExecutor`]) — the blocked schedule; fused
 //!    groups run their quantized chains block-by-block, whole-map conv
 //!    segments run through dense [`QConv2d`], everything else (pool, FC,

@@ -2,7 +2,7 @@
 //! many times.
 //!
 //! ```
-//! use bconv_graph::Session;
+//! use bconv_graph::{PlanSpec, Session};
 //! use bconv_core::BlockingPattern;
 //! use bconv_models::small::vgg16_small;
 //! use bconv_tensor::{PadMode, Tensor};
@@ -10,8 +10,7 @@
 //! # fn main() -> Result<(), bconv_tensor::TensorError> {
 //! let session = Session::builder()
 //!     .network(vgg16_small(32))
-//!     .pattern(BlockingPattern::hierarchical(2))
-//!     .pad(PadMode::Zero)
+//!     .planner(PlanSpec::new().pattern(BlockingPattern::hierarchical(2)).pad(PadMode::Zero))
 //!     .build()?;
 //! let report = session.run(&Tensor::filled([1, 3, 32, 32], 0.5))?;
 //! assert_eq!(report.output.shape().dims(), [1, 10, 1, 1]);
@@ -114,46 +113,38 @@ fn resolve_threads(requested: Option<usize>) -> Result<usize, TensorError> {
     Ok(std::thread::available_parallelism().map_or(1, |n| n.get()))
 }
 
-/// The cache-aware planning funnel: on a [`PlanKey`] hit the pinned plan is
-/// rebuilt from its stored decisions and the planner walk never runs (its
-/// provenance is already `CacheLoaded`); otherwise the planner runs, the
-/// given provenance is stamped, and the plan is stored best-effort. Every
-/// cache failure — missing file, corrupt JSON, stale key, incompatible
-/// schema — falls back to fresh planning; none is fatal.
-#[allow(clippy::too_many_arguments)]
+/// The cache-aware planning funnel: on a [`PlanKey`] hit the pinned
+/// decisions are assembled and the planner walk never runs (the plan's
+/// provenance is `CacheLoaded`); otherwise the planner runs under the given
+/// provenance and the plan is stored best-effort. Every cache failure —
+/// missing file, corrupt JSON, stale key, incompatible schema — falls back
+/// to fresh planning; none is fatal.
 fn plan_or_load(
-    cache: Option<&PlanCache>,
-    key: Option<&PlanKey>,
+    cache: Option<(&PlanCache, &PlanKey)>,
     planner: &Planner,
     graph: &Graph,
     pad: PadMode,
     kernel: KernelPolicy,
     quant: Option<&GraphQuantSpec>,
     provenance: PlanProvenance,
-) -> Result<Arc<ExecPlan>, TensorError> {
-    if let (Some(cache), Some(key)) = (cache, key) {
+) -> Result<ExecPlan, TensorError> {
+    if let Some((cache, key)) = cache {
         if let Ok(plan) = cache.load(key, graph, pad, kernel, quant) {
-            return Ok(Arc::new(plan));
+            return Ok(plan);
         }
     }
-    let mut plan = match quant {
-        Some(spec) => planner.plan_quantized(graph, spec)?,
-        None => planner.plan(graph)?,
-    };
-    plan.report_mut().provenance = provenance;
-    if let (Some(cache), Some(key)) = (cache, key) {
+    let plan = planner.compile(graph, quant, provenance)?;
+    if let Some((cache, key)) = cache {
         let _ = cache.store(key, &plan);
     }
-    Ok(Arc::new(plan))
+    Ok(plan)
 }
 
 /// The planning configuration, as one value: everything that decides
 /// *what plan* a session compiles (as opposed to which backend executes
-/// it or how many worker threads run it). [`SessionBuilder::planner`]
-/// consumes a spec wholesale; the builder's individual knobs
-/// ([`SessionBuilder::pattern`], [`SessionBuilder::on_chip_budget`],
-/// [`SessionBuilder::cost_model`], …) are thin conveniences writing into
-/// the same spec, kept for compatibility.
+/// it, how many worker threads run it, or where compiled plans are
+/// cached). [`SessionBuilder::planner`] is the only way to hand it to a
+/// session.
 ///
 /// ```
 /// use bconv_graph::session::PlanSpec;
@@ -168,24 +159,32 @@ pub struct PlanSpec {
     /// Blocking pattern (`None` = the `H2×2` default).
     pub pattern: Option<BlockingPattern>,
     /// Explicit per-conv-layer blocking decisions (`None` derives the
-    /// paper's resolution rule).
+    /// paper's resolution rule under the session pattern). Use
+    /// [`NetworkPlan::by_blocking_depth`] for the VDSR fusion-point
+    /// schedule or [`NetworkPlan::unblocked`] for a pure dense baseline.
     pub network_plan: Option<NetworkPlan>,
-    /// Element budget for the default cost model; mutually exclusive with
-    /// [`Self::cost_model`].
+    /// Cap on the per-block on-chip working buffers, in elements, for the
+    /// default [`crate::cost::ElementBudget`] model: fusion groups are cut
+    /// at the boundary where they would exceed it. Mutually exclusive with
+    /// [`Self::cost_model`] (rejected at build time as ambiguous).
     pub budget_elems: Option<usize>,
-    /// Fusion cost model (cuts and splices).
+    /// Fusion cost model deciding where the planner cuts fusion groups and
+    /// whether adjacent groups splice into a `FusedPipeline` (see
+    /// [`crate::cost`]); e.g. [`crate::cost::AccelCost`] plans against the
+    /// `bconv-accel` cycle/memory model.
     pub cost_model: Option<Arc<dyn CostModel>>,
-    /// Block-padding mode.
+    /// Block-padding mode (default zero padding).
     pub pad: PadMode,
-    /// Conv kernel policy for blocked convolutions.
+    /// Conv kernel policy for blocked convolutions (default
+    /// [`KernelPolicy::Auto`]: im2col+GEMM wherever the patch matrix pays
+    /// for itself, the direct loop for degenerate single-tap layers).
     pub kernel: KernelPolicy,
-    /// Plan-cache directory: when set, `build()` loads a pinned plan on a
-    /// [`PlanKey`] hit (skipping the planner walk entirely) and stores
-    /// freshly planned ones.
-    pub cache_dir: Option<PathBuf>,
-    /// Run the per-host autotuner ([`mod@crate::tune`]) and plan under its
-    /// winner. Knobs the caller pinned explicitly keep their values; only
-    /// unset ones take the winner's.
+    /// Run the per-host autotuner ([`mod@crate::tune`]) — or load its
+    /// winner from the per-host winner cache, when the session has a
+    /// [`SessionBuilder::plan_cache`] — and plan under the winning
+    /// pattern / buffer split / kernel policy / thread count. Knobs the
+    /// caller pinned explicitly keep their values; only unset ones take
+    /// the winner's.
     pub tuned: bool,
 }
 
@@ -231,12 +230,6 @@ impl PlanSpec {
         self
     }
 
-    /// Enables the plan cache under `dir`.
-    pub fn cache_dir(mut self, dir: impl Into<PathBuf>) -> Self {
-        self.cache_dir = Some(dir.into());
-        self
-    }
-
     /// Enables per-host autotuning.
     pub fn tuned(mut self) -> Self {
         self.tuned = true;
@@ -249,6 +242,7 @@ impl PlanSpec {
 pub struct SessionBuilder {
     network: Option<Network>,
     spec: PlanSpec,
+    cache_dir: Option<PathBuf>,
     backend: Backend,
     seed: Option<u64>,
     relu_after_conv: bool,
@@ -263,9 +257,7 @@ impl SessionBuilder {
         self
     }
 
-    /// Replaces the whole planning configuration with `spec` — the
-    /// documented way to configure planning. The per-knob builder methods
-    /// below write into the same spec and remain as conveniences.
+    /// Sets the planning configuration (default [`PlanSpec::new`]).
     pub fn planner(mut self, spec: PlanSpec) -> Self {
         self.spec = spec;
         self
@@ -273,79 +265,10 @@ impl SessionBuilder {
 
     /// Enables the plan compilation cache under `dir`: a [`PlanKey`] hit
     /// loads the pinned plan (bitwise-identical execution, no planner
-    /// walk); a miss plans fresh and stores the result. Equivalent to
-    /// [`PlanSpec::cache_dir`].
+    /// walk); a miss plans fresh and stores the result. A
+    /// [`PlanSpec::tuned`] build keeps its per-host winner there too.
     pub fn plan_cache(mut self, dir: impl Into<PathBuf>) -> Self {
-        self.spec.cache_dir = Some(dir.into());
-        self
-    }
-
-    /// Enables per-host autotuning: `build()` runs (or loads, when a
-    /// plan cache directory is set, from its per-host winner cache) the
-    /// bounded [`mod@crate::tune`] exploration and plans under the winning
-    /// pattern / buffer split / kernel policy / thread count. Knobs set
-    /// explicitly on the builder keep their values. Equivalent to
-    /// [`PlanSpec::tuned`].
-    pub fn tuned(mut self) -> Self {
-        self.spec.tuned = true;
-        self
-    }
-
-    /// Sets the blocking pattern (default `H2×2`).
-    ///
-    /// **Note:** convenience delegating to [`PlanSpec::pattern`]; prefer
-    /// [`planner`](Self::planner) for new code.
-    pub fn pattern(mut self, pattern: BlockingPattern) -> Self {
-        self.spec.pattern = Some(pattern);
-        self
-    }
-
-    /// Overrides the per-conv-layer blocking decisions (default: the
-    /// paper's resolution rule under the session pattern). Use
-    /// [`NetworkPlan::by_blocking_depth`] for the VDSR fusion-point
-    /// schedule or [`NetworkPlan::unblocked`] for a pure dense baseline.
-    ///
-    /// **Note:** convenience delegating to [`PlanSpec::network_plan`];
-    /// prefer [`planner`](Self::planner) for new code.
-    pub fn plan(mut self, plan: NetworkPlan) -> Self {
-        self.spec.network_plan = Some(plan);
-        self
-    }
-
-    /// Sets the block-padding mode (default zero padding).
-    ///
-    /// **Note:** convenience delegating to [`PlanSpec::pad`]; prefer
-    /// [`planner`](Self::planner) for new code.
-    pub fn pad(mut self, pad: PadMode) -> Self {
-        self.spec.pad = pad;
-        self
-    }
-
-    /// Caps the per-block on-chip working buffers, in elements. Fusion
-    /// groups are cut at the boundary where they would exceed the budget
-    /// (the default [`crate::cost::ElementBudget`] model; mutually
-    /// exclusive with [`cost_model`](Self::cost_model)).
-    ///
-    /// **Note:** convenience delegating to [`PlanSpec::on_chip_budget`];
-    /// prefer [`planner`](Self::planner) for new code.
-    pub fn on_chip_budget(mut self, elems: usize) -> Self {
-        self.spec.budget_elems = Some(elems);
-        self
-    }
-
-    /// Selects the fusion cost model deciding where the planner cuts
-    /// fusion groups and whether adjacent groups splice into a
-    /// `FusedPipeline` (see [`crate::cost`]). The default is
-    /// [`crate::cost::ElementBudget`] over
-    /// [`on_chip_budget`](Self::on_chip_budget); pass
-    /// [`crate::cost::AccelCost`] to plan against the `bconv-accel`
-    /// cycle/memory model. Setting both a cost model and an element budget
-    /// is rejected at build time (ambiguous).
-    ///
-    /// **Note:** convenience delegating to [`PlanSpec::cost_model`];
-    /// prefer [`planner`](Self::planner) for new code.
-    pub fn cost_model(mut self, model: impl CostModel + 'static) -> Self {
-        self.spec.cost_model = Some(Arc::new(model));
+        self.cache_dir = Some(dir.into());
         self
     }
 
@@ -366,17 +289,6 @@ impl SessionBuilder {
     /// Inserts a ReLU after every convolution during lowering.
     pub fn relu_after_conv(mut self, yes: bool) -> Self {
         self.relu_after_conv = yes;
-        self
-    }
-
-    /// Selects the conv kernel policy for blocked convolutions (default
-    /// [`KernelPolicy::Auto`]: im2col+GEMM wherever the patch matrix pays
-    /// for itself, the direct loop for degenerate single-tap layers).
-    ///
-    /// **Note:** convenience delegating to [`PlanSpec::kernel`]; prefer
-    /// [`planner`](Self::planner) for new code.
-    pub fn kernel(mut self, policy: KernelPolicy) -> Self {
-        self.spec.kernel = policy;
         self
     }
 
@@ -413,7 +325,7 @@ impl SessionBuilder {
         let mut spec = self.spec;
         if spec.cost_model.is_some() && spec.budget_elems.is_some() {
             return Err(TensorError::invalid(
-                "SessionBuilder::cost_model and ::on_chip_budget are mutually exclusive; \
+                "PlanSpec::cost_model and ::on_chip_budget are mutually exclusive; \
                  encode the budget in the model (e.g. ElementBudget::with_budget)",
             ));
         }
@@ -427,17 +339,17 @@ impl SessionBuilder {
             let topts = TuneOptions {
                 seed: lower_opts.seed,
                 relu_after_conv: self.relu_after_conv,
-                cache_dir: spec.cache_dir.clone(),
+                cache_dir: self.cache_dir.clone(),
                 ..TuneOptions::default()
             };
-            let cached = spec.cache_dir.as_ref().and_then(|d| {
+            let cached = self.cache_dir.as_ref().and_then(|d| {
                 tune::load_cached_winner(d, &graph, lower_opts.seed, &topts.platform, topts.npe)
             });
             let (winner, key) = match cached {
                 Some(hit) => hit,
                 None => {
                     let report = tune::tune_lowered(&graph, &topts)?;
-                    if let Some(dir) = spec.cache_dir.as_ref() {
+                    if let Some(dir) = self.cache_dir.as_ref() {
                         tune::store_winner(dir, &report.key, &report.winner);
                     }
                     (report.winner, report.key)
@@ -445,7 +357,7 @@ impl SessionBuilder {
             };
             // The winner only fills knobs the caller left at their
             // defaults — an explicit pattern/model/kernel/thread choice
-            // on the builder always wins over the tuner.
+            // always wins over the tuner.
             if spec.pattern.is_none() {
                 spec.pattern = Some(winner.pattern);
             }
@@ -463,24 +375,23 @@ impl SessionBuilder {
         }
 
         let pattern = spec.pattern.unwrap_or(BlockingPattern::hierarchical(2));
-        let kernel = spec.kernel;
-        let pad = spec.pad;
-        let planner_opts = PlannerOptions {
+        let (kernel, pad) = (spec.kernel, spec.pad);
+        let network_plan = spec.network_plan;
+        let cache = self.cache_dir.map(PlanCache::new);
+        let planner = Planner::new(PlannerOptions {
             pattern,
-            plan: spec.network_plan.clone(),
+            plan: network_plan.clone(),
             pad_mode: pad,
             budget_elems: spec.budget_elems,
             kernel,
-            cost_model: spec.cost_model.clone(),
-        };
-        let planner = Planner::new(planner_opts);
-        let cache = spec.cache_dir.as_ref().map(|d| PlanCache::new(d.clone()));
+            cost_model: spec.cost_model,
+        });
         let key = cache.as_ref().map(|_| {
             PlanKey::for_build(
                 &graph,
                 lower_opts.seed,
                 pattern,
-                spec.network_plan.as_ref(),
+                network_plan.as_ref(),
                 self.backend,
                 planner.cost_model(),
                 kernel,
@@ -488,35 +399,7 @@ impl SessionBuilder {
             )
         });
         let threads = resolve_threads(requested_threads)?;
-        let (exec_plan, executor): (Arc<ExecPlan>, Arc<dyn Executor>) = match self.backend {
-            Backend::Reference => {
-                let plan = plan_or_load(
-                    cache.as_ref(),
-                    key.as_ref(),
-                    &planner,
-                    &graph,
-                    pad,
-                    kernel,
-                    None,
-                    provenance,
-                )?;
-                (plan, Arc::new(ReferenceExecutor::new(Arc::clone(&graph))))
-            }
-            Backend::Blocked => {
-                let plan = plan_or_load(
-                    cache.as_ref(),
-                    key.as_ref(),
-                    &planner,
-                    &graph,
-                    pad,
-                    kernel,
-                    None,
-                    provenance,
-                )?;
-                let exec =
-                    BlockedExecutor::with_threads(Arc::clone(&graph), Arc::clone(&plan), threads);
-                (plan, Arc::new(exec))
-            }
+        let qspec = match self.backend {
             Backend::Quantized { weight_bits, act_bits } => {
                 // Calibration always runs — a cached plan pins the fusion
                 // decisions, not the activation ranges.
@@ -524,27 +407,27 @@ impl SessionBuilder {
                     Some(inputs) => inputs,
                     None => default_calibration(&graph, lower_opts.seed),
                 };
-                let qspec =
-                    Arc::new(GraphQuantSpec::calibrate(&graph, &inputs, weight_bits, act_bits)?);
-                let plan = plan_or_load(
-                    cache.as_ref(),
-                    key.as_ref(),
-                    &planner,
-                    &graph,
-                    pad,
-                    kernel,
-                    Some(&qspec),
-                    provenance,
-                )?;
-                let exec = QuantizedExecutor::new(
-                    Arc::clone(&graph),
-                    Arc::clone(&plan),
-                    qspec,
-                    threads,
-                    kernel,
-                )?;
-                (plan, Arc::new(exec))
+                Some(Arc::new(GraphQuantSpec::calibrate(&graph, &inputs, weight_bits, act_bits)?))
             }
+            Backend::Reference | Backend::Blocked => None,
+        };
+        let exec_plan = Arc::new(plan_or_load(
+            cache.as_ref().zip(key.as_ref()),
+            &planner,
+            &graph,
+            pad,
+            kernel,
+            qspec.as_deref(),
+            provenance,
+        )?);
+        let (graph_arc, plan_arc) = (Arc::clone(&graph), Arc::clone(&exec_plan));
+        // `qspec` is `Some` exactly for `Backend::Quantized`.
+        let executor: Arc<dyn Executor> = match (self.backend, qspec) {
+            (Backend::Reference, _) => Arc::new(ReferenceExecutor::new(graph_arc)),
+            (_, Some(qspec)) => {
+                Arc::new(QuantizedExecutor::new(graph_arc, plan_arc, qspec, threads, kernel)?)
+            }
+            (_, None) => Arc::new(BlockedExecutor::with_threads(graph_arc, plan_arc, threads)),
         };
         Ok(Session { graph, exec_plan, backend: self.backend, threads, kernel, executor })
     }
@@ -704,25 +587,18 @@ impl Session {
         };
         let mut out = Vec::new();
         for seg in self.exec_plan.segments() {
-            match seg {
-                Segment::Fused { nodes: ids, chain, .. } => {
-                    out.extend(
-                        conv_names(ids).into_iter().zip(chain.convs().map(|b| b.kernel().name())),
-                    );
-                }
-                Segment::Spliced { nodes: ids, pipeline, .. } => {
-                    let kinds =
-                        pipeline.groups().iter().flat_map(|g| g.convs()).map(|b| b.kernel().name());
-                    out.extend(conv_names(ids).into_iter().zip(kinds));
-                }
-                Segment::Single(id) => {
-                    if let NodeOp::Conv { conv, .. } = &nodes[*id].op {
-                        let kind = match self.backend {
-                            Backend::Quantized { .. } => self.kernel.resolve(conv),
-                            _ => bconv_tensor::kernel::KernelKind::Direct,
-                        };
-                        out.push((nodes[*id].name.clone(), kind.name()));
-                    }
+            for (chain, ids) in seg.groups() {
+                out.extend(
+                    conv_names(ids).into_iter().zip(chain.convs().map(|b| b.kernel().name())),
+                );
+            }
+            if let Segment::Single(id) = seg {
+                if let NodeOp::Conv { conv, .. } = &nodes[*id].op {
+                    let kind = match self.backend {
+                        Backend::Quantized { .. } => self.kernel.resolve(conv),
+                        _ => bconv_tensor::kernel::KernelKind::Direct,
+                    };
+                    out.push((nodes[*id].name.clone(), kind.name()));
                 }
             }
         }

@@ -28,8 +28,8 @@
 //! cycles)`; the §III-B3 default split is always candidate 0, so the
 //! winner is never worse than the default) can be cached per host under
 //! the same fingerprint as [`crate::cache::PlanKey`], which is how
-//! [`crate::session::SessionBuilder::tuned`] skips re-exploration on warm
-//! start-up.
+//! a [`crate::session::PlanSpec::tuned`] build skips re-exploration on
+//! warm start-up.
 
 use std::path::{Path, PathBuf};
 use std::time::Instant;
@@ -44,7 +44,7 @@ use crate::cache::{escape_json, fnv1a, graph_content_hash, host_fingerprint, par
 use crate::cost::AccelCost;
 use crate::ir::{Graph, LowerOptions, NodeOp};
 use crate::plan::{ExecPlan, Planner, PlannerOptions, Segment};
-use crate::session::{Backend, Session};
+use crate::session::{Backend, PlanSpec, Session};
 
 /// Schema version of cached tune winners.
 const WINNER_SCHEMA_VERSION: u64 = 1;
@@ -476,9 +476,7 @@ pub fn tune(net: &Network, opts: &TuneOptions) -> Result<TuneReport, TensorError
             let session = Session::builder()
                 .network(net.clone())
                 .backend(Backend::Blocked)
-                .pattern(pattern)
-                .cost_model(model)
-                .kernel(kernel)
+                .planner(PlanSpec::new().pattern(pattern).cost_model(model).kernel(kernel))
                 .threads(p.threads)
                 .seed(opts.seed)
                 .relu_after_conv(opts.relu_after_conv)

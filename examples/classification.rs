@@ -11,15 +11,17 @@ use bconv::core::BlockingPattern;
 use bconv::models::small::vgg16_small;
 use bconv::tensor::init::seeded_rng;
 use bconv::tensor::init::uniform_tensor;
-use bconv::{Backend, Session};
+use bconv::{Backend, PlanSpec, Session};
 use bconv_train::layers::SgdConfig;
 use bconv_train::models::{fixed_rule, NetStyle, SmallClassifier};
 use bconv_train::trainer::{eval_classifier, train_classifier, TrainConfig};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // --- Deployment view: compile the topology into a fused pipeline. ---
-    let session =
-        Session::builder().network(vgg16_small(32)).pattern(BlockingPattern::fixed(16)).build()?;
+    let session = Session::builder()
+        .network(vgg16_small(32))
+        .planner(PlanSpec::new().pattern(BlockingPattern::fixed(16)))
+        .build()?;
     let input = uniform_tensor([1, 3, 32, 32], -1.0, 1.0, &mut seeded_rng(7));
     let fused = session.run(&input)?;
     let reference = Session::builder()

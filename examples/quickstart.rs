@@ -11,14 +11,13 @@ use bconv::models::small::vgg16_small;
 use bconv::tensor::conv::ConvGeom;
 use bconv::tensor::init::{he_conv2d, seeded_rng, uniform_tensor};
 use bconv::tensor::pad::PadMode;
-use bconv::{Backend, Session};
+use bconv::{Backend, PlanSpec, Session};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // --- The five-line story: descriptor in, fused pipeline out. ---
     let session = Session::builder()
         .network(vgg16_small(32))
-        .pattern(BlockingPattern::hierarchical(2))
-        .pad(PadMode::Zero)
+        .planner(PlanSpec::new().pattern(BlockingPattern::hierarchical(2)).pad(PadMode::Zero))
         .build()?;
     let input = uniform_tensor([1, 3, 32, 32], -1.0, 1.0, &mut seeded_rng(2018));
     let report = session.run(&input)?;

@@ -11,7 +11,7 @@ use bconv::core::BlockingPattern;
 use bconv::models::small::vdsr_small;
 use bconv::tensor::init::{seeded_rng, uniform_tensor};
 use bconv::tensor::pad::PadMode;
-use bconv::{Backend, Session};
+use bconv::{Backend, PlanSpec, Session};
 use bconv_train::datasets::{experiment_rng, super_resolution_batch};
 use bconv_train::layers::SgdConfig;
 use bconv_train::metrics::psnr;
@@ -44,9 +44,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     ] {
         let session = Session::builder()
             .network(vdsr_small(PATCH, DEPTH, 12))
-            .pattern(BlockingPattern::hierarchical(2))
-            .plan(plan)
-            .pad(PadMode::Zero)
+            .planner(
+                PlanSpec::new()
+                    .pattern(BlockingPattern::hierarchical(2))
+                    .network_plan(plan)
+                    .pad(PadMode::Zero),
+            )
             .backend(backend)
             .build()?;
         let report = session.run(&probe_input)?;

@@ -4,13 +4,12 @@
 //! descriptor into an executable blocked/fused pipeline and run it.
 //!
 //! ```
-//! use bconv::{Session, core::BlockingPattern, tensor::{PadMode, Tensor}};
+//! use bconv::{PlanSpec, Session, core::BlockingPattern, tensor::{PadMode, Tensor}};
 //!
 //! # fn main() -> Result<(), bconv::tensor::TensorError> {
 //! let session = Session::builder()
 //!     .network(bconv::models::small::vgg16_small(32))
-//!     .pattern(BlockingPattern::hierarchical(2))
-//!     .pad(PadMode::Zero)
+//!     .planner(PlanSpec::new().pattern(BlockingPattern::hierarchical(2)).pad(PadMode::Zero))
 //!     .build()?;
 //! let report = session.run(&Tensor::filled([1, 3, 32, 32], 0.5))?;
 //! assert_eq!(report.output.shape().dims(), [1, 10, 1, 1]);
@@ -32,4 +31,4 @@ pub use bconv_quant as quant;
 pub use bconv_tensor as tensor;
 pub use bconv_train as train;
 
-pub use bconv_graph::{Backend, KernelPolicy, Session};
+pub use bconv_graph::{Backend, KernelPolicy, PlanSpec, Session};

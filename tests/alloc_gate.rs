@@ -27,7 +27,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
-use bconv_graph::{Backend, ExecScratch, Router, ServeConfig, Session};
+use bconv_graph::{Backend, ExecScratch, PlanSpec, Router, ServeConfig, Session};
 use bconv_models::small::vgg16_small;
 use bconv_models::Network;
 use bconv_tensor::init::{seeded_rng, uniform_tensor};
@@ -164,7 +164,7 @@ fn run_with_is_allocation_free_quantized_gemm_kernel() {
     let session = Session::builder()
         .network(net())
         .backend(QUANT)
-        .kernel(KernelPolicy::Im2colGemm)
+        .planner(PlanSpec::new().kernel(KernelPolicy::Im2colGemm))
         .seed(2018)
         .threads(1)
         .build()

@@ -12,7 +12,7 @@
 use std::sync::Arc;
 
 use bconv_core::BlockingPattern;
-use bconv_graph::{KernelPolicy, NodeOp, Segment, Session, THREADS_ENV};
+use bconv_graph::{KernelPolicy, NodeOp, PlanSpec, Segment, Session, THREADS_ENV};
 use bconv_models::small::{resnet18_small, vgg16_small};
 use bconv_tensor::init::{seeded_rng, uniform_tensor};
 use bconv_tensor::Tensor;
@@ -20,8 +20,7 @@ use bconv_tensor::Tensor;
 fn vgg_session(kernel: KernelPolicy, threads: usize) -> Session {
     Session::builder()
         .network(vgg16_small(32))
-        .pattern(BlockingPattern::hierarchical(2))
-        .kernel(kernel)
+        .planner(PlanSpec::new().pattern(BlockingPattern::hierarchical(2)).kernel(kernel))
         .threads(threads)
         .seed(2018)
         .build()
@@ -79,7 +78,7 @@ fn fused_chains_share_graph_weights() {
     for net in [vgg16_small(32), resnet18_small(32)] {
         let session = Session::builder()
             .network(net)
-            .pattern(BlockingPattern::hierarchical(2))
+            .planner(PlanSpec::new().pattern(BlockingPattern::hierarchical(2)))
             .threads(1)
             .build()
             .unwrap();

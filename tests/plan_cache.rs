@@ -1,32 +1,33 @@
 //! Plan-cache and autotuner contract tests.
 //!
-//! The contract under test (ISSUE 10):
+//! The contract under test:
 //!
 //! * a plan-cache hit produces a session whose execution is **bitwise
 //!   identical** to a freshly planned one, on every backend;
-//! * a cache hit skips planning entirely — the planner-invocation
-//!   counter stays flat;
-//! * corrupted or stale cache files are rejected with a typed error and
-//!   fall back to fresh planning, never a panic;
+//! * a cache hit skips planning entirely — its plan carries
+//!   [`PlanProvenance::CacheLoaded`], which only the load path stamps and
+//!   which cannot reach the planner walk;
+//! * corrupted, hostile or stale cache files are rejected with a typed
+//!   error and fall back to fresh planning, never a panic or an abort;
+//! * `planner` and `plan_cache` configure a builder in either order;
 //! * the tuner's winner never models more off-chip traffic than the
 //!   default configuration, and tuned builds cache their winner per host;
 //! * `Session::fork` and `Session::into_router` share the already-built
 //!   plan (`Arc::ptr_eq`) rather than re-planning.
-//!
-//! `bconv_graph::planner_invocations` is process-global, so every test in
-//! this binary serialises on one mutex: counter assertions must not race
-//! with other tests' session builds.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::Arc;
 
+use bconv_accel::platform::zc706;
 use bconv_core::BlockingPattern;
 use bconv_graph::cache::{PlanCache, PlanCacheError, PlanKey};
 use bconv_graph::cost::ElementBudget;
 use bconv_graph::tune::{tune, TuneOptions};
 use bconv_graph::{
-    planner_invocations, Backend, KernelPolicy, PlanProvenance, PlanSpec, ServeConfig, Session,
+    AccelCost, Backend, BlockedExecutor, ExecPlan, Executor, GraphQuantSpec, KernelPolicy,
+    PlanProvenance, PlanSpec, Planner, PlannerOptions, QuantizedExecutor, RunReport, Segment,
+    ServeConfig, Session, SessionBuilder,
 };
 use bconv_models::builder::{conv, maxpool, NetBuilder};
 use bconv_models::small::{vdsr_small, vgg16_small};
@@ -35,12 +36,7 @@ use bconv_tensor::init::{seeded_rng, uniform_tensor};
 use bconv_tensor::pad::PadMode;
 use bconv_tensor::Tensor;
 use proptest::prelude::*;
-
-static SERIAL: Mutex<()> = Mutex::new(());
-
-fn serial() -> MutexGuard<'static, ()> {
-    SERIAL.lock().unwrap_or_else(|e| e.into_inner())
-}
+use rand::Rng;
 
 static DIR_SEQ: AtomicU64 = AtomicU64::new(0);
 
@@ -63,9 +59,27 @@ fn input_for(net: &Network, seed: u64) -> Tensor {
 const BACKENDS: [Backend; 3] =
     [Backend::Reference, Backend::Blocked, Backend::Quantized { weight_bits: 8, act_bits: 8 }];
 
+/// The key a default-seed session of `spec` on `backend` is cached under.
+fn key_for(session: &Session, spec: &PlanSpec, backend: Backend, seed: u64) -> PlanKey {
+    let planner = Planner::new(PlannerOptions {
+        budget_elems: spec.budget_elems,
+        cost_model: spec.cost_model.clone(),
+        ..PlannerOptions::default()
+    });
+    PlanKey::for_build(
+        session.graph(),
+        seed,
+        spec.pattern.unwrap_or(BlockingPattern::hierarchical(2)),
+        spec.network_plan.as_ref(),
+        backend,
+        planner.cost_model(),
+        spec.kernel,
+        spec.pad,
+    )
+}
+
 #[test]
 fn cache_round_trip_is_bitwise_identical_on_every_backend() {
-    let _g = serial();
     for (name, net) in [("vgg16_small", vgg16_small(32)), ("vdsr_small", vdsr_small(24, 4, 8))] {
         let input = input_for(&net, 0xCAFE);
         for backend in BACKENDS {
@@ -81,21 +95,15 @@ fn cache_round_trip_is_bitwise_identical_on_every_backend() {
                 PlanProvenance::Fresh,
                 "{name}/{backend:?}: first build must plan fresh"
             );
-            let before = planner_invocations();
             let cached = Session::builder()
                 .network(net.clone())
                 .backend(backend)
                 .plan_cache(&dir)
                 .build()
                 .unwrap();
-            assert_eq!(
-                planner_invocations(),
-                before,
-                "{name}/{backend:?}: cache hit must skip the planner entirely"
-            );
             assert!(
                 matches!(cached.plan().report().provenance, PlanProvenance::CacheLoaded { .. }),
-                "{name}/{backend:?}: got {:?}",
+                "{name}/{backend:?}: a cache hit must skip the planner, got {:?}",
                 cached.plan().report().provenance
             );
             let a = fresh.run(&input).unwrap();
@@ -105,12 +113,13 @@ fn cache_round_trip_is_bitwise_identical_on_every_backend() {
                 b.output.data(),
                 "{name}/{backend:?}: cache-loaded execution must be bitwise identical"
             );
-            assert_eq!(a.stats.offchip_elems, b.stats.offchip_elems, "{name}/{backend:?}");
+            assert_eq!(a.stats, b.stats, "{name}/{backend:?}");
             assert_eq!(
                 fresh.plan().fusion_groups(),
                 cached.plan().fusion_groups(),
                 "{name}/{backend:?}: plan structure must survive the round trip"
             );
+            assert_eq!(fresh.describe(), cached.describe(), "{name}/{backend:?}");
             let _ = std::fs::remove_dir_all(&dir);
         }
     }
@@ -118,76 +127,115 @@ fn cache_round_trip_is_bitwise_identical_on_every_backend() {
 
 #[test]
 fn corrupted_cache_files_fall_back_to_fresh_planning() {
-    let _g = serial();
     let dir = temp_cache_dir("corrupt");
     let net = vgg16_small(32);
     let first = Session::builder().network(net.clone()).plan_cache(&dir).build().unwrap();
 
     // The stored file sits exactly where the key says it does.
     let cache = PlanCache::new(dir.clone());
-    let key = PlanKey::for_build(
-        first.graph(),
-        2018,
-        BlockingPattern::hierarchical(2),
-        None,
-        Backend::Blocked,
-        &ElementBudget::unbounded(),
-        KernelPolicy::Auto,
-        PadMode::Zero,
-    );
+    let key = key_for(&first, &PlanSpec::new(), Backend::Blocked, 2018);
     let path = cache.path_for(&key);
     assert!(path.is_file(), "expected the first build to store {}", path.display());
+    let load = || cache.load(&key, first.graph(), PadMode::Zero, KernelPolicy::Auto, None);
+    assert!(load().is_ok());
 
-    // Corrupt it: load reports a typed parse error, never a panic.
-    std::fs::write(&path, "{ this is not json").unwrap();
-    let err = cache.load(&key, first.graph(), PadMode::Zero, KernelPolicy::Auto, None).unwrap_err();
-    assert!(matches!(err, PlanCacheError::Parse(_)), "got {err}");
+    // Corrupt it — garbage, or 20 kB of `[` that used to overflow the
+    // parser's stack and abort the process: load reports a typed parse
+    // error, never a panic, and the builder silently re-plans fresh (and
+    // re-stores).
+    for hostile in ["{ this is not json".to_string(), "[".repeat(20_000), "{\"a\":".repeat(20_000)]
+    {
+        std::fs::write(&path, hostile).unwrap();
+        let err = load().unwrap_err();
+        assert!(matches!(err, PlanCacheError::Parse(_)), "got {err}");
 
-    // And the builder silently re-plans fresh (and re-stores).
-    let before = planner_invocations();
-    let rebuilt = Session::builder().network(net.clone()).plan_cache(&dir).build().unwrap();
-    assert_eq!(planner_invocations(), before + 1, "corrupt file must force a fresh plan");
-    assert_eq!(rebuilt.plan().report().provenance, PlanProvenance::Fresh);
+        let rebuilt = Session::builder().network(net.clone()).plan_cache(&dir).build().unwrap();
+        assert_eq!(
+            rebuilt.plan().report().provenance,
+            PlanProvenance::Fresh,
+            "corrupt file must force a fresh plan"
+        );
 
-    // The re-store healed the cache.
-    let healed = Session::builder().network(net).plan_cache(&dir).build().unwrap();
-    assert!(matches!(healed.plan().report().provenance, PlanProvenance::CacheLoaded { .. }));
+        // The re-store healed the cache.
+        let healed = Session::builder().network(net.clone()).plan_cache(&dir).build().unwrap();
+        assert!(matches!(healed.plan().report().provenance, PlanProvenance::CacheLoaded { .. }));
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Byte ranges of the JSON number tokens of `text` (digit runs outside
+/// strings).
+fn number_tokens(text: &str) -> Vec<std::ops::Range<usize>> {
+    let bytes = text.as_bytes();
+    let (mut out, mut in_string, mut i) = (Vec::new(), false, 0);
+    while i < bytes.len() {
+        match bytes[i] {
+            b'\\' if in_string => i += 1,
+            b'"' => in_string = !in_string,
+            b'0'..=b'9' if !in_string => {
+                let start = i;
+                while i + 1 < bytes.len() && bytes[i + 1].is_ascii_digit() {
+                    i += 1;
+                }
+                out.push(start..i + 1);
+            }
+            _ => {}
+        }
+        i += 1;
+    }
+    out
+}
+
+#[test]
+fn integers_past_u64_in_a_plan_file_are_typed_errors() {
+    // 2^64 used to slip through the integer check (the bound compared
+    // against `u64::MAX as f64`, which *is* 2^64, and the cast saturates)
+    // and overflow the sum of stored group lengths. Put it in place of
+    // every number of a stored plan with splices, one at a time.
+    let dir = temp_cache_dir("overflow");
+    let net = vgg16_small(32);
+    let spec = PlanSpec::new().cost_model(AccelCost::with_buffers(zc706(), 1500 * 32 / 2, 1 << 24));
+    let session =
+        Session::builder().network(net).planner(spec.clone()).plan_cache(&dir).build().unwrap();
+    assert!(session.plan().segments().iter().any(|s| matches!(s, Segment::Spliced { .. })));
+    let cache = PlanCache::new(dir.clone());
+    let key = key_for(&session, &spec, Backend::Blocked, 2018);
+    let path = cache.path_for(&key);
+    let stored = std::fs::read_to_string(&path).unwrap();
+    let tokens = number_tokens(&stored);
+    assert!(tokens.len() > 20, "a spliced plan stores many integers");
+    for token in tokens {
+        let mut text = stored.clone();
+        text.replace_range(token.clone(), "18446744073709551616");
+        std::fs::write(&path, &text).unwrap();
+        let result = cache.load(&key, session.graph(), PadMode::Zero, KernelPolicy::Auto, None);
+        assert!(result.is_err(), "2^64 at bytes {token:?} was accepted");
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
 fn stale_keys_are_rejected_with_a_typed_mismatch() {
-    let _g = serial();
     let dir = temp_cache_dir("stale");
     let net = vgg16_small(32);
     let first = Session::builder().network(net.clone()).plan_cache(&dir).build().unwrap();
     let cache = PlanCache::new(dir.clone());
-    let key = |seed: u64, graph: &bconv_graph::Graph| {
-        PlanKey::for_build(
-            graph,
-            seed,
-            BlockingPattern::hierarchical(2),
-            None,
-            Backend::Blocked,
-            &ElementBudget::unbounded(),
-            KernelPolicy::Auto,
-            PadMode::Zero,
-        )
-    };
-    let stored = cache.path_for(&key(2018, first.graph()));
+    let key =
+        |seed: u64, session: &Session| key_for(session, &PlanSpec::new(), Backend::Blocked, seed);
+    let stored = cache.path_for(&key(2018, &first));
 
     // A session with a different seed hashes to a different key: drop the
     // seed-2018 plan file onto the seed-2019 key's path and the stored
     // key string betrays it.
     let other = Session::builder().network(net).seed(2019).build().unwrap();
-    let stale_key = key(2019, other.graph());
+    let stale_key = key(2019, &other);
     std::fs::copy(&stored, cache.path_for(&stale_key)).unwrap();
     let err =
         cache.load(&stale_key, other.graph(), PadMode::Zero, KernelPolicy::Auto, None).unwrap_err();
     assert!(matches!(err, PlanCacheError::KeyMismatch { .. }), "got {err}");
 
     // A missing file is a typed IO error, not a panic.
-    let miss = key(2020, first.graph());
+    let miss = key(2020, &first);
     let err =
         cache.load(&miss, first.graph(), PadMode::Zero, KernelPolicy::Auto, None).unwrap_err();
     assert!(matches!(err, PlanCacheError::Io(_)), "got {err}");
@@ -195,8 +243,42 @@ fn stale_keys_are_rejected_with_a_typed_mismatch() {
 }
 
 #[test]
+fn planner_and_plan_cache_compose_in_either_order() {
+    // `planner(spec)` used to replace the spec the cache directory had
+    // been written into, so `.plan_cache(dir).planner(spec)` silently
+    // built an uncached session.
+    let net = vdsr_small(24, 4, 8);
+    let input = input_for(&net, 0x0D3);
+    let spec = || PlanSpec::new().pattern(BlockingPattern::fixed(8)).on_chip_budget(600);
+    type Configure = fn(SessionBuilder, PlanSpec, &Path) -> SessionBuilder;
+    let orders: [(&str, Configure); 2] = [
+        ("planner-then-cache", |b, spec, dir| b.planner(spec).plan_cache(dir)),
+        ("cache-then-planner", |b, spec, dir| b.plan_cache(dir).planner(spec)),
+    ];
+    for (name, configure) in orders {
+        let dir = temp_cache_dir(name);
+        let build = || configure(Session::builder().network(net.clone()), spec(), &dir).build();
+        let first = build().unwrap();
+        assert_eq!(first.plan().report().provenance, PlanProvenance::Fresh, "{name}");
+        assert!(!first.plan().report().cost_cuts.is_empty(), "{name}: the spec must apply");
+        let second = build().unwrap();
+        assert!(
+            matches!(second.plan().report().provenance, PlanProvenance::CacheLoaded { .. }),
+            "{name}: second build must hit the cache, got {:?}",
+            second.plan().report().provenance
+        );
+        assert_eq!(second.plan().report().cost_cuts, first.plan().report().cost_cuts, "{name}");
+        assert_eq!(
+            first.run(&input).unwrap().output.data(),
+            second.run(&input).unwrap().output.data(),
+            "{name}"
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
+#[test]
 fn tune_winner_never_models_more_offchip_than_the_default() {
-    let _g = serial();
     let report = tune(&vgg16_small(32), &TuneOptions::default()).unwrap();
     assert!(report.points.len() > 1, "the DSE must explore beyond the default");
     assert!(!report.pareto.is_empty());
@@ -216,12 +298,14 @@ fn tune_winner_never_models_more_offchip_than_the_default() {
 
 #[test]
 fn tuned_builds_cache_their_winner_and_stay_bitwise_identical() {
-    let _g = serial();
     let dir = temp_cache_dir("tuned");
     let net = vgg16_small(32);
     let input = input_for(&net, 0xBEEF);
+    let tuned = || {
+        Session::builder().network(net.clone()).planner(PlanSpec::new().tuned()).plan_cache(&dir)
+    };
 
-    let first = Session::builder().network(net.clone()).tuned().plan_cache(&dir).build().unwrap();
+    let first = tuned().build().unwrap();
     assert!(
         matches!(first.plan().report().provenance, PlanProvenance::TuneSelected { .. }),
         "got {:?}",
@@ -230,10 +314,12 @@ fn tuned_builds_cache_their_winner_and_stay_bitwise_identical() {
 
     // Second tuned build: winner loaded from the per-host cache, plan
     // loaded from the plan cache — nothing plans, nothing re-tunes.
-    let before = planner_invocations();
-    let second = Session::builder().network(net.clone()).tuned().plan_cache(&dir).build().unwrap();
-    assert_eq!(planner_invocations(), before, "cached winner + cached plan must skip planning");
-    assert!(matches!(second.plan().report().provenance, PlanProvenance::CacheLoaded { .. }));
+    let second = tuned().build().unwrap();
+    assert!(
+        matches!(second.plan().report().provenance, PlanProvenance::CacheLoaded { .. }),
+        "cached winner + cached plan must skip planning, got {:?}",
+        second.plan().report().provenance
+    );
     let a = first.run(&input).unwrap();
     let b = second.run(&input).unwrap();
     assert_eq!(a.output.data(), b.output.data(), "tuned execution must be reproducible bitwise");
@@ -244,10 +330,13 @@ fn tuned_builds_cache_their_winner_and_stay_bitwise_identical() {
     let report = tune(&net, &topts).unwrap();
     let w = report.winner;
     let explicit = Session::builder()
-        .network(net)
-        .pattern(w.pattern)
-        .cost_model(w.cost_model(topts.platform.clone(), topts.npe))
-        .kernel(w.kernel)
+        .network(net.clone())
+        .planner(
+            PlanSpec::new()
+                .pattern(w.pattern)
+                .cost_model(w.cost_model(topts.platform.clone(), topts.npe))
+                .kernel(w.kernel),
+        )
         .threads(w.threads)
         .build()
         .unwrap();
@@ -258,51 +347,150 @@ fn tuned_builds_cache_their_winner_and_stay_bitwise_identical() {
 
 #[test]
 fn fork_and_router_share_the_compiled_plan() {
-    let _g = serial();
     let session = Session::builder().network(vgg16_small(32)).build().unwrap();
     let fork = session.fork();
     assert!(
         Arc::ptr_eq(session.plan_handle(), fork.plan_handle()),
         "fork must share the ExecPlan allocation, not re-plan"
     );
-    let before = planner_invocations();
     let router = fork.into_router(3, ServeConfig::default()).unwrap();
-    assert_eq!(planner_invocations(), before, "router replicas must reuse the built plan");
     let engines = router.replicas();
     assert_eq!(engines.len(), 3);
-    assert!(engines.iter().all(|e| engines[0].shares_model_with(e)));
+    assert!(
+        engines.iter().all(|e| engines[0].shares_model_with(e)),
+        "router replicas must reuse the built plan"
+    );
     router.shutdown();
 }
 
 #[test]
-fn plan_spec_path_matches_the_legacy_knobs() {
-    let _g = serial();
-    let net = vdsr_small(24, 4, 8);
-    let input = input_for(&net, 0xF00D);
-    let via_spec = Session::builder()
-        .network(net.clone())
-        .planner(PlanSpec::new().pattern(BlockingPattern::fixed(8)).on_chip_budget(1500))
-        .build()
-        .unwrap();
-    let via_knobs = Session::builder()
-        .network(net.clone())
-        .pattern(BlockingPattern::fixed(8))
-        .on_chip_budget(1500)
-        .build()
-        .unwrap();
-    assert_eq!(via_spec.plan().fusion_groups(), via_knobs.plan().fusion_groups());
-    let a = via_spec.run(&input).unwrap();
-    let b = via_knobs.run(&input).unwrap();
-    assert_eq!(a.output.data(), b.output.data(), "spec and knob paths must compile identically");
-
-    // The old mutual-exclusion diagnostic survives the redesign, through
-    // the spec path too.
+fn a_budget_and_a_cost_model_in_one_spec_are_rejected() {
     let err = Session::builder()
-        .network(net)
+        .network(vdsr_small(24, 4, 8))
         .planner(PlanSpec::new().on_chip_budget(10).cost_model(ElementBudget::unbounded()))
         .build()
         .unwrap_err();
     assert!(format!("{err}").contains("mutually exclusive"), "{err}");
+}
+
+/// One random edit of `bytes`: flip a bit, insert a byte, delete a byte,
+/// or truncate.
+fn mutate(bytes: &[u8], rng: &mut impl Rng) -> Vec<u8> {
+    let mut out = bytes.to_vec();
+    let at = rng.gen_range(0..out.len());
+    match rng.gen_range(0..4u8) {
+        0 => out[at] ^= 1 << rng.gen_range(0..8u8),
+        1 => out.insert(at, rng.gen_range(0..=255u8)),
+        2 => drop(out.remove(at)),
+        _ => out.truncate(at),
+    }
+    out
+}
+
+#[test]
+fn mutated_plan_files_never_panic_and_never_change_results() {
+    // Seeded byte-mutation fuzz of stored plan files. Whatever a mutant
+    // looks like, `PlanCache::load` returns a plan or a typed error; a
+    // plan it does return executes exactly like the fresh one (decisions
+    // are checked against the graph, so a surviving mutant can only have
+    // touched white space or the report); and a builder pointed at the
+    // mutated directory builds and runs bitwise equal to a fresh session.
+    const MUTANTS_PER_TARGET: usize = 700;
+    let w8a8 = Backend::Quantized { weight_bits: 8, act_bits: 8 };
+    let f8 = PlanSpec::new().pattern(BlockingPattern::fixed(8));
+    let spliced =
+        PlanSpec::new().cost_model(AccelCost::with_buffers(zc706(), 1500 * 32 / 2, 1 << 24));
+    let targets = [
+        ("vgg16_small", vgg16_small(32), Backend::Blocked, PlanSpec::new()),
+        ("vdsr_small", vdsr_small(24, 4, 8), w8a8, f8),
+        ("vgg16_small-spliced", vgg16_small(32), Backend::Blocked, spliced),
+    ];
+    let (mut loaded, mut rejected) = (0usize, 0usize);
+    for (name, net, backend, spec) in targets {
+        let dir = temp_cache_dir("fuzz");
+        let input = input_for(&net, 0xF422);
+        let calibration = vec![input_for(&net, 0xCA11)];
+        let builder = || {
+            Session::builder()
+                .network(net.clone())
+                .backend(backend)
+                .planner(spec.clone())
+                .calibration(calibration.clone())
+                .threads(1)
+                .plan_cache(&dir)
+        };
+        let fresh = builder().build().unwrap();
+        let want = fresh.run(&input).unwrap();
+        if name.ends_with("spliced") {
+            assert!(!fresh.plan().report().splices.is_empty(), "{name} must store splices");
+        }
+
+        // What the builder does with a loaded plan, by hand.
+        let graph = Arc::new(fresh.graph().clone());
+        let quant = match backend {
+            Backend::Quantized { weight_bits, act_bits } => Some(Arc::new(
+                GraphQuantSpec::calibrate(&graph, &calibration, weight_bits, act_bits).unwrap(),
+            )),
+            _ => None,
+        };
+        let execute = |plan: ExecPlan| -> RunReport {
+            let (graph, plan) = (Arc::clone(&graph), Arc::new(plan));
+            match &quant {
+                Some(q) => QuantizedExecutor::new(graph, plan, Arc::clone(q), 1, spec.kernel)
+                    .unwrap()
+                    .run(&input),
+                None => BlockedExecutor::new(graph, plan).run(&input),
+            }
+            .unwrap()
+        };
+
+        let cache = PlanCache::new(dir.clone());
+        let key = key_for(&fresh, &spec, backend, 2018);
+        let path = cache.path_for(&key);
+        let stored = std::fs::read(&path).unwrap();
+        let mut rng = seeded_rng(0x5EED ^ stored.len() as u64);
+        for i in 0..MUTANTS_PER_TARGET {
+            std::fs::write(&path, mutate(&stored, &mut rng)).unwrap();
+            let hit = match cache.load(&key, &graph, spec.pad, spec.kernel, quant.as_deref()) {
+                Ok(plan) => {
+                    let got = execute(plan);
+                    assert_eq!(got.output.data(), want.output.data(), "{name}: mutant #{i}");
+                    assert_eq!(got.stats, want.stats, "{name}: mutant #{i}");
+                    true
+                }
+                Err(_) => false,
+            };
+            if hit || i % 10 == 0 {
+                // The builder loads the mutant, or falls back to a fresh
+                // plan (healing the file, which the next mutant replaces).
+                let session = builder().build().unwrap_or_else(|e| panic!("{name} #{i}: {e}"));
+                let loads = matches!(
+                    session.plan().report().provenance,
+                    PlanProvenance::CacheLoaded { .. }
+                );
+                assert_eq!(loads, hit, "{name}: mutant #{i}");
+                let got = session.run(&input).unwrap();
+                assert_eq!(got.output.data(), want.output.data(), "{name}: built on mutant #{i}");
+                assert_eq!(got.stats, want.stats, "{name}: built on mutant #{i}");
+            }
+            if hit {
+                loaded += 1;
+            } else {
+                rejected += 1;
+            }
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+    assert!(loaded > 0, "some mutants (white space, report fields) must still load");
+    assert!(rejected > loaded, "most mutants must be rejected");
+}
+
+fn random_net(c1: usize, c2: usize) -> Network {
+    let mut b = NetBuilder::new("prop-cache", ActShape { c: 2, h: 16, w: 16 });
+    b.push("conv1", conv(3, 1, 1, 2, c1));
+    b.push("conv2", conv(3, 1, 1, c1, c2));
+    b.push("pool", maxpool(2, 2, 0));
+    b.build()
 }
 
 proptest! {
@@ -317,13 +505,8 @@ proptest! {
         seed in 0u64..200,
         backend_idx in 0usize..3,
     ) {
-        let _g = serial();
         let backend = BACKENDS[backend_idx];
-        let mut b = NetBuilder::new("prop-cache", ActShape { c: 2, h: 16, w: 16 });
-        b.push("conv1", conv(3, 1, 1, 2, c1));
-        b.push("conv2", conv(3, 1, 1, c1, c2));
-        b.push("pool", maxpool(2, 2, 0));
-        let net = b.build();
+        let net = random_net(c1, c2);
         let input = input_for(&net, seed ^ 0x51AB);
         let dir = temp_cache_dir("prop");
 
@@ -348,6 +531,64 @@ proptest! {
         let a = fresh.run(&input).unwrap();
         let b = cached.run(&input).unwrap();
         prop_assert_eq!(a.output.data(), b.output.data());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Quantized fused == layer-wise == cache-loaded, bitwise, over random
+    /// nets × patterns × bitwidths: fusion and the cache change the
+    /// schedule and the start-up path, never the integers.
+    #[test]
+    fn quantized_fused_layerwise_and_cached_agree_bitwise(
+        c1 in 1usize..4,
+        c2 in 1usize..4,
+        seed in 0u64..200,
+        pattern_idx in 0usize..3,
+        bits_idx in 0usize..3,
+    ) {
+        let pattern = [
+            BlockingPattern::hierarchical(2),
+            BlockingPattern::hierarchical(4),
+            BlockingPattern::fixed(8),
+        ][pattern_idx];
+        let (weight_bits, act_bits) = [(8, 8), (4, 8), (8, 16)][bits_idx];
+        let net = random_net(c1, c2);
+        let input = input_for(&net, seed ^ 0x0A17);
+        let dir = temp_cache_dir("prop-quant");
+        let build = || {
+            Session::builder()
+                .network(net.clone())
+                .seed(seed)
+                .backend(Backend::Quantized { weight_bits, act_bits })
+                .planner(PlanSpec::new().pattern(pattern))
+                .plan_cache(&dir)
+                .build()
+                .unwrap()
+        };
+        let fresh = build();
+        let cached = build();
+        prop_assert_eq!(&fresh.plan().report().provenance, &PlanProvenance::Fresh);
+        prop_assert!(matches!(
+            cached.plan().report().provenance,
+            PlanProvenance::CacheLoaded { .. }
+        ));
+        let fused = fresh.run(&input).unwrap();
+        prop_assert_eq!(fused.stats.bits_per_elem, act_bits);
+        let reloaded = cached.run(&input).unwrap();
+        prop_assert_eq!(fused.output.data(), reloaded.output.data());
+
+        // The net is one chain of fusable stages, so its plan is fused
+        // segments only: fold their layer-wise schedules over the input.
+        for plan in [fresh.plan(), cached.plan()] {
+            let mut value = input.clone();
+            for seg in plan.segments() {
+                value = match seg {
+                    Segment::Fused { chain, .. } => chain.run_layerwise(&value).unwrap().0,
+                    Segment::Spliced { pipeline, .. } => pipeline.run_layerwise(&value).unwrap().0,
+                    Segment::Single(id) => panic!("node {id} of a conv/pool chain ran whole-map"),
+                };
+            }
+            prop_assert_eq!(fused.output.data(), value.data());
+        }
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -12,11 +12,10 @@
 //! trade.)
 
 use bconv_accel::platform::zc706;
-use bconv_graph::{AccelCost, Backend, Segment, Session, SessionBuilder};
+use bconv_graph::{AccelCost, Backend, PlanSpec, Segment, Session, SessionBuilder};
 use bconv_models::builder::{conv, maxpool, NetBuilder};
 use bconv_models::{ActShape, Network};
 use bconv_tensor::init::{seeded_rng, uniform_tensor};
-use bconv_tensor::PadMode;
 use proptest::prelude::*;
 
 /// A random-but-valid small network: stride-1 convs on a 16x16 map (so
@@ -37,7 +36,6 @@ fn builder(net: &Network, backend: Backend, seed: u64) -> SessionBuilder {
     Session::builder()
         .network(net.clone())
         .backend(backend)
-        .pad(PadMode::Zero)
         .seed(seed)
         .threads(1)
         .relu_after_conv(true)
@@ -77,9 +75,9 @@ proptest! {
         let input = uniform_tensor([1, 2, 16, 16], -1.0, 1.0, &mut seeded_rng(seed ^ 0x51CE));
         for backend in BACKENDS {
             let unspliced =
-                builder(&net, backend, seed).on_chip_budget(budget).build().expect("budget session");
+                builder(&net, backend, seed).planner(PlanSpec::new().on_chip_budget(budget)).build().expect("budget session");
             let spliced = builder(&net, backend, seed)
-                .cost_model(accel_twin(budget, plan_bits(backend)))
+                .planner(PlanSpec::new().cost_model(accel_twin(budget, plan_bits(backend))))
                 .build()
                 .expect("accel session");
             prop_assert!(unspliced.plan().report().splices.is_empty());
@@ -133,14 +131,14 @@ proptest! {
         // A tight twin budget that forces a cut (and therefore a splice).
         let budget = 150;
         let serial = builder(&net, Backend::Blocked, seed)
-            .cost_model(accel_twin(budget, 32))
+            .planner(PlanSpec::new().cost_model(accel_twin(budget, 32)))
             .build()
             .expect("serial session");
         prop_assert!(!serial.plan().report().splices.is_empty(), "no splice to exercise");
         let want = serial.run(&input).expect("serial run");
         for threads in [2usize, 8] {
             let s = builder(&net, Backend::Blocked, seed)
-                .cost_model(accel_twin(budget, 32))
+                .planner(PlanSpec::new().cost_model(accel_twin(budget, 32)))
                 .threads(threads)
                 .build()
                 .expect("threaded session");
@@ -165,14 +163,14 @@ fn vgg16_small_accel_cost_beats_element_budget_on_traffic() {
         .network(net.clone())
         .seed(2018)
         .threads(1)
-        .on_chip_budget(budget)
+        .planner(PlanSpec::new().on_chip_budget(budget))
         .build()
         .expect("element session");
     let accel = Session::builder()
         .network(net.clone())
         .seed(2018)
         .threads(1)
-        .cost_model(accel_twin(budget, 32))
+        .planner(PlanSpec::new().cost_model(accel_twin(budget, 32)))
         .build()
         .expect("accel session");
 
@@ -200,7 +198,7 @@ fn vgg16_small_accel_cost_beats_element_budget_on_traffic() {
         .seed(2018)
         .threads(1)
         .backend(backend)
-        .on_chip_budget(budget)
+        .planner(PlanSpec::new().on_chip_budget(budget))
         .build()
         .expect("quant element session");
     let qa = Session::builder()
@@ -208,7 +206,7 @@ fn vgg16_small_accel_cost_beats_element_budget_on_traffic() {
         .seed(2018)
         .threads(1)
         .backend(backend)
-        .cost_model(accel_twin(budget, 8))
+        .planner(PlanSpec::new().cost_model(accel_twin(budget, 8)))
         .build()
         .expect("quant accel session");
     assert!(!qa.plan().report().splices.is_empty(), "{}", qa.describe());
@@ -224,8 +222,7 @@ fn vgg16_small_accel_cost_beats_element_budget_on_traffic() {
 fn cost_model_and_budget_are_mutually_exclusive() {
     let r = Session::builder()
         .network(bconv_models::small::vgg16_small(32))
-        .on_chip_budget(1000)
-        .cost_model(accel_twin(1000, 32))
+        .planner(PlanSpec::new().on_chip_budget(1000).cost_model(accel_twin(1000, 32)))
         .build();
     assert!(r.is_err());
 }

@@ -2,7 +2,7 @@
 
 use bconv_core::blocking::{BlockGrid, BlockingPattern};
 use bconv_core::fusion::{ChainOp, FusedChain};
-use bconv_graph::{Graph, LowerOptions, Planner, PlannerOptions, Segment};
+use bconv_graph::{Graph, KernelPolicy, LowerOptions, Planner, PlannerOptions, Segment};
 use bconv_models::builder::{conv, maxpool, NetBuilder};
 use bconv_models::ActShape;
 use bconv_quant::qconv::QConv2d;
@@ -98,12 +98,12 @@ proptest! {
         let qconv = QConv2d::from_conv(&cv, 8).unwrap();
         let dense = qconv.forward(&input, act, PadMode::Zero).unwrap();
         let grid = BlockGrid::from_pattern(16, 16, BlockingPattern::hierarchical(g)).unwrap();
-        let chain = FusedChain::plan_quantized(
+        let chain = FusedChain::plan(
             vec![ChainOp::conv(cv)],
             grid.clone(),
             PadMode::Zero,
-            8,
-            &[act],
+            KernelPolicy::default(),
+            Some((8, &[act])),
         )
         .unwrap();
         let (blocked, _) = chain.run_fused(&input).unwrap();

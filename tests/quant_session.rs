@@ -16,7 +16,7 @@
 
 use bconv_core::plan::NetworkPlan;
 use bconv_core::BlockingPattern;
-use bconv_graph::{Backend, Session};
+use bconv_graph::{Backend, PlanSpec, Session};
 use bconv_models::layer::LayerKind;
 use bconv_models::small::{vdsr_small, vgg16_small};
 use bconv_models::Network;
@@ -38,11 +38,17 @@ fn rel_err(a: &Tensor, b: &Tensor) -> f32 {
 }
 
 fn session(net: &Network, backend: Backend, pad: PadMode, blocked: bool) -> Session {
-    let mut b = Session::builder().network(net.clone()).seed(2018).pad(pad).backend(backend);
+    let mut spec = PlanSpec::new().pad(pad);
     if !blocked {
-        b = b.plan(NetworkPlan::unblocked(conv_count(net)));
+        spec = spec.network_plan(NetworkPlan::unblocked(conv_count(net)));
     }
-    b.build().unwrap()
+    Session::builder()
+        .network(net.clone())
+        .seed(2018)
+        .planner(spec)
+        .backend(backend)
+        .build()
+        .unwrap()
 }
 
 #[test]
@@ -217,7 +223,7 @@ fn quantized_segments_mirror_the_float_plan() {
     // Different blocking patterns compile to different quantized plans too.
     let q4 = Session::builder()
         .network(net)
-        .pattern(BlockingPattern::fixed(8))
+        .planner(PlanSpec::new().pattern(BlockingPattern::fixed(8)))
         .backend(Backend::Quantized { weight_bits: 8, act_bits: 8 })
         .build()
         .unwrap();

@@ -10,7 +10,7 @@
 //! coalescing are schedule choices and must never leak into numerics or
 //! memory accounting.
 
-use bconv_graph::{Backend, ServeConfig, Session, SessionBuilder, TicketId};
+use bconv_graph::{Backend, PlanSpec, ServeConfig, Session, SessionBuilder, TicketId};
 use bconv_models::builder::{conv, maxpool, NetBuilder};
 use bconv_models::{ActShape, Network};
 use bconv_tensor::init::{seeded_rng, uniform_tensor};
@@ -34,7 +34,7 @@ fn session(net: &Network, backend: Backend, pad: PadMode, seed: u64, threads: us
     let b: SessionBuilder = Session::builder()
         .network(net.clone())
         .backend(backend)
-        .pad(pad)
+        .planner(PlanSpec::new().pad(pad))
         .seed(seed)
         .threads(threads)
         .relu_after_conv(true);

@@ -12,7 +12,7 @@
 
 use bconv_core::plan::NetworkPlan;
 use bconv_core::BlockingPattern;
-use bconv_graph::{Backend, Session};
+use bconv_graph::{Backend, PlanSpec, Session};
 use bconv_models::small::{resnet18_small, vdsr_small, vgg16_small};
 use bconv_models::Network;
 use bconv_tensor::init::{seeded_rng, uniform_tensor};
@@ -27,14 +27,14 @@ fn run_both(net: &Network, pattern: BlockingPattern, seed: u64) -> (Tensor, Tens
     let input = input_for(net, seed ^ 0xABCD);
     let blocked = Session::builder()
         .network(net.clone())
-        .pattern(pattern)
+        .planner(PlanSpec::new().pattern(pattern))
         .seed(seed)
         .backend(Backend::Blocked)
         .build()
         .unwrap();
     let reference = Session::builder()
         .network(net.clone())
-        .pattern(pattern)
+        .planner(PlanSpec::new().pattern(pattern))
         .seed(seed)
         .backend(Backend::Reference)
         .build()
@@ -122,7 +122,7 @@ fn vdsr_block_interiors_are_exact_under_h2() {
     let mk = |backend| {
         Session::builder()
             .network(net.clone())
-            .pattern(BlockingPattern::hierarchical(2))
+            .planner(PlanSpec::new().pattern(BlockingPattern::hierarchical(2)))
             .seed(5)
             .backend(backend)
             .build()
@@ -160,7 +160,7 @@ fn fused_offchip_traffic_strictly_decreases() {
         let mk = |backend| {
             Session::builder()
                 .network(net.clone())
-                .pattern(pattern)
+                .planner(PlanSpec::new().pattern(pattern))
                 .seed(23)
                 .backend(backend)
                 .build()
@@ -190,8 +190,7 @@ fn blocking_depth_schedule_flows_through_session() {
     let mk = |plan: NetworkPlan| {
         Session::builder()
             .network(net.clone())
-            .pattern(BlockingPattern::hierarchical(2))
-            .plan(plan)
+            .planner(PlanSpec::new().pattern(BlockingPattern::hierarchical(2)).network_plan(plan))
             .seed(31)
             .build()
             .unwrap()
@@ -213,14 +212,13 @@ fn on_chip_budget_is_respected_by_the_compiled_plan() {
     let budget = 12 * 12 * 8 + 12 * 12 * 2;
     let tight = Session::builder()
         .network(net.clone())
-        .pattern(BlockingPattern::hierarchical(2))
-        .on_chip_budget(budget)
+        .planner(PlanSpec::new().pattern(BlockingPattern::hierarchical(2)).on_chip_budget(budget))
         .seed(37)
         .build()
         .unwrap();
     let free = Session::builder()
         .network(net)
-        .pattern(BlockingPattern::hierarchical(2))
+        .planner(PlanSpec::new().pattern(BlockingPattern::hierarchical(2)))
         .seed(37)
         .build()
         .unwrap();
