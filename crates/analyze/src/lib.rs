@@ -318,8 +318,13 @@ fn json_escape(s: &str) -> String {
     out
 }
 
-/// Render the machine-readable report CI uploads as an artifact. Plain
-/// hand-rolled JSON — the analyzer stays dependency-free on purpose.
+/// Render the machine-readable report CI uploads as an artifact.
+///
+/// Deliberately *not* built on the workspace codec (`bconv_graph::json`):
+/// the analyzer must build and run when the crates it lints do not
+/// compile, so it depends on none of them and keeps this write-only
+/// emitter. The root test `tests/json_codec.rs` holds its output to the
+/// shared reader.
 pub fn render_json(report: &WorkspaceReport, gate: &GateResult) -> String {
     let mut out = String::from("{\n");
     let _ = writeln!(out, "  \"files\": {},", report.files);

@@ -146,6 +146,7 @@ impl Config {
                 "crates/graph/src/cost.rs",
                 "crates/graph/src/quantize.rs",
                 "crates/graph/src/cache.rs",
+                "crates/graph/src/json.rs",
                 "crates/graph/src/tune.rs",
                 "crates/core/src/fusion.rs",
                 "crates/core/src/plan.rs",

@@ -15,16 +15,10 @@
 //! writes via `--out`). Exits non-zero when any gate rule fails, and with
 //! status 2 on usage/IO errors.
 
-use bconv_bench::check::{check_bench, Finding, Json};
+use bconv_bench::check::{check_bench, load, Finding, Json};
 
 const DEFAULT_BENCHES: [&str; 4] = ["kernels", "quant", "serve", "planner"];
 const DEFAULT_TOLERANCE_PCT: f64 = 25.0;
-
-fn load(path: &str) -> Result<Json, String> {
-    let text = std::fs::read_to_string(path)
-        .map_err(|e| format!("cannot read {path}: {e} (run the bench first)"))?;
-    Json::parse(&text).map_err(|e| format!("{path} is not valid JSON: {e}"))
-}
 
 fn run() -> Result<bool, String> {
     let args: Vec<String> = std::env::args().skip(1).collect();

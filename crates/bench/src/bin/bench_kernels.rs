@@ -8,8 +8,9 @@
 //!
 //! Usage: `bench_kernels [--quick] [--out PATH]`
 
-use bconv_bench::session_times;
+use bconv_bench::{session_times, BenchRun};
 use bconv_core::BlockingPattern;
+use bconv_graph::json::Json;
 use bconv_graph::{KernelPolicy, PlanSpec, Segment, Session};
 use bconv_models::small::vgg16_small;
 use bconv_tensor::error::TensorError;
@@ -19,17 +20,6 @@ struct Config {
     name: &'static str,
     kernel: KernelPolicy,
     threads: usize,
-}
-
-struct Measurement {
-    name: String,
-    kernel: &'static str,
-    threads_requested: usize,
-    threads_effective: usize,
-    median_us: f64,
-    min_us: f64,
-    speedup: f64,
-    output_matches_baseline: bool,
 }
 
 fn build(kernel: KernelPolicy, threads: usize) -> Result<Session, TensorError> {
@@ -42,15 +32,9 @@ fn build(kernel: KernelPolicy, threads: usize) -> Result<Session, TensorError> {
 }
 
 fn run() -> Result<(), Box<dyn std::error::Error>> {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let quick = args.iter().any(|a| a == "--quick");
-    let out_path = args
-        .iter()
-        .position(|a| a == "--out")
-        .and_then(|i| args.get(i + 1).cloned())
-        .unwrap_or_else(|| "BENCH_kernels.json".to_string());
-    let reps = if quick { 9 } else { 30 };
-    let avail = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let bench = BenchRun::from_args("kernels");
+    let reps = if bench.quick { 9 } else { 30 };
+    let avail = bench.available_parallelism;
     let many = avail.max(2);
 
     // On a 1-core host the *_tN configs cannot run in parallel: reporting
@@ -81,7 +65,7 @@ fn run() -> Result<(), Box<dyn std::error::Error>> {
     } else {
         println!("vgg16_small fused pipeline, {reps} reps, {many} worker threads for tN configs");
     }
-    let mut results = Vec::new();
+    let (mut results, mut all_match) = (Vec::new(), true);
     for cfg in &configs {
         let session = build(cfg.kernel, cfg.threads)?;
         let (us, min_us) = if cfg.name == "direct_t1" {
@@ -115,53 +99,31 @@ fn run() -> Result<(), Box<dyn std::error::Error>> {
             speedup,
             matches
         );
-        results.push(Measurement {
-            name: cfg.name.to_string(),
-            kernel: cfg.kernel.name(),
-            threads_requested: cfg.threads,
-            threads_effective: effective,
-            median_us: us,
-            min_us,
-            speedup,
-            output_matches_baseline: matches,
-        });
+        all_match &= matches;
+        results.push(Json::object([
+            ("name", cfg.name.into()),
+            ("kernel", cfg.kernel.name().into()),
+            ("threads_requested", cfg.threads.into()),
+            ("threads_effective", effective.into()),
+            ("median_us", Json::fixed(us, 1)),
+            ("min_us", Json::fixed(min_us, 1)),
+            ("speedup_vs_direct_t1", Json::fixed(speedup, 3)),
+            ("output_matches_baseline", matches.into()),
+        ]));
     }
 
-    let mut json = String::new();
-    json.push_str("{\n");
-    json.push_str("  \"bench\": \"kernels\",\n");
-    json.push_str("  \"network\": \"vgg16_small\",\n");
-    json.push_str("  \"pattern\": \"H2x2\",\n");
-    json.push_str(&format!("  \"reps\": {reps},\n"));
-    json.push_str(&format!("  \"quick\": {quick},\n"));
-    json.push_str(&format!("  \"available_parallelism\": {avail},\n"));
-    json.push_str(&format!("  \"threaded_configs_skipped\": {threaded_configs_skipped},\n"));
-    json.push_str("  \"baseline\": \"direct_t1\",\n");
-    json.push_str("  \"results\": [\n");
-    for (i, m) in results.iter().enumerate() {
-        json.push_str(&format!(
-            "    {{\"name\": \"{}\", \"kernel\": \"{}\", \"threads_requested\": {}, \
-             \"threads_effective\": {}, \"median_us\": {:.1}, \"min_us\": {:.1}, \
-             \"speedup_vs_direct_t1\": {:.3}, \"output_matches_baseline\": {}}}{}\n",
-            m.name,
-            m.kernel,
-            m.threads_requested,
-            m.threads_effective,
-            m.median_us,
-            m.min_us,
-            m.speedup,
-            m.output_matches_baseline,
-            if i + 1 == results.len() { "" } else { "," }
-        ));
-    }
-    json.push_str("  ]\n}\n");
-    std::fs::write(&out_path, json)?;
-    println!("wrote {out_path}");
+    bench.write(
+        reps,
+        [
+            ("network", "vgg16_small".into()),
+            ("pattern", "H2x2".into()),
+            ("threaded_configs_skipped", threaded_configs_skipped.into()),
+            ("baseline", "direct_t1".into()),
+            ("results", Json::Arr(results)),
+        ],
+    )?;
 
-    assert!(
-        results.iter().all(|m| m.output_matches_baseline),
-        "kernel/thread configurations must agree bitwise"
-    );
+    assert!(all_match, "kernel/thread configurations must agree bitwise");
     Ok(())
 }
 

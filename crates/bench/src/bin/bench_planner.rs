@@ -13,8 +13,9 @@
 //! Usage: `bench_planner [--quick] [--out PATH] [--tune-out PATH]`
 
 use bconv_accel::platform::zc706;
-use bconv_bench::session_times;
+use bconv_bench::{session_times, BenchRun};
 use bconv_core::BlockingPattern;
+use bconv_graph::json::Json;
 use bconv_graph::{tune, AccelCost, PlanSpec, Session, TuneOptions};
 use bconv_models::small::vgg16_small;
 use bconv_models::Network;
@@ -64,17 +65,8 @@ fn workloads() -> Vec<Workload> {
 }
 
 fn run() -> Result<(), Box<dyn std::error::Error>> {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let quick = args.iter().any(|a| a == "--quick");
-    let out_path = args
-        .iter()
-        .position(|a| a == "--out")
-        .and_then(|i| args.get(i + 1).cloned())
-        .unwrap_or_else(|| "BENCH_planner.json".to_string());
-    let tune_out =
-        args.iter().position(|a| a == "--tune-out").and_then(|i| args.get(i + 1).cloned());
-    let reps = if quick { 9 } else { 30 };
-    let avail = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let bench = BenchRun::from_args("planner");
+    let reps = if bench.quick { 9 } else { 30 };
 
     let mut results: Vec<Measurement> = Vec::new();
     for w in workloads() {
@@ -147,45 +139,36 @@ fn run() -> Result<(), Box<dyn std::error::Error>> {
         assert!(a.output_matches_baseline, "{}: cost model changed numerics", w.network);
     }
 
-    let mut json = String::new();
-    json.push_str("{\n");
-    json.push_str("  \"bench\": \"planner\",\n");
-    json.push_str("  \"pattern\": \"H2x2\",\n");
-    json.push_str(&format!("  \"reps\": {reps},\n"));
-    json.push_str(&format!("  \"quick\": {quick},\n"));
-    json.push_str(&format!("  \"available_parallelism\": {avail},\n"));
-    json.push_str("  \"baseline\": \"element-budget of the same network\",\n");
-    json.push_str("  \"results\": [\n");
-    for (i, m) in results.iter().enumerate() {
-        json.push_str(&format!(
-            "    {{\"network\": \"{}\", \"cost_model\": \"{}\", \"fusion_groups\": {}, \
-             \"segments\": {}, \"cost_cuts\": {}, \"splices\": {}, \"offchip_elems\": {}, \
-             \"offchip_bits\": {}, \"median_us\": {:.1}, \"min_us\": {:.1}, \
-             \"output_matches_baseline\": {}}}{}\n",
-            m.network,
-            m.cost_model,
-            m.fusion_groups,
-            m.segments,
-            m.cost_cuts,
-            m.splices,
-            m.offchip_elems,
-            m.offchip_bits,
-            m.median_us,
-            m.min_us,
-            m.output_matches_baseline,
-            if i + 1 == results.len() { "" } else { "," }
-        ));
-    }
-    json.push_str("  ]\n}\n");
-    std::fs::write(&out_path, json)?;
-    println!("wrote {out_path}");
+    let rows = results.iter().map(|m| {
+        Json::object([
+            ("network", m.network.into()),
+            ("cost_model", m.cost_model.into()),
+            ("fusion_groups", m.fusion_groups.into()),
+            ("segments", m.segments.into()),
+            ("cost_cuts", m.cost_cuts.into()),
+            ("splices", m.splices.into()),
+            ("offchip_elems", m.offchip_elems.into()),
+            ("offchip_bits", m.offchip_bits.into()),
+            ("median_us", Json::fixed(m.median_us, 1)),
+            ("min_us", Json::fixed(m.min_us, 1)),
+            ("output_matches_baseline", m.output_matches_baseline.into()),
+        ])
+    });
+    bench.write(
+        reps,
+        [
+            ("pattern", "H2x2".into()),
+            ("baseline", "element-budget of the same network".into()),
+            ("results", Json::array(rows)),
+        ],
+    )?;
 
     // `--tune-out PATH`: run the per-host DSE on vgg16_small and dump the
     // full TuneReport (every point, Pareto front, winner) — CI uploads it
     // as an artifact next to the analyzer report.
-    if let Some(path) = tune_out {
+    if let Some(path) = bench.option("--tune-out") {
         let report = tune(&vgg16_small(32), &TuneOptions::default())?;
-        std::fs::write(&path, report.to_json())?;
+        std::fs::write(path, report.to_json())?;
         println!(
             "wrote {path}: {} points, {} on the Pareto front, winner #{}",
             report.points.len(),

@@ -31,7 +31,9 @@
 //!
 //! Usage: `bench_quant [--quick] [--out PATH]`
 
+use bconv_bench::BenchRun;
 use bconv_core::plan::NetworkPlan;
+use bconv_graph::json::Json;
 use bconv_graph::{Backend, PlanSpec, Session};
 use bconv_models::layer::LayerKind;
 use bconv_models::Network;
@@ -114,15 +116,8 @@ fn rel_err(a: &Tensor, b: &Tensor) -> Result<f64, TensorError> {
 }
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let quick = args.iter().any(|a| a == "--quick");
-    let out_path = args
-        .iter()
-        .position(|a| a == "--out")
-        .and_then(|i| args.get(i + 1).cloned())
-        .unwrap_or_else(|| "BENCH_quant.json".to_string());
-    let reps = if quick { 7 } else { 15 };
-    let avail = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let bench = BenchRun::from_args("quant");
+    let reps = if bench.quick { 7 } else { 15 };
 
     let networks: [(&'static str, Network); 2] = [
         ("vgg16_small", bconv_models::small::vgg16_small(32)),
@@ -195,38 +190,29 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         }
     }
 
-    let mut json = String::new();
-    json.push_str("{\n");
-    json.push_str("  \"bench\": \"quant\",\n");
-    json.push_str(&format!("  \"reps\": {reps},\n"));
-    json.push_str(&format!("  \"quick\": {quick},\n"));
-    json.push_str(&format!("  \"available_parallelism\": {avail},\n"));
-    json.push_str("  \"float_bits\": 32,\n");
-    json.push_str("  \"reference\": \"float run of the same schedule\",\n");
-    json.push_str("  \"results\": [\n");
-    for (i, m) in results.iter().enumerate() {
-        json.push_str(&format!(
-            "    {{\"network\": \"{}\", \"name\": \"{}\", \"weight_bits\": {}, \
-             \"act_bits\": {}, \"blocked\": {}, \"kernel\": \"{}\", \"median_us\": {:.1}, \
-             \"min_us\": {:.1}, \"rel_err_vs_float_same_schedule\": {:.6}, \
-             \"offchip_elems\": {}, \"offchip_bits\": {}}}{}\n",
-            m.network,
-            m.name,
-            m.weight_bits,
-            m.act_bits,
-            m.blocked,
-            m.kernel,
-            m.median_us,
-            m.min_us,
-            m.rel_err_vs_float_same_schedule,
-            m.offchip_elems,
-            m.offchip_bits,
-            if i + 1 == results.len() { "" } else { "," }
-        ));
-    }
-    json.push_str("  ]\n}\n");
-    std::fs::write(&out_path, json)?;
-    println!("\nwrote {out_path}");
+    let rows = results.iter().map(|m| {
+        Json::object([
+            ("network", m.network.into()),
+            ("name", m.name.into()),
+            ("weight_bits", m.weight_bits.into()),
+            ("act_bits", m.act_bits.into()),
+            ("blocked", m.blocked.into()),
+            ("kernel", m.kernel.as_str().into()),
+            ("median_us", Json::fixed(m.median_us, 1)),
+            ("min_us", Json::fixed(m.min_us, 1)),
+            ("rel_err_vs_float_same_schedule", Json::fixed(m.rel_err_vs_float_same_schedule, 6)),
+            ("offchip_elems", m.offchip_elems.into()),
+            ("offchip_bits", m.offchip_bits.into()),
+        ])
+    });
+    bench.write(
+        reps,
+        [
+            ("float_bits", 32u8.into()),
+            ("reference", "float run of the same schedule".into()),
+            ("results", Json::array(rows)),
+        ],
+    )?;
 
     // Invariants the paper's memory figures rest on, checked for EVERY
     // quantized config (not just one per act width): within one schedule

@@ -32,6 +32,8 @@
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Instant;
 
+use bconv_bench::BenchRun;
+use bconv_graph::json::Json;
 use bconv_graph::{Backend, ExecScratch, ServeConfig, ServeEngine, Session};
 use bconv_models::builder::{conv, NetBuilder};
 use bconv_models::small::vgg16_small;
@@ -45,55 +47,16 @@ const BACKENDS: [(&str, Backend); 3] = [
     ("quantized_w8a8", Backend::Quantized { weight_bits: 8, act_bits: 8 }),
 ];
 
-struct Measurement {
-    backend: &'static str,
-    workers_requested: usize,
-    workers_effective: usize,
-    streams: usize,
-    requests: usize,
-    wall_ms: f64,
-    throughput_rps: f64,
-    speedup_vs_1_worker: f64,
-    outputs_match_oracle: bool,
-    /// The plan this configuration actually measured: which cost model
-    /// cut its fusion groups, how many splices it took, and where it came
-    /// from (fresh / cache-loaded / tune-selected).
-    cost_model: String,
-    splices: usize,
-    plan_provenance: String,
-}
-
-/// Plan identity of a built session, for the result rows.
-fn plan_fields(session: &Session) -> (String, usize, String) {
+/// Plan identity of a built session, for the result rows: which cost
+/// model cut its fusion groups, how many splices it took, and where the
+/// plan came from (fresh / cache-loaded / tune-selected).
+fn plan_fields(session: &Session) -> [(&'static str, Json); 3] {
     let report = session.plan().report();
-    (report.cost_model.clone(), report.splices.len(), report.provenance.to_string())
-}
-
-struct Amortization {
-    backend: &'static str,
-    batch: usize,
-    /// Per-request submit/wait through the same 1-worker engine —
-    /// serving with batching off, the baseline `speedup` compares
-    /// against.
-    sequential_ms: f64,
-    /// The same requests pre-coalesced through `run_batch`.
-    batched_ms: f64,
-    /// Informational: a raw `Session::run_with` loop with a warm scratch
-    /// (no serving tier at all), for the queue-overhead picture.
-    solo_run_ms: f64,
-    speedup: f64,
-}
-
-/// Engine counters recorded after each backend's amortization runs.
-struct MetricsRow {
-    backend: &'static str,
-    submitted: u64,
-    completed: u64,
-    shed: u64,
-    batches: u64,
-    batched_samples: u64,
-    p50_latency_us: u64,
-    p99_latency_us: u64,
+    [
+        ("cost_model", report.cost_model.as_str().into()),
+        ("splices", report.splices.len().into()),
+        ("plan_provenance", report.provenance.to_string().into()),
+    ]
 }
 
 fn build(backend: Backend) -> Result<Session, TensorError> {
@@ -159,13 +122,8 @@ fn closed_loop(
 }
 
 fn run() -> Result<(), Box<dyn std::error::Error>> {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let quick = args.iter().any(|a| a == "--quick");
-    let out_path = args
-        .iter()
-        .position(|a| a == "--out")
-        .and_then(|i| args.get(i + 1).cloned())
-        .unwrap_or_else(|| "BENCH_serve.json".to_string());
+    let bench = BenchRun::from_args("serve");
+    let quick = bench.quick;
     // Quick mode keeps enough requests per stream that fixed per-trial
     // overhead (client-thread spawn, worker wakeup) stays well under the
     // regression gate's tolerance relative to the full-mode baseline.
@@ -176,7 +134,7 @@ fn run() -> Result<(), Box<dyn std::error::Error>> {
     // gate compares.
     let trials = if quick { 2 } else { 3 };
     let amort_batch = 8usize;
-    let avail = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let avail = bench.available_parallelism;
 
     // 1-core hosts cannot show multi-stream speedup; skip and flag, as
     // bench_kernels does for its threaded configs.
@@ -190,9 +148,10 @@ fn run() -> Result<(), Box<dyn std::error::Error>> {
         );
     }
 
-    let mut results: Vec<Measurement> = Vec::new();
-    let mut amortizations: Vec<Amortization> = Vec::new();
-    let mut metrics_rows: Vec<MetricsRow> = Vec::new();
+    let mut results: Vec<Json> = Vec::new();
+    let (mut all_match, mut blocked_best) = (true, 0.0f64);
+    let mut amortizations: Vec<Json> = Vec::new();
+    let mut metrics_rows: Vec<Json> = Vec::new();
     for (name, backend) in BACKENDS {
         // One serial oracle per backend; its outputs gate every config.
         let oracle_session = build(backend)?;
@@ -206,7 +165,7 @@ fn run() -> Result<(), Box<dyn std::error::Error>> {
         let mut base_rps = 0.0f64;
         for &workers in &worker_counts {
             let session = build(backend)?;
-            let (cost_model, splices, plan_provenance) = plan_fields(&session);
+            let plan_fields = plan_fields(&session);
             let engine = session.into_engine(ServeConfig {
                 workers,
                 queue_depth: 64,
@@ -230,20 +189,22 @@ fn run() -> Result<(), Box<dyn std::error::Error>> {
                 "workers={workers:<2} streams={workers:<2} {requests:>4} reqs in {wall_ms:>8.1} \
                  ms = {rps:>8.0} req/s  speedup {speedup:>5.2}x  bitwise-match {ok}"
             );
-            results.push(Measurement {
-                backend: name,
-                workers_requested: workers,
-                workers_effective: workers.min(avail),
-                streams: workers,
-                requests,
-                wall_ms,
-                throughput_rps: rps,
-                speedup_vs_1_worker: speedup,
-                outputs_match_oracle: ok,
-                cost_model,
-                splices,
-                plan_provenance,
-            });
+            all_match &= ok;
+            if name == "blocked" && workers > 1 {
+                blocked_best = blocked_best.max(speedup);
+            }
+            let row = [
+                ("backend", name.into()),
+                ("workers_requested", workers.into()),
+                ("workers_effective", workers.min(avail).into()),
+                ("streams", workers.into()),
+                ("requests", requests.into()),
+                ("wall_ms", Json::fixed(wall_ms, 2)),
+                ("throughput_rps", Json::fixed(rps, 1)),
+                ("speedup_vs_1_worker", Json::fixed(speedup, 3)),
+                ("outputs_match_oracle", ok.into()),
+            ];
+            results.push(Json::object(row.into_iter().chain(plan_fields)));
         }
 
         // Batch amortization on one worker: the same engine serving the
@@ -315,104 +276,48 @@ fn run() -> Result<(), Box<dyn std::error::Error>> {
             metrics.p50_latency_us,
             metrics.p99_latency_us
         );
-        amortizations.push(Amortization {
-            backend: name,
-            batch: amort_batch,
-            sequential_ms,
-            batched_ms,
-            solo_run_ms,
-            speedup,
-        });
-        metrics_rows.push(MetricsRow {
-            backend: name,
-            submitted: metrics.submitted,
-            completed: metrics.completed,
-            shed: metrics.shed,
-            batches: metrics.batches,
-            batched_samples: metrics.batched_samples,
-            p50_latency_us: metrics.p50_latency_us,
-            p99_latency_us: metrics.p99_latency_us,
-        });
+        // Per-request submit/wait through the 1-worker engine (batching
+        // off) is the baseline `speedup` compares `run_batch` against;
+        // `solo_run_ms` is informational (no serving tier at all).
+        amortizations.push(Json::object([
+            ("network", "serve_amort".into()),
+            ("backend", name.into()),
+            ("batch", amort_batch.into()),
+            ("sequential_ms", Json::fixed(sequential_ms, 3)),
+            ("batched_ms", Json::fixed(batched_ms, 3)),
+            ("solo_run_ms", Json::fixed(solo_run_ms, 3)),
+            ("speedup", Json::fixed(speedup, 3)),
+        ]));
+        metrics_rows.push(Json::object([
+            ("backend", name.into()),
+            ("submitted", metrics.submitted.into()),
+            ("completed", metrics.completed.into()),
+            ("shed", metrics.shed.into()),
+            ("batches", metrics.batches.into()),
+            ("batched_samples", metrics.batched_samples.into()),
+            ("p50_latency_us", metrics.p50_latency_us.into()),
+            ("p99_latency_us", metrics.p99_latency_us.into()),
+        ]));
     }
 
-    let mut json = String::new();
-    json.push_str("{\n");
-    json.push_str("  \"bench\": \"serve\",\n");
-    json.push_str("  \"network\": \"vgg16_small\",\n");
-    json.push_str("  \"session_threads\": 1,\n");
-    json.push_str(&format!("  \"requests_per_stream\": {per_stream},\n"));
-    json.push_str(&format!("  \"quick\": {quick},\n"));
-    json.push_str(&format!("  \"available_parallelism\": {avail},\n"));
-    json.push_str(&format!(
-        "  \"multi_stream_configs_skipped\": {multi_stream_configs_skipped},\n"
-    ));
-    json.push_str("  \"baseline\": \"workers=1 of the same backend\",\n");
-    json.push_str("  \"results\": [\n");
-    for (i, m) in results.iter().enumerate() {
-        json.push_str(&format!(
-            "    {{\"backend\": \"{}\", \"workers_requested\": {}, \"workers_effective\": {}, \
-             \"streams\": {}, \"requests\": {}, \"wall_ms\": {:.2}, \"throughput_rps\": {:.1}, \
-             \"speedup_vs_1_worker\": {:.3}, \"outputs_match_oracle\": {}, \"cost_model\": \
-             \"{}\", \"splices\": {}, \"plan_provenance\": \"{}\"}}{}\n",
-            m.backend,
-            m.workers_requested,
-            m.workers_effective,
-            m.streams,
-            m.requests,
-            m.wall_ms,
-            m.throughput_rps,
-            m.speedup_vs_1_worker,
-            m.outputs_match_oracle,
-            m.cost_model,
-            m.splices,
-            m.plan_provenance,
-            if i + 1 == results.len() { "" } else { "," }
-        ));
-    }
-    json.push_str("  ],\n");
-    json.push_str("  \"batch_amortization\": [\n");
-    for (i, a) in amortizations.iter().enumerate() {
-        json.push_str(&format!(
-            "    {{\"network\": \"serve_amort\", \"backend\": \"{}\", \"batch\": {}, \
-             \"sequential_ms\": {:.3}, \"batched_ms\": {:.3}, \"solo_run_ms\": {:.3}, \
-             \"speedup\": {:.3}}}{}\n",
-            a.backend,
-            a.batch,
-            a.sequential_ms,
-            a.batched_ms,
-            a.solo_run_ms,
-            a.speedup,
-            if i + 1 == amortizations.len() { "" } else { "," }
-        ));
-    }
-    json.push_str("  ],\n");
-    json.push_str("  \"serve_metrics\": [\n");
-    for (i, m) in metrics_rows.iter().enumerate() {
-        json.push_str(&format!(
-            "    {{\"backend\": \"{}\", \"submitted\": {}, \"completed\": {}, \"shed\": {}, \
-             \"batches\": {}, \"batched_samples\": {}, \"p50_latency_us\": {}, \
-             \"p99_latency_us\": {}}}{}\n",
-            m.backend,
-            m.submitted,
-            m.completed,
-            m.shed,
-            m.batches,
-            m.batched_samples,
-            m.p50_latency_us,
-            m.p99_latency_us,
-            if i + 1 == metrics_rows.len() { "" } else { "," }
-        ));
-    }
-    json.push_str("  ]\n}\n");
-    std::fs::write(&out_path, json)?;
-    println!("\nwrote {out_path}");
+    // `reps` is the closed-loop trial count: each config keeps its best.
+    bench.write(
+        trials,
+        [
+            ("network", "vgg16_small".into()),
+            ("session_threads", 1u8.into()),
+            ("requests_per_stream", per_stream.into()),
+            ("multi_stream_configs_skipped", multi_stream_configs_skipped.into()),
+            ("baseline", "workers=1 of the same backend".into()),
+            ("results", Json::Arr(results)),
+            ("batch_amortization", Json::Arr(amortizations)),
+            ("serve_metrics", Json::Arr(metrics_rows)),
+        ],
+    )?;
 
     // Determinism gates the whole benchmark: serving timings are only
     // meaningful while every request matches its serial oracle bitwise.
-    assert!(
-        results.iter().all(|m| m.outputs_match_oracle),
-        "served outputs must match the serial oracle bitwise"
-    );
+    assert!(all_match, "served outputs must match the serial oracle bitwise");
     // The acceptance signal: on a genuinely multi-core host, blocked
     // multi-stream throughput must scale with the worker pool. The floor
     // is enforced only in full mode — quick mode's tiny sample (CI on
@@ -420,11 +325,6 @@ fn run() -> Result<(), Box<dyn std::error::Error>> {
     // so one scheduling hiccup cannot fail a build with no code defect.
     // 1-core hosts skipped the configs above.
     if !multi_stream_configs_skipped {
-        let blocked_best = results
-            .iter()
-            .filter(|m| m.backend == "blocked" && m.workers_requested > 1)
-            .map(|m| m.speedup_vs_1_worker)
-            .fold(0.0f64, f64::max);
         let floor = if avail >= 4 { 1.1 } else { 0.9 };
         if blocked_best <= floor {
             let msg = format!(

@@ -3,259 +3,23 @@
 //! off-chip-traffic increases — the logic behind the `bench_check` CI
 //! gate.
 //!
-//! The workspace has no crates.io access (so no serde); the bench files
-//! are flat JSON written by our own binaries, parsed here with a minimal
-//! recursive-descent reader.
+//! Bench documents are read through the workspace's one JSON codec,
+//! [`bconv_graph::json`] ([`Json`] here is a re-export): a hostile or
+//! truncated file is a typed error from [`load`], never a panic.
 
 use std::fmt;
 
-/// A parsed JSON value (the subset our bench files use — which is all of
-/// JSON except exotic number forms).
-#[derive(Debug, Clone, PartialEq)]
-pub enum Json {
-    /// `null`.
-    Null,
-    /// `true` / `false`.
-    Bool(bool),
-    /// Any number (stored as f64; bench files stay well within exact
-    /// integer range).
-    Num(f64),
-    /// A string.
-    Str(String),
-    /// An array.
-    Arr(Vec<Json>),
-    /// An object, preserving key order.
-    Obj(Vec<(String, Json)>),
-}
+pub use bconv_graph::json::Json;
 
-impl Json {
-    /// Parses a complete JSON document.
-    ///
-    /// # Errors
-    ///
-    /// Returns a human-readable message (with byte offset) on malformed
-    /// input or trailing garbage.
-    pub fn parse(src: &str) -> Result<Self, String> {
-        let mut p = Parser { bytes: src.as_bytes(), pos: 0 };
-        p.skip_ws();
-        let v = p.value()?;
-        p.skip_ws();
-        if p.pos != p.bytes.len() {
-            return Err(format!("trailing data at byte {}", p.pos));
-        }
-        Ok(v)
-    }
-
-    /// Object field lookup.
-    pub fn get(&self, key: &str) -> Option<&Json> {
-        match self {
-            Self::Obj(fields) => fields.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-            _ => None,
-        }
-    }
-
-    /// Numeric value, if this is a number.
-    pub fn as_f64(&self) -> Option<f64> {
-        match self {
-            Self::Num(n) => Some(*n),
-            _ => None,
-        }
-    }
-
-    /// Boolean value, if this is a bool.
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            Self::Bool(b) => Some(*b),
-            _ => None,
-        }
-    }
-
-    /// String value, if this is a string.
-    pub fn as_str(&self) -> Option<&str> {
-        match self {
-            Self::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    /// Array elements, if this is an array.
-    pub fn as_array(&self) -> Option<&[Json]> {
-        match self {
-            Self::Arr(items) => Some(items),
-            _ => None,
-        }
-    }
-}
-
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl Parser<'_> {
-    fn skip_ws(&mut self) {
-        while self.pos < self.bytes.len()
-            && matches!(self.bytes[self.pos], b' ' | b'\t' | b'\n' | b'\r')
-        {
-            self.pos += 1;
-        }
-    }
-
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn expect(&mut self, b: u8) -> Result<(), String> {
-        if self.peek() == Some(b) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(format!("expected '{}' at byte {}", b as char, self.pos))
-        }
-    }
-
-    fn literal(&mut self, lit: &str, v: Json) -> Result<Json, String> {
-        if self.bytes[self.pos..].starts_with(lit.as_bytes()) {
-            self.pos += lit.len();
-            Ok(v)
-        } else {
-            Err(format!("invalid literal at byte {}", self.pos))
-        }
-    }
-
-    fn value(&mut self) -> Result<Json, String> {
-        match self.peek() {
-            Some(b'n') => self.literal("null", Json::Null),
-            Some(b't') => self.literal("true", Json::Bool(true)),
-            Some(b'f') => self.literal("false", Json::Bool(false)),
-            Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
-            Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
-            _ => Err(format!("unexpected input at byte {}", self.pos)),
-        }
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            match self.peek() {
-                None => return Err("unterminated string".into()),
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    let esc = self.peek().ok_or("unterminated escape")?;
-                    self.pos += 1;
-                    match esc {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'n' => out.push('\n'),
-                        b't' => out.push('\t'),
-                        b'r' => out.push('\r'),
-                        b'b' => out.push('\u{8}'),
-                        b'f' => out.push('\u{c}'),
-                        b'u' => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos..self.pos + 4)
-                                .ok_or("truncated \\u escape")?;
-                            let code = u32::from_str_radix(
-                                std::str::from_utf8(hex).map_err(|e| e.to_string())?,
-                                16,
-                            )
-                            .map_err(|e| e.to_string())?;
-                            self.pos += 4;
-                            out.push(char::from_u32(code).ok_or("invalid \\u escape")?);
-                        }
-                        _ => return Err(format!("bad escape at byte {}", self.pos - 1)),
-                    }
-                }
-                Some(_) => {
-                    // Multi-byte UTF-8 passes through untouched.
-                    let start = self.pos;
-                    self.pos += 1;
-                    while self.pos < self.bytes.len() && self.bytes[self.pos] & 0xC0 == 0x80 {
-                        self.pos += 1;
-                    }
-                    out.push_str(
-                        std::str::from_utf8(&self.bytes[start..self.pos])
-                            .map_err(|e| e.to_string())?,
-                    );
-                }
-            }
-        }
-    }
-
-    fn number(&mut self) -> Result<Json, String> {
-        let start = self.pos;
-        if self.peek() == Some(b'-') {
-            self.pos += 1;
-        }
-        while self
-            .peek()
-            .is_some_and(|c| c.is_ascii_digit() || matches!(c, b'.' | b'e' | b'E' | b'+' | b'-'))
-        {
-            self.pos += 1;
-        }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).map_err(|e| e.to_string())?;
-        text.parse::<f64>().map(Json::Num).map_err(|_| format!("bad number {text:?}"))
-    }
-
-    fn array(&mut self) -> Result<Json, String> {
-        self.expect(b'[')?;
-        let mut items = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(Json::Arr(items));
-        }
-        loop {
-            self.skip_ws();
-            items.push(self.value()?);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(Json::Arr(items));
-                }
-                _ => return Err(format!("expected ',' or ']' at byte {}", self.pos)),
-            }
-        }
-    }
-
-    fn object(&mut self) -> Result<Json, String> {
-        self.expect(b'{')?;
-        let mut fields = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(Json::Obj(fields));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.skip_ws();
-            self.expect(b':')?;
-            self.skip_ws();
-            let value = self.value()?;
-            fields.push((key, value));
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(Json::Obj(fields));
-                }
-                _ => return Err(format!("expected ',' or '}}' at byte {}", self.pos)),
-            }
-        }
-    }
+/// Reads and parses one bench document.
+///
+/// # Errors
+///
+/// A message naming `path` when the file cannot be read or is not JSON.
+pub fn load(path: &str) -> Result<Json, String> {
+    let text = std::fs::read_to_string(path)
+        .map_err(|e| format!("cannot read {path}: {e} (run the bench first)"))?;
+    Json::parse(&text).map_err(|e| format!("{path} is not valid JSON: {e}"))
 }
 
 /// What the checker found for one baseline entry.
@@ -265,8 +29,9 @@ pub enum FindingKind {
     Regression,
     /// Off-chip traffic increased (any amount) — fails the gate.
     OffchipIncrease,
-    /// A baseline entry has no fresh counterpart and no skip flag excuses
-    /// it — fails the gate (silent coverage loss).
+    /// A baseline entry — or a gated metric of one — has no fresh
+    /// counterpart and no skip flag excuses it — fails the gate (silent
+    /// coverage loss).
     MissingEntry,
     /// A baseline entry was skipped-and-flagged by the fresh run (e.g.
     /// threaded configs on a 1-core host) — exempt, reported for
@@ -364,7 +129,12 @@ fn entry_is_parallel(entry: &Json) -> bool {
 /// * per-entry `"skipped": true` in the fresh run, or a missing fresh
 ///   *parallel* entry under a top-level `*_skipped` flag →
 ///   [`FindingKind::Skipped`] (exempt);
-/// * a missing fresh entry otherwise → [`FindingKind::MissingEntry`].
+/// * a missing fresh entry otherwise → [`FindingKind::MissingEntry`];
+/// * a gated metric the baseline row records that is absent, `null` or
+///   not a number in the matched fresh row (for timing: when the fresh row
+///   has neither `min_us` nor `median_us`) → [`FindingKind::MissingEntry`]
+///   naming the metric, on any host — dropping the column must not bypass
+///   the gate.
 ///
 /// Wall-clock metrics are only comparable between like hosts: when both
 /// documents record a top-level `available_parallelism` and the values
@@ -421,55 +191,55 @@ pub fn check_bench(bench: &str, baseline: &Json, fresh: &Json, tolerance_pct: f6
             findings.push(finding(&key, FindingKind::Skipped, "fresh run flagged skip".into()));
             continue;
         }
+        let num = |entry: &Json, metric: &str| entry.get(metric).and_then(Json::as_f64);
+        // A column the baseline records must still be a number in the
+        // fresh row: a dropped, `null` (the writer's non-finite) or
+        // stringified metric would otherwise pass every comparison below.
+        let dropped = |metric: &str| {
+            let detail = format!("baseline records {metric}, fresh entry has no such number");
+            finding(&key, FindingKind::MissingEntry, detail)
+        };
         // Lower-is-better timing. Prefer `min_us` (best-of-reps, robust
         // against external load, which only ever adds time) and fall back
         // to `median_us` for baselines that predate the field.
-        let timing = timing_comparable.then_some(()).and_then(|()| {
-            ["min_us", "median_us"].into_iter().find_map(|metric| {
-                match (
-                    base.get(metric).and_then(Json::as_f64),
-                    new.get(metric).and_then(Json::as_f64),
-                ) {
-                    (Some(b), Some(f)) => Some((metric, b, f)),
-                    _ => None,
-                }
-            })
-        });
-        if let Some((metric, b, f)) = timing {
-            if b > 0.0 && f > b * (1.0 + tolerance_pct / 100.0) {
+        let timings = ["min_us", "median_us"];
+        let slack = tolerance_pct / 100.0;
+        match timings.into_iter().find_map(|m| Some((m, num(base, m)?, num(new, m)?))) {
+            Some((metric, b, f)) if timing_comparable && b > 0.0 && f > b * (1.0 + slack) => {
                 findings.push(finding(
                     &key,
                     FindingKind::Regression,
                     format!("{metric} {b:.1} -> {f:.1} (> {tolerance_pct}% slower)"),
-                ));
+                ))
             }
+            None if timings.iter().any(|m| num(base, m).is_some())
+                && timings.iter().all(|m| num(new, m).is_none()) =>
+            {
+                findings.push(dropped("min_us/median_us"));
+            }
+            _ => {}
         }
         // Higher-is-better throughput.
-        if let (true, Some(b), Some(f)) = (
-            timing_comparable,
-            base.get("throughput_rps").and_then(Json::as_f64),
-            new.get("throughput_rps").and_then(Json::as_f64),
-        ) {
-            if b > 0.0 && f < b * (1.0 - tolerance_pct / 100.0) {
-                findings.push(finding(
+        match (num(base, "throughput_rps"), num(new, "throughput_rps")) {
+            (Some(b), Some(f)) if timing_comparable && b > 0.0 && f < b * (1.0 - slack) => findings
+                .push(finding(
                     &key,
                     FindingKind::Regression,
                     format!("throughput_rps {b:.1} -> {f:.1} (> {tolerance_pct}% drop)"),
-                ));
-            }
+                )),
+            (Some(_), None) => findings.push(dropped("throughput_rps")),
+            _ => {}
         }
         // Off-chip traffic is deterministic: any increase fails.
         for metric in ["offchip_bits", "offchip_elems"] {
-            if let (Some(b), Some(f)) =
-                (base.get(metric).and_then(Json::as_f64), new.get(metric).and_then(Json::as_f64))
-            {
-                if f > b {
-                    findings.push(finding(
-                        &key,
-                        FindingKind::OffchipIncrease,
-                        format!("{metric} {b} -> {f}"),
-                    ));
-                }
+            match (num(base, metric), num(new, metric)) {
+                (Some(b), Some(f)) if f > b => findings.push(finding(
+                    &key,
+                    FindingKind::OffchipIncrease,
+                    format!("{metric} {b} -> {f}"),
+                )),
+                (Some(_), None) => findings.push(dropped(metric)),
+                _ => {}
             }
         }
     }
@@ -527,45 +297,6 @@ mod tests {
     }
 
     #[test]
-    fn parser_reads_a_real_bench_document() {
-        let j = Json::parse(
-            r#"{
-  "bench": "kernels",
-  "reps": 30,
-  "quick": false,
-  "threaded_configs_skipped": true,
-  "results": [
-    {"name": "direct_t1", "median_us": 1228.8, "speedup_vs_direct_t1": 1.000,
-     "output_matches_baseline": true},
-    {"name": "gemm_t1", "median_us": 293.5, "negative": -4.2e-1, "nothing": null}
-  ]
-}"#,
-        )
-        .unwrap();
-        assert_eq!(j.get("bench").and_then(Json::as_str), Some("kernels"));
-        assert_eq!(j.get("reps").and_then(Json::as_f64), Some(30.0));
-        let results = j.get("results").and_then(Json::as_array).unwrap();
-        assert_eq!(results.len(), 2);
-        assert_eq!(results[1].get("nothing"), Some(&Json::Null));
-        assert_eq!(results[1].get("negative").and_then(Json::as_f64), Some(-0.42));
-    }
-
-    #[test]
-    fn parser_rejects_garbage() {
-        assert!(Json::parse("{").is_err());
-        assert!(Json::parse("[1,]").is_err());
-        assert!(Json::parse("{} trailing").is_err());
-        assert!(Json::parse("{\"a\" 1}").is_err());
-        assert!(Json::parse("nul").is_err());
-    }
-
-    #[test]
-    fn string_escapes_round_trip() {
-        let j = Json::parse(r#""a\"b\\c\ndA""#).unwrap();
-        assert_eq!(j.as_str(), Some("a\"b\\c\ndA"));
-    }
-
-    #[test]
     fn regression_beyond_tolerance_fails() {
         let base = doc(r#"{"name": "a", "median_us": 100.0}"#, "");
         let ok = doc(r#"{"name": "a", "median_us": 124.0}"#, "");
@@ -609,6 +340,82 @@ mod tests {
         let f = check_bench("t", &base, &worse, 25.0);
         assert_eq!(f.len(), 1);
         assert_eq!(f[0].kind, FindingKind::OffchipIncrease);
+    }
+
+    #[test]
+    fn a_dropped_or_stringified_metric_cannot_bypass_the_gate() {
+        let base = doc(r#"{"name": "a", "min_us": 10.0, "offchip_bits": 100}"#, "");
+        let missing = |fresh: &str| -> Vec<String> {
+            check_bench("t", &base, &doc(fresh, ""), 25.0)
+                .into_iter()
+                .map(|f| {
+                    assert_eq!(f.kind, FindingKind::MissingEntry, "{f}");
+                    f.detail
+                })
+                .collect()
+        };
+        // The whole row emptied: both recorded metrics are named.
+        let details = missing(r#"{"name": "a"}"#);
+        assert_eq!(details.len(), 2, "{details:?}");
+        assert!(details[0].contains("min_us/median_us"), "{details:?}");
+        assert!(details[1].contains("offchip_bits"), "{details:?}");
+        // A stringified or nulled column is as absent as a dropped one.
+        for column in [r#""100""#, "null", "true"] {
+            let fresh = format!(r#"{{"name": "a", "median_us": 9.0, "offchip_bits": {column}}}"#);
+            let details = missing(&fresh);
+            assert_eq!(details.len(), 1, "{column}: {details:?}");
+            assert!(details[0].contains("offchip_bits"), "{details:?}");
+        }
+        // Either timing column satisfies a baseline that has one.
+        assert!(missing(r#"{"name": "a", "min_us": 9.0, "offchip_bits": 100}"#).is_empty());
+        // Throughput and element traffic are held the same way, on any host.
+        let base = doc(
+            r#"{"backend": "b", "throughput_rps": 1000.0, "offchip_elems": 7}"#,
+            ", \"available_parallelism\": 1",
+        );
+        let fresh = doc(r#"{"backend": "b"}"#, ", \"available_parallelism\": 4");
+        let f = check_bench("t", &base, &fresh, 25.0);
+        let failing: Vec<_> = f.iter().filter(|x| x.kind.is_failure()).collect();
+        assert_eq!(failing.len(), 2, "{f:?}");
+        assert!(failing.iter().all(|x| x.kind == FindingKind::MissingEntry));
+        // A skip-flagged fresh row stays exempt wholesale.
+        let skipped = doc(r#"{"backend": "b", "skipped": true}"#, "");
+        let f = check_bench("t", &base, &skipped, 25.0);
+        assert!(f.iter().all(|x| x.kind == FindingKind::Skipped), "{f:?}");
+    }
+
+    #[test]
+    fn hostile_bench_files_are_errors_or_findings_never_a_crash() {
+        let dir = std::env::temp_dir().join(format!("bconv-bench-check-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("BENCH_t.fresh.json");
+        let path = path.to_str().unwrap();
+        let good = r#"{"results": [{"name": "a", "min_us": 10.0, "offchip_bits": 100}]}"#;
+        // Deep nesting used to overflow the parser's stack (SIGABRT), and
+        // `1e999` used to load as `inf`.
+        let hostile = [
+            "[".repeat(100_000),
+            good[..good.len() - 9].to_string(),
+            good.replace("10.0", "1e999"),
+        ];
+        for text in hostile {
+            std::fs::write(path, &text).unwrap();
+            let err = load(path).unwrap_err();
+            assert!(err.contains("is not valid JSON") && err.contains("at byte"), "{err}");
+        }
+        assert!(load(dir.join("absent.json").to_str().unwrap())
+            .unwrap_err()
+            .contains("cannot read"));
+        // A NaN timing is written as `null` by the shared writer and comes
+        // back as a failing finding, not an unparseable token.
+        let baseline = Json::parse(good).unwrap();
+        let row = Json::object([("name", Json::from("a")), ("min_us", Json::fixed(f64::NAN, 1))]);
+        let fresh = Json::object([("results", Json::array([row]))]);
+        std::fs::write(path, fresh.to_string()).unwrap();
+        let f = check_bench("t", &baseline, &load(path).unwrap(), 25.0);
+        assert_eq!(f.len(), 2, "{f:?}");
+        assert!(f.iter().all(|x| x.kind == FindingKind::MissingEntry), "{f:?}");
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

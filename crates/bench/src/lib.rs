@@ -6,6 +6,7 @@
 
 pub mod check;
 
+use bconv_graph::json::Json;
 use bconv_train::layers::SgdConfig;
 use bconv_train::trainer::TrainConfig;
 
@@ -42,6 +43,62 @@ pub fn session_times(
         },
         reps,
     )
+}
+
+/// What the four `bench_*` binaries feeding the regression gate share:
+/// the `[--quick] [--out PATH]` command line and the header every
+/// `BENCH_*.json` document starts with.
+#[derive(Debug)]
+pub struct BenchRun {
+    bench: &'static str,
+    args: Vec<String>,
+    /// `--quick`: trimmed repetitions, for CI.
+    pub quick: bool,
+    /// The host's `available_parallelism`, recorded in every document so
+    /// `bench_check` compares timings only between like hosts.
+    pub available_parallelism: usize,
+}
+
+impl BenchRun {
+    /// Reads the process arguments of the `bench_<bench>` binary.
+    pub fn from_args(bench: &'static str) -> Self {
+        let args: Vec<String> = std::env::args().skip(1).collect();
+        let quick = args.iter().any(|a| a == "--quick");
+        let available_parallelism = std::thread::available_parallelism().map_or(1, |n| n.get());
+        Self { bench, args, quick, available_parallelism }
+    }
+
+    /// The value following `flag` on the command line, if given.
+    pub fn option(&self, flag: &str) -> Option<&str> {
+        let at = self.args.iter().position(|a| a == flag)?;
+        self.args.get(at + 1).map(String::as_str)
+    }
+
+    /// Writes the bench document — the common header (`bench`, `reps`,
+    /// `quick`, `available_parallelism`) followed by `fields` — to the
+    /// `--out` path, by default `BENCH_<bench>.json`.
+    ///
+    /// # Errors
+    ///
+    /// The I/O error of the write.
+    pub fn write(
+        &self,
+        reps: usize,
+        fields: impl IntoIterator<Item = (&'static str, Json)>,
+    ) -> std::io::Result<()> {
+        let header = [
+            ("bench", Json::from(self.bench)),
+            ("reps", reps.into()),
+            ("quick", self.quick.into()),
+            ("available_parallelism", self.available_parallelism.into()),
+        ];
+        let doc = Json::object(header.into_iter().chain(fields));
+        let default_path = format!("BENCH_{}.json", self.bench);
+        let path = self.option("--out").unwrap_or(&default_path);
+        std::fs::write(path, format!("{doc}\n"))?;
+        println!("wrote {path}");
+        Ok(())
+    }
 }
 
 /// Prints a section header.

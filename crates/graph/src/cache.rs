@@ -20,11 +20,9 @@
 //! back to fresh planning — a cache can corrupt start-up *time*, never
 //! results.
 //!
-//! The codec is a hand-rolled recursive-descent JSON reader and a
-//! string-builder writer (the same offline idiom as `bconv_bench`'s
-//! `check` module): no serde, objects as ordered `Vec<(String, Json)>`
-//! pairs, nesting capped, every malformed byte a typed error rather than
-//! a panic.
+//! Documents are built as, and read back through, the workspace's one
+//! JSON codec, [`crate::json`]: every malformed byte of a stored file is a
+//! typed [`PlanCacheError::Parse`], never a panic.
 
 use std::path::{Path, PathBuf};
 
@@ -35,6 +33,7 @@ use bconv_tensor::pad::PadMode;
 
 use crate::cost::CostModel;
 use crate::ir::{Graph, NodeId, NodeOp};
+use crate::json::Json;
 use crate::plan::{
     assemble, ExecPlan, GroupDecision, PlanDecisions, PlanProvenance, PlanReport, SegmentDecision,
     SpliceReport,
@@ -47,242 +46,6 @@ use crate::tune::pattern_from_name;
 /// entries are rejected as [`PlanCacheError::Incompatible`], not
 /// misparsed.
 const SCHEMA_VERSION: usize = 2;
-
-/// Deepest nesting the JSON reader follows. Plan files nest 8 deep (a grid
-/// segment pair inside a group inside a segment); a file of 20 000 `[`
-/// must be a parse error, not a stack overflow.
-const MAX_JSON_DEPTH: usize = 16;
-
-// ---------------------------------------------------------------------
-// Minimal JSON value + parser (offline codec, no serde)
-// ---------------------------------------------------------------------
-
-/// A parsed JSON value. Objects keep insertion order as key/value pairs —
-/// plan files are small and written by this module, so linear key lookup
-/// beats pulling in a map type.
-#[derive(Debug, Clone, PartialEq)]
-pub(crate) enum Json {
-    /// `null`.
-    Null,
-    /// `true` / `false`.
-    Bool(bool),
-    /// Any number (plan files only use integers, parsed through f64).
-    Num(f64),
-    /// A string.
-    Str(String),
-    /// An array.
-    Arr(Vec<Json>),
-    /// An object, in document order.
-    Obj(Vec<(String, Json)>),
-}
-
-impl Json {
-    /// Member lookup on an object.
-    pub(crate) fn get(&self, key: &str) -> Option<&Json> {
-        match self {
-            Json::Obj(pairs) => pairs.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-            _ => None,
-        }
-    }
-
-    pub(crate) fn as_str(&self) -> Option<&str> {
-        match self {
-            Json::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    pub(crate) fn as_arr(&self) -> Option<&[Json]> {
-        match self {
-            Json::Arr(items) => Some(items),
-            _ => None,
-        }
-    }
-
-    pub(crate) fn as_f64(&self) -> Option<f64> {
-        match self {
-            Json::Num(n) => Some(*n),
-            _ => None,
-        }
-    }
-
-    /// The value as a non-negative integer, rejecting fractions.
-    pub(crate) fn as_u64(&self) -> Option<u64> {
-        let n = self.as_f64()?;
-        // `u64::MAX as f64` rounds up to 2^64, which a saturating cast
-        // would silently accept as `u64::MAX`.
-        if n < 0.0 || n.fract() != 0.0 || n >= u64::MAX as f64 {
-            return None;
-        }
-        Some(n as u64)
-    }
-
-    pub(crate) fn as_usize(&self) -> Option<usize> {
-        usize::try_from(self.as_u64()?).ok()
-    }
-}
-
-/// Parses one JSON document, rejecting trailing garbage.
-pub(crate) fn parse_json(text: &str) -> Result<Json, String> {
-    let bytes = text.as_bytes();
-    let (value, mut pos) = parse_value(bytes, 0, 0)?;
-    pos = skip_ws(bytes, pos);
-    if pos != bytes.len() {
-        return Err(format!("trailing bytes at offset {pos}"));
-    }
-    Ok(value)
-}
-
-fn skip_ws(bytes: &[u8], mut pos: usize) -> usize {
-    while matches!(bytes.get(pos), Some(b' ' | b'\t' | b'\n' | b'\r')) {
-        pos += 1;
-    }
-    pos
-}
-
-/// Parses the value at `pos`, itself nested inside `depth` containers.
-fn parse_value(bytes: &[u8], pos: usize, depth: usize) -> Result<(Json, usize), String> {
-    let pos = skip_ws(bytes, pos);
-    match bytes.get(pos) {
-        Some(b'{' | b'[') if depth >= MAX_JSON_DEPTH => {
-            Err(format!("nesting deeper than {MAX_JSON_DEPTH} at offset {pos}"))
-        }
-        Some(b'{') => parse_object(bytes, pos + 1, depth + 1),
-        Some(b'[') => parse_array(bytes, pos + 1, depth + 1),
-        Some(b'"') => {
-            let (s, next) = parse_string(bytes, pos + 1)?;
-            Ok((Json::Str(s), next))
-        }
-        Some(b't') => parse_lit(bytes, pos, "true", Json::Bool(true)),
-        Some(b'f') => parse_lit(bytes, pos, "false", Json::Bool(false)),
-        Some(b'n') => parse_lit(bytes, pos, "null", Json::Null),
-        Some(_) => parse_number(bytes, pos),
-        None => Err("unexpected end of input".to_string()),
-    }
-}
-
-fn parse_lit(bytes: &[u8], pos: usize, lit: &str, value: Json) -> Result<(Json, usize), String> {
-    let end = pos + lit.len();
-    if bytes.get(pos..end) == Some(lit.as_bytes()) {
-        Ok((value, end))
-    } else {
-        Err(format!("invalid literal at offset {pos}"))
-    }
-}
-
-fn parse_number(bytes: &[u8], pos: usize) -> Result<(Json, usize), String> {
-    let mut end = pos;
-    while matches!(bytes.get(end), Some(b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E')) {
-        end += 1;
-    }
-    let text = bytes
-        .get(pos..end)
-        .and_then(|s| std::str::from_utf8(s).ok())
-        .ok_or_else(|| format!("invalid number at offset {pos}"))?;
-    let n: f64 = text.parse().map_err(|_| format!("invalid number {text:?} at offset {pos}"))?;
-    if !n.is_finite() {
-        return Err(format!("non-finite number at offset {pos}"));
-    }
-    Ok((Json::Num(n), end))
-}
-
-fn parse_string(bytes: &[u8], mut pos: usize) -> Result<(String, usize), String> {
-    let mut out = String::new();
-    loop {
-        match bytes.get(pos) {
-            Some(b'"') => return Ok((out, pos + 1)),
-            Some(b'\\') => {
-                match bytes.get(pos + 1) {
-                    Some(b'"') => out.push('"'),
-                    Some(b'\\') => out.push('\\'),
-                    Some(b'/') => out.push('/'),
-                    Some(b'n') => out.push('\n'),
-                    Some(b't') => out.push('\t'),
-                    Some(b'r') => out.push('\r'),
-                    other => {
-                        return Err(format!("unsupported escape {other:?} at offset {pos}"));
-                    }
-                }
-                pos += 2;
-            }
-            Some(&b) if b < 0x80 => {
-                out.push(b as char);
-                pos += 1;
-            }
-            Some(_) => {
-                // Multi-byte UTF-8: copy the whole scalar.
-                let tail = bytes.get(pos..).unwrap_or_default();
-                let s = std::str::from_utf8(tail)
-                    .map_err(|_| format!("invalid utf-8 at offset {pos}"))?;
-                let ch = s.chars().next().ok_or_else(|| "truncated string".to_string())?;
-                out.push(ch);
-                pos += ch.len_utf8();
-            }
-            None => return Err("unterminated string".to_string()),
-        }
-    }
-}
-
-fn parse_array(bytes: &[u8], mut pos: usize, depth: usize) -> Result<(Json, usize), String> {
-    let mut items = Vec::new();
-    pos = skip_ws(bytes, pos);
-    if bytes.get(pos) == Some(&b']') {
-        return Ok((Json::Arr(items), pos + 1));
-    }
-    loop {
-        let (value, next) = parse_value(bytes, pos, depth)?;
-        items.push(value);
-        pos = skip_ws(bytes, next);
-        match bytes.get(pos) {
-            Some(b',') => pos = skip_ws(bytes, pos + 1),
-            Some(b']') => return Ok((Json::Arr(items), pos + 1)),
-            _ => return Err(format!("expected ',' or ']' at offset {pos}")),
-        }
-    }
-}
-
-fn parse_object(bytes: &[u8], mut pos: usize, depth: usize) -> Result<(Json, usize), String> {
-    let mut pairs = Vec::new();
-    pos = skip_ws(bytes, pos);
-    if bytes.get(pos) == Some(&b'}') {
-        return Ok((Json::Obj(pairs), pos + 1));
-    }
-    loop {
-        pos = skip_ws(bytes, pos);
-        if bytes.get(pos) != Some(&b'"') {
-            return Err(format!("expected object key at offset {pos}"));
-        }
-        let (key, next) = parse_string(bytes, pos + 1)?;
-        pos = skip_ws(bytes, next);
-        if bytes.get(pos) != Some(&b':') {
-            return Err(format!("expected ':' at offset {pos}"));
-        }
-        let (value, next) = parse_value(bytes, pos + 1, depth)?;
-        pairs.push((key, value));
-        pos = skip_ws(bytes, next);
-        match bytes.get(pos) {
-            Some(b',') => pos += 1,
-            Some(b'}') => return Ok((Json::Obj(pairs), pos + 1)),
-            _ => return Err(format!("expected ',' or '}}' at offset {pos}")),
-        }
-    }
-}
-
-/// Escapes a string for embedding in a JSON document.
-pub(crate) fn escape_json(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for ch in s.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c => out.push(c),
-        }
-    }
-    out
-}
 
 // ---------------------------------------------------------------------
 // Plan keys
@@ -548,7 +311,7 @@ impl PlanCache {
     ) -> Result<ExecPlan, PlanCacheError> {
         let path = self.path_for(key);
         let text = std::fs::read_to_string(&path).map_err(|e| PlanCacheError::Io(e.to_string()))?;
-        let doc = parse_json(&text).map_err(PlanCacheError::Parse)?;
+        let doc = Json::parse(&text).map_err(|e| PlanCacheError::Parse(e.to_string()))?;
         let version = usize_field(&doc, "version")?;
         if version != SCHEMA_VERSION {
             return Err(PlanCacheError::Incompatible(format!(
@@ -585,56 +348,53 @@ impl PlanCache {
 // The decisions codec
 // ---------------------------------------------------------------------
 
-fn list_json<T>(items: &[T], item: impl Fn(&T) -> String) -> String {
-    let items: Vec<String> = items.iter().map(item).collect();
-    format!("[{}]", items.join(","))
-}
-
-fn grid_json(grid: &BlockGrid) -> String {
-    let segs =
-        |pairs: &[(usize, usize)]| list_json(pairs, |(start, size)| format!("[{start},{size}]"));
-    format!(
-        "{{\"h\":{},\"w\":{},\"rows\":{},\"cols\":{}}}",
-        grid.h(),
-        grid.w(),
-        segs(grid.row_segments()),
-        segs(grid.col_segments())
-    )
+fn grid_value(grid: &BlockGrid) -> Json {
+    let segs = |pairs: &[(usize, usize)]| {
+        Json::array(pairs.iter().map(|&(start, size)| Json::array([start, size])))
+    };
+    Json::object([
+        ("h", grid.h().into()),
+        ("w", grid.w().into()),
+        ("rows", segs(grid.row_segments())),
+        ("cols", segs(grid.col_segments())),
+    ])
 }
 
 /// Serializes plan decisions (with their key) to the cache document form.
 pub(crate) fn serialize_decisions(key: &PlanKey, decisions: &PlanDecisions) -> String {
-    let ids = |nodes: &[NodeId]| list_json(nodes, NodeId::to_string);
+    let ids = |nodes: &[NodeId]| Json::array(nodes.iter().copied());
     let report = &decisions.report;
-    let splices = list_json(&report.splices, |s| {
-        format!(
-            "{{\"from\":{},\"to\":{},\"saved\":{}}}",
-            s.from_node, s.to_node, s.saved_offchip_elems
-        )
+    let splices = report.splices.iter().map(|s| {
+        Json::object([
+            ("from", s.from_node.into()),
+            ("to", s.to_node.into()),
+            ("saved", s.saved_offchip_elems.into()),
+        ])
     });
-    let segments: Vec<String> = decisions
-        .segments
-        .iter()
-        .map(|seg| match seg {
-            SegmentDecision::Single(id) => format!("    {{\"node\":{id}}}"),
-            SegmentDecision::Groups(groups) => {
-                let groups = list_json(groups, |g| {
-                    format!("{{\"nodes\":{},\"grid\":{}}}", ids(&g.nodes), grid_json(&g.grid))
-                });
-                format!("    {{\"groups\":{groups}}}")
-            }
-        })
-        .collect();
-    format!(
-        "{{\n  \"version\": {SCHEMA_VERSION},\n  \"key\": \"{}\",\n  \"pattern\": \"{}\",\n  \
-         \"report\": {{\"cost_model\":\"{}\",\"cost_cuts\":{},\"splices\":{splices}}},\n  \
-         \"segments\": [\n{}\n  ]\n}}\n",
-        escape_json(&key.canonical()),
-        decisions.pattern,
-        escape_json(&report.cost_model),
-        ids(&report.cost_cuts),
-        segments.join(",\n")
-    )
+    let segments = decisions.segments.iter().map(|seg| match seg {
+        SegmentDecision::Single(id) => Json::object([("node", (*id).into())]),
+        SegmentDecision::Groups(groups) => {
+            let groups = groups
+                .iter()
+                .map(|g| Json::object([("nodes", ids(&g.nodes)), ("grid", grid_value(&g.grid))]));
+            Json::object([("groups", Json::array(groups))])
+        }
+    });
+    let doc = Json::object([
+        ("version", SCHEMA_VERSION.into()),
+        ("key", key.canonical().into()),
+        ("pattern", decisions.pattern.to_string().into()),
+        (
+            "report",
+            Json::object([
+                ("cost_model", report.cost_model.as_str().into()),
+                ("cost_cuts", ids(&report.cost_cuts)),
+                ("splices", Json::array(splices)),
+            ]),
+        ),
+        ("segments", Json::array(segments)),
+    ]);
+    format!("{doc}\n")
 }
 
 fn not_a(what: &str) -> PlanCacheError {
@@ -650,7 +410,7 @@ fn str_field<'a>(obj: &'a Json, name: &str) -> Result<&'a str, PlanCacheError> {
 }
 
 fn arr_field<'a>(obj: &'a Json, name: &str) -> Result<&'a [Json], PlanCacheError> {
-    field(obj, name)?.as_arr().ok_or_else(|| not_a(name))
+    field(obj, name)?.as_array().ok_or_else(|| not_a(name))
 }
 
 fn usize_field(obj: &Json, name: &str) -> Result<usize, PlanCacheError> {
@@ -666,7 +426,7 @@ fn parse_grid(value: &Json) -> Result<BlockGrid, PlanCacheError> {
     let segs = |name: &str| -> Result<Vec<(usize, usize)>, PlanCacheError> {
         arr_field(value, name)?
             .iter()
-            .map(|pair| match pair.as_arr() {
+            .map(|pair| match pair.as_array() {
                 Some([a, b]) => a.as_usize().zip(b.as_usize()).ok_or_else(|| not_a(name)),
                 _ => Err(not_a(name)),
             })
@@ -728,56 +488,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn json_round_trips_plan_shapes() {
-        let doc = parse_json(
-            "{\"version\": 1, \"arr\": [[0,16],[16,16]], \"s\": \"a|b\", \"neg\": -1, \
-             \"none\": null, \"t\": true}",
-        )
-        .unwrap();
-        assert_eq!(doc.get("version").and_then(Json::as_u64), Some(1));
-        assert_eq!(doc.get("neg").and_then(Json::as_f64), Some(-1.0));
-        assert_eq!(doc.get("neg").and_then(Json::as_u64), None, "negatives are not u64");
-        assert_eq!(doc.get("s").and_then(Json::as_str), Some("a|b"));
-        assert_eq!(doc.get("none"), Some(&Json::Null));
-        assert_eq!(doc.get("t"), Some(&Json::Bool(true)));
-        let arr = doc.get("arr").and_then(Json::as_arr).unwrap();
-        assert_eq!(arr.len(), 2);
-        assert_eq!(arr[1].as_arr().unwrap()[0].as_usize(), Some(16));
-    }
-
-    #[test]
-    fn malformed_json_is_an_error_not_a_panic() {
-        for bad in ["", "{", "{\"a\":}", "[1,", "{\"a\" 1}", "{} trailing", "nul", "1e999"] {
-            assert!(parse_json(bad).is_err(), "{bad:?} should fail");
-        }
-    }
-
-    #[test]
-    fn hostile_nesting_is_a_parse_error_not_a_stack_overflow() {
-        // 20 kB of `[` used to recurse once per byte and abort the process.
-        for open in ["[", "{\"a\":", "[{\"a\":"] {
-            let err = parse_json(&open.repeat(20_000)).unwrap_err();
-            assert!(err.contains("nesting"), "{err}");
-        }
-        // A real plan document's depth stays well inside the cap.
-        let nested = format!("{}1{}", "[".repeat(MAX_JSON_DEPTH), "]".repeat(MAX_JSON_DEPTH));
-        assert!(parse_json(&nested).is_ok());
-        assert!(parse_json(&format!("[{nested}]")).is_err());
-    }
-
-    #[test]
-    fn integers_past_u64_are_rejected_not_saturated() {
-        // 2^64 parses to exactly `u64::MAX as f64`; the cast would saturate.
-        for big in ["18446744073709551616", "18446744073709551615", "1e300"] {
-            let doc = parse_json(big).unwrap();
-            assert_eq!(doc.as_u64(), None, "{big}");
-            assert_eq!(doc.as_usize(), None, "{big}");
-        }
-        // The largest integer below 2^64 an f64 holds still converts.
-        assert_eq!(parse_json("18446744073709549568").unwrap().as_u64(), Some(u64::MAX - 2047));
-    }
-
-    #[test]
     fn decisions_round_trip_through_the_codec() {
         use crate::cost::AccelCost;
         use crate::ir::LowerOptions;
@@ -827,20 +537,13 @@ mod tests {
                         PadMode::Zero,
                     );
                     let text = serialize_decisions(&key, &decisions);
-                    let doc = parse_json(&text).unwrap();
+                    let doc = Json::parse(&text).unwrap();
                     assert_eq!(doc.get("key").and_then(Json::as_str), Some(&*key.canonical()));
                     assert_eq!(parse_decisions(&doc).unwrap(), decisions, "{text}");
                 }
             }
         }
         assert!(splices > 0, "the AccelCost configuration must exercise spliced segments");
-    }
-
-    #[test]
-    fn string_escapes_round_trip() {
-        let s = "quote\" slash\\ newline\n tab\t";
-        let doc = parse_json(&format!("{{\"k\":\"{}\"}}", escape_json(s))).unwrap();
-        assert_eq!(doc.get("k").and_then(Json::as_str), Some(s));
     }
 
     #[test]

@@ -42,6 +42,7 @@ pub mod cache;
 pub mod cost;
 pub mod exec;
 pub mod ir;
+pub mod json;
 pub mod plan;
 pub mod quantize;
 pub mod serve;

@@ -40,9 +40,10 @@ use bconv_models::Network;
 use bconv_tensor::kernel::KernelPolicy;
 use bconv_tensor::{Tensor, TensorError};
 
-use crate::cache::{escape_json, fnv1a, graph_content_hash, host_fingerprint, parse_json, Json};
+use crate::cache::{fnv1a, graph_content_hash, host_fingerprint};
 use crate::cost::AccelCost;
 use crate::ir::{Graph, LowerOptions, NodeOp};
+use crate::json::Json;
 use crate::plan::{ExecPlan, Planner, PlannerOptions, Segment};
 use crate::session::{Backend, PlanSpec, Session};
 
@@ -176,47 +177,32 @@ impl TuneReport {
 
     /// Serializes the report as a JSON document (the CI artifact format).
     pub fn to_json(&self) -> String {
-        let mut out = String::new();
-        out.push_str("{\n");
-        out.push_str(&format!("  \"network\": \"{}\",\n", escape_json(&self.network)));
-        out.push_str(&format!("  \"net_hash\": \"{:016x}\",\n", self.net_hash));
-        out.push_str(&format!("  \"host\": \"{}\",\n", escape_json(&self.host)));
-        out.push_str(&format!("  \"key\": \"{}\",\n", escape_json(&self.key)));
-        out.push_str(&format!("  \"points_explored\": {},\n", self.points.len()));
-        out.push_str(&format!("  \"winner_index\": {},\n", self.winner_index));
-        let pareto: Vec<String> = self.pareto.iter().map(|i| i.to_string()).collect();
-        out.push_str(&format!("  \"pareto\": [{}],\n", pareto.join(",")));
-        out.push_str("  \"points\": [\n");
-        let lines: Vec<String> = self
-            .points
-            .iter()
-            .map(|p| {
-                let measured = match p.measured_ms {
-                    Some(ms) => format!("{ms:.3}"),
-                    None => "null".to_string(),
-                };
-                format!(
-                    "    {{\"pattern\": \"{}\", \"intermediate_buffer_bits\": {}, \
-                     \"extra_buffer_bits\": {}, \"kernel\": \"{}\", \"threads\": {}, \
-                     \"offchip_bits\": {}, \"predicted_cycles\": {}, \"fusion_groups\": {}, \
-                     \"splices\": {}, \"merge_ready_splices\": {}, \"measured_ms\": {}}}",
-                    p.pattern,
-                    p.intermediate_buffer_bits,
-                    p.extra_buffer_bits,
-                    p.kernel,
-                    p.threads,
-                    p.offchip_bits,
-                    p.predicted_cycles,
-                    p.fusion_groups,
-                    p.splices,
-                    p.merge_ready_splices,
-                    measured
-                )
-            })
-            .collect();
-        out.push_str(&lines.join(",\n"));
-        out.push_str("\n  ]\n}\n");
-        out
+        let points = self.points.iter().map(|p| {
+            Json::object([
+                ("pattern", p.pattern.as_str().into()),
+                ("intermediate_buffer_bits", p.intermediate_buffer_bits.into()),
+                ("extra_buffer_bits", p.extra_buffer_bits.into()),
+                ("kernel", p.kernel.as_str().into()),
+                ("threads", p.threads.into()),
+                ("offchip_bits", p.offchip_bits.into()),
+                ("predicted_cycles", p.predicted_cycles.into()),
+                ("fusion_groups", p.fusion_groups.into()),
+                ("splices", p.splices.into()),
+                ("merge_ready_splices", p.merge_ready_splices.into()),
+                ("measured_ms", p.measured_ms.map_or(Json::Null, |ms| Json::fixed(ms, 3))),
+            ])
+        });
+        let doc = Json::object([
+            ("network", self.network.as_str().into()),
+            ("net_hash", format!("{:016x}", self.net_hash).into()),
+            ("host", self.host.as_str().into()),
+            ("key", self.key.as_str().into()),
+            ("points_explored", self.points.len().into()),
+            ("winner_index", self.winner_index.into()),
+            ("pareto", Json::array(self.pareto.iter().copied())),
+            ("points", Json::array(points)),
+        ]);
+        format!("{doc}\n")
     }
 }
 
@@ -511,7 +497,7 @@ pub fn load_cached_winner(
     let key = tune_key(net_hash, &host_fingerprint(), platform, npe);
     let path = dir.join(format!("{}.json", winner_file_stem(&key)));
     let text = std::fs::read_to_string(path).ok()?;
-    let doc = parse_json(&text).ok()?;
+    let doc = Json::parse(&text).ok()?;
     if doc.get("version").and_then(Json::as_u64) != Some(WINNER_SCHEMA_VERSION) {
         return None;
     }
@@ -541,19 +527,17 @@ pub(crate) fn store_winner(dir: &Path, key: &str, winner: &TuneWinner) {
     if std::fs::create_dir_all(dir).is_err() {
         return;
     }
-    let text = format!(
-        "{{\"version\": {WINNER_SCHEMA_VERSION}, \"key\": \"{}\", \"pattern\": \"{}\", \
-         \"intermediate_buffer_bits\": {}, \"extra_buffer_bits\": {}, \"kernel\": \"{}\", \
-         \"threads\": {}}}\n",
-        escape_json(key),
-        winner.pattern,
-        winner.intermediate_buffer_bits,
-        winner.extra_buffer_bits,
-        winner.kernel.name(),
-        winner.threads
-    );
+    let doc = Json::object([
+        ("version", WINNER_SCHEMA_VERSION.into()),
+        ("key", key.into()),
+        ("pattern", winner.pattern.to_string().into()),
+        ("intermediate_buffer_bits", winner.intermediate_buffer_bits.into()),
+        ("extra_buffer_bits", winner.extra_buffer_bits.into()),
+        ("kernel", winner.kernel.name().into()),
+        ("threads", winner.threads.into()),
+    ]);
     let path = dir.join(format!("{}.json", winner_file_stem(key)));
-    let _ = std::fs::write(path, text);
+    let _ = std::fs::write(path, format!("{doc}\n"));
 }
 
 /// Parses a pattern back from its `Display` form (`F8`, `F28x14`,
@@ -604,6 +588,51 @@ mod tests {
         }
         assert_eq!(pattern_from_name(""), None);
         assert_eq!(pattern_from_name("Q4"), None);
+    }
+
+    #[test]
+    fn winner_files_round_trip_and_the_previous_writers_still_load() {
+        // `store_winner` output of the last hand-formatted writer (vgg16_small
+        // on a 2-core host; the host fingerprint is part of the key).
+        const PARENT_WINNER_FILE: &str =
+            "{\"version\": 1, \"key\": \"tune|4098af0d77063ff4|cores2|Zynq ZC706|npe1\", \
+            \"pattern\": \"H2x2\", \"intermediate_buffer_bits\": 2511360, \
+            \"extra_buffer_bits\": 5022720, \"kernel\": \"auto\", \"threads\": 1}\n";
+        let dir = std::env::temp_dir().join(format!("bconv-tune-winner-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let graph = Graph::lower(&vgg16_small(32), &LowerOptions::default()).unwrap();
+        let load = || load_cached_winner(&dir, &graph, 2018, &zc706(), 1);
+        assert_eq!(load(), None, "an empty directory is a miss");
+
+        let key = tune_key(graph_content_hash(&graph, 2018), &host_fingerprint(), &zc706(), 1);
+        let old_text = PARENT_WINNER_FILE.replace("cores2", &host_fingerprint());
+        assert!(old_text.contains(&key), "fixture key drifted from {key}");
+        let path = dir.join(format!("{}.json", winner_file_stem(&key)));
+        std::fs::create_dir_all(&dir).unwrap();
+        std::fs::write(&path, &old_text).unwrap();
+        let (winner, loaded_key) = load().expect("the previous writer's file loads");
+        assert_eq!(loaded_key, key);
+        assert_eq!(
+            winner,
+            TuneWinner {
+                pattern: BlockingPattern::hierarchical(2),
+                intermediate_buffer_bits: 2_511_360,
+                extra_buffer_bits: 5_022_720,
+                kernel: KernelPolicy::Auto,
+                threads: 1,
+            }
+        );
+
+        // The shared writer stores the same document, and what it stores
+        // loads back to the same winner.
+        store_winner(&dir, &key, &winner);
+        let new_text = std::fs::read_to_string(&path).unwrap();
+        assert_eq!(Json::parse(&new_text), Json::parse(&old_text), "{new_text}");
+        assert_eq!(load(), Some((winner, key)));
+        // A truncated file is a miss, not an error.
+        std::fs::write(&path, &new_text[..new_text.len() / 2]).unwrap();
+        assert_eq!(load(), None);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

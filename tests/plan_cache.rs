@@ -23,6 +23,7 @@ use bconv_accel::platform::zc706;
 use bconv_core::BlockingPattern;
 use bconv_graph::cache::{PlanCache, PlanCacheError, PlanKey};
 use bconv_graph::cost::ElementBudget;
+use bconv_graph::json::Json;
 use bconv_graph::tune::{tune, TuneOptions};
 use bconv_graph::{
     AccelCost, Backend, BlockedExecutor, ExecPlan, Executor, GraphQuantSpec, KernelPolicy,
@@ -291,9 +292,37 @@ fn tune_winner_never_models_more_offchip_than_the_default() {
         report.winner_point().offchip_bits,
         report.default_point().offchip_bits
     );
-    // The report serialises (CI uploads it as an artifact).
-    let json = report.to_json();
-    assert!(json.contains("\"pareto\"") && json.contains("\"points\""), "{json}");
+    // The report serialises (CI uploads it as an artifact) to a document
+    // the shared reader accepts, field for field.
+    let doc = Json::parse(&report.to_json()).unwrap();
+    assert_eq!(doc.get("network").and_then(Json::as_str), Some(&*report.network));
+    assert_eq!(doc.get("net_hash").and_then(Json::as_str).map(str::len), Some(16));
+    assert_eq!(doc.get("host").and_then(Json::as_str), Some(&*report.host));
+    assert_eq!(doc.get("key").and_then(Json::as_str), Some(&*report.key));
+    assert_eq!(doc.get("points_explored").and_then(Json::as_usize), Some(report.points.len()));
+    assert_eq!(doc.get("winner_index").and_then(Json::as_usize), Some(report.winner_index));
+    let pareto = doc.get("pareto").and_then(Json::as_array).unwrap();
+    assert_eq!(pareto.iter().filter_map(Json::as_usize).collect::<Vec<_>>(), report.pareto);
+    let points = doc.get("points").and_then(Json::as_array).unwrap();
+    assert_eq!(points.len(), report.points.len());
+    for (row, p) in points.iter().zip(&report.points) {
+        assert_eq!(row.get("pattern").and_then(Json::as_str), Some(&*p.pattern));
+        assert_eq!(row.get("kernel").and_then(Json::as_str), Some(&*p.kernel));
+        assert_eq!(row.get("offchip_bits").and_then(Json::as_u64), Some(p.offchip_bits));
+        assert_eq!(row.get("predicted_cycles").and_then(Json::as_u64), Some(p.predicted_cycles));
+        let ints = [
+            ("intermediate_buffer_bits", p.intermediate_buffer_bits as usize),
+            ("extra_buffer_bits", p.extra_buffer_bits as usize),
+            ("threads", p.threads),
+            ("fusion_groups", p.fusion_groups),
+            ("splices", p.splices),
+            ("merge_ready_splices", p.merge_ready_splices),
+        ];
+        for (name, want) in ints {
+            assert_eq!(row.get(name).and_then(Json::as_usize), Some(want), "{name}");
+        }
+        assert_eq!(row.get("measured_ms"), Some(&Json::Null), "no trials ran");
+    }
 }
 
 #[test]
