@@ -11,7 +11,12 @@
 //! width* — the paper's memory metric, which shrinks with bitwidth even
 //! when the element count is schedule-invariant — and the resolved conv
 //! kernel(s) the session compiled ("direct", "im2col-gemm", or a `+`-joined
-//! set when layers split).
+//! set when layers split). A derived `blocked_over_direct` list records,
+//! per (network, quantized precision), the blocked schedule's `min_us`
+//! over the direct schedule's — the compute price of the paper's
+//! low-traffic schedule, which `bench_check` keeps from creeping back up.
+//! (The float pair is left out: its direct row runs the naive direct
+//! kernel, so that ratio compares kernels, not schedules.)
 //!
 //! Latency note: quantized convolutions run the integer fast paths
 //! wherever the session's kernel policy resolves to them — the exact-f32
@@ -205,12 +210,27 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             ("offchip_bits", m.offchip_bits.into()),
         ])
     });
+    let quantized_direct = results.iter().filter(|m| !m.blocked && m.weight_bits != 32);
+    let ratios = quantized_direct.filter_map(|direct| {
+        let same = |m: &&Measurement| {
+            m.blocked
+                && (m.network, m.weight_bits, m.act_bits)
+                    == (direct.network, direct.weight_bits, direct.act_bits)
+        };
+        let blocked = results.iter().find(same)?;
+        Some(Json::object([
+            ("network", direct.network.into()),
+            ("name", direct.name.trim_end_matches("_direct").into()),
+            ("ratio", Json::fixed(blocked.min_us / direct.min_us, 3)),
+        ]))
+    });
     bench.write(
         reps,
         [
             ("float_bits", 32u8.into()),
             ("reference", "float run of the same schedule".into()),
             ("results", Json::array(rows)),
+            ("blocked_over_direct", Json::array(ratios)),
         ],
     )?;
 

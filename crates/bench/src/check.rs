@@ -71,6 +71,9 @@ impl fmt::Display for Finding {
     }
 }
 
+/// How far a `blocked_over_direct` ratio may rise over its baseline.
+pub const BLOCKED_OVER_DIRECT_SLACK_PCT: f64 = 10.0;
+
 /// Fields that identify an entry across runs, in priority order.
 const IDENTITY_KEYS: [&str; 6] =
     ["network", "name", "backend", "cost_model", "workers_requested", "streams"];
@@ -147,6 +150,12 @@ fn entry_is_parallel(entry: &Json) -> bool {
 /// submit/wait through the same engine. Cross-host the floor is
 /// skipped-and-flagged; a baseline backend with no fresh amortization
 /// entry is [`FindingKind::MissingEntry`] either way.
+///
+/// Every baseline `blocked_over_direct[]` entry (the blocked schedule's
+/// time over the direct schedule's, per network and precision) gates the
+/// fresh `ratio` against a rise of more than
+/// [`BLOCKED_OVER_DIRECT_SLACK_PCT`] over the baseline's, under the same
+/// like-host / missing-entry rules.
 pub fn check_bench(bench: &str, baseline: &Json, fresh: &Json, tolerance_pct: f64) -> Vec<Finding> {
     let mut findings = Vec::new();
     let base_results = baseline.get("results").and_then(Json::as_array).unwrap_or(&[]);
@@ -284,6 +293,38 @@ pub fn check_bench(bench: &str, baseline: &Json, fresh: &Json, tolerance_pct: f6
                 "fresh amortization entry lacks a speedup field".into(),
             )),
         }
+    }
+
+    // Blocking must stay (nearly) free: the blocked-over-direct time ratio
+    // is relative to the baseline's, with its own tighter slack — both
+    // schedules run in the same process on the same host state, so the
+    // ratio is steadier than either timing.
+    let base_ratios = baseline.get("blocked_over_direct").and_then(Json::as_array).unwrap_or(&[]);
+    let fresh_ratios = fresh.get("blocked_over_direct").and_then(Json::as_array).unwrap_or(&[]);
+    for base in base_ratios {
+        let key = format!("blocked_over_direct/{}", entry_key(base));
+        let fresh_ratio = fresh_ratios
+            .iter()
+            .find(|e| entry_key(e) == entry_key(base))
+            .and_then(|e| e.get("ratio").and_then(Json::as_f64));
+        let (kind, detail) = match (base.get("ratio").and_then(Json::as_f64), fresh_ratio) {
+            (_, None) => (
+                FindingKind::MissingEntry,
+                "no fresh blocked_over_direct ratio for baseline config".to_string(),
+            ),
+            _ if !timing_comparable => (
+                FindingKind::Skipped,
+                "blocked_over_direct not gated across unlike hosts".to_string(),
+            ),
+            (Some(b), Some(f)) if f > b * (1.0 + BLOCKED_OVER_DIRECT_SLACK_PCT / 100.0) => (
+                FindingKind::Regression,
+                format!(
+                    "blocked/direct {b:.3} -> {f:.3} (> {BLOCKED_OVER_DIRECT_SLACK_PCT}% higher)"
+                ),
+            ),
+            _ => continue,
+        };
+        findings.push(finding(&key, kind, detail));
     }
     findings
 }
@@ -536,6 +577,38 @@ mod tests {
         assert_eq!(f.len(), 1);
         assert_eq!(f[0].kind, FindingKind::MissingEntry);
         assert!(f[0].kind.is_failure());
+    }
+
+    #[test]
+    fn blocked_over_direct_may_not_rise_more_than_ten_percent() {
+        let ratios = |host: u8, w8a8: &str| {
+            format!(
+                ", \"available_parallelism\": {host}, \"blocked_over_direct\": \
+                 [{{\"network\": \"vdsr\", \"name\": \"w8a8\", \"ratio\": {w8a8}}}, \
+                  {{\"network\": \"vdsr\", \"name\": \"float\", \"ratio\": 0.9}}]"
+            )
+        };
+        let base = doc("", &ratios(2, "1.2"));
+        // Within 10 % of the baseline's own ratio (and any improvement): fine.
+        assert!(check_bench("t", &base, &doc("", &ratios(2, "1.31")), 25.0).is_empty());
+        assert!(check_bench("t", &base, &doc("", &ratios(2, "0.8")), 25.0).is_empty());
+        // Beyond it: a regression, whatever the timing tolerance says.
+        let f = check_bench("t", &base, &doc("", &ratios(2, "1.33")), 90.0);
+        assert_eq!(f.len(), 1, "{f:?}");
+        assert_eq!(f[0].kind, FindingKind::Regression);
+        assert_eq!(f[0].entry, "blocked_over_direct/vdsr/w8a8");
+        // Across unlike hosts every ratio is a listed exemption...
+        let f = check_bench("t", &base, &doc("", &ratios(1, "5.0")), 25.0);
+        assert!(f.iter().all(|x| x.kind == FindingKind::Skipped), "{f:?}");
+        assert_eq!(f.iter().filter(|x| x.entry.starts_with("blocked_over_direct/")).count(), 2);
+        // ...but a dropped or non-numeric ratio is coverage loss on any host.
+        for gone in [", \"available_parallelism\": 1".to_string(), ratios(1, "null")] {
+            let f = check_bench("t", &base, &doc("", &gone), 25.0);
+            assert!(
+                f.iter().any(|x| x.kind == FindingKind::MissingEntry && x.entry.ends_with("w8a8")),
+                "{f:?}"
+            );
+        }
     }
 
     #[test]

@@ -34,7 +34,7 @@ use bconv_quant::qconv::QConvScratch;
 use bconv_quant::qlinear::QLinearScratch;
 use bconv_tensor::activation::relu_inplace;
 use bconv_tensor::elementwise::add_into;
-use bconv_tensor::kernel::{ConvScratch, KernelKind};
+use bconv_tensor::kernel::{ConvScratch, KernelPolicy};
 use bconv_tensor::pad::{pad2d_asym_into, PadMode};
 use bconv_tensor::pool::{global_avg_pool_into, max_pool2d_into};
 use bconv_tensor::upsample::upsample_nearest_into;
@@ -185,13 +185,16 @@ fn max_pool_padded_into(
 
 /// Shared node evaluator: the single source of truth for what each op
 /// computes, used by every backend. Writes into `out` (reshaped to fit,
-/// every element overwritten), drawing temporaries from `scratch`.
+/// every element overwritten), drawing temporaries from `scratch`. Conv
+/// nodes run the float kernel `kernel` resolves per layer; the kernels are
+/// bit-identical by contract, so the choice moves time only.
 pub(crate) fn eval_node_into(
     op: &NodeOp,
     input: &Tensor,
     aux: Option<&Tensor>,
     out: &mut Tensor,
     scratch: &mut SingleScratch,
+    kernel: KernelPolicy,
 ) -> Result<(), TensorError> {
     match op {
         NodeOp::Conv { conv, .. } => {
@@ -199,7 +202,12 @@ pub(crate) fn eval_node_into(
             // padding (exactly `Conv2d::forward`), staged in scratch.
             let p = conv.geom().padding;
             pad2d_asym_into(input, p, p, p, p, PadMode::Zero, &mut scratch.padded)?;
-            conv.forward_prepadded_into(&scratch.padded, KernelKind::Direct, out, &mut scratch.conv)
+            conv.forward_prepadded_into(
+                &scratch.padded,
+                kernel.resolve(conv),
+                out,
+                &mut scratch.conv,
+            )
         }
         NodeOp::Relu => {
             out.reset(input.shape());
@@ -267,17 +275,22 @@ impl Executor for ReferenceExecutor {
             offchip_elems: input.shape().numel(),
             ..MemStats::default()
         };
-        let output = run_dense_scratch(&self.graph, input, scratch, |id, node, in_t, aux, out| {
-            let live =
-                in_t.shape().numel() + out.shape().numel() + aux.map_or(0, |t| t.shape().numel());
-            stats.peak_working_elems = stats.peak_working_elems.max(live);
-            // ReLU runs in place on hardware: no extra DRAM round trip
-            // (matching FusedChain::run_layerwise's accounting).
-            if !matches!(node.op, NodeOp::Relu) {
-                stats.offchip_elems +=
-                    if id == last { out.shape().numel() } else { 2 * out.shape().numel() };
-            }
-        })?;
+        // The direct loop on purpose: the reference stays an oracle that
+        // shares no kernel with the backends it is compared against.
+        let kernel = KernelPolicy::Direct;
+        let output =
+            run_dense_scratch(&self.graph, input, scratch, kernel, |id, node, in_t, aux, out| {
+                let live = in_t.shape().numel()
+                    + out.shape().numel()
+                    + aux.map_or(0, |t| t.shape().numel());
+                stats.peak_working_elems = stats.peak_working_elems.max(live);
+                // ReLU runs in place on hardware: no extra DRAM round trip
+                // (matching FusedChain::run_layerwise's accounting).
+                if !matches!(node.op, NodeOp::Relu) {
+                    stats.offchip_elems +=
+                        if id == last { out.shape().numel() } else { 2 * out.shape().numel() };
+                }
+            })?;
         Ok(RunReport { output, stats, segments: self.graph.nodes().len() })
     }
 }
@@ -289,11 +302,13 @@ impl Executor for ReferenceExecutor {
 /// inputs and output as it executes — the reference backend accumulates
 /// [`MemStats`] there, calibration feeds conv inputs to its range
 /// trackers. Keeping the walk here once guarantees calibration runs
-/// exactly the numerics the reference backend reports.
+/// exactly the numerics the reference backend reports (`kernel` picks the
+/// float conv kernel only; every choice yields the same bits).
 pub(crate) fn run_dense_scratch(
     graph: &Graph,
     input: &Tensor,
     scratch: &mut ExecScratch,
+    kernel: KernelPolicy,
     mut observe: impl FnMut(crate::ir::NodeId, &crate::ir::Node, &Tensor, Option<&Tensor>, &Tensor),
 ) -> Result<Tensor, TensorError> {
     check_input(graph, input)?;
@@ -312,7 +327,7 @@ pub(crate) fn run_dense_scratch(
             NodeOp::Add { other } => Some(resolve(values, input, other)?),
             _ => None,
         };
-        eval_node_into(&node.op, in_t, aux, &mut out, single)?;
+        eval_node_into(&node.op, in_t, aux, &mut out, single, kernel)?;
         observe(id, node, in_t, aux, &out);
         values[id] = Some(out);
         release_used(values, remaining, pool, node);
@@ -325,9 +340,10 @@ pub(crate) fn run_dense_scratch(
 pub(crate) fn run_dense(
     graph: &Graph,
     input: &Tensor,
+    kernel: KernelPolicy,
     observe: impl FnMut(crate::ir::NodeId, &crate::ir::Node, &Tensor, Option<&Tensor>, &Tensor),
 ) -> Result<Tensor, TensorError> {
-    run_dense_scratch(graph, input, &mut ExecScratch::new(), observe)
+    run_dense_scratch(graph, input, &mut ExecScratch::new(), kernel, observe)
 }
 
 /// Decrements one reference's remaining-use counter, recycling the value
@@ -426,7 +442,9 @@ impl Executor for BlockedExecutor {
             32,
             input,
             scratch,
-            |_, node, in_t, aux, out, s| eval_node_into(&node.op, in_t, aux, out, s),
+            |_, node, in_t, aux, out, s| {
+                eval_node_into(&node.op, in_t, aux, out, s, KernelPolicy::Direct)
+            },
         )
     }
 }

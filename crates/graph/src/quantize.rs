@@ -100,6 +100,20 @@ impl GraphQuantSpec {
         weight_bits: u8,
         act_bits: u8,
     ) -> Result<Self, TensorError> {
+        // The faster of the two float kernels: they are bit-identical by
+        // contract, so the observed ranges do not depend on the choice.
+        Self::calibrate_through(graph, inputs, weight_bits, act_bits, KernelPolicy::Auto)
+    }
+
+    /// [`calibrate`](Self::calibrate) with the dense walk's float conv
+    /// kernel chosen by `kernel`.
+    fn calibrate_through(
+        graph: &Graph,
+        inputs: &[Tensor],
+        weight_bits: u8,
+        act_bits: u8,
+        kernel: KernelPolicy,
+    ) -> Result<Self, TensorError> {
         check_bits("weight_bits", weight_bits)?;
         check_bits("act_bits", act_bits)?;
         if inputs.is_empty() {
@@ -116,7 +130,7 @@ impl GraphQuantSpec {
             // The reference backend's dense walk, observing every conv
             // node's input activations: calibration sees exactly the
             // numerics the reference executor computes.
-            run_dense(graph, input, |id, _, in_t, _, _| {
+            run_dense(graph, input, kernel, |id, _, in_t, _, _| {
                 if let Some(cal) = cals[id].as_mut() {
                     cal.observe(in_t);
                 }
@@ -272,7 +286,7 @@ impl Executor for QuantizedExecutor {
                     })?;
                     return ql.forward_into(in_t, params, out, &mut s.qlinear);
                 }
-                eval_node_into(&node.op, in_t, aux, out, s)
+                eval_node_into(&node.op, in_t, aux, out, s, KernelPolicy::Direct)
             },
         )
     }
@@ -307,6 +321,28 @@ mod tests {
             }
         }
         assert!(fc_seen, "vgg16_small should end in an FC head");
+    }
+
+    #[test]
+    fn calibrated_ranges_do_not_depend_on_the_float_kernel() {
+        use bconv_models::small::vdsr_small;
+        let mut rng = seeded_rng(11);
+        for net in [vgg16_small(32), vdsr_small(24, 6, 8)] {
+            let g = Graph::lower(&net, &LowerOptions::default()).unwrap();
+            let s = net.input;
+            let inputs: Vec<Tensor> =
+                (0..3).map(|_| uniform_tensor([1, s.c, s.h, s.w], -1.0, 1.0, &mut rng)).collect();
+            let [direct, gemm, auto] =
+                [KernelPolicy::Direct, KernelPolicy::Im2colGemm, KernelPolicy::Auto]
+                    .map(|k| GraphQuantSpec::calibrate_through(&g, &inputs, 8, 8, k).unwrap());
+            for id in 0..g.nodes().len() {
+                let bits = |spec: &GraphQuantSpec| {
+                    spec.act_params(id).map(|p| (p.scale().to_bits(), p.bits()))
+                };
+                assert_eq!(bits(&direct), bits(&gemm), "{} node {id}", net.name);
+                assert_eq!(bits(&direct), bits(&auto), "{} node {id}", net.name);
+            }
+        }
     }
 
     #[test]

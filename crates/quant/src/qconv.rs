@@ -38,9 +38,11 @@ pub struct QConvScratch {
     pub(crate) act16: Vec<i16>,
     /// Position-major `N×K` i16 im2col patch matrix.
     pub(crate) cols: Vec<i16>,
-    /// Integer-valued f32 activations for the exact-f32 plane kernel.
+    /// Integer-valued f32 activations for the exact-f32 plane kernel, plus
+    /// one chunk of zeroed slack lanes behind the last plane.
     pub(crate) actf: Vec<f32>,
-    /// The plane kernel's padded-width accumulator plane.
+    /// The plane kernel's padded-width accumulator planes (one per output
+    /// channel of a pair), each a whole number of chunks.
     pub(crate) accf: Vec<f32>,
 }
 

@@ -30,6 +30,24 @@
 //! rescale `acc as f32 * (w_scale[m] * act_scale) + bias[m]` is the direct
 //! loop's expression verbatim, so the two paths are bitwise identical —
 //! unlike the float GEMM, which must preserve accumulation order.
+//!
+//! # The plane kernel's lanes
+//!
+//! `qplane_conv` carries the same integers in f32 lanes (exact below
+//! `2^24`, which the dispatch guards) and sweeps each accumulator plane in
+//! whole 16-lane chunks held in registers, so block-sized planes — an 8×8
+//! block is 78 lanes — run no scalar tail and touch no accumulator memory
+//! inside the reduction. The price is **junk lanes**: the rounded-up tail
+//! of the last chunk (and the `pw - ow` wrap columns of every row) compute
+//! on whatever follows — the next channel's plane, the next image, or the
+//! zeroed slack lanes `QConvScratch::actf` keeps behind its last plane, so
+//! every read is in bounds. They cannot leak: extraction reads only
+//! `acc[ohi·pw .. ohi·pw + ow]`. Because every product and partial
+//! sum is an exact integer, a fused multiply-add rounds to the same bits
+//! as a separate multiply and add, so the kernel uses `mul_add` when the
+//! build targets FMA — the one `mul_add` the L6 lint allows. Details and
+//! the proofs are on `qplane_conv`; `tests/plane_kernel_shapes.rs` sweeps
+//! every small plane shape against the direct loop.
 
 use bconv_tensor::shape::conv_out_dim;
 use bconv_tensor::{Tensor, TensorError};
@@ -131,7 +149,7 @@ const F32_EXACT_LIMIT: i64 = 1 << 24;
 
 /// Plane-kernel cutover: above this reduction length the dot-product GEMM's
 /// `pmaddwd` density wins over the plane kernel's build-free streaming (the
-/// plane path re-reads all input planes once per output channel).
+/// plane path re-reads all input planes once per output-channel pair).
 const PLANE_MAX_KK: usize = 192;
 
 /// The integer fast path. Dispatches per layer shape:
@@ -255,22 +273,44 @@ pub(crate) fn qim2col_gemm(
 }
 
 /// The exact-f32 plane kernel for 3×3 stride-1 layers: activations are
-/// quantized to **integer-valued f32** and the convolution runs as nine
-/// fused shift-and-add sweeps per input channel over accumulators kept in
-/// the padded-width plane layout. One contiguous multiply-add spans the
-/// whole plane per channel (the `pw - ow` junk columns where windows wrap
-/// rows are computed but never extracted), so there is no patch matrix and
-/// no horizontal reduction — the two costs that dominate the dot-product
-/// GEMM at thin reduction lengths.
+/// quantized to **integer-valued f32** and the convolution runs as fused
+/// nine-tap shift-and-add sweeps over accumulators kept in the padded-width
+/// plane layout (the `pw - ow` junk columns where windows wrap rows are
+/// computed but never extracted), so there is no patch matrix and no
+/// horizontal reduction — the two costs that dominate the dot-product GEMM
+/// at thin reduction lengths.
+///
+/// # Sweep shape
+///
+/// The accumulator span `(oh - 1)·pw + ow` is rounded up to whole
+/// [`LANES`]-wide chunks and each chunk is summed over every input channel
+/// in registers (`sweep_chunk`), two output channels at a time so each
+/// source window is loaded once for both. There is no scalar tail and no
+/// accumulator traffic inside the reduction, which is what block-sized
+/// planes need: an 8×8 block's span is 78 lanes, and its 256
+/// `(c_out, c_in)` sweeps used to spend as long in 14-element tails and
+/// accumulator reloads as in vector code.
+///
+/// Lanes at and beyond the true span are **junk**: their windows run on
+/// into the next channel's plane, the next image, or the [`LANES`] slack
+/// lanes kept behind `QConvScratch::actf` (there so that every window is
+/// in bounds, zeroed per call so that nothing computed depends on an
+/// earlier one). Junk lanes are written to `accf`, but extraction reads
+/// `acc[ohi·pw .. ohi·pw + ow]`, whose last index is `span - 1`: no junk
+/// lane can reach the output.
 ///
 /// # Bitwise parity with the direct loop
 ///
 /// Caller guarantees `K * max|w_q| * qmax_act < 2^24`: every product and
-/// every partial sum (in any association, junk columns included) is then
-/// an integer in f32's exact range, each f32 multiply and add is exact,
-/// and the accumulated value equals the direct loop's i64 accumulator
-/// cast to f32. The rescale `acc * (wscale[m]*act_scale) + bias[m]` is
-/// the direct loop's expression verbatim.
+/// every partial sum (in any association, junk lanes included) is then an
+/// integer in f32's exact range, each f32 multiply and add is exact, and
+/// the accumulated value equals the direct loop's i64 accumulator cast to
+/// f32. For the same reason a fused multiply-add changes nothing here —
+/// `a·b + c` is an exact integer below `2^24`, so rounding it once
+/// (`mul_add`) or twice (`a * b + c`) returns the same value — and `mac`
+/// uses the FMA unit wherever the target has one. The rescale
+/// `acc * (wscale[m]*act_scale) + bias[m]` is the direct loop's expression
+/// verbatim.
 fn qplane_conv(
     q: &QConv2d,
     padded: &Tensor,
@@ -291,12 +331,20 @@ fn qplane_conv(
     // Rows `0..oh` of the accumulator plane hold output rows at padded
     // width; the last row needs only `ow` columns.
     let span = (oh - 1) * pw + ow;
+    let acc_len = span.next_multiple_of(LANES);
 
-    actf.resize(padded.data().len(), 0.0);
-    for (dst, &v) in actf.iter_mut().zip(padded.data()) {
+    // The last chunk's windows end `acc_len - span < LANES` elements past
+    // the plane they start in: behind the very last plane that is the
+    // slack.
+    let len = padded.data().len();
+    actf.resize(len + LANES, 0.0);
+    let (acts, slack) = actf.split_at_mut(len);
+    for (dst, &v) in acts.iter_mut().zip(padded.data()) {
         *dst = act_params.quantize_value_f32(v);
     }
-    accf.resize(span, 0.0);
+    slack.fill(0.0);
+    // One accumulator plane per output channel of a pair.
+    accf.resize(2 * acc_len, 0.0);
     let act_scale = act_params.scale();
 
     out.reset([n, c_out, oh, ow]);
@@ -306,51 +354,110 @@ fn qplane_conv(
     for ni in 0..n {
         for grp in 0..groups {
             let wgrp = q.packed.group_rows_f32(grp, cout_per_group, kk);
-            for mo in 0..cout_per_group {
-                let m = grp * cout_per_group + mo;
-                let wrow = &wgrp[mo * kk..(mo + 1) * kk];
-                // The direct loop's rescale expression verbatim.
-                let os = q.wscales[m] * act_scale;
-                let bi = q.bias[m];
-                let acc = &mut accf[..span];
-                acc.fill(0.0);
-                for ci in 0..cin_per_group {
-                    let c = grp * cin_per_group + ci;
-                    let base = (ni * c_in + c) * plane;
-                    let src = &actf[base..base + plane];
-                    let wt = &wrow[ci * 9..ci * 9 + 9];
-                    let (w0, w1, w2) = (wt[0], wt[1], wt[2]);
-                    let (w3, w4, w5) = (wt[3], wt[4], wt[5]);
-                    let (w6, w7, w8) = (wt[6], wt[7], wt[8]);
-                    // Three source rows per accumulator element; the
-                    // `span + 2` windows end exactly at the plane's edge.
-                    let r0 = &src[0..span + 2];
-                    let r1 = &src[pw..pw + span + 2];
-                    let r2 = &src[2 * pw..2 * pw + span + 2];
-                    for (i, a) in acc.iter_mut().enumerate() {
-                        *a += w0 * r0[i]
-                            + w1 * r0[i + 1]
-                            + w2 * r0[i + 2]
-                            + w3 * r1[i]
-                            + w4 * r1[i + 1]
-                            + w5 * r1[i + 2]
-                            + w6 * r2[i]
-                            + w7 * r2[i + 1]
-                            + w8 * r2[i + 2];
-                    }
+            let wrow = |mo: usize| &wgrp[mo * kk..(mo + 1) * kk];
+            let group = &actf[(ni * c_in + grp * cin_per_group) * plane..];
+            for mo in (0..cout_per_group).step_by(2) {
+                if mo + 1 < cout_per_group {
+                    sweep_plane(group, pw, plane, [wrow(mo), wrow(mo + 1)], accf);
+                } else {
+                    sweep_plane(group, pw, plane, [wrow(mo)], &mut accf[..acc_len]);
                 }
-                let o0 = oshape.index(ni, m, 0, 0);
-                for ohi in 0..oh {
-                    let arow = &acc[ohi * pw..ohi * pw + ow];
-                    let dst = &mut odata[o0 + ohi * ow..o0 + (ohi + 1) * ow];
-                    for (o, &a) in dst.iter_mut().zip(arow) {
-                        *o = a * os + bi;
+                for (mo, acc) in (mo..cout_per_group).zip(accf.chunks_exact(acc_len)) {
+                    let m = grp * cout_per_group + mo;
+                    // The direct loop's rescale expression verbatim.
+                    let os = q.wscales[m] * act_scale;
+                    let bi = q.bias[m];
+                    let o0 = oshape.index(ni, m, 0, 0);
+                    for ohi in 0..oh {
+                        let arow = &acc[ohi * pw..ohi * pw + ow];
+                        let dst = &mut odata[o0 + ohi * ow..o0 + (ohi + 1) * ow];
+                        for (o, &a) in dst.iter_mut().zip(arow) {
+                            *o = a * os + bi;
+                        }
                     }
                 }
             }
         }
     }
     Ok(())
+}
+
+/// Accumulator chunk width of the plane kernel: two 8-lane vectors, the
+/// width at which the fixed-size inner loops below compile to straight
+/// vector code (8 and 32 measured slower).
+const LANES: usize = 16;
+
+/// Fills `M` accumulator planes (`acc` = `M` runs of a whole number of
+/// [`LANES`]-wide chunks) with the plane sums of the output channels whose
+/// weight rows are `wrows`, over the input planes starting at `group`.
+fn sweep_plane<const M: usize>(
+    group: &[f32],
+    pw: usize,
+    plane: usize,
+    wrows: [&[f32]; M],
+    acc: &mut [f32],
+) {
+    let acc_len = acc.len() / M;
+    for at in (0..acc_len).step_by(LANES) {
+        let sums = sweep_chunk(group, at, pw, plane, wrows);
+        for (m, sum) in sums.iter().enumerate() {
+            acc[m * acc_len + at..m * acc_len + at + LANES].copy_from_slice(sum);
+        }
+    }
+}
+
+/// Lanes `at..at + LANES` of `M` output channels' accumulator planes:
+/// `Σ_ci Σ_(r,c) w[ci][3r + c] · group[ci·plane + r·pw + at + lane + c]`,
+/// held in registers across the whole reduction. Each source window is
+/// loaded once and feeds all `M` channels.
+fn sweep_chunk<const M: usize>(
+    group: &[f32],
+    at: usize,
+    pw: usize,
+    plane: usize,
+    wrows: [&[f32]; M],
+) -> [[f32; LANES]; M] {
+    let mut acc = [[0.0f32; LANES]; M];
+    for ci in 0..wrows[0].len() / 9 {
+        let base = ci * plane + at;
+        let (Some(r0), Some(r1), Some(r2)) =
+            (window(group, base), window(group, base + pw), window(group, base + 2 * pw))
+        else {
+            debug_assert!(false, "qplane_conv keeps slack lanes behind actf for every window");
+            return acc;
+        };
+        for (acc, wrow) in acc.iter_mut().zip(wrows) {
+            let wt = &wrow[ci * 9..ci * 9 + 9];
+            // Three independent chains, so short reductions are not bound
+            // by one chain's latency.
+            for (i, a) in acc.iter_mut().enumerate() {
+                let t0 = mac(wt[2], r0[i + 2], mac(wt[1], r0[i + 1], wt[0] * r0[i]));
+                let t1 = mac(wt[5], r1[i + 2], mac(wt[4], r1[i + 1], wt[3] * r1[i]));
+                let t2 = mac(wt[8], r2[i + 2], mac(wt[7], r2[i + 1], wt[6] * r2[i]));
+                *a += (t0 + t1) + t2;
+            }
+        }
+    }
+    acc
+}
+
+/// `a * b + c` on exact integers below `2^24` (see `qplane_conv`): fused
+/// and unfused evaluation agree bit for bit, so the FMA unit is used
+/// wherever the build targets one.
+#[inline(always)]
+fn mac(a: f32, b: f32, c: f32) -> f32 {
+    if cfg!(target_feature = "fma") {
+        a.mul_add(b, c)
+    } else {
+        a * b + c
+    }
+}
+
+/// The `LANES + 2` source elements one accumulator chunk reads from one
+/// row, starting at `at`.
+#[inline]
+fn window(src: &[f32], at: usize) -> Option<&[f32; LANES + 2]> {
+    src.get(at..)?.first_chunk()
 }
 
 /// Patch-tile width: how many output positions stay L1-resident while the
