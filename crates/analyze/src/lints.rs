@@ -154,6 +154,7 @@ impl Config {
             weight_receivers: s(&["weight", "conv", "kernel"]),
             float_files: s(&[
                 "crates/tensor/src/kernel.rs",
+                "crates/tensor/src/kernel/plane.rs",
                 "crates/tensor/src/conv.rs",
                 "crates/tensor/src/linear.rs",
                 "crates/tensor/src/activation.rs",

@@ -403,6 +403,18 @@ fn l6_fires_on_order_sensitive_float_constructs_in_kernel_files() {
 }
 
 #[test]
+fn l6_covers_the_float_plane_kernel_file() {
+    // The plane kernel's bitwise contract is "multiply, then add": a fused
+    // multiply-add in its file must be a finding under the workspace policy.
+    let src = "fn sweep(a: f32, w: f32, x: f32) -> f32 { w.mul_add(x, a) }";
+    let rep = scan("crates/tensor/src/kernel/plane.rs", src);
+    assert!(rep
+        .findings
+        .iter()
+        .any(|f| f.lint == Lint::FloatDeterminism && f.construct == "mul_add"));
+}
+
+#[test]
 fn l6_silent_on_integer_reductions_and_outside_kernel_files() {
     // usize sums are exact; only float turbofish reductions are banned.
     let ints = "fn tally(xs: &[usize]) -> usize { xs.iter().sum::<usize>() }";

@@ -1,9 +1,10 @@
 //! Criterion kernel benchmarks: conventional vs block convolution (FLOP
-//! parity means comparable runtime), padding-mode overhead (paper §II-F:
-//! block padding costs are negligible), fused vs layer-wise chain
-//! execution, quantized convolution, and DSE speed.
+//! parity means comparable runtime), the float fast path per call at the
+//! repo benchmark's block shapes and across reduction lengths, padding-mode
+//! overhead (paper §II-F: block padding costs are negligible), fused vs
+//! layer-wise chain execution, quantized convolution, and DSE speed.
 
-use criterion::{criterion_group, criterion_main, Criterion};
+use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use std::hint::black_box;
 
 use bconv_accel::dse::explore_vgg16;
@@ -68,7 +69,7 @@ fn bench_kernel_impls(c: &mut Criterion) {
             });
         }
     }
-    // Depthwise: the measurement behind Auto's choice of GEMM even at m=1.
+    // Depthwise: the measurement behind Auto's choice of the fast path even at m=1.
     let mut rng = seeded_rng(5);
     let dw = he_conv2d(32, 32, ConvGeom::same(3), 32, &mut rng).unwrap();
     let input = uniform_tensor([1, 32, 32, 32], -1.0, 1.0, &mut rng);
@@ -83,6 +84,72 @@ fn bench_kernel_impls(c: &mut Criterion) {
                 black_box(out.data()[0])
             })
         });
+    }
+    group.finish();
+}
+
+/// One warm fast-path (`KernelKind::Im2colGemm`) call on a `c_in -> c_out`
+/// 3×3 layer over a `side`×`side` padded plane, reported with its MAC rate.
+fn bench_fast_path_call(
+    group: &mut criterion::BenchmarkGroup<'_>,
+    name: String,
+    (c_in, c_out): (usize, usize),
+    side: usize,
+) {
+    let mut rng = seeded_rng(9);
+    let conv = he_conv2d(c_in, c_out, ConvGeom::same(3), 1, &mut rng).unwrap();
+    let padded = uniform_tensor([1, c_in, side, side], -1.0, 1.0, &mut rng);
+    let (mut out, mut scratch) = (Tensor::default(), ConvScratch::new());
+    group.throughput(Throughput::Elements(conv.macs(side - 2, side - 2).unwrap()));
+    group.bench_function(name, |b| {
+        b.iter(|| {
+            conv.forward_prepadded_into(
+                black_box(&padded),
+                KernelKind::Im2colGemm,
+                &mut out,
+                &mut scratch,
+            )
+            .unwrap();
+            black_box(out.data()[0])
+        })
+    });
+}
+
+/// Per-call cost of the fast float path at the block shapes the repo
+/// benchmark runs (`vgg224_f32_blocked`'s H4 blocks, the 98×98 calibration
+/// map) — the thin 3×3 layers the plane kernel takes.
+fn bench_plane_blocks(c: &mut Criterion) {
+    let mut group = c.benchmark_group("plane_blocks");
+    for (c_in, c_out, side) in [
+        (3usize, 4usize, 58usize),
+        (4, 4, 58),
+        (8, 8, 30),
+        (16, 16, 16),
+        (16, 16, 9),
+        (16, 16, 6),
+        (16, 16, 98),
+    ] {
+        bench_fast_path_call(
+            &mut group,
+            format!("{c_in}to{c_out}_{side}x{side}"),
+            (c_in, c_out),
+            side,
+        );
+    }
+    group.finish();
+}
+
+/// Why the plane kernel has no reduction-length cutover: `c -> c` layers
+/// with `kk = 9c` from 27 to 576 on a small and a large block plane. Every
+/// row runs the plane kernel; im2col+GEMM measured 8–10 Gelem/s on the same
+/// rows (make `plane::takes` return `false` to reproduce), so a row that
+/// falls to that rate is a dispatch regression.
+fn bench_plane_kk_sweep(c: &mut Criterion) {
+    let mut group = c.benchmark_group("plane_kk_sweep");
+    for side in [16usize, 58] {
+        for ch in [3usize, 4, 8, 16, 24, 32, 40, 48, 64] {
+            bench_fast_path_call(&mut group, format!("kk{}_{side}x{side}", ch * 9), (ch, ch), side);
+        }
     }
     group.finish();
 }
@@ -151,6 +218,8 @@ criterion_group!(
     benches,
     bench_conv_kernels,
     bench_kernel_impls,
+    bench_plane_blocks,
+    bench_plane_kk_sweep,
     bench_padding_modes,
     bench_fused_chain,
     bench_quantized_conv,

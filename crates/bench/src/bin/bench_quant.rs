@@ -12,11 +12,12 @@
 //! when the element count is schedule-invariant — and the resolved conv
 //! kernel(s) the session compiled ("direct", "im2col-gemm", or a `+`-joined
 //! set when layers split). A derived `blocked_over_direct` list records,
-//! per (network, quantized precision), the blocked schedule's `min_us`
-//! over the direct schedule's — the compute price of the paper's
-//! low-traffic schedule, which `bench_check` keeps from creeping back up.
-//! (The float pair is left out: its direct row runs the naive direct
-//! kernel, so that ratio compares kernels, not schedules.)
+//! per (network, precision), the blocked schedule's `min_us` over the
+//! direct schedule's — the compute price of the paper's low-traffic
+//! schedule, which `bench_check` keeps from creeping back up. (The float
+//! pair joined in PR 16, when unfused float convs stopped running the
+//! naive direct loop: both of its rows now run the session's kernel, so
+//! the ratio compares schedules.)
 //!
 //! Latency note: quantized convolutions run the integer fast paths
 //! wherever the session's kernel policy resolves to them — the exact-f32
@@ -210,8 +211,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             ("offchip_bits", m.offchip_bits.into()),
         ])
     });
-    let quantized_direct = results.iter().filter(|m| !m.blocked && m.weight_bits != 32);
-    let ratios = quantized_direct.filter_map(|direct| {
+    let ratios = results.iter().filter(|m| !m.blocked).filter_map(|direct| {
         let same = |m: &&Measurement| {
             m.blocked
                 && (m.network, m.weight_bits, m.act_bits)

@@ -435,6 +435,9 @@ impl Executor for BlockedExecutor {
                  use the quantized backend"
             )));
         }
+        // Whole-map convs run the kernel the plan's policy resolves, like
+        // its fused stages (every kernel yields the same bits).
+        let kernel = self.plan.kernel();
         run_plan(
             &self.graph,
             &self.plan,
@@ -442,9 +445,7 @@ impl Executor for BlockedExecutor {
             32,
             input,
             scratch,
-            |_, node, in_t, aux, out, s| {
-                eval_node_into(&node.op, in_t, aux, out, s, KernelPolicy::Direct)
-            },
+            |_, node, in_t, aux, out, s| eval_node_into(&node.op, in_t, aux, out, s, kernel),
         )
     }
 }

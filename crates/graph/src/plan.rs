@@ -265,9 +265,17 @@ pub struct ExecPlan {
     blocked_convs: usize,
     total_convs: usize,
     act_bits: Option<u8>,
+    kernel: KernelPolicy,
 }
 
 impl ExecPlan {
+    /// The conv kernel policy the plan was assembled under: its fused
+    /// stages carry the kernels it resolved, and executors resolve it again
+    /// for the whole-map convolutions of [`Segment::Single`] nodes.
+    pub fn kernel(&self) -> KernelPolicy {
+        self.kernel
+    }
+
     /// The decisions the plan was assembled from (what a plan cache
     /// stores).
     pub(crate) fn decisions(&self) -> &PlanDecisions {
@@ -436,6 +444,7 @@ pub(crate) fn assemble(
         blocked_convs,
         total_convs: graph.conv_count(),
         act_bits: quant.map(|spec| spec.act_bits),
+        kernel,
     })
 }
 

@@ -169,9 +169,10 @@ pub struct QuantizedExecutor {
 impl QuantizedExecutor {
     /// Compiles the backend from a graph, a **quantized** plan (built by
     /// [`crate::plan::Planner::plan_quantized`] with the same `spec`), and
-    /// the frozen quantization spec. Whole-map convolutions resolve
-    /// `policy` per layer (the same resolution the plan applied to its
-    /// blocked stages), so `Auto` sends them down the integer GEMM path.
+    /// the frozen quantization spec. Whole-map convolutions resolve the
+    /// plan's kernel policy per layer (the same resolution the plan applied
+    /// to its blocked stages), so `Auto` sends them down the integer fast
+    /// path.
     ///
     /// # Errors
     ///
@@ -182,7 +183,6 @@ impl QuantizedExecutor {
         plan: Arc<ExecPlan>,
         spec: Arc<GraphQuantSpec>,
         threads: usize,
-        policy: KernelPolicy,
     ) -> Result<Self, TensorError> {
         if plan.act_bits() != Some(spec.act_bits) {
             return Err(TensorError::invalid(format!(
@@ -207,7 +207,7 @@ impl QuantizedExecutor {
                     let q = QConv2d::from_conv_with_kernel(
                         conv,
                         spec.weight_bits,
-                        policy.resolve(conv),
+                        plan.kernel().resolve(conv),
                     )
                     .ok_or_else(|| {
                         TensorError::invalid(format!("conv node {name} has all-zero weights"))
@@ -286,7 +286,7 @@ impl Executor for QuantizedExecutor {
                     })?;
                     return ql.forward_into(in_t, params, out, &mut s.qlinear);
                 }
-                eval_node_into(&node.op, in_t, aux, out, s, KernelPolicy::Direct)
+                eval_node_into(&node.op, in_t, aux, out, s, self.plan.kernel())
             },
         )
     }
@@ -369,16 +369,9 @@ mod tests {
         let blocked = BlockedExecutor::new(Arc::clone(&g), Arc::clone(&qplan));
         assert!(blocked.run(&input).is_err());
         // A float plan on the quantized backend is refused at construction.
-        assert!(QuantizedExecutor::new(
-            Arc::clone(&g),
-            fplan,
-            Arc::clone(&spec),
-            1,
-            KernelPolicy::Auto
-        )
-        .is_err());
+        assert!(QuantizedExecutor::new(Arc::clone(&g), fplan, Arc::clone(&spec), 1).is_err());
         // The matched pair runs.
-        let q = QuantizedExecutor::new(g, qplan, spec, 1, KernelPolicy::Auto).unwrap();
+        let q = QuantizedExecutor::new(g, qplan, spec, 1).unwrap();
         assert!(q.run(&input).is_ok());
     }
 

@@ -175,9 +175,10 @@ pub struct PlanSpec {
     pub cost_model: Option<Arc<dyn CostModel>>,
     /// Block-padding mode (default zero padding).
     pub pad: PadMode,
-    /// Conv kernel policy for blocked convolutions (default
-    /// [`KernelPolicy::Auto`]: im2col+GEMM wherever the patch matrix pays
-    /// for itself, the direct loop for degenerate single-tap layers).
+    /// Conv kernel policy, for blocked and whole-map convolutions alike
+    /// (default [`KernelPolicy::Auto`]: the fast path — plane kernel or
+    /// im2col+GEMM by layer shape — everywhere but degenerate single-tap
+    /// layers, which keep the direct loop).
     pub kernel: KernelPolicy,
     /// Run the per-host autotuner ([`mod@crate::tune`]) — or load its
     /// winner from the per-host winner cache, when the session has a
@@ -425,7 +426,7 @@ impl SessionBuilder {
         let executor: Arc<dyn Executor> = match (self.backend, qspec) {
             (Backend::Reference, _) => Arc::new(ReferenceExecutor::new(graph_arc)),
             (_, Some(qspec)) => {
-                Arc::new(QuantizedExecutor::new(graph_arc, plan_arc, qspec, threads, kernel)?)
+                Arc::new(QuantizedExecutor::new(graph_arc, plan_arc, qspec, threads)?)
             }
             (_, None) => Arc::new(BlockedExecutor::with_threads(graph_arc, plan_arc, threads)),
         };
@@ -576,7 +577,8 @@ impl Session {
     /// `(layer name, kernel name)` pairs. Fused and spliced convolutions
     /// report the kernel their compiled chain carries; whole-map singles
     /// report what the executor dispatches — the session policy's
-    /// resolution for quantized convs, the direct loop for float ones.
+    /// resolution, except on the reference backend, which keeps the direct
+    /// loop as an oracle that shares no kernel with the others.
     pub fn conv_kernels(&self) -> Vec<(String, &'static str)> {
         let nodes = self.graph.nodes();
         let conv_names = |ids: &[crate::ir::NodeId]| -> Vec<String> {
@@ -595,8 +597,8 @@ impl Session {
             if let Segment::Single(id) = seg {
                 if let NodeOp::Conv { conv, .. } = &nodes[*id].op {
                     let kind = match self.backend {
-                        Backend::Quantized { .. } => self.kernel.resolve(conv),
-                        _ => bconv_tensor::kernel::KernelKind::Direct,
+                        Backend::Reference => bconv_tensor::kernel::KernelKind::Direct,
+                        _ => self.kernel.resolve(conv),
                     };
                     out.push((nodes[*id].name.clone(), kind.name()));
                 }

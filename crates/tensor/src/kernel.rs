@@ -5,30 +5,38 @@
 //! [`ConvKernel`] chooses the loop structure that evaluates it:
 //!
 //! * [`DirectKernel`] — the naive seven-loop direct convolution. Minimal
-//!   working memory, competitive for depthwise and tiny reductions.
-//! * [`Im2colGemmKernel`] — lowers each (batch, group) to a `K×N` patch
-//!   matrix (im2col) and multiplies it with the `M×K` weight matrix
-//!   through a small register-blocked sgemm. Much better locality for
-//!   dense convolutions: the weight row is streamed once per output tile
-//!   instead of once per output pixel.
+//!   working memory; the oracle every other kernel is compared against.
+//! * [`Im2colGemmKernel`] — the **fast path**, which dispatches by layer
+//!   shape inside `im2col_gemm`, exactly as the integer fast path
+//!   (`bconv_quant::qgemm`) does:
+//!   * 3×3 stride-1 layers run the plane shift-and-add kernel (`plane`):
+//!     no patch matrix, accumulators for four output channels × sixteen
+//!     positions held in registers across the whole reduction;
+//!   * every other geometry (strided, 1×1, 5×5, planes too small to fill
+//!     one sixteen-lane chunk) lowers each (batch, group) to a `K×N` patch
+//!     matrix (im2col) and multiplies it with the `M×K` weight matrix
+//!     through a small register-blocked sgemm: the weight row is streamed
+//!     once per output tile instead of once per output pixel.
 //!
-//! Both kernels accumulate each output element in the same order
-//! (bias first, then taps in `(c_in, kh, kw)` order), so for a given
-//! layer they produce bitwise-identical results — [`KernelPolicy::Auto`]
-//! can therefore pick per layer without perturbing numerics. This is an
-//! implementation property, not an API guarantee; parity tests assert a
-//! 1e-4 relative tolerance.
+//! All of them accumulate each output element in the same order (bias
+//! first, then taps in `(c_in, kh, kw)` order), so for a given layer they
+//! produce bitwise-identical results — [`KernelPolicy::Auto`] can
+//! therefore pick per layer, and the fast path per shape, without
+//! perturbing numerics. This is an implementation property, not an API
+//! guarantee; parity tests assert a 1e-4 relative tolerance (and, as a
+//! stronger implementation check, equal bits).
 //!
 //! Two performance layers sit behind the GEMM:
 //!
 //! * [`PackedWeights`] — a panel-major (BLIS-style "A-packing") copy of
 //!   the weight matrix, built **once** at plan/build time so the sgemm
 //!   inner loop reads `MR` weights contiguously instead of striding `K`
-//!   apart. Packing never happens per run.
-//! * An 8-wide manual lane type (`F32x8`) used by the sgemm microkernels:
-//!   explicit unrolled lanes the auto-vectorizer maps onto SIMD registers.
-//!   With the `simd` cargo feature (nightly) the lanes are
-//!   `core::simd::Simd<f32, 8>` instead. Lane arithmetic is separate
+//!   apart. Packing never happens per run. (The plane kernel reads the
+//!   layer's own row-major weights; the panels serve the GEMM shapes.)
+//! * An 8-wide manual lane type (`F32x8`) used by the sgemm microkernels
+//!   and the plane kernel: explicit unrolled lanes the auto-vectorizer maps
+//!   onto SIMD registers. With the `simd` cargo feature (nightly) the lanes
+//!   are `core::simd::Simd<f32, 8>` instead. Lane arithmetic is separate
 //!   multiply-then-add — never fused — so both implementations keep the
 //!   bitwise accumulation contract above.
 //!
@@ -40,17 +48,21 @@ use crate::conv::Conv2d;
 use crate::shape::conv_out_dim;
 use crate::{Tensor, TensorError};
 
+mod plane;
+
 /// How to choose the kernel implementation for a layer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum KernelPolicy {
-    /// Choose per layer: im2col+GEMM wherever the patch matrix pays for
-    /// itself (measured: everything except degenerate single-tap
-    /// per-channel layers, which stay on the direct loop).
+    /// Choose per layer: the fast path (`im2col-gemm`, which itself
+    /// dispatches by shape between the plane kernel and im2col+GEMM)
+    /// everywhere except degenerate single-tap per-channel layers, which
+    /// stay on the direct loop.
     #[default]
     Auto,
     /// Always the direct loop.
     Direct,
-    /// Always im2col+GEMM.
+    /// Always the fast path: the plane kernel for 3×3 stride-1 layers,
+    /// im2col+GEMM otherwise.
     Im2colGemm,
 }
 
@@ -61,8 +73,8 @@ impl KernelPolicy {
     /// shares its float twin's geometry, so `QConv2d` resolves through
     /// this policy at construction and picks its integer im2col+GEMM
     /// exactly where the float layer would pick [`KernelKind::Im2colGemm`]
-    /// (the patch-matrix economics are identical — only the element type
-    /// changes).
+    /// (`im2col-gemm` names the fast path on both sides; each dispatches by
+    /// shape to its own plane kernel).
     pub fn resolve(self, conv: &Conv2d) -> KernelKind {
         match self {
             Self::Direct => KernelKind::Direct,
@@ -72,12 +84,14 @@ impl KernelPolicy {
                 let m = conv.c_out() / conv.groups();
                 let k = g.kernel * g.kernel * (conv.c_in() / conv.groups());
                 // Measured across dense, grouped, depthwise and pointwise
-                // shapes at both whole-map and per-block sizes, the patch
-                // matrix pays for itself essentially always — even at
-                // m = 1 (depthwise) the contiguous columns beat the direct
-                // loop's strided reads. Only a fully degenerate GEMM
-                // (scalar per-channel scaling: one output channel per
-                // group, single-tap reduction) stays direct.
+                // shapes at both whole-map and per-block sizes, the fast
+                // path beats the direct loop essentially always: 3×3
+                // stride-1 layers take the plane kernel, and for the rest
+                // the patch matrix pays for itself even at m = 1 — the
+                // contiguous columns beat the direct loop's strided reads.
+                // Only a fully degenerate GEMM (scalar per-channel scaling:
+                // one output channel per group, single-tap reduction) stays
+                // direct.
                 if m == 1 && k == 1 {
                     KernelKind::Direct
                 } else {
@@ -103,7 +117,7 @@ pub enum KernelKind {
     /// The direct loop.
     #[default]
     Direct,
-    /// im2col + GEMM.
+    /// The fast path: plane kernel or im2col + GEMM, by layer shape.
     Im2colGemm,
 }
 
@@ -247,8 +261,10 @@ impl ConvKernel for DirectKernel {
     }
 }
 
-/// im2col + GEMM: lower each (batch, group) to a patch matrix and run a
-/// register-blocked matrix multiply against the weight matrix.
+/// The fast path. 3×3 stride-1 layers run the plane shift-and-add kernel;
+/// every other shape lowers each (batch, group) to a patch matrix and runs
+/// a register-blocked matrix multiply against the weight matrix. The name
+/// (`im2col-gemm`, in reports and plan keys) predates the plane kernel.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct Im2colGemmKernel;
 
@@ -320,8 +336,8 @@ impl PackedWeights {
         self.data.is_empty()
     }
 
-    /// Evaluates `conv` on a pre-padded input through the im2col+GEMM
-    /// kernel using these packed panels — bitwise identical to
+    /// Evaluates `conv` on a pre-padded input through the fast path, the
+    /// GEMM reading these packed panels — bitwise identical to
     /// [`Im2colGemmKernel`], faster weight streaming. Hot path.
     ///
     /// # Errors
@@ -338,10 +354,11 @@ impl PackedWeights {
     }
 }
 
-/// Shared im2col+GEMM driver: lower each (batch, group) to a patch matrix
-/// and multiply with the weight matrix — packed panels when available,
-/// the layer's row-major weights otherwise. Hot path — no allocation once
-/// `scratch` has grown.
+/// The fast path's driver. 3×3 stride-1 layers go to the plane kernel
+/// (`plane::takes`); for the rest, lower each (batch, group) to a patch
+/// matrix and multiply with the weight matrix — packed panels when
+/// available, the layer's row-major weights otherwise. Hot path — no
+/// allocation once `scratch` has grown.
 fn im2col_gemm(
     conv: &Conv2d,
     packed: Option<&PackedWeights>,
@@ -357,6 +374,12 @@ fn im2col_gemm(
     let cout_per_group = conv.c_out() / groups;
     let kk = cin_per_group * k * k; // GEMM reduction length K
     let nn = oh * ow; // GEMM width N
+
+    // 3×3 stride-1 layers skip the patch matrix altogether.
+    if plane::takes(k, s, oh, ow) {
+        plane::plane_conv(conv, padded, out);
+        return Ok(());
+    }
 
     // 1×1 stride-1 (pointwise): the patch matrix would be bit-for-bit
     // the input's channel planes, so skip im2col and feed the input

@@ -3,7 +3,8 @@
 //! The build environment has no access to crates.io, so this shim provides
 //! the subset of the criterion API the workspace's benches use:
 //! [`Criterion`], `benchmark_group` / `bench_function`, [`Bencher::iter`],
-//! and the [`criterion_group!`] / [`criterion_main!`] macros.
+//! [`BenchmarkGroup::throughput`] and the [`criterion_group!`] /
+//! [`criterion_main!`] macros.
 //!
 //! Measurement is deliberately simple — a short calibration pass sizes the
 //! iteration count to a wall-clock budget, then the median per-iteration
@@ -50,20 +51,35 @@ impl Bencher {
     }
 }
 
+/// Work done by one iteration, mirroring `criterion::Throughput`.
+#[derive(Debug, Clone, Copy)]
+pub enum Throughput {
+    /// Elements (here: multiply-accumulates) processed per iteration.
+    Elements(u64),
+}
+
 /// A named group of related benchmarks.
 pub struct BenchmarkGroup<'a> {
     name: String,
+    throughput: Option<Throughput>,
     _parent: &'a mut Criterion,
 }
 
 impl BenchmarkGroup<'_> {
+    /// Sets the per-iteration work of the benchmarks that follow, so each
+    /// reports a rate beside its median.
+    pub fn throughput(&mut self, throughput: Throughput) -> &mut Self {
+        self.throughput = Some(throughput);
+        self
+    }
+
     /// Runs one benchmark in the group.
     pub fn bench_function<F: FnMut(&mut Bencher)>(
         &mut self,
         id: impl Into<String>,
         mut f: F,
     ) -> &mut Self {
-        run_one(&format!("{}/{}", self.name, id.into()), &mut f);
+        run_one(&format!("{}/{}", self.name, id.into()), self.throughput, &mut f);
         self
     }
 
@@ -78,7 +94,7 @@ pub struct Criterion {}
 impl Criterion {
     /// Starts a named benchmark group.
     pub fn benchmark_group(&mut self, name: impl Into<String>) -> BenchmarkGroup<'_> {
-        BenchmarkGroup { name: name.into(), _parent: self }
+        BenchmarkGroup { name: name.into(), throughput: None, _parent: self }
     }
 
     /// Runs one stand-alone benchmark.
@@ -87,16 +103,27 @@ impl Criterion {
         id: impl Into<String>,
         mut f: F,
     ) -> &mut Self {
-        run_one(&id.into(), &mut f);
+        run_one(&id.into(), None, &mut f);
         self
     }
 }
 
-fn run_one<F: FnMut(&mut Bencher)>(name: &str, f: &mut F) {
+fn run_one<F: FnMut(&mut Bencher)>(name: &str, throughput: Option<Throughput>, f: &mut F) {
+    // Like criterion: a positional argument keeps only the benchmarks whose
+    // name contains it (`cargo bench -p bconv-bench -- plane_`).
+    if std::env::args().skip(1).any(|a| !a.starts_with('-') && !name.contains(a.as_str())) {
+        return;
+    }
     let mut b = Bencher { samples: Vec::new() };
     f(&mut b);
     let med = b.median();
-    println!("bench {name:<40} median {:>12.3?}", med);
+    match throughput {
+        Some(Throughput::Elements(n)) if med > Duration::ZERO => println!(
+            "bench {name:<40} median {med:>12.3?}  thrpt {:>7.2} Gelem/s",
+            n as f64 / med.as_nanos() as f64
+        ),
+        _ => println!("bench {name:<40} median {med:>12.3?}"),
+    }
 }
 
 /// Declares a group of benchmark functions, mirroring criterion's macro.

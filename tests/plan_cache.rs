@@ -465,9 +465,9 @@ fn mutated_plan_files_never_panic_and_never_change_results() {
         let execute = |plan: ExecPlan| -> RunReport {
             let (graph, plan) = (Arc::clone(&graph), Arc::new(plan));
             match &quant {
-                Some(q) => QuantizedExecutor::new(graph, plan, Arc::clone(q), 1, spec.kernel)
-                    .unwrap()
-                    .run(&input),
+                Some(q) => {
+                    QuantizedExecutor::new(graph, plan, Arc::clone(q), 1).unwrap().run(&input)
+                }
                 None => BlockedExecutor::new(graph, plan).run(&input),
             }
             .unwrap()

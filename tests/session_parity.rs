@@ -12,7 +12,7 @@
 
 use bconv_core::plan::NetworkPlan;
 use bconv_core::BlockingPattern;
-use bconv_graph::{Backend, PlanSpec, Session};
+use bconv_graph::{Backend, KernelPolicy, PlanSpec, Session};
 use bconv_models::small::{resnet18_small, vdsr_small, vgg16_small};
 use bconv_models::Network;
 use bconv_tensor::init::{seeded_rng, uniform_tensor};
@@ -177,6 +177,41 @@ fn fused_offchip_traffic_strictly_decreases() {
             "{name}: fused {} !< layerwise {}",
             fused.offchip_elems,
             layerwise.offchip_elems
+        );
+    }
+}
+
+#[test]
+fn unfused_convs_run_the_session_kernel_and_stay_bit_exact() {
+    // An unblocked plan leaves every conv a whole-map `Segment::Single`.
+    // Those used to run the naive direct loop whatever the session's
+    // policy; they now run what the policy resolves, to the same bits.
+    for (name, net) in [("vgg", vgg16_small(32)), ("resnet", resnet18_small(32))] {
+        let input = input_for(&net, 53);
+        let convs = Session::builder().network(net.clone()).build().unwrap().graph().conv_count();
+        let build = |backend| {
+            Session::builder()
+                .network(net.clone())
+                .planner(PlanSpec::new().network_plan(NetworkPlan::unblocked(convs)))
+                .seed(59)
+                .backend(backend)
+                .build()
+                .unwrap()
+        };
+        let blocked = build(Backend::Blocked);
+        assert_eq!(blocked.kernel(), KernelPolicy::Auto);
+        assert_eq!(blocked.plan().fusion_groups(), 0, "{name}: nothing may fuse");
+        let kernels = blocked.conv_kernels();
+        assert_eq!(kernels.len(), convs, "{name}");
+        for (layer, kernel) in &kernels {
+            assert_ne!(*kernel, "direct", "{name}: {layer} must not run the naive loop");
+        }
+        let reference = build(Backend::Reference);
+        assert!(reference.conv_kernels().iter().all(|(_, kernel)| *kernel == "direct"));
+        assert_eq!(
+            blocked.run(&input).unwrap().output.data(),
+            reference.run(&input).unwrap().output.data(),
+            "{name}: unblocked == reference bit for bit on any kernel"
         );
     }
 }
