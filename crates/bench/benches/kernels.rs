@@ -1,6 +1,7 @@
 //! Criterion kernel benchmarks: conventional vs block convolution (FLOP
 //! parity means comparable runtime), the float fast path per call at the
-//! repo benchmark's block shapes and across reduction lengths, padding-mode
+//! repo benchmark's block shapes and across reduction lengths (`plane_*`),
+//! the integer fast path likewise (`qplane_*`), padding-mode
 //! overhead (paper §II-F: block padding costs are negligible), fused vs
 //! layer-wise chain execution, quantized convolution, and DSE speed.
 
@@ -15,7 +16,7 @@ use bconv_core::BlockConv2d;
 use bconv_graph::{Graph, LowerOptions, Planner, PlannerOptions, Segment};
 use bconv_models::builder::{conv, maxpool, NetBuilder};
 use bconv_models::ActShape;
-use bconv_quant::qconv::QConv2d;
+use bconv_quant::qconv::{QConv2d, QConvScratch};
 use bconv_quant::QParams;
 use bconv_tensor::conv::{Conv2d, ConvGeom};
 use bconv_tensor::init::{he_conv2d, seeded_rng, uniform_tensor};
@@ -154,6 +155,82 @@ fn bench_plane_kk_sweep(c: &mut Criterion) {
     group.finish();
 }
 
+/// One warm integer fast-path call (w8a8, `KernelKind::Im2colGemm`) on a
+/// `c_in -> c_out` 3×3 layer over `n` `side`×`side` padded planes, reported
+/// with its MAC rate.
+fn bench_qfast_path_call(
+    group: &mut criterion::BenchmarkGroup<'_>,
+    name: String,
+    (c_in, c_out): (usize, usize),
+    (side, n): (usize, usize),
+) {
+    let mut rng = seeded_rng(9);
+    let conv = he_conv2d(c_in, c_out, ConvGeom::same(3), 1, &mut rng).unwrap();
+    let q = QConv2d::from_conv_with_kernel(&conv, 8, KernelKind::Im2colGemm).unwrap();
+    let act = QParams::from_abs_max(1.0, 8);
+    let padded = uniform_tensor([n, c_in, side, side], -1.0, 1.0, &mut rng);
+    let (mut out, mut scratch) = (Tensor::default(), QConvScratch::new());
+    group.throughput(Throughput::Elements(n as u64 * conv.macs(side - 2, side - 2).unwrap()));
+    group.bench_function(name, |b| {
+        b.iter(|| {
+            q.forward_prepadded_into(black_box(&padded), act, &mut out, &mut scratch).unwrap();
+            black_box(out.data()[0])
+        })
+    });
+}
+
+/// Per-call cost of the integer fast path at block shapes: the repo
+/// benchmark's 8×8 VDSR block (10×10 padded) and whole 98×98 map, the deep
+/// tiny planes of `vgg16_small` as batch-8 calls, and 10×10 layers on both
+/// sides of the kernel dispatch — 1→16, 16→12 (one ragged 16-lane tile) and
+/// 16→17 (a 16-lane tile and an 8-lane one with a single live channel)
+/// give the lanes to output channels; 8→8, 16→1 and 40→4 (`kk` 360: the
+/// i16 GEMM took it before, at 6 Gelem/s) keep the spatial lanes.
+fn bench_qplane_blocks(c: &mut Criterion) {
+    let mut group = c.benchmark_group("qplane_blocks");
+    for (c_in, c_out, side, n) in [
+        (16usize, 16usize, 10usize, 1usize),
+        (16, 16, 6, 8),
+        (16, 16, 4, 8),
+        (16, 16, 3, 8),
+        (16, 16, 98, 1),
+        (8, 8, 10, 1),
+        (1, 16, 10, 1),
+        (16, 1, 10, 1),
+        (16, 12, 10, 1),
+        (16, 17, 10, 1),
+        (40, 4, 10, 1),
+    ] {
+        bench_qfast_path_call(
+            &mut group,
+            format!("{c_in}to{c_out}_{side}x{side}_n{n}"),
+            (c_in, c_out),
+            (side, n),
+        );
+    }
+    group.finish();
+}
+
+/// Why the integer fast path has no reduction-length cutover: `c -> c`
+/// layers, `kk = 9c` from 72 to 864, on a block plane and a 32×32 map (the
+/// first row runs the spatial lanes, the rest channel lanes). The i16 GEMM
+/// that took every row above `kk` 192 before measured 12–21 Gelem/s on
+/// them; a row back at that rate is a dispatch regression.
+fn bench_qplane_kk_sweep(c: &mut Criterion) {
+    let mut group = c.benchmark_group("qplane_kk_sweep");
+    for side in [10usize, 34] {
+        for ch in [8usize, 16, 24, 32, 48, 64, 96] {
+            bench_qfast_path_call(
+                &mut group,
+                format!("kk{}_{side}x{side}", ch * 9),
+                (ch, ch),
+                (side, 1),
+            );
+        }
+    }
+    group.finish();
+}
+
 fn bench_padding_modes(c: &mut Criterion) {
     let mut group = c.benchmark_group("padding_modes");
     let (conv, input) = conv_fixture(16, 32);
@@ -220,6 +297,8 @@ criterion_group!(
     bench_kernel_impls,
     bench_plane_blocks,
     bench_plane_kk_sweep,
+    bench_qplane_blocks,
+    bench_qplane_kk_sweep,
     bench_padding_modes,
     bench_fused_chain,
     bench_quantized_conv,

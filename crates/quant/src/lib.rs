@@ -15,9 +15,10 @@
 //!   [`qconv::QConv2d`] pads in any block-padding mode (or runs prepadded
 //!   inside fusion groups) and [`qconv::QuantChainOp`] packages one
 //!   quantized fused-chain stage with its calibrated activation range;
-//! * [`qgemm`] — the integer fast path: `i16` im2col plus a widening
-//!   `i16×i16→i32` GEMM over build-time packed weights, bitwise identical
-//!   to the direct loop;
+//! * [`qgemm`] — the integer fast path: exact-f32 channel-lane and
+//!   spatial-lane kernels for 3×3 stride-1 layers, `i16` im2col plus a
+//!   widening `i16×i16→i32` GEMM otherwise, all over build-time packed
+//!   weights and bitwise identical to the direct loop;
 //! * [`qlinear`] — quantized fully-connected layers with per-output-row
 //!   weight scales.
 //!
@@ -57,7 +58,7 @@ pub struct QParams {
 /// Bias that lands an integer-valued `f32` in the mantissa window where
 /// its bits read off directly: `1.5 * 2^23`. Adding it also performs the
 /// round-to-nearest (ties-to-even) in the same instruction, which keeps
-/// [`QParams::quantize_value`] a pure mul/clamp/add pipeline the
+/// [`QParams::quantize_value`] a pure mul/max/min/add pipeline the
 /// auto-vectorizer handles — the saturating `as i32` conversion it
 /// replaces defeats vectorization entirely.
 const ROUND_BIAS: f32 = 12_582_912.0;
@@ -98,28 +99,46 @@ impl QParams {
         self.scale
     }
 
-    /// Quantizes one value (round-to-nearest ties-to-even, saturating).
-    ///
-    /// Clamping before rounding is equivalent to rounding first (both maps
-    /// are monotone and `±qmax` are exact), and the post-clamp magnitude
-    /// is far below the `2^22` limit of the `ROUND_BIAS` trick, so the
-    /// bit extraction is exact.
-    pub fn quantize_value(&self, v: f32) -> i32 {
+    /// `v / scale` saturated to `[-qmax, qmax]` — the one place the
+    /// saturation (and with it the fate of a NaN) is decided, for every
+    /// integer kernel. A NaN fails every comparison, so written as two
+    /// selects that keep `x` only when it compares inside the bound, **a
+    /// NaN saturates to `-qmax`** like any other out-of-range value, where
+    /// `clamp` would pass it through. Every other input gives the bits
+    /// `clamp` gave, and each select is one `maxps` / `minps` (`f32::max` /
+    /// `min` cost a NaN fix-up per vector on top, which showed as 5 % on
+    /// the thin layers whose time is mostly this loop).
+    #[inline]
+    fn saturate(&self, v: f32) -> f32 {
         let qm = self.qmax() as f32;
-        let x = (v * self.inv_scale).clamp(-qm, qm);
-        ((x + ROUND_BIAS).to_bits() as i32).wrapping_sub(ROUND_BIAS_BITS)
+        let x = v * self.inv_scale;
+        let x = if x > -qm { x } else { -qm };
+        if x < qm {
+            x
+        } else {
+            qm
+        }
+    }
+
+    /// Quantizes one value (round-to-nearest ties-to-even, saturating;
+    /// NaN quantizes to `-qmax`).
+    ///
+    /// Saturating before rounding is equivalent to rounding first (both
+    /// maps are monotone and `±qmax` are exact), and the saturated
+    /// magnitude is far below the `2^22` limit of the `ROUND_BIAS` trick,
+    /// so the bit extraction is exact.
+    pub fn quantize_value(&self, v: f32) -> i32 {
+        ((self.saturate(v) + ROUND_BIAS).to_bits() as i32).wrapping_sub(ROUND_BIAS_BITS)
     }
 
     /// [`quantize_value`](Self::quantize_value) returning the quantized
     /// integer **as an `f32`** (e.g. `-3.0` for quantized level `-3`) —
-    /// the activation format of the exact-f32 plane kernel in [`qgemm`].
-    /// Same mul/clamp/bias pipeline, minus the bit extraction: subtracting
+    /// the activation format of the exact-f32 kernels in [`qgemm`]. Same
+    /// mul/saturate/bias pipeline, minus the bit extraction: subtracting
     /// `ROUND_BIAS` back out is exact, so this equals
-    /// `self.quantize_value(v) as f32` bit for bit.
+    /// `self.quantize_value(v) as f32` bit for bit, NaN included.
     pub fn quantize_value_f32(&self, v: f32) -> f32 {
-        let qm = self.qmax() as f32;
-        let x = (v * self.inv_scale).clamp(-qm, qm);
-        (x + ROUND_BIAS) - ROUND_BIAS
+        (self.saturate(v) + ROUND_BIAS) - ROUND_BIAS
     }
 
     /// Dequantizes one integer.
@@ -193,6 +212,30 @@ mod tests {
         let q = QParams::from_abs_max(1.0, 8);
         assert_eq!(q.quantize_value(10.0), 127);
         assert_eq!(q.quantize_value(-10.0), -127);
+    }
+
+    #[test]
+    fn nan_saturates_to_minus_qmax_in_both_quantizers() {
+        // `clamp` passed NaN through: quantize_value(NaN) read the NaN's
+        // bits (880 803 840, truncating to 0 as i16) while
+        // quantize_value_f32(NaN) stayed NaN, so the three integer conv
+        // paths disagreed on a NaN activation.
+        for bits in [4u8, 8, 11, 16] {
+            let q = QParams::from_abs_max(0.7, bits);
+            for nan in [f32::NAN, -f32::NAN, f32::from_bits(0x7FA0_0001)] {
+                assert_eq!(q.quantize_value(nan), -q.qmax());
+                assert_eq!(q.quantize_value_f32(nan).to_bits(), (-q.qmax() as f32).to_bits());
+            }
+            // Everything that is not NaN keeps the bits `clamp` produced.
+            let qm = q.qmax() as f32;
+            let specials = [0.0, -0.0, f32::MIN_POSITIVE, 1e-42, f32::INFINITY, f32::NEG_INFINITY];
+            let sweep = (-2000..=2000).map(|i| i as f32 * 0.000_61);
+            for v in specials.into_iter().chain(sweep) {
+                let clamped = ((v * q.inv_scale).clamp(-qm, qm) + ROUND_BIAS) - ROUND_BIAS;
+                assert_eq!(q.quantize_value_f32(v).to_bits(), clamped.to_bits(), "v = {v}");
+                assert_eq!(q.quantize_value(v) as f32, clamped, "v = {v}");
+            }
+        }
     }
 
     #[test]

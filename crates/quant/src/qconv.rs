@@ -27,7 +27,8 @@ use crate::QParams;
 
 /// Reusable temporaries for quantized convolution: the padded block, the
 /// quantized-activation buffers (i32 for the direct loop, i16 for the
-/// integer GEMM) and the GEMM's im2col patch matrix. One per worker
+/// integer GEMM, f32 for the exact-f32 kernels) and the GEMM's im2col
+/// patch matrix. One per worker
 /// thread; buffers grow to the largest input seen and are reused across
 /// calls.
 #[derive(Debug, Default)]
@@ -38,11 +39,13 @@ pub struct QConvScratch {
     pub(crate) act16: Vec<i16>,
     /// Position-major `N×K` i16 im2col patch matrix.
     pub(crate) cols: Vec<i16>,
-    /// Integer-valued f32 activations for the exact-f32 plane kernel, plus
-    /// one chunk of zeroed slack lanes behind the last plane.
+    /// Integer-valued f32 activations for the exact-f32 kernels; the
+    /// spatial-lane kernel alone keeps one chunk of zeroed slack lanes
+    /// behind the last plane.
     pub(crate) actf: Vec<f32>,
-    /// The plane kernel's padded-width accumulator planes (one per output
-    /// channel of a pair), each a whole number of chunks.
+    /// The spatial-lane kernel's padded-width accumulator planes (one per
+    /// output channel of a pair), each a whole number of chunks; the
+    /// channel-lane kernel never grows it.
     pub(crate) accf: Vec<f32>,
 }
 
@@ -58,8 +61,9 @@ impl QConvScratch {
 /// Weights are quantized **per output channel** by default (each channel
 /// gets the tightest symmetric scale its own range allows, so narrow
 /// channels stop paying for the widest one) and pre-packed at construction
-/// into the integer GEMM's `i16` matrix ([`QPackedWeights`]) — built once,
-/// never repacked per run. Which kernel executes the layer (direct loop
+/// into the layouts the integer fast path reads ([`QPackedWeights`]: the
+/// GEMM's `i16` rows plus, for 3×3 stride-1 layers, the one f32 layout of
+/// the layer's exact-f32 kernel) — built once, never repacked per run. Which kernel executes the layer (direct loop
 /// vs integer im2col+GEMM) is resolved at construction time via
 /// [`KernelKind`], mirroring the float path's plan-time resolution.
 #[derive(Debug, Clone)]
@@ -71,7 +75,7 @@ pub struct QConv2d {
     /// Per-output-channel weight scales (all equal to the per-tensor scale
     /// when built via [`from_conv_per_tensor`](Self::from_conv_per_tensor)).
     pub(crate) wscales: Vec<f32>,
-    /// The integer GEMM's packed weight matrix.
+    /// The integer fast path's packed weights.
     pub(crate) packed: QPackedWeights,
     kernel: KernelKind,
     pub(crate) geom: ConvGeom,
@@ -143,7 +147,7 @@ impl QConv2d {
             wscales.push(params.scale());
             weight_q.extend(row.iter().map(|&v| params.quantize_value(v)));
         }
-        let packed = QPackedWeights::pack(&weight_q);
+        let packed = QPackedWeights::pack(&weight_q, dims, conv.groups(), conv.geom().stride);
         Some(Self {
             weight_q,
             weight_dims: dims,
@@ -168,7 +172,7 @@ impl QConv2d {
         &self.wscales
     }
 
-    /// The packed integer-GEMM weight matrix.
+    /// The integer fast path's packed weights.
     pub fn packed_weights(&self) -> &QPackedWeights {
         &self.packed
     }

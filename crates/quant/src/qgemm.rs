@@ -2,11 +2,16 @@
 //! [`bconv_tensor::kernel::Im2colGemmKernel`].
 //!
 //! The direct loop in [`crate::qconv`] pays seven nested loops of strided
-//! reads per output element. This module replaces it with two kernels,
-//! dispatched per layer shape in `qim2col_gemm`: the exact-f32 **plane
-//! shift-and-add kernel** (`qplane_conv`) for 3×3 stride-1 layers whose
-//! reduction bound stays inside f32's exact-integer range, and otherwise
-//! an im2col + widening GEMM built from
+//! reads per output element. This module replaces it with three kernels,
+//! dispatched in `qim2col_gemm` on the **layer's shape alone** (plus the
+//! exactness guard below — no reduction-length cutover, no knob):
+//!
+//! * 3×3 stride-1 layers with more than eight output channels per group
+//!   run the exact-f32 **channel-lane kernel** (`qlane_conv`);
+//! * thinner 3×3 stride-1 layers (VDSR's 16→1, VGG's 3→4 and 8→8) run the
+//!   exact-f32 **spatial-lane plane kernel** (`qplane_conv`);
+//! * every other geometry — and any layer whose reduction bound leaves
+//!   f32's exact-integer range — runs an im2col + widening GEMM built from
 //!
 //! 1. a **packed weight matrix** ([`QPackedWeights`]) — the per-channel
 //!    quantized weights narrowed to `i16` rows, built once when the
@@ -31,23 +36,52 @@
 //! loop's expression verbatim, so the two paths are bitwise identical —
 //! unlike the float GEMM, which must preserve accumulation order.
 //!
-//! # The plane kernel's lanes
+//! The two f32 kernels carry the same integers in f32 lanes. Below `2^24`
+//! (`F32_EXACT_LIMIT`, which the dispatch checks against that same bound)
+//! every product and every partial sum is an integer f32 represents
+//! exactly, so each multiply and add is exact *in any association* — which
+//! is why either axis may take the lanes and why a tile may sum its taps in
+//! whatever order keeps its registers busy — and a fused multiply-add
+//! rounds to the same bits as a separate multiply and add, so both kernels
+//! go through `mac`, which uses the FMA unit when the build targets one:
+//! the one `mul_add` the L6 lint allows.
 //!
-//! `qplane_conv` carries the same integers in f32 lanes (exact below
-//! `2^24`, which the dispatch guards) and sweeps each accumulator plane in
-//! whole 16-lane chunks held in registers, so block-sized planes — an 8×8
-//! block is 78 lanes — run no scalar tail and touch no accumulator memory
-//! inside the reduction. The price is **junk lanes**: the rounded-up tail
-//! of the last chunk (and the `pw - ow` wrap columns of every row) compute
-//! on whatever follows — the next channel's plane, the next image, or the
-//! zeroed slack lanes `QConvScratch::actf` keeps behind its last plane, so
-//! every read is in bounds. They cannot leak: extraction reads only
-//! `acc[ohi·pw .. ohi·pw + ow]`. Because every product and partial
-//! sum is an exact integer, a fused multiply-add rounds to the same bits
-//! as a separate multiply and add, so the kernel uses `mul_add` when the
-//! build targets FMA — the one `mul_add` the L6 lint allows. Details and
-//! the proofs are on `qplane_conv`; `tests/plane_kernel_shapes.rs` sweeps
-//! every small plane shape against the direct loop.
+//! # Which axis gets the lanes
+//!
+//! A vector lane must be an output. With **output channels** in the lanes
+//! (`qlane_conv`) a register tile is up to eight consecutive pixels of one
+//! output row × 16 channels, held across all input channels: per kernel row
+//! three weight-vector loads and ten scalar broadcasts feed 48 FMAs, every
+//! lane of every tile is an output (pixel tiles of 8 / 4 / 2 / 1 cover any
+//! width exactly; only a ragged last channel tile carries zero lanes), and
+//! the kernel reads the padded activations in place — no wrap columns, no
+//! slack, no accumulator plane. With **plane positions** in the lanes
+//! (`qplane_conv`) a chunk is 16 consecutive positions of the padded-width
+//! span × two channels: nine window loads and eighteen weight broadcasts
+//! per 18 FMAs, 80 lanes computed for an 8×8 block's 64 outputs and 16 for
+//! a 2×2 plane's 4. Channel lanes measured 38 GMAC/s per call against
+//! 19–25 on 16→16 layers (`cargo bench -p bconv-bench -- qplane_`), on 8×8
+//! blocks and whole maps alike, and 28 against 6 on 2×2 planes.
+//!
+//! What channel lanes pay is a transpose: a tile's lanes belong to
+//! different planes of the NCHW output, so every output element costs a
+//! scalar load and store where the spatial lanes store vectors. A 16-lane
+//! tile amortises that from nine channels up (16→12 reads 27 against 13–23,
+//! 16→15 34); a layer of eight channels or fewer would run 8-lane tiles —
+//! half the FMAs per broadcast — and measured 16–19 against 18–22 at 8→8
+//! on 14×14 and 26×26 planes, so it keeps the spatial lanes, as does every
+//! thinner one (a `c_out = 1` layer would fill one lane in eight). 8-lane
+//! tiles remain for the last tile of a group (24 = 16 + 8 channels).
+//!
+//! # No reduction-length cutover
+//!
+//! Neither f32 kernel builds a patch matrix, and per call both outrun the
+//! GEMM at every reduction length measured (`qplane_kk_sweep`: 24→24 …
+//! 96→96 run 36–43 GMAC/s on channel lanes against 12–21 on the GEMM; thin
+//! 40→4 18 against 6), so `kk` plays no part in the dispatch: the GEMM
+//! keeps only what the f32 kernels cannot run. `tests/plane_kernel_shapes.rs`
+//! sweeps every small plane shape and channel count of both kernels, and
+//! both sides of the `2^24` guard, against the direct loop.
 
 use bconv_tensor::shape::conv_out_dim;
 use bconv_tensor::{Tensor, TensorError};
@@ -55,34 +89,71 @@ use bconv_tensor::{Tensor, TensorError};
 use crate::qconv::{QConv2d, QConvScratch};
 use crate::QParams;
 
-/// Quantized weights packed for the integer GEMM: row-major `M×K` `i16`
-/// rows per group (quantized at the layer's per-channel scales, narrowed
-/// from the direct loop's `i32` storage — every representable weight fits
-/// `i16` at bitwidths up to 16), plus the same rows as integer-valued
-/// `f32` for the exact-f32 plane kernel. Built once at
-/// [`QConv2d`] construction.
+/// Quantized weights packed for the integer fast path, built once at
+/// [`QConv2d`] construction: row-major `M×K` `i16` rows per group for the
+/// GEMM (quantized at the layer's per-channel scales, narrowed from the
+/// direct loop's `i32` storage — every representable weight fits `i16` at
+/// bitwidths up to 16), plus — for 3×3 stride-1 layers only — the same
+/// integers as `f32` in the **one** layout the layer's exact-f32 kernel
+/// reads (`PlaneWeights`).
 #[derive(Debug, Clone)]
 pub struct QPackedWeights {
     data: Vec<i16>,
-    data_f32: Vec<f32>,
+    plane: PlaneWeights,
     max_abs: i32,
 }
 
+/// The integer-valued `f32` weights of a 3×3 stride-1 layer. Which
+/// exact-f32 kernel runs a layer is a property of its shape, so each layer
+/// packs exactly one layout.
+#[derive(Debug, Clone)]
+enum PlaneWeights {
+    /// Not a 3×3 stride-1 layer: only the GEMM runs it.
+    None,
+    /// At most [`VEC`] output channels per group: the GEMM's row-major
+    /// rows, for the spatial-lane kernel (`qplane_conv`).
+    Rows(Vec<f32>),
+    /// Lane-major `[group][c_out tile][c_in][tap][lanes]` for the
+    /// channel-lane kernel (`qlane_conv`): a tile is `lanes` = 16 or 8
+    /// consecutive output channels of one group (`lane_tiles`); the lanes a
+    /// ragged last tile has no channel for are zero.
+    Lanes(Vec<f32>),
+}
+
 impl QPackedWeights {
-    /// Packs already-quantized weights (any layout whose rows the caller
-    /// will index consistently; [`QConv2d`] passes
-    /// its `[c_out, c_in/g, k, k]` row-major buffer).
-    pub(crate) fn pack(weight_q: &[i32]) -> Self {
-        let mut max_abs = 0i32;
-        let mut data = Vec::with_capacity(weight_q.len());
-        let mut data_f32 = Vec::with_capacity(weight_q.len());
-        for &w in weight_q {
-            max_abs = max_abs.max(w.abs());
-            data.push(w as i16);
-            // Exact: |w| <= 32767 is far inside f32's integer range.
-            data_f32.push(w as f32);
-        }
-        Self { data, data_f32, max_abs }
+    /// Packs the already-quantized `[c_out, c_in/g, k, k]` row-major
+    /// weights of a layer with `groups` groups and stride `stride`.
+    pub(crate) fn pack(
+        weight_q: &[i32],
+        [c_out, cin_per_group, k, _]: [usize; 4],
+        groups: usize,
+        stride: usize,
+    ) -> Self {
+        let max_abs = weight_q.iter().fold(0i32, |m, &w| m.max(w.abs()));
+        let data = weight_q.iter().map(|&w| w as i16).collect();
+        let cout_per_group = c_out / groups;
+        // `as f32` is exact: |w| <= 32767 is far inside f32's integer range.
+        let plane = if k != 3 || stride != 1 {
+            PlaneWeights::None
+        } else if cout_per_group <= VEC {
+            PlaneWeights::Rows(weight_q.iter().map(|&w| w as f32).collect())
+        } else {
+            // Pushed in layout order: group, tile, (c_in, tap), lane.
+            let kk = cin_per_group * 9;
+            let mut data = Vec::new();
+            for grp in 0..groups {
+                for (mo, lanes) in lane_tiles(cout_per_group) {
+                    let live = lanes.min(cout_per_group - mo);
+                    let rows = &weight_q[(grp * cout_per_group + mo) * kk..][..live * kk];
+                    for l in 0..kk {
+                        data.extend(rows.iter().skip(l).step_by(kk).map(|&w| w as f32));
+                        data.resize(data.len() + lanes - live, 0.0);
+                    }
+                }
+            }
+            PlaneWeights::Lanes(data)
+        };
+        Self { data, plane, max_abs }
     }
 
     /// Largest absolute quantized weight — the tight per-layer factor in
@@ -104,11 +175,6 @@ impl QPackedWeights {
     /// The `m × kk` weight rows of one group.
     pub(crate) fn group_rows(&self, grp: usize, m: usize, kk: usize) -> &[i16] {
         &self.data[grp * m * kk..(grp + 1) * m * kk]
-    }
-
-    /// The `m × kk` weight rows of one group as integer-valued `f32`.
-    pub(crate) fn group_rows_f32(&self, grp: usize, m: usize, kk: usize) -> &[f32] {
-        &self.data_f32[grp * m * kk..(grp + 1) * m * kk]
     }
 }
 
@@ -147,16 +213,13 @@ impl QIm2colGemmKernel {
 /// bit-exact as long as `K * max|w_q| * qmax_act` stays under this.
 const F32_EXACT_LIMIT: i64 = 1 << 24;
 
-/// Plane-kernel cutover: above this reduction length the dot-product GEMM's
-/// `pmaddwd` density wins over the plane kernel's build-free streaming (the
-/// plane path re-reads all input planes once per output-channel pair).
-const PLANE_MAX_KK: usize = 192;
-
-/// The integer fast path. Dispatches per layer shape:
+/// The integer fast path. Dispatches on the layer's shape (decided once,
+/// when its weights were packed: [`PlaneWeights`]) and the exactness guard:
 ///
 /// * 3×3 stride-1 layers whose reduction bound fits f32's exact-integer
-///   range take the **plane shift-and-add kernel** (`qplane_conv`) — no
-///   patch matrix at all;
+///   range take an exact-f32 kernel with no patch matrix at all — channel
+///   lanes (`qlane_conv`) above eight output channels per group, spatial
+///   lanes (`qplane_conv`) up to eight;
 /// * everything else quantizes to `i16`, im2cols per (batch, group), and
 ///   runs the widening dot-product GEMM.
 ///
@@ -183,8 +246,16 @@ pub(crate) fn qim2col_gemm(
     // Accumulation bound over any association of the reduction (each
     // partial sum is at most K * max|w_q| * qmax_act in magnitude).
     let bound = kk as i64 * q.packed.max_abs() as i64 * act_params.qmax() as i64;
-    if k == 3 && s == 1 && bound < F32_EXACT_LIMIT && kk <= PLANE_MAX_KK {
-        return qplane_conv(q, padded, act_params, out, scratch);
+    if bound < F32_EXACT_LIMIT {
+        match &q.packed.plane {
+            PlaneWeights::Lanes(wl) => {
+                return qlane_conv(q, wl, padded, act_params, out, &mut scratch.actf);
+            }
+            PlaneWeights::Rows(rows) => {
+                return qplane_conv(q, rows, padded, act_params, out, scratch);
+            }
+            PlaneWeights::None => {}
+        }
     }
     let QConvScratch { act16, cols, .. } = scratch;
 
@@ -272,13 +343,14 @@ pub(crate) fn qim2col_gemm(
     Ok(())
 }
 
-/// The exact-f32 plane kernel for 3×3 stride-1 layers: activations are
-/// quantized to **integer-valued f32** and the convolution runs as fused
-/// nine-tap shift-and-add sweeps over accumulators kept in the padded-width
-/// plane layout (the `pw - ow` junk columns where windows wrap rows are
-/// computed but never extracted), so there is no patch matrix and no
-/// horizontal reduction — the two costs that dominate the dot-product GEMM
-/// at thin reduction lengths.
+/// The exact-f32 **spatial-lane plane kernel** for 3×3 stride-1 layers too
+/// thin to fill a vector with output channels: activations are quantized
+/// to **integer-valued f32** and the convolution runs as fused nine-tap
+/// shift-and-add sweeps over accumulators kept in the padded-width plane
+/// layout (the `pw - ow` junk columns where windows wrap rows are computed
+/// but never extracted), so there is no patch matrix and no horizontal
+/// reduction — the two costs that dominate the dot-product GEMM. `rows` is
+/// the layer's [`PlaneWeights::Rows`] data.
 ///
 /// # Sweep shape
 ///
@@ -313,6 +385,7 @@ pub(crate) fn qim2col_gemm(
 /// verbatim.
 fn qplane_conv(
     q: &QConv2d,
+    rows: &[f32],
     padded: &Tensor,
     act_params: QParams,
     out: &mut Tensor,
@@ -336,13 +409,7 @@ fn qplane_conv(
     // The last chunk's windows end `acc_len - span < LANES` elements past
     // the plane they start in: behind the very last plane that is the
     // slack.
-    let len = padded.data().len();
-    actf.resize(len + LANES, 0.0);
-    let (acts, slack) = actf.split_at_mut(len);
-    for (dst, &v) in acts.iter_mut().zip(padded.data()) {
-        *dst = act_params.quantize_value_f32(v);
-    }
-    slack.fill(0.0);
+    quantize_f32(padded, act_params, actf, LANES);
     // One accumulator plane per output channel of a pair.
     accf.resize(2 * acc_len, 0.0);
     let act_scale = act_params.scale();
@@ -353,7 +420,7 @@ fn qplane_conv(
 
     for ni in 0..n {
         for grp in 0..groups {
-            let wgrp = q.packed.group_rows_f32(grp, cout_per_group, kk);
+            let wgrp = &rows[grp * cout_per_group * kk..(grp + 1) * cout_per_group * kk];
             let wrow = |mo: usize| &wgrp[mo * kk..(mo + 1) * kk];
             let group = &actf[(ni * c_in + grp * cin_per_group) * plane..];
             for mo in (0..cout_per_group).step_by(2) {
@@ -380,6 +447,19 @@ fn qplane_conv(
         }
     }
     Ok(())
+}
+
+/// The activations of `padded` as integer-valued f32 in `actf` — the format
+/// of both exact-f32 kernels — followed by `slack` zeroed elements (zeroed
+/// per call, so that nothing computed depends on an earlier one).
+fn quantize_f32(padded: &Tensor, act_params: QParams, actf: &mut Vec<f32>, slack: usize) {
+    let len = padded.data().len();
+    actf.resize(len + slack, 0.0);
+    let (acts, tail) = actf.split_at_mut(len);
+    for (dst, &v) in acts.iter_mut().zip(padded.data()) {
+        *dst = act_params.quantize_value_f32(v);
+    }
+    tail.fill(0.0);
 }
 
 /// Accumulator chunk width of the plane kernel: two 8-lane vectors, the
@@ -458,6 +538,252 @@ fn mac(a: f32, b: f32, c: f32) -> f32 {
 #[inline]
 fn window(src: &[f32], at: usize) -> Option<&[f32; LANES + 2]> {
     src.get(at..)?.first_chunk()
+}
+
+/// The exact-f32 **channel-lane kernel** for 3×3 stride-1 layers with more
+/// than [`VEC`] output channels per group: the vector lanes are
+/// consecutive *output channels* (`lane_tiles`), and a tile of up to eight
+/// consecutive output pixels of one row stays in registers across all input
+/// channels (`lane_tile`). Every lane of every pixel tile is an output — no
+/// wrap columns, no rounded-up chunk, no slack behind `actf`, no
+/// accumulator plane — which is what block-sized planes need (an 8×8 block
+/// is eight 8-pixel tiles per channel tile; the spatial-lane sweep computes
+/// 80 lanes for its 64 outputs and reloads nine windows per 16 lanes).
+///
+/// Pixel tiles of 8 / 4 / 2 / 1 cover any output width exactly. Bitwise
+/// parity is `qplane_conv`'s argument unchanged: the caller guarantees
+/// `K * max|w_q| * qmax_act < 2^24`, so every product and partial sum is an
+/// integer f32 holds exactly in *any* association, fused or not, and the
+/// rescale is the direct loop's expression verbatim. `wl` is the layer's
+/// [`PlaneWeights::Lanes`] data.
+fn qlane_conv(
+    q: &QConv2d,
+    wl: &[f32],
+    padded: &Tensor,
+    act_params: QParams,
+    out: &mut Tensor,
+    actf: &mut Vec<f32>,
+) -> Result<(), TensorError> {
+    let [n, c_in, ph, pw] = padded.shape().dims();
+    let [c_out, cin_per_group, _, _] = q.weight_dims;
+    let oh = conv_out_dim(ph, 3, 1, 0)?;
+    let ow = conv_out_dim(pw, 3, 1, 0)?;
+    let cout_per_group = c_out / q.groups;
+    let plane = ph * pw;
+    let nn = oh * ow;
+
+    quantize_f32(padded, act_params, actf, 0);
+    let act_scale = act_params.scale();
+
+    out.reset([n, c_out, oh, ow]);
+    let oshape = out.shape();
+    let odata = out.data_mut();
+
+    for ni in 0..n {
+        let mut wrest = wl;
+        for grp in 0..q.groups {
+            let g0 = (ni * c_in + grp * cin_per_group) * plane;
+            let group = &actf[g0..g0 + cin_per_group * plane];
+            for (mo, lanes) in lane_tiles(cout_per_group) {
+                let wt;
+                (wt, wrest) = wrest.split_at(cin_per_group * 9 * lanes);
+                // The tile's live channels (a ragged last tile has fewer
+                // than `lanes`) and their planes of `out`.
+                let m0 = grp * cout_per_group + mo;
+                let live = m0..m0 + lanes.min(cout_per_group - mo);
+                let o0 = oshape.index(ni, m0, 0, 0);
+                let dst = &mut odata[o0..o0 + live.len() * nn];
+                let (ws, bs) = (&q.wscales[live.clone()], &q.bias[live]);
+                let dims = [oh, ow, pw, plane];
+                if lanes == 2 * VEC {
+                    sweep_lanes::<{ 2 * VEC }>(wt, group, dims, Emit::new(ws, act_scale, bs, dst));
+                } else {
+                    sweep_lanes::<VEC>(wt, group, dims, Emit::new(ws, act_scale, bs, dst));
+                }
+            }
+        }
+    }
+    Ok(())
+}
+
+/// Vector width the channel-lane kernel is laid out for: eight f32 lanes,
+/// one 256-bit register. Channel tiles are one or two vectors wide.
+const VEC: usize = 8;
+
+/// The channel tiles of a group of `cout_per_group` output channels, as
+/// `(first channel, lanes)`: 16 lanes apiece, and 8 for a last tile of at
+/// most eight channels — the weight layout ([`PlaneWeights::Lanes`]) and
+/// the sweep walk the same list.
+fn lane_tiles(cout_per_group: usize) -> impl Iterator<Item = (usize, usize)> {
+    (0..cout_per_group)
+        .step_by(2 * VEC)
+        .map(move |mo| (mo, if cout_per_group - mo > VEC { 2 * VEC } else { VEC }))
+}
+
+/// Whether the widest pixel tile is 8: its 8 × 16 accumulators are sixteen
+/// 256-bit registers, which leaves room for weights and broadcasts only in
+/// AVX-512's file of 32 (built for a 16-register AVX2 target the same tile
+/// spills some 90 vectors per input channel). Elsewhere rows are swept in
+/// 4-pixel tiles. A build-time choice, like [`mac`]'s.
+const TILE_8: bool = cfg!(target_feature = "avx512f");
+
+/// Largest tile, in accumulator lanes, that `lane_tile` sums in three sets.
+const SPLIT_MAX: usize = 4 * VEC;
+
+/// One channel tile (`L` lanes, weights `wt`) over every output pixel of
+/// one image's `group` planes: rows of 8-pixel tiles (4 without
+/// [`TILE_8`]), then a 4, a 2 and a 1 for whatever width is left.
+fn sweep_lanes<const L: usize>(
+    wt: &[f32],
+    group: &[f32],
+    [oh, ow, pw, plane]: [usize; 4],
+    mut emit: Emit<'_, L>,
+) {
+    for ohi in 0..oh {
+        let (src, to) = (ohi * pw, ohi * ow);
+        let mut owi = 0;
+        while TILE_8 && owi + 8 <= ow {
+            emit.store(to + owi, lane_tile::<8, L>(wt, group, src + owi, pw, plane));
+            owi += 8;
+        }
+        while owi + 4 <= ow {
+            emit.store(to + owi, lane_tile::<4, L>(wt, group, src + owi, pw, plane));
+            owi += 4;
+        }
+        if owi + 2 <= ow {
+            emit.store(to + owi, lane_tile::<2, L>(wt, group, src + owi, pw, plane));
+            owi += 2;
+        }
+        if owi < ow {
+            emit.store(to + owi, lane_tile::<1, L>(wt, group, src + owi, pw, plane));
+        }
+    }
+}
+
+/// Expands its body once per pixel of a `P`-pixel tile, with `$p` a
+/// **constant** index. The lane loops of the channel-lane kernel must be
+/// the only loops the vectoriser can see: with the pixels in a `for p in
+/// 0..P` loop LLVM vectorises *across pixels* — gathers and scatters on a
+/// stack-resident accumulator array — and the kernel runs ten times slower
+/// with every test green.
+macro_rules! each_pixel {
+    ($p:ident < $P:ident => $body:block) => {
+        each_pixel!(@ $p $P $body 0 1 2 3 4 5 6 7)
+    };
+    (@ $p:ident $P:ident $body:block $($i:literal)*) => {$(
+        if $i < $P {
+            const $p: usize = $i;
+            $body
+        }
+    )*};
+}
+
+/// The accumulators of `P` consecutive output pixels × `L` output
+/// channels, summed over every input channel and tap in registers:
+/// `acc[p][l] = Σ_ci Σ_(r,c) wt[ci][3r + c][l] · group[ci·plane + at + r·pw
+/// + p + c]`. Per kernel row that is three `L`-lane weight loads and
+/// `P + 2` scalar broadcasts for `3·P` `L`-lane FMAs.
+///
+/// Shaped for the autovectoriser, and checked against it: the lane loop is
+/// innermost and the only loop over the tile (`each_pixel`), nothing inside
+/// the reduction can panic (a panic edge makes LLVM keep the by-value
+/// result in memory, and the stores it sinks there seed cross-pixel SLP
+/// trees), the function is never inlined. After touching it, `objdump -d`
+/// the `lane_tile` symbols: each must hold `9·P·L/8` `vfmadd231ps` on
+/// `ymm` registers — `<8, 16>`: 144, on 16 distinct accumulators — and no
+/// shuffle, `vgather` or `zmm` arithmetic (the recipe is in
+/// `.claude/skills/verify/SKILL.md`).
+#[inline(never)]
+fn lane_tile<const P: usize, const L: usize>(
+    wt: &[f32],
+    group: &[f32],
+    at: usize,
+    pw: usize,
+    plane: usize,
+) -> [[f32; L]; P] {
+    // A tile of at most four vectors is bound by the latency of its
+    // accumulation chains (nine dependent FMAs per input channel), so each
+    // kernel row sums into an accumulator set of its own — exact in any
+    // association, like everything here; on 2×2 planes that is 27 GMAC/s
+    // for 18. Wider tiles have chains enough to fill the FMA ports.
+    let split = P * L <= SPLIT_MAX;
+    let mut acc = [[[0.0f32; L]; P]; 3];
+    for (gp, wci) in group.chunks_exact(plane).zip(wt.chunks_exact(9 * L)) {
+        macro_rules! kernel_row {
+            ($r:literal) => {
+                if let Some(row) = gp.get(at + $r * pw..).and_then(|s| s.get(..P + 2)) {
+                    let wr = &wci[$r * 3 * L..][..3 * L];
+                    let (w0, w1, w2) = (&wr[..L], &wr[L..2 * L], &wr[2 * L..]);
+                    let set = if split { $r } else { 0 };
+                    for l in 0..L {
+                        each_pixel!(PX < P => {
+                            let a = mac(w0[l], row[PX], acc[set][PX][l]);
+                            acc[set][PX][l] = mac(w2[l], row[PX + 2], mac(w1[l], row[PX + 1], a));
+                        });
+                    }
+                } else {
+                    debug_assert!(false, "sweep_lanes keeps every tile inside its plane");
+                }
+            };
+        }
+        kernel_row!(0);
+        kernel_row!(1);
+        kernel_row!(2);
+    }
+    let [mut sum, s1, s2] = acc;
+    if split {
+        for l in 0..L {
+            each_pixel!(PX < P => {
+                sum[PX][l] += s1[PX][l] + s2[PX][l];
+            });
+        }
+    }
+    sum
+}
+
+/// Where a channel tile's results go: the rescale factors of its `L` lanes
+/// (zero past the `live` ones) and the live channels' planes of `out`
+/// (`dst`, `nn` elements apiece).
+struct Emit<'a, const L: usize> {
+    scale: [f32; L],
+    bias: [f32; L],
+    live: usize,
+    dst: &'a mut [f32],
+    nn: usize,
+}
+
+impl<'a, const L: usize> Emit<'a, L> {
+    /// For the channels whose weight scales are `wscales` and biases
+    /// `bias`, writing their planes `dst`.
+    fn new(wscales: &[f32], act_scale: f32, bias: &[f32], dst: &'a mut [f32]) -> Self {
+        let live = wscales.len();
+        let (mut scale, mut offset) = ([0.0f32; L], [0.0f32; L]);
+        for (l, (&ws, &b)) in wscales.iter().zip(bias).enumerate() {
+            // The direct loop's `out_scale`, same operand order.
+            scale[l] = ws * act_scale;
+            offset[l] = b;
+        }
+        Self { scale, bias: offset, live, nn: dst.len() / live, dst }
+    }
+
+    /// Rescales a pixel tile with the direct loop's expression verbatim —
+    /// `acc * (wscale[m] * act_scale) + bias[m]`, a separate multiply and
+    /// add: the result is no integer, so no [`mac`] — and transposes it
+    /// into pixels `at..at + P` of each live channel's plane.
+    #[inline(always)]
+    fn store<const P: usize>(&mut self, at: usize, mut acc: [[f32; L]; P]) {
+        for (l, (&scale, &bias)) in self.scale.iter().zip(&self.bias).enumerate() {
+            each_pixel!(PX < P => {
+                acc[PX][l] = acc[PX][l] * scale + bias;
+            });
+        }
+        for (l, start) in (at..).step_by(self.nn).take(self.live).enumerate() {
+            let row = &mut self.dst[start..start + P];
+            each_pixel!(PX < P => {
+                row[PX] = acc[PX][l];
+            });
+        }
+    }
 }
 
 /// Patch-tile width: how many output positions stay L1-resident while the
@@ -555,11 +881,63 @@ mod tests {
 
     #[test]
     fn packing_narrows_and_tracks_max() {
-        let p = QPackedWeights::pack(&[3, -7, 0, 32767, -32767]);
+        let p = QPackedWeights::pack(&[3, -7, 0, 32767, -32767], [1, 5, 1, 1], 1, 1);
         assert_eq!(p.max_abs(), 32767);
         assert_eq!(p.len(), 5);
         assert!(!p.is_empty());
         assert_eq!(p.group_rows(0, 1, 5), &[3, -7, 0, 32767, -32767]);
+    }
+
+    #[test]
+    fn each_layer_packs_exactly_one_f32_layout() {
+        // c_out/g -> lanes per group: 16 -> one full tile; 17 -> a 16-lane
+        // tile plus an 8-lane one with seven zero lanes; 9 -> one 16-lane
+        // tile, seven zero lanes; 8 and 1 -> the spatial-lane kernel's
+        // rows, no lanes at all.
+        let layouts =
+            [(16usize, Some(16usize)), (17, Some(24)), (9, Some(16)), (8, None), (1, None)];
+        for groups in [1usize, 2] {
+            for (cout, group_lanes) in layouts {
+                let (cin, kk) = (16usize, 16 * 9);
+                let wq: Vec<i32> = (0..groups * cout * kk).map(|i| i as i32 % 251 - 125).collect();
+                let p = QPackedWeights::pack(&wq, [groups * cout, cin, 3, 3], groups, 1);
+                assert_eq!(p.len(), wq.len(), "i16 rows stay for the GEMM fallback");
+                match (&p.plane, group_lanes) {
+                    (PlaneWeights::Rows(rows), None) => {
+                        assert!(rows.iter().zip(&wq).all(|(&r, &w)| r == w as f32));
+                        assert_eq!(rows.len(), wq.len());
+                    }
+                    (PlaneWeights::Lanes(data), Some(group_lanes)) => {
+                        assert_eq!(data.len(), groups * kk * group_lanes, "{cout} g{groups}");
+                        // Every weight sits in its lane; what is left over
+                        // is the ragged tile's zero lanes.
+                        let mut tiles = data.as_slice();
+                        for grp in 0..groups {
+                            for (mo, lanes) in lane_tiles(cout) {
+                                let tile;
+                                (tile, tiles) = tiles.split_at(kk * lanes);
+                                for (l, lane_vec) in tile.chunks_exact(lanes).enumerate() {
+                                    for (lane, &v) in lane_vec.iter().enumerate() {
+                                        let m = grp * cout + mo + lane;
+                                        let want =
+                                            if mo + lane < cout { wq[m * kk + l] } else { 0 };
+                                        assert_eq!(v, want as f32, "{cout} g{groups} m{m} l{l}");
+                                    }
+                                }
+                            }
+                        }
+                        assert!(tiles.is_empty());
+                    }
+                    (plane, _) => panic!("{cin}->{cout} g{groups} packed {plane:?}"),
+                }
+            }
+        }
+        // Anything but 3×3 stride 1 runs the GEMM only: no f32 copy.
+        let wq = vec![1i32; 16 * 16 * 9];
+        for (dims, stride) in [([16, 16, 3, 3], 2), ([16, 16 * 9, 1, 1], 1)] {
+            let p = QPackedWeights::pack(&wq, dims, 1, stride);
+            assert!(matches!(p.plane, PlaneWeights::None), "{dims:?} s{stride}");
+        }
     }
 
     #[test]
