@@ -112,11 +112,6 @@ impl LayerLatency {
     pub fn total_cycles(&self) -> u64 {
         self.compute_cycles.max(self.dram_cycles) + self.interrupt_cycles
     }
-
-    /// Wall-clock milliseconds at the platform clock.
-    pub fn total_ms(&self, platform: &FpgaPlatform) -> f64 {
-        self.total_cycles() as f64 * platform.clock_ns() / 1e6
-    }
 }
 
 /// Per-phase CPU interrupt cost in cycles (DMA descriptor setup and

@@ -38,13 +38,14 @@ pub fn explore_vgg16(
     let mut points = Vec::new();
     // 2^(5-1) contiguous partitions of the 5 stages.
     for mask in 0u32..16 {
-        // Group boundaries after stage i when bit i is set.
-        let mut groups: Vec<Vec<usize>> = vec![Vec::new()];
-        for (si, stage) in VGG_STAGES.iter().enumerate() {
-            groups.last_mut().expect("non-empty").push(si);
-            let _ = stage;
-            if si < 4 && mask & (1 << si) != 0 {
-                groups.push(Vec::new());
+        // A group closes after stage i when bit i is set, and after the
+        // last stage.
+        let mut groups: Vec<Vec<usize>> = Vec::new();
+        let mut open = Vec::new();
+        for si in 0..VGG_STAGES.len() {
+            open.push(si);
+            if si + 1 == VGG_STAGES.len() || mask & (1 << si) != 0 {
+                groups.push(std::mem::take(&mut open));
             }
         }
         // Assign each group one of the block options (cartesian product).
@@ -90,19 +91,21 @@ pub fn feasible<'a>(points: &'a [DsePoint], platform: &FpgaPlatform) -> Vec<&'a 
     points.iter().filter(|p| p.eval.bram18 <= platform.bram18_blocks).collect()
 }
 
+/// The §IV dominance rule on two minimised objectives: indices of the keys
+/// no other key dominates (`q` dominates `p` when it is no worse on both
+/// and better on one). The one Pareto filter of the workspace — the
+/// engine's autotuner (`bconv_graph::tune`) applies it to its own points.
+pub fn pareto_indices(keys: &[(u64, u64)]) -> Vec<usize> {
+    let dominated =
+        |p: (u64, u64)| keys.iter().any(|q| (q.0 < p.0 && q.1 <= p.1) || (q.0 <= p.0 && q.1 < p.1));
+    (0..keys.len()).filter(|&i| !dominated(keys[i])).collect()
+}
+
 /// Pareto front by (BRAM, real cycles): points not dominated by any other.
 pub fn pareto_front(points: &[DsePoint]) -> Vec<&DsePoint> {
-    let mut front: Vec<&DsePoint> = Vec::new();
-    for p in points {
-        let dominated = points.iter().any(|q| {
-            (q.eval.bram18 < p.eval.bram18 && q.eval.real_cycles() <= p.eval.real_cycles())
-                || (q.eval.bram18 <= p.eval.bram18 && q.eval.real_cycles() < p.eval.real_cycles())
-        });
-        if !dominated {
-            front.push(p);
-        }
-    }
-    front
+    let keys: Vec<(u64, u64)> =
+        points.iter().map(|p| (p.eval.bram18 as u64, p.eval.real_cycles())).collect();
+    pareto_indices(&keys).into_iter().map(|i| &points[i]).collect()
 }
 
 #[cfg(test)]

@@ -12,7 +12,7 @@
 use crate::baseline::{
     compute_cycles, num_phases, ConvShape, TileConfig, INTERRUPT_CYCLES_PER_PHASE,
 };
-use crate::memory::{bram18_for_bits, BufferPlan};
+use crate::memory::BufferPlan;
 use crate::platform::FpgaPlatform;
 
 /// A per-layer blocking assignment for a network of conv layers.
@@ -106,11 +106,12 @@ impl FusedDesign {
             interrupts += phases * INTERRUPT_CYCLES_PER_PHASE;
             total_ops += shape.ops();
         }
-        // Feature traffic: input image + final conv output only.
-        let first = &shapes[0];
-        let last = shapes.last().expect("non-empty network");
-        let input_bits = (first.n * (first.r * first.s) * (first.c * first.s) * self.bits) as u64;
-        let output_bits = (last.m * last.r * last.c * self.bits) as u64;
+        // Feature traffic: input image + final conv output only (an empty
+        // network moves nothing).
+        let bits = self.bits;
+        let input_bits =
+            shapes.first().map_or(0, |f| (f.n * (f.r * f.s) * (f.c * f.s) * bits) as u64);
+        let output_bits = shapes.last().map_or(0, |l| (l.m * l.r * l.c * bits) as u64);
         let feature_traffic = input_bits + output_bits;
 
         let eval_bits = weight_bits + feature_traffic;
@@ -245,20 +246,6 @@ pub fn table6_configs() -> Vec<FusedDesign> {
 /// FPGA'16 report 486 of 545 BRAM36 on the ZC706 = 972 BRAM18) — the
 /// reference for the paper's "~10% BRAM increase" claim in §III-B5.
 pub const QIU_PUBLISHED_BRAM18: usize = 972;
-
-/// BRAM of the off-chip baseline at the same bitwidth: double-buffered
-/// input/output tile pairs plus the filter tile.
-pub fn baseline_bram18(shapes: &[ConvShape], tr: usize, tc: usize, bits: usize) -> usize {
-    let max_in_tile = shapes
-        .iter()
-        .map(|s| (TN * (tr * s.s + s.k - s.s) * (tc * s.s + s.k - s.s) * bits) as u64)
-        .max()
-        .unwrap_or(0);
-    let out_tile = (TM * tr * tc * bits) as u64;
-    let weight_bits = 2 * (TM * TN * 9 * bits) as u64;
-    // Ping-pong on both input and output tiles.
-    2 * bram18_for_bits(max_in_tile) + 2 * bram18_for_bits(out_tile) + bram18_for_bits(weight_bits)
-}
 
 #[cfg(test)]
 mod tests {

@@ -30,12 +30,6 @@ pub struct BufferPlan {
 }
 
 impl BufferPlan {
-    /// Total on-chip bits.
-    pub fn total_bits(&self) -> u64 {
-        let factor = if self.double_buffered { 2 } else { 1 };
-        factor * 2 * self.intermediate_bits + self.extra_bits + self.weight_bits
-    }
-
     /// Estimated BRAM18 blocks.
     pub fn bram18(&self) -> usize {
         let factor = if self.double_buffered { 2 } else { 1 };

@@ -98,8 +98,8 @@ fn l1_flags_new_helper_reachable_from_run_fused_into() {
         impl Session {
             fn run_with(&self, x: u32) -> u32 { self.executor.run_scratch(x) }
         }
-        struct BlockedExecutor;
-        impl BlockedExecutor {
+        struct PlanExecutor;
+        impl PlanExecutor {
             fn run_scratch(&self, x: u32) -> u32 { run_fused_into(x) }
         }
         fn run_fused_into(x: u32) -> u32 { freshly_added_helper(x) }

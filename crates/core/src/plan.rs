@@ -2,7 +2,7 @@
 //! and how (Table I's "block everything ≥ 28×28" rule, and the VDSR
 //! blocking-depth schedule of Table IV).
 
-use crate::analysis::{blocking_ratio, ConvLayerSpatial};
+use crate::analysis::ConvLayerSpatial;
 use crate::blocking::BlockingPattern;
 
 /// Per-layer decision of a network blocking plan.
@@ -108,12 +108,6 @@ impl NetworkPlan {
             .filter_map(|(i, l)| (!l.is_blocked()).then_some(i))
             .collect()
     }
-}
-
-/// Blocking ratio of the resolution rule without materialising a plan —
-/// convenience used by Table I.
-pub fn resolution_blocking_ratio(layers: &[ConvLayerSpatial], bh: usize, bw: usize) -> f64 {
-    blocking_ratio(layers, bh, bw)
 }
 
 #[cfg(test)]

@@ -1,23 +1,24 @@
-//! Executors: pluggable backends that run a compiled [`Graph`].
+//! Executors: what runs a compiled [`Graph`].
 //!
-//! Three backends ship with the crate:
+//! The plan is compiled once; the executor is a loop. Two executors ship
+//! with the crate:
 //!
 //! * [`ReferenceExecutor`] — dense layer-wise execution on whole feature
 //!   maps; every intermediate makes a DRAM round trip. The numerical and
-//!   memory-accounting baseline.
-//! * [`BlockedExecutor`] — executes an [`ExecPlan`]: fusion groups run
+//!   memory-accounting baseline, on the direct loop on purpose.
+//! * [`PlanExecutor`] — walks an [`ExecPlan`]'s segments: fusion groups run
 //!   block-by-block through [`bconv_core::fusion::FusedChain`], whole-map
-//!   segments run densely, and [`MemStats`] records the off-chip traffic
-//!   the fused schedule avoids.
-//! * [`crate::quantize::QuantizedExecutor`] — the blocked schedule with
-//!   every convolution in calibrated integer arithmetic (the paper's
-//!   deployment path; see [`crate::quantize`]).
+//!   nodes run densely, and [`MemStats`] records the off-chip traffic the
+//!   fused schedule avoids. Precision is a property of the plan, not of the
+//!   executor: a plan from [`crate::plan::Planner::plan_quantized`] carries
+//!   integer stages in its chains and an integer form for every whole-map
+//!   conv / FC node (the paper's deployment path; see [`crate::quantize`]),
+//!   a float plan carries neither, and the same loop runs both.
 //!
-//! The float backends share one node evaluator, so a graph with an
-//! unblocked plan produces bit-identical outputs on `Reference` and
-//! `Blocked`; blocking itself only perturbs block-boundary pixels (paper
-//! §II-C). The quantized backend reuses the same segment loop and
-//! evaluator but substitutes integer convolutions, so it tracks — rather
+//! Float execution shares one node evaluator, so a graph with an unblocked
+//! plan produces bit-identical outputs on `Reference` and `Blocked`;
+//! blocking itself only perturbs block-boundary pixels (paper §II-C). A
+//! quantized plan substitutes integer convolutions, so it tracks — rather
 //! than matches — the float results.
 //!
 //! Executors are **immutable after construction** ([`Executor`] requires
@@ -41,7 +42,7 @@ use bconv_tensor::upsample::upsample_nearest_into;
 use bconv_tensor::{Tensor, TensorError};
 
 use crate::ir::{Graph, NodeOp, NodeRef};
-use crate::plan::{ExecPlan, Segment};
+use crate::plan::{ExecPlan, QuantSingle, Segment};
 
 /// Result of one execution.
 #[derive(Debug, Clone)]
@@ -102,13 +103,13 @@ impl ExecScratch {
 
 /// Kernel temporaries for whole-map (`Segment::Single`) node evaluation.
 #[derive(Debug, Default)]
-pub(crate) struct SingleScratch {
+struct SingleScratch {
     /// Float conv kernel temporaries (im2col patches etc.).
     conv: ConvScratch,
     /// Integer conv temporaries (quantized activations).
-    pub(crate) qconv: QConvScratch,
+    qconv: QConvScratch,
     /// Integer FC temporaries (quantized activations).
-    pub(crate) qlinear: QLinearScratch,
+    qlinear: QLinearScratch,
     /// Padded-input staging buffer (conv geometry padding, pool `-inf`
     /// padding).
     padded: Tensor,
@@ -118,9 +119,6 @@ pub(crate) struct SingleScratch {
 /// construction and shareable across threads; all per-run mutable state
 /// is confined to the caller's [`ExecScratch`].
 pub trait Executor: Send + Sync {
-    /// Backend name for reports.
-    fn name(&self) -> &'static str;
-
     /// Runs the network on `input` (NCHW, any batch size) with one-shot
     /// scratch buffers. Prefer [`run_scratch`](Self::run_scratch) when
     /// running many requests.
@@ -188,7 +186,7 @@ fn max_pool_padded_into(
 /// every element overwritten), drawing temporaries from `scratch`. Conv
 /// nodes run the float kernel `kernel` resolves per layer; the kernels are
 /// bit-identical by contract, so the choice moves time only.
-pub(crate) fn eval_node_into(
+fn eval_node_into(
     op: &NodeOp,
     input: &Tensor,
     aux: Option<&Tensor>,
@@ -260,10 +258,6 @@ impl ReferenceExecutor {
 }
 
 impl Executor for ReferenceExecutor {
-    fn name(&self) -> &'static str {
-        "reference"
-    }
-
     fn run_scratch(
         &self,
         input: &Tensor,
@@ -378,172 +372,142 @@ pub(crate) fn release_used(
     }
 }
 
-/// Blocked/fused backend: executes an [`ExecPlan`], streaming fusion
-/// groups block-by-block so their intermediates never cross the off-chip
-/// boundary. Blocks of a fusion group are spatially independent by
+/// The plan executor: walks an [`ExecPlan`] segment by segment, streaming
+/// fusion groups block-by-block so their intermediates never cross the
+/// off-chip boundary. Blocks of a fusion group are spatially independent by
 /// construction (paper §II-C), so with `threads > 1` they are dispatched
 /// across scoped worker threads, each with its own scratch buffers;
 /// outputs are bitwise-identical at any thread count.
+///
+/// Everything executable was compiled into the plan by the planner — fused
+/// stages (float or integer) and the integer form of whole-map conv / FC
+/// nodes — so the executor holds no tables of its own and cannot pair a
+/// plan with the wrong precision.
 #[derive(Debug, Clone)]
-pub struct BlockedExecutor {
+pub struct PlanExecutor {
     graph: Arc<Graph>,
     plan: Arc<ExecPlan>,
     threads: usize,
 }
 
-impl BlockedExecutor {
-    /// Compiles a single-threaded backend from a graph and a planned
-    /// segment list. The plan is shared, not cloned; its `FusedChain`
-    /// stages in turn share the graph's `Arc<Conv2d>` weights.
-    pub fn new(graph: Arc<Graph>, plan: Arc<ExecPlan>) -> Self {
-        Self::with_threads(graph, plan, 1)
-    }
-
-    /// [`new`](Self::new) with an explicit worker-thread count for block
-    /// dispatch (`0` is treated as `1`).
-    pub fn with_threads(graph: Arc<Graph>, plan: Arc<ExecPlan>, threads: usize) -> Self {
+impl PlanExecutor {
+    /// An executor for `plan` (compiled from `graph`) dispatching blocks
+    /// across `threads` workers (`0` is treated as `1`). The plan is
+    /// shared, not cloned; its `FusedChain` stages in turn share the
+    /// graph's `Arc<Conv2d>` weights.
+    pub fn new(graph: Arc<Graph>, plan: Arc<ExecPlan>, threads: usize) -> Self {
         Self { graph, plan, threads: threads.max(1) }
-    }
-
-    /// The compiled plan.
-    pub fn plan(&self) -> &ExecPlan {
-        &self.plan
-    }
-
-    /// Worker threads used for block dispatch.
-    pub fn threads(&self) -> usize {
-        self.threads
     }
 }
 
-impl Executor for BlockedExecutor {
-    fn name(&self) -> &'static str {
-        "blocked"
-    }
-
+impl Executor for PlanExecutor {
+    /// The segment loop. All [`MemStats`] accounting conventions —
+    /// peak-working tracking, the write + read-back rule for non-final
+    /// segment outputs, the in-place-ReLU exemption — live here once, for
+    /// float and quantized plans alike; feature maps cross the off-chip
+    /// boundary at the plan's activation bitwidth (the paper's Figure 7
+    /// memory accounting). All mutable run state draws from `scratch`.
     fn run_scratch(
         &self,
         input: &Tensor,
         scratch: &mut ExecScratch,
     ) -> Result<RunReport, TensorError> {
-        // A quantized plan carries integer fused chains and whole-map convs
-        // that expect quantized dispatch: running it here would mix float
-        // and integer numerics and report traffic at the wrong width.
-        if let Some(bits) = self.plan.act_bits() {
-            return Err(TensorError::invalid(format!(
-                "plan was compiled for {bits}-bit quantized execution; \
-                 use the quantized backend"
-            )));
-        }
-        // Whole-map convs run the kernel the plan's policy resolves, like
-        // its fused stages (every kernel yields the same bits).
-        let kernel = self.plan.kernel();
-        run_plan(
-            &self.graph,
-            &self.plan,
-            self.threads,
-            32,
-            input,
-            scratch,
-            |_, node, in_t, aux, out, s| eval_node_into(&node.op, in_t, aux, out, s, kernel),
-        )
-    }
-}
-
-/// The segment-loop shared by the blocked and quantized backends: fused
-/// segments run their chains block-by-block across `threads` workers,
-/// whole-map nodes go through `eval_single` (the only point where the
-/// backends differ — the quantized backend substitutes `QConv2d` for conv
-/// nodes there). All [`MemStats`] accounting conventions — peak-working
-/// tracking, the write + read-back rule for non-final segment outputs, the
-/// in-place-ReLU exemption — live here once, so the two backends cannot
-/// drift apart. All mutable run state draws from `scratch`.
-pub(crate) fn run_plan(
-    graph: &Graph,
-    plan: &ExecPlan,
-    threads: usize,
-    bits_per_elem: u8,
-    input: &Tensor,
-    scratch: &mut ExecScratch,
-    eval_single: impl Fn(
-        crate::ir::NodeId,
-        &crate::ir::Node,
-        &Tensor,
-        Option<&Tensor>,
-        &mut Tensor,
-        &mut SingleScratch,
-    ) -> Result<(), TensorError>,
-) -> Result<RunReport, TensorError> {
-    check_input(graph, input)?;
-    let nodes = graph.nodes();
-    let ExecScratch { values, remaining, pool, pipeline, single } = scratch;
-    values.clear();
-    values.resize_with(nodes.len(), || None);
-    // Remaining-use counters, as in the reference backend. Fused-group
-    // interiors are never materialised, so only segment inputs (and
-    // Add second operands) are counted down here.
-    remaining.clear();
-    remaining.extend((0..nodes.len()).map(|i| graph.consumer_count(i)));
-    let mut stats =
-        MemStats { peak_working_elems: 0, offchip_elems: input.shape().numel(), bits_per_elem };
-    let segments = plan.segments();
-    let last_seg = segments.len().saturating_sub(1);
-    for (si, seg) in segments.iter().enumerate() {
-        let mut out = pool.pop().unwrap_or_default();
-        let out_id = match seg {
-            Segment::Fused { nodes: ids, chain, input: src } => {
-                let in_t = resolve(values, input, *src)?;
-                let gs = chain.run_fused_into(in_t, threads, &mut out, pipeline.block_mut())?;
-                // Per-block buffers are the group's working set; its
-                // input/output traffic is accounted at the segment
-                // boundaries below.
-                stats.peak_working_elems = stats.peak_working_elems.max(gs.peak_working_elems);
-                *ids.last().ok_or_else(|| TensorError::invalid("fused segment covers no nodes"))?
-            }
-            Segment::Spliced { nodes: ids, pipeline: pipe, input: src } => {
-                let in_t = resolve(values, input, *src)?;
-                let gs = pipe.run_fused_into(in_t, threads, &mut out, pipeline)?;
-                // Group-boundary maps stayed on chip: they are part of the
-                // pipeline's working-set peak, and the only off-chip
-                // traffic is the segment input/output accounted below.
-                stats.peak_working_elems = stats.peak_working_elems.max(gs.peak_working_elems);
-                *ids.last()
-                    .ok_or_else(|| TensorError::invalid("spliced segment covers no nodes"))?
-            }
-            Segment::Single(id) => {
-                let node = &nodes[*id];
-                let in_t = resolve(values, input, node.input)?;
-                let aux = match node.op {
-                    NodeOp::Add { other } => Some(resolve(values, input, other)?),
-                    _ => None,
-                };
-                eval_single(*id, node, in_t, aux, &mut out, single)?;
-                let live = in_t.shape().numel()
-                    + out.shape().numel()
-                    + aux.map_or(0, |t| t.shape().numel());
-                stats.peak_working_elems = stats.peak_working_elems.max(live);
-                *id
-            }
+        let (graph, plan, threads) = (&*self.graph, &*self.plan, self.threads);
+        check_input(graph, input)?;
+        let nodes = graph.nodes();
+        let ExecScratch { values, remaining, pool, pipeline, single } = scratch;
+        values.clear();
+        values.resize_with(nodes.len(), || None);
+        // Remaining-use counters, as in the reference backend. Fused-group
+        // interiors are never materialised, so only segment inputs (and
+        // Add second operands) are counted down here.
+        remaining.clear();
+        remaining.extend((0..nodes.len()).map(|i| graph.consumer_count(i)));
+        let mut stats = MemStats {
+            peak_working_elems: 0,
+            offchip_elems: input.shape().numel(),
+            bits_per_elem: plan.act_bits().unwrap_or(32),
         };
-        // Segment outputs are materialised off-chip: written once, and
-        // read back unless this is the network output. In-place ReLU
-        // singles transfer nothing (parity with the reference backend).
-        let in_place_relu =
-            matches!(seg, Segment::Single(id) if matches!(nodes[*id].op, NodeOp::Relu));
-        if !in_place_relu {
-            stats.offchip_elems +=
-                if si == last_seg { out.shape().numel() } else { 2 * out.shape().numel() };
-        }
-        values[out_id] = Some(out);
-        match seg {
-            Segment::Fused { input: src, .. } | Segment::Spliced { input: src, .. } => {
-                release_ref(values, remaining, pool, *src);
+        let segments = plan.segments();
+        let last_seg = segments.len().saturating_sub(1);
+        for (si, seg) in segments.iter().enumerate() {
+            let mut out = pool.pop().unwrap_or_default();
+            let out_id = match seg {
+                Segment::Fused { nodes: ids, chain, input: src } => {
+                    let in_t = resolve(values, input, *src)?;
+                    let gs = chain.run_fused_into(in_t, threads, &mut out, pipeline.block_mut())?;
+                    // Per-block buffers are the group's working set; its
+                    // input/output traffic is accounted at the segment
+                    // boundaries below.
+                    stats.peak_working_elems = stats.peak_working_elems.max(gs.peak_working_elems);
+                    *ids.last()
+                        .ok_or_else(|| TensorError::invalid("fused segment covers no nodes"))?
+                }
+                Segment::Spliced { nodes: ids, pipeline: pipe, input: src } => {
+                    let in_t = resolve(values, input, *src)?;
+                    let gs = pipe.run_fused_into(in_t, threads, &mut out, pipeline)?;
+                    // Group-boundary maps stayed on chip: they are part of the
+                    // pipeline's working-set peak, and the only off-chip
+                    // traffic is the segment input/output accounted below.
+                    stats.peak_working_elems = stats.peak_working_elems.max(gs.peak_working_elems);
+                    *ids.last()
+                        .ok_or_else(|| TensorError::invalid("spliced segment covers no nodes"))?
+                }
+                Segment::Single(id) => {
+                    let node = &nodes[*id];
+                    let in_t = resolve(values, input, node.input)?;
+                    let aux = match node.op {
+                        NodeOp::Add { other } => Some(resolve(values, input, other)?),
+                        _ => None,
+                    };
+                    match plan.quant_single(*id) {
+                        // Whole-map integer conv: outer padding is zero,
+                        // exactly as the float path pads whole maps.
+                        Some(QuantSingle::Conv(q, params)) => {
+                            q.forward_into(
+                                in_t,
+                                *params,
+                                PadMode::Zero,
+                                &mut out,
+                                &mut single.qconv,
+                            )?;
+                        }
+                        Some(QuantSingle::Fc(q, params)) => {
+                            q.forward_into(in_t, *params, &mut out, &mut single.qlinear)?;
+                        }
+                        // Float: the kernel the plan's policy resolves, like
+                        // its fused stages (every kernel yields the same bits).
+                        None => {
+                            eval_node_into(&node.op, in_t, aux, &mut out, single, plan.kernel())?;
+                        }
+                    }
+                    let live = in_t.shape().numel()
+                        + out.shape().numel()
+                        + aux.map_or(0, |t| t.shape().numel());
+                    stats.peak_working_elems = stats.peak_working_elems.max(live);
+                    *id
+                }
+            };
+            // Segment outputs are materialised off-chip: written once, and
+            // read back unless this is the network output. In-place ReLU
+            // singles transfer nothing (parity with the reference backend).
+            let in_place_relu =
+                matches!(seg, Segment::Single(id) if matches!(nodes[*id].op, NodeOp::Relu));
+            if !in_place_relu {
+                stats.offchip_elems +=
+                    if si == last_seg { out.shape().numel() } else { 2 * out.shape().numel() };
             }
-            Segment::Single(id) => release_used(values, remaining, pool, &nodes[*id]),
+            values[out_id] = Some(out);
+            match seg {
+                Segment::Fused { input: src, .. } | Segment::Spliced { input: src, .. } => {
+                    release_ref(values, remaining, pool, *src);
+                }
+                Segment::Single(id) => release_used(values, remaining, pool, &nodes[*id]),
+            }
         }
+        let output = values[graph.output_id()]
+            .take()
+            .ok_or_else(|| TensorError::invalid("plan did not produce the graph output"))?;
+        Ok(RunReport { output, stats, segments: segments.len() })
     }
-    let output = values[graph.output_id()]
-        .take()
-        .ok_or_else(|| TensorError::invalid("plan did not produce the graph output"))?;
-    Ok(RunReport { output, stats, segments: segments.len() })
 }

@@ -256,6 +256,13 @@ impl Graph {
         &self.nodes
     }
 
+    /// Test hook: the nodes, mutably — for graphs lowering never produces
+    /// (a conv with all-zero weights).
+    #[cfg(test)]
+    pub(crate) fn nodes_mut(&mut self) -> &mut [Node] {
+        &mut self.nodes
+    }
+
     /// Number of graph nodes consuming node `id`'s output.
     pub fn consumer_count(&self, id: NodeId) -> usize {
         self.consumers[id]

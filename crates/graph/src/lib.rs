@@ -10,11 +10,13 @@
 //! 2. **Planning** ([`plan::Planner`]) — consumes a
 //!    [`bconv_core::plan::NetworkPlan`] (or derives the paper's
 //!    resolution rule) plus an on-chip budget, and partitions the graph
-//!    into [`bconv_core::fusion::FusedChain`] fusion groups;
-//! 3. **Execution** ([`exec::Executor`]) — pluggable backends:
-//!    [`exec::ReferenceExecutor`] (dense layer-wise) and
-//!    [`exec::BlockedExecutor`] (per-block fused, reporting
-//!    [`bconv_core::fusion::MemStats`]).
+//!    into [`bconv_core::fusion::FusedChain`] fusion groups — the plan is
+//!    the compiled artifact, float or (after [`quantize`]'s calibration)
+//!    integer;
+//! 3. **Execution** ([`exec::Executor`]) — [`exec::ReferenceExecutor`]
+//!    (dense layer-wise, the oracle) and [`exec::PlanExecutor`] (the
+//!    plan's segment loop: per-block fused, reporting
+//!    [`bconv_core::fusion::MemStats`] at the plan's word width).
 //!
 //! [`Session`] ties the stages together behind a builder:
 //!
@@ -51,12 +53,12 @@ pub mod tune;
 
 pub use cache::{graph_content_hash, host_fingerprint, PlanCache, PlanCacheError, PlanKey};
 pub use cost::{AccelCost, CostModel, ElementBudget, SpliceCost, StageCost};
-pub use exec::{BlockedExecutor, ExecScratch, Executor, ReferenceExecutor, RunReport};
+pub use exec::{ExecScratch, Executor, PlanExecutor, ReferenceExecutor, RunReport};
 pub use ir::{Graph, LowerOptions, Node, NodeId, NodeOp, NodeRef};
 pub use plan::{
     ExecPlan, PlanProvenance, PlanReport, Planner, PlannerOptions, Segment, SpliceReport,
 };
-pub use quantize::{GraphQuantSpec, QuantizedExecutor};
+pub use quantize::GraphQuantSpec;
 pub use serve::metrics::ServeMetrics;
 pub use serve::router::{Router, RouterTicket};
 pub use serve::{ServeConfig, ServeEngine, SubmitOptions, TicketId, Waker};

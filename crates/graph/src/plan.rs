@@ -18,14 +18,17 @@
 //! in the plan's [`PlanReport`], so benches and tests can assert the
 //! planner's choices, not just its outputs.
 //!
-//! Planning is one pipeline. The greedy walk and the splice pass produce
-//! a crate-private `PlanDecisions` value — which consecutive nodes fuse
-//! under which input [`BlockGrid`], and which groups splice — and
-//! `assemble` is the only code that turns decisions into [`FusedChain`]s,
-//! [`FusedPipeline`]s and [`Segment`]s. A fresh plan is walk → assemble; a
-//! [`crate::cache::PlanCache`] hit is parse → the same assemble. The
-//! walk's own block-convolution solves only validate candidates and are
-//! discarded.
+//! Planning is one pipeline, and the plan is the compiled artifact. The
+//! greedy walk and the splice pass produce a crate-private `PlanDecisions`
+//! value — which consecutive nodes fuse under which input [`BlockGrid`],
+//! and which groups splice — and `assemble` is the only code that turns
+//! decisions into something executable: [`FusedChain`]s,
+//! [`FusedPipeline`]s and [`Segment`]s, and, for a quantized plan, the
+//! integer form of every whole-map conv / FC node. Every conv is compiled
+//! there once; [`crate::exec::PlanExecutor`] is a loop over the result. A
+//! fresh plan is walk → assemble; a [`crate::cache::PlanCache`] hit is
+//! parse → the same assemble. The walk's own block-convolution solves only
+//! validate candidates and are discarded.
 
 use std::sync::Arc;
 
@@ -33,6 +36,9 @@ use bconv_core::blocking::{BlockGrid, BlockingPattern};
 use bconv_core::fusion::{ChainOp, FusedChain, FusedPipeline};
 use bconv_core::plan::{LayerBlocking, NetworkPlan};
 use bconv_core::BlockConv2d;
+use bconv_quant::qconv::QConv2d;
+use bconv_quant::qlinear::QLinear;
+use bconv_quant::QParams;
 use bconv_tensor::kernel::KernelPolicy;
 use bconv_tensor::pad::PadMode;
 use bconv_tensor::TensorError;
@@ -256,11 +262,25 @@ pub(crate) struct PlanDecisions {
     pub(crate) report: PlanReport,
 }
 
-/// A compiled execution plan: the planner's decisions and the ordered
-/// segment list assembled from them.
+/// The integer form of one whole-map node of a quantized plan, with the
+/// calibrated range of the activations it reads. Kept beside the segment
+/// list, by node id, because [`Segment::Single`] carries the id alone.
+#[derive(Debug, Clone)]
+pub(crate) enum QuantSingle {
+    /// A dense integer convolution.
+    Conv(Arc<QConv2d>, QParams),
+    /// An integer FC layer.
+    Fc(Arc<QLinear>, QParams),
+}
+
+/// A compiled execution plan: the planner's decisions and everything
+/// executable assembled from them — the ordered segment list and, for a
+/// quantized plan, the integer whole-map ops.
 #[derive(Debug, Clone)]
 pub struct ExecPlan {
     segments: Vec<Segment>,
+    /// Per node id; empty for a float plan.
+    quant_singles: Vec<Option<QuantSingle>>,
     decisions: PlanDecisions,
     blocked_convs: usize,
     total_convs: usize,
@@ -270,10 +290,18 @@ pub struct ExecPlan {
 
 impl ExecPlan {
     /// The conv kernel policy the plan was assembled under: its fused
-    /// stages carry the kernels it resolved, and executors resolve it again
-    /// for the whole-map convolutions of [`Segment::Single`] nodes.
+    /// stages and integer whole-map convs carry the kernels it resolved,
+    /// and the float whole-map convolutions of [`Segment::Single`] nodes
+    /// run what it resolves for them.
     pub fn kernel(&self) -> KernelPolicy {
         self.kernel
+    }
+
+    /// The integer form of whole-map node `id`: `None` on a float plan,
+    /// for ops that stay float on every plan, and for an FC head whose
+    /// weights or calibration leave no integer form.
+    pub(crate) fn quant_single(&self, id: NodeId) -> Option<&QuantSingle> {
+        self.quant_singles.get(id)?.as_ref()
     }
 
     /// The decisions the plan was assembled from (what a plan cache
@@ -294,9 +322,9 @@ impl ExecPlan {
 
     /// Activation bitwidth the plan was compiled for: `Some` for a
     /// [`Planner::plan_quantized`] plan (whose fused chains carry integer
-    /// stages and whose whole-map convs expect quantized dispatch), `None`
-    /// for a float plan. Executors must match — see
-    /// [`crate::exec::BlockedExecutor`].
+    /// stages and whose whole-map convs run as integer ops), `None` for a
+    /// float plan. Also the word width feature maps cross the off-chip
+    /// boundary at.
     pub fn act_bits(&self) -> Option<u8> {
         self.act_bits
     }
@@ -374,9 +402,11 @@ impl ExecPlan {
 /// Turns decisions into an executable plan — the only code that solves
 /// fused stages and builds [`FusedChain`]s, [`FusedPipeline`]s and
 /// [`Segment`]s, shared by fresh planning and cache loads, so the two
-/// cannot drift apart. With a quantization spec every fused conv is built
-/// on the integer path, carrying the calibrated activation range of its
-/// graph node.
+/// cannot drift apart. With a quantization spec every conv is built on the
+/// integer path here, fused or whole-map, carrying the calibrated
+/// activation range of its graph node; an FC head gets an integer form
+/// when its weights and calibration allow one and stays float otherwise
+/// (not worth failing a build over, unlike a conv trunk).
 ///
 /// Decisions may come from a cache file, so they are checked against the
 /// graph rather than trusted: segments must cover the nodes exactly once
@@ -387,8 +417,8 @@ impl ExecPlan {
 /// # Errors
 ///
 /// Returns [`TensorError::InvalidParameter`] when the decisions do not fit
-/// the graph, a stage cannot be blocked under its group's grid, or a fused
-/// conv node has no calibrated activation range in `quant`.
+/// the graph, a stage cannot be blocked under its group's grid, or a conv
+/// node has no calibrated activation range in `quant` or all-zero weights.
 pub(crate) fn assemble(
     decisions: PlanDecisions,
     graph: &Graph,
@@ -398,6 +428,7 @@ pub(crate) fn assemble(
 ) -> Result<ExecPlan, TensorError> {
     let nodes = graph.nodes();
     let mut segments = Vec::with_capacity(decisions.segments.len());
+    let mut quant_singles = vec![None; quant.map_or(0, |_| nodes.len())];
     let mut blocked_convs = 0usize;
     let mut next_id: NodeId = 0;
     for seg in &decisions.segments {
@@ -407,6 +438,9 @@ pub(crate) fn assemble(
                     return Err(misfit(format!("whole-map node {id} where {next_id} is due")));
                 }
                 next_id += 1;
+                if let Some(spec) = quant {
+                    quant_singles[*id] = quant_single(&nodes[*id], *id, spec, kernel)?;
+                }
                 segments.push(Segment::Single(*id));
             }
             SegmentDecision::Groups(groups) => {
@@ -440,6 +474,7 @@ pub(crate) fn assemble(
     }
     Ok(ExecPlan {
         segments,
+        quant_singles,
         decisions,
         blocked_convs,
         total_convs: graph.conv_count(),
@@ -450,6 +485,37 @@ pub(crate) fn assemble(
 
 fn misfit(what: String) -> TensorError {
     TensorError::invalid(format!("plan decisions: {what}"))
+}
+
+/// The calibrated input range of conv node `id`.
+fn calibrated(spec: &GraphQuantSpec, id: NodeId, node: &Node) -> Result<QParams, TensorError> {
+    spec.act_params(id).ok_or_else(|| {
+        TensorError::invalid(format!("no calibrated activation range for conv node {}", node.name))
+    })
+}
+
+/// Compiles the integer form of whole-map node `id`, if the op has one.
+fn quant_single(
+    node: &Node,
+    id: NodeId,
+    spec: &GraphQuantSpec,
+    kernel: KernelPolicy,
+) -> Result<Option<QuantSingle>, TensorError> {
+    Ok(match &node.op {
+        NodeOp::Conv { conv, .. } => {
+            let params = calibrated(spec, id, node)?;
+            let q = QConv2d::from_conv_with_kernel(conv, spec.weight_bits, kernel.resolve(conv))
+                .ok_or_else(|| {
+                    TensorError::invalid(format!("conv node {} has all-zero weights", node.name))
+                })?;
+            Some(QuantSingle::Conv(Arc::new(q), params))
+        }
+        NodeOp::Fc(linear) => spec.act_params(id).and_then(|params| {
+            let q = QLinear::from_linear(linear, spec.weight_bits)?;
+            Some(QuantSingle::Fc(Arc::new(q), params))
+        }),
+        _ => None,
+    })
 }
 
 /// Builds the chain of one decided group, which must cover the nodes from
@@ -487,12 +553,7 @@ fn assemble_group(
         ops.push(match &node.op {
             NodeOp::Conv { conv, .. } => {
                 if let Some(spec) = quant {
-                    params.push(spec.act_params(id).ok_or_else(|| {
-                        TensorError::invalid(format!(
-                            "no calibrated activation range for conv node {}",
-                            node.name
-                        ))
-                    })?);
+                    params.push(calibrated(spec, id, node)?);
                 }
                 // Weights are shared, not cloned: the chain stage and the
                 // graph node hold the same Arc<Conv2d> allocation.
@@ -623,10 +684,14 @@ impl Planner {
     /// the spec's activation bitwidth, so [`FusedPipeline`]'s
     /// single-precision rule always permits them.
     ///
+    /// Whole-map convs and FC heads are compiled to their integer form
+    /// here too, so the plan is all an executor needs.
+    ///
     /// # Errors
     ///
     /// As [`plan`](Self::plan), plus [`TensorError::InvalidParameter`] when
-    /// a fused conv node has no calibrated activation range in `spec`.
+    /// a conv node has no calibrated activation range in `spec` or all-zero
+    /// weights.
     pub fn plan_quantized(
         &self,
         graph: &Graph,

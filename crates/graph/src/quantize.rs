@@ -1,10 +1,11 @@
-//! The quantized executor backend: post-training quantization of a compiled
-//! graph, executed on the blocked/fused schedule.
+//! Post-training quantization of a compiled graph: calibration, and the
+//! frozen spec the planner compiles integer execution from.
 //!
 //! This is the paper's deployment path (§III-C, Figure 7): the hardware
 //! designs run *quantized* blocked convolutions — 16/8-bit for the VGG-16
-//! accelerator, 8-bit activations × 4-bit weights for VDSR. Compilation
-//! adds one stage over the float backends:
+//! accelerator, 8-bit activations × 4-bit weights for VDSR. It is the same
+//! block-by-block schedule at a narrower word, so it adds one stage over
+//! the float build and no executor of its own:
 //!
 //! 1. **Calibration** ([`GraphQuantSpec::calibrate`]) — run the graph
 //!    densely (reference semantics) on a handful of calibration inputs,
@@ -12,31 +13,29 @@
 //!    [`Calibrator`]; freeze per-node [`QParams`] from the EMA of
 //!    per-batch maxima (the Distiller-style PTQ policy).
 //! 2. **Quantized planning** ([`crate::plan::Planner::plan_quantized`]) —
-//!    the same fusion-group walk as the float plan, but chains are built
-//!    by [`bconv_core::fusion::FusedChain::plan`] on its quantized path:
-//!    integer convolution stages with per-stage requantization.
-//! 3. **Execution** ([`QuantizedExecutor`]) — the blocked schedule; fused
-//!    groups run their quantized chains block-by-block, whole-map conv
-//!    segments run through dense [`QConv2d`], everything else (pool, FC,
-//!    add, ...) stays float. [`bconv_core::fusion::MemStats`] reports
-//!    feature-map traffic at
-//!    the activation bitwidth, so `offchip_bits()` reproduces the paper's
-//!    memory accounting.
+//!    the same fusion-group walk as the float plan, and the one place every
+//!    integer op is compiled: fused convs become integer stages with
+//!    per-stage requantization ([`bconv_core::fusion::FusedChain::plan`] on
+//!    its quantized path), whole-map convs become dense
+//!    [`bconv_quant::qconv::QConv2d`]s (zero outer padding, matching the
+//!    float reference's geometry padding), FC heads become
+//!    [`bconv_quant::qlinear::QLinear`]s where weights and calibration
+//!    allow. A conv without a calibrated range or with all-zero weights
+//!    fails the plan; everything else (pool, add, ...) stays float.
+//! 3. **Execution** ([`crate::exec::PlanExecutor`]) — the plan's segment
+//!    loop, unchanged. [`bconv_core::fusion::MemStats`] reports feature-map
+//!    traffic at the activation bitwidth, so `offchip_bits()` reproduces
+//!    the paper's memory accounting.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 
 use bconv_quant::calibrate::Calibrator;
-use bconv_quant::qconv::QConv2d;
-use bconv_quant::qlinear::QLinear;
 use bconv_quant::QParams;
 use bconv_tensor::kernel::KernelPolicy;
-use bconv_tensor::pad::PadMode;
 use bconv_tensor::{Tensor, TensorError};
 
-use crate::exec::{eval_node_into, run_dense, run_plan, ExecScratch, Executor, RunReport};
+use crate::exec::run_dense;
 use crate::ir::{Graph, NodeId, NodeOp};
-use crate::plan::{ExecPlan, Segment};
 
 /// Process-wide count of completed calibration passes, incremented by
 /// [`GraphQuantSpec::calibrate`].
@@ -63,7 +62,7 @@ pub(crate) fn check_bits(what: &str, bits: u8) -> Result<(), TensorError> {
 }
 
 /// Bitwidths plus frozen per-node activation ranges: everything the
-/// quantized planner and executor need beyond the float graph.
+/// quantized planner needs beyond the float graph.
 #[derive(Debug, Clone)]
 pub struct GraphQuantSpec {
     /// Weight bitwidth for every quantized convolution.
@@ -143,155 +142,6 @@ impl GraphQuantSpec {
     }
 }
 
-/// Quantized backend: the blocked/fused schedule with every convolution in
-/// integer arithmetic. Fused segments execute the plan's quantized chains
-/// (block dispatch across worker threads, exactly like the float blocked
-/// backend); whole-map conv segments run dense [`QConv2d`] — through the
-/// integer im2col+GEMM fast path wherever the kernel policy picks it —
-/// with zero outer padding (matching the float reference's geometry
-/// padding); FC nodes run through quantized [`QLinear`]; all other
-/// whole-map ops run float.
-#[derive(Debug, Clone)]
-pub struct QuantizedExecutor {
-    graph: Arc<Graph>,
-    plan: Arc<ExecPlan>,
-    spec: Arc<GraphQuantSpec>,
-    /// Dense quantized convolutions for `Segment::Single` conv nodes,
-    /// indexed by node id.
-    qconvs: Vec<Option<Arc<QConv2d>>>,
-    /// Quantized FC layers for `Segment::Single` FC nodes, indexed by node
-    /// id (`None` where weights or calibration leave no integer form — the
-    /// node then falls back to float).
-    qlinears: Vec<Option<Arc<QLinear>>>,
-    threads: usize,
-}
-
-impl QuantizedExecutor {
-    /// Compiles the backend from a graph, a **quantized** plan (built by
-    /// [`crate::plan::Planner::plan_quantized`] with the same `spec`), and
-    /// the frozen quantization spec. Whole-map convolutions resolve the
-    /// plan's kernel policy per layer (the same resolution the plan applied
-    /// to its blocked stages), so `Auto` sends them down the integer fast
-    /// path.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::InvalidParameter`] when a whole-map conv
-    /// segment has all-zero weights or no calibrated activation range.
-    pub fn new(
-        graph: Arc<Graph>,
-        plan: Arc<ExecPlan>,
-        spec: Arc<GraphQuantSpec>,
-        threads: usize,
-    ) -> Result<Self, TensorError> {
-        if plan.act_bits() != Some(spec.act_bits) {
-            return Err(TensorError::invalid(format!(
-                "plan precision ({:?} act bits) does not match the quantization spec ({}); \
-                 compile the plan with Planner::plan_quantized and the same spec",
-                plan.act_bits(),
-                spec.act_bits
-            )));
-        }
-        let mut qconvs: Vec<Option<Arc<QConv2d>>> = vec![None; graph.nodes().len()];
-        let mut qlinears: Vec<Option<Arc<QLinear>>> = vec![None; graph.nodes().len()];
-        for seg in plan.segments() {
-            let Segment::Single(id) = seg else { continue };
-            let name = &graph.nodes()[*id].name;
-            match &graph.nodes()[*id].op {
-                NodeOp::Conv { conv, .. } => {
-                    if spec.act_params(*id).is_none() {
-                        return Err(TensorError::invalid(format!(
-                            "no calibrated activation range for conv node {name}"
-                        )));
-                    }
-                    let q = QConv2d::from_conv_with_kernel(
-                        conv,
-                        spec.weight_bits,
-                        plan.kernel().resolve(conv),
-                    )
-                    .ok_or_else(|| {
-                        TensorError::invalid(format!("conv node {name} has all-zero weights"))
-                    })?;
-                    qconvs[*id] = Some(Arc::new(q));
-                }
-                // FC nodes quantize opportunistically: zero weights or an
-                // uncalibrated input range simply leave the node on the
-                // float path (the classifier head is not worth failing a
-                // build over, unlike a conv trunk).
-                NodeOp::Fc(linear) if spec.act_params(*id).is_some() => {
-                    qlinears[*id] = QLinear::from_linear(linear, spec.weight_bits).map(Arc::new);
-                }
-                _ => {}
-            }
-        }
-        Ok(Self { graph, plan, spec, qconvs, qlinears, threads: threads.max(1) })
-    }
-
-    /// The compiled (quantized) plan.
-    pub fn plan(&self) -> &ExecPlan {
-        &self.plan
-    }
-
-    /// The frozen quantization spec.
-    pub fn spec(&self) -> &GraphQuantSpec {
-        &self.spec
-    }
-
-    /// Worker threads used for block dispatch.
-    pub fn threads(&self) -> usize {
-        self.threads
-    }
-}
-
-impl Executor for QuantizedExecutor {
-    fn name(&self) -> &'static str {
-        "quantized"
-    }
-
-    fn run_scratch(
-        &self,
-        input: &Tensor,
-        scratch: &mut ExecScratch,
-    ) -> Result<RunReport, TensorError> {
-        // The shared segment loop, with feature maps crossing the off-chip
-        // boundary at the activation bitwidth (the paper's Figure 7 memory
-        // accounting) and whole-map convs dispatched to dense QConv2d.
-        run_plan(
-            &self.graph,
-            &self.plan,
-            self.threads,
-            self.spec.act_bits,
-            input,
-            scratch,
-            |id, node, in_t, aux, out, s| {
-                // Whole-map quantized conv: outer padding is zero, exactly
-                // as the float path pads whole maps.
-                if let Some(q) = &self.qconvs[id] {
-                    let params = self.spec.act_params(id).ok_or_else(|| {
-                        TensorError::invalid(format!(
-                            "no calibrated activation params for conv node {id} \
-                             (spec/graph mismatch)"
-                        ))
-                    })?;
-                    return q.forward_into(in_t, params, PadMode::Zero, out, &mut s.qconv);
-                }
-                // Quantized FC: integer dot products at the calibrated
-                // input range.
-                if let Some(ql) = &self.qlinears[id] {
-                    let params = self.spec.act_params(id).ok_or_else(|| {
-                        TensorError::invalid(format!(
-                            "no calibrated activation params for fc node {id} \
-                             (spec/graph mismatch)"
-                        ))
-                    })?;
-                    return ql.forward_into(in_t, params, out, &mut s.qlinear);
-                }
-                eval_node_into(&node.op, in_t, aux, out, s, self.plan.kernel())
-            },
-        )
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -352,27 +202,6 @@ mod tests {
         assert!(GraphQuantSpec::calibrate(&g, &[], 8, 8).is_err());
         assert!(GraphQuantSpec::calibrate(&g, std::slice::from_ref(&input), 1, 8).is_err());
         assert!(GraphQuantSpec::calibrate(&g, std::slice::from_ref(&input), 8, 32).is_err());
-    }
-
-    #[test]
-    fn executors_reject_mismatched_plan_precision() {
-        use crate::exec::{BlockedExecutor, Executor};
-        use crate::plan::{Planner, PlannerOptions};
-        let g = Arc::new(lowered());
-        let input = uniform_tensor([1, 3, 32, 32], -1.0, 1.0, &mut seeded_rng(4));
-        let spec =
-            Arc::new(GraphQuantSpec::calibrate(&g, std::slice::from_ref(&input), 8, 8).unwrap());
-        let planner = Planner::new(PlannerOptions::default());
-        let qplan = Arc::new(planner.plan_quantized(&g, &spec).unwrap());
-        let fplan = Arc::new(planner.plan(&g).unwrap());
-        // A quantized plan on the float blocked backend is refused at run.
-        let blocked = BlockedExecutor::new(Arc::clone(&g), Arc::clone(&qplan));
-        assert!(blocked.run(&input).is_err());
-        // A float plan on the quantized backend is refused at construction.
-        assert!(QuantizedExecutor::new(Arc::clone(&g), fplan, Arc::clone(&spec), 1).is_err());
-        // The matched pair runs.
-        let q = QuantizedExecutor::new(g, qplan, spec, 1).unwrap();
-        assert!(q.run(&input).is_ok());
     }
 
     #[test]

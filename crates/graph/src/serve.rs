@@ -1402,10 +1402,6 @@ mod tests {
     }
 
     impl Executor for GatedExecutor {
-        fn name(&self) -> &'static str {
-            "gated-test"
-        }
-
         fn run_scratch(
             &self,
             input: &Tensor,
@@ -1488,10 +1484,6 @@ mod tests {
     const POISON_TAG: f32 = 12_345.0;
 
     impl Executor for PanickingExecutor {
-        fn name(&self) -> &'static str {
-            "panicking-test"
-        }
-
         fn run_scratch(
             &self,
             input: &Tensor,

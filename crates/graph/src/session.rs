@@ -32,10 +32,10 @@ use bconv_tensor::init::{seeded_rng, uniform_tensor};
 
 use crate::cache::{PlanCache, PlanKey};
 use crate::cost::CostModel;
-use crate::exec::{BlockedExecutor, ExecScratch, Executor, ReferenceExecutor, RunReport};
+use crate::exec::{ExecScratch, Executor, PlanExecutor, ReferenceExecutor, RunReport};
 use crate::ir::{Graph, LowerOptions, NodeOp};
-use crate::plan::{ExecPlan, PlanProvenance, Planner, PlannerOptions, Segment};
-use crate::quantize::{GraphQuantSpec, QuantizedExecutor};
+use crate::plan::{ExecPlan, PlanProvenance, Planner, PlannerOptions, QuantSingle, Segment};
+use crate::quantize::GraphQuantSpec;
 use crate::serve::router::Router;
 use crate::serve::{ServeConfig, ServeEngine};
 use crate::tune::{self, TuneOptions};
@@ -183,9 +183,9 @@ pub struct PlanSpec {
     /// Run the per-host autotuner ([`mod@crate::tune`]) — or load its
     /// winner from the per-host winner cache, when the session has a
     /// [`SessionBuilder::plan_cache`] — and plan under the winning
-    /// pattern / buffer split / kernel policy / thread count. Knobs the
-    /// caller pinned explicitly keep their values; only unset ones take
-    /// the winner's.
+    /// pattern / buffer split. Knobs the caller pinned explicitly keep
+    /// their values; only unset ones take the winner's. Kernel policy and
+    /// thread count are not tuned: they resolve as in any other build.
     pub tuned: bool,
 }
 
@@ -334,7 +334,6 @@ impl SessionBuilder {
             LowerOptions { seed: self.seed.unwrap_or(2018), relu_after_conv: self.relu_after_conv };
         let graph = Arc::new(Graph::lower(&net, &lower_opts)?);
 
-        let mut requested_threads = self.threads;
         let mut provenance = PlanProvenance::Fresh;
         if spec.tuned {
             let topts = TuneOptions {
@@ -357,20 +356,14 @@ impl SessionBuilder {
                 }
             };
             // The winner only fills knobs the caller left at their
-            // defaults — an explicit pattern/model/kernel/thread choice
-            // always wins over the tuner.
+            // defaults — an explicit pattern or model always wins over the
+            // tuner.
             if spec.pattern.is_none() {
                 spec.pattern = Some(winner.pattern);
             }
             if spec.cost_model.is_none() && spec.budget_elems.is_none() {
                 spec.cost_model =
                     Some(Arc::new(winner.cost_model(topts.platform.clone(), topts.npe)));
-            }
-            if spec.kernel == KernelPolicy::default() {
-                spec.kernel = winner.kernel;
-            }
-            if requested_threads.is_none() && std::env::var(THREADS_ENV).is_err() {
-                requested_threads = Some(winner.threads);
             }
             provenance = PlanProvenance::TuneSelected { key };
         }
@@ -399,7 +392,7 @@ impl SessionBuilder {
                 pad,
             )
         });
-        let threads = resolve_threads(requested_threads)?;
+        let threads = resolve_threads(self.threads)?;
         let qspec = match self.backend {
             Backend::Quantized { weight_bits, act_bits } => {
                 // Calibration always runs — a cached plan pins the fusion
@@ -408,29 +401,28 @@ impl SessionBuilder {
                     Some(inputs) => inputs,
                     None => default_calibration(&graph, lower_opts.seed),
                 };
-                Some(Arc::new(GraphQuantSpec::calibrate(&graph, &inputs, weight_bits, act_bits)?))
+                Some(GraphQuantSpec::calibrate(&graph, &inputs, weight_bits, act_bits)?)
             }
             Backend::Reference | Backend::Blocked => None,
         };
+        // The plan carries its precision: everything integer is compiled
+        // here, once, and the calibrated spec is not needed afterwards.
         let exec_plan = Arc::new(plan_or_load(
             cache.as_ref().zip(key.as_ref()),
             &planner,
             &graph,
             pad,
             kernel,
-            qspec.as_deref(),
+            qspec.as_ref(),
             provenance,
         )?);
-        let (graph_arc, plan_arc) = (Arc::clone(&graph), Arc::clone(&exec_plan));
-        // `qspec` is `Some` exactly for `Backend::Quantized`.
-        let executor: Arc<dyn Executor> = match (self.backend, qspec) {
-            (Backend::Reference, _) => Arc::new(ReferenceExecutor::new(graph_arc)),
-            (_, Some(qspec)) => {
-                Arc::new(QuantizedExecutor::new(graph_arc, plan_arc, qspec, threads)?)
+        let executor: Arc<dyn Executor> = match self.backend {
+            Backend::Reference => Arc::new(ReferenceExecutor::new(Arc::clone(&graph))),
+            Backend::Blocked | Backend::Quantized { .. } => {
+                Arc::new(PlanExecutor::new(Arc::clone(&graph), Arc::clone(&exec_plan), threads))
             }
-            (_, None) => Arc::new(BlockedExecutor::with_threads(graph_arc, plan_arc, threads)),
         };
-        Ok(Session { graph, exec_plan, backend: self.backend, threads, kernel, executor })
+        Ok(Session { graph, exec_plan, backend: self.backend, threads, executor })
     }
 }
 
@@ -445,7 +437,6 @@ pub struct Session {
     exec_plan: Arc<ExecPlan>,
     backend: Backend,
     threads: usize,
-    kernel: KernelPolicy,
     executor: Arc<dyn Executor>,
 }
 
@@ -511,18 +502,17 @@ impl Session {
 
     /// A second handle to the same compiled session: the fork shares the
     /// lowered graph, the fusion plan, and the executor (including conv
-    /// weights — `Arc<Conv2d>` everywhere — and the quantized backend's
-    /// calibrated spec) with `self` by reference count, so forking is a
-    /// few atomic increments. Nothing is re-lowered, re-planned, or
-    /// re-calibrated. This is how [`Router`] stamps out engine replicas
-    /// from one build.
+    /// weights — `Arc<Conv2d>` everywhere — and the integer ops a
+    /// quantized plan compiled from its one calibration pass) with `self`
+    /// by reference count, so forking is a few atomic increments. Nothing
+    /// is re-lowered, re-planned, or re-calibrated. This is how [`Router`]
+    /// stamps out engine replicas from one build.
     pub fn fork(&self) -> Session {
         Session {
             graph: Arc::clone(&self.graph),
             exec_plan: Arc::clone(&self.exec_plan),
             backend: self.backend,
             threads: self.threads,
-            kernel: self.kernel,
             executor: Arc::clone(&self.executor),
         }
     }
@@ -570,15 +560,16 @@ impl Session {
 
     /// The conv kernel policy the session was compiled under.
     pub fn kernel(&self) -> KernelPolicy {
-        self.kernel
+        self.exec_plan.kernel()
     }
 
     /// Resolved convolution kernel per conv node, in execution order, as
-    /// `(layer name, kernel name)` pairs. Fused and spliced convolutions
-    /// report the kernel their compiled chain carries; whole-map singles
-    /// report what the executor dispatches — the session policy's
-    /// resolution, except on the reference backend, which keeps the direct
-    /// loop as an oracle that shares no kernel with the others.
+    /// `(layer name, kernel name)` pairs, read off what the plan compiled:
+    /// fused and spliced convolutions report the kernel their chain
+    /// carries, integer whole-map convs the kernel their `QConv2d` was
+    /// built with, float whole-map convs what the plan's policy resolves
+    /// for them at dispatch — except on the reference backend, which keeps
+    /// the direct loop as an oracle that shares no kernel with the others.
     pub fn conv_kernels(&self) -> Vec<(String, &'static str)> {
         let nodes = self.graph.nodes();
         let conv_names = |ids: &[crate::ir::NodeId]| -> Vec<String> {
@@ -596,9 +587,10 @@ impl Session {
             }
             if let Segment::Single(id) = seg {
                 if let NodeOp::Conv { conv, .. } = &nodes[*id].op {
-                    let kind = match self.backend {
-                        Backend::Reference => bconv_tensor::kernel::KernelKind::Direct,
-                        _ => self.kernel.resolve(conv),
+                    let kind = match (self.backend, self.exec_plan.quant_single(*id)) {
+                        (Backend::Reference, _) => bconv_tensor::kernel::KernelKind::Direct,
+                        (_, Some(QuantSingle::Conv(q, _))) => q.kernel(),
+                        _ => self.exec_plan.kernel().resolve(conv),
                     };
                     out.push((nodes[*id].name.clone(), kind.name()));
                 }
@@ -696,6 +688,73 @@ mod tests {
         let report = s.run(&Tensor::filled([1, 3, 32, 32], 0.5)).unwrap();
         assert_eq!(report.output.shape().dims(), [1, 10, 1, 1]);
         assert_eq!(report.stats.bits_per_elem, 8);
+    }
+
+    #[test]
+    fn whole_map_integer_convs_fail_at_plan_time_fresh_and_from_the_cache() {
+        use bconv_models::small::vdsr_small;
+        use bconv_tensor::conv::Conv2d;
+        // Every conv of an unblocked plan is a whole-map node: its integer
+        // form is compiled by the planner, so what cannot be compiled is a
+        // planning error — no plan exists that an executor could refuse.
+        let graph = Graph::lower(&vdsr_small(24, 4, 8), &LowerOptions::default()).unwrap();
+        let unblocked = NetworkPlan::unblocked(graph.conv_count());
+        let planner = Planner::new(PlannerOptions {
+            plan: Some(unblocked.clone()),
+            ..PlannerOptions::default()
+        });
+        let input = uniform_tensor([1, 1, 24, 24], -1.0, 1.0, &mut seeded_rng(5));
+        let spec = GraphQuantSpec::calibrate(&graph, &[input], 8, 8).unwrap();
+        assert!(planner.plan_quantized(&graph, &spec).is_ok());
+
+        // An all-zero calibration set leaves the first conv without a range.
+        let blind =
+            GraphQuantSpec::calibrate(&graph, &[Tensor::zeros([1, 1, 24, 24])], 8, 8).unwrap();
+        let mut zeroed = graph.clone();
+        let NodeOp::Conv { conv, .. } = &mut zeroed.nodes_mut()[1].op else {
+            panic!("vdsr_small is a chain of convs");
+        };
+        *conv = Arc::new(Conv2d::zeros(conv.c_in(), conv.c_out(), conv.geom()).unwrap());
+
+        let dir = std::env::temp_dir().join(format!("bconv-plan-time-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let cache = PlanCache::new(&dir);
+        let cases = [
+            (&graph, blind, "no calibrated activation range"),
+            (&zeroed, spec, "all-zero weights"),
+        ];
+        for (graph, spec, want) in &cases {
+            let fresh = planner.plan_quantized(graph, spec).unwrap_err().to_string();
+            assert!(fresh.contains(want), "{fresh}");
+            // A cache entry for this graph: the float plan's decisions are
+            // the quantized plan's (all whole-map), stored under its key.
+            let key = PlanKey::for_build(
+                graph,
+                2018,
+                BlockingPattern::hierarchical(2),
+                Some(&unblocked),
+                Backend::Quantized { weight_bits: 8, act_bits: 8 },
+                planner.cost_model(),
+                KernelPolicy::Auto,
+                PadMode::Zero,
+            );
+            cache.store(&key, &planner.plan(graph).unwrap()).unwrap();
+            let hit = cache.load(&key, graph, PadMode::Zero, KernelPolicy::Auto, Some(spec));
+            assert!(matches!(hit, Err(crate::cache::PlanCacheError::Incompatible(_))), "{hit:?}");
+            // The builder's funnel falls back to fresh planning, which
+            // surfaces the planner's own error.
+            let funnel = plan_or_load(
+                Some((&cache, &key)),
+                &planner,
+                graph,
+                PadMode::Zero,
+                KernelPolicy::Auto,
+                Some(spec),
+                PlanProvenance::Fresh,
+            );
+            assert_eq!(funnel.unwrap_err().to_string(), fresh);
+        }
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

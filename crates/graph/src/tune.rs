@@ -3,15 +3,14 @@
 //! DSE (Figure 12), run against the *engine's own planner* instead of the
 //! standalone VGG-16 enumeration in `bconv_accel::dse`.
 //!
-//! The bounded joint space covers:
+//! The space is blocking pattern × buffer split — the two knobs the score
+//! can see:
 //!
-//! * **buffer splits** — how the platform's BRAM bits divide between the
-//!   intermediate ping-pong pair and the extra (splice) buffer
-//!   (§III-B3's organisation and two skewed alternatives);
 //! * **blocking pattern** — hierarchical and fixed grids valid for the
 //!   input resolution, the Fig. 4(a) re-grid axis;
-//! * **kernel policy** and **thread count** — host execution knobs that
-//!   never change numerics, only time.
+//! * **buffer split** — how the platform's BRAM bits divide between the
+//!   intermediate ping-pong pair and the extra (splice) buffer
+//!   (§III-B3's organisation and two skewed alternatives).
 //!
 //! Every candidate is planned with the real [`crate::plan::Planner`] under
 //! an [`AccelCost`] built from its buffer split, then scored on the accel
@@ -20,9 +19,9 @@
 //! plus [`FpgaPlatform::dram_cycles`] for the traffic). Splice
 //! boundaries whose pooled grids can re-merge under
 //! [`BlockGrid::merge`] — the pooling-aware Fig. 4(a) case — are counted
-//! per point. Optional short measured trials time real sessions for the
-//! Pareto-front finalists, so the report records predicted *and*
-//! measured.
+//! per point. Nothing is timed: kernel policy and thread count move time,
+//! not the model's score, so they are not explored here and a tuned build
+//! resolves them like any other build.
 //!
 //! The winner (lexicographically smallest `(off-chip bits, predicted
 //! cycles)`; the §III-B3 default split is always candidate 0, so the
@@ -32,27 +31,21 @@
 //! warm start-up.
 
 use std::path::{Path, PathBuf};
-use std::time::Instant;
 
+use bconv_accel::dse;
 use bconv_accel::platform::{zc706, FpgaPlatform};
 use bconv_core::blocking::{BlockGrid, BlockingPattern};
 use bconv_models::Network;
-use bconv_tensor::kernel::KernelPolicy;
-use bconv_tensor::{Tensor, TensorError};
+use bconv_tensor::TensorError;
 
 use crate::cache::{fnv1a, graph_content_hash, host_fingerprint};
 use crate::cost::AccelCost;
 use crate::ir::{Graph, LowerOptions, NodeOp};
 use crate::json::Json;
 use crate::plan::{ExecPlan, Planner, PlannerOptions, Segment};
-use crate::session::{Backend, PlanSpec, Session};
 
 /// Schema version of cached tune winners.
 const WINNER_SCHEMA_VERSION: u64 = 1;
-
-/// Cap on measured finalists, keeping trial time bounded no matter how
-/// wide the Pareto front is.
-const MAX_MEASURED: usize = 6;
 
 /// Tuning configuration.
 #[derive(Debug, Clone)]
@@ -65,24 +58,13 @@ pub struct TuneOptions {
     pub seed: u64,
     /// Whether lowering inserts a ReLU after every conv.
     pub relu_after_conv: bool,
-    /// Timed repetitions per measured finalist; `0` skips measurement and
-    /// scores on the model alone (the build-path default — measuring
-    /// inside `Session::build` would make start-up time depend on it).
-    pub trials: usize,
     /// Directory for the per-host winner cache (`None` disables caching).
     pub cache_dir: Option<PathBuf>,
 }
 
 impl Default for TuneOptions {
     fn default() -> Self {
-        Self {
-            platform: zc706(),
-            npe: 1,
-            seed: 2018,
-            relu_after_conv: false,
-            trials: 0,
-            cache_dir: None,
-        }
+        Self { platform: zc706(), npe: 1, seed: 2018, relu_after_conv: false, cache_dir: None }
     }
 }
 
@@ -95,10 +77,6 @@ pub struct TunePoint {
     pub intermediate_buffer_bits: u64,
     /// Bits of the extra (splice) buffer.
     pub extra_buffer_bits: u64,
-    /// Kernel policy name.
-    pub kernel: String,
-    /// Worker threads the candidate would run with.
-    pub threads: usize,
     /// Modeled off-chip traffic of the candidate's plan, in bits.
     pub offchip_bits: u64,
     /// Predicted cycles: MACs over the PE count plus the DRAM transfer
@@ -111,12 +89,10 @@ pub struct TunePoint {
     /// Splice boundaries whose pooled grid re-merges cleanly under
     /// [`BlockGrid::merge`] (the pooling-aware Fig. 4(a) re-grid).
     pub merge_ready_splices: usize,
-    /// Best wall time of the measured trials, if this point was a
-    /// finalist and trials ran.
-    pub measured_ms: Option<f64>,
 }
 
-/// The winning configuration, in applicable (typed) form.
+/// One configuration of the space, in applicable (typed) form: what the
+/// exploration enumerates, and what it returns as the winner.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TuneWinner {
     /// Blocking pattern to plan under.
@@ -125,10 +101,6 @@ pub struct TuneWinner {
     pub intermediate_buffer_bits: u64,
     /// Bits of the extra buffer for [`AccelCost::with_buffers`].
     pub extra_buffer_bits: u64,
-    /// Kernel policy.
-    pub kernel: KernelPolicy,
-    /// Worker threads.
-    pub threads: usize,
 }
 
 impl TuneWinner {
@@ -152,8 +124,7 @@ pub struct TuneReport {
     /// Per-host cache key the winner is stored under.
     pub key: String,
     /// Every explored point, in exploration order. Index 0 is always the
-    /// default configuration ([`AccelCost::for_platform`] split, `H2x2`,
-    /// auto kernel, 1 thread).
+    /// default configuration ([`AccelCost::for_platform`] split, `H2x2`).
     pub points: Vec<TunePoint>,
     /// Indices into [`Self::points`] of the Pareto front on
     /// `(offchip_bits, predicted_cycles)` — the §IV dominance rule.
@@ -182,14 +153,11 @@ impl TuneReport {
                 ("pattern", p.pattern.as_str().into()),
                 ("intermediate_buffer_bits", p.intermediate_buffer_bits.into()),
                 ("extra_buffer_bits", p.extra_buffer_bits.into()),
-                ("kernel", p.kernel.as_str().into()),
-                ("threads", p.threads.into()),
                 ("offchip_bits", p.offchip_bits.into()),
                 ("predicted_cycles", p.predicted_cycles.into()),
                 ("fusion_groups", p.fusion_groups.into()),
                 ("splices", p.splices.into()),
                 ("merge_ready_splices", p.merge_ready_splices.into()),
-                ("measured_ms", p.measured_ms.map_or(Json::Null, |ms| Json::fixed(ms, 3))),
             ])
         });
         let doc = Json::object([
@@ -263,25 +231,13 @@ fn merge_ready_splices(plan: &ExecPlan) -> usize {
     ready
 }
 
-/// One candidate configuration of the joint space.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct Candidate {
-    pattern: BlockingPattern,
-    ib_bits: u64,
-    eb_bits: u64,
-    kernel: KernelPolicy,
-    threads: usize,
-}
-
-/// Enumerates the bounded joint space, with the §III-B3 default first.
-fn candidates(graph: &Graph, platform: &FpgaPlatform) -> Vec<Candidate> {
+/// Enumerates pattern × split, with the §III-B3 default first.
+fn candidates(graph: &Graph, platform: &FpgaPlatform) -> Vec<TuneWinner> {
     let total = (platform.bram18_blocks * platform.bram18_bits) as u64;
-    let default = Candidate {
+    let default = TuneWinner {
         pattern: BlockingPattern::hierarchical(2),
-        ib_bits: total / 8,
-        eb_bits: total / 4,
-        kernel: KernelPolicy::Auto,
-        threads: 1,
+        intermediate_buffer_bits: total / 8,
+        extra_buffer_bits: total / 4,
     };
     let s = graph.input_shape();
     let patterns: Vec<BlockingPattern> = [
@@ -298,21 +254,12 @@ fn candidates(graph: &Graph, platform: &FpgaPlatform) -> Vec<Candidate> {
     // skew. The remainder is always left for weights.
     let splits: [(u64, u64); 3] =
         [(total / 8, total / 4), (total / 16, total * 3 / 8), (total * 3 / 16, total / 8)];
-    let host_threads = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let mut thread_cands = vec![1usize];
-    if host_threads > 1 {
-        thread_cands.push(host_threads);
-    }
     let mut out = vec![default];
     for &pattern in &patterns {
-        for &(ib_bits, eb_bits) in &splits {
-            for kernel in [KernelPolicy::Auto, KernelPolicy::Direct] {
-                for &threads in &thread_cands {
-                    let c = Candidate { pattern, ib_bits, eb_bits, kernel, threads };
-                    if c != default {
-                        out.push(c);
-                    }
-                }
+        for &(intermediate_buffer_bits, extra_buffer_bits) in &splits {
+            let c = TuneWinner { pattern, intermediate_buffer_bits, extra_buffer_bits };
+            if c != default {
+                out.push(c);
             }
         }
     }
@@ -325,13 +272,11 @@ fn score(
     platform: &FpgaPlatform,
     npe: usize,
     macs: u64,
-    c: &Candidate,
+    c: &TuneWinner,
 ) -> Result<TunePoint, TensorError> {
-    let model = AccelCost::with_buffers(platform.clone(), c.ib_bits, c.eb_bits).npe(npe);
     let planner = Planner::new(PlannerOptions {
         pattern: c.pattern,
-        cost_model: Some(std::sync::Arc::new(model)),
-        kernel: c.kernel,
+        cost_model: Some(std::sync::Arc::new(c.cost_model(platform.clone(), npe))),
         ..PlannerOptions::default()
     });
     let plan = planner.plan(graph)?;
@@ -339,34 +284,14 @@ fn score(
     let predicted_cycles = macs / npe.max(1) as u64 + platform.dram_cycles(offchip_bits);
     Ok(TunePoint {
         pattern: c.pattern.to_string(),
-        intermediate_buffer_bits: c.ib_bits,
-        extra_buffer_bits: c.eb_bits,
-        kernel: c.kernel.name().to_string(),
-        threads: c.threads,
+        intermediate_buffer_bits: c.intermediate_buffer_bits,
+        extra_buffer_bits: c.extra_buffer_bits,
         offchip_bits,
         predicted_cycles,
         fusion_groups: plan.fusion_groups(),
         splices: plan.report().splices.len(),
         merge_ready_splices: merge_ready_splices(&plan),
-        measured_ms: None,
     })
-}
-
-/// Pareto front on `(offchip_bits, predicted_cycles)` — the §IV dominance
-/// rule of `bconv_accel::dse::pareto_front`, applied to the planner's own
-/// points.
-fn pareto_indices(points: &[TunePoint]) -> Vec<usize> {
-    let mut front = Vec::new();
-    for (i, p) in points.iter().enumerate() {
-        let dominated = points.iter().any(|q| {
-            (q.offchip_bits < p.offchip_bits && q.predicted_cycles <= p.predicted_cycles)
-                || (q.offchip_bits <= p.offchip_bits && q.predicted_cycles < p.predicted_cycles)
-        });
-        if !dominated {
-            front.push(i);
-        }
-    }
-    front
 }
 
 /// The per-host winner-cache key.
@@ -374,9 +299,9 @@ fn tune_key(net_hash: u64, host: &str, platform: &FpgaPlatform, npe: usize) -> S
     format!("tune|{net_hash:016x}|{host}|{}|npe{npe}", platform.name)
 }
 
-/// Explores the joint space for `graph` and returns the scored report
-/// (prediction only — no sessions are built). Winner caching and measured
-/// trials live in [`tune`].
+/// Explores the space for `graph` and returns the scored report
+/// (prediction only — no sessions are built). Winner caching lives in
+/// [`tune`].
 pub fn tune_lowered(graph: &Graph, opts: &TuneOptions) -> Result<TuneReport, TensorError> {
     let macs = graph_macs(graph);
     let cands = candidates(graph, &opts.platform);
@@ -384,7 +309,11 @@ pub fn tune_lowered(graph: &Graph, opts: &TuneOptions) -> Result<TuneReport, Ten
     for c in &cands {
         points.push(score(graph, &opts.platform, opts.npe, macs, c)?);
     }
-    let pareto = pareto_indices(&points);
+    // The §IV dominance rule, `bconv_accel::dse`'s, on the planner's own
+    // points.
+    let keys: Vec<(u64, u64)> =
+        points.iter().map(|p| (p.offchip_bits, p.predicted_cycles)).collect();
+    let pareto = dse::pareto_indices(&keys);
     // Winner: lexicographically least (off-chip bits, predicted cycles,
     // index). The default is candidate 0, so the winner's modeled
     // off-chip bits never exceed the default's.
@@ -397,7 +326,6 @@ pub fn tune_lowered(graph: &Graph, opts: &TuneOptions) -> Result<TuneReport, Ten
             winner_index = i;
         }
     }
-    let w = &cands[winner_index.min(cands.len() - 1)];
     let net_hash = graph_content_hash(graph, opts.seed);
     let host = host_fingerprint();
     Ok(TuneReport {
@@ -408,75 +336,24 @@ pub fn tune_lowered(graph: &Graph, opts: &TuneOptions) -> Result<TuneReport, Ten
         points,
         pareto,
         winner_index,
-        winner: TuneWinner {
-            pattern: w.pattern,
-            intermediate_buffer_bits: w.ib_bits,
-            extra_buffer_bits: w.eb_bits,
-            kernel: w.kernel,
-            threads: w.threads,
-        },
+        winner: cands[winner_index],
     })
 }
 
-/// Full tuning entry point: lowers `net`, explores the space, optionally
-/// times the Pareto-front finalists on real sessions
-/// ([`TuneOptions::trials`] best-of repetitions each), and caches the
-/// winner per host when [`TuneOptions::cache_dir`] is set.
+/// Full tuning entry point: lowers `net`, explores the space, and caches
+/// the winner per host when [`TuneOptions::cache_dir`] is set.
 ///
 /// # Errors
 ///
-/// Returns [`TensorError`] when lowering, planning, or a measured trial
-/// fails. Winner-cache I/O failures are swallowed — caching is an
-/// optimisation, never a correctness input.
+/// Returns [`TensorError`] when lowering or planning fails. Winner-cache
+/// I/O failures are swallowed — caching is an optimisation, never a
+/// correctness input.
 pub fn tune(net: &Network, opts: &TuneOptions) -> Result<TuneReport, TensorError> {
     let graph = Graph::lower(
         net,
         &LowerOptions { seed: opts.seed, relu_after_conv: opts.relu_after_conv },
     )?;
-    let mut report = tune_lowered(&graph, opts)?;
-    if opts.trials > 0 {
-        let s = graph.input_shape();
-        let input = Tensor::filled([1, s.c, s.h, s.w], 0.5);
-        let mut finalists: Vec<usize> = report.pareto.clone();
-        if !finalists.contains(&report.winner_index) {
-            finalists.push(report.winner_index);
-        }
-        if !finalists.contains(&0) {
-            finalists.push(0); // always measure the default for comparison
-        }
-        finalists.truncate(MAX_MEASURED);
-        for idx in finalists {
-            let p = &report.points[idx];
-            let model = AccelCost::with_buffers(
-                opts.platform.clone(),
-                p.intermediate_buffer_bits,
-                p.extra_buffer_bits,
-            )
-            .npe(opts.npe);
-            let pattern = pattern_from_name(&p.pattern).ok_or_else(|| {
-                TensorError::invalid(format!("unparseable pattern {:?}", p.pattern))
-            })?;
-            let kernel = kernel_from_name(&p.kernel).ok_or_else(|| {
-                TensorError::invalid(format!("unparseable kernel {:?}", p.kernel))
-            })?;
-            let session = Session::builder()
-                .network(net.clone())
-                .backend(Backend::Blocked)
-                .planner(PlanSpec::new().pattern(pattern).cost_model(model).kernel(kernel))
-                .threads(p.threads)
-                .seed(opts.seed)
-                .relu_after_conv(opts.relu_after_conv)
-                .build()?;
-            let mut best_ms = f64::INFINITY;
-            for _ in 0..opts.trials {
-                let t = Instant::now();
-                std::hint::black_box(session.run(&input)?);
-                let ms = t.elapsed().as_secs_f64() * 1e3;
-                best_ms = best_ms.min(ms);
-            }
-            report.points[idx].measured_ms = Some(best_ms);
-        }
-    }
+    let report = tune_lowered(&graph, opts)?;
     if let Some(dir) = &opts.cache_dir {
         store_winner(dir, &report.key, &report.winner);
     }
@@ -485,7 +362,9 @@ pub fn tune(net: &Network, opts: &TuneOptions) -> Result<TuneReport, TensorError
 
 /// Loads a previously cached winner for `(graph, host, platform)`, or
 /// `None` when there is no valid entry. Any read/parse/key failure is a
-/// miss, never an error — the caller re-tunes.
+/// miss, never an error — the caller re-tunes. Fields this reader does not
+/// know (earlier writers also stored a kernel policy and a thread count)
+/// are ignored.
 pub fn load_cached_winner(
     dir: &Path,
     graph: &Graph,
@@ -504,15 +383,11 @@ pub fn load_cached_winner(
     if doc.get("key").and_then(Json::as_str) != Some(key.as_str()) {
         return None;
     }
-    let pattern = pattern_from_name(doc.get("pattern").and_then(Json::as_str)?)?;
-    let kernel = kernel_from_name(doc.get("kernel").and_then(Json::as_str)?)?;
     Some((
         TuneWinner {
-            pattern,
+            pattern: pattern_from_name(doc.get("pattern").and_then(Json::as_str)?)?,
             intermediate_buffer_bits: doc.get("intermediate_buffer_bits").and_then(Json::as_u64)?,
             extra_buffer_bits: doc.get("extra_buffer_bits").and_then(Json::as_u64)?,
-            kernel,
-            threads: doc.get("threads").and_then(Json::as_usize)?,
         },
         key,
     ))
@@ -533,8 +408,6 @@ pub(crate) fn store_winner(dir: &Path, key: &str, winner: &TuneWinner) {
         ("pattern", winner.pattern.to_string().into()),
         ("intermediate_buffer_bits", winner.intermediate_buffer_bits.into()),
         ("extra_buffer_bits", winner.extra_buffer_bits.into()),
-        ("kernel", winner.kernel.name().into()),
-        ("threads", winner.threads.into()),
     ]);
     let path = dir.join(format!("{}.json", winner_file_stem(key)));
     let _ = std::fs::write(path, format!("{doc}\n"));
@@ -561,19 +434,10 @@ pub(crate) fn pattern_from_name(name: &str) -> Option<BlockingPattern> {
     }
 }
 
-/// Parses a kernel policy back from its name.
-pub(crate) fn kernel_from_name(name: &str) -> Option<KernelPolicy> {
-    match name {
-        "auto" => Some(KernelPolicy::Auto),
-        "direct" => Some(KernelPolicy::Direct),
-        "im2col-gemm" => Some(KernelPolicy::Im2colGemm),
-        _ => None,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cost::CostModel;
     use bconv_models::small::vgg16_small;
 
     #[test]
@@ -592,8 +456,9 @@ mod tests {
 
     #[test]
     fn winner_files_round_trip_and_the_previous_writers_still_load() {
-        // `store_winner` output of the last hand-formatted writer (vgg16_small
-        // on a 2-core host; the host fingerprint is part of the key).
+        // `store_winner` output of the writers up to PR 17 (vgg16_small on a
+        // 2-core host; the host fingerprint is part of the key), which also
+        // stored the kernel policy and thread count the tuner then explored.
         const PARENT_WINNER_FILE: &str =
             "{\"version\": 1, \"key\": \"tune|4098af0d77063ff4|cores2|Zynq ZC706|npe1\", \
             \"pattern\": \"H2x2\", \"intermediate_buffer_bits\": 2511360, \
@@ -618,16 +483,20 @@ mod tests {
                 pattern: BlockingPattern::hierarchical(2),
                 intermediate_buffer_bits: 2_511_360,
                 extra_buffer_bits: 5_022_720,
-                kernel: KernelPolicy::Auto,
-                threads: 1,
             }
         );
 
-        // The shared writer stores the same document, and what it stores
-        // loads back to the same winner.
+        // Today's writer stores the same document less those two fields,
+        // and what it stores loads back to the same winner.
         store_winner(&dir, &key, &winner);
         let new_text = std::fs::read_to_string(&path).unwrap();
-        assert_eq!(Json::parse(&new_text), Json::parse(&old_text), "{new_text}");
+        let (old_doc, new_doc) = (Json::parse(&old_text).unwrap(), Json::parse(&new_text).unwrap());
+        for field in ["version", "key", "pattern", "intermediate_buffer_bits", "extra_buffer_bits"]
+        {
+            assert!(new_doc.get(field).is_some(), "{new_text}");
+            assert_eq!(new_doc.get(field), old_doc.get(field), "{field}");
+        }
+        assert_eq!((new_doc.get("kernel"), new_doc.get("threads")), (None, None), "{new_text}");
         assert_eq!(load(), Some((winner, key)));
         // A truncated file is a miss, not an error.
         std::fs::write(&path, &new_text[..new_text.len() / 2]).unwrap();
@@ -638,13 +507,26 @@ mod tests {
     #[test]
     fn default_candidate_is_first_and_unique() {
         let graph = Graph::lower(&vgg16_small(32), &LowerOptions::default()).unwrap();
-        let cands = candidates(&graph, &zc706());
-        assert!(cands.len() > 10, "space too small: {}", cands.len());
-        let d = cands[0];
-        assert_eq!(d.pattern, BlockingPattern::hierarchical(2));
-        assert_eq!(d.kernel, KernelPolicy::Auto);
-        assert_eq!(d.threads, 1);
-        assert_eq!(cands.iter().filter(|c| **c == d).count(), 1);
+        let report = tune_lowered(&graph, &TuneOptions::default()).unwrap();
+        // Four patterns tile a 32×32 input, times three buffer splits.
+        assert_eq!(report.points.len(), 12);
+        let d = report.default_point();
+        assert_eq!(d.pattern, BlockingPattern::hierarchical(2).to_string());
+        let split =
+            AccelCost::with_buffers(zc706(), d.intermediate_buffer_bits, d.extra_buffer_bits);
+        assert_eq!(
+            split.cache_param_key(),
+            AccelCost::for_platform(zc706()).cache_param_key(),
+            "points[0] is the §III-B3 organisation"
+        );
+        // Every point differs from every other in an axis the score sees.
+        let axes =
+            |p: &TunePoint| (p.pattern.clone(), p.intermediate_buffer_bits, p.extra_buffer_bits);
+        for (i, p) in report.points.iter().enumerate() {
+            for q in &report.points[..i] {
+                assert_ne!(axes(p), axes(q), "point {i} explored twice");
+            }
+        }
     }
 
     #[test]

@@ -6,7 +6,7 @@ use bconv_core::plan::NetworkPlan;
 use bconv_core::BlockingPattern;
 use bconv_tensor::TensorError;
 
-use crate::layer::{LayerInfo, Network};
+use crate::layer::Network;
 
 /// One point of a Figure 1 / Figure 9 series.
 #[derive(Debug, Clone, PartialEq)]
@@ -107,15 +107,6 @@ pub fn fusion_depth(
         }
     }
     Ok(None)
-}
-
-/// Layer facts restricted to conv layers, convenience for the harnesses.
-///
-/// # Errors
-///
-/// Propagates [`Network::trace`] errors.
-pub fn conv_layers(net: &Network) -> Result<Vec<LayerInfo>, TensorError> {
-    Ok(net.trace()?.into_iter().filter(|l| l.is_conv).collect())
 }
 
 #[cfg(test)]

@@ -30,15 +30,8 @@ impl NetBuilder {
         self.layers.len() - 1
     }
 
-    /// Marks the most recently pushed layer as the first of a residual
-    /// block (Figure 9's yellow marking).
-    pub fn mark_residual_first(&mut self) {
-        if let Some(last) = self.layers.last_mut() {
-            last.residual_first = true;
-        }
-    }
-
-    /// Marks the layer at `idx` as the first of a residual block.
+    /// Marks the layer at `idx` as the first of a residual block (Figure
+    /// 9's yellow marking).
     ///
     /// # Panics
     ///

@@ -1,5 +1,5 @@
-//! The integer fast path: the quantized counterpart of
-//! [`bconv_tensor::kernel::Im2colGemmKernel`].
+//! The integer fast path: the quantized counterpart of the float
+//! [`KernelKind::Im2colGemm`](bconv_tensor::kernel::KernelKind::Im2colGemm).
 //!
 //! The direct loop in [`crate::qconv`] pays seven nested loops of strided
 //! reads per output element. This module replaces it with three kernels,
@@ -175,36 +175,6 @@ impl QPackedWeights {
     /// The `m × kk` weight rows of one group.
     pub(crate) fn group_rows(&self, grp: usize, m: usize, kk: usize) -> &[i16] {
         &self.data[grp * m * kk..(grp + 1) * m * kk]
-    }
-}
-
-/// The integer im2col+GEMM kernel, mirroring the float
-/// [`Im2colGemmKernel`](bconv_tensor::kernel::Im2colGemmKernel) behind the
-/// same resolved-[`KernelKind`](bconv_tensor::kernel::KernelKind) seam.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct QIm2colGemmKernel;
-
-impl QIm2colGemmKernel {
-    /// Kernel name for reports and plan dumps.
-    pub fn name(&self) -> &'static str {
-        "im2col-gemm"
-    }
-
-    /// Evaluates `qconv` on a pre-padded input through the integer GEMM,
-    /// bitwise identical to the direct loop.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError`] on channel/shape mismatch.
-    pub fn forward_prepadded_into(
-        &self,
-        qconv: &QConv2d,
-        padded: &Tensor,
-        act_params: QParams,
-        out: &mut Tensor,
-        scratch: &mut QConvScratch,
-    ) -> Result<(), TensorError> {
-        qim2col_gemm(qconv, padded, act_params, out, scratch)
     }
 }
 

@@ -4,7 +4,7 @@
 //! (MobileNet-V1); a 1×1 kernel is pointwise convolution. Both are required
 //! by the paper's §II-E evaluation.
 
-use crate::kernel::{ConvScratch, KernelKind};
+use crate::kernel::{self, ConvScratch, KernelKind};
 use crate::pad::{pad2d, PadMode};
 use crate::shape::conv_out_dim;
 use crate::{Tensor, TensorError};
@@ -220,7 +220,10 @@ impl Conv2d {
         out: &mut Tensor,
         scratch: &mut ConvScratch,
     ) -> Result<(), TensorError> {
-        kind.kernel().forward_prepadded_into(self, padded, out, scratch)
+        match kind {
+            KernelKind::Direct => kernel::direct(self, padded, out),
+            KernelKind::Im2colGemm => kernel::im2col_gemm(self, None, padded, out, scratch),
+        }
     }
 
     /// Multiply–accumulate count (FLOPs/2) for an input of `(h, w)`,

@@ -1,13 +1,15 @@
-//! Pluggable convolution kernels: the *how* of a [`Conv2d`], separated
-//! from the *what*.
+//! Convolution kernels: the *how* of a [`Conv2d`], separated from the
+//! *what*.
 //!
 //! The layer definition ([`Conv2d`]) fixes the mathematics; a
-//! [`ConvKernel`] chooses the loop structure that evaluates it:
+//! [`KernelKind`] names the loop structure that evaluates it, and
+//! [`Conv2d::forward_prepadded_into`] dispatches on it:
 //!
-//! * [`DirectKernel`] — the naive seven-loop direct convolution. Minimal
-//!   working memory; the oracle every other kernel is compared against.
-//! * [`Im2colGemmKernel`] — the **fast path**, which dispatches by layer
-//!   shape inside `im2col_gemm`, exactly as the integer fast path
+//! * [`KernelKind::Direct`] — the naive seven-loop direct convolution.
+//!   Minimal working memory; the oracle every other kernel is compared
+//!   against.
+//! * [`KernelKind::Im2colGemm`] — the **fast path**, which dispatches by
+//!   layer shape inside `im2col_gemm`, exactly as the integer fast path
 //!   (`bconv_quant::qgemm`) does:
 //!   * 3×3 stride-1 layers run the plane shift-and-add kernel (`plane`):
 //!     no patch matrix, accumulators for four output channels × sixteen
@@ -35,14 +37,16 @@
 //!   layer's own row-major weights; the panels serve the GEMM shapes.)
 //! * An 8-wide manual lane type (`F32x8`) used by the sgemm microkernels
 //!   and the plane kernel: explicit unrolled lanes the auto-vectorizer maps
-//!   onto SIMD registers. With the `simd` cargo feature (nightly) the lanes
-//!   are `core::simd::Simd<f32, 8>` instead. Lane arithmetic is separate
-//!   multiply-then-add — never fused — so both implementations keep the
-//!   bitwise accumulation contract above.
+//!   onto SIMD registers (stable Rust, no cargo feature). Lane arithmetic
+//!   is separate multiply-then-add — never fused — which keeps the bitwise
+//!   accumulation contract above.
 //!
 //! Kernels write into caller-provided output tensors and draw temporary
 //! storage from a [`ConvScratch`], so a blocked executor can run thousands
-//! of per-block convolutions with zero steady-state allocation.
+//! of per-block convolutions with zero steady-state allocation. `padded`
+//! must already carry the layer's spatial padding (kernels never pad);
+//! `out` is reshaped to `[n, c_out, oh, ow]` and every element is
+//! overwritten.
 
 use crate::conv::Conv2d;
 use crate::shape::conv_out_dim;
@@ -122,14 +126,6 @@ pub enum KernelKind {
 }
 
 impl KernelKind {
-    /// The kernel implementation behind this choice.
-    pub fn kernel(self) -> &'static dyn ConvKernel {
-        match self {
-            Self::Direct => &DirectKernel,
-            Self::Im2colGemm => &Im2colGemmKernel,
-        }
-    }
-
     /// Short human-readable name.
     pub fn name(&self) -> &'static str {
         match self {
@@ -152,29 +148,6 @@ impl ConvScratch {
     pub fn new() -> Self {
         Self::default()
     }
-}
-
-/// A convolution evaluation strategy.
-///
-/// `padded` must already carry the layer's spatial padding (kernels never
-/// pad); `out` is shaped by the caller to `[n, c_out, oh, ow]` and every
-/// element is overwritten.
-pub trait ConvKernel: Sync {
-    /// Kernel name for reports and plan dumps.
-    fn name(&self) -> &'static str;
-
-    /// Evaluates `conv` on a pre-padded input, writing into `out`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError`] on channel/shape mismatch.
-    fn forward_prepadded_into(
-        &self,
-        conv: &Conv2d,
-        padded: &Tensor,
-        out: &mut Tensor,
-        scratch: &mut ConvScratch,
-    ) -> Result<(), TensorError>;
 }
 
 /// Validates the padded input against `conv` and shapes `out`; returns
@@ -201,87 +174,49 @@ fn prepare_out(
 
 /// The naive direct convolution: seven nested loops, one accumulator per
 /// output element.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct DirectKernel;
+pub(crate) fn direct(conv: &Conv2d, padded: &Tensor, out: &mut Tensor) -> Result<(), TensorError> {
+    let (n, oh, ow) = prepare_out(conv, padded, out)?;
+    let g = conv.geom();
+    let (k, s) = (g.kernel, g.stride);
+    let c_in = conv.c_in();
+    let c_out = conv.c_out();
+    let groups = conv.groups();
+    let cin_per_group = c_in / groups;
+    let cout_per_group = c_out / groups;
+    let wshape = conv.weight().shape();
+    let wdata = conv.weight().data();
+    let idata = padded.data();
+    let ishape = padded.shape();
+    let oshape = out.shape();
+    let odata = out.data_mut();
 
-impl ConvKernel for DirectKernel {
-    fn name(&self) -> &'static str {
-        "direct"
-    }
-
-    fn forward_prepadded_into(
-        &self,
-        conv: &Conv2d,
-        padded: &Tensor,
-        out: &mut Tensor,
-        _scratch: &mut ConvScratch,
-    ) -> Result<(), TensorError> {
-        let (n, oh, ow) = prepare_out(conv, padded, out)?;
-        let g = conv.geom();
-        let (k, s) = (g.kernel, g.stride);
-        let c_in = conv.c_in();
-        let c_out = conv.c_out();
-        let groups = conv.groups();
-        let cin_per_group = c_in / groups;
-        let cout_per_group = c_out / groups;
-        let wshape = conv.weight().shape();
-        let wdata = conv.weight().data();
-        let idata = padded.data();
-        let ishape = padded.shape();
-        let oshape = out.shape();
-        let odata = out.data_mut();
-
-        for ni in 0..n {
-            for grp in 0..groups {
-                for mo in 0..cout_per_group {
-                    let m = grp * cout_per_group + mo;
-                    let bias = conv.bias()[m];
-                    for ohi in 0..oh {
-                        for owi in 0..ow {
-                            let mut acc = bias;
-                            for ci in 0..cin_per_group {
-                                let c = grp * cin_per_group + ci;
-                                for khi in 0..k {
-                                    let ih = ohi * s + khi;
-                                    let w_row = wshape.index(m, ci, khi, 0);
-                                    let i_row = ishape.index(ni, c, ih, owi * s);
-                                    // Inner product over the kernel row.
-                                    for kwi in 0..k {
-                                        acc += wdata[w_row + kwi] * idata[i_row + kwi];
-                                    }
+    for ni in 0..n {
+        for grp in 0..groups {
+            for mo in 0..cout_per_group {
+                let m = grp * cout_per_group + mo;
+                let bias = conv.bias()[m];
+                for ohi in 0..oh {
+                    for owi in 0..ow {
+                        let mut acc = bias;
+                        for ci in 0..cin_per_group {
+                            let c = grp * cin_per_group + ci;
+                            for khi in 0..k {
+                                let ih = ohi * s + khi;
+                                let w_row = wshape.index(m, ci, khi, 0);
+                                let i_row = ishape.index(ni, c, ih, owi * s);
+                                // Inner product over the kernel row.
+                                for kwi in 0..k {
+                                    acc += wdata[w_row + kwi] * idata[i_row + kwi];
                                 }
                             }
-                            odata[oshape.index(ni, m, ohi, owi)] = acc;
                         }
+                        odata[oshape.index(ni, m, ohi, owi)] = acc;
                     }
                 }
             }
         }
-        Ok(())
     }
-}
-
-/// The fast path. 3×3 stride-1 layers run the plane shift-and-add kernel;
-/// every other shape lowers each (batch, group) to a patch matrix and runs
-/// a register-blocked matrix multiply against the weight matrix. The name
-/// (`im2col-gemm`, in reports and plan keys) predates the plane kernel.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct Im2colGemmKernel;
-
-impl ConvKernel for Im2colGemmKernel {
-    fn name(&self) -> &'static str {
-        "im2col-gemm"
-    }
-
-    fn forward_prepadded_into(
-        &self,
-        conv: &Conv2d,
-        padded: &Tensor,
-        out: &mut Tensor,
-        scratch: &mut ConvScratch,
-    ) -> Result<(), TensorError> {
-        im2col_gemm(conv, None, padded, out, scratch)
-    }
+    Ok(())
 }
 
 /// The layer's weight matrix repacked panel-major for the sgemm: per
@@ -338,7 +273,7 @@ impl PackedWeights {
 
     /// Evaluates `conv` on a pre-padded input through the fast path, the
     /// GEMM reading these packed panels — bitwise identical to
-    /// [`Im2colGemmKernel`], faster weight streaming. Hot path.
+    /// [`KernelKind::Im2colGemm`], faster weight streaming. Hot path.
     ///
     /// # Errors
     ///
@@ -354,12 +289,13 @@ impl PackedWeights {
     }
 }
 
-/// The fast path's driver. 3×3 stride-1 layers go to the plane kernel
+/// The fast path (its name, `im2col-gemm` in reports and plan keys,
+/// predates the plane kernel). 3×3 stride-1 layers go to the plane kernel
 /// (`plane::takes`); for the rest, lower each (batch, group) to a patch
 /// matrix and multiply with the weight matrix — packed panels when
 /// available, the layer's row-major weights otherwise. Hot path — no
 /// allocation once `scratch` has grown.
-fn im2col_gemm(
+pub(crate) fn im2col_gemm(
     conv: &Conv2d,
     packed: Option<&PackedWeights>,
     padded: &Tensor,
@@ -449,23 +385,17 @@ const MR: usize = 4;
 /// Microkernel tile width (output positions per register block).
 const NR: usize = 8;
 
-/// Manual 8-wide f32 lanes for the sgemm microkernels.
-///
-/// The default implementation is a plain `[f32; 8]` with fully unrolled
-/// element-wise ops — the shape LLVM reliably auto-vectorizes into one
-/// 256-bit (or two 128-bit) register per lane. With the `simd` cargo
-/// feature (nightly only) the same API is backed by
-/// `core::simd::Simd<f32, 8>`.
+/// Manual 8-wide f32 lanes for the sgemm microkernels: a plain `[f32; 8]`
+/// with fully unrolled element-wise ops — the shape LLVM reliably
+/// auto-vectorizes into one 256-bit (or two 128-bit) register per lane.
 ///
 /// `add_scaled` is deliberately a separate multiply then add — **never**
 /// `mul_add`/FMA — because fusing the rounding step would break the
-/// bitwise parity between [`DirectKernel`] and the GEMM kernels.
+/// bitwise parity between the direct loop and the GEMM kernels.
 mod lanes {
-    #[cfg(not(feature = "simd"))]
     #[derive(Debug, Clone, Copy)]
     pub(super) struct F32x8([f32; 8]);
 
-    #[cfg(not(feature = "simd"))]
     impl F32x8 {
         /// All eight lanes set to `v`.
         #[inline]
@@ -495,38 +425,6 @@ mod lanes {
         #[inline]
         pub(super) fn store(self, d: &mut [f32]) {
             d[..8].copy_from_slice(&self.0);
-        }
-    }
-
-    #[cfg(feature = "simd")]
-    #[derive(Debug, Clone, Copy)]
-    pub(super) struct F32x8(core::simd::Simd<f32, 8>);
-
-    #[cfg(feature = "simd")]
-    impl F32x8 {
-        /// All eight lanes set to `v`.
-        #[inline]
-        pub(super) fn splat(v: f32) -> Self {
-            Self(core::simd::Simd::splat(v))
-        }
-
-        /// Loads the first eight elements of `s`.
-        #[inline]
-        pub(super) fn load(s: &[f32]) -> Self {
-            Self(core::simd::Simd::from_slice(s))
-        }
-
-        /// `self + a * b`, lane-wise (separate `Simd` mul and add — no
-        /// FMA contraction).
-        #[inline]
-        pub(super) fn add_scaled(self, a: Self, b: Self) -> Self {
-            Self(self.0 + a.0 * b.0)
-        }
-
-        /// Stores the lanes into the first eight elements of `d`.
-        #[inline]
-        pub(super) fn store(self, d: &mut [f32]) {
-            self.0.copy_to_slice(&mut d[..8]);
         }
     }
 }
@@ -652,7 +550,7 @@ mod tests {
         let padded = pad2d(input, conv.geom().padding, conv.geom().padding, PadMode::Zero).unwrap();
         let mut out = Tensor::zeros([1, 1, 1, 1]);
         let mut scratch = ConvScratch::new();
-        kind.kernel().forward_prepadded_into(conv, &padded, &mut out, &mut scratch).unwrap();
+        conv.forward_prepadded_into(&padded, kind, &mut out, &mut scratch).unwrap();
         out
     }
 
@@ -714,10 +612,7 @@ mod tests {
         let mut out = Tensor::zeros([1, 1, 1, 1]);
         let mut scratch = ConvScratch::new();
         for kind in [KernelKind::Direct, KernelKind::Im2colGemm] {
-            assert!(kind
-                .kernel()
-                .forward_prepadded_into(&conv, &bad, &mut out, &mut scratch)
-                .is_err());
+            assert!(conv.forward_prepadded_into(&bad, kind, &mut out, &mut scratch).is_err());
         }
     }
 
@@ -736,8 +631,7 @@ mod tests {
                 pad2d(&input, conv.geom().padding, conv.geom().padding, PadMode::Zero).unwrap();
             let mut scratch = ConvScratch::new();
             let mut plain = Tensor::default();
-            Im2colGemmKernel
-                .forward_prepadded_into(conv, &padded, &mut plain, &mut scratch)
+            conv.forward_prepadded_into(&padded, KernelKind::Im2colGemm, &mut plain, &mut scratch)
                 .unwrap();
             let packed = PackedWeights::pack(conv);
             let mut fast = Tensor::default();

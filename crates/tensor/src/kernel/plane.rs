@@ -29,9 +29,9 @@
 //!
 //! Float accumulation order is part of the kernels' contract. Every lane
 //! starts at `bias[m]` and adds its taps as a separate multiply then add,
-//! one chain per lane, in `(c_in, kh, kw)` order — exactly
-//! [`DirectKernel`](super::DirectKernel)'s loop, so the output is bit for
-//! bit the direct kernel's. There is no fused multiply-add and no split
+//! one chain per lane, in `(c_in, kh, kw)` order — exactly the direct
+//! loop's (`super::direct`), so the output is bit for bit the direct
+//! kernel's. There is no fused multiply-add and no split
 //! accumulation chain; the instruction-level parallelism comes from
 //! running up to four output channels' chains side by side, never from
 //! reassociation. `tests/plane_kernel_shapes.rs` sweeps every small plane

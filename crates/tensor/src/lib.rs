@@ -9,9 +9,9 @@
 //!   evaluates all three as *block padding* modes);
 //! * [`conv`] — 2-D convolution with stride, padding and groups
 //!   (grouped convolution covers the depthwise case of MobileNet-V1);
-//! * [`kernel`] — pluggable conv kernels behind the [`ConvKernel`] trait:
-//!   the direct loop and an im2col+GEMM path with a register-blocked
-//!   sgemm, selected per layer by a [`KernelPolicy`];
+//! * [`kernel`] — the two conv kernels a [`KernelKind`] names: the direct
+//!   loop and the fast path (plane kernel, or im2col + a register-blocked
+//!   sgemm, by layer shape), selected per layer by a [`KernelPolicy`];
 //! * [`pool`] — max / average / global-average pooling;
 //! * [`activation`], [`elementwise`], [`upsample`], [`linear`] — the rest of
 //!   the operators required by the seven networks evaluated in the paper;
@@ -33,7 +33,6 @@
 //! ```
 
 #![forbid(unsafe_code)]
-#![cfg_attr(feature = "simd", feature(portable_simd))]
 
 pub mod activation;
 pub mod conv;
@@ -49,7 +48,7 @@ pub mod tensor;
 pub mod upsample;
 
 pub use error::TensorError;
-pub use kernel::{ConvKernel, ConvScratch, KernelKind, KernelPolicy};
+pub use kernel::{ConvScratch, KernelKind, KernelPolicy};
 pub use pad::PadMode;
 pub use shape::Shape;
 pub use tensor::Tensor;

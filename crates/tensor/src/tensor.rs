@@ -87,11 +87,6 @@ impl Tensor {
         &mut self.data
     }
 
-    /// Consumes the tensor, returning its flat data.
-    pub fn into_vec(self) -> Vec<f32> {
-        self.data
-    }
-
     /// Reshapes the tensor in place, reusing its allocation. Element
     /// values after a reset are unspecified — this is a scratch-buffer
     /// primitive for writers that overwrite every element (conv kernels,

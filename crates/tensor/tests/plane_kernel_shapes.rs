@@ -1,10 +1,10 @@
-//! The float plane kernel against [`DirectKernel`], **bit for bit**, over
+//! The float plane kernel against the direct loop, **bit for bit**, over
 //! the shapes it sweeps in 16-lane chunks: every padded plane from 3×3 to
 //! 22×22 (both sides of the one-chunk minimum below which the GEMM keeps
 //! the layer), per-group channel counts that leave every remainder of the
 //! four-channel passes, grouped layers and batches, non-zero bias, through
 //! **one** scratch and one NaN-filled output that keep shrinking and
-//! growing — and through all three entry points that reach the kernel.
+//! growing — and through both entry points that reach the kernel.
 //! It is the twin of `crates/quant/tests/plane_kernel_shapes.rs`.
 //!
 //! Inputs are random floats, which is what makes this a test of the
@@ -17,9 +17,7 @@
 
 use bconv_tensor::conv::{Conv2d, ConvGeom};
 use bconv_tensor::init::{he_conv2d, seeded_rng, uniform_tensor};
-use bconv_tensor::kernel::{
-    ConvKernel, ConvScratch, DirectKernel, Im2colGemmKernel, KernelKind, PackedWeights,
-};
+use bconv_tensor::kernel::{ConvScratch, KernelKind, PackedWeights};
 use bconv_tensor::{Tensor, TensorError};
 
 /// Per-group input / output channel counts, group counts and batch sizes.
@@ -72,13 +70,10 @@ fn same(a: f32, b: f32) -> bool {
 /// the fast path, each into a NaN-filled `out` larger than the result.
 fn assert_fast_equals_direct(conv: &Conv2d, padded: &Tensor, buf: &mut Buffers, what: &str) {
     let mut want = Tensor::default();
-    DirectKernel.forward_prepadded_into(conv, padded, &mut want, &mut buf.scratch).unwrap();
+    conv.forward_prepadded_into(padded, KernelKind::Direct, &mut want, &mut buf.scratch).unwrap();
     let packed = PackedWeights::pack(conv);
     type Entry<'a> = &'a dyn Fn(&mut Tensor, &mut ConvScratch) -> Result<(), TensorError>;
-    let entries: [(&str, Entry); 3] = [
-        ("Im2colGemmKernel", &|out, s| {
-            Im2colGemmKernel.forward_prepadded_into(conv, padded, out, s)
-        }),
+    let entries: [(&str, Entry); 2] = [
         ("PackedWeights", &|out, s| packed.forward_prepadded_into(conv, padded, out, s)),
         ("Conv2d", &|out, s| conv.forward_prepadded_into(padded, KernelKind::Im2colGemm, out, s)),
     ];

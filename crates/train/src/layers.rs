@@ -610,11 +610,6 @@ impl Sequential {
     pub fn new(layers: Vec<Box<dyn TrainLayer>>) -> Self {
         Self { layers }
     }
-
-    /// The layers (for post-training surgery such as enabling blocking).
-    pub fn layers_mut(&mut self) -> &mut Vec<Box<dyn TrainLayer>> {
-        &mut self.layers
-    }
 }
 
 impl TrainLayer for Sequential {

@@ -20,15 +20,16 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use bconv_accel::platform::zc706;
+use bconv_core::plan::NetworkPlan;
 use bconv_core::BlockingPattern;
 use bconv_graph::cache::{PlanCache, PlanCacheError, PlanKey};
 use bconv_graph::cost::ElementBudget;
 use bconv_graph::json::Json;
 use bconv_graph::tune::{tune, TuneOptions};
 use bconv_graph::{
-    AccelCost, Backend, BlockedExecutor, ExecPlan, Executor, GraphQuantSpec, KernelPolicy,
-    PlanProvenance, PlanSpec, Planner, PlannerOptions, QuantizedExecutor, RunReport, Segment,
-    ServeConfig, Session, SessionBuilder,
+    AccelCost, Backend, ExecPlan, Executor, GraphQuantSpec, KernelPolicy, PlanExecutor,
+    PlanProvenance, PlanSpec, Planner, PlannerOptions, RunReport, Segment, ServeConfig, Session,
+    SessionBuilder,
 };
 use bconv_models::builder::{conv, maxpool, NetBuilder};
 use bconv_models::small::{vdsr_small, vgg16_small};
@@ -307,13 +308,11 @@ fn tune_winner_never_models_more_offchip_than_the_default() {
     assert_eq!(points.len(), report.points.len());
     for (row, p) in points.iter().zip(&report.points) {
         assert_eq!(row.get("pattern").and_then(Json::as_str), Some(&*p.pattern));
-        assert_eq!(row.get("kernel").and_then(Json::as_str), Some(&*p.kernel));
         assert_eq!(row.get("offchip_bits").and_then(Json::as_u64), Some(p.offchip_bits));
         assert_eq!(row.get("predicted_cycles").and_then(Json::as_u64), Some(p.predicted_cycles));
         let ints = [
             ("intermediate_buffer_bits", p.intermediate_buffer_bits as usize),
             ("extra_buffer_bits", p.extra_buffer_bits as usize),
-            ("threads", p.threads),
             ("fusion_groups", p.fusion_groups),
             ("splices", p.splices),
             ("merge_ready_splices", p.merge_ready_splices),
@@ -321,7 +320,6 @@ fn tune_winner_never_models_more_offchip_than_the_default() {
         for (name, want) in ints {
             assert_eq!(row.get(name).and_then(Json::as_usize), Some(want), "{name}");
         }
-        assert_eq!(row.get("measured_ms"), Some(&Json::Null), "no trials ran");
     }
 }
 
@@ -340,6 +338,11 @@ fn tuned_builds_cache_their_winner_and_stay_bitwise_identical() {
         "got {:?}",
         first.plan().report().provenance
     );
+    // The tuner explores what its score sees — pattern and buffer split —
+    // so a tuned build resolves its thread count like any other build (it
+    // used to pin 1: the first-enumerated of candidates that all tied).
+    let untuned = Session::builder().network(net.clone()).build().unwrap();
+    assert_eq!(first.threads(), untuned.threads());
 
     // Second tuned build: winner loaded from the per-host cache, plan
     // loaded from the plan cache — nothing plans, nothing re-tunes.
@@ -363,10 +366,8 @@ fn tuned_builds_cache_their_winner_and_stay_bitwise_identical() {
         .planner(
             PlanSpec::new()
                 .pattern(w.pattern)
-                .cost_model(w.cost_model(topts.platform.clone(), topts.npe))
-                .kernel(w.kernel),
+                .cost_model(w.cost_model(topts.platform.clone(), topts.npe)),
         )
-        .threads(w.threads)
         .build()
         .unwrap();
     let c = explicit.run(&input).unwrap();
@@ -429,10 +430,15 @@ fn mutated_plan_files_never_panic_and_never_change_results() {
     let f8 = PlanSpec::new().pattern(BlockingPattern::fixed(8));
     let spliced =
         PlanSpec::new().cost_model(AccelCost::with_buffers(zc706(), 1500 * 32 / 2, 1 << 24));
+    // Every conv of the four-conv VDSR a whole-map integer op.
+    let unblocked = PlanSpec::new().network_plan(NetworkPlan::unblocked(4));
     let targets = [
         ("vgg16_small", vgg16_small(32), Backend::Blocked, PlanSpec::new()),
         ("vdsr_small", vdsr_small(24, 4, 8), w8a8, f8),
         ("vgg16_small-spliced", vgg16_small(32), Backend::Blocked, spliced),
+        ("vdsr_small-unblocked", vdsr_small(24, 4, 8), w8a8, unblocked),
+        // Integer FC heads behind the fused integer trunk.
+        ("vgg16_small-w8a8", vgg16_small(32), w8a8, PlanSpec::new()),
     ];
     let (mut loaded, mut rejected) = (0usize, 0usize);
     for (name, net, backend, spec) in targets {
@@ -453,24 +459,18 @@ fn mutated_plan_files_never_panic_and_never_change_results() {
         if name.ends_with("spliced") {
             assert!(!fresh.plan().report().splices.is_empty(), "{name} must store splices");
         }
+        assert_eq!(fresh.plan().fusion_groups() == 0, name.ends_with("unblocked"), "{name}");
 
         // What the builder does with a loaded plan, by hand.
         let graph = Arc::new(fresh.graph().clone());
         let quant = match backend {
-            Backend::Quantized { weight_bits, act_bits } => Some(Arc::new(
+            Backend::Quantized { weight_bits, act_bits } => Some(
                 GraphQuantSpec::calibrate(&graph, &calibration, weight_bits, act_bits).unwrap(),
-            )),
+            ),
             _ => None,
         };
         let execute = |plan: ExecPlan| -> RunReport {
-            let (graph, plan) = (Arc::clone(&graph), Arc::new(plan));
-            match &quant {
-                Some(q) => {
-                    QuantizedExecutor::new(graph, plan, Arc::clone(q), 1).unwrap().run(&input)
-                }
-                None => BlockedExecutor::new(graph, plan).run(&input),
-            }
-            .unwrap()
+            PlanExecutor::new(Arc::clone(&graph), Arc::new(plan), 1).run(&input).unwrap()
         };
 
         let cache = PlanCache::new(dir.clone());
@@ -480,7 +480,7 @@ fn mutated_plan_files_never_panic_and_never_change_results() {
         let mut rng = seeded_rng(0x5EED ^ stored.len() as u64);
         for i in 0..MUTANTS_PER_TARGET {
             std::fs::write(&path, mutate(&stored, &mut rng)).unwrap();
-            let hit = match cache.load(&key, &graph, spec.pad, spec.kernel, quant.as_deref()) {
+            let hit = match cache.load(&key, &graph, spec.pad, spec.kernel, quant.as_ref()) {
                 Ok(plan) => {
                     let got = execute(plan);
                     assert_eq!(got.output.data(), want.output.data(), "{name}: mutant #{i}");
