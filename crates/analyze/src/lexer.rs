@@ -170,16 +170,9 @@ impl Cursor<'_> {
     }
 }
 
-/// Process-wide count of [`lex`] invocations. The workspace driver lexes
-/// each file exactly once and shares the stream between every lint and
-/// the symbol resolver; a unit test asserts that invariant through this
-/// counter so a re-lex regression cannot land silently.
-pub static LEX_CALLS: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
-
 /// Lex `src` into a token stream. Comments and whitespace vanish; string,
 /// char, and numeric literals collapse to [`Tok::Lit`].
 pub fn lex(src: &str) -> Vec<Token> {
-    LEX_CALLS.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
     let mut cur = Cursor { chars: src.chars(), line: 1 };
     let mut out = Vec::new();
     while let Some(c) = cur.peek() {

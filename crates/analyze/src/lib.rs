@@ -235,6 +235,10 @@ pub struct WorkspaceReport {
     pub panic_sites: BTreeMap<String, Vec<Finding>>,
     /// Number of files scanned.
     pub files: usize,
+    /// Number of [`lexer::lex`] calls the scan made. One per file: the
+    /// per-file lints and the symbol resolver take the token stream, never
+    /// the source text (`tests/lex_once.rs`).
+    pub lex_calls: usize,
     /// Number of definitions matched by the configured entry points.
     pub entry_matches: usize,
     /// Qualified names of every function the reachability walk marked hot
@@ -267,6 +271,7 @@ pub fn analyze_sources(sources: &[(String, String)], cfg: &Config) -> WorkspaceR
     let mut syms: Vec<resolve::FileSyms> = Vec::with_capacity(sources.len());
     for (file, src) in sources {
         let toks = lexer::lex(src);
+        report.lex_calls += 1;
         let FileReport { findings, panic_sites } = lints::scan_tokens(file, &toks, cfg);
         report.findings.extend(findings);
         if !panic_sites.is_empty() {

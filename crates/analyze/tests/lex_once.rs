@@ -1,11 +1,9 @@
 //! Asserts the single-lex-per-file invariant: the workspace driver lexes
 //! each source exactly once and shares the token stream between the
-//! per-file lints and the symbol resolver. Lives in its own integration
-//! binary so no other test in the process touches the global counter.
+//! per-file lints and the symbol resolver. The count travels on the
+//! report, so parallel tests cannot disturb it.
 
-use bconv_analyze::lexer::LEX_CALLS;
 use bconv_analyze::lints::Config;
-use std::sync::atomic::Ordering;
 
 #[test]
 fn analyze_sources_lexes_each_file_exactly_once() {
@@ -17,11 +15,9 @@ fn analyze_sources_lexes_each_file_exactly_once() {
         ("crates/core/src/b.rs".to_string(), "fn cold() { let a = x.unwrap(); }".to_string()),
         ("crates/core/src/c.rs".to_string(), "struct S;".to_string()),
     ];
-    let before = LEX_CALLS.load(Ordering::Relaxed);
     let report = bconv_analyze::analyze_sources(&sources, &Config::workspace());
-    let after = LEX_CALLS.load(Ordering::Relaxed);
     assert_eq!(
-        after - before,
+        report.lex_calls,
         sources.len(),
         "every lint and the resolver must share one lex per file"
     );

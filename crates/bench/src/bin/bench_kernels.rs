@@ -58,7 +58,7 @@ fn run() -> Result<(), Box<dyn std::error::Error>> {
     let input = uniform_tensor([1, 3, 32, 32], -1.0, 1.0, &mut seeded_rng(7));
     let baseline_session = build(configs[0].kernel, configs[0].threads)?;
     let baseline_out = baseline_session.run(&input)?.output;
-    let baseline_times = session_times(&baseline_session, &input, reps);
+    let baseline_times = session_times(&baseline_session, &input, reps)?;
 
     if threaded_configs_skipped {
         println!("vgg16_small fused pipeline, {reps} reps, serial configs only");
@@ -71,7 +71,7 @@ fn run() -> Result<(), Box<dyn std::error::Error>> {
         let (us, min_us) = if cfg.name == "direct_t1" {
             baseline_times
         } else {
-            session_times(&session, &input, reps)
+            session_times(&session, &input, reps)?
         };
         let out = session.run(&input)?.output;
         let matches = out.data() == baseline_out.data();

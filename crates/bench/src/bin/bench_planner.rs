@@ -92,7 +92,7 @@ fn run() -> Result<(), Box<dyn std::error::Error>> {
 
         for (model, session) in [("element-budget", &element), ("accel-cost", &accel)] {
             let report = session.run(&w.input)?;
-            let (us, min_us) = session_times(session, &w.input, reps);
+            let (us, min_us) = session_times(session, &w.input, reps)?;
             let pr = session.plan().report();
             let m = Measurement {
                 network: w.network,

@@ -103,21 +103,26 @@ fn closed_loop(
     let all_match = AtomicBool::new(true);
     let t = Instant::now();
     std::thread::scope(|scope| {
-        for (s, want) in oracle.iter().enumerate() {
-            let engine_ref = &engine;
-            let inputs_ref = &inputs;
-            let all_match = &all_match;
-            scope.spawn(move || {
-                for _ in 0..per_stream {
-                    let ticket = engine_ref.submit(inputs_ref[s].clone()).expect("submit");
-                    let report = engine_ref.wait(ticket).expect("wait");
-                    if report.output.data() != want.data() {
-                        all_match.store(false, Ordering::Relaxed);
+        let clients: Vec<_> = oracle
+            .iter()
+            .enumerate()
+            .map(|(s, want)| {
+                let (inputs, all_match) = (&inputs, &all_match);
+                scope.spawn(move || -> Result<(), TensorError> {
+                    for _ in 0..per_stream {
+                        let ticket = engine.submit(inputs[s].clone())?;
+                        if engine.wait(ticket)?.output.data() != want.data() {
+                            all_match.store(false, Ordering::Relaxed);
+                        }
                     }
-                }
-            });
-        }
-    });
+                    Ok(())
+                })
+            })
+            .collect();
+        clients.into_iter().try_for_each(|client| {
+            client.join().map_err(|_| TensorError::invalid("a bench client thread panicked"))?
+        })
+    })?;
     Ok((t.elapsed().as_secs_f64() * 1e3, all_match.load(Ordering::Relaxed)))
 }
 

@@ -1,6 +1,6 @@
-//! Shared helpers for the experiment harness binaries (one per paper table
-//! and figure — see DESIGN.md §4 for the full index) and the Criterion
-//! benches.
+//! Shared helpers for the `paper` harness binary (one entry per paper
+//! table and figure — `paper list` prints the index), the `bench_*`
+//! binaries and the Criterion benches.
 
 #![forbid(unsafe_code)]
 
@@ -31,18 +31,25 @@ pub fn time_us(mut f: impl FnMut(), reps: usize) -> (f64, f64) {
 /// [`time_us`] over `reps` session runs with one warm-up off the clock
 /// (growing scratch buffers and faulting in weights) — the shared timing
 /// policy of every bench binary feeding the regression gate.
+///
+/// # Errors
+///
+/// The first error a run returned.
 pub fn session_times(
     session: &bconv_graph::Session,
     input: &bconv_tensor::Tensor,
     reps: usize,
-) -> (f64, f64) {
-    session.run(input).expect("bench warm-up run");
-    time_us(
-        || {
-            std::hint::black_box(session.run(input).expect("bench run"));
+) -> Result<(f64, f64), bconv_tensor::TensorError> {
+    session.run(input)?;
+    let mut failed = None;
+    let times = time_us(
+        || match session.run(input) {
+            Ok(report) => drop(std::hint::black_box(report)),
+            Err(e) => failed = Some(e),
         },
         reps,
-    )
+    );
+    failed.map_or(Ok(times), Err)
 }
 
 /// What the four `bench_*` binaries feeding the regression gate share:
@@ -99,16 +106,6 @@ impl BenchRun {
         println!("wrote {path}");
         Ok(())
     }
-}
-
-/// Prints a section header.
-pub fn header(title: &str) {
-    println!("\n=== {title} ===");
-}
-
-/// Prints a horizontal rule sized to `width`.
-pub fn hline(width: usize) {
-    println!("{}", "-".repeat(width));
 }
 
 /// Standard training configuration for the small classifiers

@@ -143,19 +143,10 @@ pub struct ConvLayerSpatial {
     pub w: usize,
 }
 
-/// Fraction of conv layers that are blocked when blocking every layer whose
-/// compute resolution is at least `(bh, bw)` — Table I's "Blocking Ratio".
-pub fn blocking_ratio(layers: &[ConvLayerSpatial], bh: usize, bw: usize) -> f64 {
-    if layers.is_empty() {
-        return 0.0;
-    }
-    let blocked = layers.iter().filter(|l| l.h >= bh && l.w >= bw).count();
-    blocked as f64 / layers.len() as f64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::plan::NetworkPlan;
     use bconv_tensor::conv::ConvGeom;
     use bconv_tensor::init::{he_conv2d, seeded_rng, uniform_tensor};
 
@@ -226,7 +217,8 @@ mod tests {
                 .into_iter()
                 .map(|r| ConvLayerSpatial { h: r, w: r })
                 .collect();
-        let ratio = blocking_ratio(&layers, 28, 28);
+        let ratio =
+            NetworkPlan::by_resolution(&layers, BlockingPattern::fixed(28)).blocking_ratio();
         assert!((ratio - 10.0 / 13.0).abs() < 1e-9);
         // Paper reports 76.92%.
         assert!((ratio * 100.0 - 76.92).abs() < 0.01);
@@ -234,6 +226,7 @@ mod tests {
 
     #[test]
     fn blocking_ratio_empty_is_zero() {
-        assert_eq!(blocking_ratio(&[], 28, 28), 0.0);
+        let plan = NetworkPlan::by_resolution(&[], BlockingPattern::fixed(28));
+        assert_eq!(plan.blocking_ratio(), 0.0);
     }
 }

@@ -150,11 +150,6 @@ impl BlockConv2d {
         &self.conv
     }
 
-    /// The shared weight handle (the same allocation the planner was given).
-    pub fn conv_arc(&self) -> &Arc<Conv2d> {
-        &self.conv
-    }
-
     /// The kernel implementation blocks execute through.
     pub fn kernel(&self) -> KernelKind {
         self.kernel
@@ -168,6 +163,13 @@ impl BlockConv2d {
     /// Block-padding mode.
     pub fn pad_mode(&self) -> PadMode {
         self.pad_mode
+    }
+
+    /// The Equation 2 padding `(top, bottom, left, right)` of the block at
+    /// grid position `(row, col)`.
+    pub fn block_padding(&self, row: usize, col: usize) -> (usize, usize, usize, usize) {
+        let (rp, cp) = (&self.rows.blocks[row], &self.cols.blocks[col]);
+        (rp.pad_lo, rp.pad_hi, cp.pad_lo, cp.pad_hi)
     }
 
     /// The grid induced on the output feature map.
@@ -276,7 +278,8 @@ impl BlockConv2d {
                 format!("[{bh},{bw}]"),
             ));
         }
-        pad2d_asym_into(block, rp.pad_lo, rp.pad_hi, cp.pad_lo, cp.pad_hi, self.pad_mode, padded)
+        let (top, bottom, left, right) = self.block_padding(row, col);
+        pad2d_asym_into(block, top, bottom, left, right, self.pad_mode, padded)
     }
 
     /// Full block convolution: split by the grid, convolve each block via

@@ -62,9 +62,7 @@ pub use quantize::GraphQuantSpec;
 pub use serve::metrics::ServeMetrics;
 pub use serve::router::{Router, RouterTicket};
 pub use serve::{ServeConfig, ServeEngine, SubmitOptions, TicketId, Waker};
-pub use session::{
-    Backend, PlanSpec, Session, SessionBuilder, DEFAULT_CALIBRATION_BATCHES, THREADS_ENV,
-};
+pub use session::{Backend, PlanSpec, Session, SessionBuilder, DEFAULT_CALIBRATION_BATCHES};
 pub use tune::{
     load_cached_winner, modeled_offchip_elems, tune, tune_lowered, TuneOptions, TunePoint,
     TuneReport, TuneWinner,

@@ -550,7 +550,8 @@ impl ServeEngine {
                 // Already expired at the door: resolve the ticket to the
                 // typed shed error without ever queueing it.
                 self.shared.metrics.on_submit(1);
-                shed_ticket(&self.shared, ticket, waker);
+                self.shared.lock_results().insert(ticket, Slot::Pending { waker });
+                shed_expired(&self.shared, &[(ticket, n)]);
                 return Ok(Some(TicketId(ticket)));
             }
         }
@@ -711,9 +712,8 @@ impl ServeEngine {
             } else {
                 let parts: Vec<(u64, usize)> =
                     (i..j).map(|k| (self.issue_ticket(), sizes[k])).collect();
-                let chunk: Vec<&Tensor> = inputs[i..j].iter().collect();
                 let mut batch = self.shared.take_buf();
-                concat_batch_into(&chunk, samples, &mut batch);
+                concat_into(inputs[i..j].iter(), samples, &mut batch);
                 (Parts::Many(parts), batch)
             };
             let chunk_tickets: Vec<u64> = parts.as_slice().iter().map(|&(t, _)| t).collect();
@@ -805,30 +805,18 @@ impl std::fmt::Debug for ServeEngine {
 }
 
 /// Concatenates same-per-sample-shape requests along the batch dimension
-/// into `out` (NCHW is sample-major, so this is a plain append) —
-/// `run_batch`'s pre-coalescing primitive, writing into a recycled pool
-/// buffer.
-fn concat_batch_into(chunk: &[&Tensor], total_n: usize, out: &mut Tensor) {
-    let [_, c, h, w] = chunk[0].shape().dims();
+/// into `out` (NCHW is sample-major, so this is a plain append). Both
+/// coalescing sites — `run_batch` writing a recycled pool buffer and the
+/// worker appending its drained jobs — pass an iterator, so neither
+/// builds a borrow list first.
+fn concat_into<'a>(inputs: impl Iterator<Item = &'a Tensor>, total_n: usize, out: &mut Tensor) {
+    let mut inputs = inputs.peekable();
+    let Some(first) = inputs.peek() else { return };
+    let [_, c, h, w] = first.shape().dims();
     out.reset([total_n, c, h, w]);
     let mut off = 0usize;
-    for t in chunk {
+    for t in inputs {
         let d = t.data();
-        out.data_mut()[off..off + d.len()].copy_from_slice(d);
-        off += d.len();
-    }
-}
-
-/// Worker-side twin of [`concat_batch_into`]: appends each drained job's
-/// input into the worker's reusable batch buffer without building a
-/// borrow list first (the serving loop stays free of per-batch
-/// bookkeeping allocation).
-fn concat_jobs_into(jobs: &[Job], total_n: usize, out: &mut Tensor) {
-    let [_, c, h, w] = jobs[0].input.shape().dims();
-    out.reset([total_n, c, h, w]);
-    let mut off = 0usize;
-    for job in jobs {
-        let d = job.input.data();
         out.data_mut()[off..off + d.len()].copy_from_slice(d);
         off += d.len();
     }
@@ -883,23 +871,8 @@ fn fulfill(shared: &Shared, ticket: u64, report: Result<RunReport, TensorError>)
     }
 }
 
-/// Resolves a ticket to the typed shed error ([`TensorError::DeadlineExpired`])
-/// at the submission door, before it ever queues.
-fn shed_ticket(shared: &Shared, ticket: u64, waker: Option<Waker>) {
-    shared.metrics.on_shed();
-    {
-        let mut results = shared.lock_results();
-        results.insert(ticket, Slot::Done(Err(TensorError::DeadlineExpired)));
-    }
-    shared.done.notify_all();
-    if let Some(waker) = waker {
-        let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(move || {
-            waker(TicketId(ticket));
-        }));
-    }
-}
-
-/// Sheds a dequeued-but-expired job: every ticket it carries resolves to
+/// Sheds an expired job — dequeued by a worker, or still at the
+/// submission door: every ticket it carries resolves to
 /// [`TensorError::DeadlineExpired`] without touching the executor.
 fn shed_expired(shared: &Shared, parts: &[(u64, usize)]) {
     for &(ticket, _) in parts {
@@ -1039,7 +1012,7 @@ fn worker_loop(
         let result = if state.jobs.len() == 1 {
             executor.run_scratch(&state.jobs[0].input, &mut state.scratch)
         } else {
-            concat_jobs_into(&state.jobs, total_n, &mut state.batch_buf);
+            concat_into(state.jobs.iter().map(|job| &job.input), total_n, &mut state.batch_buf);
             executor.run_scratch(&state.batch_buf, &mut state.scratch)
         };
         shared.metrics.on_batch(total_n);

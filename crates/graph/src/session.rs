@@ -63,10 +63,6 @@ pub enum Backend {
     },
 }
 
-/// Environment variable consulted for the worker-thread count when the
-/// builder does not set one explicitly.
-pub const THREADS_ENV: &str = "BCONV_THREADS";
-
 /// Number of synthesised calibration batches when the quantized backend is
 /// built without [`SessionBuilder::calibration`] data.
 pub const DEFAULT_CALIBRATION_BATCHES: usize = 4;
@@ -85,32 +81,23 @@ fn default_calibration(graph: &Graph, seed: u64) -> Vec<Tensor> {
         .collect()
 }
 
-/// Resolves the blocked backend's worker-thread count: an explicit
-/// builder setting wins, then a [`THREADS_ENV`] override, then the
-/// machine's available parallelism.
+/// Resolves the blocked backend's worker-thread count: the builder's
+/// setting, else 1 — on every row measured so far the threaded path is
+/// the slower one (ROADMAP item 4 flips the default back when a threaded
+/// row first beats serial).
 ///
 /// # Errors
 ///
 /// Returns [`TensorError::InvalidParameter`] when the requested count is
-/// zero or the environment variable does not parse as a positive integer.
+/// zero.
 fn resolve_threads(requested: Option<usize>) -> Result<usize, TensorError> {
-    if let Some(n) = requested {
-        if n == 0 {
-            return Err(TensorError::invalid(
-                "SessionBuilder::threads must be >= 1 (0 worker threads cannot execute)",
-            ));
-        }
-        return Ok(n);
+    match requested {
+        Some(0) => Err(TensorError::invalid(
+            "SessionBuilder::threads must be >= 1 (0 worker threads cannot execute)",
+        )),
+        Some(n) => Ok(n),
+        None => Ok(1),
     }
-    if let Ok(raw) = std::env::var(THREADS_ENV) {
-        return match raw.trim().parse::<usize>() {
-            Ok(n) if n >= 1 => Ok(n),
-            _ => Err(TensorError::invalid(format!(
-                "{THREADS_ENV}={raw:?} is not a valid thread count; expected an integer >= 1"
-            ))),
-        };
-    }
-    Ok(std::thread::available_parallelism().map_or(1, |n| n.get()))
 }
 
 /// The cache-aware planning funnel: on a [`PlanKey`] hit the pinned
@@ -294,9 +281,8 @@ impl SessionBuilder {
     }
 
     /// Sets the worker-thread count for block dispatch on the blocked
-    /// backend. When unset, the `BCONV_THREADS` environment variable is
-    /// consulted, then the machine's available parallelism. Outputs are
-    /// bitwise-identical at any thread count.
+    /// backend; 1 when unset. Outputs are bitwise-identical at any thread
+    /// count.
     pub fn threads(mut self, threads: usize) -> Self {
         self.threads = Some(threads);
         self

@@ -62,7 +62,7 @@ pub fn total_feature_map_mbits(net: &Network, bitwidth: usize) -> Result<f64, Te
 }
 
 /// Spatial compute resolutions of all conv layers, the input to blocking
-/// ratio accounting ([`bconv_core::analysis::blocking_ratio`]).
+/// ratio accounting ([`NetworkPlan::by_resolution`]).
 ///
 /// # Errors
 ///

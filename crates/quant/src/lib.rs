@@ -10,7 +10,7 @@
 //! * [`QParams`] — per-tensor symmetric scale for a given bitwidth;
 //! * [`QTensor`] / [`quantize`] / [`dequantize`] — integer tensors;
 //! * [`fake_quant`] — the QAT forward hook (quantize–dequantize round trip);
-//! * [`calibrate::Calibrator`] — absolute-max range calibration for PTQ;
+//! * [`calibrate::Calibrator`] — moving-average range calibration for PTQ;
 //! * [`qconv`] — integer convolution with exact integer accumulators:
 //!   [`qconv::QConv2d`] pads in any block-padding mode (or runs prepadded
 //!   inside fusion groups) and [`qconv::QuantChainOp`] packages one

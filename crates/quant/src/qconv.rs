@@ -72,8 +72,7 @@ pub struct QConv2d {
     pub(crate) weight_dims: [usize; 4],
     pub(crate) bias: Vec<f32>,
     weight_params: QParams,
-    /// Per-output-channel weight scales (all equal to the per-tensor scale
-    /// when built via [`from_conv_per_tensor`](Self::from_conv_per_tensor)).
+    /// Per-output-channel weight scales.
     pub(crate) wscales: Vec<f32>,
     /// The integer fast path's packed weights.
     pub(crate) packed: QPackedWeights,
@@ -88,7 +87,7 @@ impl QConv2d {
     ///
     /// Returns `None` if the weights are all zero (no meaningful scale).
     pub fn from_conv(conv: &Conv2d, weight_bits: u8) -> Option<Self> {
-        Self::build(conv, weight_bits, KernelKind::Direct, true)
+        Self::from_conv_with_kernel(conv, weight_bits, KernelKind::Direct)
     }
 
     /// [`from_conv`](Self::from_conv) with an explicit resolved kernel:
@@ -100,28 +99,6 @@ impl QConv2d {
         conv: &Conv2d,
         weight_bits: u8,
         kernel: KernelKind,
-    ) -> Option<Self> {
-        Self::build(conv, weight_bits, kernel, true)
-    }
-
-    /// [`from_conv_with_kernel`](Self::from_conv_with_kernel) with one
-    /// per-tensor weight scale instead of per-channel scales — the
-    /// pre-per-channel behaviour, kept for error-envelope comparisons.
-    ///
-    /// Returns `None` if the weights are all zero (no meaningful scale).
-    pub fn from_conv_per_tensor(
-        conv: &Conv2d,
-        weight_bits: u8,
-        kernel: KernelKind,
-    ) -> Option<Self> {
-        Self::build(conv, weight_bits, kernel, false)
-    }
-
-    fn build(
-        conv: &Conv2d,
-        weight_bits: u8,
-        kernel: KernelKind,
-        per_channel: bool,
     ) -> Option<Self> {
         let wdata = conv.weight().data();
         let abs_max = wdata.iter().fold(0.0f32, |m, &v| m.max(v.abs()));
@@ -139,11 +116,8 @@ impl QConv2d {
         for m in 0..c_out {
             let row = &wdata[m * per_ch..(m + 1) * per_ch];
             let cmax = row.iter().fold(0.0f32, |mx, &v| mx.max(v.abs()));
-            let params = if per_channel && cmax > 0.0 {
-                QParams::from_abs_max(cmax, weight_bits)
-            } else {
-                weight_params
-            };
+            let params =
+                if cmax > 0.0 { QParams::from_abs_max(cmax, weight_bits) } else { weight_params };
             wscales.push(params.scale());
             weight_q.extend(row.iter().map(|&v| params.quantize_value(v)));
         }

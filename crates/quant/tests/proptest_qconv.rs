@@ -177,12 +177,12 @@ proptest! {
         let mut rng = seeded_rng(seed ^ 0x9C41);
         let conv = he_conv2d(4, 6, ConvGeom::new(3, 1, 1), groups, &mut rng).unwrap();
         let q = QConv2d::from_conv(&conv, weight_bits).unwrap();
-        let envelope = QConv2d::from_conv_per_tensor(&conv, weight_bits, KernelKind::Direct)
-            .unwrap();
-        let half_step = envelope.weight_params().step() / 2.0;
+        // weight_params() is the per-tensor envelope.
+        let envelope = q.weight_params();
+        let half_step = envelope.step() / 2.0;
         let kk = conv.weight().data().len() / conv.c_out();
         for (m, &scale) in q.weight_scales().iter().enumerate() {
-            prop_assert!(scale <= envelope.weight_params().scale() + 1e-12,
+            prop_assert!(scale <= envelope.scale() + 1e-12,
                 "channel {m} scale {scale} exceeds envelope");
             for l in 0..kk {
                 let w = conv.weight().data()[m * kk + l];

@@ -42,71 +42,31 @@ pub fn max_pool2d_into(
     s: usize,
     out: &mut Tensor,
 ) -> Result<(), TensorError> {
-    pool2d_into(input, k, s, PoolKind::Max, out)
-}
-
-/// Average pooling with window `k` and stride `s`.
-///
-/// # Errors
-///
-/// Returns [`TensorError::InvalidParameter`] for degenerate geometry.
-pub fn avg_pool2d(input: &Tensor, k: usize, s: usize) -> Result<Tensor, TensorError> {
-    pool2d(input, k, s, PoolKind::Avg)
-}
-
-#[derive(Clone, Copy)]
-enum PoolKind {
-    Max,
-    Avg,
-}
-
-fn pool2d(input: &Tensor, k: usize, s: usize, kind: PoolKind) -> Result<Tensor, TensorError> {
-    let mut out = Tensor::zeros([0, 0, 0, 0]);
-    pool2d_into(input, k, s, kind, &mut out)?;
-    Ok(out)
-}
-
-fn pool2d_into(
-    input: &Tensor,
-    k: usize,
-    s: usize,
-    kind: PoolKind,
-    out: &mut Tensor,
-) -> Result<(), TensorError> {
     let [n, c, h, w] = input.shape().dims();
     let oh = conv_out_dim(h, k, s, 0)?;
     let ow = conv_out_dim(w, k, s, 0)?;
     out.reset([n, c, oh, ow]);
-    match (kind, k, s) {
-        (PoolKind::Max, 2, 2) => max_pool_2x2_rows(input, out),
-        _ => pool2d_windows(input, k, s, kind, out),
+    match (k, s) {
+        (2, 2) => max_pool_2x2_rows(input, out),
+        _ => max_pool_windows(input, k, s, out),
     }
     Ok(())
 }
 
-/// Any pooling geometry, one `at()` per window element, into the already
-/// shaped `out`. Also the oracle the row-wise path is tested against.
-fn pool2d_windows(input: &Tensor, k: usize, s: usize, kind: PoolKind, out: &mut Tensor) {
+/// Any max-pooling geometry, one `at()` per window element, into the
+/// already shaped `out`. Also the oracle the row-wise path is tested
+/// against.
+fn max_pool_windows(input: &Tensor, k: usize, s: usize, out: &mut Tensor) {
     let [n, c, oh, ow] = out.shape().dims();
     for ni in 0..n {
         for ci in 0..c {
             for ohi in 0..oh {
                 for owi in 0..ow {
-                    let mut acc = match kind {
-                        PoolKind::Max => f32::NEG_INFINITY,
-                        PoolKind::Avg => 0.0,
-                    };
+                    let mut acc = f32::NEG_INFINITY;
                     for khi in 0..k {
                         for kwi in 0..k {
-                            let v = input.at(ni, ci, ohi * s + khi, owi * s + kwi);
-                            match kind {
-                                PoolKind::Max => acc = acc.max(v),
-                                PoolKind::Avg => acc += v,
-                            }
+                            acc = acc.max(input.at(ni, ci, ohi * s + khi, owi * s + kwi));
                         }
-                    }
-                    if let PoolKind::Avg = kind {
-                        acc /= (k * k) as f32;
                     }
                     *out.at_mut(ni, ci, ohi, owi) = acc;
                 }
@@ -117,7 +77,7 @@ fn pool2d_windows(input: &Tensor, k: usize, s: usize, kind: PoolKind, out: &mut 
 
 /// 2×2 / stride-2 max pooling — nearly every pool in the paper's networks — into
 /// the already shaped `out`: two source rows and one destination row at a
-/// time as slices, each window folded in [`pool2d_windows`]' order, so the
+/// time as slices, each window folded in [`max_pool_windows`]' order, so the
 /// result (NaN and signed-zero handling included) is that loop's bit for
 /// bit, without its index arithmetic and bounds check per element (the
 /// 4×224×224 map of `vgg224_f32_blocked` pools 16× faster). An odd last
@@ -225,13 +185,6 @@ mod tests {
     }
 
     #[test]
-    fn avg_pool_averages_window() {
-        let t = Tensor::from_fn(1, 2, 2, |_, h, w| (h * 2 + w) as f32);
-        let p = avg_pool2d(&t, 2, 2).unwrap();
-        assert_eq!(p.at(0, 0, 0, 0), 1.5);
-    }
-
-    #[test]
     fn global_avg_pool_collapses_spatial_dims() {
         let t = Tensor::from_fn(2, 3, 3, |c, _, _| c as f32);
         let p = global_avg_pool(&t);
@@ -314,7 +267,7 @@ mod tests {
         ) {
             let input = hostile_tensor([n, c, h, w], seed);
             let mut want = Tensor::zeros([n, c, h / 2, w / 2]);
-            pool2d_windows(&input, 2, 2, PoolKind::Max, &mut want);
+            max_pool_windows(&input, 2, 2, &mut want);
             let mut got = Tensor::filled([n + 1, c, h, w], f32::NAN);
             max_pool2d_into(&input, 2, 2, &mut got).unwrap();
             proptest::prop_assert_eq!(got.shape(), want.shape());

@@ -1,7 +1,8 @@
 //! Synthetic datasets standing in for ImageNet, Set5 and COCO.
 //!
-//! See DESIGN.md §2 for the substitution rationale. Each task is designed
-//! so that the paper's *relative* claims are exercised:
+//! See the [crate docs](crate#substitutions) for the substitution
+//! rationale. Each task is designed so that the paper's *relative* claims
+//! are exercised:
 //!
 //! * **classification** — the class is the relative offset between two
 //!   blobs; recognising it needs a receptive field spanning both blobs, so
@@ -170,8 +171,9 @@ fn gaussian_blur(img: &[f32], size: usize, sigma: f32) -> Vec<f32> {
 /// HR patch is anti-alias blurred, decimated by `scale` and bilinearly
 /// upsampled back.
 ///
-/// The paper trains on 41×41 Set5 patches; we default to 48×48 in the
-/// harnesses so every scale factor divides the patch exactly (DESIGN.md §2).
+/// The paper trains on 41×41 Set5 patches; the harnesses use 24×24 so
+/// every scale factor divides the patch exactly
+/// ([crate docs](crate#substitutions)).
 ///
 /// # Errors
 ///

@@ -10,12 +10,15 @@
 //! strided convolutions as stride-1 + pooling, §II-F); spatial reduction is
 //! done by [`MaxPoolLayer`].
 
+use std::sync::Arc;
+
 use bconv_core::blocking::{BlockGrid, BlockingPattern};
-use bconv_core::padding_solver::plan_axis;
+use bconv_core::BlockConv2d;
 use bconv_tensor::conv::{Conv2d, ConvGeom};
 use bconv_tensor::init::{he_conv2d, he_linear};
+use bconv_tensor::kernel::ConvScratch;
 use bconv_tensor::linear::Linear;
-use bconv_tensor::pad::{pad2d_asym, pad2d_backward, PadMode};
+use bconv_tensor::pad::{pad2d_backward, PadMode};
 use bconv_tensor::pool::max_pool2d_with_argmax;
 use bconv_tensor::{Tensor, TensorError};
 use rand::rngs::StdRng;
@@ -113,14 +116,20 @@ pub enum Blocking {
 }
 
 struct ConvCache {
+    /// The block convolution the forward pass ran: backward reads the
+    /// grid, the pad mode and the per-block pads from it.
+    plan: BlockConv2d,
     /// Per-block padded inputs, row-major over the grid.
     padded_blocks: Vec<Tensor>,
     input_dims: [usize; 4],
 }
 
-/// A trainable stride-1 convolution, optionally blocked.
+/// A trainable stride-1 convolution, optionally blocked. Forward and
+/// backward both go through one planned [`BlockConv2d`] — the operator
+/// the inference engine executes — so accuracy and hardware numbers are
+/// measured on the same block convolution.
 pub struct ConvLayer {
-    conv: Conv2d,
+    conv: Arc<Conv2d>,
     blocking: Blocking,
     /// Fake-quantize weights in forward (training-aware quantization).
     pub fake_quant_bits: Option<u8>,
@@ -148,7 +157,7 @@ impl ConvLayer {
         blocking: Blocking,
         rng: &mut StdRng,
     ) -> Result<Self, TensorError> {
-        let conv = he_conv2d(c_in, c_out, ConvGeom::same(k), groups, rng)?;
+        let conv = Arc::new(he_conv2d(c_in, c_out, ConvGeom::same(k), groups, rng)?);
         let wdims = conv.weight().shape();
         Ok(Self {
             d_weight: Tensor::zeros(wdims.dims()),
@@ -172,7 +181,7 @@ impl ConvLayer {
 
     /// Mutable weight tensor (custom initialisation schemes).
     pub fn conv_weight_mut(&mut self) -> &mut Tensor {
-        self.conv.weight_mut()
+        Arc::make_mut(&mut self.conv).weight_mut()
     }
 
     /// Sets the blocking mode (used when converting a pre-trained baseline
@@ -181,33 +190,14 @@ impl ConvLayer {
         self.blocking = blocking;
     }
 
-    /// The grid and per-axis padding plans for an `h × w` input.
-    #[allow(clippy::type_complexity)]
-    fn plan(
-        &self,
-        h: usize,
-        w: usize,
-    ) -> Result<(BlockGrid, Vec<(usize, usize, usize, usize)>), TensorError> {
-        let geom = self.conv.geom();
-        let grid = match self.blocking {
-            Blocking::None => BlockGrid::single(h, w),
-            Blocking::Pattern(pattern, _) => BlockGrid::from_pattern(h, w, pattern)?,
-        };
-        let rows = plan_axis(grid.row_segments(), geom.kernel, 1, geom.padding)?;
-        let cols = plan_axis(grid.col_segments(), geom.kernel, 1, geom.padding)?;
-        let mut pads = Vec::with_capacity(grid.num_blocks());
-        for r in &rows.blocks {
-            for c in &cols.blocks {
-                pads.push((r.pad_lo, r.pad_hi, c.pad_lo, c.pad_hi));
-            }
-        }
-        Ok((grid, pads))
-    }
-
-    fn pad_mode(&self) -> PadMode {
+    /// The block convolution of `conv` on an `h × w` input: one
+    /// zero-padded block when unblocked, the pattern's grid otherwise.
+    fn plan(&self, conv: Arc<Conv2d>, h: usize, w: usize) -> Result<BlockConv2d, TensorError> {
         match self.blocking {
-            Blocking::None => PadMode::Zero,
-            Blocking::Pattern(_, mode) => mode,
+            Blocking::None => BlockConv2d::plan(conv, BlockGrid::single(h, w), PadMode::Zero),
+            Blocking::Pattern(pattern, mode) => {
+                BlockConv2d::from_pattern(conv, h, w, pattern, mode)
+            }
         }
     }
 }
@@ -215,37 +205,43 @@ impl ConvLayer {
 impl TrainLayer for ConvLayer {
     fn forward(&mut self, x: &Tensor, train: bool) -> Result<Tensor, TensorError> {
         let [n, _c, h, w] = x.shape().dims();
-        let (grid, pads) = self.plan(h, w)?;
-        let mode = self.pad_mode();
-
         // Training-aware quantization: fake-quantize weights (straight-
         // through estimator in backward).
-        let exec_conv = if let Some(bits) = self.fake_quant_bits {
-            let qw = fake_quant_dynamic(self.conv.weight(), bits);
-            Conv2d::new(qw, self.conv.bias().to_vec(), self.conv.geom(), self.conv.groups())?
-        } else {
-            self.conv.clone()
+        let exec_conv = match self.fake_quant_bits {
+            Some(bits) => {
+                let qw = fake_quant_dynamic(self.conv.weight(), bits);
+                let conv = &self.conv;
+                Arc::new(Conv2d::new(qw, conv.bias().to_vec(), conv.geom(), conv.groups())?)
+            }
+            None => Arc::clone(&self.conv),
         };
+        let plan = self.plan(exec_conv, h, w)?;
+        let grid = plan.grid();
 
         let mut out = Tensor::zeros([n, self.conv.c_out(), h, w]);
         let mut padded_blocks = Vec::with_capacity(grid.num_blocks());
-        let mut bi = 0;
+        let (mut padded, mut block_out) = (Tensor::default(), Tensor::default());
+        let mut scratch = ConvScratch::default();
         for row in 0..grid.num_rows() {
             for col in 0..grid.num_cols() {
                 let b = grid.block(row, col);
-                let (pt, pb, pl, pr) = pads[bi];
-                bi += 1;
                 let cropped = x.crop(b.h0, b.w0, b.bh, b.bw)?;
-                let padded = pad2d_asym(&cropped, pt, pb, pl, pr, mode)?;
-                let block_out = exec_conv.forward_prepadded(&padded)?;
+                plan.pad_block_into(&cropped, row, col, &mut padded)?;
+                let kernel = plan.kernel();
+                plan.conv().forward_prepadded_into(
+                    &padded,
+                    kernel,
+                    &mut block_out,
+                    &mut scratch,
+                )?;
                 out.paste(&block_out, b.h0, b.w0)?;
                 if train {
-                    padded_blocks.push(padded);
+                    padded_blocks.push(std::mem::take(&mut padded));
                 }
             }
         }
         if train {
-            self.cache = Some(ConvCache { padded_blocks, input_dims: x.shape().dims() });
+            self.cache = Some(ConvCache { plan, padded_blocks, input_dims: x.shape().dims() });
         }
         Ok(out)
     }
@@ -255,9 +251,8 @@ impl TrainLayer for ConvLayer {
             .cache
             .take()
             .ok_or_else(|| TensorError::invalid("ConvLayer::backward without forward"))?;
-        let [n, _c, h, w] = cache.input_dims;
-        let (grid, pads) = self.plan(h, w)?;
-        let mode = self.pad_mode();
+        let n = cache.input_dims[0];
+        let (grid, mode) = (cache.plan.grid(), cache.plan.pad_mode());
         let k = self.conv.geom().kernel;
         let groups = self.conv.groups();
         let c_out = self.conv.c_out();
@@ -268,13 +263,11 @@ impl TrainLayer for ConvLayer {
         let wdata = self.conv.weight().data();
 
         let mut d_input = Tensor::zeros(cache.input_dims);
-        let mut bi = 0;
         for row in 0..grid.num_rows() {
             for col in 0..grid.num_cols() {
                 let b = grid.block(row, col);
-                let (pt, pb, pl, pr) = pads[bi];
-                let padded = &cache.padded_blocks[bi];
-                bi += 1;
+                let (pt, pb, pl, pr) = cache.plan.block_padding(row, col);
+                let padded = &cache.padded_blocks[row * grid.num_cols() + col];
                 let d_block = d_out.crop(b.h0, b.w0, b.bh, b.bw)?;
                 let [_, _, ph, pw] = padded.shape().dims();
                 let mut d_padded = Tensor::zeros([n, c_in, ph, pw]);
@@ -312,17 +305,9 @@ impl TrainLayer for ConvLayer {
                 }
                 let d_cropped =
                     pad2d_backward(&d_padded, [n, c_in, b.bh, b.bw], pt, pb, pl, pr, mode)?;
-                // Scatter the block gradient back into the input gradient.
-                for ni in 0..n {
-                    for c in 0..c_in {
-                        for hh in 0..b.bh {
-                            for ww in 0..b.bw {
-                                *d_input.at_mut(ni, c, b.h0 + hh, b.w0 + ww) +=
-                                    d_cropped.at(ni, c, hh, ww);
-                            }
-                        }
-                    }
-                }
+                // Blocks tile the input, so each block gradient lands on
+                // pixels nothing else writes.
+                d_input.paste(&d_cropped, b.h0, b.w0)?;
             }
         }
         Ok(d_input)
@@ -330,8 +315,9 @@ impl TrainLayer for ConvLayer {
 
     fn step(&mut self, cfg: SgdConfig) {
         self.steps += 1;
+        let conv = Arc::make_mut(&mut self.conv);
         update_params(
-            self.conv.weight_mut().data_mut(),
+            conv.weight_mut().data_mut(),
             self.d_weight.data(),
             self.v_weight.data_mut(),
             self.v2_weight.data_mut(),
@@ -341,7 +327,7 @@ impl TrainLayer for ConvLayer {
         // Biases skip weight decay.
         let bias_cfg = SgdConfig { weight_decay: 0.0, ..cfg };
         update_params(
-            self.conv.bias_mut(),
+            conv.bias_mut(),
             &self.d_bias,
             &mut self.v_bias,
             &mut self.v2_bias,
@@ -685,6 +671,41 @@ mod tests {
     }
 
     #[test]
+    fn forward_is_the_core_block_convolution_bit_for_bit() {
+        // (c_in, c_out, k, groups, size, pattern, fake-quant bits)
+        let (f, h) = (BlockingPattern::fixed, BlockingPattern::hierarchical);
+        let cases = [
+            (2, 3, 3, 1, 8, None, None),
+            (2, 3, 3, 1, 8, Some(f(5)), None),
+            (2, 3, 3, 1, 8, Some(h(2)), None),
+            (2, 3, 3, 1, 10, Some(h(3)), None), // uneven 4 + 3 + 3 split
+            (4, 4, 3, 4, 8, Some(h(2)), None),  // depthwise
+            (3, 5, 1, 1, 8, Some(f(4)), None),  // pointwise
+            (2, 3, 3, 1, 8, Some(h(2)), Some(8)),
+        ];
+        for (i, (c_in, c_out, k, groups, size, pattern, bits)) in cases.into_iter().enumerate() {
+            for mode in PadMode::ALL {
+                let mut rng = seeded_rng(40 + i as u64);
+                let blocking = pattern.map_or(Blocking::None, |p| Blocking::Pattern(p, mode));
+                let mut layer = ConvLayer::new(c_in, c_out, k, groups, blocking, &mut rng).unwrap();
+                layer.fake_quant_bits = bits;
+                let x = uniform_tensor([2, c_in, size, size], -1.0, 1.0, &mut rng);
+                let mut conv = layer.conv().clone();
+                if let Some(bits) = bits {
+                    *conv.weight_mut() = fake_quant_dynamic(conv.weight(), bits);
+                }
+                let core = match pattern {
+                    None => BlockConv2d::plan(conv, BlockGrid::single(size, size), PadMode::Zero),
+                    Some(p) => BlockConv2d::from_pattern(conv, size, size, p, mode),
+                };
+                let expect = core.unwrap().forward(&x).unwrap();
+                let got = layer.forward(&x, true).unwrap();
+                assert_eq!(got.data(), expect.data(), "case {i}, {mode:?}");
+            }
+        }
+    }
+
+    #[test]
     fn conv_weight_gradcheck() {
         let mut rng = seeded_rng(13);
         let mut layer = ConvLayer::new(1, 1, 3, 1, Blocking::None, &mut rng).unwrap();
@@ -698,7 +719,7 @@ mod tests {
         let eval = |delta: f32| -> f32 {
             let mut probe =
                 ConvLayer::new(1, 1, 3, 1, Blocking::None, &mut seeded_rng(13)).unwrap();
-            *probe.conv.weight_mut().at_mut(0, 0, 1, 1) += delta;
+            *probe.conv_weight_mut().at_mut(0, 0, 1, 1) += delta;
             probe.forward(&x, false).unwrap().data().iter().sum()
         };
         let numeric = (eval(eps) - eval(-eps)) / (2.0 * eps);

@@ -1,7 +1,8 @@
-//! Small trainable counterparts of the paper's networks (see DESIGN.md §2
-//! for the scaling rationale): a VGG-style plain classifier, a ResNet-style
-//! residual classifier, a MobileNet-style depthwise classifier, a reduced
-//! VDSR, and an SSD-style single-object detector.
+//! Small trainable counterparts of the paper's networks (see the
+//! [crate docs](crate#substitutions) for the scaling rationale): a
+//! VGG-style plain classifier, a ResNet-style residual classifier, a
+//! MobileNet-style depthwise classifier, a reduced VDSR, and an SSD-style
+//! single-object detector.
 //!
 //! Every network exposes [`apply_blocking`](SmallClassifier::apply_blocking)
 //! so the experiment harnesses can convert a trained baseline into its
