@@ -155,6 +155,7 @@ impl Config {
             float_files: s(&[
                 "crates/tensor/src/kernel.rs",
                 "crates/tensor/src/kernel/plane.rs",
+                "crates/tensor/src/kernel/lane_tile.rs",
                 "crates/tensor/src/conv.rs",
                 "crates/tensor/src/linear.rs",
                 "crates/tensor/src/activation.rs",

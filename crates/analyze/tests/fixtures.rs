@@ -415,6 +415,31 @@ fn l6_covers_the_float_plane_kernel_file() {
 }
 
 #[test]
+fn l6_covers_the_ordered_policy_of_the_channel_lane_tile() {
+    // The shared tile takes its multiply-add from a policy. The exact
+    // (integer) policy lives in `qgemm.rs` and may fuse — that is the one
+    // allowlisted site; the ordered (float) policy lives beside the tile
+    // and must not: fusing it there is a finding no allowlist line covers.
+    let src = r#"
+        impl<const L: usize> Policy<L> for Ordered<L> {
+            const EXACT: bool = false;
+            fn start(&self) -> [f32; L] { self.bias }
+            fn mac(w: f32, x: f32, acc: f32) -> f32 { w.mul_add(x, acc) }
+        }
+    "#;
+    let rep = scan("crates/tensor/src/kernel/lane_tile.rs", src);
+    let fused: Vec<_> = rep.findings.iter().filter(|f| f.lint == Lint::FloatDeterminism).collect();
+    assert_eq!(fused.len(), 1, "{:?}", rep.findings);
+    assert_eq!((fused[0].func.as_str(), fused[0].construct.as_str()), ("mac", "mul_add"));
+    let allow = parse_allowlist(include_str!("../../../analyze/allowlist.txt"))
+        .expect("committed allowlist parses");
+    assert!(
+        allow.iter().all(|e| !e.file.ends_with("lane_tile.rs")),
+        "no allowlist line may exempt the tile's file"
+    );
+}
+
+#[test]
 fn l6_silent_on_integer_reductions_and_outside_kernel_files() {
     // usize sums are exact; only float turbofish reductions are banned.
     let ints = "fn tally(xs: &[usize]) -> usize { xs.iter().sum::<usize>() }";

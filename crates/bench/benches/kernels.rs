@@ -1,6 +1,7 @@
 //! Criterion kernel benchmarks: conventional vs block convolution (FLOP
 //! parity means comparable runtime), the float fast path per call at the
-//! repo benchmark's block shapes and across reduction lengths (`plane_*`),
+//! repo benchmark's block shapes — unpacked and packed — and across
+//! reduction lengths (`plane_*`),
 //! the integer fast path likewise (`qplane_*`), padding-mode
 //! overhead (paper §II-F: block padding costs are negligible), fused vs
 //! layer-wise chain execution, quantized convolution, and DSE speed.
@@ -20,7 +21,7 @@ use bconv_quant::qconv::{QConv2d, QConvScratch};
 use bconv_quant::QParams;
 use bconv_tensor::conv::{Conv2d, ConvGeom};
 use bconv_tensor::init::{he_conv2d, seeded_rng, uniform_tensor};
-use bconv_tensor::kernel::{ConvScratch, KernelKind};
+use bconv_tensor::kernel::{ConvScratch, KernelKind, PackedWeights};
 use bconv_tensor::pad::{pad2d, PadMode};
 use bconv_tensor::Tensor;
 
@@ -89,27 +90,37 @@ fn bench_kernel_impls(c: &mut Criterion) {
     group.finish();
 }
 
-/// One warm fast-path (`KernelKind::Im2colGemm`) call on a `c_in -> c_out`
-/// 3×3 layer over a `side`×`side` padded plane, reported with its MAC rate.
+/// One warm fast-path call on a `c_in -> c_out` 3×3 layer over a
+/// `side`×`side` padded plane, reported with its MAC rate: through
+/// `Conv2d::forward_prepadded_into` (`KernelKind::Im2colGemm`; a
+/// channel-lane layer lane-packs its weights per call), or, `packed`,
+/// through `PackedWeights::forward_prepadded_into` — the entry fused chains
+/// run.
 fn bench_fast_path_call(
     group: &mut criterion::BenchmarkGroup<'_>,
     name: String,
     (c_in, c_out): (usize, usize),
     side: usize,
+    packed: bool,
 ) {
     let mut rng = seeded_rng(9);
     let conv = he_conv2d(c_in, c_out, ConvGeom::same(3), 1, &mut rng).unwrap();
     let padded = uniform_tensor([1, c_in, side, side], -1.0, 1.0, &mut rng);
+    let weights = packed.then(|| PackedWeights::pack(&conv));
     let (mut out, mut scratch) = (Tensor::default(), ConvScratch::new());
     group.throughput(Throughput::Elements(conv.macs(side - 2, side - 2).unwrap()));
     group.bench_function(name, |b| {
         b.iter(|| {
-            conv.forward_prepadded_into(
-                black_box(&padded),
-                KernelKind::Im2colGemm,
-                &mut out,
-                &mut scratch,
-            )
+            let padded = black_box(&padded);
+            match &weights {
+                Some(w) => w.forward_prepadded_into(&conv, padded, &mut out, &mut scratch),
+                None => conv.forward_prepadded_into(
+                    padded,
+                    KernelKind::Im2colGemm,
+                    &mut out,
+                    &mut scratch,
+                ),
+            }
             .unwrap();
             black_box(out.data()[0])
         })
@@ -118,38 +129,50 @@ fn bench_fast_path_call(
 
 /// Per-call cost of the fast float path at the block shapes the repo
 /// benchmark runs (`vgg224_f32_blocked`'s H4 blocks, the 98×98 calibration
-/// map) — the thin 3×3 layers the plane kernel takes.
+/// map) and on both sides of its kernel dispatch: 3→4, 4→4 and the
+/// remainder passes of 4→2 / 4→6 keep the plane kernel; 8→8 and up give
+/// the lanes to output channels — on any plane (5×5 and 3×3 went to the
+/// GEMM's remainder tiles before), 16→17 with a ragged 8-lane tile. Each
+/// row has a `packed/` twin.
 fn bench_plane_blocks(c: &mut Criterion) {
     let mut group = c.benchmark_group("plane_blocks");
-    for (c_in, c_out, side) in [
-        (3usize, 4usize, 58usize),
-        (4, 4, 58),
-        (8, 8, 30),
-        (16, 16, 16),
-        (16, 16, 9),
-        (16, 16, 6),
-        (16, 16, 98),
-    ] {
-        bench_fast_path_call(
-            &mut group,
-            format!("{c_in}to{c_out}_{side}x{side}"),
-            (c_in, c_out),
-            side,
-        );
+    for packed in [false, true] {
+        for (c_in, c_out, side) in [
+            (3usize, 4usize, 58usize),
+            (4, 4, 58),
+            (4, 2, 58),
+            (4, 6, 58),
+            (8, 8, 30),
+            (8, 16, 16),
+            (16, 16, 16),
+            (16, 16, 9),
+            (16, 16, 6),
+            (16, 16, 5),
+            (16, 16, 3),
+            (16, 17, 10),
+            (24, 24, 10),
+            (16, 16, 98),
+        ] {
+            let prefix = if packed { "packed/" } else { "" };
+            let name = format!("{prefix}{c_in}to{c_out}_{side}x{side}");
+            bench_fast_path_call(&mut group, name, (c_in, c_out), side, packed);
+        }
     }
     group.finish();
 }
 
-/// Why the plane kernel has no reduction-length cutover: `c -> c` layers
-/// with `kk = 9c` from 27 to 576 on a small and a large block plane. Every
-/// row runs the plane kernel; im2col+GEMM measured 8–10 Gelem/s on the same
-/// rows (make `plane::takes` return `false` to reproduce), so a row that
-/// falls to that rate is a dispatch regression.
+/// Why the float fast path has no reduction-length cutover: `c -> c`
+/// layers with `kk = 9c` from 27 to 576 on a small and a large block plane.
+/// The first two rows run the plane kernel, the rest channel lanes;
+/// im2col+GEMM measured 8–10 Gelem/s on the same rows (make both `takes`
+/// return `false` to reproduce), so a row that falls to that rate is a
+/// dispatch regression.
 fn bench_plane_kk_sweep(c: &mut Criterion) {
     let mut group = c.benchmark_group("plane_kk_sweep");
     for side in [16usize, 58] {
         for ch in [3usize, 4, 8, 16, 24, 32, 40, 48, 64] {
-            bench_fast_path_call(&mut group, format!("kk{}_{side}x{side}", ch * 9), (ch, ch), side);
+            let name = format!("kk{}_{side}x{side}", ch * 9);
+            bench_fast_path_call(&mut group, name, (ch, ch), side, false);
         }
     }
     group.finish();

@@ -163,9 +163,9 @@ pub struct PlanSpec {
     /// Block-padding mode (default zero padding).
     pub pad: PadMode,
     /// Conv kernel policy, for blocked and whole-map convolutions alike
-    /// (default [`KernelPolicy::Auto`]: the fast path — plane kernel or
-    /// im2col+GEMM by layer shape — everywhere but degenerate single-tap
-    /// layers, which keep the direct loop).
+    /// (default [`KernelPolicy::Auto`]: the fast path — channel-lane
+    /// kernel, plane kernel or im2col+GEMM by layer shape — everywhere but
+    /// degenerate single-tap layers, which keep the direct loop).
     pub kernel: KernelPolicy,
     /// Run the per-host autotuner ([`mod@crate::tune`]) — or load its
     /// winner from the per-host winner cache, when the session has a

@@ -48,6 +48,13 @@
 //!
 //! # Which axis gets the lanes
 //!
+//! The question and the answer apply to both precisions — the channel-lane
+//! tile is **shared** with the float fast path
+//! ([`bconv_tensor::kernel::lane_tile`]; this module supplies the exact
+//! arithmetic policy and the rescaling epilogue, `Emit`, and keeps its own
+//! quantize pass) — only the channel count at which the lanes change axis
+//! differs, see the end of this section.
+//!
 //! A vector lane must be an output. With **output channels** in the lanes
 //! (`qlane_conv`) a register tile is up to eight consecutive pixels of one
 //! output row × 16 channels, held across all input channels: per kernel row
@@ -71,7 +78,10 @@
 //! half the FMAs per broadcast — and measured 16–19 against 18–22 at 8→8
 //! on 14×14 and 26×26 planes, so it keeps the spatial lanes, as does every
 //! thinner one (a `c_out = 1` layer would fill one lane in eight). 8-lane
-//! tiles remain for the last tile of a group (24 = 16 + 8 channels).
+//! tiles remain for the last tile of a group (24 = 16 + 8 channels). The
+//! float path switches one channel earlier, at eight: its spatial-lane
+//! kernel has no FMA and one chain per lane, and its 8-lane tiles measured
+//! 26–30 GMAC/s against 23–27 at 8→8 on 30×30 planes.
 //!
 //! # No reduction-length cutover
 //!
@@ -83,8 +93,9 @@
 //! sweeps every small plane shape and channel count of both kernels, and
 //! both sides of the `2^24` guard, against the direct loop.
 
+use bconv_tensor::kernel::lane_tile::{each_tile, pack_lanes, sweep_lanes, Policy, VEC};
 use bconv_tensor::shape::conv_out_dim;
-use bconv_tensor::{Tensor, TensorError};
+use bconv_tensor::{each_pixel, Tensor, TensorError};
 
 use crate::qconv::{QConv2d, QConvScratch};
 use crate::QParams;
@@ -133,25 +144,15 @@ impl QPackedWeights {
         let data = weight_q.iter().map(|&w| w as i16).collect();
         let cout_per_group = c_out / groups;
         // `as f32` is exact: |w| <= 32767 is far inside f32's integer range.
+        let rows = || weight_q.iter().map(|&w| w as f32).collect::<Vec<_>>();
         let plane = if k != 3 || stride != 1 {
             PlaneWeights::None
         } else if cout_per_group <= VEC {
-            PlaneWeights::Rows(weight_q.iter().map(|&w| w as f32).collect())
+            PlaneWeights::Rows(rows())
         } else {
-            // Pushed in layout order: group, tile, (c_in, tap), lane.
-            let kk = cin_per_group * 9;
-            let mut data = Vec::new();
-            for grp in 0..groups {
-                for (mo, lanes) in lane_tiles(cout_per_group) {
-                    let live = lanes.min(cout_per_group - mo);
-                    let rows = &weight_q[(grp * cout_per_group + mo) * kk..][..live * kk];
-                    for l in 0..kk {
-                        data.extend(rows.iter().skip(l).step_by(kk).map(|&w| w as f32));
-                        data.resize(data.len() + lanes - live, 0.0);
-                    }
-                }
-            }
-            PlaneWeights::Lanes(data)
+            let mut lanes = Vec::new();
+            pack_lanes(&rows(), [groups, cout_per_group, cin_per_group * 9], &mut lanes);
+            PlaneWeights::Lanes(lanes)
         };
         Self { data, plane, max_abs }
     }
@@ -514,7 +515,7 @@ fn window(src: &[f32], at: usize) -> Option<&[f32; LANES + 2]> {
 /// than [`VEC`] output channels per group: the vector lanes are
 /// consecutive *output channels* (`lane_tiles`), and a tile of up to eight
 /// consecutive output pixels of one row stays in registers across all input
-/// channels (`lane_tile`). Every lane of every pixel tile is an output — no
+/// channels (the shared `lane_tile`, under the exact policy). Every lane of every pixel tile is an output — no
 /// wrap columns, no rounded-up chunk, no slack behind `actf`, no
 /// accumulator plane — which is what block-sized planes need (an 8×8 block
 /// is eight 8-pixel tiles per channel tile; the spatial-lane sweep computes
@@ -534,223 +535,73 @@ fn qlane_conv(
     out: &mut Tensor,
     actf: &mut Vec<f32>,
 ) -> Result<(), TensorError> {
-    let [n, c_in, ph, pw] = padded.shape().dims();
+    let [n, _, ph, pw] = padded.shape().dims();
     let [c_out, cin_per_group, _, _] = q.weight_dims;
     let oh = conv_out_dim(ph, 3, 1, 0)?;
     let ow = conv_out_dim(pw, 3, 1, 0)?;
-    let cout_per_group = c_out / q.groups;
-    let plane = ph * pw;
-    let nn = oh * ow;
 
     quantize_f32(padded, act_params, actf, 0);
     let act_scale = act_params.scale();
 
     out.reset([n, c_out, oh, ow]);
-    let oshape = out.shape();
-    let odata = out.data_mut();
-
-    for ni in 0..n {
-        let mut wrest = wl;
-        for grp in 0..q.groups {
-            let g0 = (ni * c_in + grp * cin_per_group) * plane;
-            let group = &actf[g0..g0 + cin_per_group * plane];
-            for (mo, lanes) in lane_tiles(cout_per_group) {
-                let wt;
-                (wt, wrest) = wrest.split_at(cin_per_group * 9 * lanes);
-                // The tile's live channels (a ragged last tile has fewer
-                // than `lanes`) and their planes of `out`.
-                let m0 = grp * cout_per_group + mo;
-                let live = m0..m0 + lanes.min(cout_per_group - mo);
-                let o0 = oshape.index(ni, m0, 0, 0);
-                let dst = &mut odata[o0..o0 + live.len() * nn];
-                let (ws, bs) = (&q.wscales[live.clone()], &q.bias[live]);
-                let dims = [oh, ow, pw, plane];
-                if lanes == 2 * VEC {
-                    sweep_lanes::<{ 2 * VEC }>(wt, group, dims, Emit::new(ws, act_scale, bs, dst));
-                } else {
-                    sweep_lanes::<VEC>(wt, group, dims, Emit::new(ws, act_scale, bs, dst));
-                }
-            }
+    let dims = [oh, ow, pw, ph * pw];
+    let shape = [n, q.groups, cin_per_group, c_out / q.groups];
+    each_tile(wl, actf, out.data_mut(), shape, dims, |wt, group, live, lanes, dst| {
+        let (ws, bs) = (&q.wscales[live.clone()], &q.bias[live]);
+        if lanes == 2 * VEC {
+            sweep_lanes(wt, group, dims, &Emit::<{ 2 * VEC }>::new(ws, act_scale, bs), dst);
+        } else {
+            sweep_lanes(wt, group, dims, &Emit::<VEC>::new(ws, act_scale, bs), dst);
         }
-    }
+    });
     Ok(())
 }
 
-/// Vector width the channel-lane kernel is laid out for: eight f32 lanes,
-/// one 256-bit register. Channel tiles are one or two vectors wide.
-const VEC: usize = 8;
-
-/// The channel tiles of a group of `cout_per_group` output channels, as
-/// `(first channel, lanes)`: 16 lanes apiece, and 8 for a last tile of at
-/// most eight channels — the weight layout ([`PlaneWeights::Lanes`]) and
-/// the sweep walk the same list.
-fn lane_tiles(cout_per_group: usize) -> impl Iterator<Item = (usize, usize)> {
-    (0..cout_per_group)
-        .step_by(2 * VEC)
-        .map(move |mo| (mo, if cout_per_group - mo > VEC { 2 * VEC } else { VEC }))
-}
-
-/// Whether the widest pixel tile is 8: its 8 × 16 accumulators are sixteen
-/// 256-bit registers, which leaves room for weights and broadcasts only in
-/// AVX-512's file of 32 (built for a 16-register AVX2 target the same tile
-/// spills some 90 vectors per input channel). Elsewhere rows are swept in
-/// 4-pixel tiles. A build-time choice, like [`mac`]'s.
-const TILE_8: bool = cfg!(target_feature = "avx512f");
-
-/// Largest tile, in accumulator lanes, that `lane_tile` sums in three sets.
-const SPLIT_MAX: usize = 4 * VEC;
-
-/// One channel tile (`L` lanes, weights `wt`) over every output pixel of
-/// one image's `group` planes: rows of 8-pixel tiles (4 without
-/// [`TILE_8`]), then a 4, a 2 and a 1 for whatever width is left.
-fn sweep_lanes<const L: usize>(
-    wt: &[f32],
-    group: &[f32],
-    [oh, ow, pw, plane]: [usize; 4],
-    mut emit: Emit<'_, L>,
-) {
-    for ohi in 0..oh {
-        let (src, to) = (ohi * pw, ohi * ow);
-        let mut owi = 0;
-        while TILE_8 && owi + 8 <= ow {
-            emit.store(to + owi, lane_tile::<8, L>(wt, group, src + owi, pw, plane));
-            owi += 8;
-        }
-        while owi + 4 <= ow {
-            emit.store(to + owi, lane_tile::<4, L>(wt, group, src + owi, pw, plane));
-            owi += 4;
-        }
-        if owi + 2 <= ow {
-            emit.store(to + owi, lane_tile::<2, L>(wt, group, src + owi, pw, plane));
-            owi += 2;
-        }
-        if owi < ow {
-            emit.store(to + owi, lane_tile::<1, L>(wt, group, src + owi, pw, plane));
-        }
-    }
-}
-
-/// Expands its body once per pixel of a `P`-pixel tile, with `$p` a
-/// **constant** index. The lane loops of the channel-lane kernel must be
-/// the only loops the vectoriser can see: with the pixels in a `for p in
-/// 0..P` loop LLVM vectorises *across pixels* — gathers and scatters on a
-/// stack-resident accumulator array — and the kernel runs ten times slower
-/// with every test green.
-macro_rules! each_pixel {
-    ($p:ident < $P:ident => $body:block) => {
-        each_pixel!(@ $p $P $body 0 1 2 3 4 5 6 7)
-    };
-    (@ $p:ident $P:ident $body:block $($i:literal)*) => {$(
-        if $i < $P {
-            const $p: usize = $i;
-            $body
-        }
-    )*};
-}
-
-/// The accumulators of `P` consecutive output pixels × `L` output
-/// channels, summed over every input channel and tap in registers:
-/// `acc[p][l] = Σ_ci Σ_(r,c) wt[ci][3r + c][l] · group[ci·plane + at + r·pw
-/// + p + c]`. Per kernel row that is three `L`-lane weight loads and
-/// `P + 2` scalar broadcasts for `3·P` `L`-lane FMAs.
-///
-/// Shaped for the autovectoriser, and checked against it: the lane loop is
-/// innermost and the only loop over the tile (`each_pixel`), nothing inside
-/// the reduction can panic (a panic edge makes LLVM keep the by-value
-/// result in memory, and the stores it sinks there seed cross-pixel SLP
-/// trees), the function is never inlined. After touching it, `objdump -d`
-/// the `lane_tile` symbols: each must hold `9·P·L/8` `vfmadd231ps` on
-/// `ymm` registers — `<8, 16>`: 144, on 16 distinct accumulators — and no
-/// shuffle, `vgather` or `zmm` arithmetic (the recipe is in
-/// `.claude/skills/verify/SKILL.md`).
-#[inline(never)]
-fn lane_tile<const P: usize, const L: usize>(
-    wt: &[f32],
-    group: &[f32],
-    at: usize,
-    pw: usize,
-    plane: usize,
-) -> [[f32; L]; P] {
-    // A tile of at most four vectors is bound by the latency of its
-    // accumulation chains (nine dependent FMAs per input channel), so each
-    // kernel row sums into an accumulator set of its own — exact in any
-    // association, like everything here; on 2×2 planes that is 27 GMAC/s
-    // for 18. Wider tiles have chains enough to fill the FMA ports.
-    let split = P * L <= SPLIT_MAX;
-    let mut acc = [[[0.0f32; L]; P]; 3];
-    for (gp, wci) in group.chunks_exact(plane).zip(wt.chunks_exact(9 * L)) {
-        macro_rules! kernel_row {
-            ($r:literal) => {
-                if let Some(row) = gp.get(at + $r * pw..).and_then(|s| s.get(..P + 2)) {
-                    let wr = &wci[$r * 3 * L..][..3 * L];
-                    let (w0, w1, w2) = (&wr[..L], &wr[L..2 * L], &wr[2 * L..]);
-                    let set = if split { $r } else { 0 };
-                    for l in 0..L {
-                        each_pixel!(PX < P => {
-                            let a = mac(w0[l], row[PX], acc[set][PX][l]);
-                            acc[set][PX][l] = mac(w2[l], row[PX + 2], mac(w1[l], row[PX + 1], a));
-                        });
-                    }
-                } else {
-                    debug_assert!(false, "sweep_lanes keeps every tile inside its plane");
-                }
-            };
-        }
-        kernel_row!(0);
-        kernel_row!(1);
-        kernel_row!(2);
-    }
-    let [mut sum, s1, s2] = acc;
-    if split {
-        for l in 0..L {
-            each_pixel!(PX < P => {
-                sum[PX][l] += s1[PX][l] + s2[PX][l];
-            });
-        }
-    }
-    sum
-}
-
-/// Where a channel tile's results go: the rescale factors of its `L` lanes
-/// (zero past the `live` ones) and the live channels' planes of `out`
-/// (`dst`, `nn` elements apiece).
-struct Emit<'a, const L: usize> {
+/// The exact policy of the shared channel-lane tile
+/// ([`bconv_tensor::kernel::lane_tile`]): lanes carry integers below 2²⁴, so
+/// they start at zero, go through [`mac`] and may be summed in any
+/// association; a finished tile is rescaled with the factors of its `L`
+/// lanes (zero past the live ones).
+struct Emit<const L: usize> {
     scale: [f32; L],
     bias: [f32; L],
-    live: usize,
-    dst: &'a mut [f32],
-    nn: usize,
 }
 
-impl<'a, const L: usize> Emit<'a, L> {
+impl<const L: usize> Emit<L> {
     /// For the channels whose weight scales are `wscales` and biases
-    /// `bias`, writing their planes `dst`.
-    fn new(wscales: &[f32], act_scale: f32, bias: &[f32], dst: &'a mut [f32]) -> Self {
-        let live = wscales.len();
+    /// `bias`.
+    fn new(wscales: &[f32], act_scale: f32, bias: &[f32]) -> Self {
         let (mut scale, mut offset) = ([0.0f32; L], [0.0f32; L]);
         for (l, (&ws, &b)) in wscales.iter().zip(bias).enumerate() {
             // The direct loop's `out_scale`, same operand order.
             scale[l] = ws * act_scale;
             offset[l] = b;
         }
-        Self { scale, bias: offset, live, nn: dst.len() / live, dst }
+        Self { scale, bias: offset }
+    }
+}
+
+impl<const L: usize> Policy<L> for Emit<L> {
+    const EXACT: bool = true;
+
+    #[inline(always)]
+    fn start(&self) -> [f32; L] {
+        [0.0; L]
+    }
+
+    #[inline(always)]
+    fn mac(w: f32, x: f32, acc: f32) -> f32 {
+        mac(w, x, acc)
     }
 
     /// Rescales a pixel tile with the direct loop's expression verbatim —
     /// `acc * (wscale[m] * act_scale) + bias[m]`, a separate multiply and
-    /// add: the result is no integer, so no [`mac`] — and transposes it
-    /// into pixels `at..at + P` of each live channel's plane.
+    /// add: the result is no integer, so no [`mac`].
     #[inline(always)]
-    fn store<const P: usize>(&mut self, at: usize, mut acc: [[f32; L]; P]) {
+    fn finish<const P: usize>(&self, acc: &mut [[f32; L]; P]) {
         for (l, (&scale, &bias)) in self.scale.iter().zip(&self.bias).enumerate() {
             each_pixel!(PX < P => {
                 acc[PX][l] = acc[PX][l] * scale + bias;
-            });
-        }
-        for (l, start) in (at..).step_by(self.nn).take(self.live).enumerate() {
-            let row = &mut self.dst[start..start + P];
-            each_pixel!(PX < P => {
-                row[PX] = acc[PX][l];
             });
         }
     }
@@ -848,6 +699,7 @@ pub(crate) fn dot_i16_i64(a: &[i16], b: &[i16]) -> i64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bconv_tensor::kernel::lane_tile::lane_tiles;
 
     #[test]
     fn packing_narrows_and_tracks_max() {

@@ -8,17 +8,25 @@
 //! * [`KernelKind::Direct`] — the naive seven-loop direct convolution.
 //!   Minimal working memory; the oracle every other kernel is compared
 //!   against.
-//! * [`KernelKind::Im2colGemm`] — the **fast path**, which dispatches by
-//!   layer shape inside `im2col_gemm`, exactly as the integer fast path
-//!   (`bconv_quant::qgemm`) does:
-//!   * 3×3 stride-1 layers run the plane shift-and-add kernel (`plane`):
-//!     no patch matrix, accumulators for four output channels × sixteen
-//!     positions held in registers across the whole reduction;
-//!   * every other geometry (strided, 1×1, 5×5, planes too small to fill
-//!     one sixteen-lane chunk) lowers each (batch, group) to a `K×N` patch
-//!     matrix (im2col) and multiplies it with the `M×K` weight matrix
-//!     through a small register-blocked sgemm: the weight row is streamed
-//!     once per output tile instead of once per output pixel.
+//! * [`KernelKind::Im2colGemm`] — the **fast path**, three kernels behind
+//!   one name, dispatched by layer shape alone inside `im2col_gemm`,
+//!   exactly as the integer fast path (`bconv_quant::qgemm`) does:
+//!   * 3×3 stride-1 layers with eight or more output channels per group
+//!     run the **channel-lane kernel** ([`lane_tile`]): lanes are 16 (or 8)
+//!     consecutive output channels, a tile of up to eight pixels of one
+//!     output row is held in registers across all input channels, the
+//!     padded input is read in place — any plane size, 1×1 outputs
+//!     included. It is the micro-kernel the integer path runs, under an
+//!     order-preserving arithmetic policy;
+//!   * thinner 3×3 stride-1 layers (up to seven output channels per group,
+//!     depthwise included) run the **plane shift-and-add kernel**
+//!     (`plane`): lanes are sixteen positions of the padded-width plane,
+//!     up to four output channels per pass, no patch matrix;
+//!   * every other geometry (strided, 1×1, 5×5, thin layers on planes too
+//!     small to fill one sixteen-lane chunk) lowers each (batch, group) to
+//!     a `K×N` patch matrix (im2col) and multiplies it with the `M×K`
+//!     weight matrix through a small register-blocked sgemm: the weight row
+//!     is streamed once per output tile instead of once per output pixel.
 //!
 //! All of them accumulate each output element in the same order (bias
 //! first, then taps in `(c_in, kh, kw)` order), so for a given layer they
@@ -28,13 +36,16 @@
 //! guarantee; parity tests assert a 1e-4 relative tolerance (and, as a
 //! stronger implementation check, equal bits).
 //!
-//! Two performance layers sit behind the GEMM:
+//! Two performance layers sit behind them:
 //!
-//! * [`PackedWeights`] — a panel-major (BLIS-style "A-packing") copy of
-//!   the weight matrix, built **once** at plan/build time so the sgemm
-//!   inner loop reads `MR` weights contiguously instead of striding `K`
-//!   apart. Packing never happens per run. (The plane kernel reads the
-//!   layer's own row-major weights; the panels serve the GEMM shapes.)
+//! * [`PackedWeights`] — a build-time copy of the weights in the one
+//!   layout the layer's kernel reads: lane-major for the channel-lane
+//!   kernel, panel-major (BLIS-style "A-packing": the sgemm inner loop
+//!   reads `MR` weights contiguously instead of striding `K` apart) for the
+//!   rest. Built **once** at plan/build time. Without it the channel-lane
+//!   kernel lane-packs into the [`ConvScratch`] per call (`c_out · c_in ·
+//!   9` copies — nothing on a map, a third of a 16→16 call on a 9×9 block);
+//!   the plane kernel reads the layer's own row-major weights.
 //! * An 8-wide manual lane type (`F32x8`) used by the sgemm microkernels
 //!   and the plane kernel: explicit unrolled lanes the auto-vectorizer maps
 //!   onto SIMD registers (stable Rust, no cargo feature). Lane arithmetic
@@ -52,21 +63,22 @@ use crate::conv::Conv2d;
 use crate::shape::conv_out_dim;
 use crate::{Tensor, TensorError};
 
+pub mod lane_tile;
 mod plane;
 
 /// How to choose the kernel implementation for a layer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum KernelPolicy {
     /// Choose per layer: the fast path (`im2col-gemm`, which itself
-    /// dispatches by shape between the plane kernel and im2col+GEMM)
+    /// dispatches by shape between its two 3×3 kernels and im2col+GEMM)
     /// everywhere except degenerate single-tap per-channel layers, which
     /// stay on the direct loop.
     #[default]
     Auto,
     /// Always the direct loop.
     Direct,
-    /// Always the fast path: the plane kernel for 3×3 stride-1 layers,
-    /// im2col+GEMM otherwise.
+    /// Always the fast path: the channel-lane or the plane kernel for
+    /// 3×3 stride-1 layers, im2col+GEMM otherwise.
     Im2colGemm,
 }
 
@@ -78,7 +90,7 @@ impl KernelPolicy {
     /// this policy at construction and picks its integer im2col+GEMM
     /// exactly where the float layer would pick [`KernelKind::Im2colGemm`]
     /// (`im2col-gemm` names the fast path on both sides; each dispatches by
-    /// shape to its own plane kernel).
+    /// shape to its own patch-free kernels).
     pub fn resolve(self, conv: &Conv2d) -> KernelKind {
         match self {
             Self::Direct => KernelKind::Direct,
@@ -90,7 +102,7 @@ impl KernelPolicy {
                 // Measured across dense, grouped, depthwise and pointwise
                 // shapes at both whole-map and per-block sizes, the fast
                 // path beats the direct loop essentially always: 3×3
-                // stride-1 layers take the plane kernel, and for the rest
+                // stride-1 layers take a patch-free kernel, and for the rest
                 // the patch matrix pays for itself even at m = 1 — the
                 // contiguous columns beat the direct loop's strided reads.
                 // Only a fully degenerate GEMM (scalar per-channel scaling:
@@ -121,7 +133,8 @@ pub enum KernelKind {
     /// The direct loop.
     #[default]
     Direct,
-    /// The fast path: plane kernel or im2col + GEMM, by layer shape.
+    /// The fast path: channel-lane kernel, plane kernel or im2col + GEMM,
+    /// by layer shape.
     Im2colGemm,
 }
 
@@ -141,6 +154,9 @@ impl KernelKind {
 pub struct ConvScratch {
     /// im2col patch matrix (`K × N`, reused across calls).
     cols: Vec<f32>,
+    /// Lane-major weights of the layer at hand, for channel-lane calls
+    /// that bring no [`PackedWeights`].
+    lanes: Vec<f32>,
 }
 
 impl ConvScratch {
@@ -219,49 +235,66 @@ pub(crate) fn direct(conv: &Conv2d, padded: &Tensor, out: &mut Tensor) -> Result
     Ok(())
 }
 
-/// The layer's weight matrix repacked panel-major for the sgemm: per
-/// group, `ceil(M/MR)` panels of `MR × K` laid out `panel[l*MR + i]`, so
-/// the microkernel's step over `l` reads `MR` weights contiguously
-/// (tail panels are zero-padded). Built **once** — at session build or via
-/// `BlockConv2d::with_packed_weights` — and shared by every run; the hot
+/// The layer's weights repacked for the fast path, in the **one** layout
+/// the kernel its shape dispatches to reads (like `QPackedWeights` on the
+/// integer side): lane-major `[group][c_out tile][c_in][tap][lanes]` for
+/// layers the channel-lane kernel takes (`lane_tile::pack_lanes`), and for
+/// every other layer the sgemm's panels — per group, `ceil(M/MR)` panels of
+/// `MR × K` laid out `panel[l*MR + i]`, so the microkernel's step over `l`
+/// reads `MR` weights contiguously (tail panels are zero-padded; thin 3×3
+/// layers keep them for the planes too small for the plane kernel, which
+/// itself reads the layer's own rows). Built **once** — at session build or
+/// via `BlockConv2d::with_packed_weights` — and shared by every run; the hot
 /// path never repacks.
 #[derive(Debug, Clone)]
 pub struct PackedWeights {
     data: Vec<f32>,
-    per_group: usize,
+    /// What was packed: the layer's weight dims, group count and stride.
+    layer: ([usize; 4], usize, usize),
 }
 
 impl PackedWeights {
+    fn layer_of(conv: &Conv2d) -> ([usize; 4], usize, usize) {
+        (conv.weight().shape().dims(), conv.groups(), conv.geom().stride)
+    }
+
     /// Packs `conv`'s weights. Allocation happens here, at build time.
     pub fn pack(conv: &Conv2d) -> Self {
         let g = conv.geom();
         let groups = conv.groups();
         let mg = conv.c_out() / groups;
         let kk = (conv.c_in() / groups) * g.kernel * g.kernel;
-        let per_group = mg.div_ceil(MR) * MR * kk;
-        let mut data = vec![0.0f32; groups * per_group];
         let wdata = conv.weight().data();
-        for grp in 0..groups {
-            let a = &wdata[grp * mg * kk..(grp + 1) * mg * kk];
-            let dst = &mut data[grp * per_group..(grp + 1) * per_group];
-            for (p, panel) in dst.chunks_exact_mut(MR * kk).enumerate() {
-                let it = p * MR;
-                for i in 0..MR.min(mg - it) {
-                    for l in 0..kk {
-                        panel[l * MR + i] = a[(it + i) * kk + l];
+        let mut data = Vec::new();
+        if lane_tile::takes(g.kernel, g.stride, mg) {
+            lane_tile::pack_lanes(wdata, [groups, mg, kk], &mut data);
+        } else {
+            let per_group = mg.div_ceil(MR) * MR * kk;
+            data.resize(groups * per_group, 0.0);
+            for grp in 0..groups {
+                let a = &wdata[grp * mg * kk..(grp + 1) * mg * kk];
+                let dst = &mut data[grp * per_group..(grp + 1) * per_group];
+                for (p, panel) in dst.chunks_exact_mut(MR * kk).enumerate() {
+                    let it = p * MR;
+                    for i in 0..MR.min(mg - it) {
+                        for l in 0..kk {
+                            panel[l * MR + i] = a[(it + i) * kk + l];
+                        }
                     }
                 }
             }
         }
-        Self { data, per_group }
+        Self { data, layer: Self::layer_of(conv) }
     }
 
-    /// The packed panels of one group.
+    /// The packed panels of one group of a layer the GEMM runs.
     pub(crate) fn group_panels(&self, grp: usize) -> &[f32] {
-        &self.data[grp * self.per_group..(grp + 1) * self.per_group]
+        let (_, groups, _) = self.layer;
+        let per_group = self.data.len() / groups;
+        &self.data[grp * per_group..(grp + 1) * per_group]
     }
 
-    /// Packed element count (includes zero-padded tail rows).
+    /// Packed element count (includes zero-padded tail rows or lanes).
     pub fn len(&self) -> usize {
         self.data.len()
     }
@@ -271,13 +304,15 @@ impl PackedWeights {
         self.data.is_empty()
     }
 
-    /// Evaluates `conv` on a pre-padded input through the fast path, the
-    /// GEMM reading these packed panels — bitwise identical to
-    /// [`KernelKind::Im2colGemm`], faster weight streaming. Hot path.
+    /// Evaluates `conv` on a pre-padded input through the fast path
+    /// reading these packed weights — bitwise identical to
+    /// [`KernelKind::Im2colGemm`], without the per-call repack (lanes) or
+    /// with faster weight streaming (panels). Hot path.
     ///
     /// # Errors
     ///
-    /// Returns [`TensorError`] on channel/shape mismatch.
+    /// Returns [`TensorError`] on channel/shape mismatch, or when `conv` is
+    /// not shaped like the layer these weights were packed from.
     pub fn forward_prepadded_into(
         &self,
         conv: &Conv2d,
@@ -285,12 +320,16 @@ impl PackedWeights {
         out: &mut Tensor,
         scratch: &mut ConvScratch,
     ) -> Result<(), TensorError> {
+        if self.layer != Self::layer_of(conv) {
+            return Err(TensorError::invalid("PackedWeights were packed from a different layer"));
+        }
         im2col_gemm(conv, Some(self), padded, out, scratch)
     }
 }
 
 /// The fast path (its name, `im2col-gemm` in reports and plan keys,
-/// predates the plane kernel). 3×3 stride-1 layers go to the plane kernel
+/// predates its patch-free kernels). 3×3 stride-1 layers go to the
+/// channel-lane kernel (`lane_tile::takes`) or the plane kernel
 /// (`plane::takes`); for the rest, lower each (batch, group) to a patch
 /// matrix and multiply with the weight matrix — packed panels when
 /// available, the layer's row-major weights otherwise. Hot path — no
@@ -311,7 +350,20 @@ pub(crate) fn im2col_gemm(
     let kk = cin_per_group * k * k; // GEMM reduction length K
     let nn = oh * ow; // GEMM width N
 
-    // 3×3 stride-1 layers skip the patch matrix altogether.
+    // 3×3 stride-1 layers skip the patch matrix altogether: channel lanes
+    // from eight output channels per group up, spatial lanes below.
+    if lane_tile::takes(k, s, cout_per_group) {
+        let wl = match packed {
+            Some(p) => &p.data,
+            None => {
+                let dims = [groups, cout_per_group, kk];
+                lane_tile::pack_lanes(conv.weight().data(), dims, &mut scratch.lanes);
+                &scratch.lanes
+            }
+        };
+        lane_tile::lane_conv(conv, wl, padded, out);
+        return Ok(());
+    }
     if plane::takes(k, s, oh, ow) {
         plane::plane_conv(conv, padded, out);
         return Ok(());

@@ -1,5 +1,8 @@
 //! The float **plane shift-and-add kernel**: 3×3 stride-1 convolution
-//! without a patch matrix.
+//! without a patch matrix, with the vector lanes on *plane positions* — the
+//! kernel of **thin layers** (up to seven output channels per group,
+//! depthwise included), which cannot fill a vector with output channels.
+//! Wider layers give the lanes to output channels (`super::lane_tile`).
 //!
 //! The im2col path inflates the input ninefold before a GEMM whose work
 //! per patch element is only `c_out / groups`, and its 4×8 register tile
@@ -11,8 +14,8 @@
 //! accumulators stay in registers across **all** input channels, one
 //! source vector load feeds up to four output channels, and the result is
 //! written once, straight into the output rows. It is the float twin of
-//! `bconv_quant::qgemm`'s exact-f32 plane kernel and is reached the same
-//! way: by shape (`takes`), from inside `im2col_gemm`.
+//! `bconv_quant::qgemm`'s exact-f32 spatial-lane kernel and is reached the
+//! same way: by shape (`takes`), from inside `im2col_gemm`.
 //!
 //! # Junk lanes
 //!
@@ -52,8 +55,9 @@ fn span(oh: usize, ow: usize) -> usize {
 }
 
 /// Whether the plane kernel takes a layer with kernel size `k` and stride
-/// `s` on an `oh`×`ow` output map: every 3×3 stride-1 layer whose span
-/// fills a chunk (padded planes of 5×5 and below stay on the GEMM).
+/// `s` on an `oh`×`ow` output map: every 3×3 stride-1 layer (that the
+/// channel-lane kernel left: `im2col_gemm` asks it first) whose span fills
+/// a chunk (padded planes of 5×5 and below stay on the GEMM).
 ///
 /// There is deliberately no reduction-length cutover. Per call, the plane
 /// kernel measured 1.7–2.7× the GEMM's MAC rate at every `c_in / groups ·
@@ -95,10 +99,14 @@ pub(super) fn plane_conv(conv: &Conv2d, padded: &Tensor, out: &mut Tensor) {
                     let w = &wdata[(m0 + mo) * geom.kk..];
                     let b = &conv.bias()[m0 + mo..];
                     let o = &mut outs[mo * geom.out_plane..];
-                    let m = (cout_per_group - mo).min(4);
+                    // Two channels left go as two single passes: the
+                    // `<2>` instantiation never vectorised (SLP glued its
+                    // unrolled taps into `xmm` shuffles; 4→2 on a 58×58
+                    // plane read 9.7 GMAC/s, 18.5 this way).
+                    let left = cout_per_group - mo;
+                    let m = if left == 2 { 1 } else { left.min(4) };
                     match m {
                         1 => sweep_store::<1>(group, at, pos, &geom, w, b, o),
-                        2 => sweep_store::<2>(group, at, pos, &geom, w, b, o),
                         3 => sweep_store::<3>(group, at, pos, &geom, w, b, o),
                         _ => sweep_store::<4>(group, at, pos, &geom, w, b, o),
                     }

@@ -27,6 +27,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
+use bconv_core::NetworkPlan;
 use bconv_graph::{Backend, ExecScratch, PlanSpec, Router, ServeConfig, Session};
 use bconv_models::small::vgg16_small;
 use bconv_models::Network;
@@ -111,10 +112,11 @@ fn session(backend: Backend, threads: usize) -> Session {
 const QUANT: Backend = Backend::Quantized { weight_bits: 8, act_bits: 8 };
 
 /// Strict tier: warm `run_with` + `recycle` is allocation-free — not
-/// "few allocations", literally zero.
-fn assert_zero_steady_state(backend: Backend) {
+/// "few allocations", literally zero. `build` runs under the gate's lock,
+/// like everything else that allocates.
+fn assert_zero_steady_state(what: &str, build: impl FnOnce() -> Session) {
     let _lock = GATE.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-    let session = session(backend, 1);
+    let session = build();
     let input = input(7);
     let mut scratch = ExecScratch::new();
 
@@ -137,7 +139,7 @@ fn assert_zero_steady_state(backend: Backend) {
     assert_eq!(
         (allocs, bytes),
         (0, 0),
-        "steady-state run_with must not allocate ({backend:?}): \
+        "steady-state run_with must not allocate ({what}): \
          {allocs} allocation(s), {bytes} byte(s) across 8 requests"
     );
     assert!(checksum.is_finite());
@@ -145,12 +147,37 @@ fn assert_zero_steady_state(backend: Backend) {
 
 #[test]
 fn run_with_is_allocation_free_blocked() {
-    assert_zero_steady_state(Backend::Blocked);
+    assert_zero_steady_state("blocked", || session(Backend::Blocked, 1));
 }
 
 #[test]
 fn run_with_is_allocation_free_quantized() {
-    assert_zero_steady_state(QUANT);
+    assert_zero_steady_state("quantized", || session(QUANT, 1));
+}
+
+/// A float plan that fuses nothing runs every conv as a whole-map node
+/// through the unpacked fast-path entry, which lane-packs the weights of
+/// channel-lane layers into the kernel scratch on every call: that buffer
+/// is grown once, like the patch matrix.
+#[test]
+fn run_with_is_allocation_free_unblocked_float() {
+    assert_zero_steady_state("unblocked float", || {
+        let convs = session(Backend::Blocked, 1).graph().conv_count();
+        let session = Session::builder()
+            .network(net())
+            .planner(PlanSpec::new().network_plan(NetworkPlan::unblocked(convs)))
+            .seed(2018)
+            .threads(1)
+            .build()
+            .expect("session builds");
+        assert_eq!(session.plan().fusion_groups(), 0, "nothing may fuse");
+        assert!(
+            session.conv_kernels().iter().all(|(_, k)| *k == "im2col-gemm"),
+            "every whole-map conv must take the fast path: {:?}",
+            session.conv_kernels()
+        );
+        session
+    });
 }
 
 /// The integer im2col+GEMM backend holds the strict-zero bar too: the
@@ -160,41 +187,22 @@ fn run_with_is_allocation_free_quantized() {
 /// allocations.
 #[test]
 fn run_with_is_allocation_free_quantized_gemm_kernel() {
-    let _lock = GATE.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-    let session = Session::builder()
-        .network(net())
-        .backend(QUANT)
-        .planner(PlanSpec::new().kernel(KernelPolicy::Im2colGemm))
-        .seed(2018)
-        .threads(1)
-        .build()
-        .expect("session builds");
-    assert!(
-        session.conv_kernels().iter().all(|(_, k)| *k == "im2col-gemm"),
-        "forcing the policy must route every conv through the integer GEMM: {:?}",
-        session.conv_kernels()
-    );
-    let input = input(7);
-    let mut scratch = ExecScratch::new();
-    for _ in 0..4 {
-        let report = session.run_with(&input, &mut scratch).expect("warm-up run");
-        scratch.recycle(report.output);
-    }
-    let before = snapshot();
-    let mut checksum = 0.0f32;
-    for _ in 0..8 {
-        let report = session.run_with(&input, &mut scratch).expect("measured run");
-        checksum += report.output.data()[0];
-        scratch.recycle(report.output);
-    }
-    let (allocs, bytes) = delta(before);
-    assert_eq!(
-        (allocs, bytes),
-        (0, 0),
-        "steady-state quantized-GEMM run_with must not allocate: \
-         {allocs} allocation(s), {bytes} byte(s) across 8 requests"
-    );
-    assert!(checksum.is_finite());
+    assert_zero_steady_state("quantized GEMM", || {
+        let session = Session::builder()
+            .network(net())
+            .backend(QUANT)
+            .planner(PlanSpec::new().kernel(KernelPolicy::Im2colGemm))
+            .seed(2018)
+            .threads(1)
+            .build()
+            .expect("session builds");
+        assert!(
+            session.conv_kernels().iter().all(|(_, k)| *k == "im2col-gemm"),
+            "forcing the policy must route every conv through the integer GEMM: {:?}",
+            session.conv_kernels()
+        );
+        session
+    });
 }
 
 /// Bounded tier: a serve request may allocate its departing output tensor
