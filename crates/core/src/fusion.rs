@@ -83,6 +83,14 @@ enum Stage {
 /// backends, the activation bitwidth for the quantized backend), so
 /// [`offchip_bits`](Self::offchip_bits) reports traffic the way the paper's
 /// memory figures do.
+///
+/// **Batches.** The stats of a run over `n` images are `n` × those of one
+/// image: traffic is the sum over the images, and `peak_working_elems` is
+/// `n` × the one-image peak, even where the images run one after another
+/// and never share the buffers at once. Every term therefore carries the
+/// batch factor, so a batch report divides exactly into per-request
+/// shares (`stats × nᵢ / n`) that equal solo runs — which is how serving
+/// splits a coalesced report.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MemStats {
     /// Peak number of elements simultaneously alive in working buffers.

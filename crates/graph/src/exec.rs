@@ -9,11 +9,15 @@
 //! * [`PlanExecutor`] — walks an [`ExecPlan`]'s segments: fusion groups run
 //!   block-by-block through [`bconv_core::fusion::FusedChain`], whole-map
 //!   nodes run densely, and [`MemStats`] records the off-chip traffic the
-//!   fused schedule avoids. Precision is a property of the plan, not of the
-//!   executor: a plan from [`crate::plan::Planner::plan_quantized`] carries
-//!   integer stages in its chains and an integer form for every whole-map
-//!   conv / FC node (the paper's deployment path; see [`crate::quantize`]),
-//!   a float plan carries neither, and the same loop runs both.
+//!   fused schedule avoids. A multi-image input is walked image by image
+//!   (the unit of work is one image in one block), so no segment ever
+//!   holds more than one image's buffers; its stats follow the batch rule
+//!   documented on [`MemStats`]. Precision is a property of the plan, not
+//!   of the executor: a plan from
+//!   [`crate::plan::Planner::plan_quantized`] carries integer stages in
+//!   its chains and an integer form for every whole-map conv / FC node
+//!   (the paper's deployment path; see [`crate::quantize`]), a float plan
+//!   carries neither, and the same loop runs both.
 //!
 //! Float execution shares one node evaluator, so a graph with an unblocked
 //! plan produces bit-identical outputs on `Reference` and `Blocked`;
@@ -81,6 +85,9 @@ pub struct ExecScratch {
     pipeline: PipelineScratch,
     /// Whole-map (single-segment) kernel temporaries.
     single: SingleScratch,
+    /// One image of a multi-image input: [`PlanExecutor`] walks a batch
+    /// through it image by image.
+    image: Tensor,
 }
 
 impl ExecScratch {
@@ -398,16 +405,55 @@ impl PlanExecutor {
     pub fn new(graph: Arc<Graph>, plan: Arc<ExecPlan>, threads: usize) -> Self {
         Self { graph, plan, threads: threads.max(1) }
     }
-}
 
-impl Executor for PlanExecutor {
-    /// The segment loop. All [`MemStats`] accounting conventions —
-    /// peak-working tracking, the write + read-back rule for non-final
-    /// segment outputs, the in-place-ReLU exemption — live here once, for
-    /// float and quantized plans alike; feature maps cross the off-chip
-    /// boundary at the plan's activation bitwidth (the paper's Figure 7
-    /// memory accounting). All mutable run state draws from `scratch`.
-    fn run_scratch(
+    /// A multi-image input, one image at a time: each image is copied into
+    /// `image`, runs the segment loop alone, and lands in its slot of a
+    /// pooled batch output, so every segment — fused, spliced or whole-map
+    /// — only ever holds one image's buffers. Stats follow the batch rule
+    /// on [`MemStats`]: traffic sums, the working-set peak is `n` × the
+    /// one-image peak.
+    fn run_images(
+        &self,
+        input: &Tensor,
+        image: &mut Tensor,
+        scratch: &mut ExecScratch,
+    ) -> Result<RunReport, TensorError> {
+        check_input(&self.graph, input)?;
+        let [n, c, h, w] = input.shape().dims();
+        image.reset([1, c, h, w]);
+        let mut output = scratch.pool.pop().unwrap_or_default();
+        let mut stats = MemStats::default();
+        let mut segments = 0;
+        for (i, src) in input.data().chunks_exact(c * h * w).enumerate() {
+            image.data_mut().copy_from_slice(src);
+            let report = self.run_image(image, scratch)?;
+            let [_, oc, oh, ow] = report.output.shape().dims();
+            let per_image = oc * oh * ow;
+            if i == 0 {
+                output.reset([n, oc, oh, ow]);
+            }
+            output.data_mut()[i * per_image..(i + 1) * per_image]
+                .copy_from_slice(report.output.data());
+            stats = MemStats {
+                peak_working_elems: stats.peak_working_elems.max(report.stats.peak_working_elems),
+                offchip_elems: stats.offchip_elems + report.stats.offchip_elems,
+                bits_per_elem: report.stats.bits_per_elem,
+            };
+            segments = report.segments;
+            scratch.pool.push(report.output);
+        }
+        stats.peak_working_elems *= n;
+        Ok(RunReport { output, stats, segments })
+    }
+
+    /// The segment loop, on one image. All [`MemStats`] accounting
+    /// conventions — peak-working tracking, the write + read-back rule for
+    /// non-final segment outputs, the in-place-ReLU exemption — live here
+    /// once, for float and quantized plans alike; feature maps cross the
+    /// off-chip boundary at the plan's activation bitwidth (the paper's
+    /// Figure 7 memory accounting). All mutable run state draws from
+    /// `scratch`.
+    fn run_image(
         &self,
         input: &Tensor,
         scratch: &mut ExecScratch,
@@ -415,7 +461,7 @@ impl Executor for PlanExecutor {
         let (graph, plan, threads) = (&*self.graph, &*self.plan, self.threads);
         check_input(graph, input)?;
         let nodes = graph.nodes();
-        let ExecScratch { values, remaining, pool, pipeline, single } = scratch;
+        let ExecScratch { values, remaining, pool, pipeline, single, .. } = scratch;
         values.clear();
         values.resize_with(nodes.len(), || None);
         // Remaining-use counters, as in the reference backend. Fused-group
@@ -509,5 +555,23 @@ impl Executor for PlanExecutor {
             .take()
             .ok_or_else(|| TensorError::invalid("plan did not produce the graph output"))?;
         Ok(RunReport { output, stats, segments: segments.len() })
+    }
+}
+
+impl Executor for PlanExecutor {
+    /// One image runs the segment loop directly; more are walked image by
+    /// image (see [`MemStats`] for what the batch's stats then mean).
+    fn run_scratch(
+        &self,
+        input: &Tensor,
+        scratch: &mut ExecScratch,
+    ) -> Result<RunReport, TensorError> {
+        if input.shape().dims()[0] <= 1 {
+            return self.run_image(input, scratch);
+        }
+        let mut image = std::mem::take(&mut scratch.image);
+        let report = self.run_images(input, &mut image, scratch);
+        scratch.image = image;
+        report
     }
 }

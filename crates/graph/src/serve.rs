@@ -42,31 +42,36 @@
 //!   until their ticket is redeemed or the engine shuts down — a caller
 //!   that submits fire-and-forget without ever redeeming tickets is
 //!   keeping its own results alive.)
-//! * **Batch coalescing** — requests to one engine always share the
-//!   graph's per-sample input shape (validated at submit), so workers
-//!   greedily drain queued samples and run them as a single NCHW batch;
-//!   [`run_batch`](ServeEngine::run_batch) additionally pre-coalesces its
-//!   (owned) inputs into [`ServeConfig::max_batch`]-sample jobs at submit
-//!   time, recycling batch buffers through an internal pool so the warm
-//!   path re-copies nothing it can move. With
-//!   [`ServeConfig::adaptive_batch`] the worker-side merge cap tracks a
-//!   queue-depth EWMA: a quiet queue runs batch-of-1 for latency, a deep
-//!   queue coalesces up to `max_batch` for throughput. Samples are
-//!   independent under every backend (convolution, pooling, FC and
-//!   requantization never mix batch elements), so coalescing — adaptive
-//!   or not — is **bitwise invisible**: each request's output is
+//! * **Batches are dequeue groups** — a worker takes the highest-priority
+//!   job and greedily dequeues more queued jobs with it, up to
+//!   [`ServeConfig::max_batch`] samples: that group is one *batch* (one
+//!   [`ServeMetrics::batches`] count). Its jobs then run **back to back**,
+//!   each on its own input, and each publishes its tickets the moment its
+//!   own run returns — no request waits for the rest of its group, and an
+//!   executor failure fails only the job it hit. (A batch is not one big
+//!   tensor: the executor walks a multi-image input image by image anyway,
+//!   so a merged run would buy nothing but waiting.)
+//!   [`run_batch`](ServeEngine::run_batch) pre-coalesces its (owned)
+//!   inputs into `max_batch`-sample jobs at submit time, recycling batch
+//!   buffers through an internal pool so the warm path re-copies nothing
+//!   it can move; such a job's report is split per request. With
+//!   [`ServeConfig::adaptive_batch`] the dequeue cap tracks a queue-depth
+//!   EWMA. Samples are independent under every backend (convolution,
+//!   pooling, FC and requantization never mix batch elements), so
+//!   grouping is **bitwise invisible**: each request's output is
 //!   identical to a solo [`Session::run`](crate::Session::run), at any
-//!   worker count and any batching accident of timing.
+//!   worker count and any grouping accident of timing.
 //! * **Metrics** — every engine keeps lock-light counters (relaxed
 //!   atomics, integer-only): p50/p99/max latency, queue depth, realised
 //!   batch-size histogram, shed/failed counts.
 //!   [`metrics`](ServeEngine::metrics) returns a [`ServeMetrics`]
 //!   snapshot without blocking the serving path.
-//! * **Exact per-request [`MemStats`]** — every traffic and working-set
-//!   term of a batched run carries the batch-size factor, so the batch
-//!   report divides exactly back into per-request reports
-//!   (`stats × nᵢ / N`); a coalesced request reports the same stats it
-//!   would have reported alone.
+//! * **Exact per-request [`MemStats`]** — a job answering one request is
+//!   a solo run and hands its report over as is; every traffic and
+//!   working-set term of a multi-request `run_batch` job carries the
+//!   batch-size factor (the batch rule on [`MemStats`]), so its report
+//!   divides exactly back into per-request reports (`stats × nᵢ / N`) —
+//!   the same stats each request would have reported alone.
 //!
 //! To scale past one engine, [`Session::into_router`](crate::Session::into_router)
 //! builds a [`router::Router`] that shards these APIs across N replica
@@ -99,8 +104,9 @@ pub struct ServeConfig {
     /// session's intra-request block threads
     /// (`available_parallelism / session.threads()`, at least 1), so the
     /// two axes compose without oversubscribing the machine. Each worker
-    /// runs one request batch at a time through the shared executor; a
-    /// blocked/quantized session with `threads > 1` additionally fans
+    /// dequeues one batch (a group of jobs) at a time and runs its jobs
+    /// back to back through the shared executor; a blocked/quantized
+    /// session with `threads > 1` additionally fans
     /// each fused group out across that many scoped threads *inside* the
     /// worker, so serving deployments typically build the session with
     /// `.threads(1)` and scale `workers` instead (parallelism across
@@ -111,16 +117,19 @@ pub struct ServeConfig {
     /// in-flight requests are the engine's entire buffered state, so
     /// this caps server memory.
     pub queue_depth: usize,
-    /// Maximum samples coalesced into one executor run (1 disables
-    /// batching).
+    /// Maximum samples a worker dequeues as one batch (1 disables
+    /// grouping), and the sample budget of each job
+    /// [`ServeEngine::run_batch`] pre-coalesces. A batch is a dequeue
+    /// group: its jobs run back to back and each publishes as soon as its
+    /// own run finishes.
     pub max_batch: usize,
-    /// When `true` (the default) the worker-side merge cap follows the
-    /// observed queue-depth EWMA instead of always charging up to
-    /// `max_batch`: an idle queue ships single requests immediately
-    /// (minimum latency), a backed-up queue coalesces toward `max_batch`
-    /// (maximum throughput). Jobs are never split, and outputs are
-    /// bitwise-independent of the cap, so this only moves the
-    /// latency/throughput trade-off.
+    /// When `true` (the default) the worker-side dequeue cap follows the
+    /// observed queue-depth EWMA instead of always taking up to
+    /// `max_batch`: an idle queue yields single-job batches, a backed-up
+    /// queue groups toward `max_batch`. Jobs are never split, and outputs
+    /// are bitwise-independent of the cap; the cap only decides how many
+    /// jobs a worker takes off the queue before it next looks at
+    /// priorities again.
     pub adaptive_batch: bool,
 }
 
@@ -402,7 +411,6 @@ impl ServeEngine {
                     // allocates bookkeeping.
                     let mut state = WorkerState {
                         scratch: ExecScratch::new(),
-                        batch_buf: Tensor::default(),
                         jobs: Vec::new(),
                         parts: Vec::new(),
                     };
@@ -672,9 +680,10 @@ impl ServeEngine {
 
     /// Runs a batch of requests and returns their reports in request
     /// order. Inputs are validated up front, pre-coalesced into
-    /// [`ServeConfig::max_batch`]-sample jobs (amortising block dispatch
-    /// across the batch), executed by the worker pool, and split back
-    /// into per-request reports with exact per-request [`MemStats`].
+    /// [`ServeConfig::max_batch`]-sample jobs (one queue entry and one
+    /// ticket-table round per chunk), executed by the worker pool, and
+    /// split back into per-request reports with exact per-request
+    /// [`MemStats`].
     /// Outputs are bitwise-identical to running each input through
     /// [`Session::run`](crate::Session::run) alone.
     ///
@@ -713,7 +722,7 @@ impl ServeEngine {
                 let parts: Vec<(u64, usize)> =
                     (i..j).map(|k| (self.issue_ticket(), sizes[k])).collect();
                 let mut batch = self.shared.take_buf();
-                concat_into(inputs[i..j].iter(), samples, &mut batch);
+                concat_into(&inputs[i..j], samples, &mut batch);
                 (Parts::Many(parts), batch)
             };
             let chunk_tickets: Vec<u64> = parts.as_slice().iter().map(|&(t, _)| t).collect();
@@ -805,13 +814,10 @@ impl std::fmt::Debug for ServeEngine {
 }
 
 /// Concatenates same-per-sample-shape requests along the batch dimension
-/// into `out` (NCHW is sample-major, so this is a plain append). Both
-/// coalescing sites — `run_batch` writing a recycled pool buffer and the
-/// worker appending its drained jobs — pass an iterator, so neither
-/// builds a borrow list first.
-fn concat_into<'a>(inputs: impl Iterator<Item = &'a Tensor>, total_n: usize, out: &mut Tensor) {
-    let mut inputs = inputs.peekable();
-    let Some(first) = inputs.peek() else { return };
+/// into `out` (NCHW is sample-major, so this is a plain append) — how
+/// `run_batch` fills a recycled pool buffer with one chunk.
+fn concat_into(inputs: &[Tensor], total_n: usize, out: &mut Tensor) {
+    let Some(first) = inputs.first() else { return };
     let [_, c, h, w] = first.shape().dims();
     out.reset([total_n, c, h, w]);
     let mut off = 0usize;
@@ -906,21 +912,21 @@ fn fulfill_split(shared: &Shared, parts: &[(u64, usize)], total_n: usize, report
 
 /// A worker's reusable buffers, constructed once at spawn (in
 /// [`ServeEngine::new`]'s thread closure) so the serving loop performs
-/// no per-batch bookkeeping allocation.
+/// no per-group bookkeeping allocation.
 struct WorkerState {
     scratch: ExecScratch,
-    batch_buf: Tensor,
-    /// Jobs drained for the current batch.
+    /// Jobs dequeued as the current group.
     jobs: Vec<Job>,
-    /// Flattened `(ticket, samples)` parts of the current batch.
+    /// Flattened `(ticket, samples)` parts of the current group.
     parts: Vec<(u64, usize)>,
 }
 
-/// A worker: pull the highest-priority job, opportunistically coalesce
-/// more queued jobs up to the (possibly adaptive) sample cap, shed the
-/// expired ones, run the rest as one batch through the shared executor
-/// with this worker's scratch, split the results per ticket, and recycle
-/// the input buffers.
+/// A worker: pull the highest-priority job, opportunistically dequeue
+/// more queued jobs up to the (possibly adaptive) sample cap as one
+/// group, shed the expired ones, then run the rest one after another
+/// through the shared executor with this worker's scratch, publishing
+/// each job's tickets as soon as its own run returns, and recycle the
+/// input buffers.
 fn worker_loop(
     executor: &dyn Executor,
     shared: &Shared,
@@ -948,11 +954,10 @@ fn worker_loop(
                 _ => return,
             }
         };
-        // Adaptive coalescing cap: follow the smoothed queue depth so a
-        // quiet queue ships single requests immediately while a deep
-        // queue amortises dispatch across up to max_batch samples. Jobs
-        // are never split, so a pre-coalesced run_batch chunk always
-        // runs whole.
+        // Adaptive group cap: follow the smoothed queue depth so a quiet
+        // queue takes one job at a time while a deep queue takes up to
+        // max_batch samples per trip to the lock. Jobs are never split,
+        // so a pre-coalesced run_batch chunk always runs whole.
         let cap = if config.adaptive_batch {
             (shared.metrics.depth_ewma_samples() as usize).clamp(1, config.max_batch)
         } else {
@@ -1001,55 +1006,48 @@ fn worker_loop(
                 state.parts.push(part);
             }
         }
-        let total_n: usize = state.parts.iter().map(|&(_, n)| n).sum();
+        // Counted before any result is published, so a waiter that wakes
+        // on its ticket already sees its group.
+        shared.metrics.on_batch(state.parts.iter().map(|&(_, n)| n).sum());
 
         // Exactly-once delivery must survive a panic anywhere between
-        // dequeue and delivery (executor run AND result splitting): the
-        // guard stays armed through fulfillment, and its Drop fails only
-        // tickets still Pending, so no client hangs in `wait` and no
-        // delivered result is overwritten.
+        // dequeue and delivery (executor runs AND result splitting): the
+        // guard covers the whole group, and its Drop fails only tickets
+        // still Pending, so no client hangs in `wait` and no delivered
+        // result is overwritten.
         let guard = InFlightGuard { shared, parts: &state.parts };
-        let result = if state.jobs.len() == 1 {
-            executor.run_scratch(&state.jobs[0].input, &mut state.scratch)
-        } else {
-            concat_into(state.jobs.iter().map(|job| &job.input), total_n, &mut state.batch_buf);
-            executor.run_scratch(&state.batch_buf, &mut state.scratch)
-        };
-        shared.metrics.on_batch(total_n);
-
-        match result {
-            Ok(report) => {
-                // Count completions *before* publishing any result: the
-                // moment a slot turns Done a waiter may wake and read the
-                // metrics, and it must see its own request counted.
-                for job in &state.jobs {
+        // The group's jobs run back to back, and each publishes the moment
+        // its own run returns: no request waits on the rest of its group.
+        for job in state.jobs.drain(..) {
+            let parts = job.parts.as_slice();
+            match executor.run_scratch(&job.input, &mut state.scratch) {
+                Ok(report) => {
+                    // Count completions *before* publishing: the moment a
+                    // slot turns Done a waiter may wake and read the
+                    // metrics, and it must see its own request counted.
                     let us = job.submitted.elapsed().as_micros() as u64;
-                    for _ in job.parts.as_slice() {
+                    for _ in parts {
                         shared.metrics.on_complete(us);
                     }
+                    match *parts {
+                        // A single request ran alone: its report is a solo
+                        // run's, handed over without a copy.
+                        [(ticket, _)] => fulfill(shared, ticket, Ok(report)),
+                        _ => fulfill_split(shared, parts, job.samples(), &report),
+                    }
                 }
-                match state.parts[..] {
-                    // Sole request: hand the report over without a copy.
-                    [(ticket, _)] => fulfill(shared, ticket, Ok(report)),
-                    _ => fulfill_split(shared, &state.parts, total_n, &report),
+                Err(e) => {
+                    for &(ticket, _) in parts {
+                        shared.metrics.on_fail();
+                        fulfill(shared, ticket, Err(e.clone()));
+                    }
                 }
             }
-            Err(e) => {
-                for _ in state.parts.iter() {
-                    shared.metrics.on_fail();
-                }
-                for &(ticket, _) in state.parts.iter() {
-                    fulfill(shared, ticket, Err(e.clone()));
-                }
-            }
-        }
-        drop(guard); // everything delivered: the guard finds nothing Pending
-
-        // Recycle the finished inputs so run_batch's next chunks reuse
-        // them instead of allocating fresh batch buffers.
-        for job in state.jobs.drain(..) {
+            // Recycle the finished input so run_batch's next chunks reuse
+            // it instead of allocating a fresh batch buffer.
             shared.put_buf(job.input);
         }
+        drop(guard); // everything delivered: the guard finds nothing Pending
     }
 }
 
@@ -1395,57 +1393,161 @@ mod tests {
         t
     }
 
-    #[test]
-    fn higher_priority_dequeues_first() {
+    /// Longest wait for an event the test has already caused.
+    const PATIENCE: std::time::Duration = std::time::Duration::from_secs(10);
+
+    /// A one-worker engine with a fixed group cap whose executor is the
+    /// session's, wrapped by `wrap`, behind a [`GatedExecutor`]: `started`
+    /// hears of every run that reaches the gate, `permit` lets one through.
+    /// Fields drop in order: the permit sender goes first, so a failed
+    /// test opens the gate instead of hanging the engine's shutdown.
+    struct GatedRig {
+        permit: mpsc::Sender<()>,
+        started: mpsc::Receiver<()>,
+        gated: Arc<GatedExecutor>,
+        engine: ServeEngine,
+    }
+
+    fn gated_rig(
+        max_batch: usize,
+        wrap: impl FnOnce(Arc<dyn Executor>) -> Arc<dyn Executor>,
+    ) -> GatedRig {
         let mut session = builder().build().unwrap();
         let (_graph, inner) = session.shared_parts();
-        let (started_tx, started_rx) = mpsc::channel();
-        let (permit_tx, permit_rx) = mpsc::channel();
-        let order = {
-            let gated = Arc::new(GatedExecutor {
-                inner,
-                started: started_tx,
-                gate: Mutex::new(permit_rx),
-                order: Mutex::new(Vec::new()),
-            });
-            session.swap_executor(Arc::clone(&gated) as Arc<dyn Executor>);
-            // One worker, batch-of-1, fixed cap: dequeue order is exactly
-            // queue priority order.
-            let engine = session
-                .into_engine(ServeConfig {
-                    workers: 1,
-                    queue_depth: 16,
-                    max_batch: 1,
-                    adaptive_batch: false,
-                })
-                .unwrap();
-            // Block the worker on a sacrificial request so the next three
-            // submissions all queue up before anything else is dequeued.
-            let t0 = engine.submit(tagged(60, 100.0)).unwrap();
-            started_rx.recv_timeout(std::time::Duration::from_secs(10)).unwrap();
-            let low1 = engine
-                .submit_with(tagged(61, 1.0), SubmitOptions { priority: 0, deadline: None })
-                .unwrap();
-            let low2 = engine
-                .submit_with(tagged(62, 2.0), SubmitOptions { priority: 0, deadline: None })
-                .unwrap();
-            let high = engine
-                .submit_with(tagged(63, 3.0), SubmitOptions { priority: 9, deadline: None })
-                .unwrap();
-            for _ in 0..4 {
-                permit_tx.send(()).unwrap();
-            }
-            for t in [t0, high, low1, low2] {
-                engine.wait(t).unwrap();
-            }
-            engine.shutdown();
-            let recorded = gated.order.lock().unwrap().clone();
-            recorded
-        };
+        let (started_tx, started) = mpsc::channel();
+        let (permit, permit_rx) = mpsc::channel();
+        let gated = Arc::new(GatedExecutor {
+            inner: wrap(inner),
+            started: started_tx,
+            gate: Mutex::new(permit_rx),
+            order: Mutex::new(Vec::new()),
+        });
+        session.swap_executor(Arc::clone(&gated) as Arc<dyn Executor>);
+        let engine = session
+            .into_engine(ServeConfig {
+                workers: 1,
+                queue_depth: 16,
+                max_batch,
+                adaptive_batch: false,
+            })
+            .unwrap();
+        GatedRig { permit, started, gated, engine }
+    }
+
+    #[test]
+    fn higher_priority_dequeues_first() {
+        // Batch-of-1, fixed cap: dequeue order is exactly queue priority
+        // order.
+        let rig = gated_rig(1, |inner| inner);
+        let engine = &rig.engine;
+        // Block the worker on a sacrificial request so the next three
+        // submissions all queue up before anything else is dequeued.
+        let t0 = engine.submit(tagged(60, 100.0)).unwrap();
+        rig.started.recv_timeout(PATIENCE).unwrap();
+        let low1 = engine
+            .submit_with(tagged(61, 1.0), SubmitOptions { priority: 0, deadline: None })
+            .unwrap();
+        let low2 = engine
+            .submit_with(tagged(62, 2.0), SubmitOptions { priority: 0, deadline: None })
+            .unwrap();
+        let high = engine
+            .submit_with(tagged(63, 3.0), SubmitOptions { priority: 9, deadline: None })
+            .unwrap();
+        for _ in 0..4 {
+            rig.permit.send(()).unwrap();
+        }
+        for t in [t0, high, low1, low2] {
+            engine.wait(t).unwrap();
+        }
         // The blocked request ran first (already in flight), then the
         // high-priority one jumped the two earlier low-priority ones,
         // which kept FIFO order between themselves.
-        assert_eq!(order, [100, 3, 1, 2]);
+        assert_eq!(*rig.gated.order.lock().unwrap(), [100, 3, 1, 2]);
+    }
+
+    #[test]
+    fn a_group_publishes_each_job_as_soon_as_its_own_run_returns() {
+        const K: usize = 4;
+        let oracle = builder().build().unwrap();
+        let rig = gated_rig(K, |inner| inner);
+        let engine = &rig.engine;
+        // Hold the worker on a sacrificial request so the K requests all
+        // queue up and are dequeued as one group.
+        let t0 = engine.submit(tagged(90, 100.0)).unwrap();
+        rig.started.recv_timeout(PATIENCE).unwrap();
+        let (woken_tx, woken) = mpsc::channel();
+        let inputs: Vec<Tensor> = (0..K).map(|i| tagged(91 + i as u64, i as f32 + 1.0)).collect();
+        let tickets: Vec<TicketId> = inputs
+            .iter()
+            .map(|input| {
+                let tx = woken_tx.clone();
+                let waker: Waker = Box::new(move |t| {
+                    let _ = tx.send(t);
+                });
+                engine.submit_with_waker(input.clone(), SubmitOptions::default(), waker).unwrap()
+            })
+            .collect();
+        rig.permit.send(()).unwrap();
+        engine.wait(t0).unwrap();
+        // Let the group's first job through; its successor reaching the
+        // gate means the first run has returned.
+        rig.started.recv_timeout(PATIENCE).unwrap();
+        rig.permit.send(()).unwrap();
+        rig.started.recv_timeout(PATIENCE).unwrap();
+        let first = engine.poll(tickets[0]).unwrap().expect("ticket 1 published while k is gated");
+        assert_eq!(first.output.data(), oracle.run(&inputs[0]).unwrap().output.data());
+        assert_eq!(first.stats, oracle.run(&inputs[0]).unwrap().stats);
+        assert!(engine.poll(tickets[K - 1]).unwrap().is_none(), "ticket k must still be gated");
+        for _ in 1..K {
+            rig.permit.send(()).unwrap();
+        }
+        for (input, &t) in inputs.iter().zip(&tickets).skip(1) {
+            assert_eq!(
+                engine.wait(t).unwrap().output.data(),
+                oracle.run(input).unwrap().output.data()
+            );
+        }
+        let published: Vec<TicketId> =
+            (0..K).map(|_| woken.recv_timeout(PATIENCE).unwrap()).collect();
+        assert_eq!(published, tickets, "tickets publish in dequeue order");
+        assert_eq!(*rig.gated.order.lock().unwrap(), [100, 1, 2, 3, 4]);
+        let m = engine.metrics();
+        assert_eq!((m.batches, m.batch_hist[1], m.batch_hist[K]), (2, 1, 1), "one group of K");
+    }
+
+    #[test]
+    fn a_panic_on_the_second_job_of_a_group_keeps_the_first_delivered() {
+        let oracle = builder().build().unwrap();
+        let rig = gated_rig(3, |inner| Arc::new(PanickingExecutor { inner }));
+        let engine = &rig.engine;
+        let t0 = engine.submit(tagged(95, 100.0)).unwrap();
+        rig.started.recv_timeout(PATIENCE).unwrap();
+        let first = tagged(96, 1.0);
+        let t1 = engine.submit(first.clone()).unwrap();
+        let t2 = engine.submit(tagged(97, POISON_TAG)).unwrap();
+        let t3 = engine.submit(tagged(98, 3.0)).unwrap();
+        // The sacrificial run, then the group: job 1 runs, job 2 panics
+        // past the gate and takes the only worker down with job 3 queued
+        // behind it in the same group.
+        for _ in 0..3 {
+            rig.permit.send(()).unwrap();
+        }
+        engine.wait(t0).unwrap();
+        assert_eq!(
+            engine.wait(t1).unwrap().output.data(),
+            oracle.run(&first).unwrap().output.data()
+        );
+        for t in [t2, t3] {
+            match engine.wait(t) {
+                Err(TensorError::InvalidParameter { context }) => {
+                    assert!(context.contains("panicked"), "{context}");
+                }
+                other => panic!("expected the worker-panic error, got {other:?}"),
+            }
+        }
+        let m = engine.metrics();
+        assert_eq!((m.completed, m.failed), (2, 2));
+        assert_eq!(engine.resident_slots(), 0, "every ticket resolved");
     }
 
     /// Test executor: panics on inputs tagged with the poison value —

@@ -156,7 +156,7 @@ impl MetricsCore {
         self.failed.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// One executor dispatch of `samples` coalesced samples.
+    /// One worker dequeue group (a batch) of `samples` samples.
     pub(crate) fn on_batch(&self, samples: usize) {
         self.batches.fetch_add(1, Ordering::Relaxed);
         self.batched_samples.fetch_add(samples as u64, Ordering::Relaxed);
@@ -235,10 +235,10 @@ pub struct ServeMetrics {
     pub failed: u64,
     /// Requests shed because their deadline expired before execution.
     pub shed: u64,
-    /// Executor dispatches (each runs one coalesced batch).
+    /// Batches: worker dequeue groups, whose jobs run back to back.
     pub batches: u64,
-    /// Total samples across all dispatches; `batched_samples / batches`
-    /// is the realised mean batch size.
+    /// Total samples across all batches; `batched_samples / batches` is
+    /// the realised mean batch size.
     pub batched_samples: u64,
     /// Jobs sitting in the queue right now.
     pub queue_jobs: u64,
@@ -256,7 +256,7 @@ pub struct ServeMetrics {
     pub max_latency_us: u64,
     /// Mean latency, µs (exact sum/count).
     pub mean_latency_us: u64,
-    /// Dispatch count per coalesced batch size; index 0 is unused, the
+    /// Batch count per batch size in samples; index 0 is unused, the
     /// last slot aggregates batches larger than 32 samples.
     pub batch_hist: [u64; BATCH_TRACKED + 1],
 }

@@ -7,7 +7,8 @@
 //! * **Strict zero** — `Session::run_with(&input, &mut scratch)` performs
 //!   *zero* heap allocations per request once the caller recycles the
 //!   output tensor back into the scratch (`ExecScratch::recycle`). This
-//!   holds for the Blocked and Quantized backends on a single thread.
+//!   holds for the Blocked and Quantized backends on a single thread, for
+//!   one-image and multi-image inputs alike.
 //! * **Bounded** — [`ServeEngine`] inherently allocates per request: the
 //!   output tensor leaves the engine in its `RunReport`, and the ticket
 //!   table / batch bookkeeping churn a few nodes (all bounded by
@@ -15,8 +16,12 @@
 //!   per-request ceiling on both allocation count and bytes so a
 //!   regression (say, a per-request buffer clone) fails loudly.
 //!
-//! The counting allocator is process-global, so every test serializes on
-//! one mutex and takes its before/after snapshots inside the lock.
+//! The strict tier counts on the measuring thread only: a single-threaded
+//! `run_with` allocates nowhere else, while the test harness may spawn the
+//! next test's thread (and allocate for it) at any moment. The bounded
+//! tier's allocations happen on worker threads, so it counts process-wide;
+//! every test therefore serializes on one mutex and takes its
+//! before/after snapshots inside the lock.
 //!
 //! This file needs `unsafe` for the `GlobalAlloc` impl — which is exactly
 //! why the workspace bans `unsafe` via per-crate `#![forbid(unsafe_code)]`
@@ -24,6 +29,7 @@
 //! would cover this test target too).
 
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
@@ -44,18 +50,33 @@ struct CountingAlloc;
 static ALLOCS: AtomicUsize = AtomicUsize::new(0);
 static BYTES: AtomicUsize = AtomicUsize::new(0);
 
+thread_local! {
+    /// The calling thread's own `(allocations, bytes)`. A const-initialised
+    /// `Cell` of a type without a destructor: touching it never allocates
+    /// and registers no thread-exit hook, so the allocator may use it.
+    static THREAD: Cell<(usize, usize)> = const { Cell::new((0, 0)) };
+}
+
+/// Records one allocation event of `bytes`, process-wide and per thread.
+fn count(bytes: usize) {
+    ALLOCS.fetch_add(1, Ordering::Relaxed);
+    BYTES.fetch_add(bytes, Ordering::Relaxed);
+    let _ = THREAD.try_with(|t| {
+        let (allocs, total) = t.get();
+        t.set((allocs + 1, total + bytes));
+    });
+}
+
 // SAFETY: defers entirely to `System`; the counters are lock-free atomics
-// and touch no allocator state.
+// and a destructor-free thread-local, and touch no allocator state.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        BYTES.fetch_add(layout.size(), Ordering::Relaxed);
+        count(layout.size());
         System.alloc(layout)
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        BYTES.fetch_add(layout.size(), Ordering::Relaxed);
+        count(layout.size());
         System.alloc_zeroed(layout)
     }
 
@@ -63,8 +84,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
         // A growing realloc is an allocation event for gating purposes;
         // only count the growth so byte budgets stay meaningful.
         if new_size > layout.size() {
-            ALLOCS.fetch_add(1, Ordering::Relaxed);
-            BYTES.fetch_add(new_size - layout.size(), Ordering::Relaxed);
+            count(new_size - layout.size());
         }
         System.realloc(ptr, layout, new_size)
     }
@@ -77,26 +97,31 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static COUNTER: CountingAlloc = CountingAlloc;
 
-/// Serializes tests: the counters are process-global, so concurrent tests
-/// would attribute each other's allocations.
+/// Serializes tests: the process-wide counters would otherwise attribute
+/// one test's allocations to another.
 static GATE: Mutex<()> = Mutex::new(());
 
+/// Process-wide `(allocations, bytes)` so far.
 fn snapshot() -> (usize, usize) {
     (ALLOCS.load(Ordering::SeqCst), BYTES.load(Ordering::SeqCst))
 }
 
-fn delta(before: (usize, usize)) -> (usize, usize) {
-    let (a, b) = snapshot();
-    (a - before.0, b - before.1)
+/// This thread's `(allocations, bytes)` so far.
+fn thread_snapshot() -> (usize, usize) {
+    THREAD.with(Cell::get)
+}
+
+fn delta(before: (usize, usize), now: (usize, usize)) -> (usize, usize) {
+    (now.0 - before.0, now.1 - before.1)
 }
 
 fn net() -> Network {
     vgg16_small(32)
 }
 
-fn input(seed: u64) -> Tensor {
+fn input(seed: u64, n: usize) -> Tensor {
     let s = net().input;
-    uniform_tensor([1, s.c, s.h, s.w], -1.0, 1.0, &mut seeded_rng(seed))
+    uniform_tensor([n, s.c, s.h, s.w], -1.0, 1.0, &mut seeded_rng(seed))
 }
 
 fn session(backend: Backend, threads: usize) -> Session {
@@ -111,13 +136,14 @@ fn session(backend: Backend, threads: usize) -> Session {
 
 const QUANT: Backend = Backend::Quantized { weight_bits: 8, act_bits: 8 };
 
-/// Strict tier: warm `run_with` + `recycle` is allocation-free — not
-/// "few allocations", literally zero. `build` runs under the gate's lock,
-/// like everything else that allocates.
-fn assert_zero_steady_state(what: &str, build: impl FnOnce() -> Session) {
+/// Strict tier: warm `run_with` + `recycle` on `n`-image inputs is
+/// allocation-free on the calling thread — not "few allocations",
+/// literally zero. `build` runs under the gate's lock, like everything
+/// else that allocates.
+fn assert_zero_steady_state(what: &str, n: usize, build: impl FnOnce() -> Session) {
     let _lock = GATE.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
     let session = build();
-    let input = input(7);
+    let input = input(7, n);
     let mut scratch = ExecScratch::new();
 
     // Warm-up: grow every buffer to its steady-state size. The first run
@@ -128,14 +154,14 @@ fn assert_zero_steady_state(what: &str, build: impl FnOnce() -> Session) {
         scratch.recycle(report.output);
     }
 
-    let before = snapshot();
+    let before = thread_snapshot();
     let mut checksum = 0.0f32;
     for _ in 0..8 {
         let report = session.run_with(&input, &mut scratch).expect("measured run");
         checksum += report.output.data()[0];
         scratch.recycle(report.output);
     }
-    let (allocs, bytes) = delta(before);
+    let (allocs, bytes) = delta(before, thread_snapshot());
     assert_eq!(
         (allocs, bytes),
         (0, 0),
@@ -147,12 +173,26 @@ fn assert_zero_steady_state(what: &str, build: impl FnOnce() -> Session) {
 
 #[test]
 fn run_with_is_allocation_free_blocked() {
-    assert_zero_steady_state("blocked", || session(Backend::Blocked, 1));
+    assert_zero_steady_state("blocked", 1, || session(Backend::Blocked, 1));
 }
 
 #[test]
 fn run_with_is_allocation_free_quantized() {
-    assert_zero_steady_state("quantized", || session(QUANT, 1));
+    assert_zero_steady_state("quantized", 1, || session(QUANT, 1));
+}
+
+/// A multi-image input walks its images one at a time through an image
+/// buffer the scratch keeps, recycling each image's output into the pool
+/// and assembling the batch output in a pooled buffer: a warm batched
+/// `run_with` allocates nothing either.
+#[test]
+fn batched_run_with_is_allocation_free_blocked() {
+    assert_zero_steady_state("blocked, batch 8", 8, || session(Backend::Blocked, 1));
+}
+
+#[test]
+fn batched_run_with_is_allocation_free_quantized() {
+    assert_zero_steady_state("quantized, batch 8", 8, || session(QUANT, 1));
 }
 
 /// A float plan that fuses nothing runs every conv as a whole-map node
@@ -161,7 +201,7 @@ fn run_with_is_allocation_free_quantized() {
 /// is grown once, like the patch matrix.
 #[test]
 fn run_with_is_allocation_free_unblocked_float() {
-    assert_zero_steady_state("unblocked float", || {
+    assert_zero_steady_state("unblocked float", 1, || {
         let convs = session(Backend::Blocked, 1).graph().conv_count();
         let session = Session::builder()
             .network(net())
@@ -187,7 +227,7 @@ fn run_with_is_allocation_free_unblocked_float() {
 /// allocations.
 #[test]
 fn run_with_is_allocation_free_quantized_gemm_kernel() {
-    assert_zero_steady_state("quantized GEMM", || {
+    assert_zero_steady_state("quantized GEMM", 1, || {
         let session = Session::builder()
             .network(net())
             .backend(QUANT)
@@ -221,7 +261,7 @@ fn assert_bounded_serve(backend: Backend, workers: usize) {
     // Inputs are cloned *outside* the measured window: submit() takes the
     // tensor by value, so the gate would otherwise charge the request for
     // the caller's own copy.
-    let inputs: Vec<Tensor> = (0..workers * 4).map(|i| input(i as u64)).collect();
+    let inputs: Vec<Tensor> = (0..workers * 4).map(|i| input(i as u64, 1)).collect();
     let output_bytes = {
         // Warm-up: every worker grows its scratch to steady state. Rounds
         // of exactly `workers` in-flight requests force the engine to
@@ -244,7 +284,7 @@ fn assert_bounded_serve(backend: Backend, workers: usize) {
         let report = engine.wait(ticket).expect("wait");
         assert_eq!(report.output.shape().dims(), [1, 10, 1, 1]);
     }
-    let (allocs, bytes) = delta(before);
+    let (allocs, bytes) = delta(before, snapshot());
     let (per_alloc, per_bytes) = (allocs / requests, bytes / requests);
 
     // Ceilings, not estimates: a request funds its output tensor, its
@@ -298,7 +338,7 @@ fn router_fronted_serve_is_alloc_bounded() {
             ServeConfig { workers: 1, queue_depth: 64, max_batch: 4, ..ServeConfig::default() },
         )
         .expect("router builds");
-    let inputs: Vec<Tensor> = (0..8).map(|i| input(i as u64)).collect();
+    let inputs: Vec<Tensor> = (0..8).map(|i| input(i as u64, 1)).collect();
     let output_bytes = {
         let mut out_bytes = 0usize;
         for _ in 0..6 {
@@ -318,7 +358,7 @@ fn router_fronted_serve_is_alloc_bounded() {
         let report = router.wait(ticket).expect("wait");
         assert_eq!(report.output.shape().dims(), [1, 10, 1, 1]);
     }
-    let (allocs, bytes) = delta(before);
+    let (allocs, bytes) = delta(before, snapshot());
     let (per_alloc, per_bytes) = (allocs / requests, bytes / requests);
     assert!(
         per_alloc <= 64,
