@@ -7,20 +7,51 @@
 //! models one such fusion group; [`FusedPipeline`] chains groups with an
 //! on-chip "extra buffer" concatenation between them (Figure 10's CONV4
 //! stage, where fixed blocking splices pooled blocks back together).
+//!
+//! # One block loop: every stage stores where the next one reads
+//!
+//! A chain is planned into *steps* — its convolutions and poolings, each
+//! with the ReLUs that follow it folded into its store — and a block runs
+//! through them in one routine with no copy between them:
+//!
+//! * the first step reads the block straight out of the group's input map
+//!   (no crop): the rows go into the interior of its padded buffer;
+//! * every step stores into the interior of the next step's buffer — a
+//!   convolution's buffer is padded with that block's Equation 2 pads,
+//!   a pooling's is the bare block — so nothing is padded by copying;
+//! * the last step stores into the group's output map at the block's
+//!   origin (no paste).
+//!
+//! A store is one output geometry ([`OutGeom`]: offset, row pitch, plane
+//! pitch) taken by the three 3×3 kernels' stores and the pooling; every
+//! other kernel (both GEMMs, the direct loops, integer layers past the
+//! exact-f32 bound, w8a16) writes its compact block and copies it into the
+//! same destination. What a store does to each value is the step's
+//! [`Epilogue`]: the folded ReLU and, on integer chains whose next
+//! convolution runs an exact-f32 kernel, quantization at *that*
+//! convolution's input parameters, so it reads its activations in place.
+//! Halos follow each block's pads: a zero halo is written by one fill of
+//! the buffer when its padded geometry changes (and stays zero, since
+//! stores touch only interiors); a replicate or reflect halo is copied from
+//! the freshly stored interior ([`fill_halo`]). The result is bit for bit
+//! the crop → pad → (quantize) → conv → (rescale) → ReLU → paste schedule
+//! [`FusedChain::run_layerwise`] and the per-stage public entries
+//! (`pad_block_into`, `forward_prepadded_into`) still spell out.
 
 use std::sync::Arc;
 
 use bconv_quant::qconv::{QConvScratch, QuantChainOp};
+use bconv_quant::qgemm::Epilogue;
 use bconv_quant::QParams;
 use bconv_tensor::activation::relu_inplace;
 use bconv_tensor::conv::Conv2d;
-use bconv_tensor::kernel::KernelPolicy;
-use bconv_tensor::pad::PadMode;
-use bconv_tensor::pool::{max_pool2d, max_pool2d_into};
+use bconv_tensor::kernel::{ConvScratch, KernelPolicy, OutGeom};
+use bconv_tensor::pad::{fill_halo, PadMode};
+use bconv_tensor::pool::{max_pool2d, max_pool2d_at};
 use bconv_tensor::{Tensor, TensorError};
 
-use crate::block_conv::{BlockConv2d, BlockConvScratch};
-use crate::blocking::BlockGrid;
+use crate::block_conv::BlockConv2d;
+use crate::blocking::{Block, BlockGrid};
 
 /// One operation in a fusion group.
 ///
@@ -50,21 +81,44 @@ impl ChainOp {
 }
 
 #[derive(Debug, Clone)]
-#[allow(clippy::large_enum_variant)] // conv stages dominate by design
-enum Stage {
+#[allow(clippy::large_enum_variant)] // conv steps dominate by design
+enum Op {
     /// A block convolution: `plan` carries the Equation 2 padding schedule
     /// and grids (plus, on the float path, the packed weights). A quantized
-    /// stage also carries `qop`, the integer arithmetic: the block executor
-    /// pads once via the plan and hands the padded block to the quantized
-    /// kernel — no double padding.
+    /// step also carries `qop`, the integer arithmetic.
     Conv {
         plan: BlockConv2d,
         qop: Option<QuantChainOp>,
     },
-    Relu,
     Pool {
         k: usize,
     },
+}
+
+/// A materialising stage of a chain — a convolution or a pooling — with
+/// the ReLU stages that follow it folded into its store.
+#[derive(Debug, Clone)]
+struct Step {
+    op: Op,
+    /// Grid on the step's input.
+    in_grid: BlockGrid,
+    /// Grid on the step's output.
+    out_grid: BlockGrid,
+    /// What the step does to each value it stores: the folded ReLUs, and
+    /// quantization at the next step's input parameters when that step
+    /// reads quantized activations.
+    epi: Epilogue,
+}
+
+impl Step {
+    /// The input parameters a step's producer quantizes at, if the step
+    /// reads quantized activations.
+    fn reads_at(step: Option<&Step>) -> Option<QParams> {
+        match step.map(|s| &s.op) {
+            Some(Op::Conv { qop: Some(op), .. }) if op.reads_quantized() => Some(op.act_params()),
+            _ => None,
+        }
+    }
 }
 
 /// Memory and traffic statistics of one execution, in **elements** (multiply
@@ -120,16 +174,21 @@ impl MemStats {
     }
 }
 
-/// Reusable per-worker buffers for block-by-block chain execution: the
-/// ping-pong block pair (Figure 10's intermediate buffers) plus the
-/// convolution temporaries. Buffers grow to the largest block seen and
-/// are reused across blocks and chain stages — steady-state fused
-/// execution allocates nothing.
+/// Reusable per-worker buffers for block-by-block chain execution: one
+/// input buffer per step of the chain (Figure 10's intermediate buffers —
+/// a convolution's padded, a pooling's bare), a compact block for the
+/// kernels that store only compact blocks, a threaded worker's output
+/// block, and the convolution temporaries. Buffers grow to the largest block seen and are reused
+/// across blocks, chains and runs — steady-state fused execution
+/// allocates nothing.
 #[derive(Debug, Default)]
 pub struct BlockScratch {
-    cur: Tensor,
-    next: Tensor,
-    conv: BlockConvScratch,
+    bufs: Vec<StepBuf>,
+    block: Tensor,
+    /// The output block of a block run on a worker thread, which pastes it
+    /// into the output map.
+    last: Tensor,
+    conv: ConvScratch,
     qconv: QConvScratch,
 }
 
@@ -138,11 +197,43 @@ impl BlockScratch {
     pub fn new() -> Self {
         Self::default()
     }
+}
 
-    /// The output block left behind by the last
-    /// [`FusedChain::run_block_scratch`] call.
-    pub fn output(&self) -> &Tensor {
-        &self.cur
+/// The input buffer of one step, and whether its halo is known to be zero.
+#[derive(Debug, Default)]
+struct StepBuf {
+    t: Tensor,
+    /// The padded geometry (`dims` and the `(top, bottom, left, right)`
+    /// pads) whose halo holds zeros: stores touch only interiors, so a zero
+    /// halo outlives every block of the same geometry.
+    zero_halo: Option<([usize; 4], [usize; 4])>,
+}
+
+impl StepBuf {
+    /// Shapes the buffer for `step`'s input block `(row, col)` of `n`
+    /// images × `c` channels and returns where that block's values go: the
+    /// interior of the padded block for a convolution (whose zero halo is
+    /// rewritten — one fill — only when the padded geometry changes), the
+    /// bare block for a pooling.
+    fn prepare(&mut self, step: &Step, (row, col): (usize, usize), n: usize, c: usize) -> OutGeom {
+        let b = step.in_grid.block(row, col);
+        let Op::Conv { plan, .. } = &step.op else {
+            self.t.reset([n, c, b.bh, b.bw]);
+            self.zero_halo = None;
+            return OutGeom::compact(b.bh, b.bw);
+        };
+        let (top, bottom, left, right) = plan.block_padding(row, col);
+        let pads = [top, bottom, left, right];
+        let dims @ [.., ph, pw] = [n, c, b.bh + top + bottom, b.bw + left + right];
+        if plan.pad_mode() != PadMode::Zero {
+            self.t.reset(dims);
+            self.zero_halo = None;
+        } else if self.zero_halo != Some((dims, pads)) {
+            self.t.reset(dims);
+            self.t.data_mut().fill(0.0);
+            self.zero_halo = Some((dims, pads));
+        }
+        OutGeom::region(top, left, [ph, pw])
     }
 }
 
@@ -175,7 +266,13 @@ impl PipelineScratch {
 /// A fusion group: a chain of ops executed block-by-block under one grid.
 #[derive(Debug, Clone)]
 pub struct FusedChain {
-    stages: Vec<Stage>,
+    steps: Vec<Step>,
+    /// Applied to the group input as a block is read in: the ReLUs ahead of
+    /// the first step, and quantization for a first step that reads
+    /// quantized activations.
+    load: Epilogue,
+    /// Planned ops, ReLUs included.
+    len: usize,
     in_grid: BlockGrid,
     out_grid: BlockGrid,
 }
@@ -213,12 +310,13 @@ impl FusedChain {
         policy: KernelPolicy,
         quant: Option<(u8, &[QParams])>,
     ) -> Result<Self, TensorError> {
-        let in_grid = grid.clone();
+        let (len, in_grid) = (ops.len(), grid.clone());
         let mut cur = grid;
-        let mut stages = Vec::with_capacity(ops.len());
+        let mut steps: Vec<Step> = Vec::with_capacity(ops.len());
+        let mut load = Epilogue::NONE;
         let mut conv_idx = 0usize;
         for op in ops {
-            match op {
+            let (op, out_grid) = match op {
                 ChainOp::Conv(conv) => {
                     if conv.geom().stride != 1 {
                         return Err(TensorError::invalid(
@@ -231,9 +329,9 @@ impl FusedChain {
                         pad_mode,
                         policy,
                     )?;
-                    cur = plan.output_grid()?;
-                    let stage = match quant {
-                        None => Stage::Conv { plan: plan.with_packed_weights(), qop: None },
+                    let out_grid = plan.output_grid()?;
+                    let op = match quant {
+                        None => Op::Conv { plan: plan.with_packed_weights(), qop: None },
                         // The plan's resolved kernel drives the *integer*
                         // loops. Float weight packing is skipped — this
                         // plan only ever pads blocks.
@@ -254,18 +352,23 @@ impl FusedChain {
                             .ok_or_else(|| {
                                 TensorError::invalid("FusedChain::plan: all-zero conv weights")
                             })?;
-                            Stage::Conv { plan, qop: Some(qop) }
+                            Op::Conv { plan, qop: Some(qop) }
                         }
                     };
                     conv_idx += 1;
-                    stages.push(stage);
+                    (op, out_grid)
                 }
-                ChainOp::Relu => stages.push(Stage::Relu),
-                ChainOp::MaxPool { k } => {
-                    cur = cur.downscale(k)?;
-                    stages.push(Stage::Pool { k });
+                ChainOp::Relu => {
+                    match steps.last_mut() {
+                        Some(step) => step.epi.relu = true,
+                        None => load.relu = true,
+                    }
+                    continue;
                 }
-            }
+                ChainOp::MaxPool { k } => (Op::Pool { k }, cur.downscale(k)?),
+            };
+            let in_grid = std::mem::replace(&mut cur, out_grid.clone());
+            steps.push(Step { op, in_grid, out_grid, epi: Epilogue::NONE });
         }
         if let Some((_, act_params)) = quant {
             if act_params.len() != conv_idx {
@@ -276,15 +379,20 @@ impl FusedChain {
                 )));
             }
         }
-        Ok(Self { stages, in_grid, out_grid: cur })
+        // Every store lands in the format of the step that reads it.
+        load.requant = Step::reads_at(steps.first());
+        for i in 0..steps.len() {
+            steps[i].epi.requant = Step::reads_at(steps.get(i + 1));
+        }
+        Ok(Self { steps, load, len, in_grid, out_grid: cur })
     }
 
     /// Activation bitwidth of the chain's quantized stages, `None` for a
     /// float chain. Quantized chains are planned with one activation
     /// bitwidth throughout, so the first quantized stage is authoritative.
     pub fn act_bits(&self) -> Option<u8> {
-        self.stages.iter().find_map(|s| match s {
-            Stage::Conv { qop: Some(op), .. } => Some(op.act_params().bits()),
+        self.steps.iter().find_map(|s| match &s.op {
+            Op::Conv { qop: Some(op), .. } => Some(op.act_params().bits()),
             _ => None,
         })
     }
@@ -301,88 +409,134 @@ impl FusedChain {
 
     /// Number of stages in the group.
     pub fn len(&self) -> usize {
-        self.stages.len()
+        self.len
     }
 
     /// True if the group has no stages.
     pub fn is_empty(&self) -> bool {
-        self.stages.is_empty()
+        self.len == 0
     }
 
     /// Output channel count given the input channel count.
     pub fn out_channels(&self, c_in: usize) -> usize {
-        self.stages.iter().fold(c_in, |c, s| match s {
-            Stage::Conv { plan, .. } => plan.conv().c_out(),
-            _ => c,
+        self.steps.iter().fold(c_in, |c, s| match &s.op {
+            Op::Conv { plan, .. } => plan.conv().c_out(),
+            Op::Pool { .. } => c,
         })
     }
 
     /// The block-convolution plans of the chain's conv stages (float and
     /// quantized), in order.
     pub fn convs(&self) -> impl Iterator<Item = &BlockConv2d> {
-        self.stages.iter().filter_map(|s| match s {
-            Stage::Conv { plan, .. } => Some(plan),
-            _ => None,
+        self.steps.iter().filter_map(|s| match &s.op {
+            Op::Conv { plan, .. } => Some(plan),
+            Op::Pool { .. } => None,
         })
     }
 
-    /// Runs a single block `(row, col)` of `input` through every stage of
-    /// the chain, reusing `scratch` for all intermediates; the result is
-    /// left in [`BlockScratch::output`]. Blocks are independent by
-    /// construction (paper §II-C), so callers may invoke this from
-    /// multiple threads — one scratch per thread — in any order.
-    ///
-    /// `stats` accumulates the per-block working-set peak; off-chip
-    /// traffic is accounted by the caller at the chain boundary.
-    ///
-    /// # Errors
-    ///
-    /// Returns shape errors if `input` does not match the planned grid.
-    pub fn run_block_scratch(
-        &self,
-        input: &Tensor,
-        row: usize,
-        col: usize,
-        scratch: &mut BlockScratch,
-        stats: &mut MemStats,
-    ) -> Result<(), TensorError> {
-        let b = self.in_grid.block(row, col);
-        input.crop_into(b.h0, b.w0, b.bh, b.bw, &mut scratch.cur)?;
-        for stage in &self.stages {
-            match stage {
-                Stage::Conv { plan, qop: None } => {
-                    plan.forward_block_into(
-                        &scratch.cur,
-                        row,
-                        col,
-                        &mut scratch.next,
-                        &mut scratch.conv,
-                    )?;
-                }
-                Stage::Conv { plan, qop: Some(op) } => {
-                    // Pad once (Equation 2 schedule, session pad mode), then
-                    // hand the padded block to the integer kernel.
-                    plan.pad_block_into(&scratch.cur, row, col, &mut scratch.conv.padded)?;
-                    op.forward_prepadded_into(
-                        &scratch.conv.padded,
-                        &mut scratch.next,
-                        &mut scratch.qconv,
-                    )?;
-                }
-                Stage::Relu => {
-                    relu_inplace(&mut scratch.cur);
-                    continue;
-                }
-                Stage::Pool { k } => max_pool2d_into(&scratch.cur, *k, *k, &mut scratch.next)?,
+    /// Checks that every convolution receives the channels it was built
+    /// for, given `c` input channels.
+    fn check_channels(&self, mut c: usize) -> Result<(), TensorError> {
+        for plan in self.convs() {
+            if plan.conv().c_in() != c {
+                return Err(TensorError::invalid(
+                    "FusedChain: input channels do not match the convolution's",
+                ));
             }
-            // Input and output block buffers are alive simultaneously
-            // (the paper's ping-pong intermediate buffers, Figure 10).
-            stats.peak_working_elems = stats
-                .peak_working_elems
-                .max(scratch.cur.shape().numel() + scratch.next.shape().numel());
-            std::mem::swap(&mut scratch.cur, &mut scratch.next);
+            c = plan.conv().c_out();
         }
         Ok(())
+    }
+
+    /// Runs block `(row, col)` of `input` through every step — the one
+    /// block loop (module docs): the block is read from `input` in place,
+    /// each step stores into the next step's buffer in `scratch`, and the
+    /// last stores at the block's place in the group's output map `dst`
+    /// (`None`: into the scratch's compact [`BlockScratch::last`] block).
+    /// Returns the block's working-set peak: the largest unpadded input +
+    /// output block pair of a step.
+    fn run_block(
+        &self,
+        input: &Tensor,
+        (row, col): (usize, usize),
+        mut dst: Option<&mut Tensor>,
+        scratch: &mut BlockScratch,
+    ) -> Result<usize, TensorError> {
+        let [n, c, h, w] = input.shape().dims();
+        let BlockScratch { bufs, block, last, conv, qconv } = scratch;
+        let ob = self.out_grid.block(row, col);
+        if bufs.len() < self.steps.len() {
+            bufs.resize_with(self.steps.len(), StepBuf::default);
+        }
+        let b = self.in_grid.block(row, col);
+        let (from, planes) = (OutGeom::region(b.h0, b.w0, [h, w]), [n * c, b.bh, b.bw]);
+        match (self.steps.first(), bufs.first_mut()) {
+            (Some(first), Some(buf)) => {
+                let to = buf.prepare(first, (row, col), n, c);
+                store_rows((input.data(), from), (buf.t.data_mut(), to), planes, self.load);
+            }
+            _ => {
+                let to = last_store(dst.as_deref_mut(), last, ob, [n, c]);
+                store_rows((input.data(), from), to, planes, self.load);
+            }
+        }
+        let (mut peak, mut c) = (0, c);
+        for (i, step) in self.steps.iter().enumerate() {
+            let (ib, ob) = (step.in_grid.block(row, col), step.out_grid.block(row, col));
+            let c_out = match &step.op {
+                Op::Conv { plan, .. } => plan.conv().c_out(),
+                Op::Pool { .. } => c,
+            };
+            // Input and output block buffers are alive simultaneously (the
+            // paper's ping-pong intermediate buffers, Figure 10).
+            peak = peak.max(n * (c * ib.area() + c_out * ob.area()));
+            let Some((cur, rest)) = bufs[i..].split_first_mut() else {
+                break;
+            };
+            let (out, to) = match (self.steps.get(i + 1), rest.first_mut()) {
+                (Some(next), Some(buf)) => {
+                    let to = buf.prepare(next, (row, col), n, c_out);
+                    (buf.t.data_mut(), to)
+                }
+                _ => last_store(dst.as_deref_mut(), last, ob, [n, c_out]),
+            };
+            let stored = [n * c_out, ob.bh, ob.bw];
+            let compact = OutGeom::compact(ob.bh, ob.bw);
+            match &step.op {
+                Op::Conv { plan, qop } => {
+                    fill_halo(&mut cur.t, plan.block_padding(row, col), plan.pad_mode())?;
+                    let padded = &cur.t;
+                    match (qop, plan.packed_weights()) {
+                        (Some(op), _) if op.reads_quantized() => {
+                            op.forward_quantized_at(padded, out, to, step.epi, qconv)?;
+                        }
+                        (Some(op), _) => {
+                            op.forward_prepadded_into(padded, block, qconv)?;
+                            store_rows((block.data(), compact), (out, to), stored, step.epi);
+                        }
+                        (None, Some(p)) if p.stores_at(ob.bh, ob.bw) => {
+                            p.forward_prepadded_at(plan.conv(), padded, out, to, step.epi.relu)?;
+                        }
+                        (None, Some(p)) => {
+                            p.forward_prepadded_into(plan.conv(), padded, block, conv)?;
+                            store_rows((block.data(), compact), (out, to), stored, step.epi);
+                        }
+                        (None, None) => {
+                            plan.conv().forward_prepadded_into(
+                                padded,
+                                plan.kernel(),
+                                block,
+                                conv,
+                            )?;
+                            store_rows((block.data(), compact), (out, to), stored, step.epi);
+                        }
+                    }
+                }
+                Op::Pool { k } => max_pool2d_at(&cur.t, *k, out, to, |v| step.epi.apply(v))?,
+            }
+            c = c_out;
+        }
+        Ok(peak)
     }
 
     /// Executes the group block-by-block (*fused* dataflow): only the input
@@ -402,12 +556,14 @@ impl FusedChain {
     /// `threads` scoped worker threads (clamped to the block count; `<= 1`
     /// runs serially). `out` is reshaped to the group's output map and
     /// every element is overwritten (the output grid tiles it exactly); on
-    /// the serial path `scratch` carries all block intermediates, so a
-    /// caller that reuses both across requests performs **zero
-    /// steady-state allocation** per run. The chain is batch-aware: inputs
-    /// may carry any batch size `n` (coalesced requests run as one map),
-    /// block buffers simply grow with `n` the first time and are handed
-    /// back through `scratch` for the next run.
+    /// the serial path `scratch` carries all block buffers, so a caller
+    /// that reuses both across requests performs **zero steady-state
+    /// allocation** per run. Every block runs the one block loop (module
+    /// docs): read from `input` in place, stored into `out` at its origin.
+    /// Inputs may carry any batch size `n` (a block then holds every
+    /// image's rows; the serving executor walks a batch image by image and
+    /// hands this one image at a time); block buffers grow with `n` the
+    /// first time and are handed back through `scratch` for the next run.
     ///
     /// Blocks are independent by construction and write disjoint output
     /// regions, so every block runs the same per-block routine as the
@@ -417,11 +573,13 @@ impl FusedChain {
     /// scheduling-invariant. With `threads > 1` each scoped worker owns a
     /// private scratch for the duration of the call and reuses it across
     /// its contiguous chunk (`scratch` is bypassed — per-worker buffers
-    /// cannot outlive the scope).
+    /// cannot outlive the scope); its last step stores into a worker-local
+    /// block, which it pastes into `out` under a lock.
     ///
     /// # Errors
     ///
-    /// Returns shape errors if `input` does not match the planned grid.
+    /// Returns shape errors if `input` does not match the planned grid or
+    /// a convolution's channels.
     pub fn run_fused_into(
         &self,
         input: &Tensor,
@@ -437,6 +595,7 @@ impl FusedChain {
                 format!("[{h},{w}]"),
             ));
         }
+        self.check_channels(c)?;
         let c_out = self.out_channels(c);
         out.reset([n, c_out, self.out_grid.h(), self.out_grid.w()]);
         let mut stats = MemStats {
@@ -453,20 +612,17 @@ impl FusedChain {
         let workers = threads.min(num_blocks).max(1);
 
         if workers <= 1 {
-            // The caller's scratch serves every block and stage of the run.
+            // The caller's scratch serves every block and step of the run.
             for i in 0..num_blocks {
-                let (row, col) = (i / cols, i % cols);
-                self.run_block_scratch(input, row, col, scratch, &mut stats)?;
-                let ob = self.out_grid.block(row, col);
-                out.paste(scratch.output(), ob.h0, ob.w0)?;
+                let peak = self.run_block(input, (i / cols, i % cols), Some(&mut *out), scratch)?;
+                stats.peak_working_elems = stats.peak_working_elems.max(peak);
             }
             return Ok(stats);
         }
 
         // Static contiguous partition; workers paste their (disjoint)
-        // output blocks under a short-held lock, so no per-block result
-        // tensors are materialised and the outcome cannot depend on
-        // timing.
+        // output blocks under a short-held lock, so the outcome cannot
+        // depend on timing.
         let chunk = num_blocks.div_ceil(workers);
         let out_slot = std::sync::Mutex::new(out);
         std::thread::scope(|scope| -> Result<(), TensorError> {
@@ -477,28 +633,28 @@ impl FusedChain {
                     break;
                 }
                 let out_slot = &out_slot;
-                handles.push(scope.spawn(move || -> Result<MemStats, TensorError> {
+                handles.push(scope.spawn(move || -> Result<usize, TensorError> {
                     let mut scratch = BlockScratch::new();
-                    let mut local = MemStats::default();
+                    let mut peak = 0;
                     for i in start..end {
                         let (row, col) = (i / cols, i % cols);
-                        self.run_block_scratch(input, row, col, &mut scratch, &mut local)?;
-                        let ob = self.out_grid.block(row, col);
+                        peak = peak.max(self.run_block(input, (row, col), None, &mut scratch)?);
                         // Poison-tolerant: pastes are disjoint, and a peer
                         // panic is surfaced as a typed error at join below
                         // (the partial output is discarded with it).
                         let mut guard =
                             out_slot.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-                        guard.paste(scratch.output(), ob.h0, ob.w0)?;
+                        let ob = self.out_grid.block(row, col);
+                        guard.paste(&scratch.last, ob.h0, ob.w0)?;
                     }
-                    Ok(local)
+                    Ok(peak)
                 }));
             }
             for handle in handles {
-                let local = handle
+                let peak = handle
                     .join()
                     .map_err(|_| TensorError::invalid("fused-chain block worker panicked"))??;
-                stats.peak_working_elems = stats.peak_working_elems.max(local.peak_working_elems);
+                stats.peak_working_elems = stats.peak_working_elems.max(peak);
             }
             Ok(())
         })?;
@@ -522,29 +678,76 @@ impl FusedChain {
             bits_per_elem: self.act_bits().unwrap_or(32),
         };
         let mut cur = input.clone();
-        // The chain output is whatever the last *materialising* stage
-        // produces — a trailing in-place ReLU must not push the final conv
-        // back into the 2x (write + read-back) intermediate bucket.
-        let last = self.stages.iter().rposition(|s| !matches!(s, Stage::Relu));
-        for (idx, stage) in self.stages.iter().enumerate() {
-            let next = match stage {
-                Stage::Conv { plan, qop: None } => plan.forward(&cur)?,
-                Stage::Conv { plan, qop: Some(op) } => qconv_forward_map(plan, op, &cur)?,
-                Stage::Relu => {
-                    relu_inplace(&mut cur);
-                    continue;
-                }
-                Stage::Pool { k } => max_pool2d(&cur, *k, *k)?,
+        if self.load.relu {
+            relu_inplace(&mut cur);
+        }
+        // The chain output is whatever the last step produces — a trailing
+        // in-place ReLU must not push the final conv back into the 2x
+        // (write + read-back) intermediate bucket.
+        let last = self.steps.len().saturating_sub(1);
+        for (idx, step) in self.steps.iter().enumerate() {
+            let mut next = match &step.op {
+                Op::Conv { plan, qop: None } => plan.forward(&cur)?,
+                Op::Conv { plan, qop: Some(op) } => qconv_forward_map(plan, op, &cur)?,
+                Op::Pool { k } => max_pool2d(&cur, *k, *k)?,
             };
+            if step.epi.relu {
+                relu_inplace(&mut next);
+            }
             stats.peak_working_elems =
                 stats.peak_working_elems.max(cur.shape().numel() + next.shape().numel());
             // Intermediate maps make a DRAM round trip (write + read);
             // the final output is written once.
             stats.offchip_elems +=
-                if Some(idx) == last { next.shape().numel() } else { 2 * next.shape().numel() };
+                if idx == last { next.shape().numel() } else { 2 * next.shape().numel() };
             cur = next;
         }
         Ok((cur, stats))
+    }
+}
+
+/// Where the last step of a block whose output block is `ob` stores: at
+/// its place in the output map `map`, or (`None`) into the compact `last`,
+/// shaped for `n` images × `c_out` channels.
+fn last_store<'a>(
+    map: Option<&'a mut Tensor>,
+    last: &'a mut Tensor,
+    ob: Block,
+    [n, c_out]: [usize; 2],
+) -> (&'a mut [f32], OutGeom) {
+    match map {
+        Some(map) => {
+            let [.., map_h, map_w] = map.shape().dims();
+            (map.data_mut(), OutGeom::region(ob.h0, ob.w0, [map_h, map_w]))
+        }
+        None => {
+            last.reset([n, c_out, ob.bh, ob.bw]);
+            (last.data_mut(), OutGeom::compact(ob.bh, ob.bw))
+        }
+    }
+}
+
+/// Copies `[planes, h, w]` values from `from` in `src` to `to` in `dst`
+/// through `epi` — the store of a kernel that writes only compact blocks,
+/// and the first step's read of its block from the group's input map.
+fn store_rows(
+    (src, from): (&[f32], OutGeom),
+    (dst, to): (&mut [f32], OutGeom),
+    [planes, h, w]: [usize; 3],
+    epi: Epilogue,
+) {
+    for p in 0..planes {
+        for y in 0..h {
+            let s = &src[from.offset + p * from.plane + y * from.row..][..w];
+            let d = &mut dst[to.offset + p * to.plane + y * to.row..][..w];
+            if epi == Epilogue::NONE {
+                d.copy_from_slice(s);
+            } else {
+                for (d, &s) in d.iter_mut().zip(s) {
+                    *d = epi.apply(s);
+                }
+            }
+        }
     }
 }
 
@@ -779,7 +982,7 @@ mod tests {
         let input = uniform_tensor([1, 2, 8, 8], -1.0, 1.0, &mut seeded_rng(4));
         let (fused, _) = chain.run_fused(&input).unwrap();
         let (layerwise, _) = chain.run_layerwise(&input).unwrap();
-        assert!(fused.approx_eq(&layerwise, 1e-5).unwrap());
+        assert_eq!(fused.data(), layerwise.data(), "fusion is a schedule change only");
     }
 
     #[test]
@@ -832,7 +1035,7 @@ mod tests {
         let (fused, _) = chain.run_fused(&input).unwrap();
         let (layerwise, _) = chain.run_layerwise(&input).unwrap();
         assert_eq!(fused.shape().dims(), [1, 1, 4, 4]);
-        assert!(fused.approx_eq(&layerwise, 1e-5).unwrap());
+        assert_eq!(fused.data(), layerwise.data(), "fusion is a schedule change only");
     }
 
     #[test]
@@ -861,7 +1064,7 @@ mod tests {
         let input = uniform_tensor([1, 1, 16, 16], -1.0, 1.0, &mut seeded_rng(23));
         let (fused, fs) = pipeline.run_fused(&input).unwrap();
         let (layerwise, ls) = pipeline.run_layerwise(&input).unwrap();
-        assert!(fused.approx_eq(&layerwise, 1e-5).unwrap());
+        assert_eq!(fused.data(), layerwise.data(), "fusion is a schedule change only");
         assert!(fs.offchip_elems < ls.offchip_elems);
         // Fused pipeline off-chip = input + final output only.
         assert_eq!(fs.offchip_elems, 16 * 16 + 8 * 8);

@@ -1,0 +1,162 @@
+//! Property test of the fused block loop: random chains of 3×3 and 1×1
+//! convolutions, ReLUs and 2×2 poolings, at every precision, under every
+//! block-padding mode and on hierarchical, fixed and irregular fixed grids,
+//! run fused at one and two threads, must equal the layer-by-layer schedule
+//! bit for bit, and report the unpadded working-set peak of the grids.
+
+use bconv_core::blocking::{BlockGrid, BlockingPattern};
+use bconv_core::fusion::{BlockScratch, ChainOp, FusedChain};
+use bconv_quant::QParams;
+use bconv_tensor::conv::{Conv2d, ConvGeom};
+use bconv_tensor::init::{he_conv2d, seeded_rng, uniform_tensor};
+use bconv_tensor::kernel::KernelPolicy;
+use bconv_tensor::pad::PadMode;
+use bconv_tensor::Tensor;
+use proptest::prelude::*;
+
+/// A small deterministic generator for the chain's shape (splitmix64).
+struct Draw(u64);
+
+impl Draw {
+    fn below(&mut self, n: usize) -> usize {
+        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = self.0;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        ((z ^ (z >> 31)) % n as u64) as usize
+    }
+
+    fn pick<T: Copy>(&mut self, options: &[T]) -> T {
+        options[self.below(options.len())]
+    }
+}
+
+/// `(weight bits, activation bits)`; `None` is the float chain.
+const PRECISIONS: [Option<(u8, u8)>; 4] = [None, Some((8, 8)), Some((4, 8)), Some((8, 16))];
+
+/// A random conv with `c_in` inputs: 3×3 or 1×1, `c_out / groups` from the
+/// kernels' dispatch boundaries (up to 9 on a big map, to keep the
+/// layer-wise oracle quick), one or two groups, random biases.
+fn random_conv(d: &mut Draw, c_in: usize, big_map: bool) -> Conv2d {
+    let geom = if d.below(4) == 0 { ConvGeom::new(1, 1, 0) } else { ConvGeom::same(3) };
+    let groups = if c_in.is_multiple_of(2) && d.below(3) == 0 { 2 } else { 1 };
+    let per_group = if big_map { d.pick(&[1, 7, 8, 9]) } else { d.pick(&[1, 7, 8, 9, 16, 17]) };
+    let mut rng = seeded_rng(d.below(1 << 20) as u64);
+    let mut conv = he_conv2d(c_in, per_group * groups, geom, groups, &mut rng).unwrap();
+    for b in conv.bias_mut() {
+        *b = d.below(200) as f32 / 100.0 - 1.0;
+    }
+    conv
+}
+
+/// The unpadded `cur + next` peak of running `ops` on `n` images of `c`
+/// channels tiled by `grid`: per conv or pool, the largest input block plus
+/// its output block.
+fn grid_peak(chain: &FusedChain, ops: &[ChainOp], n: usize, mut c: usize) -> usize {
+    let mut grid = chain.in_grid().clone();
+    let mut convs = chain.convs();
+    let mut peak = 0;
+    for op in ops {
+        let (out_grid, c_out) = match op {
+            ChainOp::Conv(conv) => {
+                let plan = convs.next().unwrap();
+                assert_eq!(plan.grid(), &grid);
+                (plan.output_grid().unwrap(), conv.c_out())
+            }
+            ChainOp::MaxPool { k } => (grid.downscale(*k).unwrap(), c),
+            ChainOp::Relu => continue,
+        };
+        for row in 0..grid.num_rows() {
+            for col in 0..grid.num_cols() {
+                let (ib, ob) = (grid.block(row, col), out_grid.block(row, col));
+                peak = peak.max(n * (c * ib.bh * ib.bw + c_out * ob.bh * ob.bw));
+            }
+        }
+        (grid, c) = (out_grid, c_out);
+    }
+    peak
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    #[test]
+    fn fused_block_loop_equals_layerwise_bit_for_bit(
+        seed in 0u64..1_000_000_000,
+        grid_kind in 0usize..3,
+        mode in 0usize..3,
+        precision in 0usize..4,
+    ) {
+        let mut d = Draw(seed);
+        let (h, w, pattern) = match grid_kind {
+            0 => {
+                let g = 1 + d.below(3);
+                (8 + 2 * d.below(6), 8 + 2 * d.below(6), BlockingPattern::hierarchical(g))
+            }
+            1 => (8 + d.below(12), 8 + d.below(12), BlockingPattern::fixed(2 + 2 * d.below(4))),
+            // Irregular fixed blocking: F28 on 41 splits 28 + 13.
+            _ => (41, 41, BlockingPattern::fixed(28)),
+        };
+        let grid = BlockGrid::from_pattern(h, w, pattern).unwrap();
+        let pad_mode = PadMode::ALL[mode];
+        let precision = PRECISIONS[precision];
+        let n = 1 + d.below(2);
+        let c0 = d.pick(&[1, 2, 3, 4]);
+        let big_map = h * w > 400;
+
+        // 1–5 random ops, pooling only where the grid stays aligned.
+        let (mut ops, mut c, mut g) = (Vec::new(), c0, grid.clone());
+        for _ in 0..1 + d.below(5) {
+            match d.below(5) {
+                0 | 1 => {
+                    let conv = random_conv(&mut d, c, big_map);
+                    c = conv.c_out();
+                    ops.push(ChainOp::conv(conv));
+                }
+                2 => ops.push(ChainOp::Relu),
+                _ => match g.downscale(2) {
+                    Ok(pooled) => {
+                        g = pooled;
+                        ops.push(ChainOp::MaxPool { k: 2 });
+                    }
+                    Err(_) => ops.push(ChainOp::Relu),
+                },
+            }
+        }
+        let convs = ops.iter().filter(|op| matches!(op, ChainOp::Conv(_))).count();
+        let params: Vec<QParams> = (0..convs)
+            .map(|_| {
+                let bits = precision.map_or(8, |(_, a)| a);
+                QParams::from_abs_max(0.25 + d.below(300) as f32 / 100.0, bits)
+            })
+            .collect();
+        let policy = if d.below(6) == 0 { KernelPolicy::Direct } else { KernelPolicy::Auto };
+        let quant = precision.map(|(wb, _)| (wb, &params[..]));
+        let chain = FusedChain::plan(ops.clone(), grid, pad_mode, policy, quant).unwrap();
+
+        let mut input = uniform_tensor([n, c0, h, w], -1.5, 1.5, &mut seeded_rng(seed ^ 7));
+        // A NaN activation takes every path's saturation rule too.
+        if d.below(4) == 0 {
+            let at = d.below(input.data().len());
+            input.data_mut()[at] = f32::NAN;
+        }
+        let layerwise = chain.run_layerwise(&input);
+        let mut scratch = BlockScratch::new();
+        for threads in [1usize, 2, 1] {
+            let mut out = Tensor::filled([1, 1, 1, 1], f32::NAN);
+            let fused = chain.run_fused_into(&input, threads, &mut out, &mut scratch);
+            match (&layerwise, fused) {
+                (Ok((want, _)), Ok(stats)) => {
+                    let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                    prop_assert_eq!(out.shape(), want.shape());
+                    prop_assert_eq!(bits(&out), bits(want), "threads {}: {:?}", threads, ops);
+                    prop_assert_eq!(stats.peak_working_elems, grid_peak(&chain, &ops, n, c0));
+                    prop_assert_eq!(stats.offchip_elems, input.shape().numel() + want.shape().numel());
+                }
+                // Reflect padding wider than a block fails on both schedules.
+                (Err(_), Err(_)) => prop_assert_eq!(pad_mode, PadMode::Reflect),
+                (l, f) => prop_assert!(false, "layerwise {:?} vs fused {:?}", l.is_ok(), f.is_ok()),
+            }
+        }
+    }
+}

@@ -137,6 +137,7 @@ impl QParams {
     /// mul/saturate/bias pipeline, minus the bit extraction: subtracting
     /// `ROUND_BIAS` back out is exact, so this equals
     /// `self.quantize_value(v) as f32` bit for bit, NaN included.
+    #[inline]
     pub fn quantize_value_f32(&self, v: f32) -> f32 {
         (self.saturate(v) + ROUND_BIAS) - ROUND_BIAS
     }

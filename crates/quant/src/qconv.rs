@@ -17,12 +17,12 @@
 //!   [`QParams`] as one quantized chain stage.
 
 use bconv_tensor::conv::{Conv2d, ConvGeom};
-use bconv_tensor::kernel::KernelKind;
+use bconv_tensor::kernel::{KernelKind, OutGeom};
 use bconv_tensor::pad::{pad2d_asym_into, PadMode};
 use bconv_tensor::shape::conv_out_dim;
 use bconv_tensor::{Tensor, TensorError};
 
-use crate::qgemm::{qim2col_gemm, QPackedWeights};
+use crate::qgemm::{self, qim2col_gemm, Epilogue, QPackedWeights};
 use crate::QParams;
 
 /// Reusable temporaries for quantized convolution: the padded block, the
@@ -39,9 +39,10 @@ pub struct QConvScratch {
     pub(crate) act16: Vec<i16>,
     /// Position-major `N×K` i16 im2col patch matrix.
     pub(crate) cols: Vec<i16>,
-    /// Integer-valued f32 activations for the exact-f32 kernels; the
-    /// spatial-lane kernel alone keeps one chunk of zeroed slack lanes
-    /// behind the last plane.
+    /// Integer-valued f32 activations for the exact-f32 kernels, plus one
+    /// chunk of zeroed slack lanes behind the last plane for spatial-lane
+    /// planes narrower than a chunk; a fused stage whose input is already
+    /// quantized uses it only for those.
     pub(crate) actf: Vec<f32>,
     /// The spatial-lane kernel's padded-width accumulator planes (one per
     /// output channel of a pair), each a whole number of chunks; the
@@ -403,6 +404,38 @@ impl QuantChainOp {
         scratch: &mut QConvScratch,
     ) -> Result<(), TensorError> {
         self.qconv.forward_prepadded_into(padded, self.act_params, out, scratch)
+    }
+
+    /// Whether the stage runs an exact-f32 kernel, and so reads its input
+    /// already quantized: what [`forward_quantized_at`](Self::forward_quantized_at)
+    /// takes. A fixed property of the layer and its activation range.
+    pub fn reads_quantized(&self) -> bool {
+        qgemm::exact_weights(&self.qconv, self.act_params).is_some()
+    }
+
+    /// The fused-chain entry: runs the stage on a locally padded block
+    /// whose values are **already quantized** at the stage's
+    /// [`act_params`](Self::act_params) (integer-valued f32, as the previous
+    /// stage's [`Epilogue`] stored them) and stores every output at `at` in
+    /// `out` through `epi` — the interior of the next stage's padded buffer
+    /// in that stage's format, or the block's place in the group's output
+    /// map. Bit for bit [`forward_prepadded_into`](Self::forward_prepadded_into)
+    /// on the dequantized block followed by a copy through `epi`.
+    ///
+    /// # Errors
+    ///
+    /// Returns shape errors on a channel mismatch, when the stage does not
+    /// [`read_quantized`](Self::reads_quantized), or when the outputs do
+    /// not fit `out` at `at`.
+    pub fn forward_quantized_at(
+        &self,
+        acts: &Tensor,
+        out: &mut [f32],
+        at: OutGeom,
+        epi: Epilogue,
+        scratch: &mut QConvScratch,
+    ) -> Result<(), TensorError> {
+        qgemm::quantized_conv_at(&self.qconv, self.act_params, acts, (out, at, epi), scratch)
     }
 }
 

@@ -57,7 +57,11 @@
 //! of per-block convolutions with zero steady-state allocation. `padded`
 //! must already carry the layer's spatial padding (kernels never pad);
 //! `out` is reshaped to `[n, c_out, oh, ow]` and every element is
-//! overwritten.
+//! overwritten. The two 3×3 kernels also store at an [`OutGeom`] — an
+//! offset, a row pitch and a plane pitch into any slice
+//! ([`PackedWeights::forward_prepadded_at`]) — which is how a fused chain's
+//! stage writes the interior of the next stage's padded buffer, or its
+//! block of the group's output map, with no copy in between.
 
 use crate::conv::Conv2d;
 use crate::shape::conv_out_dim;
@@ -148,6 +152,60 @@ impl KernelKind {
     }
 }
 
+/// Where a kernel stores its output: element `(plane p, row y, column x)`
+/// of an `oh × ow` output goes to `dst[offset + p·plane + y·row + x]`,
+/// with `p = image · c_out + channel`. A compact NCHW tensor is
+/// [`compact`](Self::compact); the interior of a padded block buffer and a
+/// block's place in a whole feature map are the same three numbers with a
+/// wider row and plane — which is how a fused chain's stages store straight
+/// into the buffer the next stage reads.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct OutGeom {
+    /// Index of the first output element.
+    pub offset: usize,
+    /// Distance between vertically adjacent outputs (row pitch).
+    pub row: usize,
+    /// Distance between the first outputs of consecutive planes.
+    pub plane: usize,
+}
+
+impl OutGeom {
+    /// A dense `oh × ow` layout: the geometry of a compact NCHW tensor.
+    pub fn compact(oh: usize, ow: usize) -> Self {
+        Self { offset: 0, row: ow, plane: oh * ow }
+    }
+
+    /// The geometry of a region whose first output is `(h0, w0)` of the
+    /// planes of a `[.., .., map_h, map_w]` tensor.
+    pub fn region(h0: usize, w0: usize, [map_h, map_w]: [usize; 2]) -> Self {
+        Self { offset: h0 * map_w + w0, row: map_w, plane: map_h * map_w }
+    }
+
+    /// Checks that `planes` planes of `oh × ow` outputs fit a destination
+    /// of `len` elements without overlapping rows or planes.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`TensorError::OutOfBounds`] when they do not.
+    pub fn check(
+        &self,
+        planes: usize,
+        oh: usize,
+        ow: usize,
+        len: usize,
+    ) -> Result<(), TensorError> {
+        let extent = if planes == 0 || oh == 0 || ow == 0 { 0 } else { (oh - 1) * self.row + ow };
+        let fits = self.row >= ow
+            && (planes <= 1 || self.plane >= extent)
+            && (extent == 0 || self.offset + (planes - 1) * self.plane + extent <= len);
+        if fits {
+            Ok(())
+        } else {
+            Err(TensorError::out_of_bounds("the outputs do not fit the destination at OutGeom"))
+        }
+    }
+}
+
 /// Reusable temporary storage for kernel execution. One scratch per
 /// worker thread; buffers grow to the largest layer seen and stay there.
 #[derive(Debug, Default)]
@@ -168,11 +226,18 @@ impl ConvScratch {
 
 /// Validates the padded input against `conv` and shapes `out`; returns
 /// `(n, oh, ow)`.
-fn prepare_out(
+fn shape_out(
     conv: &Conv2d,
     padded: &Tensor,
     out: &mut Tensor,
 ) -> Result<(usize, usize, usize), TensorError> {
+    let (n, oh, ow) = prepare_out(conv, padded)?;
+    out.reset([n, conv.c_out(), oh, ow]);
+    Ok((n, oh, ow))
+}
+
+/// Validates the padded input against `conv`; returns `(n, oh, ow)`.
+fn prepare_out(conv: &Conv2d, padded: &Tensor) -> Result<(usize, usize, usize), TensorError> {
     let [n, c_in, ph, pw] = padded.shape().dims();
     if c_in != conv.c_in() {
         return Err(TensorError::shape_mismatch(
@@ -184,14 +249,13 @@ fn prepare_out(
     let g = conv.geom();
     let oh = conv_out_dim(ph, g.kernel, g.stride, 0)?;
     let ow = conv_out_dim(pw, g.kernel, g.stride, 0)?;
-    out.reset([n, conv.c_out(), oh, ow]);
     Ok((n, oh, ow))
 }
 
 /// The naive direct convolution: seven nested loops, one accumulator per
 /// output element.
 pub(crate) fn direct(conv: &Conv2d, padded: &Tensor, out: &mut Tensor) -> Result<(), TensorError> {
-    let (n, oh, ow) = prepare_out(conv, padded, out)?;
+    let (n, oh, ow) = shape_out(conv, padded, out)?;
     let g = conv.geom();
     let (k, s) = (g.kernel, g.stride);
     let c_in = conv.c_in();
@@ -325,6 +389,52 @@ impl PackedWeights {
         }
         im2col_gemm(conv, Some(self), padded, out, scratch)
     }
+
+    /// Whether [`forward_prepadded_at`](Self::forward_prepadded_at) takes
+    /// this layer on an `oh × ow` output: the layers the channel-lane or
+    /// the plane kernel runs. Everything else stores compact blocks only.
+    pub fn stores_at(&self, oh: usize, ow: usize) -> bool {
+        let ([c_out, _, k, _], groups, stride) = self.layer;
+        lane_tile::takes(k, stride, c_out / groups) || plane::takes(k, stride, oh, ow)
+    }
+
+    /// [`forward_prepadded_into`](Self::forward_prepadded_into) storing at
+    /// `at` in `out` instead of into a compact tensor, with `relu` folded
+    /// into the store (`relu_inplace`'s `v < 0.0` test) — the fused-chain
+    /// entry: a stage writes the interior of the next stage's padded
+    /// buffer, or its block of the group's output map, and touches nothing
+    /// else. Bit for bit the compact call followed by a copy (and a ReLU).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`TensorError`] on channel/shape mismatch, when `conv` is
+    /// not the packed layer, when the layer is not one
+    /// [`stores_at`](Self::stores_at) takes, or when the outputs do not fit
+    /// `out` at `at`.
+    pub fn forward_prepadded_at(
+        &self,
+        conv: &Conv2d,
+        padded: &Tensor,
+        out: &mut [f32],
+        at: OutGeom,
+        relu: bool,
+    ) -> Result<(), TensorError> {
+        if self.layer != Self::layer_of(conv) {
+            return Err(TensorError::invalid("PackedWeights were packed from a different layer"));
+        }
+        let (n, oh, ow) = prepare_out(conv, padded)?;
+        if !self.stores_at(oh, ow) {
+            return Err(TensorError::invalid("this layer's kernel stores compact blocks only"));
+        }
+        at.check(n * conv.c_out(), oh, ow, out.len())?;
+        let g = conv.geom();
+        if lane_tile::takes(g.kernel, g.stride, conv.c_out() / conv.groups()) {
+            lane_tile::lane_conv(conv, &self.data, padded, out, at, relu);
+        } else {
+            plane::plane_conv(conv, padded, out, at, relu);
+        }
+        Ok(())
+    }
 }
 
 /// The fast path (its name, `im2col-gemm` in reports and plan keys,
@@ -341,7 +451,7 @@ pub(crate) fn im2col_gemm(
     out: &mut Tensor,
     scratch: &mut ConvScratch,
 ) -> Result<(), TensorError> {
-    let (n, oh, ow) = prepare_out(conv, padded, out)?;
+    let (n, oh, ow) = shape_out(conv, padded, out)?;
     let g = conv.geom();
     let (k, s) = (g.kernel, g.stride);
     let groups = conv.groups();
@@ -361,11 +471,11 @@ pub(crate) fn im2col_gemm(
                 &scratch.lanes
             }
         };
-        lane_tile::lane_conv(conv, wl, padded, out);
+        lane_tile::lane_conv(conv, wl, padded, out.data_mut(), OutGeom::compact(oh, ow), false);
         return Ok(());
     }
     if plane::takes(k, s, oh, ow) {
-        plane::plane_conv(conv, padded, out);
+        plane::plane_conv(conv, padded, out.data_mut(), OutGeom::compact(oh, ow), false);
         return Ok(());
     }
 

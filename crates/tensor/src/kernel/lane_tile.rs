@@ -13,7 +13,11 @@
 //! `[group][c_out tile][c_in][tap][lanes]` ([`pack_lanes`]; the lanes a
 //! ragged last tile has no channel for are zero). What it pays is a
 //! transpose: a tile's lanes belong to different planes of the NCHW output,
-//! so every output element costs a scalar store.
+//! so every output element costs a scalar store. That store is the
+//! kernel's one output path ([`sweep_lanes`]) and takes an
+//! [`OutGeom`]: a compact tensor, the interior of a fused
+//! chain's next padded block buffer, or a block's place in a whole map are
+//! the same stores at a different row and plane pitch.
 //!
 //! There is **one** tile, generic over a [`Policy`] — how a lane
 //! accumulates and what happens to a finished tile:
@@ -23,11 +27,16 @@
 //!   one chain per (pixel, channel) lane in `(c_in, kh, kw)` order — the
 //!   direct loop's order, so the result is bit for bit `super::direct`'s.
 //!   No fused multiply-add, never a split chain; the instruction-level
-//!   parallelism is the `P·L/8` independent chains of the tile.
+//!   parallelism is the `P·L/8` independent chains of the tile. A fused
+//!   stage followed by a ReLU folds it into the finish.
 //! * *exact* (`bconv_quant::qgemm`, the integer path): the lanes carry
 //!   integers below 2²⁴, so any association — and a fused multiply-add — is
 //!   exact; lanes start at zero, small tiles sum each kernel row into a set
-//!   of its own, and the epilogue rescales.
+//!   of its own, and the epilogue rescales — and, in a fused chain, applies
+//!   the ReLU and requantizes for the next stage.
+//!
+//! The epilogue lives in `finish`, outside `lane_tile`: a policy's
+//! epilogue never changes the tile's code.
 //!
 //! Float layers take this kernel from eight output channels per group up
 //! (`takes`); thinner ones keep the spatial lanes of `super::plane`. The
@@ -36,6 +45,7 @@
 //! fuses, and sums three chains per lane), the float ones 26–30 against
 //! 23–27.
 
+use super::OutGeom;
 use crate::conv::Conv2d;
 use crate::Tensor;
 
@@ -83,17 +93,18 @@ pub fn pack_lanes(weights: &[f32], [groups, cout_per_group, kk]: [usize; 3], dat
 /// Walks a layer's channel tiles in [`pack_lanes`] order, for every image:
 /// calls `tile` with the tile's weights, its group's input planes (of
 /// `acts`, `[n][c_in][plane]`), its live output channels (a ragged last
-/// tile has fewer than its lanes), its lane count and those channels'
-/// planes of `out` (`[n][c_out][oh · ow]`) — what [`sweep_lanes`] takes.
+/// tile has fewer than its lanes), its lane count and `out` from the first
+/// output of its first live channel on (outputs are stored at `at`, whose
+/// planes run `[n][c_out]`) — what [`sweep_lanes`] takes.
 pub fn each_tile(
     wl: &[f32],
     acts: &[f32],
-    out: &mut [f32],
+    (out, at): (&mut [f32], OutGeom),
     [n, groups, cin_per_group, cout_per_group]: [usize; 4],
-    [oh, ow, _, plane]: [usize; 4],
+    plane: usize,
     mut tile: impl FnMut(&[f32], &[f32], std::ops::Range<usize>, usize, &mut [f32]),
 ) {
-    let (c_in, c_out, nn) = (groups * cin_per_group, groups * cout_per_group, oh * ow);
+    let (c_in, c_out) = (groups * cin_per_group, groups * cout_per_group);
     for ni in 0..n {
         let mut wrest = wl;
         for grp in 0..groups {
@@ -104,8 +115,7 @@ pub fn each_tile(
                 (wt, wrest) = wrest.split_at(cin_per_group * 9 * lanes);
                 let m0 = grp * cout_per_group + mo;
                 let live = m0..m0 + lanes.min(cout_per_group - mo);
-                let dst = &mut out[(ni * c_out + m0) * nn..][..live.len() * nn];
-                tile(wt, group, live, lanes, dst);
+                tile(wt, group, live, lanes, &mut out[at.offset + (ni * c_out + m0) * at.plane..]);
             }
         }
     }
@@ -163,22 +173,21 @@ macro_rules! each_pixel {
 
 /// One channel tile (`L` lanes, weights `wt`) over every output pixel of
 /// one image's `group` planes: rows of 8-pixel tiles (4 without
-/// `TILE_8`), then a 4, a 2 and a 1 for whatever width is left. `dst` is
-/// the tile's live channels' planes of the output (`oh · ow` elements
-/// apiece; a ragged last tile has fewer than `L`), every element of which
-/// is written.
+/// `TILE_8`), then a 4, a 2 and a 1 for whatever width is left. `dst`
+/// starts at the first output of the tile's first channel, and the `live`
+/// channels' outputs (a ragged last tile has fewer than `L`) are stored at
+/// the row and plane pitch of `at` — every one of them, and nothing else.
 #[allow(clippy::out_of_bounds_indexing)] // `each_pixel!`'s dead `if 4 < 2 { acc[4] }` branches
 pub fn sweep_lanes<const L: usize>(
     wt: &[f32],
     group: &[f32],
     [oh, ow, pw, plane]: [usize; 4],
+    (at, live): (OutGeom, usize),
     policy: &impl Policy<L>,
     dst: &mut [f32],
 ) {
-    let nn = oh * ow;
-    let live = dst.len() / nn;
     for ohi in 0..oh {
-        let (src, to) = (ohi * pw, ohi * ow);
+        let (src, to) = (ohi * pw, ohi * at.row);
         let mut owi = 0;
         // Sums a `$P`-pixel tile, finishes it and transposes it into pixels
         // `to + owi..` of each live channel's plane; evaluates to `$P`.
@@ -187,7 +196,7 @@ pub fn sweep_lanes<const L: usize>(
                 const P: usize = $P;
                 let mut acc = lane_tile::<P, L, _>(wt, group, src + owi, pw, plane, policy);
                 policy.finish(&mut acc);
-                for (l, start) in (to + owi..).step_by(nn).take(live).enumerate() {
+                for (l, start) in (to + owi..).step_by(at.plane).take(live).enumerate() {
                     let row = &mut dst[start..start + P];
                     each_pixel!(PX < P => {
                         row[PX] = acc[PX][l];
@@ -275,16 +284,18 @@ fn lane_tile<const P: usize, const L: usize, A: Policy<L>>(
 }
 
 /// The float policy: bias first, then multiply-then-add in tap order — the
-/// direct loop's chain, so nothing about it may be reassociated or fused.
+/// direct loop's chain, so nothing about it may be reassociated or fused —
+/// and, for a fused stage a ReLU follows, that ReLU on the finished sums.
 struct Ordered<const L: usize> {
     bias: [f32; L],
+    relu: bool,
 }
 
 impl<const L: usize> Ordered<L> {
     /// For a tile whose live channels' biases are `bias`; the lanes past
     /// them start at zero and are never stored.
-    fn new(bias: &[f32]) -> Self {
-        Self { bias: std::array::from_fn(|l| bias.get(l).copied().unwrap_or(0.0)) }
+    fn new(bias: &[f32], relu: bool) -> Self {
+        Self { bias: std::array::from_fn(|l| bias.get(l).copied().unwrap_or(0.0)), relu }
     }
 }
 
@@ -301,8 +312,22 @@ impl<const L: usize> Policy<L> for Ordered<L> {
         acc + w * x
     }
 
+    /// `relu_inplace`'s test, folded: a sum below zero becomes `0.0`
+    /// (NaN and `-0.0` stay).
     #[inline(always)]
-    fn finish<const P: usize>(&self, _: &mut [[f32; L]; P]) {}
+    // The lane loop stays the one loop over the tile (see `each_pixel!`).
+    #[allow(clippy::needless_range_loop)]
+    fn finish<const P: usize>(&self, acc: &mut [[f32; L]; P]) {
+        if self.relu {
+            for l in 0..L {
+                each_pixel!(PX < P => {
+                    if acc[PX][l] < 0.0 {
+                        acc[PX][l] = 0.0;
+                    }
+                });
+            }
+        }
+    }
 }
 
 /// Whether the float channel-lane kernel takes a layer with kernel size
@@ -317,20 +342,26 @@ pub(super) fn takes(k: usize, s: usize, cout_per_group: usize) -> bool {
 }
 
 /// Evaluates a 3×3 stride-1 `conv` whose [`pack_lanes`] weights are `wl` on
-/// `padded`, writing every element of the already shaped `out`. The caller
-/// has checked [`takes`].
-pub(super) fn lane_conv(conv: &Conv2d, wl: &[f32], padded: &Tensor, out: &mut Tensor) {
+/// `padded`, storing every output at `at` in `out` (ReLU'd when `relu`).
+/// The caller has checked [`takes`] and that the outputs fit.
+pub(super) fn lane_conv(
+    conv: &Conv2d,
+    wl: &[f32],
+    padded: &Tensor,
+    out: &mut [f32],
+    at: OutGeom,
+    relu: bool,
+) {
     let [n, c_in, ph, pw] = padded.shape().dims();
-    let [_, c_out, oh, ow] = out.shape().dims();
-    debug_assert_eq!((oh + 2, ow + 2), (ph, pw));
-    let dims = [oh, ow, pw, ph * pw];
-    let shape = [n, conv.groups(), c_in / conv.groups(), c_out / conv.groups()];
-    each_tile(wl, padded.data(), out.data_mut(), shape, dims, |wt, group, live, lanes, dst| {
+    let dims = [ph - 2, pw - 2, pw, ph * pw];
+    let shape = [n, conv.groups(), c_in / conv.groups(), conv.c_out() / conv.groups()];
+    each_tile(wl, padded.data(), (out, at), shape, ph * pw, |wt, group, live, lanes, dst| {
+        let tile = (at, live.len());
         let bias = &conv.bias()[live];
         if lanes == 2 * VEC {
-            sweep_lanes(wt, group, dims, &Ordered::<{ 2 * VEC }>::new(bias), dst);
+            sweep_lanes(wt, group, dims, tile, &Ordered::<{ 2 * VEC }>::new(bias, relu), dst);
         } else {
-            sweep_lanes(wt, group, dims, &Ordered::<VEC>::new(bias), dst);
+            sweep_lanes(wt, group, dims, tile, &Ordered::<VEC>::new(bias, relu), dst);
         }
     });
 }

@@ -13,7 +13,10 @@
 //! `(oh - 1)·pw + ow` is swept in [`LANES`]-wide chunks. Each chunk's
 //! accumulators stay in registers across **all** input channels, one
 //! source vector load feeds up to four output channels, and the result is
-//! written once, straight into the output rows. It is the float twin of
+//! written once, straight into the output rows — of a compact tensor, or,
+//! in a fused chain, of the next stage's padded buffer or the group's
+//! output map ([`OutGeom`]; a ReLU that follows the stage is applied on the
+//! way). It is the float twin of
 //! `bconv_quant::qgemm`'s exact-f32 spatial-lane kernel and is reached the
 //! same way: by shape (`takes`), from inside `im2col_gemm`.
 //!
@@ -26,7 +29,9 @@
 //! rounded up past it, so every window lies inside its own channel plane
 //! and no slack copy of the input is needed. Lanes never mix, and only
 //! columns `0..ow` survive `store_chunk`, so whatever a junk lane holds —
-//! NaN and infinities included — cannot reach `out`.
+//! NaN and infinities included — cannot reach `out`. In a row wider than
+//! `ow` nothing past a row's last output is touched either: those are
+//! another buffer's halo or another block's outputs.
 //!
 //! # Bitwise contract
 //!
@@ -40,7 +45,7 @@
 //! reassociation. `tests/plane_kernel_shapes.rs` sweeps every small plane
 //! shape against the direct loop.
 
-use super::F32x8;
+use super::{F32x8, OutGeom};
 use crate::conv::Conv2d;
 use crate::Tensor;
 
@@ -68,26 +73,33 @@ pub(super) fn takes(k: usize, s: usize, oh: usize, ow: usize) -> bool {
     k == 3 && s == 1 && span(oh, ow) >= LANES
 }
 
-/// Evaluates a 3×3 stride-1 `conv` on `padded`, writing every element of
-/// the already shaped `out`. The caller has checked [`takes`].
-pub(super) fn plane_conv(conv: &Conv2d, padded: &Tensor, out: &mut Tensor) {
+/// Evaluates a 3×3 stride-1 `conv` on `padded`, storing every output at
+/// `at` in `out` (ReLU'd when `relu`). The caller has checked [`takes`] and
+/// that the outputs fit.
+pub(super) fn plane_conv(conv: &Conv2d, padded: &Tensor, out: &mut [f32], at: OutGeom, relu: bool) {
     let [n, c_in, ph, pw] = padded.shape().dims();
-    let [_, c_out, oh, ow] = out.shape().dims();
+    let (c_out, oh, ow) = (conv.c_out(), ph - 2, pw - 2);
     debug_assert!(takes(conv.geom().kernel, conv.geom().stride, oh, ow));
-    debug_assert_eq!((oh + 2, ow + 2), (ph, pw));
     let groups = conv.groups();
     let (cin_per_group, cout_per_group) = (c_in / groups, c_out / groups);
-    let geom = PlaneGeom { pw, ow, plane: ph * pw, out_plane: oh * ow, kk: cin_per_group * 9 };
+    let geom = PlaneGeom {
+        pw,
+        ow,
+        plane: ph * pw,
+        kk: cin_per_group * 9,
+        at,
+        region: (oh - 1) * at.row + ow,
+        relu,
+    };
     let span = span(oh, ow);
     let idata = padded.data();
     let wdata = conv.weight().data();
-    let odata = out.data_mut();
 
     for ni in 0..n {
         for grp in 0..groups {
             let group = &idata[(ni * c_in + grp * cin_per_group) * geom.plane..];
             let m0 = grp * cout_per_group;
-            let outs = &mut odata[(ni * c_out + m0) * geom.out_plane..];
+            let outs = &mut out[at.offset + (ni * c_out + m0) * at.plane..];
             // Chunks outermost: one chunk's source windows stay in L1 while
             // every pass of output channels sweeps them.
             for at in (0..span).step_by(LANES) {
@@ -98,7 +110,7 @@ pub(super) fn plane_conv(conv: &Conv2d, padded: &Tensor, out: &mut Tensor) {
                 while mo < cout_per_group {
                     let w = &wdata[(m0 + mo) * geom.kk..];
                     let b = &conv.bias()[m0 + mo..];
-                    let o = &mut outs[mo * geom.out_plane..];
+                    let o = &mut outs[mo * geom.at.plane..];
                     // Two channels left go as two single passes: the
                     // `<2>` instantiation never vectorised (SLP glued its
                     // unrolled taps into `xmm` shuffles; 4→2 on a 58×58
@@ -125,10 +137,15 @@ struct PlaneGeom {
     ow: usize,
     /// Elements per padded input plane.
     plane: usize,
-    /// Elements per output plane.
-    out_plane: usize,
     /// Reduction length, `c_in / groups · 9`: one output channel's weights.
     kk: usize,
+    /// Where the outputs go.
+    at: OutGeom,
+    /// Elements from an output plane's first output to past its last:
+    /// `(oh - 1)·row + ow`.
+    region: usize,
+    /// Whether a ReLU is folded into the store.
+    relu: bool,
 }
 
 /// Sweeps chunk `at` — whose first lane is position `(row, col)` of the
@@ -148,8 +165,8 @@ fn sweep_store<const M: usize>(
     let wrows: [&[f32]; M] = std::array::from_fn(|i| &weights[i * geom.kk..(i + 1) * geom.kk]);
     let bias: [f32; M] = std::array::from_fn(|i| bias[i]);
     let sums = sweep_chunk(group, at, geom.pw, geom.plane, wrows, bias);
-    for (sum, out) in sums.iter().zip(outs.chunks_exact_mut(geom.out_plane)) {
-        store_chunk(sum, row, col, geom, out);
+    for (m, sum) in sums.iter().enumerate() {
+        store_chunk(sum, row, col, geom, &mut outs[m * geom.at.plane..][..geom.region]);
     }
 }
 
@@ -198,40 +215,72 @@ fn window(src: &[f32], at: usize) -> Option<&[f32; LANES + 2]> {
     src.get(at..)?.first_chunk()
 }
 
-/// Writes one accumulator chunk's outputs into `out` (one output plane).
-/// The chunk's first lane is position `(row, col)` of the padded-width
-/// layout; lanes in columns `ow..pw` are junk.
+/// Writes one accumulator chunk's outputs into `out` (one output plane's
+/// region, from its first output to past its last, at the row pitch of
+/// `geom.at`). The chunk's first lane is position `(row, col)` of the
+/// padded-width layout; lanes in columns `ow..pw` are junk.
 ///
-/// Each run of valid lanes is stored with one fixed-size `LANES`-wide copy
-/// that starts at the run's first lane and first output, so no copy has a
-/// run-time length (a `memcpy` call per run cost more than the sweep of a
-/// thin chunk: 3→4 on a 58×58 plane ran 34 µs with it, 20 µs without). The
-/// lanes such a copy writes past the end of its run land on outputs that
-/// come *later* in the plane, and every one of those is written with its
-/// real value afterwards — by the next run of this chunk or by a later
-/// chunk, which `plane_conv` visits in ascending order — so nothing junk
-/// survives. A copy that would cross the end of the plane, into the next
-/// channel's, is cut to its run instead.
+/// In a compact plane (row pitch `ow`) each run of valid lanes is stored
+/// with one fixed-size `LANES`-wide copy that starts at the run's first
+/// lane and first output, so no copy has a run-time length (a `memcpy`
+/// call per run cost more than the sweep of a thin chunk: 3→4 on a 58×58
+/// plane ran 34 µs with it, 20 µs without). The lanes such a copy writes
+/// past the end of its run land on outputs that come *later* in the plane,
+/// and every one of those is written with its real value afterwards — by
+/// the next run of this chunk or by a later chunk, which `plane_conv`
+/// visits in ascending order — so nothing junk survives. A copy that would
+/// cross the end of the region, into the next channel's, is cut to its run
+/// instead. In a wider row (a padded buffer's interior, a block of a whole
+/// map) the elements past a run belong to a halo or to a neighbouring
+/// block, so every run is cut to its row there.
 #[inline]
 fn store_chunk(sum: &[F32x8; 2], row: usize, col: usize, geom: &PlaneGeom, out: &mut [f32]) {
     let mut lanes = [0.0f32; 2 * LANES];
     sum[0].store(&mut lanes);
     sum[1].store(&mut lanes[8..]);
+    if geom.relu {
+        for v in &mut lanes[..LANES] {
+            if *v < 0.0 {
+                *v = 0.0;
+            }
+        }
+    }
+    let compact = geom.at.row == geom.ow;
     let (mut lane, mut row, mut col) = (0, row, col);
     while lane < LANES {
         if col < geom.ow {
-            let o = row * geom.ow + col;
+            let o = row * geom.at.row + col;
+            let take = (geom.ow - col).min(LANES - lane);
             match out.get_mut(o..o + LANES) {
-                Some(dst) => dst.copy_from_slice(&lanes[lane..lane + LANES]),
-                None => {
-                    let take = (geom.ow - col).min(LANES - lane);
-                    out[o..o + take].copy_from_slice(&lanes[lane..lane + take]);
-                }
+                Some(dst) if compact => dst.copy_from_slice(&lanes[lane..lane + LANES]),
+                _ => copy_run(&mut out[o..o + take], &lanes[lane..lane + take]),
             }
         }
         // On to the start of the next row.
         lane += geom.pw - col;
         row += 1;
         col = 0;
+    }
+}
+
+/// `dst.copy_from_slice(src)` for a run of at most [`LANES`] elements, in
+/// fixed-size pieces: no `memcpy` call per run.
+#[inline]
+fn copy_run(dst: &mut [f32], src: &[f32]) {
+    let mut i = 0;
+    macro_rules! piece {
+        ($w:literal) => {
+            if dst.len() - i >= $w {
+                dst[i..i + $w].copy_from_slice(&src[i..i + $w]);
+                i += $w;
+            }
+        };
+    }
+    piece!(8);
+    piece!(8);
+    piece!(4);
+    piece!(2);
+    if let (Some(d), Some(&s)) = (dst.get_mut(i), src.get(i)) {
+        *d = s;
     }
 }

@@ -112,14 +112,9 @@ pub fn pad2d_asym_into(
     out: &mut Tensor,
 ) -> Result<(), TensorError> {
     let [n, c, h, w] = input.shape().dims();
-    if mode == PadMode::Reflect {
-        let max_h = ph_top.max(ph_bottom);
-        let max_w = pw_left.max(pw_right);
-        if (h > 0 && max_h >= h) || (w > 0 && max_w >= w) {
-            return Err(TensorError::invalid(format!(
-                "reflect padding ({max_h},{max_w}) must be smaller than spatial dims ({h},{w})"
-            )));
-        }
+    let pads = (ph_top, ph_bottom, pw_left, pw_right);
+    if let Err(why) = check_pads([h, w], pads, mode) {
+        return Err(TensorError::invalid(format!("{why}: pads {pads:?} around {h}x{w}")));
     }
     let oh = h + ph_top + ph_bottom;
     let ow = w + pw_left + pw_right;
@@ -128,10 +123,6 @@ pub fn pad2d_asym_into(
         return Ok(());
     }
     if h == 0 || w == 0 {
-        // No source pixel to repeat: only zero padding has an answer.
-        if mode != PadMode::Zero {
-            return Err(TensorError::invalid("replicate/reflect padding of an empty map"));
-        }
         out.data_mut().fill(0.0);
         return Ok(());
     }
@@ -151,26 +142,91 @@ pub fn pad2d_asym_into(
                 copy_row(&mut drow[pw_left..pw_left + w], srow);
             }
         } else {
-            // Every out-of-range pixel resolves to a source pixel: border
-            // columns come from their own row, border rows repeat whole
-            // padded interior rows.
             let rows = dplane[interior.clone()].chunks_exact_mut(ow);
             for (drow, srow) in rows.zip(splane.chunks_exact(w)) {
                 copy_row(&mut drow[pw_left..pw_left + w], srow);
-                for wi in (0..pw_left).chain(pw_left + w..ow) {
-                    if let Some(sw) = resolve(wi as isize - pw_left as isize, w, mode) {
-                        drow[wi] = srow[sw];
-                    }
-                }
             }
-            for hi in (0..ph_top).chain(ph_top + h..oh) {
-                if let Some(sh) = resolve(hi as isize - ph_top as isize, h, mode) {
-                    dplane.copy_within((ph_top + sh) * ow..(ph_top + sh + 1) * ow, hi * ow);
-                }
-            }
+            resolve_halo(dplane, [h, w], pads, mode);
         }
     }
     Ok(())
+}
+
+/// Rewrites the halo of every plane of the already padded `padded` — the
+/// `(top, bottom, left, right)` border around its interior — from that
+/// interior in a replicate or reflect `mode`: bit for bit what
+/// [`pad2d_asym_into`] writes there when it pads the interior alone. A
+/// fused chain calls it on the buffer its previous stage stored the
+/// interior of. A zero halo depends on no interior, so zero padding leaves
+/// the halo as it is: whoever shapes the buffer writes it, once.
+///
+/// # Errors
+///
+/// Returns [`TensorError::InvalidParameter`] when the pads exceed the
+/// buffer or the mode's limits (see [`pad2d_asym`]).
+pub fn fill_halo(
+    padded: &mut Tensor,
+    (top, bottom, left, right): (usize, usize, usize, usize),
+    mode: PadMode,
+) -> Result<(), TensorError> {
+    let [_, _, ph, pw] = padded.shape().dims();
+    let (Some(h), Some(w)) = (ph.checked_sub(top + bottom), pw.checked_sub(left + right)) else {
+        return Err(TensorError::invalid("fill_halo: the halo exceeds the padded buffer"));
+    };
+    let pads = (top, bottom, left, right);
+    check_pads([h, w], pads, mode).map_err(TensorError::invalid)?;
+    // An empty interior passed the check only under zero padding.
+    if mode != PadMode::Zero && !padded.data().is_empty() {
+        for plane in padded.data_mut().chunks_exact_mut(ph * pw) {
+            resolve_halo(plane, [h, w], pads, mode);
+        }
+    }
+    Ok(())
+}
+
+/// The mode's limits on padding an `h × w` interior: reflect needs pads
+/// below the size, and only zero padding pads an empty map.
+fn check_pads(
+    [h, w]: [usize; 2],
+    (top, bottom, left, right): (usize, usize, usize, usize),
+    mode: PadMode,
+) -> Result<(), &'static str> {
+    let (max_h, max_w) = (top.max(bottom), left.max(right));
+    if mode == PadMode::Reflect && ((h > 0 && max_h >= h) || (w > 0 && max_w >= w)) {
+        return Err("reflect padding must be smaller than the spatial dims");
+    }
+    // No source pixel to repeat: only zero padding has an answer.
+    let padded_empty = (h == 0 || w == 0) && (h + top + bottom) * (w + left + right) > 0;
+    if mode != PadMode::Zero && padded_empty {
+        return Err("replicate/reflect padding of an empty map");
+    }
+    Ok(())
+}
+
+/// Fills the border of one padded plane whose `h × w` interior (both
+/// non-zero) is in place, for a mode in which every out-of-range pixel
+/// resolves to a source pixel: border columns come from their own row,
+/// border rows repeat whole padded interior rows.
+fn resolve_halo(
+    plane: &mut [f32],
+    [h, w]: [usize; 2],
+    (top, bottom, left, right): (usize, usize, usize, usize),
+    mode: PadMode,
+) {
+    let (oh, ow) = (h + top + bottom, w + left + right);
+    for drow in plane[top * ow..(top + h) * ow].chunks_exact_mut(ow) {
+        for wi in (0..left).chain(left + w..ow) {
+            if let Some(sw) = resolve(wi as isize - left as isize, w, mode) {
+                drow[wi] = drow[left + sw];
+            }
+        }
+    }
+    debug_assert_eq!(oh * ow, plane.len());
+    for hi in (0..top).chain(top + h..oh) {
+        if let Some(sh) = resolve(hi as isize - top as isize, h, mode) {
+            plane.copy_within((top + sh) * ow..(top + sh + 1) * ow, hi * ow);
+        }
+    }
 }
 
 /// `dst.copy_from_slice(src)` for rows of equal length. Block rows are a

@@ -4,6 +4,7 @@
 //! strided convolutions with stride-1 convolution + max pooling, and fixed
 //! blocking merges adjacent blocks after every pooling layer (Figure 4a).
 
+use crate::kernel::OutGeom;
 use crate::shape::conv_out_dim;
 use crate::{Tensor, TensorError};
 
@@ -46,20 +47,58 @@ pub fn max_pool2d_into(
     let oh = conv_out_dim(h, k, s, 0)?;
     let ow = conv_out_dim(w, k, s, 0)?;
     out.reset([n, c, oh, ow]);
+    let to = (out.data_mut(), OutGeom::compact(oh, ow));
     match (k, s) {
-        (2, 2) => max_pool_2x2_rows(input, out),
-        _ => max_pool_windows(input, k, s, out),
+        (2, 2) => max_pool_2x2_rows(input, to, |v| v),
+        _ => max_pool_windows(input, k, s, to, |v| v),
     }
     Ok(())
 }
 
-/// Any max-pooling geometry, one `at()` per window element, into the
-/// already shaped `out`. Also the oracle the row-wise path is tested
-/// against.
-fn max_pool_windows(input: &Tensor, k: usize, s: usize, out: &mut Tensor) {
-    let [n, c, oh, ow] = out.shape().dims();
+/// `k × k` / stride-`k` max pooling storing `epi(max)` at `at` in `out` —
+/// the fused-chain entry: a pool stage writes the interior of the next
+/// stage's padded buffer (its ReLU and, on integer chains, the next
+/// convolution's quantization folded into `epi`), bit for bit
+/// [`max_pool2d_into`] followed by a copy through `epi`.
+///
+/// # Errors
+///
+/// Returns [`TensorError::InvalidParameter`] for degenerate geometry and
+/// [`TensorError::OutOfBounds`] when the outputs do not fit `out` at `at`.
+pub fn max_pool2d_at(
+    input: &Tensor,
+    k: usize,
+    out: &mut [f32],
+    at: OutGeom,
+    epi: impl Fn(f32) -> f32,
+) -> Result<(), TensorError> {
+    let [n, c, h, w] = input.shape().dims();
+    let oh = conv_out_dim(h, k, k, 0)?;
+    let ow = conv_out_dim(w, k, k, 0)?;
+    at.check(n * c, oh, ow, out.len())?;
+    if k == 2 {
+        max_pool_2x2_rows(input, (out, at), epi);
+    } else {
+        max_pool_windows(input, k, k, (out, at), epi);
+    }
+    Ok(())
+}
+
+/// Any max-pooling geometry, one `at()` per window element, stored through
+/// `epi` at the geometry `to` carries (whose outputs the caller has
+/// checked). Also the oracle the row-wise path is tested against.
+fn max_pool_windows(
+    input: &Tensor,
+    k: usize,
+    s: usize,
+    (out, to): (&mut [f32], OutGeom),
+    epi: impl Fn(f32) -> f32,
+) {
+    let [n, c, h, w] = input.shape().dims();
+    let (oh, ow) = ((h - k) / s + 1, (w - k) / s + 1);
     for ni in 0..n {
         for ci in 0..c {
+            let o0 = to.offset + (ni * c + ci) * to.plane;
             for ohi in 0..oh {
                 for owi in 0..ow {
                     let mut acc = f32::NEG_INFINITY;
@@ -68,30 +107,32 @@ fn max_pool_windows(input: &Tensor, k: usize, s: usize, out: &mut Tensor) {
                             acc = acc.max(input.at(ni, ci, ohi * s + khi, owi * s + kwi));
                         }
                     }
-                    *out.at_mut(ni, ci, ohi, owi) = acc;
+                    out[o0 + ohi * to.row + owi] = epi(acc);
                 }
             }
         }
     }
 }
 
-/// 2×2 / stride-2 max pooling — nearly every pool in the paper's networks — into
-/// the already shaped `out`: two source rows and one destination row at a
-/// time as slices, each window folded in [`max_pool_windows`]' order, so the
-/// result (NaN and signed-zero handling included) is that loop's bit for
-/// bit, without its index arithmetic and bounds check per element (the
-/// 4×224×224 map of `vgg224_f32_blocked` pools 16× faster). An odd last
-/// row or column is dropped, as there.
-fn max_pool_2x2_rows(input: &Tensor, out: &mut Tensor) {
+/// 2×2 / stride-2 max pooling — nearly every pool in the paper's networks —
+/// stored through `epi` at the geometry `to` carries: two source rows and
+/// one destination row at a time as slices, each window folded in
+/// [`max_pool_windows`]' order, so the result (NaN and signed-zero
+/// handling included) is that loop's bit for bit, without its index
+/// arithmetic and bounds check per element (the 4×224×224 map of
+/// `vgg224_f32_blocked` pools 16× faster). An odd last row or column is
+/// dropped, as there.
+fn max_pool_2x2_rows(input: &Tensor, (out, to): (&mut [f32], OutGeom), epi: impl Fn(f32) -> f32) {
     let [_, _, h, w] = input.shape().dims();
-    let [_, _, oh, ow] = out.shape().dims();
-    let planes = input.data().chunks_exact(h * w).zip(out.data_mut().chunks_exact_mut(oh * ow));
-    for (src, dst) in planes {
-        for (rows, drow) in src.chunks_exact(2 * w).zip(dst.chunks_exact_mut(ow)) {
+    let (oh, ow) = (h / 2, w / 2);
+    for (p, src) in input.data().chunks_exact(h * w).enumerate() {
+        let dst = &mut out[to.offset + p * to.plane..];
+        for (ohi, rows) in src.chunks_exact(2 * w).take(oh).enumerate() {
+            let drow = &mut dst[ohi * to.row..][..ow];
             let (r0, r1) = rows.split_at(w);
             let windows = r0.chunks_exact(2).zip(r1.chunks_exact(2));
             for (d, (a, b)) in drow.iter_mut().zip(windows) {
-                *d = f32::NEG_INFINITY.max(a[0]).max(a[1]).max(b[0]).max(b[1]);
+                *d = epi(f32::NEG_INFINITY.max(a[0]).max(a[1]).max(b[0]).max(b[1]));
             }
         }
     }
@@ -267,7 +308,7 @@ mod tests {
         ) {
             let input = hostile_tensor([n, c, h, w], seed);
             let mut want = Tensor::zeros([n, c, h / 2, w / 2]);
-            max_pool_windows(&input, 2, 2, &mut want);
+            max_pool_windows(&input, 2, 2, (want.data_mut(), OutGeom::compact(h / 2, w / 2)), |v| v);
             let mut got = Tensor::filled([n + 1, c, h, w], f32::NAN);
             max_pool2d_into(&input, 2, 2, &mut got).unwrap();
             proptest::prop_assert_eq!(got.shape(), want.shape());

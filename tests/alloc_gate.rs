@@ -39,6 +39,7 @@ use bconv_models::small::vgg16_small;
 use bconv_models::Network;
 use bconv_tensor::init::{seeded_rng, uniform_tensor};
 use bconv_tensor::kernel::KernelPolicy;
+use bconv_tensor::pad::PadMode;
 use bconv_tensor::Tensor;
 
 /// Wraps the system allocator, counting allocations and bytes. `dealloc`
@@ -241,6 +242,36 @@ fn run_with_is_allocation_free_quantized_gemm_kernel() {
             "forcing the policy must route every conv through the integer GEMM: {:?}",
             session.conv_kernels()
         );
+        session
+    });
+}
+
+/// A replicate-padded integer chain copies each halo from the interior its
+/// previous stage stored, in place: nothing allocates either.
+#[test]
+fn run_with_is_allocation_free_quantized_replicate_halos() {
+    assert_zero_steady_state("quantized, replicate halos", 1, || {
+        let session = Session::builder()
+            .network(net())
+            .backend(QUANT)
+            .planner(PlanSpec::new().pad(PadMode::Replicate))
+            .seed(2018)
+            .threads(1)
+            .build()
+            .expect("session builds");
+        assert!(session.plan().fusion_groups() > 0, "the chain must be fused");
+        session
+    });
+}
+
+/// w8a16 leaves the exact-f32 kernels' range: every fused stage runs the
+/// i16 GEMM into a compact block and copies it into the next stage's
+/// buffer, which the block scratch keeps.
+#[test]
+fn run_with_is_allocation_free_w8a16_gemm_fallback() {
+    assert_zero_steady_state("w8a16", 1, || {
+        let session = session(Backend::Quantized { weight_bits: 8, act_bits: 16 }, 1);
+        assert!(session.plan().fusion_groups() > 0, "the chain must be fused");
         session
     });
 }
