@@ -504,11 +504,17 @@ impl FusedChain {
             let compact = OutGeom::compact(ob.bh, ob.bw);
             match &step.op {
                 Op::Conv { plan, qop } => {
-                    fill_halo(&mut cur.t, plan.block_padding(row, col), plan.pad_mode())?;
+                    let pads @ (top, bottom, left, right) = plan.block_padding(row, col);
+                    fill_halo(&mut cur.t, pads, plan.pad_mode())?;
                     let padded = &cur.t;
                     match (qop, plan.packed_weights()) {
                         (Some(op), _) if op.reads_quantized() => {
-                            op.forward_quantized_at(padded, out, to, step.epi, qconv)?;
+                            // A zero halo is free: the kernel skips its taps.
+                            let zero = match plan.pad_mode() {
+                                PadMode::Zero => [top, bottom, left, right],
+                                _ => [0; 4],
+                            };
+                            op.forward_quantized_at(padded, zero, out, to, step.epi, qconv)?;
                         }
                         (Some(op), _) => {
                             op.forward_prepadded_into(padded, block, qconv)?;

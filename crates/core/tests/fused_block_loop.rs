@@ -160,3 +160,29 @@ proptest! {
         }
     }
 }
+
+/// Why the float channel-lane tile keeps the taps that read a block's zero
+/// halo, which the integer tile skips: its lanes start at the bias, and a
+/// `-0.0` bias plus a `+0.0` product is `+0.0`. Output channel `m` of this
+/// conv weighs tap `m` positively and every other tap negatively, so on an
+/// all-zero input each output is `+0.0` only through tap `m`'s product —
+/// every tap of every pixel is needed for the direct loop's bits, and a
+/// float tile that dropped the halo's taps would leave `-0.0` behind.
+#[test]
+fn float_chains_keep_every_halo_tap() {
+    let c_out = 9;
+    let weight: Vec<f32> =
+        (0..c_out * 9).map(|i| if i % 9 == i / 9 { 0.5 } else { -0.25 }).collect();
+    let weight = Tensor::from_vec([c_out, 1, 3, 3], weight).unwrap();
+    let conv = Conv2d::new(weight, vec![-0.0; c_out], ConvGeom::same(3), 1).unwrap();
+    let grid = BlockGrid::from_pattern(8, 8, BlockingPattern::hierarchical(2)).unwrap();
+    let ops = vec![ChainOp::conv(conv)];
+    let chain = FusedChain::plan(ops, grid, PadMode::Zero, KernelPolicy::Auto, None).unwrap();
+    let input = Tensor::zeros([1, 1, 8, 8]);
+    let (layerwise, _) = chain.run_layerwise(&input).unwrap();
+    let (fused, _) = chain.run_fused(&input).unwrap();
+    let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+    assert_eq!(bits(&fused), bits(&layerwise));
+    // The direct loop: `-0.0`, then every tap's product in order.
+    assert!(fused.data().iter().all(|v| v.to_bits() == 0.0f32.to_bits()), "{:?}", fused.data());
+}

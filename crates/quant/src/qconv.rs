@@ -422,20 +422,28 @@ impl QuantChainOp {
     /// map. Bit for bit [`forward_prepadded_into`](Self::forward_prepadded_into)
     /// on the dequantized block followed by a copy through `epi`.
     ///
+    /// `zero_halo` declares the `[top, bottom, left, right]` rows and
+    /// columns of every plane of `acts` that hold zeros — a block's zero
+    /// padding — and the channel-lane kernel skips the taps that read them;
+    /// `[0; 4]` declares none (a replicate or reflect halo). Debug builds
+    /// check the promise.
+    ///
     /// # Errors
     ///
     /// Returns shape errors on a channel mismatch, when the stage does not
-    /// [`read_quantized`](Self::reads_quantized), or when the outputs do
-    /// not fit `out` at `at`.
+    /// [`read_quantized`](Self::reads_quantized), when the outputs do not
+    /// fit `out` at `at`, or when the declared halo is wider than the block.
     pub fn forward_quantized_at(
         &self,
         acts: &Tensor,
+        zero_halo: [usize; 4],
         out: &mut [f32],
         at: OutGeom,
         epi: Epilogue,
         scratch: &mut QConvScratch,
     ) -> Result<(), TensorError> {
-        qgemm::quantized_conv_at(&self.qconv, self.act_params, acts, (out, at, epi), scratch)
+        let (acts, to) = ((acts, zero_halo), (out, at, epi));
+        qgemm::quantized_conv_at(&self.qconv, self.act_params, acts, to, scratch)
     }
 }
 

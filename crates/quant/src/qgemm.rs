@@ -94,7 +94,15 @@
 //! input parameters, straight into the interior of that stage's padded
 //! buffer (or the group's output map, unquantized). The channel-lane store
 //! is the shared `sweep_lanes` under `Emit`, which carries the epilogue;
-//! the spatial-lane kernel applies it in its extraction. Everything the
+//! the spatial-lane kernel applies it in its extraction. A block padded
+//! with zeros declares its halo, and the channel-lane tile skips every tap
+//! that reads it — exact integers, so the skipped `w · 0` changes no bit
+//! (`tests/plane_kernel_shapes.rs` sweeps every halo of up to two rows and
+//! columns per side on every plane up to 9×9, declared against undeclared
+//! and against the direct loop; debug builds check that a declared halo
+//! really holds zeros). Whole maps and replicate / reflect halos declare
+//! none; the spatial-lane kernel, whose chunks span rows, runs every tap
+//! either way. Everything the
 //! GEMM runs (past the 2²⁴ bound, w8a16, non-3×3) reads float blocks
 //! through `forward_prepadded_into` and its compact output is copied
 //! through the same epilogue.
@@ -252,13 +260,15 @@ pub(crate) fn exact_weights(q: &QConv2d, act_params: QParams) -> Option<&PlaneWe
 
 /// The fused-chain entry of the exact-f32 kernels: `acts` is a padded block
 /// whose values are **already quantized** at `act_params` (integer-valued
-/// f32, as a previous stage's [`Epilogue`] stored them), and every output
-/// is stored at `at` in `out` through `epi`. Bit for bit `qim2col_gemm` on
-/// the dequantized block followed by a copy through `epi`.
+/// f32, as a previous stage's [`Epilogue`] stored them), whose `[top,
+/// bottom, left, right]` rows and columns `zero` hold zeros (`[0; 4]`:
+/// none declared), and every output is stored at `at` in `out` through
+/// `epi`. Bit for bit `qim2col_gemm` on the dequantized block followed by a
+/// copy through `epi`.
 pub(crate) fn quantized_conv_at(
     q: &QConv2d,
     act_params: QParams,
-    acts: &Tensor,
+    (acts, zero): (&Tensor, [usize; 4]),
     (out, at, epi): (&mut [f32], OutGeom, Epilogue),
     scratch: &mut QConvScratch,
 ) -> Result<(), TensorError> {
@@ -266,6 +276,14 @@ pub(crate) fn quantized_conv_at(
     q.check_channels("QConv2d quantized input channels", c_in)?;
     let (oh, ow) = (conv_out_dim(ph, 3, 1, 0)?, conv_out_dim(pw, 3, 1, 0)?);
     at.check(n * q.c_out(), oh, ow, out.len())?;
+    let [top, bottom, left, right] = zero;
+    if top + bottom > ph || left + right > pw {
+        return Err(TensorError::invalid("QConv2d: the declared zero halo exceeds the block"));
+    }
+    debug_assert!(
+        halo_is_zero(acts.data(), [ph, pw], zero),
+        "QConv2d: a cell of the declared zero halo is not zero"
+    );
     let Some(weights) = exact_weights(q, act_params) else {
         return Err(TensorError::invalid("QConv2d: the layer runs no exact-f32 kernel"));
     };
@@ -280,24 +298,42 @@ pub(crate) fn quantized_conv_at(
     } else {
         acts.data()
     };
-    exact_conv(q, weights, (data, dims), act_params, (out, at, epi), accf);
+    exact_conv(q, weights, (data, dims, zero), act_params, (out, at, epi), accf);
     Ok(())
 }
 
+/// Whether the `[top, bottom, left, right]` halo of every `ph × pw` plane
+/// of `data` holds only zeros — the promise a declared zero halo makes.
+fn halo_is_zero(
+    data: &[f32],
+    [ph, pw]: [usize; 2],
+    [top, bottom, left, right]: [usize; 4],
+) -> bool {
+    data.chunks_exact(pw).enumerate().all(|(i, row)| {
+        let y = i % ph;
+        let halo = if y < top || y + bottom >= ph { row } else { &row[..left] };
+        halo.iter().chain(&row[pw - right..]).all(|&v| v == 0.0)
+    })
+}
+
 /// The exact-f32 kernel of `weights` on the quantized `acts` (`[n, c_in,
-/// ph, pw]`, plus the slack the spatial-lane kernel may need), storing at
-/// `at` in `out` through `epi`.
+/// ph, pw]`, plus the slack the spatial-lane kernel may need, and the zero
+/// halo the channel-lane kernel skips), storing at `at` in `out` through
+/// `epi`.
 fn exact_conv(
     q: &QConv2d,
     weights: &PlaneWeights,
-    acts: (&[f32], [usize; 4]),
+    acts: (&[f32], [usize; 4], [usize; 4]),
     act_params: QParams,
     to: (&mut [f32], OutGeom, Epilogue),
     accf: &mut Vec<f32>,
 ) {
     match weights {
         PlaneWeights::Lanes(wl) => qlane_conv(q, wl, acts, act_params.scale(), to),
-        PlaneWeights::Rows(rows) => qplane_conv(q, rows, acts, act_params.scale(), to, accf),
+        PlaneWeights::Rows(rows) => {
+            let (data, dims, _) = acts;
+            qplane_conv(q, rows, (data, dims), act_params.scale(), to, accf)
+        }
         PlaneWeights::None => debug_assert!(false, "exact_weights never returns the GEMM's"),
     }
 }
@@ -339,7 +375,8 @@ pub(crate) fn qim2col_gemm(
         quantize_f32(padded, act_params, actf, LANES);
         out.reset([n, c_out, oh, ow]);
         let to = (out.data_mut(), OutGeom::compact(oh, ow), Epilogue::NONE);
-        let acts = (&actf[..], padded.shape().dims());
+        // A whole map declares no zero halo: it runs every tap.
+        let acts = (&actf[..], padded.shape().dims(), [0; 4]);
         exact_conv(q, weights, acts, act_params, to, accf);
         return Ok(());
     }
@@ -638,12 +675,14 @@ fn window(src: &[f32], at: usize) -> Option<&[f32; LANES + 2]> {
 /// parity is `qplane_conv`'s argument unchanged: the caller guarantees
 /// `K * max|w_q| * qmax_act < 2^24`, so every product and partial sum is an
 /// integer f32 holds exactly in *any* association, fused or not, and the
-/// rescale is the direct loop's expression verbatim. `wl` is the layer's
-/// [`PlaneWeights::Lanes`] data; outputs are stored at `at` through `epi`.
+/// rescale is the direct loop's expression verbatim — and for the same
+/// reason the taps that read the declared zero halo `zero` may be skipped
+/// (`sweep_lanes`). `wl` is the layer's [`PlaneWeights::Lanes`] data;
+/// outputs are stored at `at` through `epi`.
 fn qlane_conv(
     q: &QConv2d,
     wl: &[f32],
-    (acts, [n, _, ph, pw]): (&[f32], [usize; 4]),
+    (acts, [n, _, ph, pw], zero): (&[f32], [usize; 4], [usize; 4]),
     act_scale: f32,
     (out, at, epi): (&mut [f32], OutGeom, Epilogue),
 ) {
@@ -655,9 +694,10 @@ fn qlane_conv(
         let (ws, bs) = (&q.wscales[live.clone()], &q.bias[live]);
         if lanes == 2 * VEC {
             let emit = Emit::<{ 2 * VEC }>::new(ws, act_scale, bs, epi);
-            sweep_lanes(wt, group, dims, tile, &emit, dst);
+            sweep_lanes(wt, group, dims, zero, tile, &emit, dst);
         } else {
-            sweep_lanes(wt, group, dims, tile, &Emit::<VEC>::new(ws, act_scale, bs, epi), dst);
+            let emit = Emit::<VEC>::new(ws, act_scale, bs, epi);
+            sweep_lanes(wt, group, dims, zero, tile, &emit, dst);
         }
     });
 }

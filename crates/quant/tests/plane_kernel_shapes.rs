@@ -9,13 +9,17 @@
 //! and batches, through **one** scratch and one dirty oversized output that
 //! keep shrinking and growing across both kernels — plus saturated layers
 //! on both sides of the kernels' `2^24` exactness guard, and NaN
-//! activations, which every integer path must quantize alike.
+//! activations, which every integer path must quantize alike. The
+//! fused-chain entry is swept too: every zero halo a block may declare, on
+//! every small plane, must change no bit of the channel-lane kernel's
+//! output.
 
-use bconv_quant::qconv::{QConv2d, QConvScratch};
+use bconv_quant::qconv::{QConv2d, QConvScratch, QuantChainOp};
+use bconv_quant::qgemm::Epilogue;
 use bconv_quant::QParams;
 use bconv_tensor::conv::{Conv2d, ConvGeom};
 use bconv_tensor::init::{he_conv2d, seeded_rng, uniform_tensor};
-use bconv_tensor::kernel::KernelKind;
+use bconv_tensor::kernel::{KernelKind, OutGeom};
 use bconv_tensor::Tensor;
 
 /// Per-group input / output channel counts, group counts, batch sizes and
@@ -187,4 +191,129 @@ fn nan_activations_quantize_alike_on_every_integer_path() {
         assert_fast_equals_direct(&q, act, &padded, &mut buf, &what);
         assert!(buf.fast.data().iter().all(|v| v.is_finite()), "{what}");
     }
+}
+
+/// Per-group output channel counts of the zero-halo sweep: every kind of
+/// channel tile the channel-lane kernel runs — one full or ragged 16-lane
+/// tile, a full or ragged 8-lane last one, three tiles.
+const HALO_COUT: [usize; 5] = [9, 16, 17, 24, 33];
+
+/// One channel-lane stage per (output channels, groups, input channels per
+/// group, batch) of the halo sweep.
+fn halo_stages() -> Vec<(QuantChainOp, usize)> {
+    let act = QParams::from_abs_max(1.0, 8);
+    let mut stages = Vec::new();
+    for (i, &cout) in HALO_COUT.iter().enumerate() {
+        for groups in [1usize, 2] {
+            let (cin, n) = (1 + (i + groups) % 3, 1 + i % 2);
+            let mut rng = seeded_rng((100 * cout + groups) as u64);
+            let mut conv =
+                he_conv2d(cin * groups, cout * groups, ConvGeom::same(3), groups, &mut rng)
+                    .unwrap();
+            for (m, b) in conv.bias_mut().iter_mut().enumerate() {
+                *b = 0.29 * m as f32 - 2.3;
+            }
+            let kernel = KernelKind::Im2colGemm;
+            let op = QuantChainOp::from_conv_with_kernel(&conv, 8, act, kernel).unwrap();
+            assert!(op.reads_quantized(), "{cin}->{cout} g{groups} runs the channel-lane kernel");
+            stages.push((op, n));
+        }
+    }
+    stages
+}
+
+/// Runs `op` on `n` images of a `ph × pw` padded block whose `halo` holds
+/// zeros and whose interior holds random quantized activations, declaring
+/// the halo and declaring none, and through the direct loop on the
+/// dequantized block: all three must agree bit for bit.
+fn check_halo(op: &QuantChainOp, n: usize, [ph, pw]: [usize; 2], halo: [usize; 4], seed: u64) {
+    let [top, bottom, left, right] = halo;
+    let (act, c_in) = (op.act_params(), op.qconv().c_in());
+    let qmax = act.qmax() as f32;
+    let mut acts = uniform_tensor([n, c_in, ph, pw], -qmax, qmax, &mut seeded_rng(seed));
+    for (i, v) in acts.data_mut().iter_mut().enumerate() {
+        let (y, x) = (i / pw % ph, i % pw);
+        let in_halo = y < top || y + bottom >= ph || x < left || x + right >= pw;
+        *v = if in_halo { 0.0 } else { v.round() };
+    }
+    let (oh, ow) = (ph - 2, pw - 2);
+    let mut scratch = QConvScratch::new();
+    let mut run = |zero: [usize; 4]| {
+        let mut out = vec![f32::NAN; n * op.qconv().c_out() * oh * ow];
+        let at = OutGeom::compact(oh, ow);
+        op.forward_quantized_at(&acts, zero, &mut out, at, Epilogue::NONE, &mut scratch).unwrap();
+        out.iter().map(|v| v.to_bits()).collect::<Vec<_>>()
+    };
+    let (skipped, full) = (run(halo), run([0; 4]));
+    let mut want = Tensor::default();
+    let dequantized = acts.map(|v| v * act.scale());
+    let q = op.qconv();
+    q.forward_prepadded_direct_into(&dequantized, act, &mut want, &mut scratch).unwrap();
+    let direct = want.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+    let what = format!("{ph}x{pw} halo {halo:?} n{n} {c_in}->{} g{}", q.c_out(), q.groups());
+    assert_eq!(skipped, full, "declared vs undeclared halo, {what}");
+    assert_eq!(skipped, direct, "declared halo vs the direct loop, {what}");
+}
+
+#[test]
+fn declared_zero_halos_change_no_bit() {
+    let stages = halo_stages();
+    // Every output plane 1×1 … 9×9 — so every 8 / 4 / 2 / 1 split of a row,
+    // tiles that start, end, or start and end their row — under every
+    // `[top, bottom, left, right]` halo of 0, 1 or 2 rows / columns that
+    // fits the block; the stage advances by a stride coprime to their
+    // count, so each meets every plane width and many halos.
+    let mut k = 0;
+    for ph in 3..=11 {
+        for pw in 3..=11 {
+            for code in 0..81 {
+                let halo = [code % 3, code / 3 % 3, code / 9 % 3, code / 27];
+                if halo[0] + halo[1] > ph || halo[2] + halo[3] > pw {
+                    continue;
+                }
+                let (op, n) = &stages[k % stages.len()];
+                check_halo(op, *n, [ph, pw], halo, k as u64);
+                k += 7;
+            }
+        }
+    }
+    // Every stage on the halos of a fused block: an 8×8 block inside the
+    // map, on each edge and in each corner, and a 1×1 block's.
+    for (op, n) in &stages {
+        for halo in [[1, 1, 1, 1], [0, 1, 1, 1], [1, 0, 1, 0], [0, 0, 0, 1], [2, 0, 0, 2]] {
+            check_halo(op, *n, [10, 10], halo, k as u64);
+            check_halo(op, *n, [3, 3], halo.map(|p| p.min(1)), k as u64 + 1);
+            k += 2;
+        }
+    }
+}
+
+#[test]
+fn a_declared_halo_wider_than_the_block_is_an_error() {
+    let (op, _) = &halo_stages()[0];
+    let acts = Tensor::zeros([1, op.qconv().c_in(), 4, 5]);
+    let mut out = vec![0.0; op.qconv().c_out() * 2 * 3];
+    let (at, mut scratch) = (OutGeom::compact(2, 3), QConvScratch::new());
+    for halo in [[3, 2, 0, 0], [0, 0, 3, 3], [0, 5, 0, 0]] {
+        let res = op.forward_quantized_at(&acts, halo, &mut out, at, Epilogue::NONE, &mut scratch);
+        assert!(res.is_err(), "{halo:?}");
+    }
+    op.forward_quantized_at(&acts, [2, 2, 2, 3], &mut out, at, Epilogue::NONE, &mut scratch)
+        .unwrap();
+}
+
+/// A caller that declares a halo whose cells are not zero — a replicate
+/// halo, a stale buffer — trips the kernel entry's debug check.
+#[cfg(debug_assertions)]
+#[test]
+#[should_panic(expected = "declared zero halo is not zero")]
+fn debug_builds_check_that_a_declared_halo_is_zero() {
+    let (op, _) = &halo_stages()[0];
+    let mut acts = Tensor::zeros([1, op.qconv().c_in(), 5, 5]);
+    // The last cell of the first plane's bottom row.
+    acts.data_mut()[24] = 1.0;
+    let mut out = vec![0.0; op.qconv().c_out() * 9];
+    let (at, mut scratch) = (OutGeom::compact(3, 3), QConvScratch::new());
+    let _ =
+        op.forward_quantized_at(&acts, [0, 1, 0, 0], &mut out, at, Epilogue::NONE, &mut scratch);
 }

@@ -38,6 +38,17 @@
 //! The epilogue lives in `finish`, outside `lane_tile`: a policy's
 //! epilogue never changes the tile's code.
 //!
+//! **A zero halo is free under the exact policy.** A fused block's
+//! Equation 2 padding is zero and known before the block runs, so the
+//! caller declares it ([`sweep_lanes`]' `zero`) and the tile skips every
+//! tap that reads it: per output row the kernel rows that read a zero row,
+//! and — at compile time, in a tile of two pixels or more that starts or
+//! ends its row — the first pixel's left or the last pixel's right tap. An
+//! exact zero added to an exact integer sum changes no bit; on an 8×8
+//! block that is 92 of 576 taps, on vgg16_small's 2×2 ones more than half.
+//! The ordered policy runs every tap: its lanes start at the bias, and a
+//! `-0.0` bias plus a `+0.0` product is `+0.0`.
+//!
 //! Float layers take this kernel from eight output channels per group up
 //! (`takes`); thinner ones keep the spatial lanes of `super::plane`. The
 //! integer path switches above eight: its 8-lane tiles measured 16–19
@@ -177,24 +188,40 @@ macro_rules! each_pixel {
 /// starts at the first output of the tile's first channel, and the `live`
 /// channels' outputs (a ragged last tile has fewer than `L`) are stored at
 /// the row and plane pitch of `at` — every one of them, and nothing else.
+///
+/// `zero` declares the `[top, bottom, left, right]` rows and columns of
+/// every padded plane that hold zeros — a block's zero padding — and
+/// `[0; 4]` declares none. Under an exact policy the taps that read them
+/// are skipped: per output row the kernel rows that read a zero row
+/// (`lane_tile`'s `rows` mask), and a tile of two pixels or more that
+/// starts a row with a zero column on its left drops its first pixel's
+/// left tap, one that ends a row with a zero column on its right its last
+/// pixel's right tap (`FIRST` / `LAST`). An ordered policy runs every tap
+/// (module docs).
 #[allow(clippy::out_of_bounds_indexing)] // `each_pixel!`'s dead `if 4 < 2 { acc[4] }` branches
-pub fn sweep_lanes<const L: usize>(
+pub fn sweep_lanes<const L: usize, A: Policy<L>>(
     wt: &[f32],
     group: &[f32],
     [oh, ow, pw, plane]: [usize; 4],
+    zero: [usize; 4],
     (at, live): (OutGeom, usize),
-    policy: &impl Policy<L>,
+    policy: &A,
     dst: &mut [f32],
 ) {
+    let [top, bottom, left, right] = if A::EXACT { zero } else { [0; 4] };
+    // The padded rows that are not declared zero; kernel row `r` of output
+    // row `ohi` reads padded row `ohi + r`.
+    let data_rows = top..(oh + 2).saturating_sub(bottom);
     for ohi in 0..oh {
         let (src, to) = (ohi * pw, ohi * at.row);
+        let rows = (0..3).filter(|r| data_rows.contains(&(ohi + r))).fold(0, |m, r| m | 1 << r);
         let mut owi = 0;
         // Sums a `$P`-pixel tile, finishes it and transposes it into pixels
         // `to + owi..` of each live channel's plane; evaluates to `$P`.
         macro_rules! tile {
-            ($P:literal) => {{
+            ($P:literal => $sum:expr) => {{
                 const P: usize = $P;
-                let mut acc = lane_tile::<P, L, _>(wt, group, src + owi, pw, plane, policy);
+                let mut acc = $sum;
                 policy.finish(&mut acc);
                 for (l, start) in (to + owi..).step_by(at.plane).take(live).enumerate() {
                     let row = &mut dst[start..start + P];
@@ -204,6 +231,26 @@ pub fn sweep_lanes<const L: usize>(
                 }
                 P
             }};
+            // A tile of two pixels or more, with the edge taps it may skip.
+            ($P:literal) => {
+                tile!($P => {
+                    let at = src + owi;
+                    match (left > 0 && owi == 0, right > 0 && owi + $P == ow) {
+                        (false, false) => {
+                            lane_tile::<$P, L, false, false, A>(wt, group, at, pw, plane, policy, rows)
+                        }
+                        (true, false) => {
+                            lane_tile::<$P, L, true, false, A>(wt, group, at, pw, plane, policy, rows)
+                        }
+                        (false, true) => {
+                            lane_tile::<$P, L, false, true, A>(wt, group, at, pw, plane, policy, rows)
+                        }
+                        (true, true) => {
+                            lane_tile::<$P, L, true, true, A>(wt, group, at, pw, plane, policy, rows)
+                        }
+                    }
+                })
+            };
         }
         while TILE_8 && owi + 8 <= ow {
             owi += tile!(8);
@@ -215,7 +262,10 @@ pub fn sweep_lanes<const L: usize>(
             owi += tile!(2);
         }
         if owi < ow {
-            tile!(1);
+            // One pixel drops no edge tap: its edge variants compiled to
+            // degenerate code.
+            let at = src + owi;
+            tile!(1 => lane_tile::<1, L, false, false, A>(wt, group, at, pw, plane, policy, rows));
         }
     }
 }
@@ -227,24 +277,35 @@ pub fn sweep_lanes<const L: usize>(
 /// order. Per kernel row that is three `L`-lane weight loads and `P + 2`
 /// scalar broadcasts for `3·P` `L`-lane multiply-adds.
 ///
+/// Under an exact policy the taps that read declared zeros are left out
+/// (see [`sweep_lanes`]): kernel row `r` runs only where bit `r` of `rows`
+/// is set — a test per input channel and kernel row, outside the lane
+/// loop — and `FIRST` / `LAST` drop the first pixel's `c = 0` and the last
+/// pixel's `c = 2` tap at compile time. An ordered policy ignores `rows`,
+/// and `sweep_lanes` sets no edge flag for it.
+///
 /// Shaped for the autovectoriser, and checked against it: the lane loop is
 /// innermost and the only loop over the tile (`each_pixel`), nothing inside
 /// the reduction can panic (a panic edge makes LLVM keep the by-value
 /// result in memory, and the stores it sinks there seed cross-pixel SLP
-/// trees), the function is never inlined. After touching it, `objdump -d`
-/// the `lane_tile` symbols: each must hold `9·P·L/8` multiply-adds on `ymm`
-/// registers — `vfmadd231ps` for the exact policy, as many `vmulps` and
-/// `vaddps` and no `vfmadd` for the ordered one; `<8, 16>`: 144, on 16
-/// distinct accumulators — and no shuffle, `vgather` or `zmm` arithmetic
-/// (the recipe is in `.claude/skills/verify/SKILL.md`).
+/// trees), the function is never inlined, and its parameters are separate
+/// slices and scalars (packed into one tuple, they scalarised a float
+/// instantiation: 408 scalar `xmm` operations for 36 `vmulps`). After
+/// touching it, run `scripts/check_codegen.sh`: each `lane_tile` symbol
+/// must hold `9·P·L/8` multiply-adds on `ymm` registers, less `3·L/8` per
+/// dropped edge tap column — `vfmadd231ps` for the exact policy, as many
+/// `vmulps` and `vaddps` and no `vfmadd` for the ordered one; `<8, 16>`:
+/// 144, on 16 distinct accumulators — and no shuffle, `vgather` or `zmm`
+/// arithmetic.
 #[inline(never)]
-fn lane_tile<const P: usize, const L: usize, A: Policy<L>>(
+fn lane_tile<const P: usize, const L: usize, const FIRST: bool, const LAST: bool, A: Policy<L>>(
     wt: &[f32],
     group: &[f32],
     at: usize,
     pw: usize,
     plane: usize,
     policy: &A,
+    rows: u32,
 ) -> [[f32; L]; P] {
     // Tiles of at most four vectors sum in three sets under an exact policy.
     let split = A::EXACT && P * L <= 4 * VEC;
@@ -252,19 +313,30 @@ fn lane_tile<const P: usize, const L: usize, A: Policy<L>>(
     for (gp, wci) in group.chunks_exact(plane).zip(wt.chunks_exact(9 * L)) {
         macro_rules! kernel_row {
             ($r:literal) => {
-                if let Some(row) = gp.get(at + $r * pw..).and_then(|s| s.get(..P + 2)) {
-                    let wr = &wci[$r * 3 * L..][..3 * L];
-                    let (w0, w1, w2) = (&wr[..L], &wr[L..2 * L], &wr[2 * L..]);
-                    let set = if split { $r } else { 0 };
-                    for l in 0..L {
-                        each_pixel!(PX < P => {
-                            let a = A::mac(w0[l], row[PX], acc[set][PX][l]);
-                            let a = A::mac(w1[l], row[PX + 1], a);
-                            acc[set][PX][l] = A::mac(w2[l], row[PX + 2], a);
-                        });
+                if !A::EXACT || rows & 1 << $r != 0 {
+                    if let Some(row) = gp.get(at + $r * pw..).and_then(|s| s.get(..P + 2)) {
+                        let wr = &wci[$r * 3 * L..][..3 * L];
+                        let (w0, w1, w2) = (&wr[..L], &wr[L..2 * L], &wr[2 * L..]);
+                        let set = if split { $r } else { 0 };
+                        for l in 0..L {
+                            each_pixel!(PX < P => {
+                                let a = acc[set][PX][l];
+                                let a = if FIRST && PX == 0 {
+                                    a
+                                } else {
+                                    A::mac(w0[l], row[PX], a)
+                                };
+                                let a = A::mac(w1[l], row[PX + 1], a);
+                                acc[set][PX][l] = if LAST && PX + 1 == P {
+                                    a
+                                } else {
+                                    A::mac(w2[l], row[PX + 2], a)
+                                };
+                            });
+                        }
+                    } else {
+                        debug_assert!(false, "sweep_lanes keeps every tile inside its plane");
                     }
-                } else {
-                    debug_assert!(false, "sweep_lanes keeps every tile inside its plane");
                 }
             };
         }
@@ -359,9 +431,10 @@ pub(super) fn lane_conv(
         let tile = (at, live.len());
         let bias = &conv.bias()[live];
         if lanes == 2 * VEC {
-            sweep_lanes(wt, group, dims, tile, &Ordered::<{ 2 * VEC }>::new(bias, relu), dst);
+            let policy = Ordered::<{ 2 * VEC }>::new(bias, relu);
+            sweep_lanes(wt, group, dims, [0; 4], tile, &policy, dst);
         } else {
-            sweep_lanes(wt, group, dims, tile, &Ordered::<VEC>::new(bias, relu), dst);
+            sweep_lanes(wt, group, dims, [0; 4], tile, &Ordered::<VEC>::new(bias, relu), dst);
         }
     });
 }
