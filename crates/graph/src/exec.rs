@@ -19,6 +19,20 @@
 //!   (the paper's deployment path; see [`crate::quantize`]), a float plan
 //!   carries neither, and the same loop runs both.
 //!
+//! Whole-map integer convs store where the next conv reads, as fused
+//! chains do between their stages: an exact-f32 conv
+//! ([`bconv_quant::qconv::QuantChainOp::reads_quantized`]) whose sole
+//! consumer is another whole-map exact conv writes its output quantized
+//! at that conv's input parameters into the interior of a pooled,
+//! zero-bordered buffer, and the consumer runs on it in place, skipping
+//! the border's taps — no pad copy, no quantize pass. Any other exact conv
+//! pads and quantizes its input in one pass; the direct loop, the GEMM and
+//! w8a16 layers pad and quantize inside
+//! [`bconv_quant::qconv::QConv2d::forward_into`]. The
+//! bits are those of the per-layer path, and so are the stats: a staged
+//! map counts at its logical size, its border being the padding the
+//! consumer adds on the way in, not part of a feature map.
+//!
 //! Float execution shares one node evaluator, so a graph with an unblocked
 //! plan produces bit-identical outputs on `Reference` and `Blocked`;
 //! blocking itself only perturbs block-boundary pixels (paper §II-C). A
@@ -36,17 +50,19 @@ use std::sync::Arc;
 
 use bconv_core::fusion::{MemStats, PipelineScratch};
 use bconv_quant::qconv::QConvScratch;
+use bconv_quant::qgemm::Epilogue;
 use bconv_quant::qlinear::QLinearScratch;
+use bconv_quant::QParams;
 use bconv_tensor::activation::relu_inplace;
 use bconv_tensor::elementwise::add_into;
-use bconv_tensor::kernel::{ConvScratch, KernelPolicy};
+use bconv_tensor::kernel::{ConvScratch, KernelPolicy, OutGeom};
 use bconv_tensor::pad::{pad2d_asym_into, PadMode};
 use bconv_tensor::pool::{global_avg_pool_into, max_pool2d_into};
 use bconv_tensor::upsample::upsample_nearest_into;
 use bconv_tensor::{Tensor, TensorError};
 
 use crate::ir::{Graph, NodeOp, NodeRef};
-use crate::plan::{ExecPlan, QuantSingle, Segment};
+use crate::plan::{ExecPlan, MapConv, MapRead, QuantSingle, Segment};
 
 /// Result of one execution.
 #[derive(Debug, Clone)]
@@ -236,6 +252,86 @@ fn eval_node_into(
     }
 }
 
+/// One whole-map integer conv of a quantized plan (see [`MapConv`]) on
+/// `input` — a float map, or the zero-bordered quantized map its producer
+/// staged — into `out`: compact float, or, when the conv stages its
+/// consumer's input, that map. Returns the **logical** element counts of
+/// input and output, the ones [`MemStats`] counts: a staged border is the
+/// padding a whole-map conv adds on the way in, never a feature map that
+/// crosses the off-chip boundary.
+fn run_map_conv(
+    conv: &MapConv,
+    input: &Tensor,
+    out: &mut Tensor,
+    scratch: &mut SingleScratch,
+) -> Result<(usize, usize), TensorError> {
+    let SingleScratch { qconv, padded, .. } = scratch;
+    let (op, p) = (&*conv.op, conv.op.qconv().geom().padding);
+    let acts = match conv.read {
+        // Whole-map outer padding is zero, exactly as the float path pads.
+        MapRead::Float => {
+            op.qconv().forward_into(input, op.act_params(), PadMode::Zero, out, qconv)?;
+            return Ok((input.shape().numel(), out.shape().numel()));
+        }
+        MapRead::Quantize => {
+            pad_quantize_into(input, p, op.act_params(), padded);
+            &*padded
+        }
+        MapRead::Staged => input,
+    };
+    // Exact kernels are 3×3 stride 1: a `p`-padded map of `h` rows has
+    // `h + 2p - 2` output rows.
+    let [n, c, ph, pw] = acts.shape().dims();
+    let in_elems = n * c * ph.saturating_sub(2 * p) * pw.saturating_sub(2 * p);
+    let dims = [n, op.qconv().c_out(), ph.saturating_sub(2), pw.saturating_sub(2)];
+    let (at, epi) = match conv.stage {
+        Some((next, pad)) => {
+            (zero_bordered(out, dims, pad), Epilogue { relu: false, requant: Some(next) })
+        }
+        None => {
+            out.reset(dims);
+            (OutGeom::compact(dims[2], dims[3]), Epilogue::NONE)
+        }
+    };
+    op.forward_quantized_at(acts, [p; 4], out.data_mut(), at, epi, qconv)?;
+    Ok((in_elems, dims.iter().product()))
+}
+
+/// Shapes `buf` as the `[n, c, h, w]` map `dims` inside a `p`-wide border,
+/// zeroes the border (a recycled buffer holds stale values) and returns
+/// where the map's values go.
+fn zero_bordered(buf: &mut Tensor, [n, c, h, w]: [usize; 4], p: usize) -> OutGeom {
+    let (ph, pw) = (h + 2 * p, w + 2 * p);
+    buf.reset([n, c, ph, pw]);
+    if p > 0 {
+        for plane in buf.data_mut().chunks_exact_mut(ph * pw) {
+            let (top, rest) = plane.split_at_mut(p * pw);
+            let (rows, bottom) = rest.split_at_mut(h * pw);
+            top.fill(0.0);
+            bottom.fill(0.0);
+            for row in rows.chunks_exact_mut(pw) {
+                row[..p].fill(0.0);
+                row[p + w..].fill(0.0);
+            }
+        }
+    }
+    OutGeom::region(p, p, [ph, pw])
+}
+
+/// The one pass that readies a float map for an exact conv: `input`
+/// quantized at `params` into `buf`, inside a zero border `p` wide.
+fn pad_quantize_into(input: &Tensor, p: usize, params: QParams, buf: &mut Tensor) {
+    let dims @ [.., h, w] = input.shape().dims();
+    let at = zero_bordered(buf, dims, p);
+    let data = buf.data_mut();
+    for (i, src) in input.data().chunks_exact(w.max(1)).enumerate() {
+        let dst = &mut data[at.offset + i / h * at.plane + i % h * at.row..][..w];
+        for (d, &v) in dst.iter_mut().zip(src) {
+            *d = params.quantize_value_f32(v);
+        }
+    }
+}
+
 /// Resolves a [`NodeRef`] against stored values.
 pub(crate) fn resolve<'a>(
     values: &'a [Option<Tensor>],
@@ -388,8 +484,11 @@ pub(crate) fn release_used(
 ///
 /// Everything executable was compiled into the plan by the planner — fused
 /// stages (float or integer) and the integer form of whole-map conv / FC
-/// nodes — so the executor holds no tables of its own and cannot pair a
-/// plan with the wrong precision.
+/// nodes, including which whole-map convs stage their consumer's
+/// quantized, zero-bordered input (`MapConv`) — so the executor holds
+/// no tables of its own and cannot pair a plan with the wrong precision.
+/// [`MemStats`] stay on logical shapes: a staged map's border never
+/// counts.
 #[derive(Debug, Clone)]
 pub struct PlanExecutor {
     graph: Arc<Graph>,
@@ -478,7 +577,9 @@ impl PlanExecutor {
         let last_seg = segments.len().saturating_sub(1);
         for (si, seg) in segments.iter().enumerate() {
             let mut out = pool.pop().unwrap_or_default();
-            let out_id = match seg {
+            // The output's logical size: a staged map counts without the
+            // zero border only its consumer reads.
+            let (out_id, out_elems) = match seg {
                 Segment::Fused { nodes: ids, chain, input: src } => {
                     let in_t = resolve(values, input, *src)?;
                     let gs = chain.run_fused_into(in_t, threads, &mut out, pipeline.block_mut())?;
@@ -486,8 +587,10 @@ impl PlanExecutor {
                     // input/output traffic is accounted at the segment
                     // boundaries below.
                     stats.peak_working_elems = stats.peak_working_elems.max(gs.peak_working_elems);
-                    *ids.last()
-                        .ok_or_else(|| TensorError::invalid("fused segment covers no nodes"))?
+                    let id = ids.last();
+                    let id =
+                        id.ok_or_else(|| TensorError::invalid("fused segment covers no nodes"))?;
+                    (*id, out.shape().numel())
                 }
                 Segment::Spliced { nodes: ids, pipeline: pipe, input: src } => {
                     let in_t = resolve(values, input, *src)?;
@@ -496,8 +599,10 @@ impl PlanExecutor {
                     // pipeline's working-set peak, and the only off-chip
                     // traffic is the segment input/output accounted below.
                     stats.peak_working_elems = stats.peak_working_elems.max(gs.peak_working_elems);
-                    *ids.last()
-                        .ok_or_else(|| TensorError::invalid("spliced segment covers no nodes"))?
+                    let id = ids.last();
+                    let id =
+                        id.ok_or_else(|| TensorError::invalid("spliced segment covers no nodes"))?;
+                    (*id, out.shape().numel())
                 }
                 Segment::Single(id) => {
                     let node = &nodes[*id];
@@ -506,32 +611,24 @@ impl PlanExecutor {
                         NodeOp::Add { other } => Some(resolve(values, input, other)?),
                         _ => None,
                     };
-                    match plan.quant_single(*id) {
-                        // Whole-map integer conv: outer padding is zero,
-                        // exactly as the float path pads whole maps.
-                        Some(QuantSingle::Conv(q, params)) => {
-                            q.forward_into(
-                                in_t,
-                                *params,
-                                PadMode::Zero,
-                                &mut out,
-                                &mut single.qconv,
-                            )?;
+                    let (in_elems, out_elems) = match plan.quant_single(*id) {
+                        Some(QuantSingle::Conv(conv)) => {
+                            run_map_conv(conv, in_t, &mut out, single)?
                         }
                         Some(QuantSingle::Fc(q, params)) => {
                             q.forward_into(in_t, *params, &mut out, &mut single.qlinear)?;
+                            (in_t.shape().numel(), out.shape().numel())
                         }
                         // Float: the kernel the plan's policy resolves, like
                         // its fused stages (every kernel yields the same bits).
                         None => {
                             eval_node_into(&node.op, in_t, aux, &mut out, single, plan.kernel())?;
+                            (in_t.shape().numel(), out.shape().numel())
                         }
-                    }
-                    let live = in_t.shape().numel()
-                        + out.shape().numel()
-                        + aux.map_or(0, |t| t.shape().numel());
+                    };
+                    let live = in_elems + out_elems + aux.map_or(0, |t| t.shape().numel());
                     stats.peak_working_elems = stats.peak_working_elems.max(live);
-                    *id
+                    (*id, out_elems)
                 }
             };
             // Segment outputs are materialised off-chip: written once, and
@@ -540,8 +637,7 @@ impl PlanExecutor {
             let in_place_relu =
                 matches!(seg, Segment::Single(id) if matches!(nodes[*id].op, NodeOp::Relu));
             if !in_place_relu {
-                stats.offchip_elems +=
-                    if si == last_seg { out.shape().numel() } else { 2 * out.shape().numel() };
+                stats.offchip_elems += if si == last_seg { out_elems } else { 2 * out_elems };
             }
             values[out_id] = Some(out);
             match seg {

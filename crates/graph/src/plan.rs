@@ -36,7 +36,7 @@ use bconv_core::blocking::{BlockGrid, BlockingPattern};
 use bconv_core::fusion::{ChainOp, FusedChain, FusedPipeline};
 use bconv_core::plan::{LayerBlocking, NetworkPlan};
 use bconv_core::BlockConv2d;
-use bconv_quant::qconv::QConv2d;
+use bconv_quant::qconv::{QConv2d, QuantChainOp};
 use bconv_quant::qlinear::QLinear;
 use bconv_quant::QParams;
 use bconv_tensor::kernel::KernelPolicy;
@@ -264,13 +264,56 @@ pub(crate) struct PlanDecisions {
 
 /// The integer form of one whole-map node of a quantized plan, with the
 /// calibrated range of the activations it reads. Kept beside the segment
-/// list, by node id, because [`Segment::Single`] carries the id alone.
+/// list, by node id, because [`Segment::Single`] carries the id alone; a
+/// conv's entry also says whether it stores its consumer's input staged
+/// ([`MapConv`]), which `assemble` decides for fresh, cached and tuned
+/// plans alike.
 #[derive(Debug, Clone)]
 pub(crate) enum QuantSingle {
     /// A dense integer convolution.
-    Conv(Arc<QConv2d>, QParams),
+    Conv(MapConv),
     /// An integer FC layer.
     Fc(Arc<QLinear>, QParams),
+}
+
+/// A whole-map integer convolution, and where its activations come from
+/// and go.
+///
+/// A conv that runs an exact-f32 kernel ([`QuantChainOp::reads_quantized`])
+/// reads its input already quantized, inside a zero border of its geometry
+/// padding whose taps its kernel skips. When its producer is a whole-map
+/// exact conv of which it is the **sole** consumer, the producer stores
+/// that map itself — quantized at this conv's input parameters, through
+/// its epilogue (`stage`) — so neither side makes a pad copy or a quantize
+/// pass; any other input (the graph input, a pool, a ReLU, an `Add`, a
+/// conv with a second consumer, a conv on another kernel) is padded and
+/// quantized in one pass. Fused chains split their stages the same way
+/// (`bconv_core::fusion`), and every value stays bit for bit what
+/// [`QConv2d::forward_into`] computes: the epilogue is the next layer's
+/// quantize, and quantize(0.0) = 0.0 on the border.
+#[derive(Debug, Clone)]
+pub(crate) struct MapConv {
+    /// The layer with the calibrated range of its input.
+    pub(crate) op: Arc<QuantChainOp>,
+    /// How it reads its input.
+    pub(crate) read: MapRead,
+    /// `(input parameters, geometry padding)` of the sole consumer, when
+    /// this conv stores that consumer's staged input.
+    pub(crate) stage: Option<(QParams, usize)>,
+}
+
+/// How a [`MapConv`] reads its input map.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum MapRead {
+    /// A float map, padded and quantized inside [`QConv2d::forward_into`]
+    /// (the direct loop, the GEMM, a reduction past f32's exact range).
+    Float,
+    /// A float map, padded and quantized in one pass before the exact
+    /// kernel runs.
+    Quantize,
+    /// The producer's staged store: quantized, zero-bordered, read in
+    /// place.
+    Staged,
 }
 
 /// A compiled execution plan: the planner's decisions and everything
@@ -472,6 +515,9 @@ pub(crate) fn assemble(
     if next_id != nodes.len() {
         return Err(misfit(format!("cover {next_id} of {} nodes", nodes.len())));
     }
+    if quant.is_some() {
+        stage_map_convs(graph, &mut quant_singles);
+    }
     Ok(ExecPlan {
         segments,
         quant_singles,
@@ -508,7 +554,9 @@ fn quant_single(
                 .ok_or_else(|| {
                     TensorError::invalid(format!("conv node {} has all-zero weights", node.name))
                 })?;
-            Some(QuantSingle::Conv(Arc::new(q), params))
+            let op = QuantChainOp::new(q, params);
+            let read = if op.reads_quantized() { MapRead::Quantize } else { MapRead::Float };
+            Some(QuantSingle::Conv(MapConv { op: Arc::new(op), read, stage: None }))
         }
         NodeOp::Fc(linear) => spec.act_params(id).and_then(|params| {
             let q = QLinear::from_linear(linear, spec.weight_bits)?;
@@ -516,6 +564,34 @@ fn quant_single(
         }),
         _ => None,
     })
+}
+
+/// Pairs every whole-map exact conv with the whole-map exact conv that is
+/// its sole consumer: the producer stages the consumer's input (see
+/// [`MapConv`]). `singles` holds an entry per node id, set for whole-map
+/// nodes only.
+fn stage_map_convs(graph: &Graph, singles: &mut [Option<QuantSingle>]) {
+    for (j, node) in graph.nodes().iter().enumerate() {
+        let NodeRef::Node(i) = node.input else {
+            continue;
+        };
+        let stage = match (&singles[i], &singles[j]) {
+            (Some(QuantSingle::Conv(from)), Some(QuantSingle::Conv(to)))
+                if graph.consumer_count(i) == 1
+                    && from.read != MapRead::Float
+                    && to.read != MapRead::Float =>
+            {
+                (to.op.act_params(), to.op.qconv().geom().padding)
+            }
+            _ => continue,
+        };
+        if let Some(QuantSingle::Conv(from)) = &mut singles[i] {
+            from.stage = Some(stage);
+        }
+        if let Some(QuantSingle::Conv(to)) = &mut singles[j] {
+            to.read = MapRead::Staged;
+        }
+    }
 }
 
 /// Builds the chain of one decided group, which must cover the nodes from

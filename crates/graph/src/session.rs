@@ -575,7 +575,7 @@ impl Session {
                 if let NodeOp::Conv { conv, .. } = &nodes[*id].op {
                     let kind = match (self.backend, self.exec_plan.quant_single(*id)) {
                         (Backend::Reference, _) => bconv_tensor::kernel::KernelKind::Direct,
-                        (_, Some(QuantSingle::Conv(q, _))) => q.kernel(),
+                        (_, Some(QuantSingle::Conv(conv))) => conv.op.qconv().kernel(),
                         _ => self.exec_plan.kernel().resolve(conv),
                     };
                     out.push((nodes[*id].name.clone(), kind.name()));

@@ -221,6 +221,29 @@ fn run_with_is_allocation_free_unblocked_float() {
     });
 }
 
+/// An unblocked quantized plan: every whole-map exact conv whose sole
+/// consumer is another stores that conv's zero-bordered input in a pooled
+/// buffer, and the rest are padded and quantized into the scratch's own
+/// buffer — warm, neither allocates, for one image or a batch.
+#[test]
+fn run_with_is_allocation_free_unblocked_quantized() {
+    let build = || {
+        let convs = session(Backend::Blocked, 1).graph().conv_count();
+        let session = Session::builder()
+            .network(net())
+            .backend(QUANT)
+            .planner(PlanSpec::new().network_plan(NetworkPlan::unblocked(convs)))
+            .seed(2018)
+            .threads(1)
+            .build()
+            .expect("session builds");
+        assert_eq!(session.plan().fusion_groups(), 0, "nothing may fuse");
+        session
+    };
+    assert_zero_steady_state("unblocked quantized", 1, build);
+    assert_zero_steady_state("unblocked quantized, batch 8", 8, build);
+}
+
 /// The integer im2col+GEMM backend holds the strict-zero bar too: the
 /// i16 patch matrix and quantized-activation buffers live in the session
 /// scratch and the packed weight panels are built at compile time, so

@@ -12,13 +12,16 @@
 //! * the quantized backend honors the session's block-padding mode (the
 //!   original `QConv2d` bug hardcoded zero);
 //! * off-chip traffic is element-identical to the float blocked schedule
-//!   but shrinks in bits with the activation width.
+//!   but shrinks in bits with the activation width;
+//! * an unblocked quantized plan on the fast kernels — whole-map convs
+//!   that store where the next conv reads — matches the direct integer
+//!   loop bit for bit, `MemStats` included.
 
 use bconv_core::plan::NetworkPlan;
 use bconv_core::BlockingPattern;
-use bconv_graph::{Backend, PlanSpec, Session};
+use bconv_graph::{Backend, ExecScratch, KernelPolicy, PlanSpec, Session};
 use bconv_models::layer::LayerKind;
-use bconv_models::small::{vdsr_small, vgg16_small};
+use bconv_models::small::{resnet18_small, vdsr_small, vgg16_small};
 use bconv_models::Network;
 use bconv_tensor::init::{seeded_rng, uniform_tensor};
 use bconv_tensor::{PadMode, Tensor};
@@ -229,4 +232,68 @@ fn quantized_segments_mirror_the_float_plan() {
         .unwrap();
     assert!(q4.plan().fusion_groups() > 0);
     assert!(q4.run(&input_for(&vgg16_small(32), 6)).is_ok());
+}
+
+/// An unblocked quantized session under `kernel`.
+fn unblocked_quant(net: &Network, backend: Backend, kernel: KernelPolicy, relu: bool) -> Session {
+    let plan = NetworkPlan::unblocked(conv_count(net));
+    Session::builder()
+        .network(net.clone())
+        .seed(2018)
+        .relu_after_conv(relu)
+        .planner(PlanSpec::new().network_plan(plan).kernel(kernel))
+        .backend(backend)
+        .build()
+        .unwrap()
+}
+
+fn bits(t: &Tensor) -> Vec<u32> {
+    t.data().iter().map(|v| v.to_bits()).collect()
+}
+
+#[test]
+fn whole_map_integer_chains_match_the_direct_loop_bit_for_bit() {
+    // Under `Auto` a whole-map exact conv whose sole consumer is another
+    // stores that conv's input — quantized, inside a zero border — and the
+    // consumer reads it in place, skipping the border's taps; under
+    // `Direct` every conv pads and quantizes its own input for the i64
+    // loop. vdsr stages every conv pair (16 channels: channel lanes, 8:
+    // spatial lanes), vgg's pools break the runs, resnet's residual convs
+    // have two consumers and its 1x1 convs run the GEMM; w8a16 leaves the
+    // exact range and stages nothing; ReLU nodes break every pair. One
+    // scratch per session serves 1- and 3-image inputs in turn, outputs
+    // recycled, so a pooled buffer that kept stale values would show.
+    let nets = [
+        ("vdsr16", vdsr_small(24, 5, 16)),
+        ("vdsr8", vdsr_small(24, 4, 8)),
+        ("vgg", vgg16_small(32)),
+        ("resnet", resnet18_small(32)),
+    ];
+    for (name, net) in &nets {
+        let s = net.input;
+        let inputs: Vec<Tensor> = [(1, 11), (3, 12), (1, 13), (3, 14), (1, 15)]
+            .into_iter()
+            .map(|(n, seed)| uniform_tensor([n, s.c, s.h, s.w], -1.0, 1.0, &mut seeded_rng(seed)))
+            .collect();
+        for (weight_bits, act_bits) in [(8, 8), (4, 8), (8, 16)] {
+            for relu in [false, true] {
+                let backend = Backend::Quantized { weight_bits, act_bits };
+                let direct = unblocked_quant(net, backend, KernelPolicy::Direct, relu);
+                let fast = unblocked_quant(net, backend, KernelPolicy::Auto, relu);
+                assert_eq!(fast.plan().fusion_groups(), 0, "{name}: nothing may fuse");
+                let (mut direct_scratch, mut fast_scratch) =
+                    (ExecScratch::new(), ExecScratch::new());
+                for (i, input) in inputs.iter().enumerate() {
+                    let want = direct.run_with(input, &mut direct_scratch).unwrap();
+                    let got = fast.run_with(input, &mut fast_scratch).unwrap();
+                    let what = format!("{name} w{weight_bits}a{act_bits} relu={relu} run {i}");
+                    assert!(bits(&got.output) == bits(&want.output), "{what}: outputs differ");
+                    assert_eq!(got.output.shape(), want.output.shape(), "{what}");
+                    assert_eq!(got.stats, want.stats, "{what}: stats differ");
+                    assert_eq!(got.segments, want.segments, "{what}");
+                    fast_scratch.recycle(got.output);
+                }
+            }
+        }
+    }
 }
