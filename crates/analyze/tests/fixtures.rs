@@ -404,8 +404,9 @@ fn l6_fires_on_order_sensitive_float_constructs_in_kernel_files() {
 
 #[test]
 fn l6_covers_the_float_plane_kernel_file() {
-    // The plane kernel's bitwise contract is "multiply, then add": a fused
-    // multiply-add in its file must be a finding under the workspace policy.
+    // The spatial-lane sweep's ordered policy is "multiply, then add": a
+    // fused multiply-add in its file must be a finding under the workspace
+    // policy.
     let src = "fn sweep(a: f32, w: f32, x: f32) -> f32 { w.mul_add(x, a) }";
     let rep = scan("crates/tensor/src/kernel/plane.rs", src);
     assert!(rep

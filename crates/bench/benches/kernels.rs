@@ -129,11 +129,13 @@ fn bench_fast_path_call(
 
 /// Per-call cost of the fast float path at the block shapes the repo
 /// benchmark runs (`vgg224_f32_blocked`'s H4 blocks, the 98×98 calibration
-/// map) and on both sides of its kernel dispatch: 3→4, 4→4 and the
-/// remainder passes of 4→2 / 4→6 keep the plane kernel; 8→8 and up give
-/// the lanes to output channels — on any plane (5×5 and 3×3 went to the
-/// GEMM's remainder tiles before), 16→17 with a ragged 8-lane tile. Each
-/// row has a `packed/` twin.
+/// map, and `serve_burst_w8a8`'s thin layers on its H2 blocks — 3→4 and 4→4
+/// on conv1's 16×16, 4→8 and 8→8 on conv2's 8×8) and on both sides of the
+/// axis choice of `lane_tile::conv3x3`: 3→4, 4→4 and the remainder passes of
+/// 4→2 / 4→6 run spatial lanes; 8→8 and up give the lanes to output
+/// channels on any plane, 16→17 with a ragged 8-lane tile, and so do thin
+/// layers on the padded 5×5 and 3×3 planes whose span is narrower than one
+/// chunk. Each row has a `packed/` twin.
 fn bench_plane_blocks(c: &mut Criterion) {
     let mut group = c.benchmark_group("plane_blocks");
     for packed in [false, true] {
@@ -142,6 +144,12 @@ fn bench_plane_blocks(c: &mut Criterion) {
             (4, 4, 58),
             (4, 2, 58),
             (4, 6, 58),
+            (3, 4, 18),
+            (4, 4, 18),
+            (4, 8, 10),
+            (8, 8, 10),
+            (4, 4, 5),
+            (4, 4, 3),
             (8, 8, 30),
             (8, 16, 16),
             (16, 16, 16),
@@ -163,8 +171,8 @@ fn bench_plane_blocks(c: &mut Criterion) {
 
 /// Why the float fast path has no reduction-length cutover: `c -> c`
 /// layers with `kk = 9c` from 27 to 576 on a small and a large block plane.
-/// The first two rows run the plane kernel, the rest channel lanes;
-/// im2col+GEMM measured 8–10 Gelem/s on the same rows (make both `takes`
+/// The first two rows run spatial lanes, the rest channel lanes;
+/// im2col+GEMM measured 8–10 Gelem/s on the same rows (make `lane_tile::takes`
 /// return `false` to reproduce), so a row that falls to that rate is a
 /// dispatch regression.
 fn bench_plane_kk_sweep(c: &mut Criterion) {
@@ -204,11 +212,15 @@ fn bench_qfast_path_call(
 
 /// Per-call cost of the integer fast path at block shapes: the repo
 /// benchmark's 8×8 VDSR block (10×10 padded) and whole 98×98 map, the deep
-/// tiny planes of `vgg16_small` as batch-8 calls, and 10×10 layers on both
-/// sides of the kernel dispatch — 1→16, 16→12 (one ragged 16-lane tile) and
-/// 16→17 (a 16-lane tile and an 8-lane one with a single live channel)
-/// give the lanes to output channels; 8→8, 16→1 and 40→4 (`kk` 360: the
-/// i16 GEMM took it before, at 6 Gelem/s) keep the spatial lanes.
+/// tiny planes of `vgg16_small` as batch-8 calls, `serve_burst_w8a8`'s thin
+/// layers on its H2 blocks (3→4 and 4→4 on conv1's 16×16, 4→8 and 8→8 on
+/// conv2's 8×8), and layers on both sides of the axis choice of
+/// `lane_tile::conv3x3` — 1→16, 8→8, 16→12 (one ragged 16-lane tile) and
+/// 16→17 (a 16-lane tile and an 8-lane one with a single live channel) give
+/// the lanes to output channels, as do 4→4 on the padded 5×5 and 3×3
+/// planes; 3→4, 4→4, 16→1 (on the 8×8 block and on the 96×96 map, VDSR's
+/// last layer) and 40→4 (`kk` 360: the i16 GEMM took it before, at 6
+/// Gelem/s) run spatial lanes.
 fn bench_qplane_blocks(c: &mut Criterion) {
     let mut group = c.benchmark_group("qplane_blocks");
     for (c_in, c_out, side, n) in [
@@ -217,9 +229,15 @@ fn bench_qplane_blocks(c: &mut Criterion) {
         (16, 16, 4, 8),
         (16, 16, 3, 8),
         (16, 16, 98, 1),
+        (3, 4, 18, 1),
+        (4, 4, 18, 1),
+        (4, 8, 10, 1),
         (8, 8, 10, 1),
+        (4, 4, 5, 1),
+        (4, 4, 3, 1),
         (1, 16, 10, 1),
         (16, 1, 10, 1),
+        (16, 1, 98, 1),
         (16, 12, 10, 1),
         (16, 17, 10, 1),
         (40, 4, 10, 1),
@@ -235,8 +253,8 @@ fn bench_qplane_blocks(c: &mut Criterion) {
 }
 
 /// Why the integer fast path has no reduction-length cutover: `c -> c`
-/// layers, `kk = 9c` from 72 to 864, on a block plane and a 32×32 map (the
-/// first row runs the spatial lanes, the rest channel lanes). The i16 GEMM
+/// layers, `kk = 9c` from 72 to 864, on a block plane and a 32×32 map (all
+/// on channel lanes). The i16 GEMM
 /// that took every row above `kk` 192 before measured 12–21 Gelem/s on
 /// them; a row back at that rate is a dispatch regression.
 fn bench_qplane_kk_sweep(c: &mut Criterion) {

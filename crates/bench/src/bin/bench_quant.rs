@@ -21,7 +21,7 @@
 //!
 //! Latency note: quantized convolutions run the integer fast paths
 //! wherever the session's kernel policy resolves to them — the exact-f32
-//! plane kernel for narrow 3×3 layers, i16 patch matrices against weight
+//! sweeps for 3×3 layers, i16 patch matrices against weight
 //! rows packed once at build time otherwise, widening to i32 (i64 only
 //! where the conservative overflow guard demands it) — so quantized
 //! `median_us` competes directly with the float GEMM rather than

@@ -514,13 +514,13 @@ impl FusedChain {
                                 PadMode::Zero => [top, bottom, left, right],
                                 _ => [0; 4],
                             };
-                            op.forward_quantized_at(padded, zero, out, to, step.epi, qconv)?;
+                            op.forward_quantized_at(padded, zero, out, to, step.epi)?;
                         }
                         (Some(op), _) => {
                             op.forward_prepadded_into(padded, block, qconv)?;
                             store_rows((block.data(), compact), (out, to), stored, step.epi);
                         }
-                        (None, Some(p)) if p.stores_at(ob.bh, ob.bw) => {
+                        (None, Some(p)) if p.stores_at() => {
                             p.forward_prepadded_at(plan.conv(), padded, out, to, step.epi.relu)?;
                         }
                         (None, Some(p)) => {

@@ -293,7 +293,7 @@ fn run_map_conv(
             (OutGeom::compact(dims[2], dims[3]), Epilogue::NONE)
         }
     };
-    op.forward_quantized_at(acts, [p; 4], out.data_mut(), at, epi, qconv)?;
+    op.forward_quantized_at(acts, [p; 4], out.data_mut(), at, epi)?;
     Ok((in_elems, dims.iter().product()))
 }
 

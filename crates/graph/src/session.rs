@@ -163,8 +163,8 @@ pub struct PlanSpec {
     /// Block-padding mode (default zero padding).
     pub pad: PadMode,
     /// Conv kernel policy, for blocked and whole-map convolutions alike
-    /// (default [`KernelPolicy::Auto`]: the fast path — channel-lane
-    /// kernel, plane kernel or im2col+GEMM by layer shape — everywhere but
+    /// (default [`KernelPolicy::Auto`]: the fast path — channel-lane or
+    /// spatial-lane sweep, or im2col+GEMM by layer shape — everywhere but
     /// degenerate single-tap layers, which keep the direct loop).
     pub kernel: KernelPolicy,
     /// Run the per-host autotuner ([`mod@crate::tune`]) — or load its

@@ -15,8 +15,8 @@
 //!   [`qconv::QConv2d`] pads in any block-padding mode (or runs prepadded
 //!   inside fusion groups) and [`qconv::QuantChainOp`] packages one
 //!   quantized fused-chain stage with its calibrated activation range;
-//! * [`qgemm`] — the integer fast path: exact-f32 channel-lane and
-//!   spatial-lane kernels for 3×3 stride-1 layers, `i16` im2col plus a
+//! * [`qgemm`] — the integer fast path: the shared channel-lane and
+//!   spatial-lane sweeps in exact f32 for 3×3 stride-1 layers, `i16` im2col plus a
 //!   widening `i16×i16→i32` GEMM otherwise, all over build-time packed
 //!   weights and bitwise identical to the direct loop;
 //! * [`qlinear`] — quantized fully-connected layers with per-output-row

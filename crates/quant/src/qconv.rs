@@ -27,10 +27,9 @@ use crate::QParams;
 
 /// Reusable temporaries for quantized convolution: the padded block, the
 /// quantized-activation buffers (i32 for the direct loop, i16 for the
-/// integer GEMM, f32 for the exact-f32 kernels) and the GEMM's im2col
-/// patch matrix. One per worker
-/// thread; buffers grow to the largest input seen and are reused across
-/// calls.
+/// integer GEMM, f32 for the exact-f32 sweeps) and the GEMM's im2col patch
+/// matrix. One per worker thread; buffers grow to the largest input seen
+/// and are reused across calls.
 #[derive(Debug, Default)]
 pub struct QConvScratch {
     padded: Tensor,
@@ -39,15 +38,10 @@ pub struct QConvScratch {
     pub(crate) act16: Vec<i16>,
     /// Position-major `N×K` i16 im2col patch matrix.
     pub(crate) cols: Vec<i16>,
-    /// Integer-valued f32 activations for the exact-f32 kernels, plus one
-    /// chunk of zeroed slack lanes behind the last plane for spatial-lane
-    /// planes narrower than a chunk; a fused stage whose input is already
-    /// quantized uses it only for those.
+    /// Integer-valued f32 activations for the exact-f32 sweeps on a float
+    /// input; a stage whose input is already quantized reads it in place
+    /// and never grows this.
     pub(crate) actf: Vec<f32>,
-    /// The spatial-lane kernel's padded-width accumulator planes (one per
-    /// output channel of a pair), each a whole number of chunks; the
-    /// channel-lane kernel never grows it.
-    pub(crate) accf: Vec<f32>,
 }
 
 impl QConvScratch {
@@ -440,10 +434,9 @@ impl QuantChainOp {
         out: &mut [f32],
         at: OutGeom,
         epi: Epilogue,
-        scratch: &mut QConvScratch,
     ) -> Result<(), TensorError> {
         let (acts, to) = ((acts, zero_halo), (out, at, epi));
-        qgemm::quantized_conv_at(&self.qconv, self.act_params, acts, to, scratch)
+        qgemm::quantized_conv_at(&self.qconv, self.act_params, acts, to)
     }
 }
 

@@ -1,17 +1,21 @@
 //! The integer fast path against the i64 direct loop, **bit for bit**, over
-//! the shapes its two exact-f32 kernels sweep: every padded plane from 3×3
+//! the shapes its two exact-f32 sweeps run: every padded plane from 3×3
 //! (one output pixel) to 22×22 — so every output width 1..=20 and with it
-//! every 8 / 4 / 2 / 1 split of the channel-lane kernel's pixel tiles and
-//! every lane-rounded chunk count of the spatial-lane kernel — per-group
-//! output channel counts on both sides of the kernel dispatch (8 | 9) and
-//! with every kind of last channel tile (16 or 8 lanes, full or ragged),
+//! every 8 / 4 / 2 / 1 split of the channel-lane tile's pixels and every
+//! chunk count of the spatial-lane sweep, down to the spans narrower than
+//! one chunk that it leaves to the tile — per-group output channel counts
+//! on both sides of the axis choice (7 | 8), with every remainder of the
+//! spatial-lane sweep's four-channel passes and every kind of last channel
+//! tile (16 or 8 lanes, full or ragged),
 //! reduction lengths up to `kk` 360, grouped layers
 //! and batches, through **one** scratch and one dirty oversized output that
-//! keep shrinking and growing across both kernels — plus saturated layers
+//! keep shrinking and growing across both sweeps — plus saturated layers
 //! on both sides of the kernels' `2^24` exactness guard, and NaN
 //! activations, which every integer path must quantize alike. The
-//! fused-chain entry is swept too: every zero halo a block may declare, on
-//! every small plane, must change no bit of the channel-lane kernel's
+//! fused-chain entry is swept too: every check also stores through a ReLU
+//! and a requantization into a region of a NaN-bordered map of wider
+//! planes, as a fused stage does, and every zero halo a block may declare,
+//! on every small plane, must change no bit of the channel-lane tile's
 //! output.
 
 use bconv_quant::qconv::{QConv2d, QConvScratch, QuantChainOp};
@@ -23,12 +27,12 @@ use bconv_tensor::kernel::{KernelKind, OutGeom};
 use bconv_tensor::Tensor;
 
 /// Per-group input / output channel counts, group counts, batch sizes and
-/// weight bitwidths (activations are 8-bit: w8a8 and w4a8). Up to eight
-/// output channels per group keep the spatial lanes, the rest take channel
-/// lanes: 16, 24 and 32 fill their 16- and 8-lane tiles, 9 / 15 / 17 / 33
-/// leave a ragged last one.
+/// weight bitwidths (activations are 8-bit: w8a8 and w4a8). Up to seven
+/// output channels per group take the spatial lanes, the rest channel
+/// lanes: 8, 16, 24 and 32 fill their 16- and 8-lane tiles, 9 / 15 / 17 /
+/// 33 leave a ragged last one.
 const CIN: [usize; 5] = [1, 3, 16, 21, 40];
-const COUT: [usize; 11] = [1, 2, 7, 8, 9, 15, 16, 17, 24, 32, 33];
+const COUT: [usize; 15] = [1, 2, 3, 4, 5, 6, 7, 8, 9, 15, 16, 17, 24, 32, 33];
 const GROUPS: [usize; 2] = [1, 2];
 const BATCH: [usize; 2] = [1, 3];
 const WEIGHT_BITS: [u8; 2] = [8, 4];
@@ -70,7 +74,8 @@ fn check(buf: &mut Buffers, ph: usize, pw: usize, combo: usize) {
         sprinkle_nans(&mut padded);
     }
     let what = format!("{ph}x{pw} n{n} {cin}->{cout} g{groups} w{weight_bits}a8 nans={nans}");
-    assert_fast_equals_direct(&q, act, &padded, buf, &what);
+    let want = assert_fast_equals_direct(&q, act, &padded, buf, &what);
+    assert_stored_at_equals_direct(&q, act, &padded, &want, &what);
 }
 
 /// A NaN at both ends of the tensor and on every seventh element between.
@@ -88,7 +93,7 @@ fn assert_fast_equals_direct(
     padded: &Tensor,
     buf: &mut Buffers,
     what: &str,
-) {
+) -> Tensor {
     // Whatever the previous, differently shaped layer left behind must not
     // show through: the kernels write every element of `out`.
     buf.fast.data_mut().fill(f32::NAN);
@@ -98,6 +103,40 @@ fn assert_fast_equals_direct(
     assert_eq!(buf.fast.shape(), want.shape(), "{what}");
     let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
     assert_eq!(bits(&buf.fast), bits(&want), "{what}");
+    want
+}
+
+/// The fused-chain entry: the layer on the quantized block, stored at a
+/// region of a NaN-filled map of wider planes through a ReLU and a
+/// requantization, must write the direct loop's outputs sent through the
+/// same epilogue — every interior bit — and leave the border untouched.
+fn assert_stored_at_equals_direct(
+    q: &QConv2d,
+    act: QParams,
+    padded: &Tensor,
+    direct: &Tensor,
+    what: &str,
+) {
+    let op = QuantChainOp::new(q.clone(), act);
+    assert!(op.reads_quantized(), "{what}: every swept layer runs an exact-f32 sweep");
+    let [n, c_out, oh, ow] = direct.shape().dims();
+    let (top, left, [map_h, map_w]) = (2, 1, [oh + 3, ow + 4]);
+    let epi = Epilogue { relu: true, requant: Some(QParams::from_abs_max(0.8, 8)) };
+    let acts = padded.map(|v| act.quantize_value_f32(v));
+    let mut map = vec![f32::NAN; n * c_out * map_h * map_w];
+    let at = OutGeom::region(top, left, [map_h, map_w]);
+    op.forward_quantized_at(&acts, [0; 4], &mut map, at, epi).unwrap();
+    for (p, plane) in map.chunks_exact(map_h * map_w).enumerate() {
+        for (i, &got) in plane.iter().enumerate() {
+            let (y, x) = (i / map_w, i % map_w);
+            let want = if (top..top + oh).contains(&y) && (left..left + ow).contains(&x) {
+                epi.apply(direct.data()[(p * oh + y - top) * ow + x - left])
+            } else {
+                f32::NAN
+            };
+            assert_eq!(got.to_bits(), want.to_bits(), "{what} stored at: plane {p} ({y}, {x})");
+        }
+    }
 }
 
 #[test]
@@ -105,7 +144,7 @@ fn every_plane_shape_matches_the_direct_loop() {
     let mut buf = Buffers::default();
     // Every plane, square and rectangular; the combination advances by a
     // stride coprime to `COMBOS`, so each one meets many plane shapes and
-    // consecutive checks alternate between the two kernels. `pw` restarts
+    // consecutive checks alternate between the two sweeps. `pw` restarts
     // at 3 after 22: the buffers shrink as often as they grow.
     let mut combo = 0;
     for ph in 3..=22 {
@@ -238,10 +277,10 @@ fn check_halo(op: &QuantChainOp, n: usize, [ph, pw]: [usize; 2], halo: [usize; 4
     }
     let (oh, ow) = (ph - 2, pw - 2);
     let mut scratch = QConvScratch::new();
-    let mut run = |zero: [usize; 4]| {
+    let run = |zero: [usize; 4]| {
         let mut out = vec![f32::NAN; n * op.qconv().c_out() * oh * ow];
         let at = OutGeom::compact(oh, ow);
-        op.forward_quantized_at(&acts, zero, &mut out, at, Epilogue::NONE, &mut scratch).unwrap();
+        op.forward_quantized_at(&acts, zero, &mut out, at, Epilogue::NONE).unwrap();
         out.iter().map(|v| v.to_bits()).collect::<Vec<_>>()
     };
     let (skipped, full) = (run(halo), run([0; 4]));
@@ -293,13 +332,12 @@ fn a_declared_halo_wider_than_the_block_is_an_error() {
     let (op, _) = &halo_stages()[0];
     let acts = Tensor::zeros([1, op.qconv().c_in(), 4, 5]);
     let mut out = vec![0.0; op.qconv().c_out() * 2 * 3];
-    let (at, mut scratch) = (OutGeom::compact(2, 3), QConvScratch::new());
+    let at = OutGeom::compact(2, 3);
     for halo in [[3, 2, 0, 0], [0, 0, 3, 3], [0, 5, 0, 0]] {
-        let res = op.forward_quantized_at(&acts, halo, &mut out, at, Epilogue::NONE, &mut scratch);
+        let res = op.forward_quantized_at(&acts, halo, &mut out, at, Epilogue::NONE);
         assert!(res.is_err(), "{halo:?}");
     }
-    op.forward_quantized_at(&acts, [2, 2, 2, 3], &mut out, at, Epilogue::NONE, &mut scratch)
-        .unwrap();
+    op.forward_quantized_at(&acts, [2, 2, 2, 3], &mut out, at, Epilogue::NONE).unwrap();
 }
 
 /// A caller that declares a halo whose cells are not zero — a replicate
@@ -313,7 +351,6 @@ fn debug_builds_check_that_a_declared_halo_is_zero() {
     // The last cell of the first plane's bottom row.
     acts.data_mut()[24] = 1.0;
     let mut out = vec![0.0; op.qconv().c_out() * 9];
-    let (at, mut scratch) = (OutGeom::compact(3, 3), QConvScratch::new());
-    let _ =
-        op.forward_quantized_at(&acts, [0, 1, 0, 0], &mut out, at, Epilogue::NONE, &mut scratch);
+    let at = OutGeom::compact(3, 3);
+    let _ = op.forward_quantized_at(&acts, [0, 1, 0, 0], &mut out, at, Epilogue::NONE);
 }

@@ -8,23 +8,22 @@
 //! * [`KernelKind::Direct`] — the naive seven-loop direct convolution.
 //!   Minimal working memory; the oracle every other kernel is compared
 //!   against.
-//! * [`KernelKind::Im2colGemm`] — the **fast path**, three kernels behind
-//!   one name, dispatched by layer shape alone inside `im2col_gemm`,
-//!   exactly as the integer fast path (`bconv_quant::qgemm`) does:
-//!   * 3×3 stride-1 layers with eight or more output channels per group
-//!     run the **channel-lane kernel** ([`lane_tile`]): lanes are 16 (or 8)
-//!     consecutive output channels, a tile of up to eight pixels of one
-//!     output row is held in registers across all input channels, the
-//!     padded input is read in place — any plane size, 1×1 outputs
-//!     included. It is the micro-kernel the integer path runs, under an
-//!     order-preserving arithmetic policy;
-//!   * thinner 3×3 stride-1 layers (up to seven output channels per group,
-//!     depthwise included) run the **plane shift-and-add kernel**
-//!     (`plane`): lanes are sixteen positions of the padded-width plane,
-//!     up to four output channels per pass, no patch matrix;
-//!   * every other geometry (strided, 1×1, 5×5, thin layers on planes too
-//!     small to fill one sixteen-lane chunk) lowers each (batch, group) to
-//!     a `K×N` patch matrix (im2col) and multiplies it with the `M×K`
+//! * [`KernelKind::Im2colGemm`] — the **fast path**, dispatched by layer
+//!   shape alone inside `im2col_gemm`, exactly as the integer fast path
+//!   (`bconv_quant::qgemm`) does:
+//!   * every 3×3 stride-1 layer reads **one** lane-major weight layout
+//!     ([`lane_tile::pack_lanes`]) and runs one of two sweeps, chosen by
+//!     [`lane_tile::conv3x3`] for both precisions under an order-preserving
+//!     arithmetic policy: the **channel-lane kernel** ([`lane_tile`]; lanes
+//!     are 16 or 8 consecutive output channels, a tile of up to eight
+//!     pixels of one output row held in registers across all input
+//!     channels) from eight output channels per group up, and on any plane
+//!     too small to fill one sixteen-lane chunk; the **spatial-lane sweep**
+//!     (`plane`; lanes are sixteen positions of the padded-width plane, up
+//!     to four output channels per pass) for thinner groups, depthwise
+//!     included. Both read the padded input in place — no patch matrix;
+//!   * every other geometry (strided, 1×1, 5×5) lowers each (batch, group)
+//!     to a `K×N` patch matrix (im2col) and multiplies it with the `M×K`
 //!     weight matrix through a small register-blocked sgemm: the weight row
 //!     is streamed once per output tile instead of once per output pixel.
 //!
@@ -39,17 +38,17 @@
 //! Two performance layers sit behind them:
 //!
 //! * [`PackedWeights`] — a build-time copy of the weights in the one
-//!   layout the layer's kernel reads: lane-major for the channel-lane
-//!   kernel, panel-major (BLIS-style "A-packing": the sgemm inner loop
-//!   reads `MR` weights contiguously instead of striding `K` apart) for the
-//!   rest. Built **once** at plan/build time. Without it the channel-lane
-//!   kernel lane-packs into the [`ConvScratch`] per call (`c_out · c_in ·
-//!   9` copies — nothing on a map, a third of a 16→16 call on a 9×9 block);
-//!   the plane kernel reads the layer's own row-major weights.
-//! * An 8-wide manual lane type (`F32x8`) used by the sgemm microkernels
-//!   and the plane kernel: explicit unrolled lanes the auto-vectorizer maps
-//!   onto SIMD registers (stable Rust, no cargo feature). Lane arithmetic
-//!   is separate multiply-then-add — never fused — which keeps the bitwise
+//!   layout the layer's kernel reads: lane-major for 3×3 stride-1 layers,
+//!   panel-major (BLIS-style "A-packing": the sgemm inner loop reads `MR`
+//!   weights contiguously instead of striding `K` apart) for the rest.
+//!   Built **once** at plan/build time. Without it a 3×3 stride-1 layer is
+//!   lane-packed into the [`ConvScratch`] per call (`c_out · c_in · 9`
+//!   copies, rounded up to whole 8-lane tiles — nothing on a map, a third
+//!   of a 16→16 call on a 9×9 block).
+//! * An 8-wide manual lane type (`F32x8`) used by the sgemm microkernels:
+//!   explicit unrolled lanes the auto-vectorizer maps onto SIMD registers
+//!   (stable Rust, no cargo feature). Lane arithmetic is separate
+//!   multiply-then-add — never fused — which keeps the bitwise
 //!   accumulation contract above.
 //!
 //! Kernels write into caller-provided output tensors and draw temporary
@@ -57,7 +56,7 @@
 //! of per-block convolutions with zero steady-state allocation. `padded`
 //! must already carry the layer's spatial padding (kernels never pad);
 //! `out` is reshaped to `[n, c_out, oh, ow]` and every element is
-//! overwritten. The two 3×3 kernels also store at an [`OutGeom`] — an
+//! overwritten. The 3×3 sweeps also store at an [`OutGeom`] — an
 //! offset, a row pitch and a plane pitch into any slice
 //! ([`PackedWeights::forward_prepadded_at`]) — which is how a fused chain's
 //! stage writes the interior of the next stage's padded buffer, or its
@@ -81,8 +80,8 @@ pub enum KernelPolicy {
     Auto,
     /// Always the direct loop.
     Direct,
-    /// Always the fast path: the channel-lane or the plane kernel for
-    /// 3×3 stride-1 layers, im2col+GEMM otherwise.
+    /// Always the fast path: the channel-lane or the spatial-lane sweep
+    /// for 3×3 stride-1 layers, im2col+GEMM otherwise.
     Im2colGemm,
 }
 
@@ -137,7 +136,7 @@ pub enum KernelKind {
     /// The direct loop.
     #[default]
     Direct,
-    /// The fast path: channel-lane kernel, plane kernel or im2col + GEMM,
+    /// The fast path: channel-lane or spatial-lane sweep, or im2col + GEMM,
     /// by layer shape.
     Im2colGemm,
 }
@@ -212,7 +211,7 @@ impl OutGeom {
 pub struct ConvScratch {
     /// im2col patch matrix (`K × N`, reused across calls).
     cols: Vec<f32>,
-    /// Lane-major weights of the layer at hand, for channel-lane calls
+    /// Lane-major weights of the layer at hand, for 3×3 stride-1 calls
     /// that bring no [`PackedWeights`].
     lanes: Vec<f32>,
 }
@@ -300,16 +299,15 @@ pub(crate) fn direct(conv: &Conv2d, padded: &Tensor, out: &mut Tensor) -> Result
 }
 
 /// The layer's weights repacked for the fast path, in the **one** layout
-/// the kernel its shape dispatches to reads (like `QPackedWeights` on the
+/// the kernels its shape dispatches to read (like `QPackedWeights` on the
 /// integer side): lane-major `[group][c_out tile][c_in][tap][lanes]` for
-/// layers the channel-lane kernel takes (`lane_tile::pack_lanes`), and for
-/// every other layer the sgemm's panels — per group, `ceil(M/MR)` panels of
-/// `MR × K` laid out `panel[l*MR + i]`, so the microkernel's step over `l`
-/// reads `MR` weights contiguously (tail panels are zero-padded; thin 3×3
-/// layers keep them for the planes too small for the plane kernel, which
-/// itself reads the layer's own rows). Built **once** — at session build or
-/// via `BlockConv2d::with_packed_weights` — and shared by every run; the hot
-/// path never repacks.
+/// every 3×3 stride-1 layer (`lane_tile::pack_lanes`; a thin group is one
+/// 8-lane tile, which both 3×3 sweeps read), and for every other layer the
+/// sgemm's panels — per group, `ceil(M/MR)` panels of `MR × K` laid out
+/// `panel[l*MR + i]`, so the microkernel's step over `l` reads `MR` weights
+/// contiguously (tail panels are zero-padded). Built **once** — at session
+/// build or via `BlockConv2d::with_packed_weights` — and shared by every
+/// run; the hot path never repacks.
 #[derive(Debug, Clone)]
 pub struct PackedWeights {
     data: Vec<f32>,
@@ -330,7 +328,7 @@ impl PackedWeights {
         let kk = (conv.c_in() / groups) * g.kernel * g.kernel;
         let wdata = conv.weight().data();
         let mut data = Vec::new();
-        if lane_tile::takes(g.kernel, g.stride, mg) {
+        if lane_tile::takes(g.kernel, g.stride) {
             lane_tile::pack_lanes(wdata, [groups, mg, kk], &mut data);
         } else {
             let per_group = mg.div_ceil(MR) * MR * kk;
@@ -391,11 +389,11 @@ impl PackedWeights {
     }
 
     /// Whether [`forward_prepadded_at`](Self::forward_prepadded_at) takes
-    /// this layer on an `oh × ow` output: the layers the channel-lane or
-    /// the plane kernel runs. Everything else stores compact blocks only.
-    pub fn stores_at(&self, oh: usize, ow: usize) -> bool {
-        let ([c_out, _, k, _], groups, stride) = self.layer;
-        lane_tile::takes(k, stride, c_out / groups) || plane::takes(k, stride, oh, ow)
+    /// this layer: every 3×3 stride-1 layer, on any plane. Everything else
+    /// stores compact blocks only.
+    pub fn stores_at(&self) -> bool {
+        let ([_, _, k, _], _, stride) = self.layer;
+        lane_tile::takes(k, stride)
     }
 
     /// [`forward_prepadded_into`](Self::forward_prepadded_into) storing at
@@ -423,24 +421,19 @@ impl PackedWeights {
             return Err(TensorError::invalid("PackedWeights were packed from a different layer"));
         }
         let (n, oh, ow) = prepare_out(conv, padded)?;
-        if !self.stores_at(oh, ow) {
+        if !self.stores_at() {
             return Err(TensorError::invalid("this layer's kernel stores compact blocks only"));
         }
         at.check(n * conv.c_out(), oh, ow, out.len())?;
-        let g = conv.geom();
-        if lane_tile::takes(g.kernel, g.stride, conv.c_out() / conv.groups()) {
-            lane_tile::lane_conv(conv, &self.data, padded, out, at, relu);
-        } else {
-            plane::plane_conv(conv, padded, out, at, relu);
-        }
+        lane_tile::lane_conv(conv, &self.data, padded, out, at, relu);
         Ok(())
     }
 }
 
 /// The fast path (its name, `im2col-gemm` in reports and plan keys,
-/// predates its patch-free kernels). 3×3 stride-1 layers go to the
-/// channel-lane kernel (`lane_tile::takes`) or the plane kernel
-/// (`plane::takes`); for the rest, lower each (batch, group) to a patch
+/// predates its patch-free kernels). 3×3 stride-1 layers go to the sweeps
+/// `lane_tile::conv3x3` picks between (`lane_tile::takes`); for the rest,
+/// lower each (batch, group) to a patch
 /// matrix and multiply with the weight matrix — packed panels when
 /// available, the layer's row-major weights otherwise. Hot path — no
 /// allocation once `scratch` has grown.
@@ -460,9 +453,8 @@ pub(crate) fn im2col_gemm(
     let kk = cin_per_group * k * k; // GEMM reduction length K
     let nn = oh * ow; // GEMM width N
 
-    // 3×3 stride-1 layers skip the patch matrix altogether: channel lanes
-    // from eight output channels per group up, spatial lanes below.
-    if lane_tile::takes(k, s, cout_per_group) {
+    // 3×3 stride-1 layers skip the patch matrix altogether.
+    if lane_tile::takes(k, s) {
         let wl = match packed {
             Some(p) => &p.data,
             None => {
@@ -472,10 +464,6 @@ pub(crate) fn im2col_gemm(
             }
         };
         lane_tile::lane_conv(conv, wl, padded, out.data_mut(), OutGeom::compact(oh, ow), false);
-        return Ok(());
-    }
-    if plane::takes(k, s, oh, ow) {
-        plane::plane_conv(conv, padded, out.data_mut(), OutGeom::compact(oh, ow), false);
         return Ok(());
     }
 
@@ -805,8 +793,9 @@ mod tests {
     #[test]
     fn packed_panels_zero_pad_the_tail() {
         let mut rng = seeded_rng(19);
-        // c_out = 6 with MR = 4: one full panel + a 2-row tail panel.
-        let conv = he_conv2d(2, 6, ConvGeom::same(3), 1, &mut rng).unwrap();
+        // c_out = 6 with MR = 4: one full panel + a 2-row tail panel (a
+        // strided layer: 3×3 stride-1 ones pack lanes).
+        let conv = he_conv2d(2, 6, ConvGeom::new(3, 2, 1), 1, &mut rng).unwrap();
         let packed = PackedWeights::pack(&conv);
         let kk = 2 * 9;
         assert_eq!(packed.len(), 8 * kk);

@@ -1,5 +1,7 @@
-//! The **channel-lane micro-kernel**: 3×3 stride-1 convolution with the
-//! vector lanes on *output channels*, for both precisions.
+//! The 3×3 stride-1 kernels of both precisions: the **channel-lane
+//! micro-kernel**, with the vector lanes on *output channels*, and the one
+//! dispatch ([`conv3x3`]) that gives a layer's lanes to channels or, for
+//! thin groups, to plane positions (`super::plane`).
 //!
 //! A vector lane must be an output. Here the lanes are 16 (or, for a
 //! group's last ≤ 8 channels, 8) consecutive output channels
@@ -14,13 +16,13 @@
 //! ragged last tile has no channel for are zero). What it pays is a
 //! transpose: a tile's lanes belong to different planes of the NCHW output,
 //! so every output element costs a scalar store. That store is the
-//! kernel's one output path ([`sweep_lanes`]) and takes an
+//! kernel's one output path (`sweep_lanes`) and takes an
 //! [`OutGeom`]: a compact tensor, the interior of a fused
 //! chain's next padded block buffer, or a block's place in a whole map are
 //! the same stores at a different row and plane pitch.
 //!
-//! There is **one** tile, generic over a [`Policy`] — how a lane
-//! accumulates and what happens to a finished tile:
+//! Both sweeps are generic over a [`Policy`] — how a lane accumulates and
+//! what happens to a finished sum:
 //!
 //! * *ordered* (`Ordered`, the float path, `lane_conv` below): every lane
 //!   starts at `bias[m]` and adds its taps as a separate multiply then add,
@@ -28,19 +30,19 @@
 //!   direct loop's order, so the result is bit for bit `super::direct`'s.
 //!   No fused multiply-add, never a split chain; the instruction-level
 //!   parallelism is the `P·L/8` independent chains of the tile. A fused
-//!   stage followed by a ReLU folds it into the finish.
+//!   stage followed by a ReLU folds it into the epilogue.
 //! * *exact* (`bconv_quant::qgemm`, the integer path): the lanes carry
 //!   integers below 2²⁴, so any association — and a fused multiply-add — is
 //!   exact; lanes start at zero, small tiles sum each kernel row into a set
 //!   of its own, and the epilogue rescales — and, in a fused chain, applies
 //!   the ReLU and requantizes for the next stage.
 //!
-//! The epilogue lives in `finish`, outside `lane_tile`: a policy's
+//! The epilogue lives in [`Policy::emit`], outside `lane_tile`: a policy's
 //! epilogue never changes the tile's code.
 //!
 //! **A zero halo is free under the exact policy.** A fused block's
 //! Equation 2 padding is zero and known before the block runs, so the
-//! caller declares it ([`sweep_lanes`]' `zero`) and the tile skips every
+//! caller declares it ([`conv3x3`]' `zero`) and the tile skips every
 //! tap that reads it: per output row the kernel rows that read a zero row,
 //! and — at compile time, in a tile of two pixels or more that starts or
 //! ends its row — the first pixel's left or the last pixel's right tap. An
@@ -49,14 +51,19 @@
 //! The ordered policy runs every tap: its lanes start at the bias, and a
 //! `-0.0` bias plus a `+0.0` product is `+0.0`.
 //!
-//! Float layers take this kernel from eight output channels per group up
-//! (`takes`); thinner ones keep the spatial lanes of `super::plane`. The
-//! integer path switches above eight: its 8-lane tiles measured 16–19
-//! GMAC/s against the spatial lanes' 18–22 at 8→8 (its spatial-lane kernel
-//! fuses, and sums three chains per lane), the float ones 26–30 against
-//! 23–27.
+//! **Which axis gets the lanes** is decided by [`conv3x3`] alone, for both
+//! precisions: groups of eight output channels or more take channel lanes,
+//! thinner ones the spatial-lane sweep, whose chunks of sixteen plane
+//! positions feed up to four channels per source load — except on planes
+//! whose padded-width span is narrower than one chunk (square padded 5×5
+//! and below), which run the channel-lane tile on the same weights. A thin
+//! group is one 8-lane tile with zero lanes past its channels, so every
+//! 3×3 stride-1 layer packs the one layout, and 8→8 measured faster on
+//! channel lanes at both precisions (module docs of `bconv_quant::qgemm`).
 
-use super::OutGeom;
+use std::ops::Range;
+
+use super::{plane, OutGeom};
 use crate::conv::Conv2d;
 use crate::Tensor;
 
@@ -101,21 +108,29 @@ pub fn pack_lanes(weights: &[f32], [groups, cout_per_group, kk]: [usize; 3], dat
     }
 }
 
-/// Walks a layer's channel tiles in [`pack_lanes`] order, for every image:
-/// calls `tile` with the tile's weights, its group's input planes (of
-/// `acts`, `[n][c_in][plane]`), its live output channels (a ragged last
-/// tile has fewer than its lanes), its lane count and `out` from the first
-/// output of its first live channel on (outputs are stored at `at`, whose
-/// planes run `[n][c_out]`) — what [`sweep_lanes`] takes.
-pub fn each_tile(
+/// Evaluates a 3×3 stride-1 layer — `groups` groups of `cout_per_group`
+/// output channels, weights `wl` packed by [`pack_lanes`] — on the padded
+/// planes `acts` (`[n, c_in, ph, pw]`), storing every output at `at` in
+/// `out` (whose planes run `[n][c_out]`): the one entry and the one axis
+/// choice of both precisions. A 16-lane channel tile of the output channels
+/// `live` runs under the policy `wide(live)`, an 8-lane one under
+/// `narrow(live)`; a group of fewer than [`VEC`] channels (one 8-lane tile)
+/// takes the spatial-lane sweep wherever its span fills a chunk, every
+/// other tile the channel-lane tile. `zero` declares the `[top, bottom,
+/// left, right]` rows and columns of every plane that hold zeros (see
+/// `sweep_lanes`); the spatial-lane sweep runs every tap regardless. The
+/// caller has checked that the outputs fit.
+pub fn conv3x3<W: Policy<{ 2 * VEC }>, N: Policy<VEC>>(
     wl: &[f32],
-    acts: &[f32],
+    (acts, [n, c_in, ph, pw]): (&[f32], [usize; 4]),
+    [groups, cout_per_group]: [usize; 2],
+    zero: [usize; 4],
     (out, at): (&mut [f32], OutGeom),
-    [n, groups, cin_per_group, cout_per_group]: [usize; 4],
-    plane: usize,
-    mut tile: impl FnMut(&[f32], &[f32], std::ops::Range<usize>, usize, &mut [f32]),
+    (wide, narrow): (impl Fn(Range<usize>) -> W, impl Fn(Range<usize>) -> N),
 ) {
-    let (c_in, c_out) = (groups * cin_per_group, groups * cout_per_group);
+    let (cin_per_group, c_out, plane) = (c_in / groups, groups * cout_per_group, ph * pw);
+    let dims = [ph - 2, pw - 2, pw, plane];
+    let spatial = cout_per_group < VEC && plane::fills_chunk(ph - 2, pw - 2);
     for ni in 0..n {
         let mut wrest = wl;
         for grp in 0..groups {
@@ -126,15 +141,25 @@ pub fn each_tile(
                 (wt, wrest) = wrest.split_at(cin_per_group * 9 * lanes);
                 let m0 = grp * cout_per_group + mo;
                 let live = m0..m0 + lanes.min(cout_per_group - mo);
-                tile(wt, group, live, lanes, &mut out[at.offset + (ni * c_out + m0) * at.plane..]);
+                let tile = (at, live.len());
+                let dst = &mut out[at.offset + (ni * c_out + m0) * at.plane..];
+                if lanes == 2 * VEC {
+                    sweep_lanes(wt, group, dims, zero, tile, &wide(live), dst);
+                } else if spatial {
+                    plane::sweep(wt, group, dims, tile, &narrow(live), dst);
+                } else {
+                    sweep_lanes(wt, group, dims, zero, tile, &narrow(live), dst);
+                }
             }
         }
     }
 }
 
 /// How the `L` lanes of a channel tile accumulate and what is done to a
-/// finished pixel tile before it is stored — the only things the two
-/// precisions do differently.
+/// finished sum before it is stored — the only things the two precisions
+/// do differently. Both sweeps take it: the channel-lane tile, whose lanes
+/// are the tile's channels, and the spatial-lane sweep, whose passes take
+/// channel `l`'s start and epilogue from lane `l`.
 pub trait Policy<const L: usize> {
     /// Whether the lane arithmetic is exact in *any* association. Only then
     /// may a tile of at most four vectors — bound by the latency of its
@@ -150,9 +175,14 @@ pub trait Policy<const L: usize> {
     /// One tap: `w · x + acc`.
     fn mac(w: f32, x: f32, acc: f32) -> f32;
 
-    /// The epilogue, applied to a summed tile before it is transposed into
-    /// the output planes.
-    fn finish<const P: usize>(&self, acc: &mut [[f32; L]; P]);
+    /// The epilogue of output channel `l` of the tile: the stored value of
+    /// its finished sum `v`.
+    fn emit(&self, l: usize, v: f32) -> f32;
+
+    /// Whether [`emit`](Self::emit) returns every sum as it is, so that the
+    /// sweeps skip their epilogue pass (a float stage without a ReLU: run,
+    /// the pass of no-op selects read +5 % on `vgg224_f32_blocked`).
+    fn keeps_sums(&self) -> bool;
 }
 
 /// Whether the widest pixel tile is 8: its 8 × 16 accumulators are sixteen
@@ -168,11 +198,9 @@ const TILE_8: bool = cfg!(target_feature = "avx512f");
 /// 0..P` loop LLVM vectorises *across pixels* — gathers and scatters on a
 /// stack-resident accumulator array — and the kernel runs ten times slower
 /// with every test green.
-#[macro_export]
-#[doc(hidden)]
 macro_rules! each_pixel {
     ($p:ident < $P:ident => $body:block) => {
-        $crate::each_pixel!(@ $p $P $body 0 1 2 3 4 5 6 7)
+        each_pixel!(@ $p $P $body 0 1 2 3 4 5 6 7)
     };
     (@ $p:ident $P:ident $body:block $($i:literal)*) => {$(
         if $i < $P {
@@ -180,6 +208,22 @@ macro_rules! each_pixel {
             $body
         }
     )*};
+}
+
+/// Applies `policy`'s epilogue to a summed pixel tile before it is
+/// transposed into the output planes: one pass, lanes innermost.
+#[inline(always)]
+// The lane loop stays the one loop over the tile (see `each_pixel!`).
+#[allow(clippy::needless_range_loop)]
+fn finish<const P: usize, const L: usize, A: Policy<L>>(policy: &A, acc: &mut [[f32; L]; P]) {
+    if policy.keeps_sums() {
+        return;
+    }
+    for l in 0..L {
+        each_pixel!(PX < P => {
+            acc[PX][l] = policy.emit(l, acc[PX][l]);
+        });
+    }
 }
 
 /// One channel tile (`L` lanes, weights `wt`) over every output pixel of
@@ -199,7 +243,7 @@ macro_rules! each_pixel {
 /// pixel's right tap (`FIRST` / `LAST`). An ordered policy runs every tap
 /// (module docs).
 #[allow(clippy::out_of_bounds_indexing)] // `each_pixel!`'s dead `if 4 < 2 { acc[4] }` branches
-pub fn sweep_lanes<const L: usize, A: Policy<L>>(
+fn sweep_lanes<const L: usize, A: Policy<L>>(
     wt: &[f32],
     group: &[f32],
     [oh, ow, pw, plane]: [usize; 4],
@@ -222,7 +266,7 @@ pub fn sweep_lanes<const L: usize, A: Policy<L>>(
             ($P:literal => $sum:expr) => {{
                 const P: usize = $P;
                 let mut acc = $sum;
-                policy.finish(&mut acc);
+                finish(policy, &mut acc);
                 for (l, start) in (to + owi..).step_by(at.plane).take(live).enumerate() {
                     let row = &mut dst[start..start + P];
                     each_pixel!(PX < P => {
@@ -387,30 +431,26 @@ impl<const L: usize> Policy<L> for Ordered<L> {
     /// `relu_inplace`'s test, folded: a sum below zero becomes `0.0`
     /// (NaN and `-0.0` stay).
     #[inline(always)]
-    // The lane loop stays the one loop over the tile (see `each_pixel!`).
-    #[allow(clippy::needless_range_loop)]
-    fn finish<const P: usize>(&self, acc: &mut [[f32; L]; P]) {
-        if self.relu {
-            for l in 0..L {
-                each_pixel!(PX < P => {
-                    if acc[PX][l] < 0.0 {
-                        acc[PX][l] = 0.0;
-                    }
-                });
-            }
+    fn emit(&self, _: usize, v: f32) -> f32 {
+        if self.relu && v < 0.0 {
+            0.0
+        } else {
+            v
         }
+    }
+
+    #[inline(always)]
+    fn keeps_sums(&self) -> bool {
+        !self.relu
     }
 }
 
-/// Whether the float channel-lane kernel takes a layer with kernel size
-/// `k`, stride `s` and `cout_per_group` output channels per group: every
-/// 3×3 stride-1 layer that fills an 8-lane tile, on any plane. Per call,
-/// packed, it measured 1.3–2.6× the plane kernel at 16→16 (most on the
-/// smallest planes) and 1.1–1.2× at 8→8 and 4→8; 4-channel layers on
-/// half-empty tiles read 13 GMAC/s against 22–26, so thin layers stay where
-/// they were.
-pub(super) fn takes(k: usize, s: usize, cout_per_group: usize) -> bool {
-    k == 3 && s == 1 && cout_per_group >= VEC
+/// Whether the 3×3 stride-1 kernels take a layer with kernel size `k` and
+/// stride `s` — every such layer, on any plane, at any channel count: its
+/// weights are packed lane-major ([`pack_lanes`]) and [`conv3x3`] picks the
+/// sweep. The integer path packs the same layers.
+pub fn takes(k: usize, s: usize) -> bool {
+    k == 3 && s == 1
 }
 
 /// Evaluates a 3×3 stride-1 `conv` whose [`pack_lanes`] weights are `wl` on
@@ -424,17 +464,13 @@ pub(super) fn lane_conv(
     at: OutGeom,
     relu: bool,
 ) {
-    let [n, c_in, ph, pw] = padded.shape().dims();
-    let dims = [ph - 2, pw - 2, pw, ph * pw];
-    let shape = [n, conv.groups(), c_in / conv.groups(), conv.c_out() / conv.groups()];
-    each_tile(wl, padded.data(), (out, at), shape, ph * pw, |wt, group, live, lanes, dst| {
-        let tile = (at, live.len());
-        let bias = &conv.bias()[live];
-        if lanes == 2 * VEC {
-            let policy = Ordered::<{ 2 * VEC }>::new(bias, relu);
-            sweep_lanes(wt, group, dims, [0; 4], tile, &policy, dst);
-        } else {
-            sweep_lanes(wt, group, dims, [0; 4], tile, &Ordered::<VEC>::new(bias, relu), dst);
-        }
-    });
+    let bias = conv.bias();
+    conv3x3(
+        wl,
+        (padded.data(), padded.shape().dims()),
+        [conv.groups(), conv.c_out() / conv.groups()],
+        [0; 4],
+        (out, at),
+        (|live| Ordered::new(&bias[live], relu), |live| Ordered::new(&bias[live], relu)),
+    );
 }

@@ -1,24 +1,26 @@
-//! The float **plane shift-and-add kernel**: 3×3 stride-1 convolution
-//! without a patch matrix, with the vector lanes on *plane positions* — the
-//! kernel of **thin layers** (up to seven output channels per group,
-//! depthwise included), which cannot fill a vector with output channels.
-//! Wider layers give the lanes to output channels (`super::lane_tile`).
+//! The **spatial-lane sweep**: 3×3 stride-1 convolution with the vector
+//! lanes on *plane positions*, for both precisions — the sweep of **thin
+//! groups** (up to seven output channels, depthwise included), which cannot
+//! fill a vector with output channels. It reads the one lane-major weight
+//! layout of every 3×3 stride-1 layer (a thin group is one 8-lane tile of
+//! [`super::lane_tile::pack_lanes`]), and `lane_tile::conv3x3` picks it,
+//! generic over the same [`Policy`] as the channel-lane tile.
 //!
 //! The im2col path inflates the input ninefold before a GEMM whose work
-//! per patch element is only `c_out / groups`, and its 4×8 register tile
-//! runs four accumulation chains. This kernel reads the padded planes in
-//! place instead: the accumulators live in the *padded-width* plane
-//! layout — flat index `p = oh·pw + ow`, so tap `(kh, kw)` of every output
-//! position is the same plane shifted by `kh·pw + kw` — and the flat span
-//! `(oh - 1)·pw + ow` is swept in [`LANES`]-wide chunks. Each chunk's
+//! per patch element is only `c_out / groups`. This sweep reads the padded
+//! planes in place instead: the accumulators live in the *padded-width*
+//! plane layout — flat index `p = oh·pw + ow`, so tap `(kh, kw)` of every
+//! output position is the same plane shifted by `kh·pw + kw` — and the flat
+//! span `(oh - 1)·pw + ow` is swept in [`LANES`]-wide chunks. Each chunk's
 //! accumulators stay in registers across **all** input channels, one
-//! source vector load feeds up to four output channels, and the result is
-//! written once, straight into the output rows — of a compact tensor, or,
-//! in a fused chain, of the next stage's padded buffer or the group's
-//! output map ([`OutGeom`]; a ReLU that follows the stage is applied on the
-//! way). It is the float twin of
-//! `bconv_quant::qgemm`'s exact-f32 spatial-lane kernel and is reached the
-//! same way: by shape (`takes`), from inside `im2col_gemm`.
+//! source vector load feeds up to four output channels, and the result goes
+//! through the policy's epilogue ([`Policy::emit`]) straight into the
+//! output rows at an [`OutGeom`] — a compact tensor, or, in a fused chain,
+//! the next stage's padded buffer or the group's output map.
+//!
+//! A span narrower than one chunk (square padded planes of 5×5 and below,
+//! short strips) has too few lanes to fill; `conv3x3` runs the
+//! channel-lane tile there, on the same weights.
 //!
 //! # Junk lanes
 //!
@@ -33,21 +35,23 @@
 //! `ow` nothing past a row's last output is touched either: those are
 //! another buffer's halo or another block's outputs.
 //!
-//! # Bitwise contract
+//! # Arithmetic
 //!
-//! Float accumulation order is part of the kernels' contract. Every lane
-//! starts at `bias[m]` and adds its taps as a separate multiply then add,
-//! one chain per lane, in `(c_in, kh, kw)` order — exactly the direct
-//! loop's (`super::direct`), so the output is bit for bit the direct
-//! kernel's. There is no fused multiply-add and no split
-//! accumulation chain; the instruction-level parallelism comes from
+//! Exactly the channel-lane tile's policies. Under the *ordered* (float)
+//! policy every lane starts at `bias[m]` and adds its taps as a separate
+//! multiply then add, one chain per lane, in `(c_in, kh, kw)` order —
+//! exactly the direct loop's (`super::direct`), so the output is bit for
+//! bit the direct kernel's; the instruction-level parallelism comes from
 //! running up to four output channels' chains side by side, never from
-//! reassociation. `tests/plane_kernel_shapes.rs` sweeps every small plane
-//! shape against the direct loop.
+//! reassociation. Under the *exact* (integer) policy lanes start at zero,
+//! fuse their multiply-adds, and a one-channel pass — two vectors, bound by
+//! the latency of its chains — sums each kernel row into a set of its own.
+//! A declared zero halo changes nothing here: chunks span rows, so every
+//! tap runs. `tests/plane_kernel_shapes.rs` of both crates sweeps every
+//! small plane shape against the direct loops.
 
-use super::{F32x8, OutGeom};
-use crate::conv::Conv2d;
-use crate::Tensor;
+use super::lane_tile::{Policy, VEC};
+use super::OutGeom;
 
 /// Accumulator chunk width: two 8-lane vectors per output channel, so a
 /// four-channel pass keeps eight independent chains in flight.
@@ -59,72 +63,52 @@ fn span(oh: usize, ow: usize) -> usize {
     (oh - 1) * (ow + 2) + ow
 }
 
-/// Whether the plane kernel takes a layer with kernel size `k` and stride
-/// `s` on an `oh`×`ow` output map: every 3×3 stride-1 layer (that the
-/// channel-lane kernel left: `im2col_gemm` asks it first) whose span fills
-/// a chunk (padded planes of 5×5 and below stay on the GEMM).
-///
-/// There is deliberately no reduction-length cutover. Per call, the plane
-/// kernel measured 1.7–2.7× the GEMM's MAC rate at every `c_in / groups ·
-/// 9` from 27 to 4608, on 16×16 and 58×58 planes, dense and depthwise
-/// (`cargo bench -p bconv-bench -- plane_kk_sweep` keeps 27…576; the full
-/// table is in `CHANGES.md`, PR 16).
-pub(super) fn takes(k: usize, s: usize, oh: usize, ow: usize) -> bool {
-    k == 3 && s == 1 && span(oh, ow) >= LANES
+/// Whether the span of an `oh`×`ow` output fills one chunk: the planes the
+/// spatial-lane sweep can take (square padded planes of 5×5 and below
+/// cannot).
+pub(super) fn fills_chunk(oh: usize, ow: usize) -> bool {
+    span(oh, ow) >= LANES
 }
 
-/// Evaluates a 3×3 stride-1 `conv` on `padded`, storing every output at
-/// `at` in `out` (ReLU'd when `relu`). The caller has checked [`takes`] and
-/// that the outputs fit.
-pub(super) fn plane_conv(conv: &Conv2d, padded: &Tensor, out: &mut [f32], at: OutGeom, relu: bool) {
-    let [n, c_in, ph, pw] = padded.shape().dims();
-    let (c_out, oh, ow) = (conv.c_out(), ph - 2, pw - 2);
-    debug_assert!(takes(conv.geom().kernel, conv.geom().stride, oh, ow));
-    let groups = conv.groups();
-    let (cin_per_group, cout_per_group) = (c_in / groups, c_out / groups);
-    let geom = PlaneGeom {
-        pw,
-        ow,
-        plane: ph * pw,
-        kk: cin_per_group * 9,
-        at,
-        region: (oh - 1) * at.row + ow,
-        relu,
-    };
+/// Sweeps one thin channel tile (`L` lanes, [`pack_lanes`] weights `wt`,
+/// `live` of them output channels) over every output of one image's
+/// `group` planes, storing each through `policy`'s epilogue at the row and
+/// plane pitch of `at` in `dst` (which starts at the first output of the
+/// tile's first channel) — every output, and nothing else. The caller has
+/// checked [`fills_chunk`].
+///
+/// [`pack_lanes`]: super::lane_tile::pack_lanes
+pub(super) fn sweep<const L: usize, A: Policy<L>>(
+    wt: &[f32],
+    group: &[f32],
+    [oh, ow, pw, plane]: [usize; 4],
+    (at, live): (OutGeom, usize),
+    policy: &A,
+    dst: &mut [f32],
+) {
+    debug_assert!(fills_chunk(oh, ow));
+    let geom = PlaneGeom { pw, ow, plane, at, region: (oh - 1) * at.row + ow };
     let span = span(oh, ow);
-    let idata = padded.data();
-    let wdata = conv.weight().data();
-
-    for ni in 0..n {
-        for grp in 0..groups {
-            let group = &idata[(ni * c_in + grp * cin_per_group) * geom.plane..];
-            let m0 = grp * cout_per_group;
-            let outs = &mut out[at.offset + (ni * c_out + m0) * at.plane..];
-            // Chunks outermost: one chunk's source windows stay in L1 while
-            // every pass of output channels sweeps them.
-            for at in (0..span).step_by(LANES) {
-                // The last chunk ends exactly with the span.
-                let at = at.min(span - LANES);
-                let pos = (at / pw, at % pw);
-                let mut mo = 0;
-                while mo < cout_per_group {
-                    let w = &wdata[(m0 + mo) * geom.kk..];
-                    let b = &conv.bias()[m0 + mo..];
-                    let o = &mut outs[mo * geom.at.plane..];
-                    // Two channels left go as two single passes: the
-                    // `<2>` instantiation never vectorised (SLP glued its
-                    // unrolled taps into `xmm` shuffles; 4→2 on a 58×58
-                    // plane read 9.7 GMAC/s, 18.5 this way).
-                    let left = cout_per_group - mo;
-                    let m = if left == 2 { 1 } else { left.min(4) };
-                    match m {
-                        1 => sweep_store::<1>(group, at, pos, &geom, w, b, o),
-                        3 => sweep_store::<3>(group, at, pos, &geom, w, b, o),
-                        _ => sweep_store::<4>(group, at, pos, &geom, w, b, o),
-                    }
-                    mo += m;
-                }
+    // Chunks outermost: one chunk's source windows stay in L1 while every
+    // pass of output channels sweeps them.
+    for first in (0..span).step_by(LANES) {
+        // The last chunk ends exactly with the span.
+        let first = first.min(span - LANES);
+        let chunk = (first, (first / pw, first % pw));
+        let mut mo = 0;
+        while mo < live {
+            // Two channels left go as two single passes: the `<2>`
+            // instantiation never vectorised (SLP glued its unrolled taps
+            // into `xmm` shuffles; 4→2 on a 58×58 plane read 9.7 GMAC/s,
+            // 18.5 this way).
+            let left = live - mo;
+            let m = if left == 2 { 1 } else { left.min(4) };
+            match m {
+                1 => pass::<1, L, A>(group, chunk, &geom, (wt, mo, policy), dst),
+                3 => pass::<3, L, A>(group, chunk, &geom, (wt, mo, policy), dst),
+                _ => pass::<4, L, A>(group, chunk, &geom, (wt, mo, policy), dst),
             }
+            mo += m;
         }
     }
 }
@@ -137,76 +121,147 @@ struct PlaneGeom {
     ow: usize,
     /// Elements per padded input plane.
     plane: usize,
-    /// Reduction length, `c_in / groups · 9`: one output channel's weights.
-    kk: usize,
     /// Where the outputs go.
     at: OutGeom,
     /// Elements from an output plane's first output to past its last:
     /// `(oh - 1)·row + ow`.
     region: usize,
-    /// Whether a ReLU is folded into the store.
-    relu: bool,
 }
 
-/// Sweeps chunk `at` — whose first lane is position `(row, col)` of the
-/// padded-width layout — for the `M` output channels whose weight rows,
-/// biases and output planes start `weights`, `bias` and `outs`, and stores
-/// the result.
-#[inline(never)] // one loop nest per `M`: inlined into the caller it measured 10 % slower
-fn sweep_store<const M: usize>(
+/// One pass over the chunk whose first lane is `first` — position `(row,
+/// col)` of the padded-width layout — for the `M` output channels `mo..`
+/// of the tile whose weights are `wt`: summed, passed through `policy`'s
+/// epilogue and stored into their planes of `outs`.
+#[inline]
+fn pass<const M: usize, const L: usize, A: Policy<L>>(
     group: &[f32],
-    at: usize,
-    (row, col): (usize, usize),
+    (first, pos): (usize, (usize, usize)),
     geom: &PlaneGeom,
-    weights: &[f32],
-    bias: &[f32],
+    (wt, mo, policy): (&[f32], usize, &A),
     outs: &mut [f32],
 ) {
-    let wrows: [&[f32]; M] = std::array::from_fn(|i| &weights[i * geom.kk..(i + 1) * geom.kk]);
-    let bias: [f32; M] = std::array::from_fn(|i| bias[i]);
-    let sums = sweep_chunk(group, at, geom.pw, geom.plane, wrows, bias);
-    for (m, sum) in sums.iter().enumerate() {
-        store_chunk(sum, row, col, geom, &mut outs[m * geom.at.plane..][..geom.region]);
+    let mut sums = sweep_chunk::<M, L, A>(group, (first, wt, mo), geom, policy);
+    if !policy.keeps_sums() {
+        emit_pass(&mut sums, mo, policy);
+    }
+    for (m, sum) in (mo..).zip(&sums) {
+        store_chunk(sum, pos, geom, &mut outs[m * geom.at.plane..][..geom.region]);
     }
 }
 
-/// Lanes `at..at + LANES` of `M` output channels' accumulator planes:
-/// `bias[m] + Σ_ci Σ_(kh,kw) w[m][ci][kh][kw] · group[ci·plane + kh·pw + at
-/// + lane + kw]`, each lane one sequential chain in `(ci, kh, kw)` order,
-/// held in registers across the whole reduction. Each source vector is
-/// loaded once and feeds all `M` channels, whose chains interleave.
-#[inline]
-fn sweep_chunk<const M: usize>(
+/// Lanes `first..first + LANES` of the accumulator planes of the `M`
+/// output channels `mo..` of the tile whose weights are `wt`: `start[mo +
+/// m] + Σ_ci Σ_(kh,kw) wt[ci][3kh + kw][mo + m] · group[ci·plane + kh·pw +
+/// first + lane + kw]`, each lane's taps taken in that `(ci, kh, kw)` order
+/// through `A::mac`, held in registers across the whole reduction as two
+/// [`VEC`]-lane halves. Each source vector is loaded once and feeds all `M`
+/// channels, whose chains interleave; under an exact policy a pass of at
+/// most four vectors sums each kernel row into a set of its own.
+///
+/// Shaped for the autovectoriser, and checked against it, like
+/// `lane_tile`: never inlined (one loop nest per `M`; the float sweep
+/// measured 10 % slower inlined into its caller), the lanes held by value
+/// in 8-lane halves (a 16-lane array went to `zmm` and shuffles), the row
+/// sets rotated rather than indexed (an index that is not a constant puts
+/// them on the stack), the epilogue kept out (`emit_pass`). After touching
+/// it, run `scripts/check_codegen.sh`: per symbol `2·M` multiply-adds per
+/// tap on `ymm` — `vfmadd231ps` for the exact policy, as many `vmulps` as
+/// `vaddps` for the ordered one — and no shuffle, `vgather`, `zmm` or
+/// scalar arithmetic.
+#[inline(never)]
+fn sweep_chunk<const M: usize, const L: usize, A: Policy<L>>(
     group: &[f32],
-    at: usize,
-    pw: usize,
-    plane: usize,
-    wrows: [&[f32]; M],
-    bias: [f32; M],
-) -> [[F32x8; 2]; M] {
-    let mut acc = bias.map(|b| [F32x8::splat(b); 2]);
-    for (chan, ci) in group.chunks_exact(plane).zip(0..wrows[0].len() / 9) {
+    (first, wt, mo): (usize, &[f32], usize),
+    geom: &PlaneGeom,
+    policy: &A,
+) -> [Lanes; M] {
+    let split = A::EXACT && 2 * M <= 4;
+    let start = policy.start();
+    let mut sets = [[[[0.0; VEC]; 2]; M]; 3];
+    let Some(lanes) = start.get(mo..mo + M) else {
+        debug_assert!(false, "a pass takes channels of its own tile");
+        return sets[0];
+    };
+    for (acc, &s) in sets[0].iter_mut().zip(lanes) {
+        *acc = [[s; VEC]; 2];
+    }
+    let [mut acc, mut acc1, mut acc2] = sets;
+    let pw = geom.pw;
+    let (taps, _) = wt.as_chunks::<L>();
+    for (chan, wci) in group.chunks_exact(geom.plane).zip(taps.chunks_exact(9)) {
         let (Some(r0), Some(r1), Some(r2)) =
-            (window(chan, at), window(chan, at + pw), window(chan, at + 2 * pw))
+            (window(chan, first), window(chan, first + pw), window(chan, first + 2 * pw))
         else {
-            debug_assert!(false, "plane_conv keeps every chunk's windows inside their plane");
-            return acc;
+            debug_assert!(false, "plane::sweep keeps every chunk's windows inside their plane");
+            break;
         };
-        let taps = wrows.map(|wrow| &wrow[ci * 9..ci * 9 + 9]);
-        for (kh, row) in [r0, r1, r2].into_iter().enumerate() {
-            for kw in 0..3 {
-                let x = [F32x8::load(&row[kw..]), F32x8::load(&row[kw + 8..])];
-                for (acc, wt) in acc.iter_mut().zip(taps) {
-                    // `add_scaled` multiplies, then adds — never fused.
-                    let w = F32x8::splat(wt[kh * 3 + kw]);
-                    acc[0] = acc[0].add_scaled(w, x[0]);
-                    acc[1] = acc[1].add_scaled(w, x[1]);
+        for (row, wr) in [r0, r1, r2].into_iter().zip(wci.chunks_exact(3)) {
+            for (kw, wk) in wr.iter().enumerate() {
+                let x = [load(&row[kw..]), load(&row[kw + VEC..])];
+                for (m, acc) in acc.iter_mut().enumerate() {
+                    let w = wk[mo + m];
+                    *acc = [mac::<L, A>(acc[0], w, x[0]), mac::<L, A>(acc[1], w, x[1])];
+                }
+            }
+            if split {
+                // The next kernel row sums into the next set.
+                (acc, acc1, acc2) = (acc1, acc2, acc);
+            }
+        }
+    }
+    if split {
+        for ((acc, acc1), acc2) in acc.iter_mut().zip(&acc1).zip(&acc2) {
+            for ((half, h1), h2) in acc.iter_mut().zip(acc1).zip(acc2) {
+                for ((a, &b), &c) in half.iter_mut().zip(h1).zip(h2) {
+                    *a += b + c;
                 }
             }
         }
     }
     acc
 }
+
+/// Passes the chunks `sums` of the output channels `mo..` through
+/// `policy`'s epilogue. A function of its own: inlined into the reduction,
+/// the integer epilogue led SLP to scalarise the one-channel pass's row
+/// sets; inlined into the store, to split each chunk into scalar, `xmm`
+/// and `ymm` pieces.
+#[inline(never)]
+fn emit_pass<const M: usize, const L: usize, A: Policy<L>>(
+    sums: &mut [Lanes; M],
+    mo: usize,
+    policy: &A,
+) {
+    for (m, acc) in (mo..).zip(sums) {
+        for half in acc {
+            for v in half {
+                *v = policy.emit(m, *v);
+            }
+        }
+    }
+}
+
+/// The first [`VEC`] elements of `s`, by value.
+#[inline(always)]
+fn load(s: &[f32]) -> [f32; VEC] {
+    let mut a = [0.0; VEC];
+    a.copy_from_slice(&s[..VEC]);
+    a
+}
+
+/// `A::mac(w, x, acc)` on [`VEC`] lanes.
+#[inline(always)]
+fn mac<const L: usize, A: Policy<L>>(acc: [f32; VEC], w: f32, x: [f32; VEC]) -> [f32; VEC] {
+    let mut out = acc;
+    for (o, &x) in out.iter_mut().zip(&x) {
+        *o = A::mac(w, x, *o);
+    }
+    out
+}
+
+/// One channel's accumulator chunk: [`LANES`] lanes as two [`VEC`]-lane
+/// halves.
+type Lanes = [[f32; VEC]; 2];
 
 /// The `LANES + 2` source elements one accumulator chunk reads from one
 /// row, starting at `at`.
@@ -215,10 +270,10 @@ fn window(src: &[f32], at: usize) -> Option<&[f32; LANES + 2]> {
     src.get(at..)?.first_chunk()
 }
 
-/// Writes one accumulator chunk's outputs into `out` (one output plane's
-/// region, from its first output to past its last, at the row pitch of
-/// `geom.at`). The chunk's first lane is position `(row, col)` of the
-/// padded-width layout; lanes in columns `ow..pw` are junk.
+/// Writes one finished chunk's outputs into `out`
+/// (one output plane's region, from its first output to past its last, at
+/// the row pitch of `geom.at`). The chunk's first lane is position `(row,
+/// col)` of the padded-width layout; lanes in columns `ow..pw` are junk.
 ///
 /// In a compact plane (row pitch `ow`) each run of valid lanes is stored
 /// with one fixed-size `LANES`-wide copy that starts at the run's first
@@ -227,23 +282,17 @@ fn window(src: &[f32], at: usize) -> Option<&[f32; LANES + 2]> {
 /// plane ran 34 µs with it, 20 µs without). The lanes such a copy writes
 /// past the end of its run land on outputs that come *later* in the plane,
 /// and every one of those is written with its real value afterwards — by
-/// the next run of this chunk or by a later chunk, which `plane_conv`
+/// the next run of this chunk or by a later chunk, which `sweep`
 /// visits in ascending order — so nothing junk survives. A copy that would
 /// cross the end of the region, into the next channel's, is cut to its run
 /// instead. In a wider row (a padded buffer's interior, a block of a whole
 /// map) the elements past a run belong to a halo or to a neighbouring
 /// block, so every run is cut to its row there.
 #[inline]
-fn store_chunk(sum: &[F32x8; 2], row: usize, col: usize, geom: &PlaneGeom, out: &mut [f32]) {
+fn store_chunk(sum: &Lanes, (row, col): (usize, usize), geom: &PlaneGeom, out: &mut [f32]) {
     let mut lanes = [0.0f32; 2 * LANES];
-    sum[0].store(&mut lanes);
-    sum[1].store(&mut lanes[8..]);
-    if geom.relu {
-        for v in &mut lanes[..LANES] {
-            if *v < 0.0 {
-                *v = 0.0;
-            }
-        }
+    for (half, sum) in lanes.chunks_exact_mut(VEC).zip(sum) {
+        half.copy_from_slice(sum);
     }
     let compact = geom.at.row == geom.ow;
     let (mut lane, mut row, mut col) = (0, row, col);

@@ -10,9 +10,9 @@
 //! * [`conv`] — 2-D convolution with stride, padding and groups
 //!   (grouped convolution covers the depthwise case of MobileNet-V1);
 //! * [`kernel`] — the two conv kernels a [`KernelKind`] names: the direct
-//!   loop and the fast path (channel-lane kernel, plane kernel, or im2col +
-//!   a register-blocked sgemm, by layer shape), selected per layer by a
-//!   [`KernelPolicy`];
+//!   loop and the fast path (channel-lane or spatial-lane sweep, or
+//!   im2col and a register-blocked sgemm, by layer shape), selected per
+//!   layer by a [`KernelPolicy`];
 //! * [`pool`] — max / average / global-average pooling;
 //! * [`activation`], [`elementwise`], [`upsample`], [`linear`] — the rest of
 //!   the operators required by the seven networks evaluated in the paper;

@@ -1,34 +1,36 @@
-//! The float fast path's two 3×3 kernels against the direct loop, **bit for
+//! The float fast path's two 3×3 sweeps against the direct loop, **bit for
 //! bit**, over every small shape: every padded plane from 3×3 (one output)
 //! to 22×22 — so every output width 1..=20 and with it every 8 / 4 / 2 / 1
-//! mix of the channel-lane kernel's pixel tiles, and both sides of the
-//! plane kernel's one-chunk minimum below which the GEMM keeps thin
-//! layers — per-group output channel counts on both sides of the kernel
-//! dispatch (7 | 8), with every remainder of the plane kernel's
-//! four-channel passes and every kind of last channel tile (16 or 8 lanes,
-//! full or ragged), grouped layers and batches, non-zero bias, through
-//! **one** scratch and one NaN-filled output that keep shrinking and
-//! growing — and through all three entry points that reach the kernels.
-//! It is the twin of `crates/quant/tests/plane_kernel_shapes.rs`.
+//! mix of the channel-lane tile's pixels, and both sides of the
+//! spatial-lane sweep's one-chunk minimum below which thin layers run the
+//! channel-lane tile — per-group output channel counts on both sides of
+//! the axis choice (7 | 8), with every remainder of the spatial-lane
+//! sweep's four-channel passes and every kind of last channel tile (16 or
+//! 8 lanes, full or ragged), grouped layers and batches, non-zero bias,
+//! through **one** scratch and one NaN-filled output that keep shrinking
+//! and growing — and through every entry point that reaches the sweeps,
+//! the fused chains' store into a region of a NaN-bordered map of wider
+//! planes with a ReLU folded in included. It is the twin of
+//! `crates/quant/tests/plane_kernel_shapes.rs`.
 //!
 //! Inputs are random floats, which is what makes this a test of the
 //! accumulation *order*: a fused multiply-add, a split chain or any other
 //! reassociation changes the rounding of nearly every output, so an
 //! accidental one fails here with near certainty. Signed zeros, subnormals,
 //! infinities and NaNs sit at both ends of every channel plane, next to the
-//! wrap columns whose lanes are junk in the plane kernel, so a junk lane
-//! that leaked into an output would show.
+//! wrap columns whose lanes are junk in the spatial-lane sweep, so a junk
+//! lane that leaked into an output would show.
 
 use bconv_core::blocking::BlockGrid;
 use bconv_core::{BlockConv2d, BlockConvScratch};
 use bconv_tensor::conv::{Conv2d, ConvGeom};
 use bconv_tensor::init::{he_conv2d, seeded_rng, uniform_tensor};
-use bconv_tensor::kernel::{ConvScratch, KernelKind, KernelPolicy, PackedWeights};
+use bconv_tensor::kernel::{ConvScratch, KernelKind, KernelPolicy, OutGeom, PackedWeights};
 use bconv_tensor::{PadMode, Tensor, TensorError};
 
 /// Per-group input / output channel counts, group counts and batch sizes.
-/// Up to seven output channels per group keep the plane kernel, the rest
-/// take channel lanes: 8, 16 and 24 fill their 8- and 16-lane tiles, 9 /
+/// Up to seven output channels per group take the spatial lanes, the rest
+/// channel lanes: 8, 16 and 24 fill their 8- and 16-lane tiles, 9 /
 /// 12 / 17 / 33 leave a ragged last one.
 const CIN: [usize; 4] = [1, 3, 16, 21];
 const COUT: [usize; 14] = [1, 2, 3, 4, 5, 6, 7, 8, 9, 12, 16, 17, 24, 33];
@@ -113,6 +115,26 @@ fn assert_fast_equals_direct(conv: &Conv2d, padded: &Tensor, buf: &mut Buffers, 
         }
         buf.out = out;
     }
+    // The fused-chain entry: stored at a region of a NaN-filled map of
+    // wider planes, ReLU'd on the way (`relu_inplace`'s `v < 0.0` test);
+    // the border must keep the fill's bits.
+    let [_, c_out, oh, ow] = want.shape().dims();
+    let (top, left, [map_h, map_w]) = (1, 2, [oh + 3, ow + 4]);
+    let mut map = vec![f32::NAN; n * c_out * map_h * map_w];
+    let at = OutGeom::region(top, left, [map_h, map_w]);
+    packed.forward_prepadded_at(conv, padded, &mut map, at, true).unwrap();
+    for (p, plane) in map.chunks_exact(map_h * map_w).enumerate() {
+        for (i, &got) in plane.iter().enumerate() {
+            let (y, x) = (i / map_w, i % map_w);
+            if (top..top + oh).contains(&y) && (left..left + ow).contains(&x) {
+                let want = want.data()[(p * oh + y - top) * ow + x - left];
+                let want = if want < 0.0 { 0.0 } else { want };
+                assert!(same(got, want), "{what} stored at: plane {p} ({y}, {x}) is {got:e}");
+            } else {
+                assert_eq!(got.to_bits(), f32::NAN.to_bits(), "{what} stored at: border touched");
+            }
+        }
+    }
 }
 
 /// Runs combination `combo` (an index into the cross product of the
@@ -147,9 +169,9 @@ fn every_plane_shape_matches_the_direct_loop() {
         }
     }
     // Every combination on a wide strip, the plane of an 8x8 block, the
-    // smallest plane the plane kernel takes (5x6: a span of exactly one
-    // chunk), the largest it leaves to the GEMM (5x5), and the planes of a
-    // 1x2 and a 1x1 output, largest first.
+    // smallest plane the spatial-lane sweep takes (5x6: a span of exactly
+    // one chunk), the largest it leaves to the channel-lane tile (5x5), and
+    // the planes of a 1x2 and a 1x1 output, largest first.
     for (ph, pw) in [(5, 22), (10, 10), (5, 6), (5, 5), (3, 4), (3, 3)] {
         for combo in 0..COMBOS {
             check(&mut buf, ph, pw, combo);
@@ -170,7 +192,7 @@ fn every_plane_shape_matches_the_direct_loop() {
 #[test]
 fn wide_layers_and_block_planes_match_the_direct_loop() {
     let mut buf = Buffers::default();
-    // Neither kernel has a reduction-length cutover: a 64-channel layer
+    // Neither sweep has a reduction-length cutover: a 64-channel layer
     // (kk = 576) runs the same sweep as a 3-channel one. The planes are the
     // repo benchmark's: 16x16 and 56x56 blocks and the 98x98 calibration map.
     for (shape, plane) in [

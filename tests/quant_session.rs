@@ -257,10 +257,11 @@ fn whole_map_integer_chains_match_the_direct_loop_bit_for_bit() {
     // stores that conv's input — quantized, inside a zero border — and the
     // consumer reads it in place, skipping the border's taps; under
     // `Direct` every conv pads and quantizes its own input for the i64
-    // loop. vdsr stages every conv pair (16 channels: channel lanes, 8:
-    // spatial lanes), vgg's pools break the runs, resnet's residual convs
-    // have two consumers and its 1x1 convs run the GEMM; w8a16 leaves the
-    // exact range and stages nothing; ReLU nodes break every pair. One
+    // loop. vdsr stages every conv pair (16 and 8 channels: channel lanes;
+    // its last, one-channel conv runs spatial lanes), vgg's pools break
+    // the runs, resnet's residual convs have two consumers and its 1x1
+    // convs run the GEMM; w8a16 leaves the exact range and stages nothing;
+    // ReLU nodes break every pair. One
     // scratch per session serves 1- and 3-image inputs in turn, outputs
     // recycled, so a pooled buffer that kept stale values would show.
     let nets = [
