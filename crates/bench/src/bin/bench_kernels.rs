@@ -78,12 +78,12 @@ fn run() -> Result<(), Box<dyn std::error::Error>> {
         let speedup = baseline_times.0 / us;
         // Requested = what the config asks the session for; effective =
         // how many workers can actually run concurrently: the executor
-        // clamps to the fusion group's block count, the host to its cores.
+        // clamps to the chain's block count, the host to its cores.
         let blocks = session
             .plan()
             .segments()
             .iter()
-            .flat_map(Segment::groups)
+            .flat_map(Segment::chains)
             .map(|(chain, _)| chain.in_grid().num_blocks())
             .max()
             .unwrap_or(1);

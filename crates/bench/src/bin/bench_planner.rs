@@ -5,7 +5,9 @@
 //!
 //! Writes `BENCH_planner.json`: per (network × cost model) the planner's
 //! decisions (fusion groups, cost cuts, splices — from `PlanReport`),
-//! the measured off-chip traffic, and the median run time. Asserts that
+//! the measured off-chip traffic and working-set peak (exact `MemStats`
+//! counts, gated by `bench_check` like the traffic), and the median run
+//! time. Asserts that
 //! the accel model's plan moves strictly fewer off-chip bits and stays
 //! bitwise identical — the cost model is a schedule policy, not a
 //! numerics change.
@@ -39,6 +41,7 @@ struct Measurement {
     splices: usize,
     offchip_elems: usize,
     offchip_bits: u64,
+    peak_working_elems: usize,
     median_us: f64,
     min_us: f64,
     output_matches_baseline: bool,
@@ -103,19 +106,21 @@ fn run() -> Result<(), Box<dyn std::error::Error>> {
                 splices: pr.splices.len(),
                 offchip_elems: report.stats.offchip_elems,
                 offchip_bits: report.stats.offchip_bits(),
+                peak_working_elems: report.stats.peak_working_elems,
                 median_us: us,
                 min_us,
                 output_matches_baseline: report.output.data() == baseline_out.data(),
             };
             println!(
                 "{:<12} {:<15} groups={:<2} cuts={:<2} splices={:<2} offchip_bits={:>8} \
-                 median {:>8.1} us  bitwise-match {}",
+                 peak={:>6} median {:>8.1} us  bitwise-match {}",
                 m.network,
                 m.cost_model,
                 m.fusion_groups,
                 m.cost_cuts,
                 m.splices,
                 m.offchip_bits,
+                m.peak_working_elems,
                 m.median_us,
                 m.output_matches_baseline
             );
@@ -149,6 +154,7 @@ fn run() -> Result<(), Box<dyn std::error::Error>> {
             ("splices", m.splices.into()),
             ("offchip_elems", m.offchip_elems.into()),
             ("offchip_bits", m.offchip_bits.into()),
+            ("peak_working_elems", m.peak_working_elems.into()),
             ("median_us", Json::fixed(m.median_us, 1)),
             ("min_us", Json::fixed(m.min_us, 1)),
             ("output_matches_baseline", m.output_matches_baseline.into()),

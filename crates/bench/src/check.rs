@@ -27,8 +27,9 @@ pub fn load(path: &str) -> Result<Json, String> {
 pub enum FindingKind {
     /// Throughput regressed beyond the tolerance — fails the gate.
     Regression,
-    /// Off-chip traffic increased (any amount) — fails the gate.
-    OffchipIncrease,
+    /// Off-chip traffic or the on-chip working-set peak increased (any
+    /// amount) — fails the gate.
+    MemoryIncrease,
     /// A baseline entry — or a gated metric of one — has no fresh
     /// counterpart and no skip flag excuses it — fails the gate (silent
     /// coverage loss).
@@ -63,13 +64,18 @@ impl fmt::Display for Finding {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let tag = match self.kind {
             FindingKind::Regression => "REGRESSION",
-            FindingKind::OffchipIncrease => "OFFCHIP-INCREASE",
+            FindingKind::MemoryIncrease => "MEMORY-INCREASE",
             FindingKind::MissingEntry => "MISSING",
             FindingKind::Skipped => "skipped",
         };
         write!(f, "[{tag}] {}/{}: {}", self.bench, self.entry, self.detail)
     }
 }
+
+/// The deterministic per-row columns no fresh run may raise at all: the
+/// off-chip traffic and the on-chip working-set peak (exact `MemStats`
+/// counts, identical on every host).
+const MEMORY_METRICS: [&str; 3] = ["offchip_bits", "offchip_elems", "peak_working_elems"];
 
 /// How far a `blocked_over_direct` ratio may rise over its baseline.
 pub const BLOCKED_OVER_DIRECT_SLACK_PCT: f64 = 10.0;
@@ -127,8 +133,8 @@ fn entry_is_parallel(entry: &Json) -> bool {
 /// * `min_us`/`median_us` growing beyond `tolerance_pct` →
 ///   [`FindingKind::Regression`];
 /// * `throughput_rps` shrinking beyond `tolerance_pct` → regression;
-/// * `offchip_bits` / `offchip_elems` increasing at all →
-///   [`FindingKind::OffchipIncrease`] (these are deterministic);
+/// * `offchip_bits` / `offchip_elems` / `peak_working_elems` increasing
+///   at all → [`FindingKind::MemoryIncrease`] (these are deterministic);
 /// * per-entry `"skipped": true` in the fresh run, or a missing fresh
 ///   *parallel* entry under a top-level `*_skipped` flag →
 ///   [`FindingKind::Skipped`] (exempt);
@@ -239,12 +245,13 @@ pub fn check_bench(bench: &str, baseline: &Json, fresh: &Json, tolerance_pct: f6
             (Some(_), None) => findings.push(dropped("throughput_rps")),
             _ => {}
         }
-        // Off-chip traffic is deterministic: any increase fails.
-        for metric in ["offchip_bits", "offchip_elems"] {
+        // Off-chip traffic and the working-set peak are deterministic: any
+        // increase fails.
+        for metric in MEMORY_METRICS {
             match (num(base, metric), num(new, metric)) {
                 (Some(b), Some(f)) if f > b => findings.push(finding(
                     &key,
-                    FindingKind::OffchipIncrease,
+                    FindingKind::MemoryIncrease,
                     format!("{metric} {b} -> {f}"),
                 )),
                 (Some(_), None) => findings.push(dropped(metric)),
@@ -380,7 +387,34 @@ mod tests {
         assert!(check_bench("t", &base, &same, 25.0).is_empty());
         let f = check_bench("t", &base, &worse, 25.0);
         assert_eq!(f.len(), 1);
-        assert_eq!(f[0].kind, FindingKind::OffchipIncrease);
+        assert_eq!(f[0].kind, FindingKind::MemoryIncrease);
+    }
+
+    #[test]
+    fn any_peak_working_elems_increase_fails() {
+        let row = |peak: usize| {
+            doc(
+                &format!(r#"{{"name": "a", "offchip_bits": 1000, "peak_working_elems": {peak}}}"#),
+                "",
+            )
+        };
+        let base = row(5000);
+        assert!(check_bench("t", &base, &row(5000), 25.0).is_empty());
+        assert!(check_bench("t", &base, &row(4999), 25.0).is_empty());
+        let f = check_bench("t", &base, &row(5001), 25.0);
+        assert_eq!(f.len(), 1);
+        assert_eq!(f[0].kind, FindingKind::MemoryIncrease);
+        assert!(f[0].detail.contains("peak_working_elems"), "{}", f[0]);
+        // Gated on any host, and a dropped column cannot bypass it.
+        let cross = doc(
+            r#"{"name": "a", "offchip_bits": 1000, "peak_working_elems": 5001}"#,
+            ", \"available_parallelism\": 64",
+        );
+        let f = check_bench("t", &base, &cross, 25.0);
+        assert!(f.iter().any(|x| x.kind == FindingKind::MemoryIncrease), "{f:?}");
+        let dropped = doc(r#"{"name": "a", "offchip_bits": 1000}"#, "");
+        let f = check_bench("t", &base, &dropped, 25.0);
+        assert!(f.iter().any(|x| x.kind == FindingKind::MissingEntry), "{f:?}");
     }
 
     #[test]
@@ -518,7 +552,7 @@ mod tests {
             ", \"available_parallelism\": 4",
         );
         let f = check_bench("t", &base, &worse, 25.0);
-        assert!(f.iter().any(|x| x.kind == FindingKind::OffchipIncrease));
+        assert!(f.iter().any(|x| x.kind == FindingKind::MemoryIncrease));
         // Same core count: the timing gate is armed.
         let same_host = doc(
             r#"{"name": "a", "min_us": 1000.0, "offchip_bits": 1000}"#,

@@ -46,10 +46,11 @@ fn every_bench_document_parses_and_keeps_the_committed_fields() {
         assert_eq!(fresh.get("quick").and_then(Json::as_bool), Some(true));
         // Timings of an unoptimised test build mean nothing; what must hold
         // is that no baseline row or gated column went missing and the
-        // deterministic off-chip columns did not grow.
+        // deterministic memory columns (off-chip traffic, working-set
+        // peak) did not grow.
         for f in check_bench(bench, &baseline, &fresh, 25.0) {
             assert!(
-                !matches!(f.kind, FindingKind::MissingEntry | FindingKind::OffchipIncrease),
+                !matches!(f.kind, FindingKind::MissingEntry | FindingKind::MemoryIncrease),
                 "{f}"
             );
         }

@@ -4,9 +4,14 @@
 //! be carried out *per block*: a block flows through conv → relu → pool →
 //! conv → ... entirely in on-chip-sized buffers, and only the first input
 //! and the final output ever cross the off-chip boundary. [`FusedChain`]
-//! models one such fusion group; [`FusedPipeline`] chains groups with an
-//! on-chip "extra buffer" concatenation between them (Figure 10's CONV4
-//! stage, where fixed blocking splices pooled blocks back together).
+//! models one such fusion group. Groups that share one block layout — each
+//! planned on the grid the one before leaves behind, as hierarchical
+//! blocking always does — are one chain too ([`FusedChain::extend`]):
+//! block *i* of a group reads only block *i* of its predecessor, so a block
+//! flows through all their stages with no map between them.
+//! [`FusedPipeline`] chains groups whose joint re-grids, with an on-chip
+//! "extra buffer" concatenation between them (Figure 10's CONV4 stage,
+//! where fixed blocking splices pooled blocks back together).
 //!
 //! # One block loop: every stage stores where the next one reads
 //!
@@ -241,7 +246,8 @@ impl StepBuf {
 /// [`BlockScratch`] shared by every group, plus the two alternating
 /// group-boundary maps (the accelerator's extra buffer of Figure 10 —
 /// one holds the upstream group's spliced output while the downstream
-/// group writes the next boundary into the other).
+/// group writes the next boundary into the other). Only a joint that
+/// re-grids needs them; aligned groups run as one chain.
 #[derive(Debug, Default)]
 pub struct PipelineScratch {
     block: BlockScratch,
@@ -279,7 +285,7 @@ pub struct FusedChain {
 
 impl FusedChain {
     /// Plans a fusion group for inputs tiled by `grid` — the one way to
-    /// build a chain.
+    /// build a chain ([`extend`](Self::extend) continues one).
     ///
     /// Convolutions must be stride-1 (strided layers are expressed as
     /// conv + pool per the paper's baseline rewrite); pooling requires the
@@ -310,12 +316,39 @@ impl FusedChain {
         policy: KernelPolicy,
         quant: Option<(u8, &[QParams])>,
     ) -> Result<Self, TensorError> {
-        let (len, in_grid) = (ops.len(), grid.clone());
-        let mut cur = grid;
-        let mut steps: Vec<Step> = Vec::with_capacity(ops.len());
-        let mut load = Epilogue::NONE;
+        let empty = Self {
+            steps: Vec::with_capacity(ops.len()),
+            load: Epilogue::NONE,
+            len: 0,
+            in_grid: grid.clone(),
+            out_grid: grid,
+        };
+        empty.extend(ops, pad_mode, policy, quant)
+    }
+
+    /// Plans `ops` on the chain's output grid and appends them: the body of
+    /// [`plan`](Self::plan), which starts from an empty chain, so a chain
+    /// planned group by group is the chain planned over the union of the
+    /// groups' ops on the first group's grid. This is how aligned fusion
+    /// groups — each reading exactly the grid the one before leaves behind
+    /// — compile into one chain, every conv planned once. `quant` is the
+    /// chain's precision and covers the convolutions of `ops` only; ReLUs
+    /// at the head of `ops` fold into the chain's last step.
+    ///
+    /// # Errors
+    ///
+    /// As [`plan`](Self::plan).
+    pub fn extend(
+        mut self,
+        ops: Vec<ChainOp>,
+        pad_mode: PadMode,
+        policy: KernelPolicy,
+        quant: Option<(u8, &[QParams])>,
+    ) -> Result<Self, TensorError> {
+        self.len += ops.len();
         let mut conv_idx = 0usize;
         for op in ops {
+            let cur = &self.out_grid;
             let (op, out_grid) = match op {
                 ChainOp::Conv(conv) => {
                     if conv.geom().stride != 1 {
@@ -359,16 +392,16 @@ impl FusedChain {
                     (op, out_grid)
                 }
                 ChainOp::Relu => {
-                    match steps.last_mut() {
+                    match self.steps.last_mut() {
                         Some(step) => step.epi.relu = true,
-                        None => load.relu = true,
+                        None => self.load.relu = true,
                     }
                     continue;
                 }
                 ChainOp::MaxPool { k } => (Op::Pool { k }, cur.downscale(k)?),
             };
-            let in_grid = std::mem::replace(&mut cur, out_grid.clone());
-            steps.push(Step { op, in_grid, out_grid, epi: Epilogue::NONE });
+            let in_grid = std::mem::replace(&mut self.out_grid, out_grid.clone());
+            self.steps.push(Step { op, in_grid, out_grid, epi: Epilogue::NONE });
         }
         if let Some((_, act_params)) = quant {
             if act_params.len() != conv_idx {
@@ -380,11 +413,12 @@ impl FusedChain {
             }
         }
         // Every store lands in the format of the step that reads it.
-        load.requant = Step::reads_at(steps.first());
+        let steps = &mut self.steps;
+        self.load.requant = Step::reads_at(steps.first());
         for i in 0..steps.len() {
             steps[i].epi.requant = Step::reads_at(steps.get(i + 1));
         }
-        Ok(Self { steps, load, len, in_grid, out_grid: cur })
+        Ok(self)
     }
 
     /// Activation bitwidth of the chain's quantized stages, `None` for a
@@ -796,7 +830,9 @@ fn qconv_forward_map(
 
 /// A pipeline of fusion groups. Between groups the (now smaller) feature
 /// map is concatenated in an on-chip extra buffer and re-gridded — the
-/// fixed-blocking splice of Figure 4(a)/Figure 10.
+/// fixed-blocking splice of Figure 4(a)/Figure 10. Groups whose joint
+/// keeps the grid need no pipeline: [`FusedChain::extend`] makes them one
+/// chain.
 #[derive(Debug, Clone)]
 pub struct FusedPipeline {
     groups: Vec<FusedChain>,

@@ -3,9 +3,12 @@
 //! block-padding mode and on hierarchical, fixed and irregular fixed grids,
 //! run fused at one and two threads, must equal the layer-by-layer schedule
 //! bit for bit, and report the unpadded working-set peak of the grids.
+//! Aligned fusion groups — each planned on the grid the one before leaves
+//! behind — planned as one chain over their union must run exactly like
+//! the pipeline of the groups.
 
 use bconv_core::blocking::{BlockGrid, BlockingPattern};
-use bconv_core::fusion::{BlockScratch, ChainOp, FusedChain};
+use bconv_core::fusion::{BlockScratch, ChainOp, FusedChain, FusedPipeline};
 use bconv_quant::QParams;
 use bconv_tensor::conv::{Conv2d, ConvGeom};
 use bconv_tensor::init::{he_conv2d, seeded_rng, uniform_tensor};
@@ -77,6 +80,40 @@ fn grid_peak(chain: &FusedChain, ops: &[ChainOp], n: usize, mut c: usize) -> usi
     peak
 }
 
+/// 1–`max_ops` random ops on `c` channels tiled by `g`, pooling only where
+/// the grid stays aligned; `c` and `g` are left at the ops' output.
+fn random_ops(
+    d: &mut Draw,
+    c: &mut usize,
+    g: &mut BlockGrid,
+    max_ops: usize,
+    big_map: bool,
+) -> Vec<ChainOp> {
+    let mut ops = Vec::new();
+    for _ in 0..1 + d.below(max_ops) {
+        match d.below(5) {
+            0 | 1 => {
+                let conv = random_conv(d, *c, big_map);
+                *c = conv.c_out();
+                ops.push(ChainOp::conv(conv));
+            }
+            2 => ops.push(ChainOp::Relu),
+            _ => match g.downscale(2) {
+                Ok(pooled) => {
+                    *g = pooled;
+                    ops.push(ChainOp::MaxPool { k: 2 });
+                }
+                Err(_) => ops.push(ChainOp::Relu),
+            },
+        }
+    }
+    ops
+}
+
+fn bits(t: &Tensor) -> Vec<u32> {
+    t.data().iter().map(|v| v.to_bits()).collect()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
@@ -104,30 +141,12 @@ proptest! {
         let c0 = d.pick(&[1, 2, 3, 4]);
         let big_map = h * w > 400;
 
-        // 1–5 random ops, pooling only where the grid stays aligned.
-        let (mut ops, mut c, mut g) = (Vec::new(), c0, grid.clone());
-        for _ in 0..1 + d.below(5) {
-            match d.below(5) {
-                0 | 1 => {
-                    let conv = random_conv(&mut d, c, big_map);
-                    c = conv.c_out();
-                    ops.push(ChainOp::conv(conv));
-                }
-                2 => ops.push(ChainOp::Relu),
-                _ => match g.downscale(2) {
-                    Ok(pooled) => {
-                        g = pooled;
-                        ops.push(ChainOp::MaxPool { k: 2 });
-                    }
-                    Err(_) => ops.push(ChainOp::Relu),
-                },
-            }
-        }
+        let ops = random_ops(&mut d, &mut c0.clone(), &mut grid.clone(), 5, big_map);
         let convs = ops.iter().filter(|op| matches!(op, ChainOp::Conv(_))).count();
         let params: Vec<QParams> = (0..convs)
             .map(|_| {
-                let bits = precision.map_or(8, |(_, a)| a);
-                QParams::from_abs_max(0.25 + d.below(300) as f32 / 100.0, bits)
+                let act_bits = precision.map_or(8, |(_, a)| a);
+                QParams::from_abs_max(0.25 + d.below(300) as f32 / 100.0, act_bits)
             })
             .collect();
         let policy = if d.below(6) == 0 { KernelPolicy::Direct } else { KernelPolicy::Auto };
@@ -147,7 +166,6 @@ proptest! {
             let fused = chain.run_fused_into(&input, threads, &mut out, &mut scratch);
             match (&layerwise, fused) {
                 (Ok((want, _)), Ok(stats)) => {
-                    let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
                     prop_assert_eq!(out.shape(), want.shape());
                     prop_assert_eq!(bits(&out), bits(want), "threads {}: {:?}", threads, ops);
                     prop_assert_eq!(stats.peak_working_elems, grid_peak(&chain, &ops, n, c0));
@@ -157,6 +175,119 @@ proptest! {
                 (Err(_), Err(_)) => prop_assert_eq!(pad_mode, PadMode::Reflect),
                 (l, f) => prop_assert!(false, "layerwise {:?} vs fused {:?}", l.is_ok(), f.is_ok()),
             }
+        }
+    }
+
+    /// 2–4 aligned groups — each planned on the grid the group before
+    /// leaves behind, with and without pools — planned as one chain
+    /// over their union on the first grid: the pipeline's and the
+    /// layer-wise bits, the same off-chip elements, the largest of the
+    /// groups' peaks, and for every conv the grid and per-block padding its
+    /// own group gives it. The chain `extend` grows group by group is the
+    /// same chain.
+    #[test]
+    fn aligned_groups_plan_as_one_chain(
+        seed in 0u64..1_000_000_000,
+        hierarchical in 0usize..2,
+        mode in 0usize..3,
+        precision in 0usize..3,
+    ) {
+        let mut d = Draw(seed);
+        let g = 2 + 2 * hierarchical;
+        let (h, w) = (4 * g * (1 + d.below(3)), 4 * g * (1 + d.below(3)));
+        let grid = BlockGrid::from_pattern(h, w, BlockingPattern::hierarchical(g)).unwrap();
+        let pad_mode = PadMode::ALL[mode];
+        let precision = PRECISIONS[precision];
+        let (n, c0) = (1 + d.below(2), d.pick(&[1, 2, 3]));
+        // 2–4 groups, each opening at a conv (after a ReLU, at times) as
+        // the planner's groups do, then 1–3 random ops.
+        let (mut ops, mut bounds, mut c, mut g) = (Vec::new(), vec![0], c0, grid.clone());
+        for k in 0..2 + d.below(3) {
+            if k > 0 {
+                bounds.push(ops.len());
+                if d.below(3) == 0 {
+                    ops.push(ChainOp::Relu);
+                }
+            }
+            let conv = random_conv(&mut d, c, h * w > 400);
+            c = conv.c_out();
+            ops.push(ChainOp::conv(conv));
+            ops.extend(random_ops(&mut d, &mut c, &mut g, 3, h * w > 400));
+        }
+        bounds.push(ops.len());
+        let convs_in = |ops: &[ChainOp]| ops.iter().filter(|op| matches!(op, ChainOp::Conv(_))).count();
+        let act_bits = precision.map_or(8, |(_, a)| a);
+        let params: Vec<QParams> = (0..convs_in(&ops))
+            .map(|_| QParams::from_abs_max(0.25 + d.below(300) as f32 / 100.0, act_bits))
+            .collect();
+        let policy = if d.below(6) == 0 { KernelPolicy::Direct } else { KernelPolicy::Auto };
+        let plan = |ops: &[ChainOp], grid: BlockGrid, params: &[QParams]| {
+            let quant = precision.map(|(wb, _)| (wb, params));
+            FusedChain::plan(ops.to_vec(), grid, pad_mode, policy, quant)
+        };
+
+        let union = plan(&ops, grid.clone(), &params).unwrap();
+        let (mut groups, mut chained) = (Vec::<FusedChain>::new(), None::<FusedChain>);
+        let mut first_param = 0;
+        for span in bounds.windows(2) {
+            let group_ops = &ops[span[0]..span[1]];
+            let group_params = &params[first_param..first_param + convs_in(group_ops)];
+            first_param += group_params.len();
+            let in_grid = groups.last().map_or(&grid, |g| g.out_grid()).clone();
+            groups.push(plan(group_ops, in_grid, group_params).unwrap());
+            let quant = precision.map(|(wb, _)| (wb, group_params));
+            chained = Some(match chained {
+                None => groups[0].clone(),
+                Some(chain) => chain.extend(group_ops.to_vec(), pad_mode, policy, quant).unwrap(),
+            });
+        }
+        let chained = chained.unwrap();
+        prop_assert_eq!(union.len(), ops.len());
+        prop_assert_eq!(union.out_grid(), groups.last().unwrap().out_grid());
+
+        // Every conv is planned on its own group's grids and pads.
+        let own: Vec<_> = groups.iter().flat_map(FusedChain::convs).collect();
+        let merged: Vec<_> = union.convs().collect();
+        prop_assert_eq!(merged.len(), own.len());
+        for (m, o) in merged.iter().zip(&own) {
+            prop_assert_eq!(m.grid(), o.grid());
+            prop_assert_eq!(m.output_grid().unwrap(), o.output_grid().unwrap());
+            for row in 0..m.grid().num_rows() {
+                for col in 0..m.grid().num_cols() {
+                    prop_assert_eq!(m.block_padding(row, col), o.block_padding(row, col));
+                }
+            }
+        }
+
+        let mut input = uniform_tensor([n, c0, h, w], -1.5, 1.5, &mut seeded_rng(seed ^ 11));
+        if d.below(4) == 0 {
+            let at = d.below(input.data().len());
+            input.data_mut()[at] = f32::NAN;
+        }
+        let pipeline = FusedPipeline::new(groups.clone()).unwrap().run_fused(&input);
+        match (union.run_layerwise(&input), pipeline) {
+            (Ok((want, _)), Ok((piped, _))) => {
+                prop_assert_eq!(bits(&piped), bits(&want), "pipeline: {:?}", ops);
+                // Each group on the boundary map the group before produced.
+                let (mut map, mut group_peak) = (input.clone(), 0);
+                for group in &groups {
+                    let (next, stats) = group.run_fused(&map).unwrap();
+                    group_peak = group_peak.max(stats.peak_working_elems);
+                    map = next;
+                }
+                let mut scratch = BlockScratch::new();
+                for (chain, threads) in [(&union, 1usize), (&union, 2), (&chained, 1)] {
+                    let mut out = Tensor::filled([1, 1, 1, 1], f32::NAN);
+                    let stats = chain.run_fused_into(&input, threads, &mut out, &mut scratch).unwrap();
+                    prop_assert_eq!(bits(&out), bits(&want), "threads {}: {:?}", threads, ops);
+                    let offchip = input.shape().numel() + want.shape().numel();
+                    prop_assert_eq!(stats.offchip_elems, offchip);
+                    prop_assert_eq!(stats.peak_working_elems, group_peak);
+                }
+            }
+            // Reflect padding wider than a block fails on every schedule.
+            (Err(_), Err(_)) => prop_assert_eq!(pad_mode, PadMode::Reflect),
+            (l, p) => prop_assert!(false, "layerwise {:?} vs pipeline {:?}", l.is_ok(), p.is_ok()),
         }
     }
 }
@@ -181,7 +312,6 @@ fn float_chains_keep_every_halo_tap() {
     let input = Tensor::zeros([1, 1, 8, 8]);
     let (layerwise, _) = chain.run_layerwise(&input).unwrap();
     let (fused, _) = chain.run_fused(&input).unwrap();
-    let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
     assert_eq!(bits(&fused), bits(&layerwise));
     // The direct loop: `-0.0`, then every tap's product in order.
     assert!(fused.data().iter().all(|v| v.to_bits() == 0.0f32.to_bits()), "{:?}", fused.data());

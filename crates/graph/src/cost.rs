@@ -1,6 +1,8 @@
 //! Pluggable fusion cost models: the policy that decides where the
-//! planner cuts fusion groups and whether adjacent groups splice into a
-//! [`bconv_core::fusion::FusedPipeline`].
+//! planner cuts fusion groups and whether adjacent groups splice (keep
+//! their boundary map on chip: one chain where the groups share a block
+//! layout, a [`bconv_core::fusion::FusedPipeline`] where the joint
+//! re-grids).
 //!
 //! Two models ship with the crate:
 //!

@@ -12,11 +12,10 @@
 //! Group *depth* is the cost model's call: the default [`ElementBudget`]
 //! cuts on a flat element budget, while [`crate::cost::AccelCost`] asks
 //! the `bconv-accel` cycle/memory model and additionally **splices**
-//! adjacent compatible groups into a [`FusedPipeline`] (Figure 10's
-//! fixed-blocking splice), keeping the group-boundary map in the on-chip
-//! extra buffer instead of a DRAM round trip. Every decision is recorded
-//! in the plan's [`PlanReport`], so benches and tests can assert the
-//! planner's choices, not just its outputs.
+//! adjacent compatible groups, keeping the group-boundary map on chip
+//! instead of a DRAM round trip. Every decision is recorded in the plan's
+//! [`PlanReport`], so benches and tests can assert the planner's choices,
+//! not just its outputs.
 //!
 //! Planning is one pipeline, and the plan is the compiled artifact. The
 //! greedy walk and the splice pass produce a crate-private `PlanDecisions`
@@ -24,7 +23,13 @@
 //! and which groups splice — and `assemble` is the only code that turns
 //! decisions into something executable: [`FusedChain`]s,
 //! [`FusedPipeline`]s and [`Segment`]s, and, for a quantized plan, the
-//! integer form of every whole-map conv / FC node. Every conv is compiled
+//! integer form of every whole-map conv / FC node. Spliced groups that
+//! share one block layout — each opening on the grid the one before
+//! leaves behind, as under hierarchical blocking — assemble into one
+//! chain, so each block flows through all their stages (the paper's
+//! independent spatial sub-networks); only a joint that re-grids (fixed
+//! blocking cut after a pool, Figure 10's extra buffer) becomes a
+//! [`FusedPipeline`]. Every conv is compiled
 //! there once; [`crate::exec::PlanExecutor`] is a loop over the result. A
 //! fresh plan is walk → assemble; a [`crate::cache::PlanCache`] hit is
 //! parse → the same assemble. The walk's own block-convolution solves only
@@ -92,7 +97,11 @@ impl Default for PlannerOptions {
 #[derive(Debug, Clone)]
 pub enum Segment {
     /// A fusion group executed block-by-block; only its input and output
-    /// cross the off-chip boundary.
+    /// cross the off-chip boundary. A run of spliced groups that share one
+    /// block layout — each reading exactly the grid the one before leaves
+    /// behind, so block *i* of a group reads only block *i* of its
+    /// predecessor — compiles into this one chain too: every block flows
+    /// through all of the run's stages, and no boundary map exists.
     Fused {
         /// Node ids covered by the group, in execution order.
         nodes: Vec<NodeId>,
@@ -101,16 +110,18 @@ pub enum Segment {
         /// What the group reads.
         input: NodeRef,
     },
-    /// Adjacent fusion groups spliced into one pipeline (Figure 10's
-    /// fixed-blocking splice): group-boundary maps stay in the on-chip
-    /// extra buffer, so only the pipeline's input and final output cross
-    /// the off-chip boundary. Numerically identical to running the groups
-    /// as separate [`Segment::Fused`] segments — the splice is a schedule
-    /// change only.
+    /// Spliced fusion groups whose joints re-grid (Figure 10's
+    /// fixed-blocking splice, e.g. fixed blocks merged after a pooling):
+    /// each joint's boundary map stays in the on-chip extra buffer and is
+    /// re-tiled for the next chain, so only the pipeline's input and final
+    /// output cross the off-chip boundary. Aligned groups between two such
+    /// joints are one chain of the pipeline. Numerically identical to
+    /// running the groups as separate [`Segment::Fused`] segments — the
+    /// splice is a schedule change only.
     Spliced {
         /// Node ids covered by all groups, in execution order.
         nodes: Vec<NodeId>,
-        /// The spliced groups.
+        /// The chains, one per run of aligned groups.
         pipeline: FusedPipeline,
         /// What the first group reads.
         input: NodeRef,
@@ -132,11 +143,12 @@ impl Segment {
         }
     }
 
-    /// The fusion groups of the segment, each with the nodes it covers
-    /// (every chain stage covers exactly one node, so the flat node list
-    /// splits back into groups by chain length). Empty for whole-map
-    /// segments.
-    pub fn groups(&self) -> impl Iterator<Item = (&FusedChain, &[NodeId])> {
+    /// The chains of the segment, each with the nodes it covers (every
+    /// chain stage covers exactly one node, so the flat node list splits
+    /// back into chains by chain length). A chain may hold several aligned
+    /// fusion groups; [`ExecPlan::fusion_groups`] counts the groups. Empty
+    /// for whole-map segments.
+    pub fn chains(&self) -> impl Iterator<Item = (&FusedChain, &[NodeId])> {
         let (chains, mut rest): (&[FusedChain], &[NodeId]) = match self {
             Self::Fused { nodes, chain, .. } => (std::slice::from_ref(chain), nodes),
             Self::Spliced { nodes, pipeline, .. } => (pipeline.groups(), nodes),
@@ -247,8 +259,18 @@ pub(crate) struct GroupDecision {
 pub(crate) enum SegmentDecision {
     /// A node executed on whole feature maps.
     Single(NodeId),
-    /// One fusion group, or several spliced into a pipeline.
+    /// One fusion group, or several spliced together.
     Groups(Vec<GroupDecision>),
+}
+
+impl SegmentDecision {
+    /// The number of fusion groups the segment holds.
+    pub(crate) fn groups(&self) -> usize {
+        match self {
+            Self::Single(_) => 0,
+            Self::Groups(groups) => groups.len(),
+        }
+    }
 }
 
 /// Everything a compiled plan reduces to: the output of the planner walk,
@@ -382,10 +404,10 @@ impl ExecPlan {
         &self.decisions.report
     }
 
-    /// Number of fusion groups (spliced pipelines count each constituent
-    /// group).
+    /// Number of fusion groups the planner decided (spliced segments count
+    /// each constituent group, also where aligned groups run as one chain).
     pub fn fusion_groups(&self) -> usize {
-        self.segments.iter().map(|s| s.groups().count()).sum()
+        self.decisions.segments.iter().map(SegmentDecision::groups).sum()
     }
 
     /// Number of convolutions executing as block convolutions.
@@ -402,7 +424,8 @@ impl ExecPlan {
         self.blocked_convs as f64 / self.total_convs as f64
     }
 
-    /// Human-readable plan summary, one line per segment.
+    /// Human-readable plan summary, one line per segment. A fused segment
+    /// that holds several aligned groups says how many.
     pub fn describe(&self, graph: &Graph) -> String {
         let names = |ids: &[NodeId]| -> String {
             let names: Vec<&str> = ids.iter().map(|&n| graph.nodes()[n].name.as_str()).collect();
@@ -410,22 +433,28 @@ impl ExecPlan {
         };
         let pattern = self.pattern();
         let mut out = String::new();
-        for (i, seg) in self.segments.iter().enumerate() {
+        // Assembly keeps one segment per decided segment.
+        for (i, (seg, decided)) in self.segments.iter().zip(&self.decisions.segments).enumerate() {
+            let groups = decided.groups();
             match seg {
                 Segment::Fused { nodes, chain, .. } => {
+                    let aligned = if groups > 1 {
+                        format!("; {groups} aligned groups")
+                    } else {
+                        String::new()
+                    };
                     out.push_str(&format!(
-                        "segment {i}: fused [{}] under {pattern} ({} blocks)\n",
+                        "segment {i}: fused [{}] under {pattern} ({} blocks{aligned})\n",
                         names(nodes),
                         chain.in_grid().num_blocks(),
                     ));
                 }
-                Segment::Spliced { pipeline, .. } => {
-                    let groups: Vec<String> =
-                        seg.groups().map(|(_, ids)| format!("[{}]", names(ids))).collect();
+                Segment::Spliced { .. } => {
+                    let chains: Vec<String> =
+                        seg.chains().map(|(_, ids)| format!("[{}]", names(ids))).collect();
                     out.push_str(&format!(
-                        "segment {i}: spliced {} under {pattern} ({} groups)\n",
-                        groups.join(" => "),
-                        pipeline.groups().len(),
+                        "segment {i}: spliced {} under {pattern} ({groups} groups)\n",
+                        chains.join(" => "),
                     ));
                 }
                 Segment::Single(id) => {
@@ -487,19 +516,32 @@ pub(crate) fn assemble(
                 segments.push(Segment::Single(*id));
             }
             SegmentDecision::Groups(groups) => {
+                // Each maximal run of aligned groups — every one reading
+                // the grid the one before leaves — compiles into one
+                // chain; a pipeline joins the chains where the grid
+                // changes.
                 let first = next_id;
-                let mut chains = Vec::with_capacity(groups.len());
+                let mut chains: Vec<FusedChain> = Vec::with_capacity(groups.len());
                 for group in groups {
-                    let opens_segment = next_id == first;
-                    let chain =
-                        assemble_group(group, graph, next_id, opens_segment, pad, kernel, quant)?;
-                    blocked_convs += chain.convs().count();
+                    let (ops, params) = group_ops(group, graph, next_id, next_id == first, quant)?;
                     next_id += group.nodes.len();
+                    let quant = quant.map(|spec| (spec.weight_bits, params.as_slice()));
+                    let chain = match chains.pop() {
+                        Some(run) if *run.out_grid() == group.grid => {
+                            run.extend(ops, pad, kernel, quant)?
+                        }
+                        run => {
+                            // The joint re-grids: the chain before it stays.
+                            chains.extend(run);
+                            FusedChain::plan(ops, group.grid.clone(), pad, kernel, quant)?
+                        }
+                    };
                     chains.push(chain);
                 }
                 if chains.is_empty() {
                     return Err(misfit("a fused segment without groups".to_string()));
                 }
+                blocked_convs += chains.iter().map(|chain| chain.convs().count()).sum::<usize>();
                 let (ids, input) = ((first..next_id).collect(), nodes[first].input);
                 segments.push(match <[FusedChain; 1]>::try_from(chains) {
                     Ok([chain]) => Segment::Fused { nodes: ids, chain, input },
@@ -594,18 +636,17 @@ fn stage_map_convs(graph: &Graph, singles: &mut [Option<QuantSingle>]) {
     }
 }
 
-/// Builds the chain of one decided group, which must cover the nodes from
-/// `start` on. A group that opens its segment reads a materialised map;
-/// any other continues the pipeline of the group before it.
-fn assemble_group(
+/// The chain ops of one decided group, which must cover the nodes from
+/// `start` on, with the calibrated input range of each of its convs on a
+/// quantized plan. A group that opens its segment reads a materialised
+/// map; any other continues the group before it.
+fn group_ops(
     group: &GroupDecision,
     graph: &Graph,
     start: NodeId,
     opens_segment: bool,
-    pad: PadMode,
-    kernel: KernelPolicy,
     quant: Option<&GraphQuantSpec>,
-) -> Result<FusedChain, TensorError> {
+) -> Result<(Vec<ChainOp>, Vec<QParams>), TensorError> {
     let end = start + group.nodes.len();
     let span = graph
         .nodes()
@@ -645,8 +686,7 @@ fn assemble_group(
             }
         });
     }
-    let quant = quant.map(|spec| (spec.weight_bits, params.as_slice()));
-    FusedChain::plan(ops, group.grid.clone(), pad, kernel, quant)
+    Ok((ops, params))
 }
 
 /// Compiles [`Graph`]s into [`ExecPlan`]s.
@@ -739,8 +779,9 @@ impl Planner {
     /// accepts the extension. Anything else cuts the group — an off-chip
     /// boundary, exactly as the paper's normal-convolution fusion points
     /// do. A second pass then offers adjacent compatible groups to the
-    /// cost model for splicing into [`FusedPipeline`] segments, and the
-    /// resulting decisions are assembled into chains.
+    /// cost model for splicing, and the resulting decisions are assembled
+    /// into chains (aligned spliced groups into one, re-gridding joints
+    /// into [`FusedPipeline`] segments).
     ///
     /// # Errors
     ///
@@ -1174,7 +1215,18 @@ mod tests {
             "accel model took no splice:\n{}",
             accel.describe(&g)
         );
-        assert!(accel.segments().iter().any(|s| matches!(s, Segment::Spliced { .. })));
+        // The spliced groups share one block layout (H2x2 throughout), so
+        // each splice runs inside one chain: no pipeline, no boundary map.
+        assert!(!accel.segments().iter().any(|s| matches!(s, Segment::Spliced { .. })));
+        for splice in &accel.report().splices {
+            let joined = |s: &Segment| match s {
+                Segment::Fused { nodes, .. } => {
+                    nodes.contains(&splice.from_node) && nodes.contains(&splice.to_node)
+                }
+                _ => false,
+            };
+            assert!(accel.segments().iter().any(joined), "{splice:?}:\n{}", accel.describe(&g));
+        }
         assert_eq!(accel.report().cost_model, "accel-cost");
         // Both models cut somewhere; the splice re-fuses the boundary.
         assert!(!accel.report().cost_cuts.is_empty());
@@ -1204,16 +1256,19 @@ mod tests {
                 .plan(&g)
                 .unwrap();
         assert!(!plan.report().splices.is_empty(), "{}", plan.describe(&g));
-        for seg in plan.segments() {
-            if let Segment::Spliced { pipeline, .. } = seg {
-                assert_eq!(
-                    pipeline.groups().len(),
-                    2,
-                    "pair-limited extra buffer must cap pipelines at 2 groups:\n{}",
-                    plan.describe(&g)
-                );
-            }
-        }
+        let spliced_groups = |plan: &ExecPlan| -> Vec<usize> {
+            plan.decisions()
+                .segments
+                .iter()
+                .map(SegmentDecision::groups)
+                .filter(|&n| n > 1)
+                .collect()
+        };
+        assert!(
+            spliced_groups(&plan).iter().all(|&n| n == 2),
+            "pair-limited extra buffer must cap splices at 2 groups:\n{}",
+            plan.describe(&g)
+        );
         // A roomy extra buffer splices deeper on the same cuts.
         let deep = Planner::new(PlannerOptions {
             cost_model: Some(Arc::new(AccelCost::with_buffers(
@@ -1225,16 +1280,47 @@ mod tests {
         })
         .plan(&g)
         .unwrap();
-        let max_groups = deep
-            .segments()
-            .iter()
-            .filter_map(|s| match s {
-                Segment::Spliced { pipeline, .. } => Some(pipeline.groups().len()),
-                _ => None,
-            })
-            .max()
-            .unwrap_or(0);
+        let max_groups = spliced_groups(&deep).into_iter().max().unwrap_or(0);
         assert!(max_groups > 2, "{}", deep.describe(&g));
+        // Every VDSR group keeps the grid, so each splice is one chain.
+        for plan in [&plan, &deep] {
+            assert!(plan.segments().iter().all(|s| !matches!(s, Segment::Spliced { .. })));
+        }
+    }
+
+    /// A net whose splice re-grids: under F4 a cut right after the pool
+    /// opens the next group on 4×4 blocks of the pooled map, which the
+    /// pooled grid tiles in 2×2 ones; the group after it is aligned.
+    fn regrid_net() -> bconv_models::Network {
+        use bconv_models::builder::{conv, maxpool, NetBuilder};
+        let mut b = NetBuilder::new("regrid", bconv_models::ActShape { c: 2, h: 16, w: 16 });
+        b.push("conv1", conv(3, 1, 1, 2, 2));
+        b.push("pool", maxpool(2, 2, 0));
+        b.push("conv2", conv(3, 1, 1, 2, 32));
+        b.push("conv3", conv(3, 1, 1, 32, 2));
+        b.build()
+    }
+
+    #[test]
+    fn only_regridding_joints_become_pipelines() {
+        let g = lower(&regrid_net());
+        let plan = Planner::new(PlannerOptions {
+            pattern: BlockingPattern::fixed(4),
+            cost_model: Some(accel_like_budget(100)),
+            ..PlannerOptions::default()
+        })
+        .plan(&g)
+        .unwrap();
+        assert_eq!(plan.report().splices.len(), 2, "{}", plan.describe(&g));
+        assert_eq!((plan.fusion_groups(), plan.segments().len()), (3, 1));
+        let Segment::Spliced { pipeline, .. } = &plan.segments()[0] else {
+            panic!("the pooled joint re-grids:\n{}", plan.describe(&g));
+        };
+        // [conv1, pool] => [conv2, conv3]: the aligned joint is one chain.
+        let lens: Vec<usize> = pipeline.groups().iter().map(FusedChain::len).collect();
+        assert_eq!(lens, [2, 2]);
+        let [head, tail] = pipeline.groups() else { unreachable!() };
+        assert_eq!(head.out_grid().merge(2).unwrap(), *tail.in_grid());
     }
 
     #[test]
@@ -1246,9 +1332,21 @@ mod tests {
         })
         .plan(&g)
         .unwrap();
+        // vgg16_small's splice is aligned: one chain names both groups.
         let d = plan.describe(&g);
-        assert!(d.contains("spliced"), "{d}");
-        assert!(d.contains("=>"), "{d}");
+        assert!(d.contains("(4 blocks; 2 aligned groups)"), "{d}");
+        assert!(!d.contains("spliced"), "{d}");
+        let g = lower(&regrid_net());
+        let plan = Planner::new(PlannerOptions {
+            pattern: BlockingPattern::fixed(4),
+            cost_model: Some(accel_like_budget(100)),
+            ..PlannerOptions::default()
+        })
+        .plan(&g)
+        .unwrap();
+        let d = plan.describe(&g);
+        assert!(d.contains("spliced [conv1 -> pool] => [conv2 -> conv3]"), "{d}");
+        assert!(d.contains("(3 groups)"), "{d}");
     }
 
     #[test]
@@ -1263,7 +1361,7 @@ mod tests {
         .plan(&g)
         .unwrap();
         for seg in plan.segments() {
-            let spans: Vec<&[NodeId]> = seg.groups().map(|(_, ids)| ids).collect();
+            let spans: Vec<&[NodeId]> = seg.chains().map(|(_, ids)| ids).collect();
             for upstream in &spans[..spans.len().saturating_sub(1)] {
                 let boundary = *upstream.last().unwrap();
                 assert_eq!(g.consumer_count(boundary), 1, "spliced boundary {boundary} fans out");
@@ -1281,7 +1379,7 @@ mod tests {
         .plan(&g)
         .unwrap();
         for seg in plan.segments() {
-            let groups: Vec<_> = seg.groups().collect();
+            let groups: Vec<_> = seg.chains().collect();
             match seg {
                 Segment::Single(_) => assert!(groups.is_empty()),
                 Segment::Fused { nodes, chain, .. } => {

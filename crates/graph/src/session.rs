@@ -156,7 +156,7 @@ pub struct PlanSpec {
     /// [`Self::cost_model`] (rejected at build time as ambiguous).
     pub budget_elems: Option<usize>,
     /// Fusion cost model deciding where the planner cuts fusion groups and
-    /// whether adjacent groups splice into a `FusedPipeline` (see
+    /// whether adjacent groups splice, keeping their boundary on chip (see
     /// [`crate::cost`]); e.g. [`crate::cost::AccelCost`] plans against the
     /// `bconv-accel` cycle/memory model.
     pub cost_model: Option<Arc<dyn CostModel>>,
@@ -566,7 +566,7 @@ impl Session {
         };
         let mut out = Vec::new();
         for seg in self.exec_plan.segments() {
-            for (chain, ids) in seg.groups() {
+            for (chain, ids) in seg.chains() {
                 out.extend(
                     conv_names(ids).into_iter().zip(chain.convs().map(|b| b.kernel().name())),
                 );

@@ -42,7 +42,7 @@ use crate::cache::{fnv1a, graph_content_hash, host_fingerprint};
 use crate::cost::AccelCost;
 use crate::ir::{Graph, LowerOptions, NodeOp};
 use crate::json::Json;
-use crate::plan::{ExecPlan, Planner, PlannerOptions, Segment};
+use crate::plan::{ExecPlan, Planner, PlannerOptions, Segment, SegmentDecision};
 
 /// Schema version of cached tune winners.
 const WINNER_SCHEMA_VERSION: u64 = 1;
@@ -217,13 +217,17 @@ fn graph_macs(graph: &Graph) -> u64 {
 /// Splice boundaries whose upstream group's *output* grid — possibly
 /// pooled down to more, smaller blocks than the downstream pattern wants —
 /// re-merges in 2×2 clusters under [`BlockGrid::merge`]: the Fig. 4(a)
-/// pooling-aware re-grid at a splice joint.
+/// pooling-aware re-grid at a splice joint. Read off the planner's
+/// decisions, not the assembled chains (aligned groups share one). Every
+/// fused stage keeps its grid's block rows and columns — a stride-1 conv
+/// re-sizes blocks, a pooling shrinks them — so a group's output grid
+/// merges exactly when its decided input grid does.
 fn merge_ready_splices(plan: &ExecPlan) -> usize {
     let mut ready = 0usize;
-    for seg in plan.segments() {
-        let Segment::Spliced { pipeline, .. } = seg else { continue };
-        for pair in pipeline.groups().windows(2) {
-            if pair[0].out_grid().merge(2).is_ok() {
+    for seg in &plan.decisions().segments {
+        let SegmentDecision::Groups(groups) = seg else { continue };
+        for pair in groups.windows(2) {
+            if pair[0].grid.merge(2).is_ok() {
                 ready += 1;
             }
         }

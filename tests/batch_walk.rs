@@ -2,8 +2,11 @@
 //! images equals the concatenation of `n` solo runs bit for bit, and its
 //! `MemStats` follow the batch rule documented on `MemStats` — traffic is
 //! the sum over the images, the working-set peak is `n` × the one-image
-//! peak — on every segment kind (fused, spliced, whole-map), at both
-//! precisions and at any thread count.
+//! peak — on every segment kind (fused, a fused chain of aligned spliced
+//! groups, a spliced pipeline, whole-map), at both precisions and at any
+//! thread count.
+
+mod common;
 
 use bconv_accel::platform::zc706;
 use bconv_core::fusion::MemStats;
@@ -11,24 +14,28 @@ use bconv_core::plan::NetworkPlan;
 use bconv_core::BlockingPattern;
 use bconv_graph::{AccelCost, Backend, PlanSpec, Segment, Session};
 use bconv_models::small::vgg16_small;
+use bconv_models::Network;
 use bconv_tensor::init::{seeded_rng, uniform_tensor};
 use bconv_tensor::Tensor;
 
 const BACKENDS: [Backend; 2] =
     [Backend::Blocked, Backend::Quantized { weight_bits: 8, act_bits: 8 }];
 
-/// The three plan shapes, each checked to be what its name says.
-fn plans(backend: Backend, convs: usize) -> [(&'static str, PlanSpec); 3] {
+/// The four plan shapes, each checked to be what its name says.
+fn plans(backend: Backend) -> [(&'static str, Network, PlanSpec); 4] {
     let bits = match backend {
         Backend::Quantized { act_bits, .. } => act_bits,
         _ => 32,
     };
+    let vgg = vgg16_small(32);
+    let convs = Session::builder().network(vgg.clone()).build().unwrap().graph().conv_count();
     // The capacity `tests/plan_splice.rs` splices vgg16_small under.
-    let splicing = AccelCost::with_buffers(zc706(), 1500 * u64::from(bits) / 2, 1 << 24);
+    let aligned = AccelCost::with_buffers(zc706(), 1500 * u64::from(bits) / 2, 1 << 24);
     [
-        ("fused H2", PlanSpec::new().pattern(BlockingPattern::hierarchical(2))),
-        ("spliced", PlanSpec::new().cost_model(splicing)),
-        ("unblocked", PlanSpec::new().network_plan(NetworkPlan::unblocked(convs))),
+        ("fused H2", vgg.clone(), PlanSpec::new().pattern(BlockingPattern::hierarchical(2))),
+        ("aligned splice", vgg.clone(), PlanSpec::new().cost_model(aligned)),
+        ("spliced", common::regrid_net(2), common::regrid_spec(bits)),
+        ("unblocked", vgg, PlanSpec::new().network_plan(NetworkPlan::unblocked(convs))),
     ]
 }
 
@@ -37,6 +44,10 @@ fn assert_plan_is(name: &str, session: &Session) {
     let has = |pred: fn(&Segment) -> bool| plan.segments().iter().any(pred);
     let ok = match name {
         "fused H2" => has(|s| matches!(s, Segment::Fused { .. })),
+        // Spliced groups sharing one grid run as one chain.
+        "aligned splice" => {
+            !plan.report().splices.is_empty() && !has(|s| matches!(s, Segment::Spliced { .. }))
+        }
         "spliced" => has(|s| matches!(s, Segment::Spliced { .. })),
         _ => plan.fusion_groups() == 0,
     };
@@ -49,11 +60,9 @@ fn bits(t: &Tensor) -> Vec<u32> {
 
 #[test]
 fn a_batch_is_its_images_run_alone() {
-    let net = vgg16_small(32);
-    let s = net.input;
-    let convs = Session::builder().network(net.clone()).build().unwrap().graph().conv_count();
     for backend in BACKENDS {
-        for (name, spec) in plans(backend, convs) {
+        for (name, net, spec) in plans(backend) {
+            let s = net.input;
             for threads in [1usize, 2] {
                 let session = Session::builder()
                     .network(net.clone())

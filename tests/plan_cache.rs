@@ -15,11 +15,12 @@
 //! * `Session::fork` and `Session::into_router` share the already-built
 //!   plan (`Arc::ptr_eq`) rather than re-planning.
 
+mod common;
+
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use bconv_accel::platform::zc706;
 use bconv_core::plan::NetworkPlan;
 use bconv_core::BlockingPattern;
 use bconv_graph::cache::{PlanCache, PlanCacheError, PlanKey};
@@ -27,9 +28,8 @@ use bconv_graph::cost::ElementBudget;
 use bconv_graph::json::Json;
 use bconv_graph::tune::{tune, TuneOptions};
 use bconv_graph::{
-    AccelCost, Backend, ExecPlan, Executor, GraphQuantSpec, KernelPolicy, PlanExecutor,
-    PlanProvenance, PlanSpec, Planner, PlannerOptions, RunReport, Segment, ServeConfig, Session,
-    SessionBuilder,
+    Backend, ExecPlan, Executor, GraphQuantSpec, KernelPolicy, PlanExecutor, PlanProvenance,
+    PlanSpec, Planner, PlannerOptions, RunReport, Segment, ServeConfig, Session, SessionBuilder,
 };
 use bconv_models::builder::{conv, maxpool, NetBuilder};
 use bconv_models::small::{vdsr_small, vgg16_small};
@@ -195,8 +195,8 @@ fn integers_past_u64_in_a_plan_file_are_typed_errors() {
     // and overflow the sum of stored group lengths. Put it in place of
     // every number of a stored plan with splices, one at a time.
     let dir = temp_cache_dir("overflow");
-    let net = vgg16_small(32);
-    let spec = PlanSpec::new().cost_model(AccelCost::with_buffers(zc706(), 1500 * 32 / 2, 1 << 24));
+    let net = common::regrid_net(2);
+    let spec = common::regrid_spec(32);
     let session =
         Session::builder().network(net).planner(spec.clone()).plan_cache(&dir).build().unwrap();
     assert!(session.plan().segments().iter().any(|s| matches!(s, Segment::Spliced { .. })));
@@ -428,14 +428,14 @@ fn mutated_plan_files_never_panic_and_never_change_results() {
     const MUTANTS_PER_TARGET: usize = 700;
     let w8a8 = Backend::Quantized { weight_bits: 8, act_bits: 8 };
     let f8 = PlanSpec::new().pattern(BlockingPattern::fixed(8));
-    let spliced =
-        PlanSpec::new().cost_model(AccelCost::with_buffers(zc706(), 1500 * 32 / 2, 1 << 24));
+    // A pipeline of two chains: a re-gridding joint and an aligned one.
+    let spliced = common::regrid_spec(32);
     // Every conv of the four-conv VDSR a whole-map integer op.
     let unblocked = PlanSpec::new().network_plan(NetworkPlan::unblocked(4));
     let targets = [
         ("vgg16_small", vgg16_small(32), Backend::Blocked, PlanSpec::new()),
         ("vdsr_small", vdsr_small(24, 4, 8), w8a8, f8),
-        ("vgg16_small-spliced", vgg16_small(32), Backend::Blocked, spliced),
+        ("regrid-spliced", common::regrid_net(2), Backend::Blocked, spliced),
         ("vdsr_small-unblocked", vdsr_small(24, 4, 8), w8a8, unblocked),
         // Integer FC heads behind the fused integer trunk.
         ("vgg16_small-w8a8", vgg16_small(32), w8a8, PlanSpec::new()),
@@ -458,6 +458,8 @@ fn mutated_plan_files_never_panic_and_never_change_results() {
         let want = fresh.run(&input).unwrap();
         if name.ends_with("spliced") {
             assert!(!fresh.plan().report().splices.is_empty(), "{name} must store splices");
+            let segments = fresh.plan().segments();
+            assert!(segments.iter().any(|s| matches!(s, Segment::Spliced { .. })), "{name}");
         }
         assert_eq!(fresh.plan().fusion_groups() == 0, name.ends_with("unblocked"), "{name}");
 

@@ -7,11 +7,16 @@
 //! strictly decreases when one is — and the `PlanReport` records exactly
 //! the decisions the segments embody.
 //!
-//! (The working-set peak is *allowed* to grow under a splice: the boundary
+//! Spliced groups that share one block layout compile into one chain, so
+//! an aligned splice keeps the working-set peak of the unspliced plan. The
+//! peak may grow only under a splice whose joint re-grids: that boundary
 //! map moves from DRAM into the on-chip extra buffer, which is the whole
-//! trade.)
+//! trade.
+
+mod common;
 
 use bconv_accel::platform::zc706;
+use bconv_core::BlockingPattern;
 use bconv_graph::{AccelCost, Backend, PlanSpec, Segment, Session, SessionBuilder};
 use bconv_models::builder::{conv, maxpool, NetBuilder};
 use bconv_models::{ActShape, Network};
@@ -58,26 +63,42 @@ const BACKENDS: [Backend; 2] =
     [Backend::Blocked, Backend::Quantized { weight_bits: 8, act_bits: 8 }];
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(12))]
+    #![proptest_config(ProptestConfig::with_cases(32))]
 
     /// Spliced vs unspliced plans: bitwise-identical outputs (float and
     /// quantized), off-chip traffic never increases, and strictly
-    /// decreases whenever a splice was taken.
+    /// decreases whenever a splice was taken. Each splice joins two
+    /// segments. Every splice of the H2 family is aligned: no pipeline
+    /// remains, and the peak is the unspliced plan's. The F4 family cuts
+    /// after its pool, so its splice re-grids and keeps a pipeline.
     #[test]
     fn spliced_plans_are_bitwise_identical_and_never_cost_traffic(
         c1 in 1usize..4,
         c2 in 1usize..4,
         pool_idx in 0usize..2,
-        budget in 150usize..600,
+        fixed in 0usize..2,
+        budget in 150usize..400,
         seed in 0u64..1000,
     ) {
-        let net = random_net(c1, c2, pool_idx == 1);
+        let (net, pattern, budget) = if fixed == 1 {
+            // A capacity between the pool's stage pair and conv2's
+            // (4·c1 + 128 elements): the cut lands right after the pool.
+            (common::regrid_net(c1), BlockingPattern::fixed(4), 80 + budget % 52)
+        } else {
+            (random_net(c1, c2, pool_idx == 1), BlockingPattern::hierarchical(2), budget)
+        };
         let input = uniform_tensor([1, 2, 16, 16], -1.0, 1.0, &mut seeded_rng(seed ^ 0x51CE));
         for backend in BACKENDS {
-            let unspliced =
-                builder(&net, backend, seed).planner(PlanSpec::new().on_chip_budget(budget)).build().expect("budget session");
+            let unspliced = builder(&net, backend, seed)
+                .planner(PlanSpec::new().pattern(pattern).on_chip_budget(budget))
+                .build()
+                .expect("budget session");
             let spliced = builder(&net, backend, seed)
-                .planner(PlanSpec::new().cost_model(accel_twin(budget, plan_bits(backend))))
+                .planner(
+                    PlanSpec::new()
+                        .pattern(pattern)
+                        .cost_model(accel_twin(budget, plan_bits(backend))),
+                )
                 .build()
                 .expect("accel session");
             prop_assert!(unspliced.plan().report().splices.is_empty());
@@ -96,18 +117,34 @@ proptest! {
             prop_assert!(b.stats.offchip_bits() <= a.stats.offchip_bits());
 
             let report = spliced.plan().report();
-            let spliced_segments = spliced
+            let segments = |s: &Session| s.plan().segments().len();
+            prop_assert_eq!(
+                segments(&spliced),
+                segments(&unspliced) - report.splices.len(),
+                "{:?} budget={}:\n{}", backend, budget, spliced.describe()
+            );
+            let pipelines = spliced
                 .plan()
                 .segments()
                 .iter()
                 .filter(|s| matches!(s, Segment::Spliced { .. }))
                 .count();
+            // A hierarchical grid pools onto the grid the next group opens
+            // on, so every H2 splice is aligned.
+            if fixed == 0 {
+                prop_assert_eq!(pipelines, 0, "{:?} budget={}:\n{}", backend, budget, spliced.describe());
+            }
+            if pipelines == 0 {
+                prop_assert_eq!(
+                    b.stats.peak_working_elems, a.stats.peak_working_elems,
+                    "{:?} budget={}: an aligned splice holds a boundary map:\n{}",
+                    backend, budget, spliced.describe()
+                );
+            }
             if report.splices.is_empty() {
                 // No splice taken: the plans must agree exactly.
-                prop_assert_eq!(spliced_segments, 0);
                 prop_assert_eq!(a.stats, b.stats, "{:?} budget={}", backend, budget);
             } else {
-                prop_assert!(spliced_segments > 0);
                 // Each splice saves exactly the boundary map's round trip.
                 prop_assert_eq!(
                     a.stats.offchip_elems - b.stats.offchip_elems,
@@ -120,25 +157,27 @@ proptest! {
     }
 
     /// Spliced execution is a schedule: thread count never leaks into
-    /// outputs or stats.
+    /// outputs or stats, through a pipeline whose joint re-grids.
     #[test]
     fn spliced_execution_is_thread_invariant(
         c1 in 1usize..4,
         seed in 0u64..1000,
     ) {
-        let net = random_net(c1, 2, true);
+        let net = common::regrid_net(c1);
         let input = uniform_tensor([2, 2, 16, 16], -1.0, 1.0, &mut seeded_rng(seed ^ 0x7A1));
-        // A tight twin budget that forces a cut (and therefore a splice).
-        let budget = 150;
         let serial = builder(&net, Backend::Blocked, seed)
-            .planner(PlanSpec::new().cost_model(accel_twin(budget, 32)))
+            .planner(common::regrid_spec(32))
             .build()
             .expect("serial session");
-        prop_assert!(!serial.plan().report().splices.is_empty(), "no splice to exercise");
+        let pipelines = serial.plan().segments().iter();
+        prop_assert!(
+            pipelines.filter(|s| matches!(s, Segment::Spliced { .. })).count() == 1,
+            "no pipeline to exercise:\n{}", serial.describe()
+        );
         let want = serial.run(&input).expect("serial run");
         for threads in [2usize, 8] {
             let s = builder(&net, Backend::Blocked, seed)
-                .planner(PlanSpec::new().cost_model(accel_twin(budget, 32)))
+                .planner(common::regrid_spec(32))
                 .threads(threads)
                 .build()
                 .expect("threaded session");
