@@ -331,7 +331,7 @@ impl BlockConv2d {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use bconv_tensor::conv::ConvGeom;
     use bconv_tensor::init::{he_conv2d, seeded_rng, uniform_tensor};
@@ -382,14 +382,42 @@ mod tests {
         assert!(diff > 0.0, "blocking should perturb boundary pixels");
     }
 
+    /// `(c_in, c_out, kernel, stride, padding, groups)` of dense layers
+    /// whose one-block form must be the layer itself: stride 1 and 2,
+    /// pointwise, a 7×7 stem, depthwise, thin and wide channel counts.
+    pub(crate) const DENSE_SHAPES: [(usize, usize, usize, usize, usize, usize); 10] = [
+        (3, 4, 3, 1, 1, 1),
+        (16, 16, 3, 1, 1, 1),
+        (1, 16, 3, 1, 1, 1),
+        (16, 1, 3, 1, 1, 1),
+        (4, 8, 3, 2, 1, 1),
+        (4, 8, 1, 2, 0, 1),
+        (3, 8, 7, 2, 3, 1),
+        (8, 8, 3, 1, 1, 8),
+        (8, 8, 3, 2, 1, 8),
+        (8, 24, 1, 1, 0, 1),
+    ];
+
     #[test]
     fn single_block_grid_is_exactly_dense_convolution() {
-        let conv = random_conv(3, 4, 3, 5);
-        let input = uniform_tensor([1, 3, 10, 10], -1.0, 1.0, &mut seeded_rng(6));
-        let dense = conv.forward(&input).unwrap();
-        let bconv = BlockConv2d::plan(conv, BlockGrid::single(10, 10), PadMode::Zero).unwrap();
-        let blocked = bconv.forward(&input).unwrap();
-        assert!(dense.approx_eq(&blocked, 1e-5).unwrap());
+        for (i, &(c_in, c_out, k, s, p, groups)) in DENSE_SHAPES.iter().enumerate() {
+            let mut rng = seeded_rng(5 + i as u64);
+            let conv = he_conv2d(c_in, c_out, ConvGeom::new(k, s, p), groups, &mut rng).unwrap();
+            let input = uniform_tensor([1, c_in, 24, 24], -1.0, 1.0, &mut rng);
+            let dense = conv.forward(&input).unwrap();
+            for policy in [KernelPolicy::Auto, KernelPolicy::Direct] {
+                let grid = BlockGrid::single(24, 24);
+                let bconv =
+                    BlockConv2d::plan_with_kernel(conv.clone(), grid, PadMode::Zero, policy)
+                        .unwrap()
+                        .with_packed_weights();
+                assert_eq!(bconv.block_padding(0, 0), (p, p, p, p), "shape {i}");
+                let blocked = bconv.forward(&input).unwrap();
+                let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                assert_eq!(blocked.shape(), dense.shape(), "shape {i} {policy:?}");
+                assert!(bits(&blocked) == bits(&dense), "shape {i} {policy:?}: outputs differ");
+            }
+        }
     }
 
     #[test]

@@ -42,6 +42,18 @@
 //! the crop → pad → (quantize) → conv → (rescale) → ReLU → paste schedule
 //! [`FusedChain::run_layerwise`] and the per-stage public entries
 //! (`pad_block_into`, `forward_prepadded_into`) still spell out.
+//!
+//! # One block: the dense convolution
+//!
+//! A grid of one block is the dense convolution at any stride (its block
+//! keeps the layer's own padding), so a whole-map convolution is a
+//! one-step chain on [`BlockGrid::single`] and runs the same block loop.
+//! Chains also meet across a materialised map: when a one-block chain on
+//! an exact-f32 convolution is the sole reader of another chain's output,
+//! [`FusedChain::stage_into`] has the producer's last store write that
+//! map as the reader's first step reads it — quantized, inside a zero
+//! border of its padding — and the reader runs on it in place, skipping
+//! the border's taps, as a step inside one chain would.
 
 use std::sync::Arc;
 
@@ -65,7 +77,8 @@ use crate::blocking::{Block, BlockGrid};
 /// deep-cloning them.
 #[derive(Debug, Clone)]
 pub enum ChainOp {
-    /// A stride-1 convolution, executed as a block convolution.
+    /// A convolution, executed as a block convolution: stride-1 on a grid
+    /// of more than one block, any stride on one block.
     Conv(Arc<Conv2d>),
     /// Element-wise ReLU.
     Relu,
@@ -281,15 +294,22 @@ pub struct FusedChain {
     len: usize,
     in_grid: BlockGrid,
     out_grid: BlockGrid,
+    /// `Some(p)` when the input map is staged ([`Self::stage_into`]): the
+    /// first step's quantized input inside its zero padding `p` wide.
+    staged_in: Option<usize>,
+    /// The zero border the output map is stored inside (`0`: compact).
+    out_border: usize,
 }
 
 impl FusedChain {
     /// Plans a fusion group for inputs tiled by `grid` — the one way to
     /// build a chain ([`extend`](Self::extend) continues one).
     ///
-    /// Convolutions must be stride-1 (strided layers are expressed as
-    /// conv + pool per the paper's baseline rewrite); pooling requires the
-    /// grid to stay aligned ([`BlockGrid::downscale`]). Every conv stage
+    /// Convolutions on a grid of more than one block must be stride-1
+    /// (strided layers are expressed as conv + pool per the paper's
+    /// baseline rewrite); on one block any stride is the dense
+    /// convolution. Pooling requires the grid to stay aligned
+    /// ([`BlockGrid::downscale`]). Every conv stage
     /// resolves its kernel (direct loop vs im2col+GEMM) under `policy` at
     /// plan time, so execution carries no per-run dispatch.
     ///
@@ -322,6 +342,8 @@ impl FusedChain {
             len: 0,
             in_grid: grid.clone(),
             out_grid: grid,
+            staged_in: None,
+            out_border: 0,
         };
         empty.extend(ops, pad_mode, policy, quant)
     }
@@ -351,7 +373,7 @@ impl FusedChain {
             let cur = &self.out_grid;
             let (op, out_grid) = match op {
                 ChainOp::Conv(conv) => {
-                    if conv.geom().stride != 1 {
+                    if conv.geom().stride != 1 && cur.num_blocks() > 1 {
                         return Err(TensorError::invalid(
                             "fused convolutions must be stride-1; express stride as conv + pool",
                         ));
@@ -383,7 +405,10 @@ impl FusedChain {
                                 plan.kernel(),
                             )
                             .ok_or_else(|| {
-                                TensorError::invalid("FusedChain::plan: all-zero conv weights")
+                                TensorError::invalid(format!(
+                                    "FusedChain::plan: conv stage {} has all-zero weights",
+                                    conv_idx + 1
+                                ))
                             })?;
                             Op::Conv { plan, qop: Some(qop) }
                         }
@@ -419,6 +444,36 @@ impl FusedChain {
             steps[i].epi.requant = Step::reads_at(steps.get(i + 1));
         }
         Ok(self)
+    }
+
+    /// Stages the chain's output for `next`, its sole reader, when `next`
+    /// is one block whose first step is a zero-padded convolution on an
+    /// exact-f32 kernel ([`QuantChainOp::reads_quantized`]): the last
+    /// step's [`Epilogue`] then stores the output map quantized at that
+    /// convolution's input parameters, inside a zero border of its padding,
+    /// and `next` reads the map in place — no load into its padded buffer,
+    /// no taps on the border. Returns whether the pair staged. The bits are
+    /// those of the unstaged pair (`next` would quantize the same values
+    /// on its load, and quantize(0) = 0), and so are the [`MemStats`]: a
+    /// border is the padding the reader adds, not part of the map. Only
+    /// [`run_fused_into`](Self::run_fused_into) stores and reads staged
+    /// maps; stage complete chains.
+    pub fn stage_into(&mut self, next: &mut FusedChain) -> bool {
+        let (Some(last), Some(first)) = (self.steps.last_mut(), next.steps.first()) else {
+            return false;
+        };
+        let (Op::Conv { plan, .. }, Some(params)) = (&first.op, next.load.requant) else {
+            return false;
+        };
+        if next.in_grid.num_blocks() != 1 || plan.pad_mode() != PadMode::Zero || next.load.relu {
+            return false;
+        }
+        // One block keeps the layer's symmetric padding.
+        let (p, ..) = plan.block_padding(0, 0);
+        last.epi.requant = Some(params);
+        self.out_border = p;
+        next.staged_in = Some(p);
+        true
     }
 
     /// Activation bitwidth of the chain's quantized stages, `None` for a
@@ -483,10 +538,12 @@ impl FusedChain {
     }
 
     /// Runs block `(row, col)` of `input` through every step — the one
-    /// block loop (module docs): the block is read from `input` in place,
-    /// each step stores into the next step's buffer in `scratch`, and the
-    /// last stores at the block's place in the group's output map `dst`
-    /// (`None`: into the scratch's compact [`BlockScratch::last`] block).
+    /// block loop (module docs): the block is read from `input` in place
+    /// (a staged input is the first step's padded buffer itself), each
+    /// step stores into the next step's buffer in `scratch`, and the last
+    /// stores at the block's place in the group's output map `dst`, inside
+    /// its border (`None`: into the scratch's compact
+    /// [`BlockScratch::last`] block).
     /// Returns the block's working-set peak: the largest unpadded input +
     /// output block pair of a step.
     fn run_block(
@@ -504,13 +561,15 @@ impl FusedChain {
         }
         let b = self.in_grid.block(row, col);
         let (from, planes) = (OutGeom::region(b.h0, b.w0, [h, w]), [n * c, b.bh, b.bw]);
+        let border = self.out_border;
         match (self.steps.first(), bufs.first_mut()) {
+            _ if self.staged_in.is_some() => {}
             (Some(first), Some(buf)) => {
                 let to = buf.prepare(first, (row, col), n, c);
                 store_rows((input.data(), from), (buf.t.data_mut(), to), planes, self.load);
             }
             _ => {
-                let to = last_store(dst.as_deref_mut(), last, ob, [n, c]);
+                let to = last_store(dst.as_deref_mut(), last, ob, [n, c], border);
                 store_rows((input.data(), from), to, planes, self.load);
             }
         }
@@ -532,15 +591,20 @@ impl FusedChain {
                     let to = buf.prepare(next, (row, col), n, c_out);
                     (buf.t.data_mut(), to)
                 }
-                _ => last_store(dst.as_deref_mut(), last, ob, [n, c_out]),
+                _ => last_store(dst.as_deref_mut(), last, ob, [n, c_out], border),
             };
             let stored = [n * c_out, ob.bh, ob.bw];
             let compact = OutGeom::compact(ob.bh, ob.bw);
             match &step.op {
                 Op::Conv { plan, qop } => {
                     let pads @ (top, bottom, left, right) = plan.block_padding(row, col);
-                    fill_halo(&mut cur.t, pads, plan.pad_mode())?;
-                    let padded = &cur.t;
+                    let padded = match self.staged_in {
+                        Some(_) if i == 0 => input,
+                        _ => {
+                            fill_halo(&mut cur.t, pads, plan.pad_mode())?;
+                            &cur.t
+                        }
+                    };
                     match (qop, plan.packed_weights()) {
                         (Some(op), _) if op.reads_quantized() => {
                             // A zero halo is free: the kernel skips its taps.
@@ -600,10 +664,14 @@ impl FusedChain {
     /// that reuses both across requests performs **zero steady-state
     /// allocation** per run. Every block runs the one block loop (module
     /// docs): read from `input` in place, stored into `out` at its origin.
-    /// Inputs may carry any batch size `n` (a block then holds every
-    /// image's rows; the serving executor walks a batch image by image and
-    /// hands this one image at a time); block buffers grow with `n` the
-    /// first time and are handed back through `scratch` for the next run.
+    /// A staged chain ([`stage_into`](Self::stage_into)) reads `input` as
+    /// its first step's zero-bordered quantized buffer, or stores `out`
+    /// inside a zero border its reader's padding wide (the border is
+    /// zeroed on every run: `out` may be a recycled buffer). Inputs may
+    /// carry any batch size `n` (a block then holds every image's rows;
+    /// the serving executor walks a batch image by image and hands this
+    /// one image at a time); block buffers grow with `n` the first time
+    /// and are handed back through `scratch` for the next run.
     ///
     /// Blocks are independent by construction and write disjoint output
     /// regions, so every block runs the same per-block routine as the
@@ -628,19 +696,23 @@ impl FusedChain {
         scratch: &mut BlockScratch,
     ) -> Result<MemStats, TensorError> {
         let [n, c, h, w] = input.shape().dims();
-        if h != self.in_grid.h() || w != self.in_grid.w() {
+        let (ih, iw) = (self.in_grid.h(), self.in_grid.w());
+        let lead = 2 * self.staged_in.unwrap_or(0);
+        if (h, w) != (ih + lead, iw + lead) {
             return Err(TensorError::shape_mismatch(
                 "FusedChain::run_fused input",
-                format!("[{},{}]", self.in_grid.h(), self.in_grid.w()),
+                format!("[{},{}]", ih + lead, iw + lead),
                 format!("[{h},{w}]"),
             ));
         }
         self.check_channels(c)?;
         let c_out = self.out_channels(c);
-        out.reset([n, c_out, self.out_grid.h(), self.out_grid.w()]);
+        let (oh, ow) = (self.out_grid.h(), self.out_grid.w());
+        reset_bordered(out, [n, c_out, oh, ow], self.out_border);
+        // Off-chip traffic counts the maps, never a staged border.
         let mut stats = MemStats {
             peak_working_elems: 0,
-            offchip_elems: input.shape().numel() + out.shape().numel(),
+            offchip_elems: n * (c * ih * iw + c_out * oh * ow),
             bits_per_elem: self.act_bits().unwrap_or(32),
         };
         // Blocks are walked row-major by linear index — never materialised
@@ -684,8 +756,8 @@ impl FusedChain {
                         // (the partial output is discarded with it).
                         let mut guard =
                             out_slot.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-                        let ob = self.out_grid.block(row, col);
-                        guard.paste(&scratch.last, ob.h0, ob.w0)?;
+                        let (ob, b) = (self.out_grid.block(row, col), self.out_border);
+                        guard.paste(&scratch.last, ob.h0 + b, ob.w0 + b)?;
                     }
                     Ok(peak)
                 }));
@@ -747,22 +819,44 @@ impl FusedChain {
 }
 
 /// Where the last step of a block whose output block is `ob` stores: at
-/// its place in the output map `map`, or (`None`) into the compact `last`,
-/// shaped for `n` images × `c_out` channels.
+/// its place in the output map `map`, inside the map's zero border
+/// `border` wide, or (`None`) into the compact `last`, shaped for `n`
+/// images × `c_out` channels.
 fn last_store<'a>(
     map: Option<&'a mut Tensor>,
     last: &'a mut Tensor,
     ob: Block,
     [n, c_out]: [usize; 2],
+    border: usize,
 ) -> (&'a mut [f32], OutGeom) {
     match map {
         Some(map) => {
             let [.., map_h, map_w] = map.shape().dims();
-            (map.data_mut(), OutGeom::region(ob.h0, ob.w0, [map_h, map_w]))
+            (map.data_mut(), OutGeom::region(ob.h0 + border, ob.w0 + border, [map_h, map_w]))
         }
         None => {
             last.reset([n, c_out, ob.bh, ob.bw]);
             (last.data_mut(), OutGeom::compact(ob.bh, ob.bw))
+        }
+    }
+}
+
+/// Shapes `map` as the `[n, c, h, w]` map `dims` inside a zero border `p`
+/// wide, zeroing only the border (the interior is about to be stored).
+fn reset_bordered(map: &mut Tensor, [n, c, h, w]: [usize; 4], p: usize) {
+    let (ph, pw) = (h + 2 * p, w + 2 * p);
+    map.reset([n, c, ph, pw]);
+    if p == 0 {
+        return;
+    }
+    for plane in map.data_mut().chunks_exact_mut(ph * pw) {
+        let (top, rest) = plane.split_at_mut(p * pw);
+        let (rows, bottom) = rest.split_at_mut(h * pw);
+        top.fill(0.0);
+        bottom.fill(0.0);
+        for row in rows.chunks_exact_mut(pw) {
+            row[..p].fill(0.0);
+            row[p + w..].fill(0.0);
         }
     }
 }
@@ -920,7 +1014,7 @@ impl FusedPipeline {
         };
         let mut stats = MemStats {
             peak_working_elems: 0,
-            offchip_elems: input.shape().numel(),
+            offchip_elems: 0,
             bits_per_elem: self.groups.iter().find_map(FusedChain::act_bits).unwrap_or(32),
         };
         let PipelineScratch { block, ping, pong } = scratch;
@@ -938,9 +1032,11 @@ impl FusedPipeline {
             let dst_elems = if idx == last { 0 } else { pong.shape().numel() };
             stats.peak_working_elems =
                 stats.peak_working_elems.max(gs.peak_working_elems + src_elems + dst_elems);
+            // Each group counts its input and output maps; the boundary
+            // maps between groups stay on chip.
+            stats.offchip_elems += gs.offchip_elems - src_elems - dst_elems;
             std::mem::swap(ping, pong);
         }
-        stats.offchip_elems += out.shape().numel();
         Ok(stats)
     }
 
@@ -1082,10 +1178,100 @@ mod tests {
 
     #[test]
     fn strided_conv_in_chain_is_rejected() {
-        let grid = BlockGrid::single(8, 8);
+        // Only on a grid of several blocks: one block is the dense
+        // convolution at any stride.
+        let grid = BlockGrid::from_pattern(8, 8, BlockingPattern::hierarchical(2)).unwrap();
         let mut rng = seeded_rng(14);
         let strided = he_conv2d(1, 1, ConvGeom::new(3, 2, 1), 1, &mut rng).unwrap();
-        assert!(plan_float(vec![ChainOp::conv(strided)], grid, PadMode::Zero).is_err());
+        assert!(plan_float(vec![ChainOp::conv(strided.clone())], grid, PadMode::Zero).is_err());
+        let single =
+            plan_float(vec![ChainOp::conv(strided)], BlockGrid::single(8, 8), PadMode::Zero);
+        assert_eq!(single.unwrap().out_grid().h(), 4);
+    }
+
+    #[test]
+    fn one_block_chains_are_the_dense_layer() {
+        // A whole-map layer is a one-step chain on one block: at both
+        // precisions, every stride and any thread count, its bits are the
+        // dense layer's, and a staged pair's are the unstaged pair's.
+        use bconv_quant::qconv::QConv2d;
+        let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        let shapes = crate::block_conv::tests::DENSE_SHAPES;
+        for (i, &(c_in, c_out, k, s, p, groups)) in shapes.iter().enumerate() {
+            let mut rng = seeded_rng(60 + i as u64);
+            let cv =
+                Arc::new(he_conv2d(c_in, c_out, ConvGeom::new(k, s, p), groups, &mut rng).unwrap());
+            let input = uniform_tensor([1, c_in, 24, 24], -1.0, 1.0, &mut rng);
+            let grid = BlockGrid::single(24, 24);
+            let run = |chain: &FusedChain, threads| {
+                let mut out = Tensor::default();
+                chain.run_fused_into(&input, threads, &mut out, &mut BlockScratch::new()).unwrap();
+                out
+            };
+            let dense = cv.forward(&input).unwrap();
+            for policy in [KernelPolicy::Auto, KernelPolicy::Direct] {
+                let ops = vec![ChainOp::Conv(Arc::clone(&cv))];
+                let chain =
+                    FusedChain::plan(ops, grid.clone(), PadMode::Zero, policy, None).unwrap();
+                assert!(bits(&run(&chain, 2)) == bits(&dense), "shape {i} {policy:?}");
+            }
+            for (wb, ab) in [(8, 8), (4, 8), (8, 16)] {
+                let params = [calibrated(&input, ab)];
+                let ops = vec![ChainOp::Conv(Arc::clone(&cv))];
+                let chain = plan_quant(ops, grid.clone(), PadMode::Zero, wb, &params).unwrap();
+                let kind = chain.convs().next().unwrap().kernel();
+                let q = QConv2d::from_conv_with_kernel(&cv, wb, kind).unwrap();
+                let want = q.forward(&input, params[0], PadMode::Zero).unwrap();
+                assert!(bits(&run(&chain, 2)) == bits(&want), "shape {i} w{wb}a{ab}");
+            }
+        }
+    }
+
+    #[test]
+    fn staged_maps_keep_the_bits_and_the_stats() {
+        // A 2×2-block chain and a one-block chain storing a staged map for
+        // a one-block exact conv: same bits and traffic as the compact
+        // hand-over, through recycled buffers holding stale values.
+        let grid = BlockGrid::from_pattern(12, 12, BlockingPattern::hierarchical(2)).unwrap();
+        let input = uniform_tensor([1, 2, 12, 12], -1.0, 1.0, &mut seeded_rng(81));
+        let (a, b) = (Arc::new(conv(2, 16, 82)), Arc::new(conv(16, 2, 83)));
+        let params = [calibrated(&input, 8)];
+        let mid = QParams::from_abs_max(2.0, 8);
+        for producer_grid in [grid, BlockGrid::single(12, 12)] {
+            let plan = |op: &Arc<Conv2d>, grid: BlockGrid, params: &[QParams]| {
+                plan_quant(
+                    vec![ChainOp::Conv(Arc::clone(op)), ChainOp::Relu],
+                    grid,
+                    PadMode::Zero,
+                    8,
+                    params,
+                )
+                .unwrap()
+            };
+            let (from, to) = (
+                plan(&a, producer_grid.clone(), &params),
+                plan(&b, BlockGrid::single(12, 12), &[mid]),
+            );
+            let (mut staged_from, mut staged_to) = (from.clone(), to.clone());
+            assert!(staged_from.stage_into(&mut staged_to));
+            // Only a one-block reader stages.
+            let one_block = from.in_grid().num_blocks() == 1;
+            assert_eq!(to.clone().stage_into(&mut from.clone()), one_block);
+            let (want_mid, _) = from.run_fused(&input).unwrap();
+            let (want, _) = to.run_fused(&want_mid).unwrap();
+            let mut scratch = BlockScratch::new();
+            for threads in [1, 2] {
+                let (mut map, mut out) =
+                    (Tensor::filled([1, 16, 14, 14], f32::NAN), Tensor::filled([1, 1, 1, 3], 7.0));
+                let fs =
+                    staged_from.run_fused_into(&input, threads, &mut map, &mut scratch).unwrap();
+                assert_eq!(map.shape().dims(), [1, 16, 14, 14]);
+                let ts = staged_to.run_fused_into(&map, threads, &mut out, &mut scratch).unwrap();
+                assert_eq!(out.data(), want.data(), "threads {threads}");
+                assert_eq!(fs.offchip_elems, (2 + 16) * 144);
+                assert_eq!(ts.offchip_elems, (16 + 2) * 144);
+            }
+        }
     }
 
     #[test]

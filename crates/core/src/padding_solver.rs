@@ -118,6 +118,10 @@ pub struct AxisBlockPlan {
 /// share. This generalises Equation 2 to the irregular/rectangular blocking
 /// the paper uses in §II-F and Table VI.
 ///
+/// A one-segment axis is the dense convolution at every stride: the block
+/// keeps the layer's own padding `(p, p)` and its output size (a normal
+/// convolution is block convolution with one block).
+///
 /// # Errors
 ///
 /// Returns [`TensorError::InvalidParameter`] when the output cannot be
@@ -129,6 +133,10 @@ pub fn plan_axis(
     s: usize,
     p: usize,
 ) -> Result<AxisPlan, TensorError> {
+    if let [(_, size)] = *segments {
+        let out = conv_out_dim(size, k, s, p)?;
+        return Ok(AxisPlan { blocks: vec![AxisBlockPlan { size, pad_lo: p, pad_hi: p, out }] });
+    }
     let i: usize = segments.iter().map(|&(_, size)| size).sum();
     let target = conv_out_dim(i, k, s, p)?;
     // Distribute the output over the blocks proportionally to input size.

@@ -15,26 +15,27 @@
 //!   documented on [`MemStats`]. Precision is a property of the plan, not
 //!   of the executor: a plan from
 //!   [`crate::plan::Planner::plan_quantized`] carries integer stages in
-//!   its chains and an integer form for every whole-map conv / FC node
-//!   (the paper's deployment path; see [`crate::quantize`]), a float plan
-//!   carries neither, and the same loop runs both.
+//!   its chains and an integer form for every FC node that has one (the
+//!   paper's deployment path; see [`crate::quantize`]), a float plan
+//!   carries float stages, and the same loop runs both.
 //!
-//! Whole-map integer convs store where the next conv reads, as fused
-//! chains do between their stages: an exact-f32 conv
-//! ([`bconv_quant::qconv::QuantChainOp::reads_quantized`]) whose sole
-//! consumer is another whole-map exact conv writes its output quantized
-//! at that conv's input parameters into the interior of a pooled,
-//! zero-bordered buffer, and the consumer runs on it in place, skipping
-//! the border's taps — no pad copy, no quantize pass. Any other exact conv
-//! pads and quantizes its input in one pass; the direct loop, the GEMM and
-//! w8a16 layers pad and quantize inside
-//! [`bconv_quant::qconv::QConv2d::forward_into`]. The
-//! bits are those of the per-layer path, and so are the stats: a staged
-//! map counts at its logical size, its border being the padding the
-//! consumer adds on the way in, not part of a feature map.
+//! Every conv the plan executor runs goes through the one block loop
+//! ([`bconv_core::fusion::FusedChain::run_fused_into`]): a whole-map conv
+//! is a one-step chain on one block — a normal convolution is block
+//! convolution with one block — with its weights packed at build time.
+//! Chains store where the next conv reads across a materialised map too:
+//! a segment output whose sole reader is a whole-map conv on an exact-f32
+//! kernel ([`bconv_quant::qconv::QuantChainOp::reads_quantized`]) is
+//! stored quantized at that conv's input parameters inside a zero border
+//! of its padding, in a pooled buffer, and the reader runs on it in place,
+//! skipping the border's taps — no pad copy, no quantize pass. The bits
+//! are those of the per-layer path, and so are the stats: a staged map
+//! counts at its logical size, its border being the padding the reader
+//! adds on the way in, not part of a feature map. The node evaluator's
+//! conv arm serves only the reference backend and calibration.
 //!
-//! Float execution shares one node evaluator, so a graph with an unblocked
-//! plan produces bit-identical outputs on `Reference` and `Blocked`;
+//! The kernels are bit-identical by contract, so a graph with an unblocked
+//! float plan produces bit-identical outputs on `Reference` and `Blocked`;
 //! blocking itself only perturbs block-boundary pixels (paper §II-C). A
 //! quantized plan substitutes integer convolutions, so it tracks — rather
 //! than matches — the float results.
@@ -49,20 +50,17 @@
 use std::sync::Arc;
 
 use bconv_core::fusion::{MemStats, PipelineScratch};
-use bconv_quant::qconv::QConvScratch;
-use bconv_quant::qgemm::Epilogue;
 use bconv_quant::qlinear::QLinearScratch;
-use bconv_quant::QParams;
 use bconv_tensor::activation::relu_inplace;
 use bconv_tensor::elementwise::add_into;
-use bconv_tensor::kernel::{ConvScratch, KernelPolicy, OutGeom};
+use bconv_tensor::kernel::{ConvScratch, KernelPolicy};
 use bconv_tensor::pad::{pad2d_asym_into, PadMode};
 use bconv_tensor::pool::{global_avg_pool_into, max_pool2d_into};
 use bconv_tensor::upsample::upsample_nearest_into;
 use bconv_tensor::{Tensor, TensorError};
 
 use crate::ir::{Graph, NodeOp, NodeRef};
-use crate::plan::{ExecPlan, MapConv, MapRead, QuantSingle, Segment};
+use crate::plan::{ExecPlan, Segment, WholeMap};
 
 /// Result of one execution.
 #[derive(Debug, Clone)]
@@ -94,12 +92,12 @@ pub struct ExecScratch {
     /// Recycled value buffers: released intermediates land here and are
     /// reshaped for the next node instead of reallocating.
     pool: Vec<Tensor>,
-    /// Per-block intermediates for serial fused-chain execution plus the
-    /// boundary maps of spliced pipelines (one
-    /// [`bconv_core::fusion::BlockScratch`] serves both the plain-chain
-    /// and pipeline paths — see [`PipelineScratch::block_mut`]).
+    /// Per-block intermediates for serial chain execution — fused groups
+    /// and whole-map convs alike — plus the boundary maps of spliced
+    /// pipelines (one [`bconv_core::fusion::BlockScratch`] serves both the
+    /// plain-chain and pipeline paths — see [`PipelineScratch::block_mut`]).
     pipeline: PipelineScratch,
-    /// Whole-map (single-segment) kernel temporaries.
+    /// Temporaries of the whole-map nodes that run outside a chain.
     single: SingleScratch,
     /// One image of a multi-image input: [`PlanExecutor`] walks a batch
     /// through it image by image.
@@ -124,13 +122,12 @@ impl ExecScratch {
     }
 }
 
-/// Kernel temporaries for whole-map (`Segment::Single`) node evaluation.
+/// Kernel temporaries of the node evaluator and the integer FC layers.
 #[derive(Debug, Default)]
 struct SingleScratch {
-    /// Float conv kernel temporaries (im2col patches etc.).
+    /// Float conv kernel temporaries (im2col patches etc.) of the
+    /// reference backend and calibration.
     conv: ConvScratch,
-    /// Integer conv temporaries (quantized activations).
-    qconv: QConvScratch,
     /// Integer FC temporaries (quantized activations).
     qlinear: QLinearScratch,
     /// Padded-input staging buffer (conv geometry padding, pool `-inf`
@@ -205,10 +202,12 @@ fn max_pool_padded_into(
 }
 
 /// Shared node evaluator: the single source of truth for what each op
-/// computes, used by every backend. Writes into `out` (reshaped to fit,
-/// every element overwritten), drawing temporaries from `scratch`. Conv
-/// nodes run the float kernel `kernel` resolves per layer; the kernels are
-/// bit-identical by contract, so the choice moves time only.
+/// computes. Writes into `out` (reshaped to fit, every element
+/// overwritten), drawing temporaries from `scratch`. Conv nodes — only the
+/// reference backend and calibration evaluate them here; the plan
+/// executor runs every conv in a chain — run the float kernel `kernel`
+/// resolves per layer; the kernels are bit-identical by contract, so the
+/// choice moves time only.
 fn eval_node_into(
     op: &NodeOp,
     input: &Tensor,
@@ -249,86 +248,6 @@ fn eval_node_into(
             add_into(input, other, out)
         }
         NodeOp::Upsample { factor } => upsample_nearest_into(input, *factor, out),
-    }
-}
-
-/// One whole-map integer conv of a quantized plan (see [`MapConv`]) on
-/// `input` — a float map, or the zero-bordered quantized map its producer
-/// staged — into `out`: compact float, or, when the conv stages its
-/// consumer's input, that map. Returns the **logical** element counts of
-/// input and output, the ones [`MemStats`] counts: a staged border is the
-/// padding a whole-map conv adds on the way in, never a feature map that
-/// crosses the off-chip boundary.
-fn run_map_conv(
-    conv: &MapConv,
-    input: &Tensor,
-    out: &mut Tensor,
-    scratch: &mut SingleScratch,
-) -> Result<(usize, usize), TensorError> {
-    let SingleScratch { qconv, padded, .. } = scratch;
-    let (op, p) = (&*conv.op, conv.op.qconv().geom().padding);
-    let acts = match conv.read {
-        // Whole-map outer padding is zero, exactly as the float path pads.
-        MapRead::Float => {
-            op.qconv().forward_into(input, op.act_params(), PadMode::Zero, out, qconv)?;
-            return Ok((input.shape().numel(), out.shape().numel()));
-        }
-        MapRead::Quantize => {
-            pad_quantize_into(input, p, op.act_params(), padded);
-            &*padded
-        }
-        MapRead::Staged => input,
-    };
-    // Exact kernels are 3×3 stride 1: a `p`-padded map of `h` rows has
-    // `h + 2p - 2` output rows.
-    let [n, c, ph, pw] = acts.shape().dims();
-    let in_elems = n * c * ph.saturating_sub(2 * p) * pw.saturating_sub(2 * p);
-    let dims = [n, op.qconv().c_out(), ph.saturating_sub(2), pw.saturating_sub(2)];
-    let (at, epi) = match conv.stage {
-        Some((next, pad)) => {
-            (zero_bordered(out, dims, pad), Epilogue { relu: false, requant: Some(next) })
-        }
-        None => {
-            out.reset(dims);
-            (OutGeom::compact(dims[2], dims[3]), Epilogue::NONE)
-        }
-    };
-    op.forward_quantized_at(acts, [p; 4], out.data_mut(), at, epi)?;
-    Ok((in_elems, dims.iter().product()))
-}
-
-/// Shapes `buf` as the `[n, c, h, w]` map `dims` inside a `p`-wide border,
-/// zeroes the border (a recycled buffer holds stale values) and returns
-/// where the map's values go.
-fn zero_bordered(buf: &mut Tensor, [n, c, h, w]: [usize; 4], p: usize) -> OutGeom {
-    let (ph, pw) = (h + 2 * p, w + 2 * p);
-    buf.reset([n, c, ph, pw]);
-    if p > 0 {
-        for plane in buf.data_mut().chunks_exact_mut(ph * pw) {
-            let (top, rest) = plane.split_at_mut(p * pw);
-            let (rows, bottom) = rest.split_at_mut(h * pw);
-            top.fill(0.0);
-            bottom.fill(0.0);
-            for row in rows.chunks_exact_mut(pw) {
-                row[..p].fill(0.0);
-                row[p + w..].fill(0.0);
-            }
-        }
-    }
-    OutGeom::region(p, p, [ph, pw])
-}
-
-/// The one pass that readies a float map for an exact conv: `input`
-/// quantized at `params` into `buf`, inside a zero border `p` wide.
-fn pad_quantize_into(input: &Tensor, p: usize, params: QParams, buf: &mut Tensor) {
-    let dims @ [.., h, w] = input.shape().dims();
-    let at = zero_bordered(buf, dims, p);
-    let data = buf.data_mut();
-    for (i, src) in input.data().chunks_exact(w.max(1)).enumerate() {
-        let dst = &mut data[at.offset + i / h * at.plane + i % h * at.row..][..w];
-        for (d, &v) in dst.iter_mut().zip(src) {
-            *d = params.quantize_value_f32(v);
-        }
     }
 }
 
@@ -482,13 +401,12 @@ pub(crate) fn release_used(
 /// across scoped worker threads, each with its own scratch buffers;
 /// outputs are bitwise-identical at any thread count.
 ///
-/// Everything executable was compiled into the plan by the planner — fused
-/// stages (float or integer) and the integer form of whole-map conv / FC
-/// nodes, including which whole-map convs stage their consumer's
-/// quantized, zero-bordered input (`MapConv`) — so the executor holds
-/// no tables of its own and cannot pair a plan with the wrong precision.
-/// [`MemStats`] stay on logical shapes: a staged map's border never
-/// counts.
+/// Everything executable was compiled into the plan by the planner — the
+/// chains of fused groups and whole-map convs (float or integer, with the
+/// maps they stage) and the integer form of FC nodes — so the executor
+/// holds no tables of its own and cannot pair a plan with the wrong
+/// precision. [`MemStats`] stay on logical shapes: a staged map's border
+/// never counts.
 #[derive(Debug, Clone)]
 pub struct PlanExecutor {
     graph: Arc<Graph>,
@@ -577,9 +495,7 @@ impl PlanExecutor {
         let last_seg = segments.len().saturating_sub(1);
         for (si, seg) in segments.iter().enumerate() {
             let mut out = pool.pop().unwrap_or_default();
-            // The output's logical size: a staged map counts without the
-            // zero border only its consumer reads.
-            let (out_id, out_elems) = match seg {
+            let out_id = match seg {
                 Segment::Fused { nodes: ids, chain, input: src } => {
                     let in_t = resolve(values, input, *src)?;
                     let gs = chain.run_fused_into(in_t, threads, &mut out, pipeline.block_mut())?;
@@ -588,9 +504,7 @@ impl PlanExecutor {
                     // boundaries below.
                     stats.peak_working_elems = stats.peak_working_elems.max(gs.peak_working_elems);
                     let id = ids.last();
-                    let id =
-                        id.ok_or_else(|| TensorError::invalid("fused segment covers no nodes"))?;
-                    (*id, out.shape().numel())
+                    *id.ok_or_else(|| TensorError::invalid("fused segment covers no nodes"))?
                 }
                 Segment::Spliced { nodes: ids, pipeline: pipe, input: src } => {
                     let in_t = resolve(values, input, *src)?;
@@ -600,9 +514,7 @@ impl PlanExecutor {
                     // traffic is the segment input/output accounted below.
                     stats.peak_working_elems = stats.peak_working_elems.max(gs.peak_working_elems);
                     let id = ids.last();
-                    let id =
-                        id.ok_or_else(|| TensorError::invalid("spliced segment covers no nodes"))?;
-                    (*id, out.shape().numel())
+                    *id.ok_or_else(|| TensorError::invalid("spliced segment covers no nodes"))?
                 }
                 Segment::Single(id) => {
                     let node = &nodes[*id];
@@ -611,26 +523,34 @@ impl PlanExecutor {
                         NodeOp::Add { other } => Some(resolve(values, input, other)?),
                         _ => None,
                     };
-                    let (in_elems, out_elems) = match plan.quant_single(*id) {
-                        Some(QuantSingle::Conv(conv)) => {
-                            run_map_conv(conv, in_t, &mut out, single)?
+                    let live = match plan.whole_map(*id) {
+                        // The chain's peak is its input + output maps.
+                        Some(WholeMap::Conv(chain)) => {
+                            let scratch = pipeline.block_mut();
+                            chain
+                                .run_fused_into(in_t, threads, &mut out, scratch)?
+                                .peak_working_elems
                         }
-                        Some(QuantSingle::Fc(q, params)) => {
+                        Some(WholeMap::Fc(q, params)) => {
                             q.forward_into(in_t, *params, &mut out, &mut single.qlinear)?;
-                            (in_t.shape().numel(), out.shape().numel())
+                            in_t.shape().numel() + out.shape().numel()
                         }
-                        // Float: the kernel the plan's policy resolves, like
-                        // its fused stages (every kernel yields the same bits).
+                        None if matches!(node.op, NodeOp::Conv { .. }) => {
+                            return Err(TensorError::invalid("plan compiled no chain for a conv"));
+                        }
                         None => {
                             eval_node_into(&node.op, in_t, aux, &mut out, single, plan.kernel())?;
-                            (in_t.shape().numel(), out.shape().numel())
+                            in_t.shape().numel() + out.shape().numel()
                         }
                     };
-                    let live = in_elems + out_elems + aux.map_or(0, |t| t.shape().numel());
+                    let live = live + aux.map_or(0, |t| t.shape().numel());
                     stats.peak_working_elems = stats.peak_working_elems.max(live);
-                    (*id, out_elems)
+                    *id
                 }
             };
+            // The output's logical size: a staged map counts without the
+            // zero border only its reader adds.
+            let out_elems = input.shape().dims()[0] * nodes[out_id].out_shape.numel();
             // Segment outputs are materialised off-chip: written once, and
             // read back unless this is the network output. In-place ReLU
             // singles transfer nothing (parity with the reference backend).

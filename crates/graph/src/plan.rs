@@ -22,8 +22,10 @@
 //! value — which consecutive nodes fuse under which input [`BlockGrid`],
 //! and which groups splice — and `assemble` is the only code that turns
 //! decisions into something executable: [`FusedChain`]s,
-//! [`FusedPipeline`]s and [`Segment`]s, and, for a quantized plan, the
-//! integer form of every whole-map conv / FC node. Spliced groups that
+//! [`FusedPipeline`]s and [`Segment`]s, plus the compiled form of every
+//! whole-map conv — a one-step chain on [`BlockGrid::single`], since a
+//! normal convolution is block convolution with one block — and, for a
+//! quantized plan, of every FC node. Spliced groups that
 //! share one block layout — each opening on the grid the one before
 //! leaves behind, as under hierarchical blocking — assemble into one
 //! chain, so each block flows through all their stages (the paper's
@@ -41,7 +43,6 @@ use bconv_core::blocking::{BlockGrid, BlockingPattern};
 use bconv_core::fusion::{ChainOp, FusedChain, FusedPipeline};
 use bconv_core::plan::{LayerBlocking, NetworkPlan};
 use bconv_core::BlockConv2d;
-use bconv_quant::qconv::{QConv2d, QuantChainOp};
 use bconv_quant::qlinear::QLinear;
 use bconv_quant::QParams;
 use bconv_tensor::kernel::KernelPolicy;
@@ -284,68 +285,28 @@ pub(crate) struct PlanDecisions {
     pub(crate) report: PlanReport,
 }
 
-/// The integer form of one whole-map node of a quantized plan, with the
-/// calibrated range of the activations it reads. Kept beside the segment
-/// list, by node id, because [`Segment::Single`] carries the id alone; a
-/// conv's entry also says whether it stores its consumer's input staged
-/// ([`MapConv`]), which `assemble` decides for fresh, cached and tuned
-/// plans alike.
+/// The compiled form of one whole-map node, kept beside the segment list
+/// by node id because [`Segment::Single`] carries the id alone.
 #[derive(Debug, Clone)]
-pub(crate) enum QuantSingle {
-    /// A dense integer convolution.
-    Conv(MapConv),
-    /// An integer FC layer.
+pub(crate) enum WholeMap {
+    /// A convolution, at either precision: a one-step chain on one block,
+    /// zero-padded whatever the session's block pad mode. It may read a
+    /// map its producer staged, and stage its own output for its reader
+    /// ([`FusedChain::stage_into`]).
+    Conv(FusedChain),
+    /// An integer FC layer with the calibrated range of its input.
     Fc(Arc<QLinear>, QParams),
 }
 
-/// A whole-map integer convolution, and where its activations come from
-/// and go.
-///
-/// A conv that runs an exact-f32 kernel ([`QuantChainOp::reads_quantized`])
-/// reads its input already quantized, inside a zero border of its geometry
-/// padding whose taps its kernel skips. When its producer is a whole-map
-/// exact conv of which it is the **sole** consumer, the producer stores
-/// that map itself — quantized at this conv's input parameters, through
-/// its epilogue (`stage`) — so neither side makes a pad copy or a quantize
-/// pass; any other input (the graph input, a pool, a ReLU, an `Add`, a
-/// conv with a second consumer, a conv on another kernel) is padded and
-/// quantized in one pass. Fused chains split their stages the same way
-/// (`bconv_core::fusion`), and every value stays bit for bit what
-/// [`QConv2d::forward_into`] computes: the epilogue is the next layer's
-/// quantize, and quantize(0.0) = 0.0 on the border.
-#[derive(Debug, Clone)]
-pub(crate) struct MapConv {
-    /// The layer with the calibrated range of its input.
-    pub(crate) op: Arc<QuantChainOp>,
-    /// How it reads its input.
-    pub(crate) read: MapRead,
-    /// `(input parameters, geometry padding)` of the sole consumer, when
-    /// this conv stores that consumer's staged input.
-    pub(crate) stage: Option<(QParams, usize)>,
-}
-
-/// How a [`MapConv`] reads its input map.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum MapRead {
-    /// A float map, padded and quantized inside [`QConv2d::forward_into`]
-    /// (the direct loop, the GEMM, a reduction past f32's exact range).
-    Float,
-    /// A float map, padded and quantized in one pass before the exact
-    /// kernel runs.
-    Quantize,
-    /// The producer's staged store: quantized, zero-bordered, read in
-    /// place.
-    Staged,
-}
-
 /// A compiled execution plan: the planner's decisions and everything
-/// executable assembled from them — the ordered segment list and, for a
-/// quantized plan, the integer whole-map ops.
+/// executable assembled from them — the ordered segment list and the
+/// compiled whole-map nodes.
 #[derive(Debug, Clone)]
 pub struct ExecPlan {
     segments: Vec<Segment>,
-    /// Per node id; empty for a float plan.
-    quant_singles: Vec<Option<QuantSingle>>,
+    /// Per node id: set for whole-map convs, and for the FC nodes of a
+    /// quantized plan that have an integer form.
+    whole_map: Vec<Option<WholeMap>>,
     decisions: PlanDecisions,
     blocked_convs: usize,
     total_convs: usize,
@@ -354,19 +315,36 @@ pub struct ExecPlan {
 }
 
 impl ExecPlan {
-    /// The conv kernel policy the plan was assembled under: its fused
-    /// stages and integer whole-map convs carry the kernels it resolved,
-    /// and the float whole-map convolutions of [`Segment::Single`] nodes
-    /// run what it resolves for them.
+    /// The conv kernel policy the plan was assembled under: every conv it
+    /// runs, fused or whole-map, at either precision, sits in a chain that
+    /// carries the kernel this policy resolved for it.
     pub fn kernel(&self) -> KernelPolicy {
         self.kernel
     }
 
-    /// The integer form of whole-map node `id`: `None` on a float plan,
-    /// for ops that stay float on every plan, and for an FC head whose
-    /// weights or calibration leave no integer form.
-    pub(crate) fn quant_single(&self, id: NodeId) -> Option<&QuantSingle> {
-        self.quant_singles.get(id)?.as_ref()
+    /// The compiled form of whole-map node `id`: `None` for ops the
+    /// executor evaluates as they are (pools, ReLU, `Add`, GAP, upsampling,
+    /// float FCs, and an FC head whose weights or calibration leave no
+    /// integer form).
+    pub(crate) fn whole_map(&self, id: NodeId) -> Option<&WholeMap> {
+        self.whole_map.get(id)?.as_ref()
+    }
+
+    /// The chains of `seg` with the nodes each covers: a fused or spliced
+    /// segment's ([`Segment::chains`]), or the one-block chain of a
+    /// whole-map conv.
+    pub(crate) fn chains_of<'a>(
+        &'a self,
+        seg: &'a Segment,
+    ) -> impl Iterator<Item = (&'a FusedChain, &'a [NodeId])> {
+        let single = match seg {
+            Segment::Single(id) => match self.whole_map(*id) {
+                Some(WholeMap::Conv(chain)) => Some((chain, std::slice::from_ref(id))),
+                _ => None,
+            },
+            _ => None,
+        };
+        seg.chains().chain(single)
     }
 
     /// The decisions the plan was assembled from (what a plan cache
@@ -474,11 +452,15 @@ impl ExecPlan {
 /// Turns decisions into an executable plan — the only code that solves
 /// fused stages and builds [`FusedChain`]s, [`FusedPipeline`]s and
 /// [`Segment`]s, shared by fresh planning and cache loads, so the two
-/// cannot drift apart. With a quantization spec every conv is built on the
-/// integer path here, fused or whole-map, carrying the calibrated
-/// activation range of its graph node; an FC head gets an integer form
-/// when its weights and calibration allow one and stays float otherwise
-/// (not worth failing a build over, unlike a conv trunk).
+/// cannot drift apart. Every conv becomes a chain here, a whole-map one a
+/// one-step chain on one block; with a quantization spec every conv is
+/// built on the integer path, carrying the calibrated activation range of
+/// its graph node, and an FC head gets an integer form when its weights
+/// and calibration allow one and stays float otherwise (not worth failing
+/// a build over, unlike a conv trunk). Staging is one rule: the chain that
+/// stores a segment's output stages it for the node's sole reader when
+/// that is a one-block chain on an exact-f32 conv
+/// ([`FusedChain::stage_into`]).
 ///
 /// Decisions may come from a cache file, so they are checked against the
 /// graph rather than trusted: segments must cover the nodes exactly once
@@ -500,7 +482,15 @@ pub(crate) fn assemble(
 ) -> Result<ExecPlan, TensorError> {
     let nodes = graph.nodes();
     let mut segments = Vec::with_capacity(decisions.segments.len());
-    let mut quant_singles = vec![None; quant.map_or(0, |_| nodes.len())];
+    // Whole-map nodes first: a segment may stage its output for one.
+    let mut whole_map = vec![None; nodes.len()];
+    for seg in &decisions.segments {
+        if let SegmentDecision::Single(id) = *seg {
+            if let Some(node) = nodes.get(id) {
+                whole_map[id] = compile_whole_map(node, id, kernel, quant)?;
+            }
+        }
+    }
     let mut blocked_convs = 0usize;
     let mut next_id: NodeId = 0;
     for seg in &decisions.segments {
@@ -510,9 +500,11 @@ pub(crate) fn assemble(
                     return Err(misfit(format!("whole-map node {id} where {next_id} is due")));
                 }
                 next_id += 1;
-                if let Some(spec) = quant {
-                    quant_singles[*id] = quant_single(&nodes[*id], *id, spec, kernel)?;
+                let mut entry = whole_map[*id].take();
+                if let Some(WholeMap::Conv(chain)) = &mut entry {
+                    stage_output(graph, &mut whole_map, *id, chain);
                 }
+                whole_map[*id] = entry;
                 segments.push(Segment::Single(*id));
             }
             SegmentDecision::Groups(groups) => {
@@ -538,9 +530,10 @@ pub(crate) fn assemble(
                     };
                     chains.push(chain);
                 }
-                if chains.is_empty() {
+                let Some(last) = chains.last_mut() else {
                     return Err(misfit("a fused segment without groups".to_string()));
-                }
+                };
+                stage_output(graph, &mut whole_map, next_id - 1, last);
                 blocked_convs += chains.iter().map(|chain| chain.convs().count()).sum::<usize>();
                 let (ids, input) = ((first..next_id).collect(), nodes[first].input);
                 segments.push(match <[FusedChain; 1]>::try_from(chains) {
@@ -557,12 +550,9 @@ pub(crate) fn assemble(
     if next_id != nodes.len() {
         return Err(misfit(format!("cover {next_id} of {} nodes", nodes.len())));
     }
-    if quant.is_some() {
-        stage_map_convs(graph, &mut quant_singles);
-    }
     Ok(ExecPlan {
         segments,
-        quant_singles,
+        whole_map,
         decisions,
         blocked_convs,
         total_convs: graph.conv_count(),
@@ -582,57 +572,48 @@ fn calibrated(spec: &GraphQuantSpec, id: NodeId, node: &Node) -> Result<QParams,
     })
 }
 
-/// Compiles the integer form of whole-map node `id`, if the op has one.
-fn quant_single(
+/// Compiles whole-map node `id`: a conv into a one-step chain on one
+/// zero-padded block at the plan's precision, an FC head on a quantized
+/// plan into its integer form when its weights and calibration allow one.
+fn compile_whole_map(
     node: &Node,
     id: NodeId,
-    spec: &GraphQuantSpec,
     kernel: KernelPolicy,
-) -> Result<Option<QuantSingle>, TensorError> {
+    quant: Option<&GraphQuantSpec>,
+) -> Result<Option<WholeMap>, TensorError> {
     Ok(match &node.op {
         NodeOp::Conv { conv, .. } => {
-            let params = calibrated(spec, id, node)?;
-            let q = QConv2d::from_conv_with_kernel(conv, spec.weight_bits, kernel.resolve(conv))
-                .ok_or_else(|| {
-                    TensorError::invalid(format!("conv node {} has all-zero weights", node.name))
-                })?;
-            let op = QuantChainOp::new(q, params);
-            let read = if op.reads_quantized() { MapRead::Quantize } else { MapRead::Float };
-            Some(QuantSingle::Conv(MapConv { op: Arc::new(op), read, stage: None }))
+            let params = quant.map(|spec| calibrated(spec, id, node)).transpose()?;
+            let quant = quant.zip(params.as_ref());
+            let quant = quant.map(|(spec, p)| (spec.weight_bits, std::slice::from_ref(p)));
+            let grid = BlockGrid::single(node.in_shape.h, node.in_shape.w);
+            let ops = vec![ChainOp::Conv(Arc::clone(conv))];
+            Some(WholeMap::Conv(FusedChain::plan(ops, grid, PadMode::Zero, kernel, quant)?))
         }
-        NodeOp::Fc(linear) => spec.act_params(id).and_then(|params| {
+        NodeOp::Fc(linear) => quant.and_then(|spec| {
+            let params = spec.act_params(id)?;
             let q = QLinear::from_linear(linear, spec.weight_bits)?;
-            Some(QuantSingle::Fc(Arc::new(q), params))
+            Some(WholeMap::Fc(Arc::new(q), params))
         }),
         _ => None,
     })
 }
 
-/// Pairs every whole-map exact conv with the whole-map exact conv that is
-/// its sole consumer: the producer stages the consumer's input (see
-/// [`MapConv`]). `singles` holds an entry per node id, set for whole-map
-/// nodes only.
-fn stage_map_convs(graph: &Graph, singles: &mut [Option<QuantSingle>]) {
-    for (j, node) in graph.nodes().iter().enumerate() {
-        let NodeRef::Node(i) = node.input else {
-            continue;
-        };
-        let stage = match (&singles[i], &singles[j]) {
-            (Some(QuantSingle::Conv(from)), Some(QuantSingle::Conv(to)))
-                if graph.consumer_count(i) == 1
-                    && from.read != MapRead::Float
-                    && to.read != MapRead::Float =>
-            {
-                (to.op.act_params(), to.op.qconv().geom().padding)
-            }
-            _ => continue,
-        };
-        if let Some(QuantSingle::Conv(from)) = &mut singles[i] {
-            from.stage = Some(stage);
-        }
-        if let Some(QuantSingle::Conv(to)) = &mut singles[j] {
-            to.read = MapRead::Staged;
-        }
+/// Stages the map `from` stores as node `id`'s value for the node's sole
+/// reader, when that reader is a whole-map conv whose chain reads staged
+/// maps ([`FusedChain::stage_into`]). The graph output is never staged.
+fn stage_output(
+    graph: &Graph,
+    whole_map: &mut [Option<WholeMap>],
+    id: NodeId,
+    from: &mut FusedChain,
+) {
+    if graph.consumer_count(id) != 1 || id == graph.output_id() {
+        return;
+    }
+    let reader = graph.nodes().iter().position(|node| node.input == NodeRef::Node(id));
+    if let Some(Some(WholeMap::Conv(to))) = reader.map(|j| &mut whole_map[j]) {
+        from.stage_into(to);
     }
 }
 
@@ -1477,6 +1458,44 @@ mod tests {
             assert!(build(d).is_err(), "spliced across fan-out boundary {boundary}");
         }
         assert!(fanout_pairs > 0, "resnet should have adjacent groups cut by fan-out");
+    }
+
+    #[test]
+    fn whole_map_nodes_compile_at_the_plan_precision() {
+        // Unblocked: every conv is a one-block chain at the plan's
+        // precision, and an FC head has an integer form on a quantized
+        // plan only.
+        let g = lower(&vgg16_small(32));
+        let opts = PlannerOptions {
+            plan: Some(NetworkPlan::unblocked(g.conv_count())),
+            ..PlannerOptions::default()
+        };
+        let input = bconv_tensor::init::uniform_tensor(
+            [1, 3, 32, 32],
+            -1.0,
+            1.0,
+            &mut bconv_tensor::init::seeded_rng(3),
+        );
+        let spec = GraphQuantSpec::calibrate(&g, &[input], 8, 8).unwrap();
+        let planner = Planner::new(opts);
+        for (plan, bits) in [
+            (planner.plan(&g).unwrap(), None),
+            (planner.plan_quantized(&g, &spec).unwrap(), Some(8)),
+        ] {
+            for (id, node) in g.nodes().iter().enumerate() {
+                match (&node.op, plan.whole_map(id)) {
+                    (NodeOp::Conv { .. }, Some(WholeMap::Conv(chain))) => {
+                        assert_eq!(chain.in_grid().num_blocks(), 1);
+                        assert_eq!(chain.act_bits(), bits, "{}", node.name);
+                    }
+                    (NodeOp::Fc(_), Some(WholeMap::Fc(..))) => assert!(bits.is_some()),
+                    (NodeOp::Fc(_) | NodeOp::Conv { .. }, entry) => {
+                        assert!(bits.is_none() && entry.is_none(), "{}: {entry:?}", node.name)
+                    }
+                    (_, entry) => assert!(entry.is_none(), "{}", node.name),
+                }
+            }
+        }
     }
 
     #[test]

@@ -34,7 +34,7 @@ use crate::cache::{PlanCache, PlanKey};
 use crate::cost::CostModel;
 use crate::exec::{ExecScratch, Executor, PlanExecutor, ReferenceExecutor, RunReport};
 use crate::ir::{Graph, LowerOptions, NodeOp};
-use crate::plan::{ExecPlan, PlanProvenance, Planner, PlannerOptions, QuantSingle, Segment};
+use crate::plan::{ExecPlan, PlanProvenance, Planner, PlannerOptions, Segment};
 use crate::quantize::GraphQuantSpec;
 use crate::serve::router::Router;
 use crate::serve::{ServeConfig, ServeEngine};
@@ -551,11 +551,10 @@ impl Session {
 
     /// Resolved convolution kernel per conv node, in execution order, as
     /// `(layer name, kernel name)` pairs, read off what the plan compiled:
-    /// fused and spliced convolutions report the kernel their chain
-    /// carries, integer whole-map convs the kernel their `QConv2d` was
-    /// built with, float whole-map convs what the plan's policy resolves
-    /// for them at dispatch — except on the reference backend, which keeps
-    /// the direct loop as an oracle that shares no kernel with the others.
+    /// every conv reports the kernel its chain carries — a fused group's,
+    /// or a whole-map conv's one-block chain — except the whole-map convs
+    /// of the reference backend, which keeps the direct loop as an oracle
+    /// that shares no kernel with the others.
     pub fn conv_kernels(&self) -> Vec<(String, &'static str)> {
         let nodes = self.graph.nodes();
         let conv_names = |ids: &[crate::ir::NodeId]| -> Vec<String> {
@@ -566,20 +565,13 @@ impl Session {
         };
         let mut out = Vec::new();
         for seg in self.exec_plan.segments() {
-            for (chain, ids) in seg.chains() {
-                out.extend(
-                    conv_names(ids).into_iter().zip(chain.convs().map(|b| b.kernel().name())),
-                );
-            }
-            if let Segment::Single(id) = seg {
-                if let NodeOp::Conv { conv, .. } = &nodes[*id].op {
-                    let kind = match (self.backend, self.exec_plan.quant_single(*id)) {
-                        (Backend::Reference, _) => bconv_tensor::kernel::KernelKind::Direct,
-                        (_, Some(QuantSingle::Conv(conv))) => conv.op.qconv().kernel(),
-                        _ => self.exec_plan.kernel().resolve(conv),
-                    };
-                    out.push((nodes[*id].name.clone(), kind.name()));
-                }
+            let oracle = self.backend == Backend::Reference && matches!(seg, Segment::Single(_));
+            for (chain, ids) in self.exec_plan.chains_of(seg) {
+                let kinds = chain.convs().map(|b| {
+                    if oracle { bconv_tensor::kernel::KernelKind::Direct } else { b.kernel() }
+                        .name()
+                });
+                out.extend(conv_names(ids).into_iter().zip(kinds));
             }
         }
         out

@@ -33,9 +33,9 @@ use std::cell::Cell;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
-use bconv_core::NetworkPlan;
+use bconv_core::{BlockingPattern, NetworkPlan};
 use bconv_graph::{Backend, ExecScratch, PlanSpec, Router, ServeConfig, Session};
-use bconv_models::small::vgg16_small;
+use bconv_models::small::{vdsr_small, vgg16_small};
 use bconv_models::Network;
 use bconv_tensor::init::{seeded_rng, uniform_tensor};
 use bconv_tensor::kernel::KernelPolicy;
@@ -144,7 +144,8 @@ const QUANT: Backend = Backend::Quantized { weight_bits: 8, act_bits: 8 };
 fn assert_zero_steady_state(what: &str, n: usize, build: impl FnOnce() -> Session) {
     let _lock = GATE.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
     let session = build();
-    let input = input(7, n);
+    let s = session.graph().input_shape();
+    let input = uniform_tensor([n, s.c, s.h, s.w], -1.0, 1.0, &mut seeded_rng(7));
     let mut scratch = ExecScratch::new();
 
     // Warm-up: grow every buffer to its steady-state size. The first run
@@ -196,10 +197,9 @@ fn batched_run_with_is_allocation_free_quantized() {
     assert_zero_steady_state("quantized, batch 8", 8, || session(QUANT, 1));
 }
 
-/// A float plan that fuses nothing runs every conv as a whole-map node
-/// through the unpacked fast-path entry, which lane-packs the weights of
-/// channel-lane layers into the kernel scratch on every call: that buffer
-/// is grown once, like the patch matrix.
+/// A float plan that fuses nothing runs every conv as a one-block chain on
+/// weights packed at build time; the block scratch holds its whole-map
+/// padded buffer, grown once.
 #[test]
 fn run_with_is_allocation_free_unblocked_float() {
     assert_zero_steady_state("unblocked float", 1, || {
@@ -223,8 +223,8 @@ fn run_with_is_allocation_free_unblocked_float() {
 
 /// An unblocked quantized plan: every whole-map exact conv whose sole
 /// consumer is another stores that conv's zero-bordered input in a pooled
-/// buffer, and the rest are padded and quantized into the scratch's own
-/// buffer — warm, neither allocates, for one image or a batch.
+/// buffer, and the rest are padded and quantized into the block scratch's
+/// own buffer — warm, neither allocates, for one image or a batch.
 #[test]
 fn run_with_is_allocation_free_unblocked_quantized() {
     let build = || {
@@ -242,6 +242,29 @@ fn run_with_is_allocation_free_unblocked_quantized() {
     };
     assert_zero_steady_state("unblocked quantized", 1, build);
     assert_zero_steady_state("unblocked quantized, batch 8", 8, build);
+}
+
+/// Depth-2 blocking on vdsr: each fused group stages the zero-bordered,
+/// quantized input of the whole-map fusion-point conv after it in a pooled
+/// buffer — warm, nothing allocates, for one image or a batch.
+#[test]
+fn run_with_is_allocation_free_staging_from_fused_groups() {
+    let build = || {
+        let net = vdsr_small(24, 8, 16);
+        let plan = NetworkPlan::by_blocking_depth(8, BlockingPattern::hierarchical(2), 2);
+        let session = Session::builder()
+            .network(net)
+            .backend(QUANT)
+            .planner(PlanSpec::new().network_plan(plan))
+            .seed(2018)
+            .threads(1)
+            .build()
+            .expect("session builds");
+        assert!(session.plan().fusion_groups() > 1, "groups must feed fusion points");
+        session
+    };
+    assert_zero_steady_state("staging from fused groups", 1, build);
+    assert_zero_steady_state("staging from fused groups, batch 8", 8, build);
 }
 
 /// The integer im2col+GEMM backend holds the strict-zero bar too: the

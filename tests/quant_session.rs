@@ -26,6 +26,9 @@ use bconv_models::Network;
 use bconv_tensor::init::{seeded_rng, uniform_tensor};
 use bconv_tensor::{PadMode, Tensor};
 
+#[path = "common/strided.rs"]
+mod strided;
+
 fn input_for(net: &Network, seed: u64) -> Tensor {
     let s = net.input;
     uniform_tensor([1, s.c, s.h, s.w], -1.0, 1.0, &mut seeded_rng(seed))
@@ -235,8 +238,13 @@ fn quantized_segments_mirror_the_float_plan() {
 }
 
 /// An unblocked quantized session under `kernel`.
-fn unblocked_quant(net: &Network, backend: Backend, kernel: KernelPolicy, relu: bool) -> Session {
-    let plan = NetworkPlan::unblocked(conv_count(net));
+fn quant_session(
+    net: &Network,
+    plan: NetworkPlan,
+    backend: Backend,
+    kernel: KernelPolicy,
+    relu: bool,
+) -> Session {
     Session::builder()
         .network(net.clone())
         .seed(2018)
@@ -253,24 +261,38 @@ fn bits(t: &Tensor) -> Vec<u32> {
 
 #[test]
 fn whole_map_integer_chains_match_the_direct_loop_bit_for_bit() {
-    // Under `Auto` a whole-map exact conv whose sole consumer is another
-    // stores that conv's input — quantized, inside a zero border — and the
-    // consumer reads it in place, skipping the border's taps; under
-    // `Direct` every conv pads and quantizes its own input for the i64
-    // loop. vdsr stages every conv pair (16 and 8 channels: channel lanes;
-    // its last, one-channel conv runs spatial lanes), vgg's pools break
-    // the runs, resnet's residual convs have two consumers and its 1x1
-    // convs run the GEMM; w8a16 leaves the exact range and stages nothing;
-    // ReLU nodes break every pair. One
+    // Every whole-map conv is a one-block chain. Under `Auto` a chain whose
+    // output's sole reader is a whole-map exact conv stores that conv's
+    // input — quantized, inside a zero border — and the reader reads it in
+    // place, skipping the border's taps; under `Direct` every conv pads and
+    // quantizes its own input for the i64 loop. vdsr stages every conv
+    // pair (16 and 8 channels: channel lanes; its last, one-channel conv
+    // runs spatial lanes), vgg's pools break the runs, resnet's residual
+    // convs have two consumers and its 1x1 convs run the GEMM, the strided
+    // net's stride-2 convs (GEMM and direct loop) stage for the 3x3 behind
+    // them; w8a16 leaves the exact range and stages nothing; ReLU nodes
+    // break every pair. Under depth-2 blocking vdsr's fused groups each
+    // stage the input of the whole-map fusion-point conv after them. One
     // scratch per session serves 1- and 3-image inputs in turn, outputs
     // recycled, so a pooled buffer that kept stale values would show.
+    // `(name, net, blocking depth)`: `None` blocks nothing.
     let nets = [
-        ("vdsr16", vdsr_small(24, 5, 16)),
-        ("vdsr8", vdsr_small(24, 4, 8)),
-        ("vgg", vgg16_small(32)),
-        ("resnet", resnet18_small(32)),
+        ("vdsr16", vdsr_small(24, 5, 16), None),
+        ("vdsr8", vdsr_small(24, 4, 8), None),
+        ("vgg", vgg16_small(32), None),
+        ("resnet", resnet18_small(32), None),
+        ("strided", strided::strided_net(), None),
+        ("vdsr16-depth2", vdsr_small(24, 8, 16), Some(2)),
     ];
-    for (name, net) in &nets {
+    for (name, net, depth) in &nets {
+        let plan = || match depth {
+            None => NetworkPlan::unblocked(conv_count(net)),
+            Some(d) => NetworkPlan::by_blocking_depth(
+                conv_count(net),
+                BlockingPattern::hierarchical(2),
+                *d,
+            ),
+        };
         let s = net.input;
         let inputs: Vec<Tensor> = [(1, 11), (3, 12), (1, 13), (3, 14), (1, 15)]
             .into_iter()
@@ -279,9 +301,10 @@ fn whole_map_integer_chains_match_the_direct_loop_bit_for_bit() {
         for (weight_bits, act_bits) in [(8, 8), (4, 8), (8, 16)] {
             for relu in [false, true] {
                 let backend = Backend::Quantized { weight_bits, act_bits };
-                let direct = unblocked_quant(net, backend, KernelPolicy::Direct, relu);
-                let fast = unblocked_quant(net, backend, KernelPolicy::Auto, relu);
-                assert_eq!(fast.plan().fusion_groups(), 0, "{name}: nothing may fuse");
+                let direct = quant_session(net, plan(), backend, KernelPolicy::Direct, relu);
+                let fast = quant_session(net, plan(), backend, KernelPolicy::Auto, relu);
+                let groups = fast.plan().fusion_groups();
+                assert_eq!(groups == 0, depth.is_none(), "{name}: {groups} fusion groups");
                 let (mut direct_scratch, mut fast_scratch) =
                     (ExecScratch::new(), ExecScratch::new());
                 for (i, input) in inputs.iter().enumerate() {

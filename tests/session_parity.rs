@@ -16,7 +16,10 @@ use bconv_graph::{Backend, KernelPolicy, PlanSpec, Session};
 use bconv_models::small::{resnet18_small, vdsr_small, vgg16_small};
 use bconv_models::Network;
 use bconv_tensor::init::{seeded_rng, uniform_tensor};
-use bconv_tensor::Tensor;
+use bconv_tensor::{PadMode, Tensor};
+
+#[path = "common/strided.rs"]
+mod strided;
 
 fn input_for(net: &Network, seed: u64) -> Tensor {
     let s = net.input;
@@ -183,22 +186,28 @@ fn fused_offchip_traffic_strictly_decreases() {
 
 #[test]
 fn unfused_convs_run_the_session_kernel_and_stay_bit_exact() {
-    // An unblocked plan leaves every conv a whole-map `Segment::Single`.
-    // Those used to run the naive direct loop whatever the session's
-    // policy; they now run what the policy resolves, to the same bits.
-    for (name, net) in [("vgg", vgg16_small(32)), ("resnet", resnet18_small(32))] {
+    // An unblocked plan leaves every conv a whole-map `Segment::Single`:
+    // a one-step chain on one block running what the policy resolves, to
+    // the bits and stats of the reference's direct loop at every stride,
+    // zero-padded whatever the session's block pad mode.
+    let nets = [
+        ("vgg", vgg16_small(32)),
+        ("resnet", resnet18_small(32)),
+        ("strided", strided::strided_net()),
+    ];
+    for (name, net) in nets {
         let input = input_for(&net, 53);
         let convs = Session::builder().network(net.clone()).build().unwrap().graph().conv_count();
-        let build = |backend| {
+        let build = |backend, pad| {
             Session::builder()
                 .network(net.clone())
-                .planner(PlanSpec::new().network_plan(NetworkPlan::unblocked(convs)))
+                .planner(PlanSpec::new().network_plan(NetworkPlan::unblocked(convs)).pad(pad))
                 .seed(59)
                 .backend(backend)
                 .build()
                 .unwrap()
         };
-        let blocked = build(Backend::Blocked);
+        let blocked = build(Backend::Blocked, PadMode::Zero);
         assert_eq!(blocked.kernel(), KernelPolicy::Auto);
         assert_eq!(blocked.plan().fusion_groups(), 0, "{name}: nothing may fuse");
         let kernels = blocked.conv_kernels();
@@ -206,13 +215,17 @@ fn unfused_convs_run_the_session_kernel_and_stay_bit_exact() {
         for (layer, kernel) in &kernels {
             assert_ne!(*kernel, "direct", "{name}: {layer} must not run the naive loop");
         }
-        let reference = build(Backend::Reference);
+        let reference = build(Backend::Reference, PadMode::Zero);
         assert!(reference.conv_kernels().iter().all(|(_, kernel)| *kernel == "direct"));
-        assert_eq!(
-            blocked.run(&input).unwrap().output.data(),
-            reference.run(&input).unwrap().output.data(),
+        let (got, want) = (blocked.run(&input).unwrap(), reference.run(&input).unwrap());
+        let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert!(
+            bits(&got.output) == bits(&want.output),
             "{name}: unblocked == reference bit for bit on any kernel"
         );
+        assert_eq!(got.stats, want.stats, "{name}");
+        let replicate = build(Backend::Blocked, PadMode::Replicate).run(&input).unwrap();
+        assert!(bits(&replicate.output) == bits(&want.output), "{name}: whole maps pad zeros");
     }
 }
 
