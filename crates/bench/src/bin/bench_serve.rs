@@ -1,13 +1,16 @@
 //! Serving benchmark: multi-stream throughput of the [`ServeEngine`]
-//! worker pool and the batch-coalescing amortization of `run_batch`, on
-//! vgg16_small across the Reference / Blocked / Quantized backends.
+//! worker pool and the batch amortization of `run_batch`, on vgg16_small
+//! across the Reference / Blocked / Quantized backends.
 //!
 //! Writes `BENCH_serve.json` with one entry per (backend, worker count):
 //! closed-loop throughput with one client stream per worker (requests/s,
 //! speedup vs the same backend on 1 worker), plus one batch-amortization
 //! entry per backend — a 1-worker engine serving the same requests
-//! per-request (`submit`/`wait`, batching off) vs pre-coalesced
-//! (`run_batch`), best of several trials each, with a raw
+//! one round trip at a time (`submit` then `wait`, the worker idle
+//! between requests) vs all at once (`run_batch`: every request is
+//! submitted as its own job before the first `wait`, so the worker
+//! dequeues them in groups while the caller is still submitting), best
+//! of several trials each, with a raw
 //! `Session::run_with` loop recorded alongside as `solo_run_ms`. The
 //! amortization rows run on the tiny dedicated `serve_amort` network so
 //! the serving-tier costs under test are a measurable fraction of
@@ -68,8 +71,8 @@ fn stream_input(stream: usize) -> Tensor {
 }
 
 /// The batch-amortization workload: a deliberately small network, so the
-/// serving-tier costs that batching targets — queue round-trips, dispatch
-/// bookkeeping, coalescing copies — are a measurable fraction of request
+/// serving-tier costs that batching targets — queue round-trips, worker
+/// wake-ups, dispatch bookkeeping — are a measurable fraction of request
 /// time. Under vgg16_small they are all sub-percent of per-request
 /// compute, and the sequential/batched ratio measures host jitter instead
 /// of the serving tier. Closed-loop throughput keeps vgg16_small.
@@ -213,10 +216,12 @@ fn run() -> Result<(), Box<dyn std::error::Error>> {
         }
 
         // Batch amortization on one worker: the same engine serving the
-        // same requests with coalescing off (one submit/wait round-trip
-        // per request) vs on (one pre-coalesced run_batch), so the
-        // speedup isolates exactly what batching buys *within* the
-        // serving tier — measured on the small `serve_amort` network
+        // same requests one submit/wait round-trip at a time vs as one
+        // run_batch (every request its own job, all submitted before the
+        // first wait, so the worker takes them off the queue in groups
+        // instead of parking between requests), so the speedup isolates
+        // what batching buys *within* the serving tier — measured on the
+        // small `serve_amort` network
         // where those costs are visible. A raw run_with loop with a warm
         // scratch is also recorded (solo_run_ms) as the no-serving-tier
         // reference point. Each timed window runs the request set several
@@ -244,9 +249,9 @@ fn run() -> Result<(), Box<dyn std::error::Error>> {
             max_batch: amort_batch,
             adaptive_batch: false,
         })?;
-        // Grow the worker's batch-sized scratch off the clock — a partial
-        // warm-up would leave the first measured run_batch paying the
-        // full-batch buffer growth.
+        // Grow the worker's scratch off the clock — a partial warm-up
+        // would leave the first measured run_batch paying the buffer
+        // growth.
         engine.run_batch(inputs.clone())?;
         let mut sequential_ms = f64::INFINITY;
         let mut batched_ms = f64::INFINITY;
@@ -281,8 +286,8 @@ fn run() -> Result<(), Box<dyn std::error::Error>> {
             metrics.p50_latency_us,
             metrics.p99_latency_us
         );
-        // Per-request submit/wait through the 1-worker engine (batching
-        // off) is the baseline `speedup` compares `run_batch` against;
+        // Per-request submit/wait through the 1-worker engine (one job in
+        // flight at a time) is the baseline `speedup` compares `run_batch` against;
         // `solo_run_ms` is informational (no serving tier at all).
         amortizations.push(Json::object([
             ("network", "serve_amort".into()),

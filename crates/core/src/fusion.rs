@@ -160,9 +160,9 @@ impl Step {
 /// image: traffic is the sum over the images, and `peak_working_elems` is
 /// `n` × the one-image peak, even where the images run one after another
 /// and never share the buffers at once. Every term therefore carries the
-/// batch factor, so a batch report divides exactly into per-request
-/// shares (`stats × nᵢ / n`) that equal solo runs — which is how serving
-/// splits a coalesced report.
+/// batch factor: a batch's report is the sum of its images' solo reports,
+/// so `stats / n` is the one-image figure at any batch size and no
+/// figure depends on which images happened to run together.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MemStats {
     /// Peak number of elements simultaneously alive in working buffers.

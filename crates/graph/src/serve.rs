@@ -3,7 +3,7 @@
 //!
 //! A session compiles a network once and can answer `run(&input)` calls,
 //! but a server needs more: many callers, bounded memory under load,
-//! batch coalescing, completion without a parked thread per request, and
+//! request batching, completion without a parked thread per request, and
 //! visibility into what the queue is doing. The engine provides exactly
 //! that, with std primitives only (threads + mutex/condvar — the
 //! workspace has no crates.io access):
@@ -46,15 +46,15 @@
 //!   job and greedily dequeues more queued jobs with it, up to
 //!   [`ServeConfig::max_batch`] samples: that group is one *batch* (one
 //!   [`ServeMetrics::batches`] count). Its jobs then run **back to back**,
-//!   each on its own input, and each publishes its tickets the moment its
+//!   each on its own input, and each publishes its ticket the moment its
 //!   own run returns — no request waits for the rest of its group, and an
 //!   executor failure fails only the job it hit. (A batch is not one big
 //!   tensor: the executor walks a multi-image input image by image anyway,
 //!   so a merged run would buy nothing but waiting.)
-//!   [`run_batch`](ServeEngine::run_batch) pre-coalesces its (owned)
-//!   inputs into `max_batch`-sample jobs at submit time, recycling batch
-//!   buffers through an internal pool so the warm path re-copies nothing
-//!   it can move; such a job's report is split per request. With
+//!   [`run_batch`](ServeEngine::run_batch) is a convenience over the same
+//!   path: each of its requests is an ordinary job, submitted and waited
+//!   on like any other, so workers group them exactly as they group
+//!   `submit` calls. With
 //!   [`ServeConfig::adaptive_batch`] the dequeue cap tracks a queue-depth
 //!   EWMA. Samples are independent under every backend (convolution,
 //!   pooling, FC and requantization never mix batch elements), so
@@ -66,12 +66,11 @@
 //!   batch-size histogram, shed/failed counts.
 //!   [`metrics`](ServeEngine::metrics) returns a [`ServeMetrics`]
 //!   snapshot without blocking the serving path.
-//! * **Exact per-request [`MemStats`]** — a job answering one request is
-//!   a solo run and hands its report over as is; every traffic and
-//!   working-set term of a multi-request `run_batch` job carries the
-//!   batch-size factor (the batch rule on [`MemStats`]), so its report
-//!   divides exactly back into per-request reports (`stats × nᵢ / N`) —
-//!   the same stats each request would have reported alone.
+//! * **Exact per-request [`MemStats`]** — a job answers exactly one
+//!   request and runs it alone, so its report — output, stats and
+//!   segment count — is a solo run's, handed over as is.
+//!
+//! [`MemStats`]: bconv_core::fusion::MemStats
 //!
 //! To scale past one engine, [`Session::into_router`](crate::Session::into_router)
 //! builds a [`router::Router`] that shards these APIs across N replica
@@ -87,7 +86,6 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::Instant;
 
-use bconv_core::fusion::MemStats;
 use bconv_tensor::{Tensor, TensorError};
 
 use crate::exec::{check_input, ExecScratch, Executor, RunReport};
@@ -118,10 +116,11 @@ pub struct ServeConfig {
     /// this caps server memory.
     pub queue_depth: usize,
     /// Maximum samples a worker dequeues as one batch (1 disables
-    /// grouping), and the sample budget of each job
-    /// [`ServeEngine::run_batch`] pre-coalesces. A batch is a dequeue
-    /// group: its jobs run back to back and each publishes as soon as its
-    /// own run finishes.
+    /// grouping). A batch is a dequeue group: its jobs run back to back
+    /// and each publishes as soon as its own run finishes. A job is one
+    /// request, whether it came from `submit` or
+    /// [`ServeEngine::run_batch`], and is never split: a request larger
+    /// than `max_batch` runs as a group of its own.
     pub max_batch: usize,
     /// When `true` (the default) the worker-side dequeue cap follows the
     /// observed queue-depth EWMA instead of always taking up to
@@ -186,36 +185,15 @@ pub struct SubmitOptions {
 /// is caught and ignored (the result is already published).
 pub type Waker = Box<dyn FnOnce(TicketId) + Send + 'static>;
 
-/// `(ticket, samples)` pairs answered by one job. `submit` jobs have
-/// exactly one part (stack-stored: no heap allocation on the submit hot
-/// path); `run_batch` pre-coalesced chunks carry one part per request.
-enum Parts {
-    One([(u64, usize); 1]),
-    Many(Vec<(u64, usize)>),
-}
-
-impl Parts {
-    fn as_slice(&self) -> &[(u64, usize)] {
-        match self {
-            Parts::One(p) => p,
-            Parts::Many(p) => p,
-        }
-    }
-}
-
-/// One queue entry: an input batch, the tickets it answers, and its
+/// One queue entry: one request's input, the ticket it answers, and its
 /// scheduling metadata.
 struct Job {
-    parts: Parts,
+    ticket: u64,
+    /// The input's batch size.
+    samples: usize,
     input: Tensor,
     deadline: Option<Instant>,
     submitted: Instant,
-}
-
-impl Job {
-    fn samples(&self) -> usize {
-        self.parts.as_slice().iter().map(|&(_, n)| n).sum()
-    }
 }
 
 /// A ticket's delivery slot.
@@ -275,30 +253,22 @@ struct Shared {
     /// Signalled when a job arrives or the phase changes (workers park
     /// here).
     queue_pop: Condvar,
-    /// Recycled batch-input tensors: workers return finished job inputs,
-    /// `run_batch` reuses them for its coalesced chunks, so the warm
-    /// batched path allocates no fresh batch buffers.
-    pool: Mutex<Vec<Tensor>>,
     metrics: MetricsCore,
     /// Workers still running; the last one out fails all queued work.
     live_workers: AtomicUsize,
 }
 
-/// Recycled-buffer pool cap: enough for every worker plus a couple of
-/// in-flight `run_batch` chunks; beyond that, tensors just drop.
-const POOL_CAP: usize = 8;
-
-/// Outcome of a queue push; rejected pushes hand the job back so the
-/// caller can roll back its pending slots without re-collecting tickets.
+/// Outcome of a queue push. A refused job is dropped; the caller rolls
+/// back its pending slot.
 enum Pushed {
     Accepted,
-    Full(Job),
-    Rejected(Job),
+    Full,
+    Rejected,
 }
 
 impl Shared {
     /// Poison-tolerant lock on the ticket table. A worker unwind (the very
-    /// event [`InFlightGuard`] exists for) may poison this mutex between a
+    /// event [`Worker`]'s drop exists for) may poison this mutex between a
     /// slot update and its notify; waiters must still be able to drain
     /// their tickets — the table itself is never left mid-update (every
     /// critical section completes its map operation before unwinding can
@@ -319,35 +289,21 @@ impl Shared {
         let mut q = self.lock_queue();
         while q.phase == QueuePhase::Open && q.jobs.len() >= depth {
             if !block {
-                return Pushed::Full(job);
+                return Pushed::Full;
             }
             q = self.queue_push.wait(q).unwrap_or_else(PoisonError::into_inner);
         }
         if q.phase != QueuePhase::Open {
-            return Pushed::Rejected(job);
+            return Pushed::Rejected;
         }
         let seq = q.seq;
         q.seq += 1;
-        q.samples += job.samples();
+        q.samples += job.samples;
         q.jobs.insert((Reverse(priority), seq), job);
         self.metrics.on_queue_depth(q.jobs.len() as u64, q.samples as u64);
         drop(q);
         self.queue_pop.notify_one();
         Pushed::Accepted
-    }
-
-    /// Takes a recycled batch buffer (or a fresh empty tensor).
-    fn take_buf(&self) -> Tensor {
-        let mut pool = self.pool.lock().unwrap_or_else(PoisonError::into_inner);
-        pool.pop().unwrap_or_default()
-    }
-
-    /// Returns a finished job input to the pool (dropped once full).
-    fn put_buf(&self, buf: Tensor) {
-        let mut pool = self.pool.lock().unwrap_or_else(PoisonError::into_inner);
-        if pool.len() < POOL_CAP {
-            pool.push(buf);
-        }
     }
 }
 
@@ -394,7 +350,6 @@ impl ServeEngine {
             }),
             queue_push: Condvar::new(),
             queue_pop: Condvar::new(),
-            pool: Mutex::new(Vec::new()),
             metrics: MetricsCore::new(),
             // Registered up front so a worker that dies before its
             // siblings even start still leaves an exact count.
@@ -409,12 +364,12 @@ impl ServeEngine {
                     // Worker-owned reusable buffers, built here (cold
                     // construction) so the serving loop itself never
                     // allocates bookkeeping.
-                    let mut state = WorkerState {
+                    let worker = Worker {
+                        shared: &shared_worker,
                         scratch: ExecScratch::new(),
                         jobs: Vec::new(),
-                        parts: Vec::new(),
                     };
-                    worker_loop(&*executor, &shared_worker, &mut state, config);
+                    worker_loop(&*executor, worker, config);
                 });
             match spawned {
                 Ok(handle) => workers.push(handle),
@@ -498,52 +453,10 @@ impl ServeEngine {
         self.next_ticket.fetch_add(1, Ordering::Relaxed)
     }
 
-    /// Registers pending slots for `parts` (attaching `waker` to the
-    /// first ticket) and pushes the job. On rejection the slots are
-    /// rolled back so the tickets read as unknown rather than hanging
-    /// forever. Returns `Ok(false)` only for a non-blocking push into a
-    /// full queue.
-    fn enqueue(
-        &self,
-        parts: Parts,
-        input: Tensor,
-        opts: SubmitOptions,
-        waker: Option<Waker>,
-        block: bool,
-    ) -> Result<bool, TensorError> {
-        let n_parts = parts.as_slice().len() as u64;
-        {
-            let mut results = self.shared.lock_results();
-            let mut waker = waker;
-            for &(t, _) in parts.as_slice() {
-                results.insert(t, Slot::Pending { waker: waker.take() });
-            }
-        }
-        let job = Job { parts, input, deadline: opts.deadline, submitted: Instant::now() };
-        match self.shared.push_job(job, opts.priority, self.config.queue_depth, block) {
-            Pushed::Accepted => {
-                self.shared.metrics.on_submit(n_parts);
-                Ok(true)
-            }
-            Pushed::Full(job) => {
-                self.rollback(&job);
-                Ok(false)
-            }
-            Pushed::Rejected(job) => {
-                self.rollback(&job);
-                Err(TensorError::invalid("engine is shut down"))
-            }
-        }
-    }
-
-    /// Removes the (still-pending) slots of a job the queue refused.
-    fn rollback(&self, job: &Job) {
-        let mut results = self.shared.lock_results();
-        for &(t, _) in job.parts.as_slice() {
-            results.remove(&t);
-        }
-    }
-
+    /// Registers the request's pending slot (with its waker) and pushes
+    /// its job. A refused push rolls the slot back, so the ticket reads as
+    /// unknown rather than hanging forever. Returns `Ok(None)` only for a
+    /// non-blocking push into a full queue.
     fn submit_inner(
         &self,
         input: Tensor,
@@ -551,20 +464,29 @@ impl ServeEngine {
         waker: Option<Waker>,
         block: bool,
     ) -> Result<Option<TicketId>, TensorError> {
-        let n = self.check_request(&input)?;
+        let samples = self.check_request(&input)?;
         let ticket = self.issue_ticket();
-        if let Some(deadline) = opts.deadline {
-            if Instant::now() >= deadline {
-                // Already expired at the door: resolve the ticket to the
-                // typed shed error without ever queueing it.
-                self.shared.metrics.on_submit(1);
-                self.shared.lock_results().insert(ticket, Slot::Pending { waker });
-                shed_expired(&self.shared, &[(ticket, n)]);
+        self.shared.lock_results().insert(ticket, Slot::Pending { waker });
+        if opts.deadline.is_some_and(|deadline| Instant::now() >= deadline) {
+            // Already expired at the door: resolve the ticket to the typed
+            // shed error without ever queueing it.
+            self.shared.metrics.on_submit();
+            shed_expired(&self.shared, ticket);
+            return Ok(Some(TicketId(ticket)));
+        }
+        let job =
+            Job { ticket, samples, input, deadline: opts.deadline, submitted: Instant::now() };
+        let pushed = self.shared.push_job(job, opts.priority, self.config.queue_depth, block);
+        let refused = match pushed {
+            Pushed::Accepted => {
+                self.shared.metrics.on_submit();
                 return Ok(Some(TicketId(ticket)));
             }
-        }
-        let enqueued = self.enqueue(Parts::One([(ticket, n)]), input, opts, waker, block)?;
-        Ok(enqueued.then_some(TicketId(ticket)))
+            Pushed::Full => Ok(None),
+            Pushed::Rejected => Err(TensorError::invalid("engine is shut down")),
+        };
+        self.shared.lock_results().remove(&ticket);
+        refused
     }
 
     /// Enqueues one request (any batch size) at default priority with no
@@ -679,93 +601,28 @@ impl ServeEngine {
     }
 
     /// Runs a batch of requests and returns their reports in request
-    /// order. Inputs are validated up front, pre-coalesced into
-    /// [`ServeConfig::max_batch`]-sample jobs (one queue entry and one
-    /// ticket-table round per chunk), executed by the worker pool, and
-    /// split back into per-request reports with exact per-request
-    /// [`MemStats`].
-    /// Outputs are bitwise-identical to running each input through
-    /// [`Session::run`](crate::Session::run) alone.
-    ///
-    /// Takes the inputs **by value**: a single-request chunk ships the
-    /// caller's tensor itself (no deep copy), and multi-request chunks
-    /// concatenate into recycled pool buffers — the warm batched path
-    /// performs no per-chunk buffer allocation.
+    /// order. Every input is validated before anything is enqueued; each
+    /// is then [`submit`](Self::submit)ted as its own job (moved, never
+    /// copied) and waited on, so its report — output,
+    /// [`MemStats`](bconv_core::fusion::MemStats) and segments — is
+    /// bitwise a solo [`Session::run`](crate::Session::run)'s. Workers
+    /// group the jobs like any others; `submit` blocks while the queue is
+    /// full.
     ///
     /// # Errors
     ///
-    /// Returns the first failing request's error (after all requests
-    /// finished), or a validation error before anything is enqueued.
+    /// Returns a validation error before anything is enqueued; otherwise
+    /// the error of a refused submission (the engine stopped accepting
+    /// work), or else
+    /// the first failing request's, after every submitted request has
+    /// resolved.
     pub fn run_batch(&self, inputs: Vec<Tensor>) -> Result<Vec<RunReport>, TensorError> {
-        let mut inputs = inputs;
-        let mut sizes = Vec::with_capacity(inputs.len());
-        for input in &inputs {
-            sizes.push(self.check_request(input)?);
-        }
-        let mut tickets: Vec<TicketId> = Vec::with_capacity(inputs.len());
-        let mut i = 0usize;
-        while i < inputs.len() {
-            // Greedy chunk: extend while the sample budget holds (a single
-            // oversized request still ships alone — the executor takes any
-            // batch size; max_batch only caps *coalescing*).
-            let mut j = i + 1;
-            let mut samples = sizes[i];
-            while j < inputs.len() && samples + sizes[j] <= self.config.max_batch {
-                samples += sizes[j];
-                j += 1;
-            }
-            let (parts, input) = if j - i == 1 {
-                // Sole request in the chunk: move the caller's tensor
-                // straight into the job — no copy of any kind.
-                (Parts::One([(self.issue_ticket(), sizes[i])]), std::mem::take(&mut inputs[i]))
-            } else {
-                let parts: Vec<(u64, usize)> =
-                    (i..j).map(|k| (self.issue_ticket(), sizes[k])).collect();
-                let mut batch = self.shared.take_buf();
-                concat_into(&inputs[i..j], samples, &mut batch);
-                (Parts::Many(parts), batch)
-            };
-            let chunk_tickets: Vec<u64> = parts.as_slice().iter().map(|&(t, _)| t).collect();
-            if let Err(e) = self.enqueue(parts, input, SubmitOptions::default(), None, true) {
-                // A blocking push can only be rejected once the engine
-                // stops accepting work, so chunks enqueued earlier that
-                // are not already Done will never be: resolve their
-                // Pending slots to errors, then drain everything so no
-                // result lingers undelivered. (This chunk's own tickets
-                // were rolled back inside `enqueue` — they resolve as
-                // unknown, not as a hang.) Blind-waiting instead would
-                // hang on the first abandoned ticket.
-                {
-                    let mut results = self.shared.lock_results();
-                    for t in &tickets {
-                        if matches!(results.get(&t.0), Some(Slot::Pending { .. })) {
-                            results.insert(t.0, Slot::Done(Err(e.clone())));
-                        }
-                    }
-                }
-                self.shared.done.notify_all();
-                for ticket in tickets {
-                    let _ = self.wait(ticket);
-                }
-                return Err(e);
-            }
-            tickets.extend(chunk_tickets.iter().map(|&t| TicketId(t)));
-            i = j;
-        }
-        let mut reports = Vec::with_capacity(tickets.len());
-        let mut first_err: Option<TensorError> = None;
-        for ticket in tickets {
-            match self.wait(ticket) {
-                Ok(report) => reports.push(report),
-                Err(e) => {
-                    first_err.get_or_insert(e);
-                }
-            }
-        }
-        match first_err {
-            None => Ok(reports),
-            Some(e) => Err(e),
-        }
+        run_each(
+            inputs,
+            |input| self.check_request(input),
+            |input| self.submit(input),
+            |t| self.wait(t),
+        )
     }
 
     /// Closes the queue, drains every already-submitted request, and
@@ -813,47 +670,46 @@ impl std::fmt::Debug for ServeEngine {
     }
 }
 
-/// Concatenates same-per-sample-shape requests along the batch dimension
-/// into `out` (NCHW is sample-major, so this is a plain append) — how
-/// `run_batch` fills a recycled pool buffer with one chunk.
-fn concat_into(inputs: &[Tensor], total_n: usize, out: &mut Tensor) {
-    let Some(first) = inputs.first() else { return };
-    let [_, c, h, w] = first.shape().dims();
-    out.reset([total_n, c, h, w]);
-    let mut off = 0usize;
-    for t in inputs {
-        let d = t.data();
-        out.data_mut()[off..off + d.len()].copy_from_slice(d);
-        off += d.len();
+/// The one `run_batch` body, shared by [`ServeEngine::run_batch`] and
+/// [`Router::run_batch`](router::Router::run_batch): `check` every input
+/// before anything is submitted, then `submit` each and `wait` on the
+/// tickets in request order. A refused submission (every worker of the
+/// engine has exited) stops submitting, but every ticket already issued
+/// is still waited on — the last worker out fails every queued ticket, so
+/// none of them hangs or lingers in a ticket table — and the refusal is
+/// the error returned.
+fn run_each<T>(
+    inputs: Vec<Tensor>,
+    check: impl Fn(&Tensor) -> Result<usize, TensorError>,
+    submit: impl Fn(Tensor) -> Result<T, TensorError>,
+    wait: impl Fn(T) -> Result<RunReport, TensorError>,
+) -> Result<Vec<RunReport>, TensorError> {
+    for input in &inputs {
+        check(input)?;
     }
-}
-
-/// Per-request share of a coalesced batch's [`MemStats`]: every counter
-/// term of the shipped backends scales linearly with the batch
-/// dimension, so `x * n / total_n` is exact and equals the stats of a
-/// solo run of the same request (`tests/serve_determinism.rs` asserts
-/// the equality). The multiply-first u128 arithmetic keeps release
-/// builds sensible (nearest rounding, no truncation bias) even if a
-/// future backend adds a batch-independent term; the debug asserts are
-/// the canary that flags such a term during development.
-fn per_request_stats(batch: MemStats, total_n: usize, n: usize) -> MemStats {
-    debug_assert_eq!(
-        batch.offchip_elems % total_n,
-        0,
-        "off-chip traffic must carry the batch factor"
-    );
-    debug_assert_eq!(
-        batch.peak_working_elems % total_n,
-        0,
-        "working-set peak must carry the batch factor"
-    );
-    let share = |x: usize| -> usize {
-        ((x as u128 * n as u128 + total_n as u128 / 2) / total_n as u128) as usize
-    };
-    MemStats {
-        peak_working_elems: share(batch.peak_working_elems),
-        offchip_elems: share(batch.offchip_elems),
-        bits_per_elem: batch.bits_per_elem,
+    let mut tickets = Vec::with_capacity(inputs.len());
+    let mut first_err: Option<TensorError> = None;
+    for input in inputs {
+        match submit(input) {
+            Ok(ticket) => tickets.push(ticket),
+            Err(e) => {
+                first_err = Some(e);
+                break;
+            }
+        }
+    }
+    let mut reports = Vec::with_capacity(tickets.len());
+    for ticket in tickets {
+        match wait(ticket) {
+            Ok(report) => reports.push(report),
+            Err(e) => {
+                first_err.get_or_insert(e);
+            }
+        }
+    }
+    match first_err {
+        None => Ok(reports),
+        Some(e) => Err(e),
     }
 }
 
@@ -877,66 +733,95 @@ fn fulfill(shared: &Shared, ticket: u64, report: Result<RunReport, TensorError>)
     }
 }
 
-/// Sheds an expired job — dequeued by a worker, or still at the
-/// submission door: every ticket it carries resolves to
+/// Sheds an expired request — dequeued by a worker, or still at the
+/// submission door: its ticket resolves to
 /// [`TensorError::DeadlineExpired`] without touching the executor.
-fn shed_expired(shared: &Shared, parts: &[(u64, usize)]) {
-    for &(ticket, _) in parts {
-        shared.metrics.on_shed();
-        fulfill(shared, ticket, Err(TensorError::DeadlineExpired));
-    }
+fn shed_expired(shared: &Shared, ticket: u64) {
+    shared.metrics.on_shed();
+    fulfill(shared, ticket, Err(TensorError::DeadlineExpired));
 }
 
-/// Splits a coalesced batch report back into per-request reports, in
-/// batch order. The output batch dimension is partitioned at the request
-/// boundaries; stats divide exactly (see [`per_request_stats`]).
-fn fulfill_split(shared: &Shared, parts: &[(u64, usize)], total_n: usize, report: &RunReport) {
-    let [out_n, c_out, oh, ow] = report.output.shape().dims();
-    debug_assert_eq!(out_n, total_n, "output batch must match the coalesced input batch");
-    let per_sample = c_out * oh * ow;
-    let mut start = 0usize;
-    for &(ticket, n) in parts {
-        let data = report.output.data()[start * per_sample..(start + n) * per_sample].to_vec();
-        // The split dims match the copied slice by construction; should
-        // that invariant ever break, the ticket receives the shape error
-        // instead of the worker unwinding.
-        let result = Tensor::from_vec([n, c_out, oh, ow], data).map(|output| RunReport {
-            output,
-            stats: per_request_stats(report.stats, total_n, n),
-            segments: report.segments,
-        });
-        fulfill(shared, ticket, result);
-        start += n;
-    }
-}
-
-/// A worker's reusable buffers, constructed once at spawn (in
-/// [`ServeEngine::new`]'s thread closure) so the serving loop performs
-/// no per-group bookkeeping allocation.
-struct WorkerState {
+/// One worker thread: its reusable buffers, constructed once at spawn (in
+/// [`ServeEngine::new`]'s thread closure) so the serving loop performs no
+/// per-group bookkeeping allocation, and its exit guard.
+///
+/// Dropping the worker — at shutdown, or while unwinding from a panic
+/// anywhere between dequeue and delivery — first fails every ticket of
+/// its current group still `Pending` (delivered results are left alone;
+/// outside a group `jobs` is empty), so no client hangs in `wait`. Then,
+/// if it is the last worker out, it marks the queue Dead, fails every
+/// still-queued ticket, and wakes all parked submitters and waiters, so a
+/// fully-dead engine rejects instead of hanging. Poison-tolerant
+/// throughout: the unwind it exists for may have poisoned any mutex.
+struct Worker<'a> {
+    shared: &'a Shared,
     scratch: ExecScratch,
     /// Jobs dequeued as the current group.
     jobs: Vec<Job>,
-    /// Flattened `(ticket, samples)` parts of the current group.
-    parts: Vec<(u64, usize)>,
+}
+
+impl Drop for Worker<'_> {
+    fn drop(&mut self) {
+        let shared = self.shared;
+        let mut failed_any = false;
+        {
+            let mut results = shared.lock_results();
+            for &Job { ticket, .. } in &self.jobs {
+                if matches!(results.get(&ticket), Some(Slot::Pending { .. })) {
+                    results.insert(
+                        ticket,
+                        Slot::Done(Err(TensorError::invalid(
+                            "serving worker panicked while executing this request",
+                        ))),
+                    );
+                    shared.metrics.on_fail();
+                    failed_any = true;
+                }
+            }
+        }
+        if failed_any {
+            shared.done.notify_all();
+        }
+        if shared.live_workers.fetch_sub(1, Ordering::AcqRel) != 1 {
+            return;
+        }
+        // Last worker out: nothing will ever be dequeued again.
+        {
+            let mut q = shared.lock_queue();
+            q.phase = QueuePhase::Dead;
+            q.samples = 0;
+            shared.metrics.on_queue_depth(0, 0);
+        }
+        shared.queue_push.notify_all();
+        shared.queue_pop.notify_all();
+        // Fail the orphaned jobs one at a time, never holding the queue
+        // lock while publishing results (lock-order hygiene: fulfill
+        // takes the results lock and may run a waker).
+        loop {
+            let job = {
+                let mut q = shared.lock_queue();
+                match q.jobs.pop_first() {
+                    Some((_, job)) => job,
+                    None => break,
+                }
+            };
+            shared.metrics.on_fail();
+            fulfill(
+                shared,
+                job.ticket,
+                Err(TensorError::invalid("all serving workers have exited")),
+            );
+        }
+    }
 }
 
 /// A worker: pull the highest-priority job, opportunistically dequeue
 /// more queued jobs up to the (possibly adaptive) sample cap as one
 /// group, shed the expired ones, then run the rest one after another
 /// through the shared executor with this worker's scratch, publishing
-/// each job's tickets as soon as its own run returns, and recycle the
-/// input buffers.
-fn worker_loop(
-    executor: &dyn Executor,
-    shared: &Shared,
-    state: &mut WorkerState,
-    config: ServeConfig,
-) {
-    // Declared first so it drops LAST on unwind: the in-flight guard
-    // (below) fails this worker's own tickets before the exit guard
-    // decides whether the whole engine is dead.
-    let _exit = WorkerExitGuard { shared };
+/// each job's ticket as soon as its own run returns.
+fn worker_loop(executor: &dyn Executor, mut worker: Worker<'_>, config: ServeConfig) {
+    let shared = worker.shared;
     loop {
         let mut q = shared.lock_queue();
         let first = loop {
@@ -957,25 +842,25 @@ fn worker_loop(
         // Adaptive group cap: follow the smoothed queue depth so a quiet
         // queue takes one job at a time while a deep queue takes up to
         // max_batch samples per trip to the lock. Jobs are never split,
-        // so a pre-coalesced run_batch chunk always runs whole.
+        // so a request larger than the cap runs as a group of its own.
         let cap = if config.adaptive_batch {
             (shared.metrics.depth_ewma_samples() as usize).clamp(1, config.max_batch)
         } else {
             config.max_batch
         };
-        let mut samples = first.samples();
-        state.jobs.push(first);
+        let mut samples = first.samples;
+        worker.jobs.push(first);
         while samples < cap {
             let fits = matches!(
                 q.jobs.first_key_value(),
-                Some((_, job)) if samples + job.samples() <= cap
+                Some((_, job)) if samples + job.samples <= cap
             );
             if !fits {
                 break;
             }
             if let Some((_, job)) = q.jobs.pop_first() {
-                samples += job.samples();
-                state.jobs.push(job);
+                samples += job.samples;
+                worker.jobs.push(job);
             } else {
                 break;
             }
@@ -987,148 +872,43 @@ fn worker_loop(
         shared.queue_push.notify_all();
 
         // Shed-on-expiry: a job whose deadline passed while queued never
-        // reaches the executor — its tickets resolve to the typed error.
+        // reaches the executor — its ticket resolves to the typed error.
         let now = Instant::now();
-        state.jobs.retain(|job| {
+        worker.jobs.retain(|job| {
             let expired = job.deadline.is_some_and(|d| now >= d);
             if expired {
-                shed_expired(shared, job.parts.as_slice());
+                shed_expired(shared, job.ticket);
             }
             !expired
         });
-        if state.jobs.is_empty() {
+        if worker.jobs.is_empty() {
             continue;
         }
 
-        state.parts.clear();
-        for job in &state.jobs {
-            for &part in job.parts.as_slice() {
-                state.parts.push(part);
-            }
-        }
         // Counted before any result is published, so a waiter that wakes
         // on its ticket already sees its group.
-        shared.metrics.on_batch(state.parts.iter().map(|&(_, n)| n).sum());
+        shared.metrics.on_batch(worker.jobs.iter().map(|job| job.samples).sum());
 
-        // Exactly-once delivery must survive a panic anywhere between
-        // dequeue and delivery (executor runs AND result splitting): the
-        // guard covers the whole group, and its Drop fails only tickets
-        // still Pending, so no client hangs in `wait` and no delivered
-        // result is overwritten.
-        let guard = InFlightGuard { shared, parts: &state.parts };
         // The group's jobs run back to back, and each publishes the moment
         // its own run returns: no request waits on the rest of its group.
-        for job in state.jobs.drain(..) {
-            let parts = job.parts.as_slice();
-            match executor.run_scratch(&job.input, &mut state.scratch) {
+        // (A panic here leaves the group in `worker.jobs` for the worker's
+        // drop to fail what is still Pending.)
+        for job in &worker.jobs {
+            match executor.run_scratch(&job.input, &mut worker.scratch) {
                 Ok(report) => {
-                    // Count completions *before* publishing: the moment a
-                    // slot turns Done a waiter may wake and read the
+                    // Count the completion *before* publishing: the moment
+                    // the slot turns Done a waiter may wake and read the
                     // metrics, and it must see its own request counted.
-                    let us = job.submitted.elapsed().as_micros() as u64;
-                    for _ in parts {
-                        shared.metrics.on_complete(us);
-                    }
-                    match *parts {
-                        // A single request ran alone: its report is a solo
-                        // run's, handed over without a copy.
-                        [(ticket, _)] => fulfill(shared, ticket, Ok(report)),
-                        _ => fulfill_split(shared, parts, job.samples(), &report),
-                    }
+                    shared.metrics.on_complete(job.submitted.elapsed().as_micros() as u64);
+                    fulfill(shared, job.ticket, Ok(report));
                 }
                 Err(e) => {
-                    for &(ticket, _) in parts {
-                        shared.metrics.on_fail();
-                        fulfill(shared, ticket, Err(e.clone()));
-                    }
-                }
-            }
-            // Recycle the finished input so run_batch's next chunks reuse
-            // it instead of allocating a fresh batch buffer.
-            shared.put_buf(job.input);
-        }
-        drop(guard); // everything delivered: the guard finds nothing Pending
-    }
-}
-
-/// Unwind guard for a worker's in-flight job: on drop it publishes an
-/// error for every ticket still `Pending` (delivered results — Done or
-/// already redeemed — are left untouched, so the guard is a no-op on the
-/// normal path). Uses poison-tolerant locking: the unwind it exists for
-/// may have poisoned any mutex. Preserves the "a ticket always resolves"
-/// contract even when the executor or the result-splitting path panics.
-struct InFlightGuard<'a> {
-    shared: &'a Shared,
-    parts: &'a [(u64, usize)],
-}
-
-impl Drop for InFlightGuard<'_> {
-    fn drop(&mut self) {
-        let mut failed_any = false;
-        {
-            let mut results = self.shared.lock_results();
-            for &(ticket, _) in self.parts {
-                if matches!(results.get(&ticket), Some(Slot::Pending { .. })) {
-                    results.insert(
-                        ticket,
-                        Slot::Done(Err(TensorError::invalid(
-                            "serving worker panicked while executing this request",
-                        ))),
-                    );
-                    self.shared.metrics.on_fail();
-                    failed_any = true;
+                    shared.metrics.on_fail();
+                    fulfill(shared, job.ticket, Err(e));
                 }
             }
         }
-        if failed_any {
-            self.shared.done.notify_all();
-        }
-    }
-}
-
-/// Worker-exit accounting: the last worker out (normal shutdown or a
-/// panic storm) marks the queue Dead, fails every still-queued ticket,
-/// and wakes all parked submitters and waiters — so a fully-dead engine
-/// rejects instead of hanging. Poison-tolerant throughout: it runs
-/// during unwinds.
-struct WorkerExitGuard<'a> {
-    shared: &'a Shared,
-}
-
-impl Drop for WorkerExitGuard<'_> {
-    fn drop(&mut self) {
-        if self.shared.live_workers.fetch_sub(1, Ordering::AcqRel) != 1 {
-            return;
-        }
-        // Last worker out: nothing will ever be dequeued again.
-        {
-            let mut q = self.shared.lock_queue();
-            q.phase = QueuePhase::Dead;
-            q.samples = 0;
-            self.shared.metrics.on_queue_depth(0, 0);
-        }
-        self.shared.queue_push.notify_all();
-        self.shared.queue_pop.notify_all();
-        // Fail the orphaned jobs one at a time, never holding the queue
-        // lock while publishing results (lock-order hygiene: fulfill
-        // takes the results lock and may run a waker).
-        loop {
-            let job = {
-                let mut q = self.shared.lock_queue();
-                match q.jobs.pop_first() {
-                    Some((_, job)) => job,
-                    None => break,
-                }
-            };
-            for &(ticket, _) in job.parts.as_slice() {
-                self.shared.metrics.on_fail();
-                fulfill(
-                    self.shared,
-                    ticket,
-                    Err(TensorError::invalid("all serving workers have exited")),
-                );
-            }
-        }
+        worker.jobs.clear();
     }
 }
 
@@ -1224,9 +1004,11 @@ mod tests {
     #[test]
     fn run_batch_with_mixed_batch_sizes_matches_solo_runs() {
         let oracle = builder().build().unwrap();
-        let engine = builder().build().unwrap().into_engine(cfg(2, 8, 3)).unwrap();
-        // Mixed sizes force uneven coalescing chunks under max_batch = 3.
-        let inputs: Vec<Tensor> = [1usize, 2, 1, 3, 1]
+        // A queue two jobs deep: run_batch blocks on backpressure partway
+        // through its eight requests.
+        let engine = builder().build().unwrap().into_engine(cfg(2, 2, 3)).unwrap();
+        // Mixed sizes under max_batch = 3, one of them (5) larger than it.
+        let inputs: Vec<Tensor> = [1usize, 2, 1, 3, 1, 5, 2, 1]
             .iter()
             .enumerate()
             .map(|(i, &n)| input(20 + i as u64, n))
@@ -1239,6 +1021,9 @@ mod tests {
             assert_eq!(got.stats, want.stats, "request {i} stats diverged");
             assert_eq!(got.segments, want.segments);
         }
+        let m = engine.metrics();
+        assert_eq!((m.submitted, m.completed), (8, 8), "one job per request");
+        assert_eq!(m.batch_hist[5], 1, "the oversized request runs whole, as a group of its own");
     }
 
     #[test]
@@ -1577,8 +1362,8 @@ mod tests {
         let mut session = builder().build().unwrap();
         let (_graph, inner) = session.shared_parts();
         session.swap_executor(Arc::new(PanickingExecutor { inner }));
-        // One worker and a depth-1 queue: the poison chunk kills the only
-        // worker while later chunks are queued or blocked in submit.
+        // One worker and a depth-1 queue: the poisoned request kills the
+        // only worker while later requests are queued or blocked in submit.
         let engine = session
             .into_engine(ServeConfig {
                 workers: 1,

@@ -99,9 +99,10 @@ impl MetricsCore {
         }
     }
 
-    /// `n` requests (tickets) accepted by `submit`/`run_batch`.
-    pub(crate) fn on_submit(&self, n: u64) {
-        self.submitted.fetch_add(n, Ordering::Relaxed);
+    /// One request (ticket) accepted by `submit` — `run_batch` submits
+    /// each of its requests this way.
+    pub(crate) fn on_submit(&self) {
+        self.submitted.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Cheap single-gauge read for load balancing (avoids a full

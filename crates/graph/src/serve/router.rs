@@ -10,18 +10,19 @@
 //! one calibration pass ([`crate::quantize::calibration_passes`] counts
 //! them). Shard choice is least-queued-samples with a rotating
 //! tie-break, which is pure load balancing: samples are independent and
-//! every replica runs the identical executor, so routing — like batch
-//! coalescing — is bitwise invisible and each request's output equals a
-//! solo [`Session::run`](crate::Session::run).
+//! every replica runs the identical executor, so routing — like a
+//! replica's dequeue grouping — is bitwise invisible and each request's
+//! output equals a solo [`Session::run`](crate::Session::run).
 //!
 //! The API mirrors the engine: [`submit`](Router::submit) /
 //! [`submit_with`](Router::submit_with) /
 //! [`submit_with_waker`](Router::submit_with_waker) return a
 //! [`RouterTicket`] (shard + engine ticket), redeemed with
 //! [`wait`](Router::wait) or [`poll`](Router::poll);
-//! [`run_batch`](Router::run_batch) spreads a whole batch over the
-//! replica set; [`metrics`](Router::metrics) folds every replica's
-//! [`ServeMetrics`] into one fleet view.
+//! [`run_batch`](Router::run_batch) routes each request of a batch as its
+//! own job, through the engine's own `run_batch` body;
+//! [`metrics`](Router::metrics) folds every replica's [`ServeMetrics`]
+//! into one fleet view.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -29,7 +30,7 @@ use bconv_tensor::{Tensor, TensorError};
 
 use crate::exec::RunReport;
 use crate::serve::metrics::ServeMetrics;
-use crate::serve::{ServeConfig, ServeEngine, SubmitOptions, TicketId, Waker};
+use crate::serve::{run_each, ServeConfig, ServeEngine, SubmitOptions, TicketId, Waker};
 use crate::session::Session;
 
 /// Handle to one routed request: remembers which replica holds the
@@ -169,41 +170,24 @@ impl Router {
         }
     }
 
-    /// Spreads a whole batch across the replica set (per-request
-    /// routing; worker-side coalescing still batches within each
-    /// shard) and returns the reports in request order — bitwise
-    /// identical to solo runs, like [`ServeEngine::run_batch`].
+    /// Spreads a whole batch across the replica set and returns the
+    /// reports in request order — bitwise identical to solo runs. The
+    /// same body as [`ServeEngine::run_batch`]: every input is validated
+    /// first (the replicas share one graph), so a bad input enqueues
+    /// nothing; then each request is routed as its own job, exactly like
+    /// [`submit`](Self::submit), and the shard's workers group it with
+    /// whatever else is queued there.
     ///
     /// # Errors
     ///
-    /// Returns the first failing request's error (after all requests
-    /// finished), or a validation error from the rejecting shard.
+    /// See [`ServeEngine::run_batch`].
     pub fn run_batch(&self, inputs: Vec<Tensor>) -> Result<Vec<RunReport>, TensorError> {
-        let mut tickets: Vec<RouterTicket> = Vec::with_capacity(inputs.len());
-        let mut submit_err: Option<TensorError> = None;
-        for input in inputs {
-            match self.submit(input) {
-                Ok(t) => tickets.push(t),
-                Err(e) => {
-                    submit_err = Some(e);
-                    break;
-                }
-            }
-        }
-        let mut reports = Vec::with_capacity(tickets.len());
-        let mut first_err: Option<TensorError> = None;
-        for ticket in tickets {
-            match self.wait(ticket) {
-                Ok(report) => reports.push(report),
-                Err(e) => {
-                    first_err.get_or_insert(e);
-                }
-            }
-        }
-        match submit_err.or(first_err) {
-            None => Ok(reports),
-            Some(e) => Err(e),
-        }
+        run_each(
+            inputs,
+            |input| self.replicas[0].check_request(input),
+            |input| self.submit(input),
+            |t| self.wait(t),
+        )
     }
 
     /// Fleet-wide [`ServeMetrics`]: counters summed, latency percentiles

@@ -11,8 +11,7 @@
 //!   one-image and multi-image inputs alike.
 //! * **Bounded** — [`ServeEngine`] inherently allocates per request: the
 //!   output tensor leaves the engine in its `RunReport`, and the ticket
-//!   table / batch bookkeeping churn a few nodes (all bounded by
-//!   `max_batch`, see `analyze/allowlist.txt`). The gate asserts a hard
+//!   table and queue churn a few nodes per request. The gate asserts a hard
 //!   per-request ceiling on both allocation count and bytes so a
 //!   regression (say, a per-request buffer clone) fails loudly.
 //!
@@ -340,9 +339,11 @@ fn assert_bounded_serve(backend: Backend, workers: usize) {
     // the caller's own copy.
     let inputs: Vec<Tensor> = (0..workers * 4).map(|i| input(i as u64, 1)).collect();
     let output_bytes = {
-        // Warm-up: every worker grows its scratch to steady state. Rounds
-        // of exactly `workers` in-flight requests force the engine to
-        // spread work across all workers (each blocks on its own ticket).
+        // Warm-up: every worker grows its scratch to steady state. Each
+        // round is one `run_batch` of `workers × 4` one-image requests,
+        // each its own job, all queued before the first wait: every push
+        // wakes a parked worker, which takes up to `max_batch` of them,
+        // so six rounds put requests on every worker.
         let mut out_bytes = 0usize;
         for _ in 0..6 {
             for report in engine.run_batch(inputs.clone()).expect("warm-up batch") {

@@ -3,11 +3,11 @@
 //! batched (`run_batch`) and ticketed (`submit`/`wait`) serving produce
 //! per-request outputs and [`MemStats`] identical to sequential
 //! `Session::run` calls — across the Reference / Blocked / Quantized
-//! backends, 1/2/8 engine workers, and any batch-coalescing size.
+//! backends, 1/2/8 engine workers, and any dequeue-group size.
 //!
 //! This is the serving analogue of the kernel/thread contract in
-//! `kernels_threads.rs`: worker count, queue timing, and batch
-//! coalescing are schedule choices and must never leak into numerics or
+//! `kernels_threads.rs`: worker count, queue timing, and dequeue
+//! grouping are schedule choices and must never leak into numerics or
 //! memory accounting.
 
 use bconv_graph::{Backend, PlanSpec, ServeConfig, Session, SessionBuilder, TicketId};
@@ -41,7 +41,7 @@ fn session(net: &Network, backend: Backend, pad: PadMode, seed: u64, threads: us
     b.build().expect("property session builds")
 }
 
-/// Request mix with non-uniform batch sizes, so coalescing chunks land on
+/// Request mix with non-uniform batch sizes, so dequeue groups land on
 /// uneven boundaries.
 fn request_mix(seed: u64) -> Vec<Tensor> {
     [1usize, 2, 1, 3, 1]

@@ -217,3 +217,23 @@ fn router_sheds_expired_requests_with_typed_error() {
     assert!(router.wait(ok).is_ok());
     router.shutdown();
 }
+
+/// A router's `run_batch` checks every input before it routes any: a bad
+/// last input fails the call with nothing submitted, as the engine's own
+/// `run_batch` does, instead of running the requests in front of it.
+#[test]
+fn router_run_batch_rejects_a_bad_input_before_submitting_any() {
+    let _gate = GATE.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+    let net = random_net(2, false);
+    let router = session(&net, Backend::Blocked, 11)
+        .into_router(
+            2,
+            ServeConfig { workers: 1, queue_depth: 4, max_batch: 2, ..ServeConfig::default() },
+        )
+        .expect("router builds");
+    let mut inputs = request_mix(0xBAD);
+    inputs.push(Tensor::zeros([1, 3, 16, 16]));
+    assert!(router.run_batch(inputs).is_err(), "a wrong channel count must fail the batch");
+    assert_eq!(router.metrics().submitted, 0, "nothing may be routed before the check");
+    router.shutdown();
+}

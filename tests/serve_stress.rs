@@ -5,7 +5,7 @@
 //!
 //! The queue depth is far below the number of outstanding requests, so
 //! clients spend much of the test blocked in `submit` — the backpressure
-//! path — while workers coalesce whatever mixture of requests the timing
+//! path — while workers group whatever mixture of requests the timing
 //! produces. Determinism must hold through all of it.
 
 use bconv_graph::{Backend, ServeConfig, ServeEngine, Session};
@@ -35,7 +35,7 @@ fn build_session(backend: Backend) -> Session {
 }
 
 /// The deterministic request of client `c`, iteration `i` (batch size
-/// varies so coalesced batches land on uneven boundaries).
+/// varies so dequeue groups land on uneven boundaries).
 fn request(c: usize, i: usize) -> Tensor {
     let n = 1 + (c + i) % 2;
     uniform_tensor([n, 2, 16, 16], -1.0, 1.0, &mut seeded_rng((c as u64) << 32 | i as u64))
