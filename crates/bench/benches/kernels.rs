@@ -71,29 +71,36 @@ fn bench_kernel_impls(c: &mut Criterion) {
             });
         }
     }
-    // Depthwise: the measurement behind Auto's choice of the fast path even at m=1.
+    // Depthwise: the measurement behind Auto's choice of the fast path even
+    // at m=1. Strided and pointwise: the sgemm, whose weight panels this
+    // unpacked entry packs on every call.
     let mut rng = seeded_rng(5);
     let dw = he_conv2d(32, 32, ConvGeom::same(3), 32, &mut rng).unwrap();
     let input = uniform_tensor([1, 32, 32, 32], -1.0, 1.0, &mut rng);
-    let padded = pad2d(&input, 1, 1, PadMode::Zero).unwrap();
-    for kind in [KernelKind::Direct, KernelKind::Im2colGemm] {
-        let mut out = Tensor::default();
-        let mut scratch = ConvScratch::new();
-        group.bench_function(format!("{}_depthwise_32x32", kind.name()), |b| {
-            b.iter(|| {
-                dw.forward_prepadded_into(black_box(&padded), kind, &mut out, &mut scratch)
-                    .unwrap();
-                black_box(out.data()[0])
-            })
-        });
+    let strided = he_conv2d(32, 32, ConvGeom::new(3, 2, 1), 1, &mut rng).unwrap();
+    let pointwise = he_conv2d(32, 32, ConvGeom::new(1, 1, 0), 1, &mut rng).unwrap();
+    for (name, conv) in [("depthwise", &dw), ("strided", &strided), ("pointwise", &pointwise)] {
+        let p = conv.geom().padding;
+        let padded = pad2d(&input, p, p, PadMode::Zero).unwrap();
+        for kind in [KernelKind::Direct, KernelKind::Im2colGemm] {
+            let mut out = Tensor::default();
+            let mut scratch = ConvScratch::new();
+            group.bench_function(format!("{}_{name}_32x32", kind.name()), |b| {
+                b.iter(|| {
+                    conv.forward_prepadded_into(black_box(&padded), kind, &mut out, &mut scratch)
+                        .unwrap();
+                    black_box(out.data()[0])
+                })
+            });
+        }
     }
     group.finish();
 }
 
 /// One warm fast-path call on a `c_in -> c_out` 3×3 layer over a
 /// `side`×`side` padded plane, reported with its MAC rate: through
-/// `Conv2d::forward_prepadded_into` (`KernelKind::Im2colGemm`; a
-/// channel-lane layer lane-packs its weights per call), or, `packed`,
+/// `Conv2d::forward_prepadded_into` (`KernelKind::Im2colGemm`, which
+/// lane-packs the weights per call), or, `packed`,
 /// through `PackedWeights::forward_prepadded_into` — the entry fused chains
 /// run.
 fn bench_fast_path_call(

@@ -24,9 +24,9 @@ use crate::padding_solver::{plan_axis, AxisPlan};
 /// whoever planned the block convolution (e.g. a `bconv-graph` `Graph`
 /// node) — planning never deep-clones weights. Executors that keep a plan
 /// around call [`with_packed_weights`](Self::with_packed_weights) once at
-/// build time to add a panel-major packed copy for the GEMM kernel;
-/// planning itself never packs (cost-model trial walks plan thousands of
-/// candidates and quantized chains use their own integer packing).
+/// build time to add a packed copy for the fast path; planning itself
+/// never packs (cost-model trial walks plan thousands of candidates and
+/// quantized chains use their own integer packing).
 #[derive(Debug, Clone)]
 pub struct BlockConv2d {
     conv: Arc<Conv2d>,
@@ -36,22 +36,6 @@ pub struct BlockConv2d {
     pad_mode: PadMode,
     kernel: KernelKind,
     packed: Option<Arc<PackedWeights>>,
-}
-
-/// Reusable temporaries for per-block convolution: the padded block and
-/// the kernel's own scratch. One per worker thread.
-#[derive(Debug, Default)]
-pub struct BlockConvScratch {
-    /// The locally padded block.
-    padded: Tensor,
-    conv: ConvScratch,
-}
-
-impl BlockConvScratch {
-    /// A fresh, empty scratch.
-    pub fn new() -> Self {
-        Self::default()
-    }
 }
 
 impl BlockConv2d {
@@ -108,11 +92,12 @@ impl BlockConv2d {
         Ok(Self { conv, grid, rows, cols, pad_mode, kernel, packed: None })
     }
 
-    /// Adds a build-time panel-major packed copy of the weights for the
-    /// GEMM kernel (a no-op for layers resolved to the direct loop).
-    /// Packing allocates once, here; every subsequent
-    /// [`forward_block_into`](Self::forward_block_into) streams the packed
-    /// panels instead of the row-major weight matrix, bitwise identically.
+    /// Adds a build-time packed copy of the weights for the fast path
+    /// ([`PackedWeights`]: lanes or panels, by layer shape; a no-op for
+    /// layers resolved to the direct loop). Packing allocates once, here;
+    /// every subsequent [`conv_block_into`](Self::conv_block_into) reads
+    /// the packed copy instead of packing the layer per call, bitwise
+    /// identically.
     #[must_use]
     pub fn with_packed_weights(mut self) -> Self {
         if self.kernel == KernelKind::Im2colGemm && self.packed.is_none() {
@@ -194,67 +179,35 @@ impl BlockConv2d {
         BlockGrid::from_segments(h, w, rows, cols)
     }
 
-    /// Convolves a single input block (already cropped out of the feature
-    /// map) at grid position `(row, col)`: applies the planned block
-    /// padding and the dense kernel.
-    ///
-    /// This is the primitive a fused multi-layer executor calls per block.
-    ///
-    /// # Errors
-    ///
-    /// Returns shape errors if `block` does not match the planned block
-    /// size at `(row, col)`.
-    pub fn forward_block(
-        &self,
-        block: &Tensor,
-        row: usize,
-        col: usize,
-    ) -> Result<Tensor, TensorError> {
-        let mut scratch = BlockConvScratch::default();
-        let mut out = Tensor::zeros([0, 0, 0, 0]);
-        self.forward_block_into(block, row, col, &mut out, &mut scratch)?;
-        Ok(out)
-    }
-
-    /// [`forward_block`](Self::forward_block) into a caller-provided
-    /// output, drawing the padded-block temporary and the kernel's patch
-    /// matrix from `scratch`. Fused executors call this once per block
-    /// per stage with a per-worker scratch, so steady-state execution
-    /// performs no allocation.
+    /// Convolves one block already carrying its Equation 2 padding
+    /// ([`pad_block_into`](Self::pad_block_into)) into `out`: the one
+    /// decision of how a block is convolved — the packed weights when
+    /// [`with_packed_weights`](Self::with_packed_weights) built them, the
+    /// planned kernel otherwise (which packs the layer into `scratch` per
+    /// call). Steady-state calls with a reused `out` and `scratch` perform
+    /// no allocation.
     ///
     /// # Errors
     ///
-    /// See [`forward_block`](Self::forward_block).
-    pub fn forward_block_into(
+    /// Returns shape errors if `padded` does not match the layer.
+    pub fn conv_block_into(
         &self,
-        block: &Tensor,
-        row: usize,
-        col: usize,
+        padded: &Tensor,
         out: &mut Tensor,
-        scratch: &mut BlockConvScratch,
+        scratch: &mut ConvScratch,
     ) -> Result<(), TensorError> {
-        self.pad_block_into(block, row, col, &mut scratch.padded)?;
         match &self.packed {
-            Some(p) => {
-                p.forward_prepadded_into(&self.conv, &scratch.padded, out, &mut scratch.conv)
-            }
-            None => self.conv.forward_prepadded_into(
-                &scratch.padded,
-                self.kernel,
-                out,
-                &mut scratch.conv,
-            ),
+            Some(p) => p.forward_prepadded_into(&self.conv, padded, out, scratch),
+            None => self.conv.forward_prepadded_into(padded, self.kernel, out, scratch),
         }
     }
 
-    /// Applies only the planned Equation 2 block padding for grid position
-    /// `(row, col)` to an already-cropped block, in the planned pad mode.
-    ///
-    /// This exposes the padding half of
-    /// [`forward_block_into`](Self::forward_block_into) so alternative
-    /// per-block kernels — e.g.
-    /// the quantized integer path — can consume locally-padded blocks
-    /// without padding twice.
+    /// Applies the planned Equation 2 block padding for grid position
+    /// `(row, col)` to a block already cropped out of the feature map, in
+    /// the planned pad mode — the padding half of the block schedule, which
+    /// [`forward_blocks`](Self::forward_blocks) runs before each block's
+    /// kernel and which replay and per-block kernels of other precisions
+    /// call on their own.
     ///
     /// # Errors
     ///
@@ -272,7 +225,7 @@ impl BlockConv2d {
         let [_, _, bh, bw] = block.shape().dims();
         if bh != rp.size || bw != cp.size {
             return Err(TensorError::shape_mismatch(
-                "BlockConv2d::forward_block",
+                "BlockConv2d::pad_block_into",
                 format!("[{},{}]", rp.size, cp.size),
                 format!("[{bh},{bw}]"),
             ));
@@ -281,37 +234,57 @@ impl BlockConv2d {
         pad2d_asym_into(block, top, bottom, left, right, self.pad_mode, padded)
     }
 
-    /// Full block convolution: split by the grid, convolve each block via
-    /// [`forward_block`](Self::forward_block), concatenate.
+    /// The layer-wise block schedule on a whole map: for every block of the
+    /// grid, row-major, crop it → [`pad_block_into`](Self::pad_block_into)
+    /// → `kernel(padded, out)` → paste `out` at the block's place in a
+    /// fresh `c_out`-channel output map. `kernel` receives the padded block
+    /// mutably, so a caller may keep it (training does, for backward).
     ///
     /// # Errors
     ///
-    /// Returns shape errors if `input` does not match the planned grid.
-    pub fn forward(&self, input: &Tensor) -> Result<Tensor, TensorError> {
+    /// Returns shape errors if `input` does not match the planned grid, and
+    /// whatever `kernel` returns.
+    pub fn forward_blocks(
+        &self,
+        input: &Tensor,
+        c_out: usize,
+        mut kernel: impl FnMut(&mut Tensor, &mut Tensor) -> Result<(), TensorError>,
+    ) -> Result<Tensor, TensorError> {
         let [n, _, h, w] = input.shape().dims();
         if h != self.grid.h() || w != self.grid.w() {
             return Err(TensorError::shape_mismatch(
-                "BlockConv2d::forward input",
+                "BlockConv2d::forward_blocks input",
                 format!("[{},{}]", self.grid.h(), self.grid.w()),
                 format!("[{h},{w}]"),
             ));
         }
         let out_grid = self.output_grid()?;
-        let mut out = Tensor::zeros([n, self.conv.c_out(), out_grid.h(), out_grid.w()]);
-        // One scratch set reused across every block of the map.
-        let mut scratch = BlockConvScratch::default();
-        let mut cropped = Tensor::zeros([0, 0, 0, 0]);
-        let mut conv_out = Tensor::zeros([0, 0, 0, 0]);
+        let mut out = Tensor::zeros([n, c_out, out_grid.h(), out_grid.w()]);
+        let (mut cropped, mut padded, mut block_out) =
+            (Tensor::default(), Tensor::default(), Tensor::default());
         for row in 0..self.grid.num_rows() {
             for col in 0..self.grid.num_cols() {
-                let b = self.grid.block(row, col);
-                let ob = out_grid.block(row, col);
+                let (b, ob) = (self.grid.block(row, col), out_grid.block(row, col));
                 input.crop_into(b.h0, b.w0, b.bh, b.bw, &mut cropped)?;
-                self.forward_block_into(&cropped, row, col, &mut conv_out, &mut scratch)?;
-                out.paste(&conv_out, ob.h0, ob.w0)?;
+                self.pad_block_into(&cropped, row, col, &mut padded)?;
+                kernel(&mut padded, &mut block_out)?;
+                out.paste(&block_out, ob.h0, ob.w0)?;
             }
         }
         Ok(out)
+    }
+
+    /// Full block convolution: split by the grid, pad and convolve each
+    /// block ([`conv_block_into`](Self::conv_block_into)), concatenate.
+    ///
+    /// # Errors
+    ///
+    /// Returns shape errors if `input` does not match the planned grid.
+    pub fn forward(&self, input: &Tensor) -> Result<Tensor, TensorError> {
+        let mut scratch = ConvScratch::new();
+        self.forward_blocks(input, self.conv.c_out(), |padded, out| {
+            self.conv_block_into(padded, out, &mut scratch)
+        })
     }
 
     /// Multiply–accumulate count of the whole block convolution — equal to
@@ -528,7 +501,8 @@ pub(crate) mod tests {
             BlockConv2d::from_pattern(conv, 8, 8, BlockingPattern::hierarchical(2), PadMode::Zero)
                 .unwrap();
         let bad = Tensor::zeros([1, 1, 5, 4]);
-        assert!(bconv.forward_block(&bad, 0, 0).is_err());
+        let err = bconv.pad_block_into(&bad, 0, 0, &mut Tensor::default()).unwrap_err();
+        assert!(err.to_string().contains("BlockConv2d::pad_block_into"), "{err}");
     }
 
     #[test]

@@ -40,8 +40,10 @@
 //! stores touch only interiors); a replicate or reflect halo is copied from
 //! the freshly stored interior ([`fill_halo`]). The result is bit for bit
 //! the crop → pad → (quantize) → conv → (rescale) → ReLU → paste schedule
-//! [`FusedChain::run_layerwise`] and the per-stage public entries
-//! (`pad_block_into`, `forward_prepadded_into`) still spell out.
+//! [`FusedChain::run_layerwise`] runs through
+//! [`BlockConv2d::forward_blocks`], and the per-stage public entries
+//! (`pad_block_into`, `conv_block_into`, `forward_prepadded_into`) still
+//! spell out.
 //!
 //! # One block: the dense convolution
 //!
@@ -621,17 +623,8 @@ impl FusedChain {
                         (None, Some(p)) if p.stores_at() => {
                             p.forward_prepadded_at(plan.conv(), padded, out, to, step.epi.relu)?;
                         }
-                        (None, Some(p)) => {
-                            p.forward_prepadded_into(plan.conv(), padded, block, conv)?;
-                            store_rows((block.data(), compact), (out, to), stored, step.epi);
-                        }
-                        (None, None) => {
-                            plan.conv().forward_prepadded_into(
-                                padded,
-                                plan.kernel(),
-                                block,
-                                conv,
-                            )?;
+                        (None, _) => {
+                            plan.conv_block_into(padded, block, conv)?;
                             store_rows((block.data(), compact), (out, to), stored, step.epi);
                         }
                     }
@@ -800,7 +793,12 @@ impl FusedChain {
         for (idx, step) in self.steps.iter().enumerate() {
             let mut next = match &step.op {
                 Op::Conv { plan, qop: None } => plan.forward(&cur)?,
-                Op::Conv { plan, qop: Some(op) } => qconv_forward_map(plan, op, &cur)?,
+                Op::Conv { plan, qop: Some(op) } => {
+                    let mut scratch = QConvScratch::new();
+                    plan.forward_blocks(&cur, op.qconv().c_out(), |padded, out| {
+                        op.forward_prepadded_into(padded, out, &mut scratch)
+                    })?
+                }
                 Op::Pool { k } => max_pool2d(&cur, *k, *k)?,
             };
             if step.epi.relu {
@@ -883,43 +881,6 @@ fn store_rows(
             }
         }
     }
-}
-
-/// Whole-map quantized block convolution: split by the plan's grid, pad
-/// each block locally, run the integer kernel, concatenate — the
-/// layer-wise counterpart of a fused quantized conv stage (same
-/// mathematics, conventional schedule).
-fn qconv_forward_map(
-    plan: &BlockConv2d,
-    op: &QuantChainOp,
-    input: &Tensor,
-) -> Result<Tensor, TensorError> {
-    let [n, _, h, w] = input.shape().dims();
-    let grid = plan.grid();
-    if h != grid.h() || w != grid.w() {
-        return Err(TensorError::shape_mismatch(
-            "quantized chain stage input",
-            format!("[{},{}]", grid.h(), grid.w()),
-            format!("[{h},{w}]"),
-        ));
-    }
-    let out_grid = plan.output_grid()?;
-    let mut out = Tensor::zeros([n, op.qconv().c_out(), out_grid.h(), out_grid.w()]);
-    let mut cropped = Tensor::zeros([0, 0, 0, 0]);
-    let mut padded = Tensor::zeros([0, 0, 0, 0]);
-    let mut block_out = Tensor::zeros([0, 0, 0, 0]);
-    let mut scratch = QConvScratch::new();
-    for row in 0..grid.num_rows() {
-        for col in 0..grid.num_cols() {
-            let b = grid.block(row, col);
-            let ob = out_grid.block(row, col);
-            input.crop_into(b.h0, b.w0, b.bh, b.bw, &mut cropped)?;
-            plan.pad_block_into(&cropped, row, col, &mut padded)?;
-            op.forward_prepadded_into(&padded, &mut block_out, &mut scratch)?;
-            out.paste(&block_out, ob.h0, ob.w0)?;
-        }
-    }
-    Ok(out)
 }
 
 /// A pipeline of fusion groups. Between groups the (now smaller) feature

@@ -39,7 +39,7 @@ pub mod overlap;
 pub mod padding_solver;
 pub mod plan;
 
-pub use block_conv::{BlockConv2d, BlockConvScratch};
+pub use block_conv::BlockConv2d;
 pub use blocking::{Block, BlockGrid, BlockingPattern};
 pub use fusion::{BlockScratch, ChainOp, FusedChain, FusedPipeline, MemStats, PipelineScratch};
 pub use plan::{LayerBlocking, NetworkPlan};

@@ -174,41 +174,26 @@ impl Conv2d {
     }
 
     /// Applies the convolution to an input that has **already been padded**
-    /// by the caller (no internal padding is added).
-    ///
-    /// This is the entry point used by block convolution, which performs its
-    /// own per-block padding in an arbitrary [`PadMode`] before convolving.
+    /// by the caller (no internal padding is added), through the direct
+    /// loop — the oracle the fast path is checked against.
     ///
     /// # Errors
     ///
     /// Returns an error if the input channel count does not match or the
     /// input is smaller than the kernel.
     pub fn forward_prepadded(&self, padded: &Tensor) -> Result<Tensor, TensorError> {
-        self.forward_prepadded_with(padded, KernelKind::Direct)
-    }
-
-    /// [`forward_prepadded`](Self::forward_prepadded) through an explicit
-    /// [`KernelKind`] (see [`crate::kernel`] for the implementations).
-    ///
-    /// # Errors
-    ///
-    /// See [`forward_prepadded`](Self::forward_prepadded).
-    pub fn forward_prepadded_with(
-        &self,
-        padded: &Tensor,
-        kind: KernelKind,
-    ) -> Result<Tensor, TensorError> {
-        let mut out = Tensor::zeros([0, 0, 0, 0]);
-        let mut scratch = ConvScratch::new();
-        self.forward_prepadded_into(padded, kind, &mut out, &mut scratch)?;
+        let mut out = Tensor::default();
+        kernel::direct(self, padded, &mut out)?;
         Ok(out)
     }
 
-    /// Scratch-buffer variant of
-    /// [`forward_prepadded_with`](Self::forward_prepadded_with): writes
-    /// into `out` (reshaped to fit) and reuses `scratch` across calls —
-    /// the entry point for per-block executors that must not allocate in
-    /// steady state.
+    /// [`forward_prepadded`](Self::forward_prepadded) through an explicit
+    /// [`KernelKind`] (see [`crate::kernel`] for the implementations),
+    /// writing into `out` (reshaped to fit) and reusing `scratch` across
+    /// calls. [`KernelKind::Im2colGemm`] first packs the layer into
+    /// `scratch` (lanes or panels, as [`PackedWeights`](crate::kernel::PackedWeights)
+    /// holds them); entries that run a layer many times pack it once and
+    /// call [`PackedWeights::forward_prepadded_into`](crate::kernel::PackedWeights::forward_prepadded_into).
     ///
     /// # Errors
     ///
@@ -222,7 +207,10 @@ impl Conv2d {
     ) -> Result<(), TensorError> {
         match kind {
             KernelKind::Direct => kernel::direct(self, padded, out),
-            KernelKind::Im2colGemm => kernel::im2col_gemm(self, None, padded, out, scratch),
+            KernelKind::Im2colGemm => {
+                kernel::pack_into(self, &mut scratch.packed);
+                kernel::im2col_gemm(self, &scratch.packed, padded, out, &mut scratch.cols)
+            }
         }
     }
 

@@ -41,10 +41,11 @@
 //!   layout the layer's kernel reads: lane-major for 3×3 stride-1 layers,
 //!   panel-major (BLIS-style "A-packing": the sgemm inner loop reads `MR`
 //!   weights contiguously instead of striding `K` apart) for the rest.
-//!   Built **once** at plan/build time. Without it a 3×3 stride-1 layer is
-//!   lane-packed into the [`ConvScratch`] per call (`c_out · c_in · 9`
-//!   copies, rounded up to whole 8-lane tiles — nothing on a map, a third
-//!   of a 16→16 call on a 9×9 block).
+//!   Built **once** at plan/build time. Without it the layer is packed into
+//!   the [`ConvScratch`] per call by the same packer, lanes and panels
+//!   alike (`c_out · c_in/groups · k²` copies, rounded up to whole tiles —
+//!   nothing on a map, a third of a 16→16 3×3 call on a 9×9 block), so
+//!   every fast-path kernel reads one weight layout and there is one sgemm.
 //! * An 8-wide manual lane type (`F32x8`) used by the sgemm microkernels:
 //!   explicit unrolled lanes the auto-vectorizer maps onto SIMD registers
 //!   (stable Rust, no cargo feature). Lane arithmetic is separate
@@ -210,10 +211,10 @@ impl OutGeom {
 #[derive(Debug, Default)]
 pub struct ConvScratch {
     /// im2col patch matrix (`K × N`, reused across calls).
-    cols: Vec<f32>,
-    /// Lane-major weights of the layer at hand, for 3×3 stride-1 calls
-    /// that bring no [`PackedWeights`].
-    lanes: Vec<f32>,
+    pub(crate) cols: Vec<f32>,
+    /// The layer at hand packed like [`PackedWeights`] (lanes or panels),
+    /// for calls that bring none.
+    pub(crate) packed: Vec<f32>,
 }
 
 impl ConvScratch {
@@ -322,38 +323,9 @@ impl PackedWeights {
 
     /// Packs `conv`'s weights. Allocation happens here, at build time.
     pub fn pack(conv: &Conv2d) -> Self {
-        let g = conv.geom();
-        let groups = conv.groups();
-        let mg = conv.c_out() / groups;
-        let kk = (conv.c_in() / groups) * g.kernel * g.kernel;
-        let wdata = conv.weight().data();
         let mut data = Vec::new();
-        if lane_tile::takes(g.kernel, g.stride) {
-            lane_tile::pack_lanes(wdata, [groups, mg, kk], &mut data);
-        } else {
-            let per_group = mg.div_ceil(MR) * MR * kk;
-            data.resize(groups * per_group, 0.0);
-            for grp in 0..groups {
-                let a = &wdata[grp * mg * kk..(grp + 1) * mg * kk];
-                let dst = &mut data[grp * per_group..(grp + 1) * per_group];
-                for (p, panel) in dst.chunks_exact_mut(MR * kk).enumerate() {
-                    let it = p * MR;
-                    for i in 0..MR.min(mg - it) {
-                        for l in 0..kk {
-                            panel[l * MR + i] = a[(it + i) * kk + l];
-                        }
-                    }
-                }
-            }
-        }
+        pack_into(conv, &mut data);
         Self { data, layer: Self::layer_of(conv) }
-    }
-
-    /// The packed panels of one group of a layer the GEMM runs.
-    pub(crate) fn group_panels(&self, grp: usize) -> &[f32] {
-        let (_, groups, _) = self.layer;
-        let per_group = self.data.len() / groups;
-        &self.data[grp * per_group..(grp + 1) * per_group]
     }
 
     /// Packed element count (includes zero-padded tail rows or lanes).
@@ -368,8 +340,7 @@ impl PackedWeights {
 
     /// Evaluates `conv` on a pre-padded input through the fast path
     /// reading these packed weights — bitwise identical to
-    /// [`KernelKind::Im2colGemm`], without the per-call repack (lanes) or
-    /// with faster weight streaming (panels). Hot path.
+    /// [`KernelKind::Im2colGemm`], without its per-call pack. Hot path.
     ///
     /// # Errors
     ///
@@ -385,7 +356,7 @@ impl PackedWeights {
         if self.layer != Self::layer_of(conv) {
             return Err(TensorError::invalid("PackedWeights were packed from a different layer"));
         }
-        im2col_gemm(conv, Some(self), padded, out, scratch)
+        im2col_gemm(conv, &self.data, padded, out, &mut scratch.cols)
     }
 
     /// Whether [`forward_prepadded_at`](Self::forward_prepadded_at) takes
@@ -430,19 +401,49 @@ impl PackedWeights {
     }
 }
 
+/// Packs `conv`'s weights into `data` in the one layout its fast-path
+/// kernel reads (see [`PackedWeights`]), overwriting every element — the
+/// packer of [`PackedWeights::pack`] and of the unpacked
+/// [`KernelKind::Im2colGemm`] entry, which packs into its [`ConvScratch`].
+pub(crate) fn pack_into(conv: &Conv2d, data: &mut Vec<f32>) {
+    let g = conv.geom();
+    let groups = conv.groups();
+    let mg = conv.c_out() / groups;
+    let kk = (conv.c_in() / groups) * g.kernel * g.kernel;
+    let wdata = conv.weight().data();
+    if lane_tile::takes(g.kernel, g.stride) {
+        lane_tile::pack_lanes(wdata, [groups, mg, kk], data);
+        return;
+    }
+    data.resize(groups * mg.div_ceil(MR) * MR * kk, 0.0);
+    for (grp, panels) in data.chunks_exact_mut(mg.div_ceil(MR) * MR * kk).enumerate() {
+        for (p, panel) in panels.chunks_exact_mut(MR * kk).enumerate() {
+            let it = grp * mg + p * MR;
+            let live = MR.min(mg - p * MR);
+            let rows = &wdata[it * kk..][..live * kk];
+            for (l, vec) in panel.chunks_exact_mut(MR).enumerate() {
+                for (dst, &w) in vec.iter_mut().zip(rows[l..].iter().step_by(kk)) {
+                    *dst = w;
+                }
+                vec[live..].fill(0.0);
+            }
+        }
+    }
+}
+
 /// The fast path (its name, `im2col-gemm` in reports and plan keys,
-/// predates its patch-free kernels). 3×3 stride-1 layers go to the sweeps
+/// predates its patch-free kernels) over weights `wp` packed by
+/// [`pack_into`]. 3×3 stride-1 layers go to the sweeps
 /// `lane_tile::conv3x3` picks between (`lane_tile::takes`); for the rest,
-/// lower each (batch, group) to a patch
-/// matrix and multiply with the weight matrix — packed panels when
-/// available, the layer's row-major weights otherwise. Hot path — no
-/// allocation once `scratch` has grown.
+/// lower each (batch, group) to a patch matrix in `cols` and multiply the
+/// group's packed panels with it. Hot path — no allocation once `cols` has
+/// grown.
 pub(crate) fn im2col_gemm(
     conv: &Conv2d,
-    packed: Option<&PackedWeights>,
+    wp: &[f32],
     padded: &Tensor,
     out: &mut Tensor,
-    scratch: &mut ConvScratch,
+    cols: &mut Vec<f32>,
 ) -> Result<(), TensorError> {
     let (n, oh, ow) = shape_out(conv, padded, out)?;
     let g = conv.geom();
@@ -455,15 +456,7 @@ pub(crate) fn im2col_gemm(
 
     // 3×3 stride-1 layers skip the patch matrix altogether.
     if lane_tile::takes(k, s) {
-        let wl = match packed {
-            Some(p) => &p.data,
-            None => {
-                let dims = [groups, cout_per_group, kk];
-                lane_tile::pack_lanes(conv.weight().data(), dims, &mut scratch.lanes);
-                &scratch.lanes
-            }
-        };
-        lane_tile::lane_conv(conv, wl, padded, out.data_mut(), OutGeom::compact(oh, ow), false);
+        lane_tile::lane_conv(conv, wp, padded, out.data_mut(), OutGeom::compact(oh, ow), false);
         return Ok(());
     }
 
@@ -472,11 +465,10 @@ pub(crate) fn im2col_gemm(
     // slice to the GEMM directly (same layout, same result).
     let pointwise = k == 1 && s == 1;
     if !pointwise {
-        scratch.cols.resize(kk * nn, 0.0);
+        cols.resize(kk * nn, 0.0);
     }
     let ishape = padded.shape();
     let idata = padded.data();
-    let wdata = conv.weight().data();
     let oshape = out.shape();
     let odata = out.data_mut();
 
@@ -495,7 +487,7 @@ pub(crate) fn im2col_gemm(
                     for khi in 0..k {
                         for kwi in 0..k {
                             let row = (ci * k + khi) * k + kwi;
-                            let dst = &mut scratch.cols[row * nn..(row + 1) * nn];
+                            let dst = &mut cols[row * nn..(row + 1) * nn];
                             for ohi in 0..oh {
                                 let src = &idata[ishape.index(ni, c, ohi * s + khi, 0)..];
                                 let drow = &mut dst[ohi * ow..(ohi + 1) * ow];
@@ -510,21 +502,15 @@ pub(crate) fn im2col_gemm(
                         }
                     }
                 }
-                &scratch.cols
+                cols
             };
             // GEMM: out[g] = bias[g] + W[g] (M×K) · B (K×N).
             let bias = &conv.bias()[grp * cout_per_group..(grp + 1) * cout_per_group];
             let c0 = oshape.index(ni, grp * cout_per_group, 0, 0);
             let cdst = &mut odata[c0..c0 + cout_per_group * nn];
-            match packed {
-                Some(p) => {
-                    gemm_bias_packed(p.group_panels(grp), b, bias, cdst, cout_per_group, kk, nn);
-                }
-                None => {
-                    let a = &wdata[grp * cout_per_group * kk..(grp + 1) * cout_per_group * kk];
-                    gemm_bias(a, b, bias, cdst, cout_per_group, kk, nn);
-                }
-            }
+            let per_group = cout_per_group.div_ceil(MR) * MR * kk;
+            let panels = &wp[grp * per_group..(grp + 1) * per_group];
+            gemm_bias_packed(panels, b, bias, cdst, cout_per_group, kk, nn);
         }
     }
     Ok(())
@@ -581,60 +567,12 @@ mod lanes {
 
 use lanes::F32x8;
 
-/// `c[i][j] = bias[i] + Σ_l a[i][l]·b[l][j]` with an `MR×NR` register
-/// tile. Each output element uses one accumulator updated sequentially
-/// over `l`, so the summation order matches the direct kernel's.
-fn gemm_bias(a: &[f32], b: &[f32], bias: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
-    debug_assert_eq!(a.len(), m * k);
-    debug_assert_eq!(c.len(), m * n);
-    let mut jt = 0;
-    while jt < n {
-        let nr = NR.min(n - jt);
-        let mut it = 0;
-        while it < m {
-            let mr = MR.min(m - it);
-            if mr == MR && nr == NR {
-                // Full tile: one 8-wide lane accumulator per row, kept in
-                // registers; the b-row lane is reused by all MR rows.
-                let mut acc = [F32x8::splat(0.0); MR];
-                for (i, row) in acc.iter_mut().enumerate() {
-                    *row = F32x8::splat(bias[it + i]);
-                }
-                for l in 0..k {
-                    let brow = F32x8::load(&b[l * n + jt..]);
-                    for (i, row) in acc.iter_mut().enumerate() {
-                        *row = row.add_scaled(F32x8::splat(a[(it + i) * k + l]), brow);
-                    }
-                }
-                for (i, row) in acc.iter().enumerate() {
-                    row.store(&mut c[(it + i) * n + jt..]);
-                }
-            } else {
-                // Remainder tile: same accumulation order, variable size.
-                for i in 0..mr {
-                    let arow = &a[(it + i) * k..(it + i + 1) * k];
-                    let mut acc = [0.0f32; NR];
-                    acc[..nr].fill(bias[it + i]);
-                    for (l, &a_il) in arow.iter().enumerate() {
-                        let brow = &b[l * n + jt..l * n + jt + nr];
-                        for (j, &b_lj) in brow.iter().enumerate() {
-                            acc[j] += a_il * b_lj;
-                        }
-                    }
-                    c[(it + i) * n + jt..(it + i) * n + jt + nr].copy_from_slice(&acc[..nr]);
-                }
-            }
-            it += MR;
-        }
-        jt += NR;
-    }
-}
-
-/// [`gemm_bias`] over panel-major packed weights: `A(i, l)` lives at
-/// `panel[l*MR + i]`, so the lane step over `l` reads `MR` contiguous
-/// weights. Identical accumulation order (and therefore identical f32
-/// bits) to the unpacked GEMM — tail panels carry zero rows that are
-/// computed in lanes but never stored.
+/// `c[i][j] = bias[i] + Σ_l A(i, l)·b[l][j]` over panel-major packed
+/// weights: `A(i, l)` lives at `panel[l*MR + i]`, so the lane step over `l`
+/// reads `MR` contiguous weights, with an `MR×NR` register tile. Each
+/// output element uses one accumulator updated sequentially over `l`, so
+/// the summation order matches the direct kernel's — tail panels carry
+/// zero rows that are computed in lanes but never stored.
 fn gemm_bias_packed(
     ap: &[f32],
     b: &[f32],
@@ -800,43 +738,28 @@ mod tests {
         let kk = 2 * 9;
         assert_eq!(packed.len(), 8 * kk);
         assert!(!packed.is_empty());
-        let tail = &packed.group_panels(0)[MR * kk..];
+        let tail = &packed.data[MR * kk..];
         for l in 0..kk {
             assert_eq!(tail[l * MR + 2], 0.0);
             assert_eq!(tail[l * MR + 3], 0.0);
         }
     }
 
-    #[test]
-    fn gemm_bias_packed_remainder_tiles() {
-        // m=5, n=9, k=3: full 4x8 tile, tail panel, and column remainder.
-        let (m, k, n) = (5usize, 3usize, 9usize);
+    /// Packs the row-major `m×k` matrix `a` panel-major by hand, its tail
+    /// panel's dead rows set to `dead`, runs the one GEMM on it and checks
+    /// every output against the naive triple loop.
+    fn check_gemm(m: usize, k: usize, n: usize, dead: f32) {
         let a: Vec<f32> = (0..m * k).map(|i| i as f32 * 0.5 - 3.0).collect();
         let b: Vec<f32> = (0..k * n).map(|i| (i % 7) as f32 - 2.0).collect();
         let bias: Vec<f32> = (0..m).map(|i| i as f32).collect();
-        let mut plain = vec![0.0f32; m * n];
-        gemm_bias(&a, &b, &bias, &mut plain, m, k, n);
-        // Pack `a` panel-major by hand.
-        let mut ap = vec![0.0f32; m.div_ceil(MR) * MR * k];
+        let mut ap = vec![dead; m.div_ceil(MR) * MR * k];
         for i in 0..m {
             for l in 0..k {
                 ap[(i / MR) * MR * k + l * MR + i % MR] = a[i * k + l];
             }
         }
-        let mut fast = vec![0.0f32; m * n];
-        gemm_bias_packed(&ap, &b, &bias, &mut fast, m, k, n);
-        assert_eq!(plain, fast);
-    }
-
-    #[test]
-    fn gemm_bias_remainder_tiles() {
-        // m=5, n=9, k=3 exercises both the full 4x8 tile and all remainders.
-        let (m, k, n) = (5usize, 3usize, 9usize);
-        let a: Vec<f32> = (0..m * k).map(|i| i as f32 * 0.5 - 3.0).collect();
-        let b: Vec<f32> = (0..k * n).map(|i| (i % 7) as f32 - 2.0).collect();
-        let bias: Vec<f32> = (0..m).map(|i| i as f32).collect();
-        let mut c = vec![0.0f32; m * n];
-        gemm_bias(&a, &b, &bias, &mut c, m, k, n);
+        let mut c = vec![f32::NAN; m * n];
+        gemm_bias_packed(&ap, &b, &bias, &mut c, m, k, n);
         for i in 0..m {
             for j in 0..n {
                 let mut want = bias[i];
@@ -846,5 +769,18 @@ mod tests {
                 assert_eq!(c[i * n + j], want, "({i},{j})");
             }
         }
+    }
+
+    #[test]
+    fn gemm_bias_packed_remainder_tiles() {
+        // m=5, n=9, k=3: full 4x8 tile, tail panel, and column remainder.
+        check_gemm(5, 3, 9, 0.0);
+    }
+
+    #[test]
+    fn gemm_bias_remainder_tiles() {
+        // m=7, n=17, k=4: a three-row tail panel whose dead row is NaN
+        // (computed in lanes, never stored) and a one-column remainder.
+        check_gemm(7, 4, 17, f32::NAN);
     }
 }

@@ -22,7 +22,7 @@
 //! lane that leaked into an output would show.
 
 use bconv_core::blocking::BlockGrid;
-use bconv_core::{BlockConv2d, BlockConvScratch};
+use bconv_core::BlockConv2d;
 use bconv_tensor::conv::{Conv2d, ConvGeom};
 use bconv_tensor::init::{he_conv2d, seeded_rng, uniform_tensor};
 use bconv_tensor::kernel::{ConvScratch, KernelKind, KernelPolicy, OutGeom, PackedWeights};
@@ -38,12 +38,11 @@ const GROUPS: [usize; 2] = [1, 2];
 const BATCH: [usize; 2] = [1, 3];
 const COMBOS: usize = CIN.len() * COUT.len() * GROUPS.len() * BATCH.len();
 
-/// Buffers every check shares: the scratches and the output grow to the
+/// Buffers every check shares: the scratch and the output grow to the
 /// largest layer seen and are reused by smaller ones.
 #[derive(Default)]
 struct Buffers {
     scratch: ConvScratch,
-    block: BlockConvScratch,
     out: Tensor,
 }
 
@@ -99,10 +98,8 @@ fn assert_fast_equals_direct(conv: &Conv2d, padded: &Tensor, buf: &mut Buffers, 
         ("Conv2d", &|out, b| {
             conv.forward_prepadded_into(padded, KernelKind::Im2colGemm, out, &mut b.scratch)
         }),
-        ("BlockConv2d", &|out, b| block.forward_block_into(padded, 0, 0, out, &mut b.block)),
-        ("packed BlockConv2d", &|out, b| {
-            packed_block.forward_block_into(padded, 0, 0, out, &mut b.block)
-        }),
+        ("BlockConv2d", &|out, b| block.conv_block_into(padded, out, &mut b.scratch)),
+        ("packed BlockConv2d", &|out, b| packed_block.conv_block_into(padded, out, &mut b.scratch)),
     ];
     for (entry, run) in entries {
         let mut out = std::mem::take(&mut buf.out);

@@ -107,13 +107,17 @@ proptest! {
 
     /// A reused scratch carries no state between calls: convolving two
     /// different layers back-to-back through one scratch matches fresh
-    /// runs.
+    /// runs; and its packed-weight buffer, which holds lanes in one call
+    /// and panels in the next, serves a cycle of a 3×3 stride-1, a strided
+    /// 3×3 (`c3` outputs: full and tail panels), a 1×1 and the 3×3 stride-1
+    /// layer again, each bit for bit the direct loop.
     #[test]
     fn scratch_reuse_is_stateless(
         h in 4usize..12,
         w in 4usize..12,
         c1 in 1usize..4,
         c2 in 1usize..4,
+        c3 in 1usize..10,
         seed in 0u64..10_000,
     ) {
         let mut rng = seeded_rng(seed ^ 0xC0DE);
@@ -134,5 +138,18 @@ proptest! {
             .forward_prepadded_into(&reused_a, KernelKind::Im2colGemm, &mut out, &mut scratch)
             .unwrap();
         prop_assert_eq!(out.data(), fresh_b.data());
+
+        let strided = he_conv2d(c2, c3, ConvGeom::new(3, 2, 1), 1, &mut rng).unwrap();
+        let pointwise = he_conv2d(c3, c1, ConvGeom::new(1, 1, 0), 1, &mut rng).unwrap();
+        let mut x = input;
+        for conv in [&conv_a, &strided, &pointwise, &conv_a] {
+            let p = conv.geom().padding;
+            let padded = pad2d(&x, p, p, PadMode::Zero).unwrap();
+            conv.forward_prepadded_into(&padded, KernelKind::Im2colGemm, &mut out, &mut scratch)
+                .unwrap();
+            let direct = run_kernel(KernelKind::Direct, conv, &x);
+            prop_assert_eq!(out.data(), direct.data());
+            x = out.clone();
+        }
     }
 }

@@ -204,7 +204,7 @@ impl ConvLayer {
 
 impl TrainLayer for ConvLayer {
     fn forward(&mut self, x: &Tensor, train: bool) -> Result<Tensor, TensorError> {
-        let [n, _c, h, w] = x.shape().dims();
+        let [.., h, w] = x.shape().dims();
         // Training-aware quantization: fake-quantize weights (straight-
         // through estimator in backward).
         let exec_conv = match self.fake_quant_bits {
@@ -216,30 +216,15 @@ impl TrainLayer for ConvLayer {
             None => Arc::clone(&self.conv),
         };
         let plan = self.plan(exec_conv, h, w)?;
-        let grid = plan.grid();
-
-        let mut out = Tensor::zeros([n, self.conv.c_out(), h, w]);
-        let mut padded_blocks = Vec::with_capacity(grid.num_blocks());
-        let (mut padded, mut block_out) = (Tensor::default(), Tensor::default());
-        let mut scratch = ConvScratch::default();
-        for row in 0..grid.num_rows() {
-            for col in 0..grid.num_cols() {
-                let b = grid.block(row, col);
-                let cropped = x.crop(b.h0, b.w0, b.bh, b.bw)?;
-                plan.pad_block_into(&cropped, row, col, &mut padded)?;
-                let kernel = plan.kernel();
-                plan.conv().forward_prepadded_into(
-                    &padded,
-                    kernel,
-                    &mut block_out,
-                    &mut scratch,
-                )?;
-                out.paste(&block_out, b.h0, b.w0)?;
-                if train {
-                    padded_blocks.push(std::mem::take(&mut padded));
-                }
+        let mut padded_blocks = Vec::with_capacity(plan.grid().num_blocks());
+        let mut scratch = ConvScratch::new();
+        let out = plan.forward_blocks(x, self.conv.c_out(), |padded, out| {
+            plan.conv_block_into(padded, out, &mut scratch)?;
+            if train {
+                padded_blocks.push(std::mem::take(padded));
             }
-        }
+            Ok(())
+        })?;
         if train {
             self.cache = Some(ConvCache { plan, padded_blocks, input_dims: x.shape().dims() });
         }
