@@ -27,8 +27,12 @@
 //!   `target-cpu=native` can never silently change bits.
 //!
 //! The analyzer is self-contained (hand-written lexer, no `syn`) and
-//! analyzes its own source too. Each file is lexed exactly once; the
-//! token stream feeds both the per-file lints and the symbol resolver.
+//! analyzes its own source too. Each file is lexed exactly once and
+//! walked for structure once: [`resolve::find_defs`] finds the
+//! definitions and test blocks, the resolver adds each definition's
+//! calls and locks (L5 and the call graph), and one flat lint pass takes
+//! the enclosing function and test scope from the same structure (L1
+//! sites, L2/L3/L4/L6).
 //! Policy data lives in `analyze/`: `allowlist.txt` (justified L1–L3/
 //! L5/L6 sites, exact-count matched) and `panic_ratchet.txt` (L4
 //! baseline, regenerated with `--write-ratchet`). `--json <path>` writes
@@ -261,24 +265,27 @@ impl WorkspaceReport {
 }
 
 /// Analyze a set of in-memory sources (`(workspace-relative path, text)`
-/// pairs). This is the whole pipeline: each file is lexed **once**, the
-/// stream feeds the per-file lints (L2/L3/L4/L6) and the symbol resolver,
-/// then the call graph runs allocation reachability (L1) and the lock
-/// lint (L5) over everything together.
+/// pairs). This is the whole pipeline: each file is lexed **once** and
+/// resolved, one lint pass over the stream applies L2/L3/L4/L6 and records
+/// L1 sites per definition, then the call graph runs allocation
+/// reachability (L1: the sites of hot definitions) and the lock lint (L5)
+/// over everything together.
 pub fn analyze_sources(sources: &[(String, String)], cfg: &Config) -> WorkspaceReport {
     let mut report = WorkspaceReport::default();
-    let mut streams: Vec<Vec<lexer::Token>> = Vec::with_capacity(sources.len());
+    let mut allocs = Vec::with_capacity(sources.len());
     let mut syms: Vec<resolve::FileSyms> = Vec::with_capacity(sources.len());
     for (file, src) in sources {
         let toks = lexer::lex(src);
         report.lex_calls += 1;
-        let FileReport { findings, panic_sites } = lints::scan_tokens(file, &toks, cfg);
+        let file_syms = resolve::resolve_file(file, &toks);
+        let FileReport { findings, panic_sites, alloc_sites } =
+            lints::scan_tokens(file, &toks, &file_syms, cfg);
         report.findings.extend(findings);
         if !panic_sites.is_empty() {
             report.panic_sites.insert(file.clone(), panic_sites);
         }
-        syms.push(resolve::resolve_file(file, &toks));
-        streams.push(toks);
+        allocs.push(alloc_sites);
+        syms.push(file_syms);
         report.files += 1;
     }
 
@@ -290,10 +297,9 @@ pub fn analyze_sources(sources: &[(String, String)], cfg: &Config) -> WorkspaceR
         if !reach.hot[i] {
             continue;
         }
-        let fi = cg.file_index(i);
         let def = cg.def(i);
         report.hot_fns.push(def.qualified());
-        report.findings.extend(lints::alloc_sites(&streams[fi], &syms[fi].defs, def));
+        report.findings.extend(allocs[cg.file_index(i)].remove(&def.body.0).unwrap_or_default());
     }
     report.hot_fns.sort();
     report.hot_fns.dedup();

@@ -1,6 +1,7 @@
 //! The workspace lints, run over the token stream from [`crate::lexer`]
-//! with a lightweight structural scan (brace depth, enclosing-function
-//! name, `#[cfg(test)]` scope).
+//! in one flat pass. The structure comes from [`crate::resolve::find_defs`]:
+//! the enclosing function of a token is the innermost definition whose
+//! body holds it, and test scope is its file's test blocks.
 //!
 //! | id | name                   | scope                                  |
 //! |----|------------------------|----------------------------------------|
@@ -11,18 +12,20 @@
 //! | L5 | lock-order             | whole-workspace call graph             |
 //! | L6 | float-determinism      | kernel/exec/serve modules              |
 //!
-//! L2/L3/L4/L6 are per-file token walks living here. L1 and L5 are
-//! *interprocedural*: they run over the call graph in [`crate::graph`],
-//! fed by the symbols from [`crate::resolve`] — the hot set is derived
-//! from entry-point reachability, never hand-listed. All of L1–L3, L5,
-//! and L6 produce [`Finding`]s that must be covered by the committed
-//! allowlist (`analyze/allowlist.txt`); L4 produces a per-file count
-//! compared against the committed baseline (`analyze/panic_ratchet.txt`)
-//! that may only go down.
+//! L2/L3/L4/L6 are judged in that pass. L1 and L5 are *interprocedural*:
+//! they run over the call graph in [`crate::graph`], fed by the symbols
+//! from [`crate::resolve`] — the hot set is derived from entry-point
+//! reachability, never hand-listed. The pass records the L1 constructs of
+//! every definition; the workspace pass keeps those of hot ones.
+//! All of L1–L3, L5, and L6 produce [`Finding`]s that must be covered by
+//! the committed allowlist (`analyze/allowlist.txt`); L4 produces a
+//! per-file count compared against the committed baseline
+//! (`analyze/panic_ratchet.txt`) that may only go down.
 
 use crate::graph::EntryPoint;
-use crate::lexer::{lex, Tok, Token};
-use crate::resolve::FnDef;
+use crate::lexer::{lex, Token};
+use crate::resolve::{find_defs, scan_attr, FileSyms};
+use std::collections::BTreeMap;
 
 /// Lint identifiers, in severity-agnostic declaration order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -190,11 +193,17 @@ impl Config {
 /// Result of scanning one source file.
 #[derive(Debug, Default)]
 pub struct FileReport {
-    /// L2/L3/L6 findings (allowlist-gated). L1 and L5 are produced by the
-    /// workspace pass, not per file.
+    /// L2/L3/L6 findings (allowlist-gated). L1 and L5 findings come from
+    /// the workspace pass, not per file.
     pub findings: Vec<Finding>,
     /// L4 sites in non-test code (ratchet-gated; `findings` excludes them).
     pub panic_sites: Vec<Finding>,
+    /// L1 constructs of every definition, keyed by its body start
+    /// (`FnDef::body.0`). Closures count toward the enclosing function, a
+    /// nested named function toward itself; the workspace pass turns the
+    /// sites of hot definitions into findings (test definitions are never
+    /// hot: the call graph leaves them out).
+    pub alloc_sites: BTreeMap<usize, Vec<Finding>>,
 }
 
 impl FileReport {
@@ -202,38 +211,6 @@ impl FileReport {
     pub fn panic_count(&self) -> usize {
         self.panic_sites.len()
     }
-}
-
-/// Structural scanner state threaded through the token walk.
-struct Scan {
-    depth: u32,
-    /// Brace depths at which `#[cfg(test)]`/`#[test]` regions opened.
-    test_open: Vec<u32>,
-    /// `(name, body depth)` for every enclosing named `fn`.
-    fn_stack: Vec<(String, u32)>,
-    /// Attribute with `test` seen; applies to the next `{` body.
-    pending_test: bool,
-    /// `fn name` seen; the next `{` is its body.
-    pending_fn: Option<String>,
-    /// The token after `fn` names the function.
-    expect_fn_name: bool,
-}
-
-impl Scan {
-    fn in_test(&self) -> bool {
-        !self.test_open.is_empty()
-    }
-
-    fn current_fn(&self) -> &str {
-        self.fn_stack.last().map_or("-", |(name, _)| name.as_str())
-    }
-}
-
-/// Scan an attribute starting at `toks[i]` (which is `#`). Returns the
-/// index just past the closing `]` and whether the attribute marks test
-/// code (`test` present, `not` absent — so `#[cfg(not(test))]` is live).
-fn scan_attr(toks: &[Token], i: usize) -> (usize, bool) {
-    crate::resolve::scan_attr(toks, i)
 }
 
 /// Match an L1 banned construct ending/starting at index `i`.
@@ -263,33 +240,6 @@ fn hot_alloc_at(toks: &[Token], i: usize) -> Option<&'static str> {
         "collect" if after_dot => Some("collect"),
         _ => None,
     }
-}
-
-/// The L1 pass for one *reachable* definition: banned allocating
-/// constructs anywhere in its body, skipping nested named definitions
-/// (they have their own reachability) but keeping closures (they run on
-/// the enclosing function's path).
-pub fn alloc_sites(toks: &[Token], defs: &[FnDef], def: &FnDef) -> Vec<Finding> {
-    if def.is_test {
-        return Vec::new();
-    }
-    let skip = crate::resolve::child_spans(defs, def);
-    let mut out = Vec::new();
-    for i in def.body.0..def.body.1.min(toks.len()) {
-        if crate::resolve::in_spans(&skip, i) {
-            continue;
-        }
-        if let Some(construct) = hot_alloc_at(toks, i) {
-            out.push(Finding {
-                lint: Lint::HotPathAlloc,
-                file: def.file.clone(),
-                line: toks[i].line,
-                func: def.name.clone(),
-                construct: construct.to_string(),
-            });
-        }
-    }
-    out
 }
 
 /// Match an L4 panic construct at index `i`; returns its display name.
@@ -336,100 +286,57 @@ fn float_det_at(toks: &[Token], i: usize) -> Option<String> {
     }
 }
 
-/// Scan one source file's tokens and apply the per-file lints (L2, L3,
-/// L4, L6). `file` is the workspace-relative path used in findings and
-/// for the L3/L6 module matching. The interprocedural lints (L1, L5) run
-/// in [`crate::analyze_sources`] over the same token streams.
-pub fn scan_tokens(file: &str, toks: &[Token], cfg: &Config) -> FileReport {
+/// One flat pass over a file's tokens: the per-file lints (L2, L3, L4,
+/// L6) and the L1 sites of every definition. `syms` is the file's
+/// structure from [`find_defs`]; `file` is the workspace-relative path
+/// used in findings and for the L3/L6 module matching. Attributes are
+/// skipped. L3 covers every token of a restricted file, test code
+/// included; L2, L4 and L6 skip `syms.tests`; an L1 site belongs to the
+/// innermost definition, whatever its scope.
+pub fn scan_tokens(file: &str, toks: &[Token], syms: &FileSyms, cfg: &Config) -> FileReport {
     let restricted = cfg.is_restricted(file);
     let float_file = cfg.is_float_file(file);
-    let mut scan = Scan {
-        depth: 0,
-        test_open: Vec::new(),
-        fn_stack: Vec::new(),
-        pending_test: false,
-        pending_fn: None,
-        expect_fn_name: false,
-    };
     let mut report = FileReport::default();
-    // `[`-nesting: a `;` inside an array type (`[usize; 4]`) is not a
-    // statement terminator and must not cancel a pending fn name.
-    let mut brackets = 0i32;
+    let mut defs = syms.defs.iter().peekable();
+    // Definitions whose body holds token `i`, innermost last.
+    let mut open = Vec::new();
     let mut i = 0usize;
     while i < toks.len() {
         let t = &toks[i];
-
-        // --- structure: attributes, braces, fn names -------------------
         if t.is_punct('#') {
-            let (next_i, is_test) = scan_attr(toks, i);
+            let (next_i, _) = scan_attr(toks, i);
             if next_i > i + 1 {
-                scan.pending_test |= is_test;
                 i = next_i;
                 continue;
             }
         }
-        match &t.tok {
-            Tok::Punct('{') => {
-                scan.depth += 1;
-                if scan.pending_test {
-                    scan.test_open.push(scan.depth);
-                    scan.pending_test = false;
-                }
-                if let Some(name) = scan.pending_fn.take() {
-                    scan.fn_stack.push((name, scan.depth));
-                }
-            }
-            Tok::Punct('}') => {
-                if scan.test_open.last() == Some(&scan.depth) {
-                    scan.test_open.pop();
-                }
-                if scan.fn_stack.last().map(|(_, d)| *d) == Some(scan.depth) {
-                    scan.fn_stack.pop();
-                }
-                scan.depth = scan.depth.saturating_sub(1);
-            }
-            Tok::Punct('[') => brackets += 1,
-            Tok::Punct(']') => brackets -= 1,
-            Tok::Punct(';') if brackets == 0 => {
-                // `#[cfg(test)] use x;` or a trait method declaration:
-                // the pending marker never found a body.
-                scan.pending_test = false;
-                scan.pending_fn = None;
-            }
-            Tok::Ident(s) if s == "fn" => {
-                scan.expect_fn_name = true;
-                i += 1;
-                continue;
-            }
-            Tok::Ident(name) if scan.expect_fn_name => {
-                scan.pending_fn = Some(name.clone());
-                scan.expect_fn_name = false;
-            }
-            _ => {}
+        while let Some(d) = defs.next_if(|d| d.body.0 <= i) {
+            open.push(d);
         }
-        if scan.expect_fn_name && t.ident().is_none() {
-            scan.expect_fn_name = false; // `fn(` pointer type, not an item
-        }
+        open.retain(|d| d.body.1 > i);
+        let def = open.last();
+        let site = |lint, construct: String| Finding {
+            lint,
+            file: file.to_string(),
+            line: t.line,
+            func: def.map_or("-", |d| d.name.as_str()).to_string(),
+            construct,
+        };
 
-        // --- lints ------------------------------------------------------
-        let in_test = scan.in_test();
-        let func = scan.current_fn();
+        if let (Some(d), Some(construct)) = (def, hot_alloc_at(toks, i)) {
+            let found = site(Lint::HotPathAlloc, construct.to_string());
+            report.alloc_sites.entry(d.body.0).or_default().push(found);
+        }
 
         // L3 applies to the whole restricted file, tests included: a
         // `use std::collections::HashMap` at the top serves both.
         if restricted {
             if let Some(id @ ("HashMap" | "HashSet")) = t.ident() {
-                report.findings.push(Finding {
-                    lint: Lint::UnorderedIteration,
-                    file: file.to_string(),
-                    line: t.line,
-                    func: func.to_string(),
-                    construct: id.to_string(),
-                });
+                report.findings.push(site(Lint::UnorderedIteration, id.to_string()));
             }
         }
 
-        if !in_test {
+        if !syms.tests.iter().any(|&(a, b)| (a..b).contains(&i)) {
             // L2: `.clone()` whose receiver ident looks weight-like.
             // `Arc::clone(&x)` has no `.` so it never matches.
             if t.ident() == Some("clone")
@@ -440,38 +347,20 @@ pub fn scan_tokens(file: &str, toks: &[Token], cfg: &Config) -> FileReport {
                 if let Some(recv) = toks[i - 2].ident() {
                     let lower = recv.to_lowercase();
                     if cfg.weight_receivers.iter().any(|w| lower.contains(w.as_str())) {
-                        report.findings.push(Finding {
-                            lint: Lint::WeightDeepClone,
-                            file: file.to_string(),
-                            line: t.line,
-                            func: func.to_string(),
-                            construct: format!("clone:{recv}"),
-                        });
+                        report.findings.push(site(Lint::WeightDeepClone, format!("clone:{recv}")));
                     }
                 }
             }
 
             // L4: panic-ratchet sites.
             if let Some(construct) = panic_site_at(toks, i) {
-                report.panic_sites.push(Finding {
-                    lint: Lint::PanicRatchet,
-                    file: file.to_string(),
-                    line: t.line,
-                    func: func.to_string(),
-                    construct: construct.to_string(),
-                });
+                report.panic_sites.push(site(Lint::PanicRatchet, construct.to_string()));
             }
 
             // L6: order/contraction-sensitive float constructs.
             if float_file {
                 if let Some(construct) = float_det_at(toks, i) {
-                    report.findings.push(Finding {
-                        lint: Lint::FloatDeterminism,
-                        file: file.to_string(),
-                        line: t.line,
-                        func: func.to_string(),
-                        construct,
-                    });
+                    report.findings.push(site(Lint::FloatDeterminism, construct));
                 }
             }
         }
@@ -480,10 +369,11 @@ pub fn scan_tokens(file: &str, toks: &[Token], cfg: &Config) -> FileReport {
     report
 }
 
-/// Lex one file and apply the per-file lints. Convenience wrapper over
-/// [`scan_tokens`] for single-file callers (tests); the workspace driver
-/// lexes each file exactly once and shares the stream between this walk
-/// and symbol resolution.
+/// Lex and structure one file, then apply [`scan_tokens`]. Convenience
+/// wrapper for single-file callers (tests); [`crate::analyze_sources`] lexes
+/// each file exactly once and shares the stream between the resolver and
+/// this pass.
 pub fn scan_source(file: &str, src: &str, cfg: &Config) -> FileReport {
-    scan_tokens(file, &lex(src), cfg)
+    let toks = lex(src);
+    scan_tokens(file, &toks, &find_defs(file, &toks), cfg)
 }

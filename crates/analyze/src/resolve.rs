@@ -1,7 +1,7 @@
 //! Symbol resolution over the token stream from [`crate::lexer`]: finds
 //! every function definition (free functions, inherent and trait-impl
-//! methods, trait default methods), the call sites inside each body, and
-//! the lock-acquisition regions the L5 lint reasons about.
+//! methods, trait default methods) and test block, the call sites inside
+//! each body, and the lock-acquisition regions the L5 lint reasons about.
 //!
 //! Resolution is deliberately *conservative and syntactic* — there is no
 //! type information (no `syn`, no compiler). A method call matches every
@@ -108,12 +108,18 @@ pub struct FnFacts {
     pub locks: Vec<LockRegion>,
 }
 
-/// All symbols of one file: definitions plus per-definition facts
-/// (`facts[i]` belongs to `defs[i]`).
+/// All symbols of one file: the structure [`find_defs`] reads (every
+/// definition, sorted by body start, and the test blocks) plus
+/// per-definition facts (`facts[i]` belongs to `defs[i]`). The lints take
+/// their enclosing function and test scope from here, not from a walk of
+/// their own.
 #[derive(Debug, Default)]
 pub struct FileSyms {
     pub file: String,
     pub defs: Vec<FnDef>,
+    /// Token spans `[open brace, one past close brace)` of the outermost
+    /// `#[cfg(test)]` / `#[test]` blocks, in order.
+    pub tests: Vec<(usize, usize)>,
     pub facts: Vec<FnFacts>,
 }
 
@@ -235,17 +241,18 @@ struct OpenDef {
     depth: u32,
 }
 
-/// Walk a file's tokens and return every function definition with its
-/// body span, owner context, and test-scope flag. Also returns, per def,
-/// the index ranges of *nested* named functions, so fact extraction can
-/// attribute constructs to the innermost definition (closures stay with
-/// their enclosing function on purpose — they run on its path).
-pub fn find_defs(file: &str, toks: &[Token]) -> Vec<FnDef> {
-    let mut defs: Vec<FnDef> = Vec::new();
+/// The analyzer's one structural walk: every function definition with
+/// its body span, owner context and test-scope flag, plus the file's test
+/// blocks. Brace depth, `#[cfg(test)]` scope, the pending `fn` name and
+/// the `[usize; 4]` bracket rule are tracked here and nowhere else;
+/// `facts` is left empty for [`resolve_file`].
+pub fn find_defs(file: &str, toks: &[Token]) -> FileSyms {
+    let mut syms = FileSyms { file: file.to_string(), ..FileSyms::default() };
     let mut open: Vec<OpenDef> = Vec::new();
     let mut owners: Vec<OwnerCtx> = Vec::new();
     let mut depth: u32 = 0;
-    let mut test_open: Vec<u32> = Vec::new();
+    // `(depth, open brace)` of the outermost enclosing test block.
+    let mut test_block: Option<(u32, usize)> = None;
     let mut pending_test = false;
     let mut pending_fn: Option<(String, u32)> = None; // (name, line)
     let mut expect_fn_name = false;
@@ -284,9 +291,8 @@ pub fn find_defs(file: &str, toks: &[Token]) -> Vec<FnDef> {
                 };
                 if toks.get(brace).is_some_and(|t| t.is_punct('{')) {
                     depth += 1;
-                    if pending_test {
-                        test_open.push(depth);
-                        pending_test = false;
+                    if std::mem::take(&mut pending_test) && test_block.is_none() {
+                        test_block = Some((depth, brace));
                     }
                     owners.push(OwnerCtx { owner, trait_name, depth });
                 }
@@ -295,9 +301,8 @@ pub fn find_defs(file: &str, toks: &[Token]) -> Vec<FnDef> {
             }
             Tok::Punct('{') => {
                 depth += 1;
-                if pending_test {
-                    test_open.push(depth);
-                    pending_test = false;
+                if std::mem::take(&mut pending_test) && test_block.is_none() {
+                    test_block = Some((depth, i));
                 }
                 if let Some((name, line)) = pending_fn.take() {
                     let ctx = owners.last();
@@ -309,20 +314,21 @@ pub fn find_defs(file: &str, toks: &[Token]) -> Vec<FnDef> {
                             file: file.to_string(),
                             line,
                             body: (i, i + 1), // end patched at close
-                            is_test: !test_open.is_empty(),
+                            is_test: test_block.is_some(),
                         },
                         depth,
                     });
                 }
             }
             Tok::Punct('}') => {
-                if test_open.last() == Some(&depth) {
-                    test_open.pop();
+                if let Some((_, start)) = test_block.filter(|&(d, _)| d == depth) {
+                    syms.tests.push((start, i + 1));
+                    test_block = None;
                 }
                 if open.last().map(|o| o.depth) == Some(depth) {
                     if let Some(mut done) = open.pop() {
                         done.def.body.1 = i + 1;
-                        defs.push(done.def);
+                        syms.defs.push(done.def);
                     }
                 }
                 if owners.last().map(|o| o.depth) == Some(depth) {
@@ -352,22 +358,25 @@ pub fn find_defs(file: &str, toks: &[Token]) -> Vec<FnDef> {
         }
         i += 1;
     }
-    // Close unterminated defs at EOF (tolerated, like the lexer).
+    // Close unterminated blocks at EOF (tolerated, like the lexer).
     while let Some(mut o) = open.pop() {
         o.def.body.1 = toks.len();
-        defs.push(o.def);
+        syms.defs.push(o.def);
     }
-    defs.sort_by_key(|d| d.body.0);
-    defs
+    if let Some((_, start)) = test_block {
+        syms.tests.push((start, toks.len()));
+    }
+    syms.defs.sort_by_key(|d| d.body.0);
+    syms
 }
 
 /// True when token index `k` falls inside any of `spans`.
-pub(crate) fn in_spans(spans: &[(usize, usize)], k: usize) -> bool {
+fn in_spans(spans: &[(usize, usize)], k: usize) -> bool {
     spans.iter().any(|&(a, b)| k >= a && k < b)
 }
 
 /// The token spans of definitions nested strictly inside `outer`.
-pub(crate) fn child_spans(defs: &[FnDef], outer: &FnDef) -> Vec<(usize, usize)> {
+fn child_spans(defs: &[FnDef], outer: &FnDef) -> Vec<(usize, usize)> {
     defs.iter()
         .filter(|d| d.body.0 > outer.body.0 && d.body.1 <= outer.body.1)
         .map(|d| d.body)
@@ -584,9 +593,9 @@ fn call_site_at(toks: &[Token], i: usize, lo: usize) -> Option<CallSite> {
     None
 }
 
-/// Resolve a whole file: definitions plus per-definition facts.
+/// Resolve a whole file: [`find_defs`] plus per-definition facts.
 pub fn resolve_file(file: &str, toks: &[Token]) -> FileSyms {
-    let defs = find_defs(file, toks);
-    let facts = defs.iter().map(|d| extract_facts(toks, &defs, d)).collect();
-    FileSyms { file: file.to_string(), defs, facts }
+    let mut syms = find_defs(file, toks);
+    syms.facts = syms.defs.iter().map(|d| extract_facts(toks, &syms.defs, d)).collect();
+    syms
 }

@@ -563,6 +563,50 @@ fn l4_attributes_sites_to_enclosing_fn() {
 }
 
 #[test]
+fn sites_belong_to_the_innermost_definition_that_holds_them() {
+    // Attribution corners of the structural walk: a nested `fn` closes
+    // and hands its sites back to the outer one, item scope reports `-`,
+    // attribute tokens are not code, and array types, `-> impl Fn()` and
+    // trait default methods do not derail the body each definition owns.
+    let src = r#"
+        const LIMIT: usize = DEFAULT.unwrap();
+        fn outer() {
+            fn inner() { a.unwrap(); }
+            b.unwrap();
+        }
+        #[doc = v.unwrap()]
+        struct Shape;
+        impl Shape {
+            fn pair(&self, xs: [u8; 2]) -> impl Fn() { c.unwrap(); move || {} }
+        }
+        trait Lanes {
+            fn width(&self) -> usize { d.unwrap() }
+        }
+    "#;
+    let rep = scan("crates/core/src/x.rs", src);
+    let owners: Vec<&str> = rep.panic_sites.iter().map(|f| f.func.as_str()).collect();
+    assert_eq!(owners, ["-", "inner", "outer", "pair", "width"], "{:?}", rep.panic_sites);
+
+    // L1: a hot function's sites stay its own around a nested helper,
+    // whose sites are the helper's.
+    let hot = r#"
+        fn worker_loop() {
+            fn helper() { let v = Vec::new(); }
+            let w = vec![0u8; 4];
+            helper();
+        }
+    "#;
+    let rep = ws(&[("crates/core/src/x.rs", hot)]);
+    let l1: Vec<(&str, &str)> = rep
+        .findings
+        .iter()
+        .filter(|f| f.lint == Lint::HotPathAlloc)
+        .map(|f| (f.func.as_str(), f.construct.as_str()))
+        .collect();
+    assert_eq!(l1, [("worker_loop", "vec!"), ("helper", "Vec::new")], "{:?}", rep.findings);
+}
+
+#[test]
 fn cfg_not_test_is_live_code() {
     let src = "#[cfg(not(test))]\nfn a() { x.unwrap(); }";
     let rep = scan("crates/core/src/x.rs", src);

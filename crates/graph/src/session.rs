@@ -34,7 +34,7 @@ use crate::cache::{PlanCache, PlanKey};
 use crate::cost::CostModel;
 use crate::exec::{ExecScratch, Executor, PlanExecutor, ReferenceExecutor, RunReport};
 use crate::ir::{Graph, LowerOptions, NodeOp};
-use crate::plan::{ExecPlan, PlanProvenance, Planner, PlannerOptions, Segment};
+use crate::plan::{ExecPlan, PlanProvenance, Planner, PlannerOptions};
 use crate::quantize::GraphQuantSpec;
 use crate::serve::router::Router;
 use crate::serve::{ServeConfig, ServeEngine};
@@ -552,9 +552,9 @@ impl Session {
     /// Resolved convolution kernel per conv node, in execution order, as
     /// `(layer name, kernel name)` pairs, read off what the plan compiled:
     /// every conv reports the kernel its chain carries — a fused group's,
-    /// or a whole-map conv's one-block chain — except the whole-map convs
-    /// of the reference backend, which keeps the direct loop as an oracle
-    /// that shares no kernel with the others.
+    /// or a whole-map conv's one-block chain — except on the reference
+    /// backend, which ignores the plan and runs every conv on the direct
+    /// loop, an oracle that shares no kernel with the others.
     pub fn conv_kernels(&self) -> Vec<(String, &'static str)> {
         let nodes = self.graph.nodes();
         let conv_names = |ids: &[crate::ir::NodeId]| -> Vec<String> {
@@ -563,9 +563,9 @@ impl Session {
                 .map(|id| nodes[*id].name.clone())
                 .collect()
         };
+        let oracle = self.backend == Backend::Reference;
         let mut out = Vec::new();
         for seg in self.exec_plan.segments() {
-            let oracle = self.backend == Backend::Reference && matches!(seg, Segment::Single(_));
             for (chain, ids) in self.exec_plan.chains_of(seg) {
                 let kinds = chain.convs().map(|b| {
                     if oracle { bconv_tensor::kernel::KernelKind::Direct } else { b.kernel() }

@@ -217,6 +217,13 @@ fn unfused_convs_run_the_session_kernel_and_stay_bit_exact() {
         }
         let reference = build(Backend::Reference, PadMode::Zero);
         assert!(reference.conv_kernels().iter().all(|(_, kernel)| *kernel == "direct"));
+        // The reference ignores the plan: under the default, blocked one
+        // too, every conv runs (and reports) the direct loop.
+        let blocked_plan =
+            Session::builder().network(net.clone()).backend(Backend::Reference).build().unwrap();
+        let kernels = blocked_plan.conv_kernels();
+        assert_eq!(kernels.len(), convs, "{name}");
+        assert!(kernels.iter().all(|(_, kernel)| *kernel == "direct"), "{name}: {kernels:?}");
         let (got, want) = (blocked.run(&input).unwrap(), reference.run(&input).unwrap());
         let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
         assert!(
