@@ -171,7 +171,7 @@ struct OwnerCtx {
 /// their final segment.
 fn parse_impl_header(toks: &[Token], i: usize) -> (usize, Option<String>, Option<String>) {
     let mut j = i + 1;
-    let mut angle = 0i32;
+    let (mut angle, mut brackets) = (0i32, 0i32);
     let mut first: Option<String> = None;
     let mut second: Option<String> = None;
     let mut saw_for = false;
@@ -180,11 +180,14 @@ fn parse_impl_header(toks: &[Token], i: usize) -> (usize, Option<String>, Option
         match &t.tok {
             Tok::Punct('<') => angle += 1,
             Tok::Punct('>') => angle -= 1,
+            Tok::Punct('[') => brackets += 1,
+            Tok::Punct(']') => brackets -= 1,
             Tok::Punct('{') => {
                 let (owner, trait_name) = if saw_for { (second, first) } else { (first, None) };
                 return (j, owner, trait_name);
             }
-            Tok::Punct(';') => return (j, None, None), // `impl Trait for Ty;`-like degenerate
+            // `impl Trait for Ty;`-like degenerate; `[u8; 2]` is a type.
+            Tok::Punct(';') if brackets == 0 => return (j, None, None),
             Tok::Ident(s) if angle == 0 && !saw_where => {
                 if s == "for" {
                     saw_for = true;
@@ -539,6 +542,9 @@ fn call_site_at(toks: &[Token], i: usize, lo: usize) -> Option<CallSite> {
         return None; // macros are matched by the construct lints, not the graph
     }
     let prev = |k: usize| i.checked_sub(k).filter(|j| *j >= lo).map(|j| &toks[j]);
+    if prev(1).and_then(Token::ident) == Some("fn") {
+        return None; // a nested `fn name(` declares, it does not call
+    }
     let after_dot = prev(1).is_some_and(|t| t.is_punct('.'));
     let after_path =
         prev(1).is_some_and(|t| t.is_punct(':')) && prev(2).is_some_and(|t| t.is_punct(':'));

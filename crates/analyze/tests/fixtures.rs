@@ -148,6 +148,37 @@ fn l1_covers_closures_inside_reachable_fn() {
     assert_eq!(rep.findings[0].func, "worker_loop");
 }
 
+#[test]
+fn l1_survives_an_array_type_in_an_impl_header() {
+    // The `;` of `[u8; 2]` used to end the impl header early and leave the
+    // walk's bracket count at -1, so no later definition matched an entry
+    // point and the file read clean.
+    let src = "impl Width for [u8; 2] { fn width(&self) -> usize { 2 } }\n\
+        trait Lanes { fn lanes(&self) -> usize; }\n\
+        impl Session { fn run_with(&self) { let v = Vec::new(); } }\n";
+    let rep = ws(&[("crates/graph/src/session.rs", src)]);
+    assert_eq!(rep.entry_matches, 1, "{:?}", rep.hot_fns);
+    assert_eq!(rep.findings.len(), 1, "{:?}", rep.findings);
+    assert_eq!(
+        (rep.findings[0].lint, rep.findings[0].func.as_str()),
+        (Lint::HotPathAlloc, "run_with")
+    );
+}
+
+#[test]
+fn a_nested_fn_declaration_is_not_a_call() {
+    let declared = "fn worker_loop() { fn helper() { let v = Vec::new(); } let w = 1; }";
+    let rep = ws(&[("crates/graph/src/serve.rs", declared)]);
+    assert_eq!(rep.hot_fns, ["worker_loop"]);
+    assert!(rep.findings.is_empty(), "{:?}", rep.findings);
+    // Called, the nested function is hot and its allocation a finding.
+    let called = "fn worker_loop() { fn helper() { let v = Vec::new(); } helper(); }";
+    let rep = ws(&[("crates/graph/src/serve.rs", called)]);
+    assert_eq!(rep.hot_fns, ["helper", "worker_loop"]);
+    assert_eq!(rep.findings.len(), 1, "{:?}", rep.findings);
+    assert_eq!(rep.findings[0].func, "helper");
+}
+
 // --- call-graph resolution ---------------------------------------------------
 
 #[test]

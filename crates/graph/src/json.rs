@@ -1,5 +1,5 @@
 //! The workspace's one JSON codec: a value tree, a reader and a writer,
-//! shared by the plan cache, the tuner's winner files and report, every
+//! shared by the plan cache, the tuner's report, every
 //! `BENCH_*.json` emitter and the `bench_check` gate (`bconv_bench::check`
 //! re-exports [`Json`]).
 //!

@@ -64,8 +64,7 @@ pub use serve::router::{Router, RouterTicket};
 pub use serve::{ServeConfig, ServeEngine, SubmitOptions, TicketId, Waker};
 pub use session::{Backend, PlanSpec, Session, SessionBuilder, DEFAULT_CALIBRATION_BATCHES};
 pub use tune::{
-    load_cached_winner, modeled_offchip_elems, tune, tune_lowered, TuneOptions, TunePoint,
-    TuneReport, TuneWinner,
+    modeled_offchip_elems, tune, tune_lowered, TuneOptions, TunePoint, TuneReport, TuneWinner,
 };
 
 // Re-exported so session callers can pick a conv kernel without a direct

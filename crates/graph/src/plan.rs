@@ -193,8 +193,7 @@ pub enum PlanProvenance {
     /// Planned under a [`mod@crate::tune`] winner's configuration (the walk
     /// ran, but its knobs came from the autotuner, not the caller).
     TuneSelected {
-        /// Canonical form of the per-host tune key the winner was cached
-        /// under.
+        /// The exploration's identity, [`crate::tune::TuneReport::key`].
         key: String,
     },
 }

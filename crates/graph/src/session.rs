@@ -101,26 +101,25 @@ fn resolve_threads(requested: Option<usize>) -> Result<usize, TensorError> {
 }
 
 /// The cache-aware planning funnel: on a [`PlanKey`] hit the pinned
-/// decisions are assembled and the planner walk never runs (the plan's
-/// provenance is `CacheLoaded`); otherwise the planner runs under the given
-/// provenance and the plan is stored best-effort. Every cache failure —
-/// missing file, corrupt JSON, stale key, incompatible schema — falls back
-/// to fresh planning; none is fatal.
+/// decisions are assembled and `plan` never runs — no tuner, no planner
+/// walk (the plan's provenance is `CacheLoaded`); otherwise `plan` compiles
+/// the plan and it is stored best-effort. Every cache failure — missing
+/// file, corrupt JSON, stale key, incompatible schema — falls back to
+/// `plan`; none is fatal.
 fn plan_or_load(
     cache: Option<(&PlanCache, &PlanKey)>,
-    planner: &Planner,
     graph: &Graph,
     pad: PadMode,
     kernel: KernelPolicy,
     quant: Option<&GraphQuantSpec>,
-    provenance: PlanProvenance,
+    plan: impl FnOnce() -> Result<ExecPlan, TensorError>,
 ) -> Result<ExecPlan, TensorError> {
     if let Some((cache, key)) = cache {
         if let Ok(plan) = cache.load(key, graph, pad, kernel, quant) {
             return Ok(plan);
         }
     }
-    let plan = planner.compile(graph, quant, provenance)?;
+    let plan = plan()?;
     if let Some((cache, key)) = cache {
         let _ = cache.store(key, &plan);
     }
@@ -167,12 +166,12 @@ pub struct PlanSpec {
     /// spatial-lane sweep, or im2col+GEMM by layer shape — everywhere but
     /// degenerate single-tap layers, which keep the direct loop).
     pub kernel: KernelPolicy,
-    /// Run the per-host autotuner ([`mod@crate::tune`]) — or load its
-    /// winner from the per-host winner cache, when the session has a
-    /// [`SessionBuilder::plan_cache`] — and plan under the winning
-    /// pattern / buffer split. Knobs the caller pinned explicitly keep
-    /// their values; only unset ones take the winner's. Kernel policy and
-    /// thread count are not tuned: they resolve as in any other build.
+    /// Run the per-host autotuner ([`mod@crate::tune`]) and plan under the
+    /// winning pattern / buffer split. Knobs the caller pinned explicitly
+    /// keep their values; only unset ones take the winner's. With a
+    /// [`SessionBuilder::plan_cache`] the plan is keyed by what the tuner
+    /// explores, so a warm build loads it without tuning. Kernel policy
+    /// and thread count are not tuned: they resolve as in any other build.
     pub tuned: bool,
 }
 
@@ -223,6 +222,18 @@ impl PlanSpec {
         self.tuned = true;
         self
     }
+
+    /// The planner this spec configures.
+    fn planner(&self) -> Planner {
+        Planner::new(PlannerOptions {
+            pattern: self.pattern.unwrap_or(BlockingPattern::hierarchical(2)),
+            plan: self.network_plan.clone(),
+            pad_mode: self.pad,
+            budget_elems: self.budget_elems,
+            kernel: self.kernel,
+            cost_model: self.cost_model.clone(),
+        })
+    }
 }
 
 /// Builder for [`Session`].
@@ -253,8 +264,8 @@ impl SessionBuilder {
 
     /// Enables the plan compilation cache under `dir`: a [`PlanKey`] hit
     /// loads the pinned plan (bitwise-identical execution, no planner
-    /// walk); a miss plans fresh and stores the result. A
-    /// [`PlanSpec::tuned`] build keeps its per-host winner there too.
+    /// walk, and no tuning for a [`PlanSpec::tuned`] build); a miss plans
+    /// fresh and stores the result.
     pub fn plan_cache(mut self, dir: impl Into<PathBuf>) -> Self {
         self.cache_dir = Some(dir.into());
         self
@@ -320,63 +331,36 @@ impl SessionBuilder {
             LowerOptions { seed: self.seed.unwrap_or(2018), relu_after_conv: self.relu_after_conv };
         let graph = Arc::new(Graph::lower(&net, &lower_opts)?);
 
-        let mut provenance = PlanProvenance::Fresh;
-        if spec.tuned {
-            let topts = TuneOptions {
-                seed: lower_opts.seed,
-                relu_after_conv: self.relu_after_conv,
-                cache_dir: self.cache_dir.clone(),
-                ..TuneOptions::default()
-            };
-            let cached = self.cache_dir.as_ref().and_then(|d| {
-                tune::load_cached_winner(d, &graph, lower_opts.seed, &topts.platform, topts.npe)
-            });
-            let (winner, key) = match cached {
-                Some(hit) => hit,
-                None => {
-                    let report = tune::tune_lowered(&graph, &topts)?;
-                    if let Some(dir) = self.cache_dir.as_ref() {
-                        tune::store_winner(dir, &report.key, &report.winner);
-                    }
-                    (report.winner, report.key)
-                }
-            };
-            // The winner only fills knobs the caller left at their
-            // defaults — an explicit pattern or model always wins over the
-            // tuner.
-            if spec.pattern.is_none() {
-                spec.pattern = Some(winner.pattern);
-            }
-            if spec.cost_model.is_none() && spec.budget_elems.is_none() {
-                spec.cost_model =
-                    Some(Arc::new(winner.cost_model(topts.platform.clone(), topts.npe)));
-            }
-            provenance = PlanProvenance::TuneSelected { key };
-        }
-
-        let pattern = spec.pattern.unwrap_or(BlockingPattern::hierarchical(2));
-        let (kernel, pad) = (spec.kernel, spec.pad);
-        let network_plan = spec.network_plan;
-        let cache = self.cache_dir.map(PlanCache::new);
-        let planner = Planner::new(PlannerOptions {
-            pattern,
-            plan: network_plan.clone(),
-            pad_mode: pad,
-            budget_elems: spec.budget_elems,
-            kernel,
-            cost_model: spec.cost_model,
+        let tune_opts = spec.tuned.then(|| TuneOptions {
+            seed: lower_opts.seed,
+            relu_after_conv: self.relu_after_conv,
+            ..TuneOptions::default()
         });
+        let (kernel, pad) = (spec.kernel, spec.pad);
+        let cache = self.cache_dir.map(PlanCache::new);
         let key = cache.as_ref().map(|_| {
-            PlanKey::for_build(
+            let mut key = PlanKey::for_build(
                 &graph,
                 lower_opts.seed,
-                pattern,
-                network_plan.as_ref(),
+                spec.pattern.unwrap_or(BlockingPattern::hierarchical(2)),
+                spec.network_plan.as_ref(),
                 self.backend,
-                planner.cost_model(),
+                spec.planner().cost_model(),
                 kernel,
                 pad,
-            )
+            );
+            // A tuned build is keyed by what the tuner explores: every knob
+            // the tuner may fill reads the one marker.
+            if let Some(t) = &tune_opts {
+                let marker = format!("tuned:{}:npe{}", t.platform.name, t.npe);
+                if spec.pattern.is_none() {
+                    key.pattern = marker.clone();
+                }
+                if spec.cost_model.is_none() && spec.budget_elems.is_none() {
+                    key.cost_model = marker;
+                }
+            }
+            key
         });
         let threads = resolve_threads(self.threads)?;
         let qspec = match self.backend {
@@ -395,12 +379,28 @@ impl SessionBuilder {
         // here, once, and the calibrated spec is not needed afterwards.
         let exec_plan = Arc::new(plan_or_load(
             cache.as_ref().zip(key.as_ref()),
-            &planner,
             &graph,
             pad,
             kernel,
             qspec.as_ref(),
-            provenance,
+            || {
+                let mut provenance = PlanProvenance::Fresh;
+                if let Some(t) = &tune_opts {
+                    let report = tune::tune_lowered(&graph, t)?;
+                    // The winner only fills knobs the caller left at their
+                    // defaults — an explicit pattern or model always wins
+                    // over the tuner.
+                    if spec.pattern.is_none() {
+                        spec.pattern = Some(report.winner.pattern);
+                    }
+                    if spec.cost_model.is_none() && spec.budget_elems.is_none() {
+                        let model = report.winner.cost_model(t.platform.clone(), t.npe);
+                        spec.cost_model = Some(Arc::new(model));
+                    }
+                    provenance = PlanProvenance::TuneSelected { key: report.key };
+                }
+                spec.planner().compile(&graph, qspec.as_ref(), provenance)
+            },
         )?);
         let executor: Arc<dyn Executor> = match self.backend {
             Backend::Reference => Arc::new(ReferenceExecutor::new(Arc::clone(&graph))),
@@ -723,12 +723,11 @@ mod tests {
             // surfaces the planner's own error.
             let funnel = plan_or_load(
                 Some((&cache, &key)),
-                &planner,
                 graph,
                 PadMode::Zero,
                 KernelPolicy::Auto,
                 Some(spec),
-                PlanProvenance::Fresh,
+                || planner.compile(graph, Some(spec), PlanProvenance::Fresh),
             );
             assert_eq!(funnel.unwrap_err().to_string(), fresh);
         }

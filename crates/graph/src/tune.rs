@@ -23,14 +23,12 @@
 //! not the model's score, so they are not explored here and a tuned build
 //! resolves them like any other build.
 //!
-//! The winner (lexicographically smallest `(off-chip bits, predicted
+//! The winner is the lexicographically smallest `(off-chip bits, predicted
 //! cycles)`; the §III-B3 default split is always candidate 0, so the
-//! winner is never worse than the default) can be cached per host under
-//! the same fingerprint as [`crate::cache::PlanKey`], which is how
-//! a [`crate::session::PlanSpec::tuned`] build skips re-exploration on
-//! warm start-up.
-
-use std::path::{Path, PathBuf};
+//! winner is never worse than the default. The tuner persists nothing: a
+//! [`crate::session::PlanSpec::tuned`] build with a plan cache stores the
+//! plan it compiles under the winner, keyed by what the tuner explores, so
+//! a warm build loads that plan without re-exploring.
 
 use bconv_accel::dse;
 use bconv_accel::platform::{zc706, FpgaPlatform};
@@ -38,14 +36,11 @@ use bconv_core::blocking::{BlockGrid, BlockingPattern};
 use bconv_models::Network;
 use bconv_tensor::TensorError;
 
-use crate::cache::{fnv1a, graph_content_hash, host_fingerprint};
+use crate::cache::{graph_content_hash, host_fingerprint};
 use crate::cost::AccelCost;
 use crate::ir::{Graph, LowerOptions, NodeOp};
 use crate::json::Json;
 use crate::plan::{ExecPlan, Planner, PlannerOptions, Segment, SegmentDecision};
-
-/// Schema version of cached tune winners.
-const WINNER_SCHEMA_VERSION: u64 = 1;
 
 /// Tuning configuration.
 #[derive(Debug, Clone)]
@@ -58,13 +53,11 @@ pub struct TuneOptions {
     pub seed: u64,
     /// Whether lowering inserts a ReLU after every conv.
     pub relu_after_conv: bool,
-    /// Directory for the per-host winner cache (`None` disables caching).
-    pub cache_dir: Option<PathBuf>,
 }
 
 impl Default for TuneOptions {
     fn default() -> Self {
-        Self { platform: zc706(), npe: 1, seed: 2018, relu_after_conv: false, cache_dir: None }
+        Self { platform: zc706(), npe: 1, seed: 2018, relu_after_conv: false }
     }
 }
 
@@ -119,9 +112,11 @@ pub struct TuneReport {
     pub network: String,
     /// Content hash of the tuned graph.
     pub net_hash: u64,
-    /// Host fingerprint the winner is valid for.
+    /// Host fingerprint the scores were computed on.
     pub host: String,
-    /// Per-host cache key the winner is stored under.
+    /// Identity of this exploration (network hash, host, platform, PE
+    /// count): a tuned plan's [`crate::plan::PlanProvenance::TuneSelected`]
+    /// key.
     pub key: String,
     /// Every explored point, in exploration order. Index 0 is always the
     /// default configuration ([`AccelCost::for_platform`] split, `H2x2`).
@@ -298,14 +293,13 @@ fn score(
     })
 }
 
-/// The per-host winner-cache key.
+/// The identity of one exploration.
 fn tune_key(net_hash: u64, host: &str, platform: &FpgaPlatform, npe: usize) -> String {
     format!("tune|{net_hash:016x}|{host}|{}|npe{npe}", platform.name)
 }
 
 /// Explores the space for `graph` and returns the scored report
-/// (prediction only — no sessions are built). Winner caching lives in
-/// [`tune`].
+/// (prediction only — no sessions are built).
 pub fn tune_lowered(graph: &Graph, opts: &TuneOptions) -> Result<TuneReport, TensorError> {
     let macs = graph_macs(graph);
     let cands = candidates(graph, &opts.platform);
@@ -344,77 +338,17 @@ pub fn tune_lowered(graph: &Graph, opts: &TuneOptions) -> Result<TuneReport, Ten
     })
 }
 
-/// Full tuning entry point: lowers `net`, explores the space, and caches
-/// the winner per host when [`TuneOptions::cache_dir`] is set.
+/// Full tuning entry point: lowers `net` and explores the space.
 ///
 /// # Errors
 ///
-/// Returns [`TensorError`] when lowering or planning fails. Winner-cache
-/// I/O failures are swallowed — caching is an optimisation, never a
-/// correctness input.
+/// Returns [`TensorError`] when lowering or planning fails.
 pub fn tune(net: &Network, opts: &TuneOptions) -> Result<TuneReport, TensorError> {
     let graph = Graph::lower(
         net,
         &LowerOptions { seed: opts.seed, relu_after_conv: opts.relu_after_conv },
     )?;
-    let report = tune_lowered(&graph, opts)?;
-    if let Some(dir) = &opts.cache_dir {
-        store_winner(dir, &report.key, &report.winner);
-    }
-    Ok(report)
-}
-
-/// Loads a previously cached winner for `(graph, host, platform)`, or
-/// `None` when there is no valid entry. Any read/parse/key failure is a
-/// miss, never an error — the caller re-tunes. Fields this reader does not
-/// know (earlier writers also stored a kernel policy and a thread count)
-/// are ignored.
-pub fn load_cached_winner(
-    dir: &Path,
-    graph: &Graph,
-    seed: u64,
-    platform: &FpgaPlatform,
-    npe: usize,
-) -> Option<(TuneWinner, String)> {
-    let net_hash = graph_content_hash(graph, seed);
-    let key = tune_key(net_hash, &host_fingerprint(), platform, npe);
-    let path = dir.join(format!("{}.json", winner_file_stem(&key)));
-    let text = std::fs::read_to_string(path).ok()?;
-    let doc = Json::parse(&text).ok()?;
-    if doc.get("version").and_then(Json::as_u64) != Some(WINNER_SCHEMA_VERSION) {
-        return None;
-    }
-    if doc.get("key").and_then(Json::as_str) != Some(key.as_str()) {
-        return None;
-    }
-    Some((
-        TuneWinner {
-            pattern: pattern_from_name(doc.get("pattern").and_then(Json::as_str)?)?,
-            intermediate_buffer_bits: doc.get("intermediate_buffer_bits").and_then(Json::as_u64)?,
-            extra_buffer_bits: doc.get("extra_buffer_bits").and_then(Json::as_u64)?,
-        },
-        key,
-    ))
-}
-
-fn winner_file_stem(key: &str) -> String {
-    format!("tune-{:016x}", fnv1a(key.as_bytes()))
-}
-
-/// Writes the winner cache entry; failures are swallowed (see [`tune`]).
-pub(crate) fn store_winner(dir: &Path, key: &str, winner: &TuneWinner) {
-    if std::fs::create_dir_all(dir).is_err() {
-        return;
-    }
-    let doc = Json::object([
-        ("version", WINNER_SCHEMA_VERSION.into()),
-        ("key", key.into()),
-        ("pattern", winner.pattern.to_string().into()),
-        ("intermediate_buffer_bits", winner.intermediate_buffer_bits.into()),
-        ("extra_buffer_bits", winner.extra_buffer_bits.into()),
-    ]);
-    let path = dir.join(format!("{}.json", winner_file_stem(key)));
-    let _ = std::fs::write(path, format!("{doc}\n"));
+    tune_lowered(&graph, opts)
 }
 
 /// Parses a pattern back from its `Display` form (`F8`, `F28x14`,
@@ -456,56 +390,6 @@ mod tests {
         }
         assert_eq!(pattern_from_name(""), None);
         assert_eq!(pattern_from_name("Q4"), None);
-    }
-
-    #[test]
-    fn winner_files_round_trip_and_the_previous_writers_still_load() {
-        // `store_winner` output of the writers up to PR 17 (vgg16_small on a
-        // 2-core host; the host fingerprint is part of the key), which also
-        // stored the kernel policy and thread count the tuner then explored.
-        const PARENT_WINNER_FILE: &str =
-            "{\"version\": 1, \"key\": \"tune|4098af0d77063ff4|cores2|Zynq ZC706|npe1\", \
-            \"pattern\": \"H2x2\", \"intermediate_buffer_bits\": 2511360, \
-            \"extra_buffer_bits\": 5022720, \"kernel\": \"auto\", \"threads\": 1}\n";
-        let dir = std::env::temp_dir().join(format!("bconv-tune-winner-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let graph = Graph::lower(&vgg16_small(32), &LowerOptions::default()).unwrap();
-        let load = || load_cached_winner(&dir, &graph, 2018, &zc706(), 1);
-        assert_eq!(load(), None, "an empty directory is a miss");
-
-        let key = tune_key(graph_content_hash(&graph, 2018), &host_fingerprint(), &zc706(), 1);
-        let old_text = PARENT_WINNER_FILE.replace("cores2", &host_fingerprint());
-        assert!(old_text.contains(&key), "fixture key drifted from {key}");
-        let path = dir.join(format!("{}.json", winner_file_stem(&key)));
-        std::fs::create_dir_all(&dir).unwrap();
-        std::fs::write(&path, &old_text).unwrap();
-        let (winner, loaded_key) = load().expect("the previous writer's file loads");
-        assert_eq!(loaded_key, key);
-        assert_eq!(
-            winner,
-            TuneWinner {
-                pattern: BlockingPattern::hierarchical(2),
-                intermediate_buffer_bits: 2_511_360,
-                extra_buffer_bits: 5_022_720,
-            }
-        );
-
-        // Today's writer stores the same document less those two fields,
-        // and what it stores loads back to the same winner.
-        store_winner(&dir, &key, &winner);
-        let new_text = std::fs::read_to_string(&path).unwrap();
-        let (old_doc, new_doc) = (Json::parse(&old_text).unwrap(), Json::parse(&new_text).unwrap());
-        for field in ["version", "key", "pattern", "intermediate_buffer_bits", "extra_buffer_bits"]
-        {
-            assert!(new_doc.get(field).is_some(), "{new_text}");
-            assert_eq!(new_doc.get(field), old_doc.get(field), "{field}");
-        }
-        assert_eq!((new_doc.get("kernel"), new_doc.get("threads")), (None, None), "{new_text}");
-        assert_eq!(load(), Some((winner, key)));
-        // A truncated file is a miss, not an error.
-        std::fs::write(&path, &new_text[..new_text.len() / 2]).unwrap();
-        assert_eq!(load(), None);
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

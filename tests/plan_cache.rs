@@ -11,7 +11,8 @@
 //!   error and fall back to fresh planning, never a panic or an abort;
 //! * `planner` and `plan_cache` configure a builder in either order;
 //! * the tuner's winner never models more off-chip traffic than the
-//!   default configuration, and tuned builds cache their winner per host;
+//!   default configuration, and a tuned build is one plan-cache entry,
+//!   keyed by what the tuner explores;
 //! * `Session::fork` and `Session::into_router` share the already-built
 //!   plan (`Arc::ptr_eq`) rather than re-planning.
 
@@ -344,8 +345,8 @@ fn tuned_builds_cache_their_winner_and_stay_bitwise_identical() {
     let untuned = Session::builder().network(net.clone()).build().unwrap();
     assert_eq!(first.threads(), untuned.threads());
 
-    // Second tuned build: winner loaded from the per-host cache, plan
-    // loaded from the plan cache — nothing plans, nothing re-tunes.
+    // Second tuned build: the plan is loaded from the plan cache before
+    // any tuning — nothing plans, nothing re-tunes.
     let second = tuned().build().unwrap();
     assert!(
         matches!(second.plan().report().provenance, PlanProvenance::CacheLoaded { .. }),
@@ -372,6 +373,82 @@ fn tuned_builds_cache_their_winner_and_stay_bitwise_identical() {
         .unwrap();
     let c = explicit.run(&input).unwrap();
     assert_eq!(a.output.data(), c.output.data(), "tune-selected == fresh with the same knobs");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The file names in `dir`, sorted.
+fn entries(dir: &Path) -> Vec<String> {
+    let mut names: Vec<String> = std::fs::read_dir(dir)
+        .map(|it| it.filter_map(|e| e.ok()?.file_name().into_string().ok()).collect())
+        .unwrap_or_default();
+    names.sort();
+    names
+}
+
+/// The canonical key a cache-loaded plan reports.
+fn loaded_key(session: &Session) -> String {
+    match &session.plan().report().provenance {
+        PlanProvenance::CacheLoaded { key } => key.clone(),
+        other => panic!("expected a cache hit, got {other:?}"),
+    }
+}
+
+#[test]
+fn a_tuned_build_is_one_plan_cache_entry() {
+    let net = vgg16_small(32);
+    let input = input_for(&net, 0xBEEF);
+    let build = |spec: PlanSpec, dir: &Path| {
+        Session::builder().network(net.clone()).planner(spec).plan_cache(dir).build().unwrap()
+    };
+    let is_plan = |name: &String| name.starts_with("plan-") && name.ends_with(".json");
+
+    // Cold and warm, the directory holds the one plan file and nothing else.
+    let dir = temp_cache_dir("tuned-one");
+    let cold = build(PlanSpec::new().tuned(), &dir);
+    let after_cold = entries(&dir);
+    assert_eq!(after_cold.len(), 1, "{after_cold:?}");
+    assert!(is_plan(&after_cold[0]), "{after_cold:?}");
+    let warm = build(PlanSpec::new().tuned(), &dir);
+    let key = loaded_key(&warm);
+    assert!(key.contains("|tuned:Zynq ZC706:npe1|"), "{key}");
+    assert_eq!(entries(&dir), after_cold);
+    let want = cold.run(&input).unwrap();
+    assert_eq!(warm.run(&input).unwrap().output.data(), want.output.data());
+
+    // A pinned pattern is keyed by its value, not by the marker, so the
+    // pinned build is a second entry.
+    let pinned = || PlanSpec::new().tuned().pattern(BlockingPattern::hierarchical(4));
+    let first = build(pinned(), &dir);
+    assert!(
+        matches!(first.plan().report().provenance, PlanProvenance::TuneSelected { .. }),
+        "{:?}",
+        first.plan().report().provenance
+    );
+    let pinned_key = loaded_key(&build(pinned(), &dir));
+    assert!(pinned_key.contains("|H4x4|"), "{pinned_key}");
+    assert_ne!(pinned_key, key);
+    assert_eq!(entries(&dir).len(), 2);
+    let _ = std::fs::remove_dir_all(&dir);
+
+    // A winner file of the earlier writers is neither read nor removed: the
+    // build tunes, plans and stores as in an empty directory.
+    let dir = temp_cache_dir("tuned-stale");
+    std::fs::create_dir_all(&dir).unwrap();
+    let stale = dir.join("tune-0123456789abcdef.json");
+    let stale_text = "{\"version\": 1, \"key\": \"tune|0|cores2|Zynq ZC706|npe1\", \
+        \"pattern\": \"F8\", \"intermediate_buffer_bits\": 1, \"extra_buffer_bits\": 1}\n";
+    std::fs::write(&stale, stale_text).unwrap();
+    let rebuilt = build(PlanSpec::new().tuned(), &dir);
+    assert!(
+        matches!(rebuilt.plan().report().provenance, PlanProvenance::TuneSelected { .. }),
+        "{:?}",
+        rebuilt.plan().report().provenance
+    );
+    assert_eq!(rebuilt.describe(), cold.describe());
+    assert_eq!(rebuilt.run(&input).unwrap().output.data(), want.output.data());
+    assert_eq!(std::fs::read_to_string(&stale).unwrap(), stale_text);
+    assert_eq!(entries(&dir), [after_cold[0].clone(), "tune-0123456789abcdef.json".to_string()]);
+    assert_eq!(loaded_key(&build(PlanSpec::new().tuned(), &dir)), key);
     let _ = std::fs::remove_dir_all(&dir);
 }
 
