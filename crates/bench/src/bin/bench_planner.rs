@@ -1,7 +1,9 @@
 //! Planner cost-model benchmark: `ElementBudget` vs `AccelCost` group
-//! cuts and `FusedPipeline` splices on vgg16_small and vdsr_small, under
-//! an on-chip capacity small enough to force cuts (the interesting
-//! regime — with unbounded buffers both models fuse maximally and agree).
+//! cuts and `FusedPipeline` splices on vgg16_small (at 32 and, under the
+//! repo benchmark's `vgg224_f32_blocked` schedule, at 224) and
+//! vdsr_small, under an on-chip capacity small enough to force cuts (the
+//! interesting regime — with unbounded buffers both models fuse maximally
+//! and agree).
 //!
 //! Writes `BENCH_planner.json`: per (network × cost model) the planner's
 //! decisions (fusion groups, cost cuts, splices — from `PlanReport`),
@@ -27,6 +29,7 @@ use bconv_tensor::Tensor;
 struct Workload {
     network: &'static str,
     net: Network,
+    pattern: BlockingPattern,
     input: Tensor,
     /// Element budget that forces at least one mid-network cut.
     budget_elems: usize,
@@ -34,6 +37,7 @@ struct Workload {
 
 struct Measurement {
     network: &'static str,
+    pattern: BlockingPattern,
     cost_model: &'static str,
     fusion_groups: usize,
     segments: usize,
@@ -52,16 +56,30 @@ fn workloads() -> Vec<Workload> {
         Workload {
             network: "vgg16_small",
             net: vgg16_small(32),
+            pattern: BlockingPattern::hierarchical(2),
             input: uniform_tensor([1, 3, 32, 32], -1.0, 1.0, &mut seeded_rng(7)),
             // Cuts after conv1-1: its successor's ping-pong pair
             // (16x16x4 + 16x16x4 = 2048 elements) exceeds the budget.
             budget_elems: 1500,
         },
         Workload {
+            network: "vgg16_small_224",
+            net: vgg16_small(224),
+            pattern: BlockingPattern::hierarchical(4),
+            input: uniform_tensor([1, 3, 224, 224], -1.0, 1.0, &mut seeded_rng(9)),
+            // The repo benchmark's `vgg224_f32_blocked` schedule: the
+            // AccelCost twin is its 200 000-bit intermediate buffer.
+            // conv1-2's pair (56x56x8 = 25 088 elements) exceeds the
+            // budget and cuts; once granted, pool1 … conv4-3 reuse it.
+            budget_elems: 12_500,
+        },
+        Workload {
             network: "vdsr_small",
             net: bconv_models::vdsr::vdsr_with_depth(24, 24, 6, 8),
+            pattern: BlockingPattern::hierarchical(2),
             input: uniform_tensor([1, 1, 24, 24], -1.0, 1.0, &mut seeded_rng(8)),
-            // Cuts after conv1 (the budget of the planner's depth test).
+            // Cuts after conv1 (the budget of the planner's depth test);
+            // conv2 … conv6 reuse conv2's granted pair.
             budget_elems: 12 * 12 * 8 + 12 * 12 * 2,
         },
     ]
@@ -74,7 +92,7 @@ fn run() -> Result<(), Box<dyn std::error::Error>> {
     let mut results: Vec<Measurement> = Vec::new();
     for w in workloads() {
         let build = |accel: bool| {
-            let spec = PlanSpec::new().pattern(BlockingPattern::hierarchical(2));
+            let spec = PlanSpec::new().pattern(w.pattern);
             let spec = if accel {
                 // The AccelCost twin of the element budget: same
                 // intermediate capacity in bits, a generous extra buffer
@@ -99,6 +117,7 @@ fn run() -> Result<(), Box<dyn std::error::Error>> {
             let pr = session.plan().report();
             let m = Measurement {
                 network: w.network,
+                pattern: w.pattern,
                 cost_model: model,
                 fusion_groups: session.plan().fusion_groups(),
                 segments: session.plan().segments().len(),
@@ -147,6 +166,7 @@ fn run() -> Result<(), Box<dyn std::error::Error>> {
     let rows = results.iter().map(|m| {
         Json::object([
             ("network", m.network.into()),
+            ("pattern", m.pattern.to_string().into()),
             ("cost_model", m.cost_model.into()),
             ("fusion_groups", m.fusion_groups.into()),
             ("segments", m.segments.into()),
@@ -162,11 +182,7 @@ fn run() -> Result<(), Box<dyn std::error::Error>> {
     });
     bench.write(
         reps,
-        [
-            ("pattern", "H2x2".into()),
-            ("baseline", "element-budget of the same network".into()),
-            ("results", Json::array(rows)),
-        ],
+        [("baseline", "element-budget of the same network".into()), ("results", Json::array(rows))],
     )?;
 
     // `--tune-out PATH`: run the per-host DSE on vgg16_small and dump the

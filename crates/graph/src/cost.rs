@@ -6,10 +6,9 @@
 //!
 //! Two models ship with the crate:
 //!
-//! * [`ElementBudget`] — the element-count heuristic the planner has
-//!   always used: cut when a stage's ping-pong block buffers exceed a flat
-//!   element budget; never splice. The default, reproducing historical
-//!   plans bitwise.
+//! * [`ElementBudget`] — the element-count heuristic: cut when a stage's
+//!   ping-pong block buffers exceed a flat element budget; never splice.
+//!   The default, unbounded: it fuses maximally.
 //! * [`AccelCost`] — the `bconv-accel` cycle/memory model (Equation 3's
 //!   MAC cycles, [`bconv_accel::platform::FpgaPlatform::dram_cycles`]
 //!   DRAM transfer cycles, the §III-B3 buffer plan): candidate cut points
@@ -21,6 +20,15 @@
 //! Cost models see fusion groups as [`StageCost`] lists — pure geometry in
 //! elements and MACs, at the plan's precision — so a model never touches
 //! tensors and the planner never depends on a specific model's internals.
+//!
+//! A model is asked only about buffers the group does not hold yet. The
+//! planner opens a group at any blocked conv, however large its ping-pong
+//! pair, so that blocking never depends on the model; the device must then
+//! provision that pair for the opening stage anyway. A later stage whose
+//! pair fits inside the largest pair the group already holds reuses those
+//! buffers and costs nothing more on chip, so it extends without a
+//! question (`Planner::try_extend`). Only a stage that would grow the
+//! group's buffers is the model's decision.
 
 use bconv_accel::memory::BufferPlan;
 use bconv_accel::platform::FpgaPlatform;
@@ -57,6 +65,11 @@ impl StageCost {
             out_block_bits: self.out_block_elems as u64 * bits,
             macs: self.macs,
         }
+    }
+
+    /// Elements of the stage's ping-pong pair: its input plus output block.
+    pub fn pair_elems(&self) -> usize {
+        self.in_block_elems + self.out_block_elems
     }
 
     /// Bits of the stage's whole input map.
@@ -114,8 +127,10 @@ pub trait CostModel: std::fmt::Debug + Send + Sync {
     }
 
     /// Whether the open group (`group`, possibly empty) should extend
-    /// through `candidate`, or cut right before it. Consulted for conv and
-    /// pool stages; ReLU is free and always fuses.
+    /// through `candidate`, or cut right before it. Consulted only for a
+    /// conv or pool stage whose ping-pong pair is larger than every pair
+    /// in `group`: a stage that fits the buffers the group already holds
+    /// extends without asking, and ReLU is free and always fuses.
     fn allow_extend(&self, group: &[StageCost], candidate: &StageCost) -> bool;
 
     /// Whether two adjacent fusion groups should splice into one pipeline,
@@ -132,9 +147,9 @@ pub trait CostModel: std::fmt::Debug + Send + Sync {
 }
 
 /// The flat element-count budget: cut when a candidate stage's ping-pong
-/// block-buffer pair would exceed `budget_elems`; never splice. With no
-/// budget, fuse maximally. This reproduces the planner's historical
-/// behaviour bitwise and is the default model.
+/// block-buffer pair would exceed `budget_elems` and the group's own
+/// largest pair; never splice. With no budget, fuse maximally — the
+/// default model, whose plans no granted pair can change.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct ElementBudget {
     budget_elems: Option<usize>,
@@ -163,17 +178,16 @@ impl CostModel for ElementBudget {
     }
 
     fn cache_param_key(&self) -> String {
+        // `granted`: later stages reuse the group's largest pair, so plans
+        // decided before that rule miss. Unbounded plans cannot differ.
         match self.budget_elems {
             None => "element-budget(unbounded)".to_string(),
-            Some(b) => format!("element-budget(b{b})"),
+            Some(b) => format!("element-budget(b{b},granted)"),
         }
     }
 
     fn allow_extend(&self, _group: &[StageCost], candidate: &StageCost) -> bool {
-        match self.budget_elems {
-            None => true,
-            Some(budget) => candidate.in_block_elems + candidate.out_block_elems <= budget,
-        }
+        self.budget_elems.is_none_or(|budget| candidate.pair_elems() <= budget)
     }
 }
 
@@ -181,8 +195,12 @@ impl CostModel for ElementBudget {
 /// `bconv-accel`'s cycle and memory estimates instead of a flat element
 /// count.
 ///
-/// * **Extension** — the prospective group's intermediate-buffer peak
-///   ([`fused_group_cost`]) must fit the two ping-pong block buffers;
+/// * **Extension** — asked only for a stage whose ping-pong pair exceeds
+///   every pair the group already holds (the planner extends through the
+///   others: their buffers are provisioned), so the rule the planner and
+///   this model apply together is: extend iff the pair fits max(the two
+///   ping-pong block buffers, the group's largest pair). The candidate's
+///   pair ([`fused_group_cost`]) must fit the two buffers;
 ///   within capacity, extending wins whenever its cycle estimate does not
 ///   exceed cutting's (cut = same compute plus the DRAM round trip of the
 ///   boundary map at the platform's bandwidth — so extending always wins
@@ -246,9 +264,11 @@ impl CostModel for AccelCost {
         // Everything the extend/splice decisions read: the platform's
         // DRAM model and BRAM capacity, both buffer capacities, and the
         // PE parallelism. `{}` on f64 prints shortest-roundtrip digits,
-        // so equal platforms always format identically.
+        // so equal platforms always format identically. `granted` marks
+        // plans in which later stages reuse the group's largest pair;
+        // plans decided before that rule miss.
         format!(
-            "accel-cost({},bram{}x{},f{},dram{},ib{},eb{},npe{})",
+            "accel-cost({},bram{}x{},f{},dram{},ib{},eb{},npe{},granted)",
             self.platform.name,
             self.platform.bram18_blocks,
             self.platform.bram18_bits,
@@ -263,8 +283,9 @@ impl CostModel for AccelCost {
     fn allow_extend(&self, _group: &[StageCost], candidate: &StageCost) -> bool {
         // Capacity gate on the candidate's *marginal* requirement: the
         // stages already in the group are sunk (the planner grandfathers
-        // an over-capacity opening conv so plan semantics stay invariant),
-        // so only the new ping-pong pair can refuse the extension.
+        // an over-capacity opening conv so plan semantics stay invariant,
+        // and never asks about a pair that fits the group's largest), so
+        // only the new ping-pong pair can refuse the extension.
         let cand = fused_group_cost(&[candidate.footprint()], self.npe);
         if cand.peak_intermediate_bits > 2 * self.intermediate_buffer_bits {
             return false; // the ping-pong pair cannot hold the stage

@@ -9,7 +9,8 @@
 //! non-matching pooling, residual `Add`, FC, GAP, upsampling) become
 //! whole-map segments with an off-chip boundary on either side.
 //!
-//! Group *depth* is the cost model's call: the default [`ElementBudget`]
+//! Group *depth* is the cost model's call wherever a stage would grow the
+//! group's block buffers: the default [`ElementBudget`]
 //! cuts on a flat element budget, while [`crate::cost::AccelCost`] asks
 //! the `bconv-accel` cycle/memory model and additionally **splices**
 //! adjacent compatible groups, keeping the group-boundary map on chip
@@ -755,8 +756,10 @@ impl Planner {
     /// The walk is greedy: a fusion group opens at the first blocked,
     /// fusable conv and extends through consecutive single-consumer
     /// conv/relu/pool nodes while (a) the running [`BlockGrid`] stays
-    /// valid (Equation 2 solvable, pooling aligned) and (b) the cost model
-    /// accepts the extension. Anything else cuts the group — an off-chip
+    /// valid (Equation 2 solvable, pooling aligned, every conv on the
+    /// pattern's grid at its input size) and (b) the stage's ping-pong pair
+    /// fits the largest one the group already holds, or the cost model
+    /// accepts the larger pair. Anything else cuts the group — an off-chip
     /// boundary, exactly as the paper's normal-convolution fusion points
     /// do. A second pass then offers adjacent compatible groups to the
     /// cost model for splicing, and the resulting decisions are assembled
@@ -958,6 +961,14 @@ impl Planner {
                 {
                     return None;
                 }
+                // A conv runs on the pattern's grid at its own input size,
+                // wherever the cost model cut. Under a fixed pattern a pool
+                // keeps the block count, not the block size, so a pool that
+                // re-grids ends the group and the next conv opens afresh.
+                let (h, w) = (node.in_shape.h, node.in_shape.w);
+                if BlockGrid::from_pattern(h, w, self.opts.pattern).ok().as_ref() != Some(grid) {
+                    return None;
+                }
                 // `None` here: Equation 2 unsolvable for this geometry.
                 let bconv = BlockConv2d::plan_with_kernel(
                     Arc::clone(conv),
@@ -986,7 +997,9 @@ impl Planner {
     /// The cost model governs fusion-group *depth*, not blocking itself — a
     /// blocked conv whose own buffers exceed the model's capacity still
     /// opens a (single-op) group, so plan semantics stay numerically
-    /// invariant under any model.
+    /// invariant under any model. Its ping-pong pair is then granted:
+    /// [`try_extend`](Self::try_extend) lets later stages reuse it without
+    /// asking the model.
     fn try_open(
         &self,
         id: NodeId,
@@ -1011,7 +1024,11 @@ impl Planner {
         })
     }
 
-    /// Attempts to extend the open group with `node`.
+    /// Attempts to extend the open group with `node`. A stage whose
+    /// ping-pong pair fits the largest pair the group already holds reuses
+    /// buffers that are granted, so it extends without asking the cost
+    /// model; only a stage that would grow the group's buffers is the
+    /// model's decision.
     fn try_extend(
         &self,
         run: &mut FusedRun,
@@ -1025,7 +1042,8 @@ impl Planner {
             return Extend::Cut;
         };
         if let Some(cost) = cost {
-            if !self.model.allow_extend(&run.costs, &cost) {
+            let granted = run.costs.iter().map(StageCost::pair_elems).max().unwrap_or(0);
+            if cost.pair_elems() > granted && !self.model.allow_extend(&run.costs, &cost) {
                 return Extend::CutByModel;
             }
             run.costs.push(cost);
@@ -1164,6 +1182,42 @@ mod tests {
         assert!(max_group(&tight) < max_group(&unlimited));
     }
 
+    #[test]
+    fn stages_within_the_granted_pair_extend_without_asking() {
+        // H2 on 16x16 (8x8 blocks, 64 px): conv1's pair (2 + 8) x 64 =
+        // 640 elements opens over a capacity of 300 and is granted;
+        // conv2's (8 + 1) x 64 = 576 is over capacity but fits the
+        // granted pair; conv3's (1 + 16) x 64 = 1088 would grow the
+        // buffers, so the model is asked and refuses.
+        use bconv_models::builder::{conv, NetBuilder};
+        let mut b = NetBuilder::new("granted", bconv_models::ActShape { c: 2, h: 16, w: 16 });
+        b.push("conv1", conv(3, 1, 1, 2, 8));
+        b.push("conv2", conv(3, 1, 1, 8, 1));
+        b.push("conv3", conv(3, 1, 1, 1, 16));
+        let g = lower(&b.build());
+        let capacity = 300;
+        let budget = PlannerOptions { budget_elems: Some(capacity), ..PlannerOptions::default() };
+        let accel = PlannerOptions {
+            cost_model: Some(accel_like_budget(capacity)),
+            ..PlannerOptions::default()
+        };
+        for opts in [budget, accel] {
+            let plan = Planner::new(opts).plan(&g).unwrap();
+            let groups: Vec<Vec<NodeId>> = plan
+                .decisions()
+                .segments
+                .iter()
+                .flat_map(|s| match s {
+                    SegmentDecision::Groups(groups) => groups.clone(),
+                    SegmentDecision::Single(_) => Vec::new(),
+                })
+                .map(|group| group.nodes)
+                .collect();
+            assert_eq!(groups, [vec![0, 1], vec![2]], "{}", plan.describe(&g));
+            assert_eq!(plan.report().cost_cuts, [2], "{}", plan.describe(&g));
+        }
+    }
+
     /// An AccelCost model whose intermediate capacity matches an element
     /// budget of `elems` at 32-bit words, with a generous extra buffer.
     fn accel_like_budget(elems: usize) -> Arc<dyn CostModel> {
@@ -1216,16 +1270,30 @@ mod tests {
         assert!(accel.segments().len() < element.segments().len());
     }
 
+    /// Six 3×3 convs on a 1×24×24 input, 1 → 4 → 5 → … → 9 channels:
+    /// every conv's ping-pong pair is larger than the one before, so a
+    /// small enough capacity cuts at every conv.
+    fn widening_net() -> bconv_models::Network {
+        use bconv_models::builder::{conv, NetBuilder};
+        let mut b = NetBuilder::new("widening", bconv_models::ActShape { c: 1, h: 24, w: 24 });
+        let mut c_in = 1;
+        for (i, c_out) in (4..=9).enumerate() {
+            b.push(format!("conv{}", i + 1), conv(3, 1, 1, c_in, c_out));
+            c_in = c_out;
+        }
+        b.build()
+    }
+
     #[test]
     fn splice_pass_gates_on_adjacent_boundary_pairs() {
-        // VDSR under a cut-per-conv budget has 5 fused groups with 4
-        // equal boundaries (8ch x 24x24 = 4608 elems). An extra buffer
-        // that holds one boundary but not two must stop every pipeline at
-        // 2 groups — a middle group would keep both its boundaries
-        // resident at once.
-        let g = lower(&vdsr_with_depth(24, 24, 6, 8));
-        let budget = 12 * 12 * 8 + 12 * 12 * 2;
-        let one_boundary_bits = 4608u64 * 32;
+        // The widening net under a cut-per-conv capacity (H2: 12x12
+        // blocks) has 6 fused groups with 5 boundaries of 4..8 channels
+        // x 24x24. An extra buffer that holds the largest boundary but no
+        // two adjacent ones must stop every pipeline at 2 groups — a
+        // middle group would keep both its boundaries resident at once.
+        let g = lower(&widening_net());
+        let budget = 12 * 12 * 8;
+        let one_boundary_bits = 8 * 24 * 24 * 32;
         let model = Arc::new(AccelCost::with_buffers(
             zc706(),
             budget as u64 * 32 / 2,
@@ -1262,22 +1330,23 @@ mod tests {
         .unwrap();
         let max_groups = spliced_groups(&deep).into_iter().max().unwrap_or(0);
         assert!(max_groups > 2, "{}", deep.describe(&g));
-        // Every VDSR group keeps the grid, so each splice is one chain.
+        // Every widening-net group keeps the grid, so each splice is one chain.
         for plan in [&plan, &deep] {
             assert!(plan.segments().iter().all(|s| !matches!(s, Segment::Spliced { .. })));
         }
     }
 
-    /// A net whose splice re-grids: under F4 a cut right after the pool
-    /// opens the next group on 4×4 blocks of the pooled map, which the
-    /// pooled grid tiles in 2×2 ones; the group after it is aligned.
+    /// A net whose splice re-grids: under F4 the pool re-grids, so its
+    /// group ends there and conv2 opens the next group on 4×4 blocks of
+    /// the pooled map, which the pooled grid tiles in 2×2 ones; conv3's
+    /// pair is larger than conv2's, so it cuts, and that joint is aligned.
     fn regrid_net() -> bconv_models::Network {
         use bconv_models::builder::{conv, maxpool, NetBuilder};
         let mut b = NetBuilder::new("regrid", bconv_models::ActShape { c: 2, h: 16, w: 16 });
         b.push("conv1", conv(3, 1, 1, 2, 2));
         b.push("pool", maxpool(2, 2, 0));
         b.push("conv2", conv(3, 1, 1, 2, 32));
-        b.push("conv3", conv(3, 1, 1, 32, 2));
+        b.push("conv3", conv(3, 1, 1, 32, 4));
         b.build()
     }
 

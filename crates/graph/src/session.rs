@@ -170,8 +170,12 @@ pub struct PlanSpec {
     /// winning pattern / buffer split. Knobs the caller pinned explicitly
     /// keep their values; only unset ones take the winner's. With a
     /// [`SessionBuilder::plan_cache`] the plan is keyed by what the tuner
-    /// explores, so a warm build loads it without tuning. Kernel policy
-    /// and thread count are not tuned: they resolve as in any other build.
+    /// explores, so a warm build loads it without tuning. A build that
+    /// pins both the pattern and the cost model (or a budget) leaves the
+    /// tuner nothing to fill: it does not tune, and plans, caches and
+    /// reports provenance exactly as the same spec without `tuned`. Kernel
+    /// policy and thread count are not tuned: they resolve as in any other
+    /// build.
     pub tuned: bool,
 }
 
@@ -331,7 +335,12 @@ impl SessionBuilder {
             LowerOptions { seed: self.seed.unwrap_or(2018), relu_after_conv: self.relu_after_conv };
         let graph = Arc::new(Graph::lower(&net, &lower_opts)?);
 
-        let tune_opts = spec.tuned.then(|| TuneOptions {
+        // The tuner fills only the knobs the caller left unset: with the
+        // pattern and the cost model (or a budget) pinned it has nothing
+        // to fill, and the build is an untuned one.
+        let fillable =
+            spec.pattern.is_none() || (spec.cost_model.is_none() && spec.budget_elems.is_none());
+        let tune_opts = (spec.tuned && fillable).then(|| TuneOptions {
             seed: lower_opts.seed,
             relu_after_conv: self.relu_after_conv,
             ..TuneOptions::default()

@@ -9,7 +9,7 @@ use bconv_models::builder::{conv, maxpool, NetBuilder};
 use bconv_models::{ActShape, Network};
 
 /// conv 2→`c1`, 2×2 pool, conv `c1`→32, conv 32→2 on a 2×16×16 input
-/// (`c1` in 1..=4 keeps [`regrid_spec`]'s plan).
+/// (`c1` in 1..=4 keeps [`regrid_spec`]'s pipeline).
 pub fn regrid_net(c1: usize) -> Network {
     let mut b = NetBuilder::new("regrid", ActShape { c: 2, h: 16, w: 16 });
     b.push("conv1", conv(3, 1, 1, 2, c1));
@@ -20,12 +20,13 @@ pub fn regrid_net(c1: usize) -> Network {
 }
 
 /// F4 under an accelerator model whose block buffers hold 100 elements of
-/// `bits` bits: conv1 and the pool fit them, conv2 (2×2 blocks) and conv3
-/// (4×4 blocks) each overflow them, so both cut, and the roomy extra buffer splices all three
-/// groups. The first joint re-grids — the pooled map's 2×2 blocks merge
-/// into the 4×4 ones conv2's group opens on — and the second is aligned,
-/// so the plan is one pipeline of two chains: `[conv1, pool] =>
-/// [conv2, conv3]`.
+/// `bits` bits: conv1 and the pool fit them. The pool re-grids (the pooled
+/// map's 2×2 blocks are not F4's 4×4 ones), so its group ends there and
+/// conv2 opens the next on 4×4 blocks, its pair over capacity and granted.
+/// conv3 reuses that pair when it fits (`c1` ≥ 2); otherwise it cuts and
+/// the roomy extra buffer splices it back on an aligned joint. Either way
+/// the first joint re-grids and the plan is one pipeline of two chains:
+/// `[conv1, pool] => [conv2, conv3]`.
 pub fn regrid_spec(bits: u8) -> PlanSpec {
     let model = AccelCost::with_buffers(zc706(), 100 * u64::from(bits) / 2, 1 << 24);
     PlanSpec::new().pattern(BlockingPattern::fixed(4)).cost_model(model)

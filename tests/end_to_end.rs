@@ -106,8 +106,9 @@ fn feature_map_analysis_matches_direct_computation() {
 
 #[test]
 fn planner_fuses_across_a_pooling_boundary() {
-    // Fixed blocking through conv -> pool -> conv: the planner carries the
-    // grid across the pooling downscale, and the fused schedule matches
+    // Hierarchical blocking through conv -> pool -> conv: the planner
+    // carries the grid across the pooling downscale, which is the
+    // pattern's grid of the pooled map, and the fused schedule matches
     // the layer-wise one exactly (Figure 10's scenario, now compiled
     // rather than hand-assembled).
     let mut b = NetBuilder::new("two-stage", ActShape { c: 2, h: 16, w: 16 });
@@ -116,12 +117,19 @@ fn planner_fuses_across_a_pooling_boundary() {
     b.push("conv2", conv(3, 1, 1, 4, 2));
     let net = b.build();
     let graph = Graph::lower(&net, &LowerOptions { seed: 5, relu_after_conv: false }).unwrap();
-    let plan = Planner::new(PlannerOptions {
-        pattern: BlockingPattern::fixed(8),
-        ..PlannerOptions::default()
-    })
-    .plan(&graph)
-    .unwrap();
+    let plan_under = |pattern| {
+        Planner::new(PlannerOptions { pattern, ..PlannerOptions::default() }).plan(&graph).unwrap()
+    };
+    // Fixed blocking keeps its block size: the pooled 4×4 blocks are not
+    // the 8×8 pattern, so the group ends at the pool and conv2 opens on
+    // one 8×8 block.
+    let fixed = plan_under(BlockingPattern::fixed(8));
+    assert_eq!(fixed.fusion_groups(), 2, "{}", fixed.describe(&graph));
+    let Segment::Fused { chain, .. } = &fixed.segments()[1] else {
+        panic!("expected fused segment:\n{}", fixed.describe(&graph));
+    };
+    assert_eq!(chain.in_grid().num_blocks(), 1);
+    let plan = plan_under(BlockingPattern::hierarchical(2));
     assert_eq!(plan.fusion_groups(), 1, "{}", plan.describe(&graph));
     let Segment::Fused { chain, .. } = &plan.segments()[0] else {
         panic!("expected fused segment");

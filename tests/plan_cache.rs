@@ -22,6 +22,7 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
+use bconv_accel::platform::zc706;
 use bconv_core::plan::NetworkPlan;
 use bconv_core::BlockingPattern;
 use bconv_graph::cache::{PlanCache, PlanCacheError, PlanKey};
@@ -29,8 +30,9 @@ use bconv_graph::cost::ElementBudget;
 use bconv_graph::json::Json;
 use bconv_graph::tune::{tune, TuneOptions};
 use bconv_graph::{
-    Backend, ExecPlan, Executor, GraphQuantSpec, KernelPolicy, PlanExecutor, PlanProvenance,
-    PlanSpec, Planner, PlannerOptions, RunReport, Segment, ServeConfig, Session, SessionBuilder,
+    AccelCost, Backend, ExecPlan, Executor, GraphQuantSpec, KernelPolicy, PlanExecutor,
+    PlanProvenance, PlanSpec, Planner, PlannerOptions, RunReport, Segment, ServeConfig, Session,
+    SessionBuilder,
 };
 use bconv_models::builder::{conv, maxpool, NetBuilder};
 use bconv_models::small::{vdsr_small, vgg16_small};
@@ -325,7 +327,7 @@ fn tune_winner_never_models_more_offchip_than_the_default() {
 }
 
 #[test]
-fn tuned_builds_cache_their_winner_and_stay_bitwise_identical() {
+fn tuned_builds_cache_their_plan_and_stay_bitwise_identical() {
     let dir = temp_cache_dir("tuned");
     let net = vgg16_small(32);
     let input = input_for(&net, 0xBEEF);
@@ -350,7 +352,7 @@ fn tuned_builds_cache_their_winner_and_stay_bitwise_identical() {
     let second = tuned().build().unwrap();
     assert!(
         matches!(second.plan().report().provenance, PlanProvenance::CacheLoaded { .. }),
-        "cached winner + cached plan must skip planning, got {:?}",
+        "a cached tuned plan must skip tuning and planning, got {:?}",
         second.plan().report().provenance
     );
     let a = first.run(&input).unwrap();
@@ -449,6 +451,38 @@ fn a_tuned_build_is_one_plan_cache_entry() {
     assert_eq!(std::fs::read_to_string(&stale).unwrap(), stale_text);
     assert_eq!(entries(&dir), [after_cold[0].clone(), "tune-0123456789abcdef.json".to_string()]);
     assert_eq!(loaded_key(&build(PlanSpec::new().tuned(), &dir)), key);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_tuned_build_with_every_knob_pinned_is_an_untuned_build() {
+    // Pattern and cost model both pinned: the tuner has nothing to fill,
+    // so the build neither tunes nor keys its plan by the tuned marker.
+    let net = vgg16_small(32);
+    let input = input_for(&net, 0xBEEF);
+    let dir = temp_cache_dir("tuned-pinned");
+    let spec = || {
+        PlanSpec::new()
+            .pattern(BlockingPattern::hierarchical(2))
+            .cost_model(AccelCost::for_platform(zc706()))
+    };
+    let build = |spec: PlanSpec| {
+        Session::builder().network(net.clone()).planner(spec).plan_cache(&dir).build().unwrap()
+    };
+    let tuned = build(spec().tuned());
+    assert_eq!(tuned.plan().report().provenance, PlanProvenance::Fresh);
+    let stored = entries(&dir);
+    assert_eq!(stored.len(), 1, "{stored:?}");
+    assert!(stored[0].starts_with("plan-"), "{stored:?}");
+    // The untuned build of the same spec hits that one entry.
+    let untuned = build(spec());
+    assert!(!loaded_key(&untuned).contains("tuned:"));
+    assert_eq!(entries(&dir), stored);
+    assert_eq!(tuned.describe(), untuned.describe());
+    assert_eq!(
+        tuned.run(&input).unwrap().output.data(),
+        untuned.run(&input).unwrap().output.data()
+    );
     let _ = std::fs::remove_dir_all(&dir);
 }
 

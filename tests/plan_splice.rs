@@ -16,11 +16,16 @@
 mod common;
 
 use bconv_accel::platform::zc706;
-use bconv_core::BlockingPattern;
-use bconv_graph::{AccelCost, Backend, PlanSpec, Segment, Session, SessionBuilder};
+use bconv_core::analysis::ConvLayerSpatial;
+use bconv_core::blocking::BlockGrid;
+use bconv_core::plan::{LayerBlocking, NetworkPlan};
+use bconv_core::{BlockConv2d, BlockingPattern};
+use bconv_graph::{AccelCost, Backend, Graph, NodeOp, PlanSpec, Segment, Session, SessionBuilder};
 use bconv_models::builder::{conv, maxpool, NetBuilder};
 use bconv_models::{ActShape, Network};
 use bconv_tensor::init::{seeded_rng, uniform_tensor};
+use bconv_tensor::pad::PadMode;
+use bconv_tensor::Tensor;
 use proptest::prelude::*;
 
 /// A random-but-valid small network: stride-1 convs on a 16x16 map (so
@@ -35,6 +40,67 @@ fn random_net(c1: usize, c2: usize, with_pool: bool) -> Network {
         b.push("conv3", conv(3, 1, 1, c2, 2));
     }
     b.build()
+}
+
+/// A random sequential net on a 2×`side`×`side` input: `widths.len()`
+/// 3×3 stride-1 convs, conv `i` followed by a 2×2 pool when bit `i` of
+/// `pools` is set and the map is still at least 8 wide.
+fn pooled_net(side: usize, widths: &[usize], pools: u32) -> Network {
+    let mut b = NetBuilder::new("pooled_prop", ActShape { c: 2, h: side, w: side });
+    let (mut c, mut h) = (2, side);
+    for (i, &width) in widths.iter().enumerate() {
+        b.push(format!("conv{}", i + 1), conv(3, 1, 1, c, width));
+        c = width;
+        if pools >> i & 1 == 1 && h >= 8 {
+            b.push(format!("pool{}", i + 1), maxpool(2, 2, 0));
+            h /= 2;
+        }
+    }
+    b.build()
+}
+
+/// What the cut-at-every-conv plan computes, layer by layer off the
+/// session's own graph: every conv the resolution rule blocks (the
+/// planner's input, not its decision) runs on `pattern`'s grid at its own
+/// input size, every other one on one block — the paper's blocking, with
+/// every intermediate map off chip. FC heads run dense.
+fn cut_at_every_conv(graph: &Graph, pattern: BlockingPattern, input: &Tensor) -> Tensor {
+    let spatial: Vec<ConvLayerSpatial> = graph
+        .nodes()
+        .iter()
+        .filter(|n| matches!(n.op, NodeOp::Conv { .. }))
+        .map(|n| ConvLayerSpatial { h: n.in_shape.h, w: n.in_shape.w })
+        .collect();
+    let blocking = NetworkPlan::by_resolution(&spatial, pattern);
+    let mut x = input.clone();
+    for node in graph.nodes() {
+        let (h, w) = (node.in_shape.h, node.in_shape.w);
+        x = match &node.op {
+            NodeOp::Conv { conv, conv_ordinal } => {
+                let grid = match blocking.per_layer()[*conv_ordinal] {
+                    LayerBlocking::Blocked(p) => BlockGrid::from_pattern(h, w, p).unwrap(),
+                    LayerBlocking::Normal => BlockGrid::single(h, w),
+                };
+                BlockConv2d::plan(conv.clone(), grid, PadMode::Zero).unwrap().forward(&x).unwrap()
+            }
+            NodeOp::Relu => bconv_tensor::activation::relu(&x),
+            NodeOp::MaxPool { k, s, p: 0 } => bconv_tensor::pool::max_pool2d(&x, *k, *s).unwrap(),
+            NodeOp::Fc(linear) => linear.forward(&x).unwrap(),
+            op => panic!("{} is not a node of these nets", op.mnemonic()),
+        };
+    }
+    x
+}
+
+/// Every blocked conv of `session`'s plan runs on `pattern`'s grid at its
+/// own input size, whatever the cost model cut.
+fn every_conv_on_the_pattern_grid(session: &Session, pattern: BlockingPattern) -> bool {
+    session.plan().segments().iter().flat_map(Segment::chains).all(|(chain, _)| {
+        chain.convs().all(|c| {
+            let g = c.grid();
+            BlockGrid::from_pattern(g.h(), g.w(), pattern).as_ref() == Ok(g)
+        })
+    })
 }
 
 fn builder(net: &Network, backend: Backend, seed: u64) -> SessionBuilder {
@@ -81,8 +147,8 @@ proptest! {
         seed in 0u64..1000,
     ) {
         let (net, pattern, budget) = if fixed == 1 {
-            // A capacity between the pool's stage pair and conv2's
-            // (4·c1 + 128 elements): the cut lands right after the pool.
+            // The pool re-grids, so its group ends there whatever the
+            // capacity; conv2's group may cut again before conv3.
             (common::regrid_net(c1), BlockingPattern::fixed(4), 80 + budget % 52)
         } else {
             (random_net(c1, c2, pool_idx == 1), BlockingPattern::hierarchical(2), budget)
@@ -152,6 +218,63 @@ proptest! {
                     "{:?} budget={}: report disagrees with measured savings", backend, budget
                 );
                 prop_assert!(b.stats.offchip_bits() < a.stats.offchip_bits());
+            }
+        }
+    }
+
+    /// No cost model changes a bit, under either pattern: through random
+    /// nets with pools, every budget and both models compute exactly what
+    /// the cut-at-every-conv plan computes, and every blocked conv runs on
+    /// the pattern's grid at its own input size. Under a fixed pattern a
+    /// pool keeps the block count, so a pool that re-grids ends its group.
+    #[test]
+    fn cost_models_never_change_a_bit_through_pools(
+        side_idx in 0usize..2,
+        convs in 2usize..5,
+        w1 in 1usize..5,
+        w2 in 1usize..5,
+        w3 in 1usize..5,
+        w4 in 1usize..5,
+        pools in 0u32..16,
+        pattern_idx in 0usize..4,
+        tight in 40usize..1200,
+        seed in 0u64..1000,
+    ) {
+        let side = [16, 32][side_idx];
+        let net = pooled_net(side, &[w1, w2, w3, w4][..convs], pools);
+        let pattern = [
+            BlockingPattern::fixed(4),
+            BlockingPattern::fixed(8),
+            BlockingPattern::hierarchical(2),
+            BlockingPattern::hierarchical(4),
+        ][pattern_idx];
+        let input = uniform_tensor([1, 2, side, side], -1.0, 1.0, &mut seeded_rng(seed ^ 0xF1ED));
+        let mut want: Option<Tensor> = None;
+        // Unbounded, a tight capacity, and one that cuts wherever the
+        // model is asked.
+        for budget in [None, Some(tight), Some(1)] {
+            let specs = [
+                budget.map_or(PlanSpec::new(), |b| PlanSpec::new().on_chip_budget(b)),
+                PlanSpec::new().cost_model(accel_twin(budget.unwrap_or(1 << 30), 32)),
+            ];
+            for spec in specs {
+                let session = builder(&net, Backend::Blocked, seed)
+                    .planner(spec.pattern(pattern))
+                    .build()
+                    .expect("session");
+                let want = want.get_or_insert_with(|| {
+                    cut_at_every_conv(session.graph(), pattern, &input)
+                });
+                prop_assert!(
+                    every_conv_on_the_pattern_grid(&session, pattern),
+                    "{:?} budget={:?}:\n{}", pattern, budget, session.describe()
+                );
+                let got = session.run(&input).expect("run").output;
+                prop_assert_eq!(
+                    got.data(), want.data(),
+                    "{:?} budget={:?}: the plan changed a bit:\n{}",
+                    pattern, budget, session.describe()
+                );
             }
         }
     }
@@ -264,4 +387,77 @@ fn cost_model_and_budget_are_mutually_exclusive() {
         .planner(PlanSpec::new().on_chip_budget(1000).cost_model(accel_twin(1000, 32)))
         .build();
     assert!(r.is_err());
+}
+
+/// Fixed blocking keeps its block size whatever the budget: under `F16`,
+/// vgg16_small(64) once fused conv1-2 … pool3 at a budget of 2000
+/// elements, so conv2-1 ran on 16 blocks of 8×8, against 4 blocks of
+/// 16×16 at 1000, and the two outputs differed.
+#[test]
+fn fixed_blocking_keeps_its_block_size_under_any_budget() {
+    let net = bconv_models::small::vgg16_small(64);
+    let pattern = BlockingPattern::fixed(16);
+    let input = uniform_tensor([1, 3, 64, 64], -1.0, 1.0, &mut seeded_rng(2018));
+    let run = |budget: usize| {
+        let session = builder(&net, Backend::Blocked, 2018)
+            .relu_after_conv(false)
+            .planner(PlanSpec::new().pattern(pattern).on_chip_budget(budget))
+            .build()
+            .expect("session");
+        assert!(every_conv_on_the_pattern_grid(&session, pattern), "{}", session.describe());
+        session.run(&input).expect("run").output
+    };
+    assert_eq!(run(2000).data(), run(1000).data());
+}
+
+/// The repo benchmark's `vgg224_f32_blocked` plan: conv1-2's ping-pong
+/// pair is granted when it opens its group, so pool1 and everything up to
+/// conv4-3 reuse it; pool4 (7×7 blocks) and pool5 run whole-map.
+#[test]
+fn vgg224_fuses_pool1_inside_the_granted_buffers() {
+    let net = bconv_models::small::vgg16_small(224);
+    let pattern = BlockingPattern::hierarchical(4);
+    let session = builder(&net, Backend::Blocked, 2018)
+        .relu_after_conv(false)
+        .planner(PlanSpec::new().pattern(pattern).cost_model(AccelCost::with_buffers(
+            zc706(),
+            200_000,
+            8_000_000,
+        )))
+        .build()
+        .expect("session");
+    let names = |seg: &Segment| -> Vec<&str> {
+        match seg {
+            Segment::Single(id) => vec![session.graph().nodes()[*id].name.as_str()],
+            seg => seg
+                .chains()
+                .flat_map(|(_, ids)| ids)
+                .map(|&id| session.graph().nodes()[id].name.as_str())
+                .collect(),
+        }
+    };
+    let segments: Vec<Vec<&str>> = session.plan().segments().iter().map(names).collect();
+    let chain = [
+        "conv1-1", "conv1-2", "pool1", "conv2-1", "conv2-2", "pool2", "conv3-1", "conv3-2",
+        "conv3-3", "pool3", "conv4-1", "conv4-2", "conv4-3",
+    ];
+    let want: Vec<Vec<&str>> = vec![
+        chain.to_vec(),
+        vec!["pool4"],
+        vec!["conv5-1", "conv5-2", "conv5-3"],
+        vec!["pool5"],
+        vec!["fc6"],
+        vec!["fc7"],
+        vec!["fc8"],
+    ];
+    assert_eq!(segments, want, "{}", session.describe());
+    // `[conv1-1]` spliced to `[conv1-2 … conv4-3]`: one aligned chain.
+    let report = session.plan().report();
+    assert_eq!(report.splices.len(), 1, "{}", session.describe());
+    assert!(matches!(session.plan().segments()[0], Segment::Fused { .. }));
+    let input = uniform_tensor([1, 3, 224, 224], -1.0, 1.0, &mut seeded_rng(2018));
+    let run = session.run(&input).expect("run");
+    assert_eq!(run.stats.offchip_bits(), 6_075_712);
+    assert_eq!(run.stats.peak_working_elems, 25_088);
+    assert_eq!(run.output.data(), cut_at_every_conv(session.graph(), pattern, &input).data());
 }
