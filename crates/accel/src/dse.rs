@@ -93,9 +93,8 @@ pub fn feasible<'a>(points: &'a [DsePoint], platform: &FpgaPlatform) -> Vec<&'a 
 
 /// The §IV dominance rule on two minimised objectives: indices of the keys
 /// no other key dominates (`q` dominates `p` when it is no worse on both
-/// and better on one). The one Pareto filter of the workspace — the
-/// engine's autotuner (`bconv_graph::tune`) applies it to its own points.
-pub fn pareto_indices(keys: &[(u64, u64)]) -> Vec<usize> {
+/// and better on one).
+fn pareto_indices(keys: &[(u64, u64)]) -> Vec<usize> {
     let dominated =
         |p: (u64, u64)| keys.iter().any(|q| (q.0 < p.0 && q.1 <= p.1) || (q.0 <= p.0 && q.1 < p.1));
     (0..keys.len()).filter(|&i| !dominated(keys[i])).collect()

@@ -39,10 +39,8 @@ pub mod fusion;
 pub mod memory;
 pub mod platform;
 pub mod report;
-pub mod schedule;
 pub mod vdsr_accel;
 
 pub use baseline::{ConvShape, TileConfig};
 pub use fusion::FusedDesign;
 pub use platform::FpgaPlatform;
-pub use schedule::{fused_group_cost, GroupCost, StageFootprint};

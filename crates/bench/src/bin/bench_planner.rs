@@ -186,16 +186,17 @@ fn run() -> Result<(), Box<dyn std::error::Error>> {
     )?;
 
     // `--tune-out PATH`: run the per-host DSE on vgg16_small and dump the
-    // full TuneReport (every point, Pareto front, winner) — CI uploads it
-    // as an artifact next to the analyzer report.
+    // full TuneReport (every point and the winner) — CI uploads it as an
+    // artifact next to the analyzer report.
     if let Some(path) = bench.option("--tune-out") {
         let report = tune(&vgg16_small(32), &TuneOptions::default())?;
         std::fs::write(path, report.to_json())?;
         println!(
-            "wrote {path}: {} points, {} on the Pareto front, winner #{}",
+            "wrote {path}: {} points, winner #{} at {} off-chip bits (default {})",
             report.points.len(),
-            report.pareto.len(),
-            report.winner_index
+            report.winner_index,
+            report.winner_point().offchip_bits,
+            report.default_point().offchip_bits
         );
     }
     Ok(())

@@ -9,16 +9,15 @@
 //! * [`ElementBudget`] — the element-count heuristic: cut when a stage's
 //!   ping-pong block buffers exceed a flat element budget; never splice.
 //!   The default, unbounded: it fuses maximally.
-//! * [`AccelCost`] — the `bconv-accel` cycle/memory model (Equation 3's
-//!   MAC cycles, [`bconv_accel::platform::FpgaPlatform::dram_cycles`]
-//!   DRAM transfer cycles, the §III-B3 buffer plan): candidate cut points
-//!   are evaluated by comparing the cycles of extending (buffers permit)
-//!   against the DRAM round trip a cut would add, and compatible group
-//!   boundaries splice whenever the boundary map fits the extra buffer —
-//!   the Figure 10 CONV4 case.
+//! * [`AccelCost`] — the `bconv-accel` buffer-capacity model (the
+//!   §III-B3 buffer plan): a group extends while the candidate stage's
+//!   ping-pong pair fits the two intermediate buffers, and compatible
+//!   group boundaries splice whenever the boundary maps fit the extra
+//!   buffer and the whole plan fits the platform's BRAM — the Figure 10
+//!   CONV4 case.
 //!
-//! Cost models see fusion groups as [`StageCost`] lists — pure geometry in
-//! elements and MACs, at the plan's precision — so a model never touches
+//! Cost models see fusion groups as [`StageCost`] lists — pure block
+//! geometry in elements, at the plan's precision — so a model never touches
 //! tensors and the planner never depends on a specific model's internals.
 //!
 //! A model is asked only about buffers the group does not hold yet. The
@@ -32,7 +31,6 @@
 
 use bconv_accel::memory::BufferPlan;
 use bconv_accel::platform::FpgaPlatform;
-use bconv_accel::schedule::{fused_group_cost, StageFootprint};
 
 /// One stage of a (prospective) fusion group, in the units cost models
 /// reason about. Element counts follow the [`bconv_core::fusion::MemStats`]
@@ -45,36 +43,19 @@ pub struct StageCost {
     pub in_block_elems: usize,
     /// Elements of the largest output block (block area × output channels).
     pub out_block_elems: usize,
-    /// Elements of the stage's whole input map (c·h·w) — what a cut right
-    /// before this stage would send on an off-chip round trip.
-    pub in_map_elems: usize,
-    /// Elements of the stage's whole output map (c·h·w).
-    pub out_map_elems: usize,
-    /// Multiply–accumulates of the stage across the whole map (zero for
-    /// element-wise and pooling stages).
-    pub macs: u64,
     /// Bits per feature-map element at the plan's precision.
     pub bits_per_elem: u8,
 }
 
 impl StageCost {
-    fn footprint(&self) -> StageFootprint {
-        let bits = self.bits_per_elem as u64;
-        StageFootprint {
-            in_block_bits: self.in_block_elems as u64 * bits,
-            out_block_bits: self.out_block_elems as u64 * bits,
-            macs: self.macs,
-        }
-    }
-
     /// Elements of the stage's ping-pong pair: its input plus output block.
     pub fn pair_elems(&self) -> usize {
         self.in_block_elems + self.out_block_elems
     }
 
-    /// Bits of the stage's whole input map.
-    pub fn in_map_bits(&self) -> u64 {
-        self.in_map_elems as u64 * self.bits_per_elem as u64
+    /// Bits of the stage's ping-pong pair.
+    fn pair_bits(&self) -> u64 {
+        self.pair_elems() as u64 * self.bits_per_elem as u64
     }
 }
 
@@ -97,11 +78,6 @@ pub struct SpliceCost {
 }
 
 impl SpliceCost {
-    /// Bits of the new boundary map.
-    pub fn boundary_bits(&self) -> u64 {
-        self.boundary_elems as u64 * self.bits_per_elem as u64
-    }
-
     /// Peak bits resident in the extra buffer if the splice is taken.
     pub fn peak_extra_bits(&self) -> u64 {
         self.peak_extra_elems as u64 * self.bits_per_elem as u64
@@ -126,12 +102,12 @@ pub trait CostModel: std::fmt::Debug + Send + Sync {
         self.name().to_string()
     }
 
-    /// Whether the open group (`group`, possibly empty) should extend
-    /// through `candidate`, or cut right before it. Consulted only for a
-    /// conv or pool stage whose ping-pong pair is larger than every pair
-    /// in `group`: a stage that fits the buffers the group already holds
-    /// extends without asking, and ReLU is free and always fuses.
-    fn allow_extend(&self, group: &[StageCost], candidate: &StageCost) -> bool;
+    /// Whether the open group should extend through `candidate`, or cut
+    /// right before it. Consulted only for a conv or pool stage whose
+    /// ping-pong pair is larger than every pair the group already holds:
+    /// a stage that fits those buffers extends without asking, and ReLU is
+    /// free and always fuses.
+    fn allow_extend(&self, candidate: &StageCost) -> bool;
 
     /// Whether two adjacent fusion groups should splice into one pipeline,
     /// keeping `boundary` on chip. Default: never splice.
@@ -186,30 +162,26 @@ impl CostModel for ElementBudget {
         }
     }
 
-    fn allow_extend(&self, _group: &[StageCost], candidate: &StageCost) -> bool {
+    fn allow_extend(&self, candidate: &StageCost) -> bool {
         self.budget_elems.is_none_or(|budget| candidate.pair_elems() <= budget)
     }
 }
 
 /// The accelerator cost model: group cuts and splices decided on
-/// `bconv-accel`'s cycle and memory estimates instead of a flat element
-/// count.
+/// `bconv-accel`'s §III-B3 buffer plan instead of a flat element count.
+/// Capacity is the only constraint: cutting a group adds a DRAM round trip
+/// of the boundary map and saves no compute, so on any platform that
+/// moves data at a finite bandwidth, fusing as deep as the buffers allow
+/// is the paper's schedule.
 ///
 /// * **Extension** — asked only for a stage whose ping-pong pair exceeds
 ///   every pair the group already holds (the planner extends through the
 ///   others: their buffers are provisioned), so the rule the planner and
 ///   this model apply together is: extend iff the pair fits max(the two
-///   ping-pong block buffers, the group's largest pair). The candidate's
-///   pair ([`fused_group_cost`]) must fit the two buffers;
-///   within capacity, extending wins whenever its cycle estimate does not
-///   exceed cutting's (cut = same compute plus the DRAM round trip of the
-///   boundary map at the platform's bandwidth — so extending always wins
-///   on a bandwidth-positive platform, making capacity the binding
-///   constraint, exactly the paper's argument for fusing as deep as the
-///   buffers allow).
-/// * **Splice** — taken when the boundary map fits the extra buffer and
+///   ping-pong block buffers, the group's largest pair).
+/// * **Splice** — taken when the boundary maps fit the extra buffer and
 ///   the whole buffer plan fits the platform's BRAM
-///   ([`BufferPlan::fits_bram18`]); the splice then strictly removes the
+///   ([`BufferPlan::fits_bram18`]); the splice then removes the
 ///   boundary's off-chip round trip (Figure 10's CONV4 extra buffer).
 #[derive(Debug, Clone)]
 pub struct AccelCost {
@@ -219,8 +191,6 @@ pub struct AccelCost {
     intermediate_buffer_bits: u64,
     /// Capacity in bits of the extra (splice) buffer.
     extra_buffer_bits: u64,
-    /// PE parallelism for the cycle estimates.
-    npe: usize,
 }
 
 impl AccelCost {
@@ -241,17 +211,7 @@ impl AccelCost {
         intermediate_buffer_bits: u64,
         extra_buffer_bits: u64,
     ) -> Self {
-        Self { platform, intermediate_buffer_bits, extra_buffer_bits, npe: 1 }
-    }
-
-    /// Overrides the PE parallelism used for cycle estimates (default 1).
-    pub fn npe(mut self, npe: usize) -> Self {
-        self.npe = npe.max(1);
-        self
-    }
-
-    fn footprints(stages: &[StageCost]) -> Vec<StageFootprint> {
-        stages.iter().map(StageCost::footprint).collect()
+        Self { platform, intermediate_buffer_bits, extra_buffer_bits }
     }
 }
 
@@ -261,44 +221,29 @@ impl CostModel for AccelCost {
     }
 
     fn cache_param_key(&self) -> String {
-        // Everything the extend/splice decisions read: the platform's
-        // DRAM model and BRAM capacity, both buffer capacities, and the
-        // PE parallelism. `{}` on f64 prints shortest-roundtrip digits,
-        // so equal platforms always format identically. `granted` marks
-        // plans in which later stages reuse the group's largest pair;
-        // plans decided before that rule miss.
+        // Both buffer capacities and the platform's BRAM — everything the
+        // extend and splice decisions read — plus the rest of the platform
+        // descriptor, so two devices never share an entry. `{}` on f64
+        // prints shortest-roundtrip digits, so equal platforms always
+        // format identically. `granted` marks plans in which later stages
+        // reuse the group's largest pair; plans decided before that rule
+        // miss.
         format!(
-            "accel-cost({},bram{}x{},f{},dram{},ib{},eb{},npe{},granted)",
+            "accel-cost({},bram{}x{},f{},dram{},ib{},eb{},granted)",
             self.platform.name,
             self.platform.bram18_blocks,
             self.platform.bram18_bits,
             self.platform.freq_mhz,
             self.platform.dram_gbps,
             self.intermediate_buffer_bits,
-            self.extra_buffer_bits,
-            self.npe
+            self.extra_buffer_bits
         )
     }
 
-    fn allow_extend(&self, _group: &[StageCost], candidate: &StageCost) -> bool {
-        // Capacity gate on the candidate's *marginal* requirement: the
-        // stages already in the group are sunk (the planner grandfathers
-        // an over-capacity opening conv so plan semantics stay invariant,
-        // and never asks about a pair that fits the group's largest), so
-        // only the new ping-pong pair can refuse the extension.
-        let cand = fused_group_cost(&[candidate.footprint()], self.npe);
-        if cand.peak_intermediate_bits > 2 * self.intermediate_buffer_bits {
-            return false; // the ping-pong pair cannot hold the stage
-        }
-        // Candidate cut point, evaluated on the cycle model. The group's
-        // already-accepted stages run under either schedule, so they
-        // cancel out of the comparison: extending costs the candidate's
-        // compute; cutting costs the same compute plus a write + read
-        // round trip of the boundary map across the DRAM interface.
-        let extend_cycles = cand.compute_cycles;
-        let cut_cycles =
-            cand.compute_cycles + self.platform.dram_cycles(2 * candidate.in_map_bits());
-        extend_cycles <= cut_cycles
+    fn allow_extend(&self, candidate: &StageCost) -> bool {
+        // The two ping-pong buffers must hold the stage's input and output
+        // block; the stages already in the group are sunk.
+        candidate.pair_bits() <= 2 * self.intermediate_buffer_bits
     }
 
     fn allow_splice(
@@ -315,23 +260,16 @@ impl CostModel for AccelCost {
             return false; // the boundary maps cannot stay on chip
         }
         // The spliced pipeline's full buffer plan must still fit the
-        // device: the (already-accepted) ping-pong pair plus the extra
-        // buffer at its peak occupancy.
-        let mut stages = Self::footprints(first);
-        stages.extend(Self::footprints(second));
-        let cost = fused_group_cost(&stages, self.npe);
+        // device: the (already-accepted) ping-pong pair at its largest
+        // plus the extra buffer at its peak occupancy.
+        let peak_pair_bits = first.iter().chain(second).map(StageCost::pair_bits).max();
         let plan = BufferPlan {
-            intermediate_bits: cost.peak_intermediate_bits / 2,
+            intermediate_bits: peak_pair_bits.unwrap_or(0) / 2,
             extra_bits: boundary.peak_extra_bits(),
             weight_bits: 0,
             double_buffered: false,
         };
-        if !plan.fits_bram18(self.platform.bram18_blocks) {
-            return false;
-        }
-        // Splicing saves the boundary's DRAM round trip and costs nothing
-        // in cycles; take it whenever the saving is real.
-        self.platform.dram_cycles(2 * boundary.boundary_bits()) > 0
+        plan.fits_bram18(self.platform.bram18_blocks)
     }
 }
 
@@ -340,15 +278,8 @@ mod tests {
     use super::*;
     use bconv_accel::platform::zc706;
 
-    fn stage(in_block: usize, out_block: usize, macs: u64) -> StageCost {
-        StageCost {
-            in_block_elems: in_block,
-            out_block_elems: out_block,
-            in_map_elems: 4 * in_block,
-            out_map_elems: 4 * out_block,
-            macs,
-            bits_per_elem: 32,
-        }
+    fn stage(in_block: usize, out_block: usize) -> StageCost {
+        StageCost { in_block_elems: in_block, out_block_elems: out_block, bits_per_elem: 32 }
     }
 
     fn splice(boundary_elems: usize, bits: u8) -> SpliceCost {
@@ -357,10 +288,10 @@ mod tests {
 
     #[test]
     fn element_budget_matches_the_historical_rule() {
-        let cand = stage(768, 1024, 1000);
-        assert!(ElementBudget::unbounded().allow_extend(&[], &cand));
-        assert!(ElementBudget::with_budget(1792).allow_extend(&[], &cand));
-        assert!(!ElementBudget::with_budget(1791).allow_extend(&[], &cand));
+        let cand = stage(768, 1024);
+        assert!(ElementBudget::unbounded().allow_extend(&cand));
+        assert!(ElementBudget::with_budget(1792).allow_extend(&cand));
+        assert!(!ElementBudget::with_budget(1791).allow_extend(&cand));
         // The historical model never splices.
         assert!(!ElementBudget::unbounded().allow_splice(&[], &[], &splice(1, 32)));
     }
@@ -369,18 +300,14 @@ mod tests {
     fn accel_cost_cuts_at_intermediate_capacity() {
         // Pair capacity 2 * 1024 * 32 bits = 2048 elements.
         let model = AccelCost::with_buffers(zc706(), 1024 * 32, 1 << 20);
-        assert!(model.allow_extend(&[], &stage(1024, 1024, 1000)));
-        assert!(!model.allow_extend(&[], &stage(1024, 1025, 1000)));
-        // The gate is marginal: an over-capacity stage already in the
-        // group (a grandfathered opening conv) is sunk and must not block
-        // later stages that fit.
-        assert!(model.allow_extend(&[stage(4096, 4096, 10)], &stage(64, 64, 1000)));
+        assert!(model.allow_extend(&stage(1024, 1024)));
+        assert!(!model.allow_extend(&stage(1024, 1025)));
     }
 
     #[test]
     fn accel_cost_splices_when_the_boundary_fits_the_extra_buffer() {
         let model = AccelCost::with_buffers(zc706(), 1 << 20, 4096 * 32);
-        let g = [stage(256, 256, 1000)];
+        let g = [stage(256, 256)];
         assert!(model.allow_splice(&g, &g, &splice(4096, 32)));
         assert!(!model.allow_splice(&g, &g, &splice(4097, 32)));
     }
@@ -392,7 +319,7 @@ mod tests {
         // still be refused when the adjacent pair exceeds the extra
         // buffer.
         let model = AccelCost::with_buffers(zc706(), 1 << 20, 4096 * 32);
-        let g = [stage(256, 256, 1000)];
+        let g = [stage(256, 256)];
         let pair_too_big =
             SpliceCost { boundary_elems: 2100, peak_extra_elems: 2100 + 2100, bits_per_elem: 32 };
         assert!(!model.allow_splice(&g, &g, &pair_too_big));
@@ -406,7 +333,7 @@ mod tests {
         // At 8-bit activations the same boundary needs a quarter of the
         // extra buffer: quantized plans splice deeper.
         let model = AccelCost::with_buffers(zc706(), 1 << 20, 4096 * 8);
-        let g = [stage(256, 256, 1000)];
+        let g = [stage(256, 256)];
         assert!(!model.allow_splice(&g, &g, &splice(4096, 32)));
         assert!(model.allow_splice(&g, &g, &splice(4096, 8)));
     }

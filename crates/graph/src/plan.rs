@@ -12,7 +12,7 @@
 //! Group *depth* is the cost model's call wherever a stage would grow the
 //! group's block buffers: the default [`ElementBudget`]
 //! cuts on a flat element budget, while [`crate::cost::AccelCost`] asks
-//! the `bconv-accel` cycle/memory model and additionally **splices**
+//! the `bconv-accel` buffer-capacity model and additionally **splices**
 //! adjacent compatible groups, keeping the group-boundary map on chip
 //! instead of a DRAM round trip. Every decision is recorded in the plan's
 //! [`PlanReport`], so benches and tests can assert the planner's choices,
@@ -67,8 +67,11 @@ pub struct PlannerOptions {
     /// On-chip working-buffer budget in **elements** for the default
     /// [`ElementBudget`] cost model: a fusion group is cut when extending
     /// it would push the per-block ping-pong buffer pair past the budget.
-    /// `None` fuses maximal chains. Ignored when [`Self::cost_model`] is
-    /// set. Like [`bconv_core::fusion::MemStats`], this models the
+    /// `None` fuses maximal chains. [`Planner::new`] prefers
+    /// [`Self::cost_model`] when both are set, while a session build
+    /// refuses the pair as ambiguous (`PlanSpec::cost_model` and
+    /// `PlanSpec::on_chip_budget` are exclusive). Like
+    /// [`bconv_core::fusion::MemStats`], this models the
     /// accelerator's feature-map buffers; host-side kernel temporaries
     /// (e.g. the im2col patch matrix) are CPU execution details outside
     /// the budget.
@@ -946,10 +949,10 @@ impl Planner {
         grid: &BlockGrid,
         bits: u8,
     ) -> Option<(BlockGrid, Option<StageCost>)> {
-        let (out_grid, macs) = match &node.op {
+        let out_grid = match &node.op {
             NodeOp::Relu => return Some((grid.clone(), None)),
             // Fused pooling is k×k/stride-k only, on aligned block borders.
-            NodeOp::MaxPool { k, s, p } if k == s && *p == 0 => (grid.downscale(*k).ok()?, 0),
+            NodeOp::MaxPool { k, s, p } if k == s && *p == 0 => grid.downscale(*k).ok()?,
             NodeOp::Conv { conv, conv_ordinal } => {
                 // Strided convs run whole-map (paper §II-F rewrites them
                 // to conv + pool instead); a Normal conv is a fusion
@@ -977,17 +980,13 @@ impl Planner {
                     self.opts.kernel,
                 )
                 .ok()?;
-                (bconv.output_grid().ok()?, bconv.macs())
+                bconv.output_grid().ok()?
             }
             _ => return None,
         };
-        let (i, o) = (node.in_shape, node.out_shape);
         let cost = StageCost {
-            in_block_elems: grid.max_block_area() * i.c,
-            out_block_elems: out_grid.max_block_area() * o.c,
-            in_map_elems: i.c * i.h * i.w,
-            out_map_elems: o.c * o.h * o.w,
-            macs,
+            in_block_elems: grid.max_block_area() * node.in_shape.c,
+            out_block_elems: out_grid.max_block_area() * node.out_shape.c,
             bits_per_elem: bits,
         };
         Some((out_grid, Some(cost)))
@@ -1043,7 +1042,7 @@ impl Planner {
         };
         if let Some(cost) = cost {
             let granted = run.costs.iter().map(StageCost::pair_elems).max().unwrap_or(0);
-            if cost.pair_elems() > granted && !self.model.allow_extend(&run.costs, &cost) {
+            if cost.pair_elems() > granted && !self.model.allow_extend(&cost) {
                 return Extend::CutByModel;
             }
             run.costs.push(cost);

@@ -157,7 +157,7 @@ pub struct PlanSpec {
     /// Fusion cost model deciding where the planner cuts fusion groups and
     /// whether adjacent groups splice, keeping their boundary on chip (see
     /// [`crate::cost`]); e.g. [`crate::cost::AccelCost`] plans against the
-    /// `bconv-accel` cycle/memory model.
+    /// `bconv-accel` buffer-capacity model.
     pub cost_model: Option<Arc<dyn CostModel>>,
     /// Block-padding mode (default zero padding).
     pub pad: PadMode,
@@ -361,7 +361,7 @@ impl SessionBuilder {
             // A tuned build is keyed by what the tuner explores: every knob
             // the tuner may fill reads the one marker.
             if let Some(t) = &tune_opts {
-                let marker = format!("tuned:{}:npe{}", t.platform.name, t.npe);
+                let marker = format!("tuned:{}", t.platform.name);
                 if spec.pattern.is_none() {
                     key.pattern = marker.clone();
                 }
@@ -403,7 +403,7 @@ impl SessionBuilder {
                         spec.pattern = Some(report.winner.pattern);
                     }
                     if spec.cost_model.is_none() && spec.budget_elems.is_none() {
-                        let model = report.winner.cost_model(t.platform.clone(), t.npe);
+                        let model = report.winner.cost_model(t.platform.clone());
                         spec.cost_model = Some(Arc::new(model));
                     }
                     provenance = PlanProvenance::TuneSelected { key: report.key };

@@ -3,8 +3,8 @@
 //! DSE (Figure 12), run against the *engine's own planner* instead of the
 //! standalone VGG-16 enumeration in `bconv_accel::dse`.
 //!
-//! The space is blocking pattern × buffer split — the two knobs the score
-//! can see:
+//! The space is blocking pattern × buffer split — the two knobs the plan's
+//! off-chip traffic depends on:
 //!
 //! * **blocking pattern** — hierarchical and fixed grids valid for the
 //!   input resolution, the Fig. 4(a) re-grid axis;
@@ -13,24 +13,23 @@
 //!   (§III-B3's organisation and two skewed alternatives).
 //!
 //! Every candidate is planned with the real [`crate::plan::Planner`] under
-//! an [`AccelCost`] built from its buffer split, then scored on the accel
-//! model's queries: modeled off-chip bits (every segment boundary's
-//! write + read-back) and predicted cycles (MAC cycles at the PE count
-//! plus [`FpgaPlatform::dram_cycles`] for the traffic). Splice
+//! an [`AccelCost`] built from its buffer split, then scored by its
+//! modeled off-chip bits (every segment boundary's write + read-back,
+//! [`modeled_offchip_elems`]). Compute is the same under every candidate —
+//! fusion is a schedule change — so traffic is the whole score. Splice
 //! boundaries whose pooled grids can re-merge under
 //! [`BlockGrid::merge`] — the pooling-aware Fig. 4(a) case — are counted
 //! per point. Nothing is timed: kernel policy and thread count move time,
 //! not the model's score, so they are not explored here and a tuned build
 //! resolves them like any other build.
 //!
-//! The winner is the lexicographically smallest `(off-chip bits, predicted
-//! cycles)`; the §III-B3 default split is always candidate 0, so the
-//! winner is never worse than the default. The tuner persists nothing: a
+//! The winner is the point with the fewest off-chip bits, the earliest
+//! explored on a tie; the §III-B3 default split is always candidate 0, so
+//! the winner is never worse than the default. The tuner persists nothing: a
 //! [`crate::session::PlanSpec::tuned`] build with a plan cache stores the
 //! plan it compiles under the winner, keyed by what the tuner explores, so
 //! a warm build loads that plan without re-exploring.
 
-use bconv_accel::dse;
 use bconv_accel::platform::{zc706, FpgaPlatform};
 use bconv_core::blocking::{BlockGrid, BlockingPattern};
 use bconv_models::Network;
@@ -38,17 +37,15 @@ use bconv_tensor::TensorError;
 
 use crate::cache::{graph_content_hash, host_fingerprint};
 use crate::cost::AccelCost;
-use crate::ir::{Graph, LowerOptions, NodeOp};
+use crate::ir::{Graph, LowerOptions};
 use crate::json::Json;
 use crate::plan::{ExecPlan, Planner, PlannerOptions, Segment, SegmentDecision};
 
 /// Tuning configuration.
 #[derive(Debug, Clone)]
 pub struct TuneOptions {
-    /// Target platform supplying BRAM capacity and the DRAM model.
+    /// Target platform supplying the BRAM capacity the buffers split.
     pub platform: FpgaPlatform,
-    /// PE parallelism for the cycle estimates.
-    pub npe: usize,
     /// Weight-binding seed (must match the session the winner will serve).
     pub seed: u64,
     /// Whether lowering inserts a ReLU after every conv.
@@ -57,11 +54,11 @@ pub struct TuneOptions {
 
 impl Default for TuneOptions {
     fn default() -> Self {
-        Self { platform: zc706(), npe: 1, seed: 2018, relu_after_conv: false }
+        Self { platform: zc706(), seed: 2018, relu_after_conv: false }
     }
 }
 
-/// One explored design point and its scores.
+/// One explored design point and its score.
 #[derive(Debug, Clone)]
 pub struct TunePoint {
     /// Blocking pattern (`Display` form).
@@ -70,11 +67,9 @@ pub struct TunePoint {
     pub intermediate_buffer_bits: u64,
     /// Bits of the extra (splice) buffer.
     pub extra_buffer_bits: u64,
-    /// Modeled off-chip traffic of the candidate's plan, in bits.
+    /// Modeled off-chip traffic of the candidate's plan, in bits: the
+    /// score.
     pub offchip_bits: u64,
-    /// Predicted cycles: MACs over the PE count plus the DRAM transfer
-    /// cycles of the off-chip traffic.
-    pub predicted_cycles: u64,
     /// Fusion groups in the candidate's plan.
     pub fusion_groups: usize,
     /// Splices the candidate's plan took.
@@ -98,14 +93,13 @@ pub struct TuneWinner {
 
 impl TuneWinner {
     /// The cost model this winner plans with.
-    pub fn cost_model(&self, platform: FpgaPlatform, npe: usize) -> AccelCost {
+    pub fn cost_model(&self, platform: FpgaPlatform) -> AccelCost {
         AccelCost::with_buffers(platform, self.intermediate_buffer_bits, self.extra_buffer_bits)
-            .npe(npe)
     }
 }
 
-/// Everything the exploration found: every point, the Pareto front, the
-/// winner, and what the winner saves over the §III-B3 default.
+/// Everything the exploration found: every point, the winner, and the
+/// §III-B3 default it is measured against.
 #[derive(Debug, Clone)]
 pub struct TuneReport {
     /// Network name.
@@ -114,16 +108,13 @@ pub struct TuneReport {
     pub net_hash: u64,
     /// Host fingerprint the scores were computed on.
     pub host: String,
-    /// Identity of this exploration (network hash, host, platform, PE
-    /// count): a tuned plan's [`crate::plan::PlanProvenance::TuneSelected`]
+    /// Identity of this exploration (network hash, host, platform): a
+    /// tuned plan's [`crate::plan::PlanProvenance::TuneSelected`]
     /// key.
     pub key: String,
     /// Every explored point, in exploration order. Index 0 is always the
     /// default configuration ([`AccelCost::for_platform`] split, `H2x2`).
     pub points: Vec<TunePoint>,
-    /// Indices into [`Self::points`] of the Pareto front on
-    /// `(offchip_bits, predicted_cycles)` — the §IV dominance rule.
-    pub pareto: Vec<usize>,
     /// Index into [`Self::points`] of the winner.
     pub winner_index: usize,
     /// The winner in applicable form.
@@ -149,7 +140,6 @@ impl TuneReport {
                 ("intermediate_buffer_bits", p.intermediate_buffer_bits.into()),
                 ("extra_buffer_bits", p.extra_buffer_bits.into()),
                 ("offchip_bits", p.offchip_bits.into()),
-                ("predicted_cycles", p.predicted_cycles.into()),
                 ("fusion_groups", p.fusion_groups.into()),
                 ("splices", p.splices.into()),
                 ("merge_ready_splices", p.merge_ready_splices.into()),
@@ -162,7 +152,6 @@ impl TuneReport {
             ("key", self.key.as_str().into()),
             ("points_explored", self.points.len().into()),
             ("winner_index", self.winner_index.into()),
-            ("pareto", Json::array(self.pareto.iter().copied())),
             ("points", Json::array(points)),
         ]);
         format!("{doc}\n")
@@ -192,21 +181,6 @@ pub fn modeled_offchip_elems(graph: &Graph, plan: &ExecPlan) -> u64 {
         }
     }
     total
-}
-
-/// Total conv MACs of the graph (whole maps) — constant across candidates,
-/// the compute term of the predicted-cycle score.
-fn graph_macs(graph: &Graph) -> u64 {
-    let mut macs = 0u64;
-    for node in graph.nodes() {
-        if let NodeOp::Conv { conv, .. } = &node.op {
-            let g = conv.geom();
-            let out = node.out_shape;
-            let per_out = (g.kernel * g.kernel * conv.c_in() / conv.groups()) as u64;
-            macs += (out.c * out.h * out.w) as u64 * per_out;
-        }
-    }
-    macs
 }
 
 /// Splice boundaries whose upstream group's *output* grid — possibly
@@ -266,27 +240,18 @@ fn candidates(graph: &Graph, platform: &FpgaPlatform) -> Vec<TuneWinner> {
 }
 
 /// Plans and scores one candidate.
-fn score(
-    graph: &Graph,
-    platform: &FpgaPlatform,
-    npe: usize,
-    macs: u64,
-    c: &TuneWinner,
-) -> Result<TunePoint, TensorError> {
+fn score(graph: &Graph, platform: &FpgaPlatform, c: &TuneWinner) -> Result<TunePoint, TensorError> {
     let planner = Planner::new(PlannerOptions {
         pattern: c.pattern,
-        cost_model: Some(std::sync::Arc::new(c.cost_model(platform.clone(), npe))),
+        cost_model: Some(std::sync::Arc::new(c.cost_model(platform.clone()))),
         ..PlannerOptions::default()
     });
     let plan = planner.plan(graph)?;
-    let offchip_bits = modeled_offchip_elems(graph, &plan) * 32;
-    let predicted_cycles = macs / npe.max(1) as u64 + platform.dram_cycles(offchip_bits);
     Ok(TunePoint {
         pattern: c.pattern.to_string(),
         intermediate_buffer_bits: c.intermediate_buffer_bits,
         extra_buffer_bits: c.extra_buffer_bits,
-        offchip_bits,
-        predicted_cycles,
+        offchip_bits: modeled_offchip_elems(graph, &plan) * 32,
         fusion_groups: plan.fusion_groups(),
         splices: plan.report().splices.len(),
         merge_ready_splices: merge_ready_splices(&plan),
@@ -294,45 +259,27 @@ fn score(
 }
 
 /// The identity of one exploration.
-fn tune_key(net_hash: u64, host: &str, platform: &FpgaPlatform, npe: usize) -> String {
-    format!("tune|{net_hash:016x}|{host}|{}|npe{npe}", platform.name)
+fn tune_key(net_hash: u64, host: &str, platform: &FpgaPlatform) -> String {
+    format!("tune|{net_hash:016x}|{host}|{}", platform.name)
 }
 
 /// Explores the space for `graph` and returns the scored report
 /// (prediction only — no sessions are built).
 pub fn tune_lowered(graph: &Graph, opts: &TuneOptions) -> Result<TuneReport, TensorError> {
-    let macs = graph_macs(graph);
     let cands = candidates(graph, &opts.platform);
-    let mut points = Vec::with_capacity(cands.len());
-    for c in &cands {
-        points.push(score(graph, &opts.platform, opts.npe, macs, c)?);
-    }
-    // The §IV dominance rule, `bconv_accel::dse`'s, on the planner's own
-    // points.
-    let keys: Vec<(u64, u64)> =
-        points.iter().map(|p| (p.offchip_bits, p.predicted_cycles)).collect();
-    let pareto = dse::pareto_indices(&keys);
-    // Winner: lexicographically least (off-chip bits, predicted cycles,
-    // index). The default is candidate 0, so the winner's modeled
-    // off-chip bits never exceed the default's.
-    let mut winner_index = 0usize;
-    for (i, p) in points.iter().enumerate() {
-        let best = &points[winner_index];
-        if (p.offchip_bits, p.predicted_cycles, i)
-            < (best.offchip_bits, best.predicted_cycles, winner_index)
-        {
-            winner_index = i;
-        }
-    }
+    let points =
+        cands.iter().map(|c| score(graph, &opts.platform, c)).collect::<Result<Vec<_>, _>>()?;
+    // Winner: least (off-chip bits, index). The default is candidate 0, so
+    // the winner's modeled off-chip bits never exceed the default's.
+    let winner_index = (0..points.len()).min_by_key(|&i| (points[i].offchip_bits, i)).unwrap_or(0);
     let net_hash = graph_content_hash(graph, opts.seed);
     let host = host_fingerprint();
     Ok(TuneReport {
         network: graph.name().to_string(),
         net_hash,
         host: host.clone(),
-        key: tune_key(net_hash, &host, &opts.platform, opts.npe),
+        key: tune_key(net_hash, &host, &opts.platform),
         points,
-        pareto,
         winner_index,
         winner: cands[winner_index],
     })
@@ -418,19 +365,35 @@ mod tests {
     }
 
     #[test]
-    fn pareto_front_is_nondominated() {
-        let graph = Graph::lower(&vgg16_small(32), &LowerOptions::default()).unwrap();
-        let report = tune_lowered(&graph, &TuneOptions::default()).unwrap();
-        assert!(!report.pareto.is_empty());
-        for &i in &report.pareto {
-            let p = &report.points[i];
-            for q in &report.points {
-                let dominates =
-                    q.offchip_bits < p.offchip_bits && q.predicted_cycles <= p.predicted_cycles;
-                assert!(!dominates, "pareto point {i} dominated");
-            }
+    fn the_winner_and_every_point_hold_their_values() {
+        // Every point's plan and the winner on vgg16_small(32), pinned: a
+        // planner or scoring change that moves one must say so here.
+        let report = tune(&vgg16_small(32), &TuneOptions::default()).unwrap();
+        // (pattern, offchip_bits, fusion_groups, splices,
+        // merge_ready_splices), the same under each of the three splits.
+        let per_pattern = [
+            ("H2x2", 107_840, 1, 0, 0),
+            ("H4x4", 136_512, 1, 0, 0),
+            ("F8", 185_664, 3, 2, 2),
+            ("F16", 415_040, 2, 1, 1),
+        ];
+        assert_eq!(report.points.len(), 12);
+        for (i, p) in report.points.iter().enumerate() {
+            assert_eq!(
+                (&*p.pattern, p.offchip_bits, p.fusion_groups, p.splices, p.merge_ready_splices),
+                per_pattern[i / 3],
+                "point {i}"
+            );
         }
-        // The winner never regresses the default's modeled traffic.
-        assert!(report.winner_point().offchip_bits <= report.default_point().offchip_bits);
+        assert_eq!(report.winner_index, 0);
+        assert_eq!(report.winner_point().offchip_bits, 107_840);
+        assert_eq!(
+            report.winner,
+            TuneWinner {
+                pattern: BlockingPattern::hierarchical(2),
+                intermediate_buffer_bits: 2_511_360,
+                extra_buffer_bits: 5_022_720,
+            }
+        );
     }
 }

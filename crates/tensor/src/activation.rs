@@ -25,16 +25,6 @@ pub fn relu_inplace(input: &mut Tensor) {
     }
 }
 
-/// Leaky ReLU with negative slope `alpha`.
-pub fn leaky_relu(input: &Tensor, alpha: f32) -> Tensor {
-    input.map(|v| if v >= 0.0 { v } else { alpha * v })
-}
-
-/// Sigmoid, `1 / (1 + e^-x)`, used by detection-head confidence outputs.
-pub fn sigmoid(input: &Tensor) -> Tensor {
-    input.map(|v| 1.0 / (1.0 + (-v).exp()))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -51,20 +41,5 @@ mod tests {
         let mut inplace = t.clone();
         relu_inplace(&mut inplace);
         assert_eq!(inplace, relu(&t));
-    }
-
-    #[test]
-    fn leaky_relu_scales_negatives() {
-        let t = Tensor::from_fn(1, 1, 2, |_, _, w| if w == 0 { -2.0 } else { 2.0 });
-        assert_eq!(leaky_relu(&t, 0.1).data(), &[-0.2, 2.0]);
-    }
-
-    #[test]
-    fn sigmoid_is_bounded_and_monotone() {
-        let t = Tensor::from_fn(1, 1, 3, |_, _, w| (w as f32 - 1.0) * 10.0);
-        let s = sigmoid(&t);
-        assert!(s.data()[0] < 0.01);
-        assert!((s.data()[1] - 0.5).abs() < 1e-6);
-        assert!(s.data()[2] > 0.99);
     }
 }

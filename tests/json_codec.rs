@@ -176,7 +176,7 @@ fn mutated_bench_files_parse_or_fail_typed_and_never_panic_the_gate() {
 /// vgg16_small under the splicing `AccelCost` below, on a 2-core host.
 const PARENT_PLAN_FILE: &str = r#"{
   "version": 2,
-  "key": "VGG-16-small|4098af0d77063ff4|H2x2|resolution-rule|blocked|accel-cost(Zynq ZC706,bram1090x18432,f150,dram34,ib24000,eb16777216,npe1,granted)|auto|zero|cores2",
+  "key": "VGG-16-small|4098af0d77063ff4|H2x2|resolution-rule|blocked|accel-cost(Zynq ZC706,bram1090x18432,f150,dram34,ib24000,eb16777216,granted)|auto|zero|cores2",
   "pattern": "H2x2",
   "report": {"cost_model":"accel-cost","cost_cuts":[1],"splices":[{"from":0,"to":1,"saved":8192}]},
   "segments": [
@@ -253,7 +253,7 @@ impl CostModel for EvilModel {
         EVIL_MODEL
     }
 
-    fn allow_extend(&self, _group: &[StageCost], _candidate: &StageCost) -> bool {
+    fn allow_extend(&self, _candidate: &StageCost) -> bool {
         true
     }
 }

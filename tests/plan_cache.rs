@@ -286,10 +286,6 @@ fn planner_and_plan_cache_compose_in_either_order() {
 fn tune_winner_never_models_more_offchip_than_the_default() {
     let report = tune(&vgg16_small(32), &TuneOptions::default()).unwrap();
     assert!(report.points.len() > 1, "the DSE must explore beyond the default");
-    assert!(!report.pareto.is_empty());
-    for &i in &report.pareto {
-        assert!(i < report.points.len());
-    }
     assert!(
         report.winner_point().offchip_bits <= report.default_point().offchip_bits,
         "winner {} > default {}",
@@ -305,14 +301,11 @@ fn tune_winner_never_models_more_offchip_than_the_default() {
     assert_eq!(doc.get("key").and_then(Json::as_str), Some(&*report.key));
     assert_eq!(doc.get("points_explored").and_then(Json::as_usize), Some(report.points.len()));
     assert_eq!(doc.get("winner_index").and_then(Json::as_usize), Some(report.winner_index));
-    let pareto = doc.get("pareto").and_then(Json::as_array).unwrap();
-    assert_eq!(pareto.iter().filter_map(Json::as_usize).collect::<Vec<_>>(), report.pareto);
     let points = doc.get("points").and_then(Json::as_array).unwrap();
     assert_eq!(points.len(), report.points.len());
     for (row, p) in points.iter().zip(&report.points) {
         assert_eq!(row.get("pattern").and_then(Json::as_str), Some(&*p.pattern));
         assert_eq!(row.get("offchip_bits").and_then(Json::as_u64), Some(p.offchip_bits));
-        assert_eq!(row.get("predicted_cycles").and_then(Json::as_u64), Some(p.predicted_cycles));
         let ints = [
             ("intermediate_buffer_bits", p.intermediate_buffer_bits as usize),
             ("extra_buffer_bits", p.extra_buffer_bits as usize),
@@ -367,9 +360,7 @@ fn tuned_builds_cache_their_plan_and_stay_bitwise_identical() {
     let explicit = Session::builder()
         .network(net.clone())
         .planner(
-            PlanSpec::new()
-                .pattern(w.pattern)
-                .cost_model(w.cost_model(topts.platform.clone(), topts.npe)),
+            PlanSpec::new().pattern(w.pattern).cost_model(w.cost_model(topts.platform.clone())),
         )
         .build()
         .unwrap();
@@ -412,7 +403,7 @@ fn a_tuned_build_is_one_plan_cache_entry() {
     assert!(is_plan(&after_cold[0]), "{after_cold:?}");
     let warm = build(PlanSpec::new().tuned(), &dir);
     let key = loaded_key(&warm);
-    assert!(key.contains("|tuned:Zynq ZC706:npe1|"), "{key}");
+    assert!(key.contains("|tuned:Zynq ZC706|"), "{key}");
     assert_eq!(entries(&dir), after_cold);
     let want = cold.run(&input).unwrap();
     assert_eq!(warm.run(&input).unwrap().output.data(), want.output.data());

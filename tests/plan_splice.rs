@@ -183,6 +183,12 @@ proptest! {
             prop_assert!(b.stats.offchip_bits() <= a.stats.offchip_bits());
 
             let report = spliced.plan().report();
+            // The twin cuts exactly where the budget does: `AccelCost`
+            // decides extension on buffer capacity alone.
+            prop_assert_eq!(
+                &report.cost_cuts, &unspliced.plan().report().cost_cuts,
+                "{:?} budget={}", backend, budget
+            );
             let segments = |s: &Session| s.plan().segments().len();
             prop_assert_eq!(
                 segments(&spliced),
