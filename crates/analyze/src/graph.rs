@@ -18,7 +18,7 @@
 
 use crate::lints::Finding;
 use crate::lints::Lint;
-use crate::resolve::{Callee, FileSyms, FnDef, FnFacts};
+use crate::resolve::{Callee, FnDef};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// A seed of the hot-path reachability walk. `owner: None` matches every
@@ -90,6 +90,8 @@ fn is_std_name(name: &str) -> bool {
             | "min" | "max" | "min_by" | "max_by" | "min_by_key" | "max_by_key"
             | "position" | "find" | "find_map" | "any" | "all" | "collect" | "by_ref"
             | "cycle" | "unzip" | "partition" | "rotate_left" | "rotate_right"
+            | "split_first_mut" | "copy_within" | "remainder" | "into_remainder"
+            | "pop_first" | "first_key_value"
             // numbers
             | "abs" | "floor" | "ceil" | "round" | "trunc" | "sqrt" | "powi" | "powf"
             | "exp" | "ln" | "log2" | "log10" | "mul_add" | "clamp" | "signum" | "recip"
@@ -116,7 +118,8 @@ fn is_std_name(name: &str) -> bool {
             | "unpark" | "name" | "available_parallelism" | "current" | "elapsed"
             | "duration_since" | "as_secs_f64" | "as_micros" | "as_millis" | "as_nanos"
             | "load" | "store" | "fetch_add" | "fetch_sub" | "compare_exchange"
-            | "compare_exchange_weak" | "fetch_or" | "fetch_and" | "now" | "is_poisoned"
+            | "compare_exchange_weak" | "fetch_or" | "fetch_and" | "fetch_max" | "now"
+            | "is_poisoned" | "catch_unwind"
             // misc std free functions
             | "drop" | "swap_nonoverlapping" | "min_of" | "max_of" | "size_of"
             | "size_of_val" | "align_of" | "replace_with" | "identity" | "black_box"
@@ -205,12 +208,11 @@ fn is_std_type(ty: &str) -> bool {
     )
 }
 
-/// The workspace call graph over every file's resolved symbols.
+/// The workspace call graph over every file's definitions.
 pub struct CallGraph<'a> {
-    syms: &'a [FileSyms],
-    /// Flattened `(file, def)` index of every non-test definition.
-    flat: Vec<(usize, usize)>,
-    /// Name → flat indices (all definitions sharing the name).
+    /// Every non-test definition; a node's index is its position here.
+    nodes: Vec<&'a FnDef>,
+    /// Name → node indices (all definitions sharing the name).
     by_name: BTreeMap<&'a str, Vec<usize>>,
 }
 
@@ -225,46 +227,28 @@ impl<'a> CallGraph<'a> {
     /// Index every non-test definition. Test-scoped functions are left
     /// out entirely: they cannot be entry points, and a test fixture
     /// sharing a hot function's name must not add edges to the graph.
-    pub fn build(syms: &'a [FileSyms]) -> Self {
-        let mut flat = Vec::new();
+    pub fn build(defs: &'a [FnDef]) -> Self {
+        let nodes: Vec<&'a FnDef> = defs.iter().filter(|d| !d.is_test).collect();
         let mut by_name: BTreeMap<&'a str, Vec<usize>> = BTreeMap::new();
-        for (fi, fs) in syms.iter().enumerate() {
-            for (di, def) in fs.defs.iter().enumerate() {
-                if def.is_test {
-                    continue;
-                }
-                by_name.entry(def.name.as_str()).or_default().push(flat.len());
-                flat.push((fi, di));
-            }
+        for (i, def) in nodes.iter().enumerate() {
+            by_name.entry(def.name.as_str()).or_default().push(i);
         }
-        Self { syms, flat, by_name }
+        Self { nodes, by_name }
     }
 
     /// Number of indexed definitions.
     pub fn len(&self) -> usize {
-        self.flat.len()
+        self.nodes.len()
     }
 
     /// True when no definitions were indexed.
     pub fn is_empty(&self) -> bool {
-        self.flat.is_empty()
+        self.nodes.is_empty()
     }
 
-    /// Index (into the `FileSyms` slice) of the file defining `i`.
-    pub fn file_index(&self, i: usize) -> usize {
-        self.flat[i].0
-    }
-
-    /// The definition behind a flat index.
+    /// The definition behind a node index.
     pub fn def(&self, i: usize) -> &'a FnDef {
-        let (fi, di) = self.flat[i];
-        &self.syms[fi].defs[di]
-    }
-
-    /// The extracted facts behind a flat index.
-    pub fn facts(&self, i: usize) -> &'a FnFacts {
-        let (fi, di) = self.flat[i];
-        &self.syms[fi].facts[di]
+        self.nodes[i]
     }
 
     /// True when `hint` and the candidate's type/trait name look like the
@@ -365,16 +349,16 @@ impl<'a> CallGraph<'a> {
         }
     }
 
-    /// Flat indices matching the given entry points.
+    /// Node indices matching the given entry points.
     pub fn entry_defs(&self, entries: &[EntryPoint]) -> Vec<usize> {
-        (0..self.flat.len()).filter(|&i| entries.iter().any(|e| e.matches(self.def(i)))).collect()
+        (0..self.len()).filter(|&i| entries.iter().any(|e| e.matches(self.def(i)))).collect()
     }
 
     /// Reachability from `entries`: the derived hot set plus every
     /// frontier edge out of it.
     pub fn reach(&self, entries: &[EntryPoint]) -> Reach {
         let seeds = self.entry_defs(entries);
-        let mut hot = vec![false; self.flat.len()];
+        let mut hot = vec![false; self.len()];
         let mut queue: Vec<usize> = Vec::new();
         for s in &seeds {
             if !hot[*s] {
@@ -384,7 +368,7 @@ impl<'a> CallGraph<'a> {
         }
         let mut frontier: BTreeSet<FrontierEdge> = BTreeSet::new();
         while let Some(i) = queue.pop() {
-            for call in &self.facts(i).calls {
+            for call in &self.def(i).calls {
                 let r = self.resolve(i, &call.callee);
                 if r.frontier {
                     let d = self.def(i);
@@ -416,16 +400,16 @@ impl<'a> CallGraph<'a> {
     /// callee that may block) and the set of locks it (transitively)
     /// acquires.
     fn lock_closures(&self) -> (Vec<bool>, Vec<BTreeSet<String>>) {
-        let n = self.flat.len();
-        let mut may_block: Vec<bool> = (0..n).map(|i| !self.facts(i).blocking.is_empty()).collect();
+        let n = self.len();
+        let mut may_block: Vec<bool> = (0..n).map(|i| !self.def(i).blocking.is_empty()).collect();
         let mut acquires: Vec<BTreeSet<String>> =
-            (0..n).map(|i| self.facts(i).locks.iter().map(|l| l.lock.clone()).collect()).collect();
+            (0..n).map(|i| self.def(i).locks.iter().map(|l| l.lock.clone()).collect()).collect();
         // Pre-resolve edges once; iterate to fixpoint (the graph is small
         // and the lattice is finite, so this terminates quickly).
         let edges: Vec<Vec<usize>> = (0..n)
             .map(|i| {
                 let mut out: Vec<usize> = self
-                    .facts(i)
+                    .def(i)
                     .calls
                     .iter()
                     .flat_map(|c| self.resolve(i, &c.callee).targets)
@@ -469,7 +453,6 @@ impl<'a> CallGraph<'a> {
         let mut orders: BTreeMap<(String, String), OrderSites> = BTreeMap::new();
         for i in 0..self.len() {
             let def = self.def(i);
-            let facts = self.facts(i);
             let mut emit = |construct: String, line: u32| {
                 findings.push(Finding {
                     lint: Lint::LockOrder,
@@ -479,12 +462,12 @@ impl<'a> CallGraph<'a> {
                     construct,
                 });
             };
-            for region in &facts.locks {
+            for region in &def.locks {
                 let in_span = |tok: usize| tok > region.span.0 && tok < region.span.1;
                 // Blocking primitive while the guard is held. A
                 // `Condvar::wait(guard)` that is passed the guard itself
                 // releases it atomically — exempt for that region only.
-                for op in &facts.blocking {
+                for op in &def.blocking {
                     if !in_span(op.tok) {
                         continue;
                     }
@@ -497,7 +480,7 @@ impl<'a> CallGraph<'a> {
                         emit(format!("{}->{}", region.lock, op.op), op.line);
                     }
                 }
-                for call in &facts.calls {
+                for call in &def.calls {
                     if !in_span(call.tok) {
                         continue;
                     }
@@ -534,7 +517,7 @@ impl<'a> CallGraph<'a> {
                     }
                 }
                 // Direct nested acquisitions.
-                for nested in &facts.locks {
+                for nested in &def.locks {
                     if nested.span.0 == region.span.0 || !in_span(nested.span.0) {
                         continue;
                     }
@@ -573,7 +556,7 @@ impl<'a> CallGraph<'a> {
     }
 }
 
-/// Reachability result: `hot[i]` indexes the graph's flat definitions.
+/// Reachability result: `hot[i]` indexes the graph's nodes.
 pub struct Reach {
     pub hot: Vec<bool>,
     /// Number of definitions matched by the entry points.

@@ -27,12 +27,12 @@
 //!   `target-cpu=native` can never silently change bits.
 //!
 //! The analyzer is self-contained (hand-written lexer, no `syn`) and
-//! analyzes its own source too. Each file is lexed exactly once and
-//! walked for structure once: [`resolve::find_defs`] finds the
-//! definitions and test blocks, the resolver adds each definition's
-//! calls and locks (L5 and the call graph), and one flat lint pass takes
-//! the enclosing function and test scope from the same structure (L1
-//! sites, L2/L3/L4/L6).
+//! analyzes its own source too. Each file is lexed exactly once and its
+//! tokens are read once, by [`resolve::find_defs`]: the walk finds the
+//! definitions, files each body's calls, blocking ops and locks (L5 and
+//! the call graph) under the innermost definition, and hands every token
+//! with that definition and its test scope to the lint checks (L1 sites,
+//! L2/L3/L4/L6). Attributes are not code: no lint or fact reads them.
 //! Policy data lives in `analyze/`: `allowlist.txt` (justified L1–L3/
 //! L5/L6 sites, exact-count matched) and `panic_ratchet.txt` (L4
 //! baseline, regenerated with `--write-ratchet`). `--json <path>` writes
@@ -266,30 +266,27 @@ impl WorkspaceReport {
 
 /// Analyze a set of in-memory sources (`(workspace-relative path, text)`
 /// pairs). This is the whole pipeline: each file is lexed **once** and
-/// resolved, one lint pass over the stream applies L2/L3/L4/L6 and records
-/// L1 sites per definition, then the call graph runs allocation
-/// reachability (L1: the sites of hot definitions) and the lock lint (L5)
-/// over everything together.
+/// walked once — the walk resolves its definitions and their facts while
+/// the lint checks apply L2/L3/L4/L6 and file L1 sites per definition —
+/// then the call graph runs allocation reachability (L1: the sites of hot
+/// definitions) and the lock lint (L5) over everything together.
 pub fn analyze_sources(sources: &[(String, String)], cfg: &Config) -> WorkspaceReport {
     let mut report = WorkspaceReport::default();
-    let mut allocs = Vec::with_capacity(sources.len());
-    let mut syms: Vec<resolve::FileSyms> = Vec::with_capacity(sources.len());
+    let mut defs = Vec::new();
     for (file, src) in sources {
         let toks = lexer::lex(src);
         report.lex_calls += 1;
-        let file_syms = resolve::resolve_file(file, &toks);
-        let FileReport { findings, panic_sites, alloc_sites } =
-            lints::scan_tokens(file, &toks, &file_syms, cfg);
+        let FileReport { findings, panic_sites, defs: file_defs } =
+            lints::scan_tokens(file, &toks, cfg);
         report.findings.extend(findings);
         if !panic_sites.is_empty() {
             report.panic_sites.insert(file.clone(), panic_sites);
         }
-        allocs.push(alloc_sites);
-        syms.push(file_syms);
+        defs.extend(file_defs);
         report.files += 1;
     }
 
-    let cg = CallGraph::build(&syms);
+    let cg = CallGraph::build(&defs);
     let reach = cg.reach(&cfg.entry_points);
     report.entry_matches = reach.seeds;
     report.frontier = reach.frontier;
@@ -299,7 +296,7 @@ pub fn analyze_sources(sources: &[(String, String)], cfg: &Config) -> WorkspaceR
         }
         let def = cg.def(i);
         report.hot_fns.push(def.qualified());
-        report.findings.extend(allocs[cg.file_index(i)].remove(&def.body.0).unwrap_or_default());
+        report.findings.extend(def.alloc_sites.iter().cloned());
     }
     report.hot_fns.sort();
     report.hot_fns.dedup();

@@ -1,7 +1,6 @@
 //! The workspace lints, run over the token stream from [`crate::lexer`]
-//! in one flat pass. The structure comes from [`crate::resolve::find_defs`]:
-//! the enclosing function of a token is the innermost definition whose
-//! body holds it, and test scope is its file's test blocks.
+//! as per-token checks inside [`crate::resolve::find_defs`]' walk, which
+//! hands each token its innermost enclosing definition and test scope.
 //!
 //! | id | name                   | scope                                  |
 //! |----|------------------------|----------------------------------------|
@@ -12,10 +11,10 @@
 //! | L5 | lock-order             | whole-workspace call graph             |
 //! | L6 | float-determinism      | kernel/exec/serve modules              |
 //!
-//! L2/L3/L4/L6 are judged in that pass. L1 and L5 are *interprocedural*:
+//! L2/L3/L4/L6 are judged per token. L1 and L5 are *interprocedural*:
 //! they run over the call graph in [`crate::graph`], fed by the symbols
 //! from [`crate::resolve`] — the hot set is derived from entry-point
-//! reachability, never hand-listed. The pass records the L1 constructs of
+//! reachability, never hand-listed. The checks file the L1 constructs on
 //! every definition; the workspace pass keeps those of hot ones.
 //! All of L1–L3, L5, and L6 produce [`Finding`]s that must be covered by
 //! the committed allowlist (`analyze/allowlist.txt`); L4 produces a
@@ -24,8 +23,7 @@
 
 use crate::graph::EntryPoint;
 use crate::lexer::{lex, Token};
-use crate::resolve::{find_defs, scan_attr, FileSyms};
-use std::collections::BTreeMap;
+use crate::resolve::{find_defs, FnDef};
 
 /// Lint identifiers, in severity-agnostic declaration order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -198,12 +196,9 @@ pub struct FileReport {
     pub findings: Vec<Finding>,
     /// L4 sites in non-test code (ratchet-gated; `findings` excludes them).
     pub panic_sites: Vec<Finding>,
-    /// L1 constructs of every definition, keyed by its body start
-    /// (`FnDef::body.0`). Closures count toward the enclosing function, a
-    /// nested named function toward itself; the workspace pass turns the
-    /// sites of hot definitions into findings (test definitions are never
-    /// hot: the call graph leaves them out).
-    pub alloc_sites: BTreeMap<usize, Vec<Finding>>,
+    /// The file's definitions with their facts and L1 sites (test
+    /// definitions are never hot: the call graph leaves them out).
+    pub defs: Vec<FnDef>,
 }
 
 impl FileReport {
@@ -286,57 +281,37 @@ fn float_det_at(toks: &[Token], i: usize) -> Option<String> {
     }
 }
 
-/// One flat pass over a file's tokens: the per-file lints (L2, L3, L4,
-/// L6) and the L1 sites of every definition. `syms` is the file's
-/// structure from [`find_defs`]; `file` is the workspace-relative path
-/// used in findings and for the L3/L6 module matching. Attributes are
-/// skipped. L3 covers every token of a restricted file, test code
-/// included; L2, L4 and L6 skip `syms.tests`; an L1 site belongs to the
-/// innermost definition, whatever its scope.
-pub fn scan_tokens(file: &str, toks: &[Token], syms: &FileSyms, cfg: &Config) -> FileReport {
+/// The per-token checks over one file, run inside [`find_defs`]' walk:
+/// the per-file lints (L2, L3, L4, L6) and the L1 sites of every
+/// definition. `file` is the workspace-relative path used in findings and
+/// for the L3/L6 module matching. Attributes are never visited. L3 covers
+/// every token of a restricted file, test code included; L2, L4 and L6
+/// skip test blocks; an L1 site belongs to the innermost definition,
+/// whatever its scope.
+pub fn scan_tokens(file: &str, toks: &[Token], cfg: &Config) -> FileReport {
     let restricted = cfg.is_restricted(file);
     let float_file = cfg.is_float_file(file);
-    let mut report = FileReport::default();
-    let mut defs = syms.defs.iter().peekable();
-    // Definitions whose body holds token `i`, innermost last.
-    let mut open = Vec::new();
-    let mut i = 0usize;
-    while i < toks.len() {
+    let (mut findings, mut panic_sites) = (Vec::new(), Vec::new());
+    let defs = find_defs(file, toks, |i, def, in_test| {
         let t = &toks[i];
-        if t.is_punct('#') {
-            let (next_i, _) = scan_attr(toks, i);
-            if next_i > i + 1 {
-                i = next_i;
-                continue;
-            }
-        }
-        while let Some(d) = defs.next_if(|d| d.body.0 <= i) {
-            open.push(d);
-        }
-        open.retain(|d| d.body.1 > i);
-        let def = open.last();
-        let site = |lint, construct: String| Finding {
+        let site = |lint, func: &str, construct: String| Finding {
             lint,
             file: file.to_string(),
             line: t.line,
-            func: def.map_or("-", |d| d.name.as_str()).to_string(),
+            func: func.to_string(),
             construct,
         };
-
-        if let (Some(d), Some(construct)) = (def, hot_alloc_at(toks, i)) {
-            let found = site(Lint::HotPathAlloc, construct.to_string());
-            report.alloc_sites.entry(d.body.0).or_default().push(found);
-        }
+        let func = def.as_deref().map_or("-", |d| d.name.as_str());
 
         // L3 applies to the whole restricted file, tests included: a
         // `use std::collections::HashMap` at the top serves both.
         if restricted {
             if let Some(id @ ("HashMap" | "HashSet")) = t.ident() {
-                report.findings.push(site(Lint::UnorderedIteration, id.to_string()));
+                findings.push(site(Lint::UnorderedIteration, func, id.to_string()));
             }
         }
 
-        if !syms.tests.iter().any(|&(a, b)| (a..b).contains(&i)) {
+        if !in_test {
             // L2: `.clone()` whose receiver ident looks weight-like.
             // `Arc::clone(&x)` has no `.` so it never matches.
             if t.ident() == Some("clone")
@@ -347,33 +322,34 @@ pub fn scan_tokens(file: &str, toks: &[Token], syms: &FileSyms, cfg: &Config) ->
                 if let Some(recv) = toks[i - 2].ident() {
                     let lower = recv.to_lowercase();
                     if cfg.weight_receivers.iter().any(|w| lower.contains(w.as_str())) {
-                        report.findings.push(site(Lint::WeightDeepClone, format!("clone:{recv}")));
+                        findings.push(site(Lint::WeightDeepClone, func, format!("clone:{recv}")));
                     }
                 }
             }
 
             // L4: panic-ratchet sites.
             if let Some(construct) = panic_site_at(toks, i) {
-                report.panic_sites.push(site(Lint::PanicRatchet, construct.to_string()));
+                panic_sites.push(site(Lint::PanicRatchet, func, construct.to_string()));
             }
 
             // L6: order/contraction-sensitive float constructs.
             if float_file {
                 if let Some(construct) = float_det_at(toks, i) {
-                    report.findings.push(site(Lint::FloatDeterminism, construct));
+                    findings.push(site(Lint::FloatDeterminism, func, construct));
                 }
             }
         }
-        i += 1;
-    }
-    report
+
+        if let (Some(d), Some(construct)) = (def, hot_alloc_at(toks, i)) {
+            d.alloc_sites.push(site(Lint::HotPathAlloc, &d.name, construct.to_string()));
+        }
+    });
+    FileReport { findings, panic_sites, defs }
 }
 
-/// Lex and structure one file, then apply [`scan_tokens`]. Convenience
-/// wrapper for single-file callers (tests); [`crate::analyze_sources`] lexes
-/// each file exactly once and shares the stream between the resolver and
-/// this pass.
+/// Lex one file and apply [`scan_tokens`]. Convenience wrapper for
+/// single-file callers (tests); [`crate::analyze_sources`] lexes each file
+/// exactly once and hands the stream to [`scan_tokens`].
 pub fn scan_source(file: &str, src: &str, cfg: &Config) -> FileReport {
-    let toks = lex(src);
-    scan_tokens(file, &toks, &find_defs(file, &toks), cfg)
+    scan_tokens(file, &lex(src), cfg)
 }

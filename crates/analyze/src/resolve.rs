@@ -1,7 +1,9 @@
-//! Symbol resolution over the token stream from [`crate::lexer`]: finds
-//! every function definition (free functions, inherent and trait-impl
-//! methods, trait default methods) and test block, the call sites inside
-//! each body, and the lock-acquisition regions the L5 lint reasons about.
+//! Symbol resolution over the token stream from [`crate::lexer`], in one
+//! walk per file ([`find_defs`]): every function definition (free
+//! functions, inherent and trait-impl methods, trait default methods), the
+//! call sites inside each body, and the lock-acquisition regions the L5
+//! lint reasons about. The same walk hands the lint pass each token's
+//! innermost definition and test scope.
 //!
 //! Resolution is deliberately *conservative and syntactic* — there is no
 //! type information (no `syn`, no compiler). A method call matches every
@@ -11,6 +13,7 @@
 //! analysis over-approximates reachability instead of missing it.
 
 use crate::lexer::{Tok, Token};
+use crate::lints::Finding;
 
 /// A function definition discovered in a file.
 #[derive(Debug, Clone)]
@@ -29,6 +32,15 @@ pub struct FnDef {
     pub body: (usize, usize),
     /// Defined under `#[cfg(test)]` / `#[test]`.
     pub is_test: bool,
+    /// Call sites, blocking ops and lock regions of the body. Closures
+    /// count toward the enclosing function, a nested named function
+    /// toward itself.
+    pub calls: Vec<CallSite>,
+    pub blocking: Vec<BlockingOp>,
+    pub locks: Vec<LockRegion>,
+    /// L1 constructs of the body, filed by the lint pass under the same
+    /// attribution; the workspace pass keeps those of hot definitions.
+    pub alloc_sites: Vec<Finding>,
 }
 
 impl FnDef {
@@ -98,29 +110,6 @@ pub struct LockRegion {
     pub binding: Option<String>,
     /// Token span `[acquisition, release)` the guard is held for.
     pub span: (usize, usize),
-}
-
-/// Everything extracted from one function body.
-#[derive(Debug, Clone, Default)]
-pub struct FnFacts {
-    pub calls: Vec<CallSite>,
-    pub blocking: Vec<BlockingOp>,
-    pub locks: Vec<LockRegion>,
-}
-
-/// All symbols of one file: the structure [`find_defs`] reads (every
-/// definition, sorted by body start, and the test blocks) plus
-/// per-definition facts (`facts[i]` belongs to `defs[i]`). The lints take
-/// their enclosing function and test scope from here, not from a walk of
-/// their own.
-#[derive(Debug, Default)]
-pub struct FileSyms {
-    pub file: String,
-    pub defs: Vec<FnDef>,
-    /// Token spans `[open brace, one past close brace)` of the outermost
-    /// `#[cfg(test)]` / `#[test]` blocks, in order.
-    pub tests: Vec<(usize, usize)>,
-    pub facts: Vec<FnFacts>,
 }
 
 /// Keywords that can be followed by `(` without being calls.
@@ -209,7 +198,7 @@ fn parse_impl_header(toks: &[Token], i: usize) -> (usize, Option<String>, Option
 /// Scan an attribute starting at `toks[i]` (`#`). Returns the index past
 /// the closing `]` and whether it marks test code (`test` present and
 /// `not` absent, so `#[cfg(not(test))]` stays live).
-pub(crate) fn scan_attr(toks: &[Token], i: usize) -> (usize, bool) {
+fn scan_attr(toks: &[Token], i: usize) -> (usize, bool) {
     let mut j = i + 1;
     if toks.get(j).is_some_and(|t| t.is_punct('!')) {
         j += 1;
@@ -237,27 +226,138 @@ pub(crate) fn scan_attr(toks: &[Token], i: usize) -> (usize, bool) {
     (toks.len(), false)
 }
 
-/// A function definition in mid-flight during the walk.
+/// A function definition in mid-flight during the walk, with the state
+/// its facts need while the body is open.
 struct OpenDef {
     def: FnDef,
     /// Brace depth of the body block.
     depth: u32,
+    /// First token of the current statement (where a guard's `let` is).
+    stmt_start: usize,
+    /// Live guards: `(index into def.locks, brace depth at acquisition)`.
+    open_locks: Vec<(usize, u32)>,
 }
 
-/// The analyzer's one structural walk: every function definition with
-/// its body span, owner context and test-scope flag, plus the file's test
-/// blocks. Brace depth, `#[cfg(test)]` scope, the pending `fn` name and
-/// the `[usize; 4]` bracket rule are tracked here and nowhere else;
-/// `facts` is left empty for [`resolve_file`].
-pub fn find_defs(file: &str, toks: &[Token]) -> FileSyms {
-    let mut syms = FileSyms { file: file.to_string(), ..FileSyms::default() };
+impl OpenDef {
+    /// End, at token `at`, every live guard `dies` selects.
+    fn release(&mut self, at: usize, dies: impl Fn(&LockRegion, u32) -> bool) {
+        let locks = &mut self.def.locks;
+        self.open_locks.retain(|&(li, ld)| {
+            let dead = dies(&locks[li], ld);
+            if dead {
+                locks[li].span.1 = at;
+            }
+            !dead
+        });
+    }
+
+    /// File token `i`, at brace depth `depth`, under this body: its call
+    /// site, blocking op or lock acquisition, and the guards it ends.
+    fn file_token(&mut self, toks: &[Token], i: usize, depth: u32) {
+        let t = &toks[i];
+        match &t.tok {
+            Tok::Punct('{') => self.stmt_start = i + 1,
+            Tok::Punct('}') => {
+                // Guards die with their enclosing block.
+                self.release(i, |_, ld| ld >= depth);
+                self.stmt_start = i + 1;
+            }
+            Tok::Punct(';') => {
+                // Unbound guard temporaries die at end of statement.
+                self.release(i, |l, ld| ld == depth && l.binding.is_none());
+                self.stmt_start = i + 1;
+            }
+            Tok::Ident(name) => {
+                // An ident of a body always follows the body's `{`.
+                let prev_dot = toks[i - 1].is_punct('.');
+                let next_paren = toks.get(i + 1).is_some_and(|t| t.is_punct('('));
+                // `drop(guard)` releases a bound guard early.
+                if name == "drop" && !prev_dot && next_paren {
+                    let args = paren_idents(toks, i + 1);
+                    self.release(i, |l, _| {
+                        l.binding.as_deref().is_some_and(|b| args.iter().any(|a| a == b))
+                    });
+                }
+                // Lock acquisition: `recv.lock()` or a `lock_*` helper.
+                let lock_id = if name == "lock" && prev_dot && next_paren {
+                    i.checked_sub(2)
+                        .and_then(|j| toks[j].ident())
+                        .map(str::to_string)
+                        .or_else(|| Some("lock".to_string()))
+                } else if let Some(suffix) = name.strip_prefix("lock_") {
+                    if next_paren && !suffix.is_empty() {
+                        Some(suffix.to_string())
+                    } else {
+                        None
+                    }
+                } else {
+                    None
+                };
+                if let Some(lock) = lock_id {
+                    // The guard's binding: `let [mut] NAME = …` at the
+                    // head of the current statement.
+                    let binding = match toks.get(self.stmt_start).and_then(Token::ident) {
+                        Some("let") => {
+                            let mut j = self.stmt_start + 1;
+                            if toks.get(j).and_then(Token::ident) == Some("mut") {
+                                j += 1;
+                            }
+                            toks.get(j).and_then(Token::ident).map(str::to_string)
+                        }
+                        _ => None,
+                    };
+                    // Held to the end of the file unless its block, its
+                    // statement or a `drop` ends it first.
+                    let span = (i, toks.len());
+                    self.def.locks.push(LockRegion { lock, line: t.line, binding, span });
+                    self.open_locks.push((self.def.locks.len() - 1, depth));
+                }
+                // Blocking primitives (method position only).
+                if prev_dot && next_paren && is_blocking_name(name) {
+                    self.def.blocking.push(BlockingOp {
+                        op: name.clone(),
+                        line: t.line,
+                        tok: i,
+                        args: paren_idents(toks, i + 1),
+                    });
+                }
+                if let Some(site) = call_site_at(toks, i) {
+                    self.def.calls.push(site);
+                }
+            }
+            _ => {}
+        }
+    }
+}
+
+/// The analyzer's one per-token walk. It finds every function definition
+/// (body span, owner context, test-scope flag) and files each token of a
+/// body under the innermost open definition: calls, blocking ops and lock
+/// regions. Attributes are skipped — they are not code. Every other token
+/// goes to `visit` with its innermost open definition and whether it lies
+/// in a `#[cfg(test)]` / `#[test]` block: the lint pass's per-token checks.
+/// Brace depth, test scope, the pending `fn` name and the `[usize; 4]`
+/// bracket rule are tracked here and nowhere else. The definitions come
+/// back sorted by body start.
+pub fn find_defs(
+    file: &str,
+    toks: &[Token],
+    mut visit: impl FnMut(usize, Option<&mut FnDef>, bool),
+) -> Vec<FnDef> {
+    let mut defs = Vec::new();
     let mut open: Vec<OpenDef> = Vec::new();
     let mut owners: Vec<OwnerCtx> = Vec::new();
     let mut depth: u32 = 0;
-    // `(depth, open brace)` of the outermost enclosing test block.
-    let mut test_block: Option<(u32, usize)> = None;
+    // Brace depth of the outermost enclosing test block.
+    let mut test_depth: Option<u32> = None;
     let mut pending_test = false;
-    let mut pending_fn: Option<(String, u32)> = None; // (name, line)
+    // `(name, line)` of a `fn` whose body has not opened yet.
+    let mut pending_fn: Option<(String, u32)> = None;
+    // An `impl` / `trait` header ends at token `header_end`. Its tokens
+    // are code (filed and visited) but not structure; `pending_owner`
+    // opens at the block's brace.
+    let mut header_end = 0usize;
+    let mut pending_owner: Option<(Option<String>, Option<String>)> = None;
     let mut expect_fn_name = false;
     // `[`-nesting: a `;` inside an array type (`[usize; 4]`) or array
     // expression is not a statement terminator and must not cancel a
@@ -274,13 +374,53 @@ pub fn find_defs(file: &str, toks: &[Token]) -> FileSyms {
                 continue;
             }
         }
+        let structural = i >= header_end;
+        // A block opens before its `{` is filed and visited, and closes
+        // after its `}` is: both braces belong to the block.
+        if structural && t.is_punct('{') {
+            depth += 1;
+            if std::mem::take(&mut pending_test) && test_depth.is_none() {
+                test_depth = Some(depth);
+            }
+            if let Some((owner, trait_name)) = pending_owner.take() {
+                owners.push(OwnerCtx { owner, trait_name, depth });
+            }
+            if let Some((name, line)) = pending_fn.take() {
+                let ctx = owners.last();
+                let def = FnDef {
+                    name,
+                    owner: ctx.and_then(|c| c.owner.clone()),
+                    trait_name: ctx.and_then(|c| c.trait_name.clone()),
+                    file: file.to_string(),
+                    line,
+                    body: (i, i + 1), // end patched at close
+                    is_test: test_depth.is_some(),
+                    calls: Vec::new(),
+                    blocking: Vec::new(),
+                    locks: Vec::new(),
+                    alloc_sites: Vec::new(),
+                };
+                open.push(OpenDef { def, depth, stmt_start: i + 1, open_locks: Vec::new() });
+            }
+        }
+        let in_test = test_depth.is_some();
+        match open.last_mut() {
+            Some(o) => {
+                o.file_token(toks, i, depth);
+                visit(i, Some(&mut o.def), in_test);
+            }
+            None => visit(i, None, in_test),
+        }
+        if !structural {
+            i += 1;
+            continue;
+        }
         match &t.tok {
             Tok::Ident(s) if (s == "impl" || s == "trait") && pending_fn.is_none() => {
                 // Guarded on `pending_fn`: `impl` between a function's
                 // name and its body (`-> impl Iterator`, `x: impl Fn()`)
                 // is a type position, not an item header.
-                let is_trait = s == "trait";
-                let (brace, owner, trait_name) = if is_trait {
+                let (brace, owner, trait_name) = if s == "trait" {
                     // `trait Name { … }`: the name is the next ident; the
                     // block may declare default methods (owner = trait).
                     let name = toks.get(i + 1).and_then(Token::ident).map(str::to_string);
@@ -292,46 +432,19 @@ pub fn find_defs(file: &str, toks: &[Token]) -> FileSyms {
                 } else {
                     parse_impl_header(toks, i)
                 };
+                header_end = brace;
                 if toks.get(brace).is_some_and(|t| t.is_punct('{')) {
-                    depth += 1;
-                    if std::mem::take(&mut pending_test) && test_block.is_none() {
-                        test_block = Some((depth, brace));
-                    }
-                    owners.push(OwnerCtx { owner, trait_name, depth });
-                }
-                i = brace + 1;
-                continue;
-            }
-            Tok::Punct('{') => {
-                depth += 1;
-                if std::mem::take(&mut pending_test) && test_block.is_none() {
-                    test_block = Some((depth, i));
-                }
-                if let Some((name, line)) = pending_fn.take() {
-                    let ctx = owners.last();
-                    open.push(OpenDef {
-                        def: FnDef {
-                            name,
-                            owner: ctx.and_then(|c| c.owner.clone()),
-                            trait_name: ctx.and_then(|c| c.trait_name.clone()),
-                            file: file.to_string(),
-                            line,
-                            body: (i, i + 1), // end patched at close
-                            is_test: test_block.is_some(),
-                        },
-                        depth,
-                    });
+                    pending_owner = Some((owner, trait_name));
                 }
             }
             Tok::Punct('}') => {
-                if let Some((_, start)) = test_block.filter(|&(d, _)| d == depth) {
-                    syms.tests.push((start, i + 1));
-                    test_block = None;
+                if test_depth == Some(depth) {
+                    test_depth = None;
                 }
                 if open.last().map(|o| o.depth) == Some(depth) {
                     if let Some(mut done) = open.pop() {
                         done.def.body.1 = i + 1;
-                        syms.defs.push(done.def);
+                        defs.push(done.def);
                     }
                 }
                 if owners.last().map(|o| o.depth) == Some(depth) {
@@ -364,26 +477,10 @@ pub fn find_defs(file: &str, toks: &[Token]) -> FileSyms {
     // Close unterminated blocks at EOF (tolerated, like the lexer).
     while let Some(mut o) = open.pop() {
         o.def.body.1 = toks.len();
-        syms.defs.push(o.def);
+        defs.push(o.def);
     }
-    if let Some((_, start)) = test_block {
-        syms.tests.push((start, toks.len()));
-    }
-    syms.defs.sort_by_key(|d| d.body.0);
-    syms
-}
-
-/// True when token index `k` falls inside any of `spans`.
-fn in_spans(spans: &[(usize, usize)], k: usize) -> bool {
-    spans.iter().any(|&(a, b)| k >= a && k < b)
-}
-
-/// The token spans of definitions nested strictly inside `outer`.
-fn child_spans(defs: &[FnDef], outer: &FnDef) -> Vec<(usize, usize)> {
-    defs.iter()
-        .filter(|d| d.body.0 > outer.body.0 && d.body.1 <= outer.body.1)
-        .map(|d| d.body)
-        .collect()
+    defs.sort_by_key(|d| d.body.0);
+    defs
 }
 
 /// Blocking primitives for the L5 lock lint: calls that can park the
@@ -415,122 +512,8 @@ fn paren_idents(toks: &[Token], open: usize) -> Vec<String> {
     out
 }
 
-/// Extract calls, blocking ops, and lock regions from `def`'s body,
-/// skipping nested named definitions.
-pub fn extract_facts(toks: &[Token], defs: &[FnDef], def: &FnDef) -> FnFacts {
-    let skip = child_spans(defs, def);
-    let (start, end) = def.body;
-    let mut facts = FnFacts::default();
-    // Open lock regions: indices into facts.locks awaiting release.
-    let mut open_locks: Vec<(usize, u32)> = Vec::new(); // (lock idx, depth)
-    let mut depth: u32 = 0;
-    let mut stmt_start = start;
-    let mut i = start;
-    while i < end {
-        if in_spans(&skip, i) {
-            i += 1;
-            continue;
-        }
-        let t = &toks[i];
-        match &t.tok {
-            Tok::Punct('{') => {
-                depth += 1;
-                stmt_start = i + 1;
-            }
-            Tok::Punct('}') => {
-                depth = depth.saturating_sub(1);
-                // Guards die with their enclosing block.
-                for &(li, ld) in &open_locks {
-                    if ld > depth {
-                        facts.locks[li].span.1 = i;
-                    }
-                }
-                open_locks.retain(|&(_, ld)| ld <= depth);
-                stmt_start = i + 1;
-            }
-            Tok::Punct(';') => {
-                // Unbound guard temporaries die at end of statement.
-                for &(li, ld) in &open_locks {
-                    if ld == depth && facts.locks[li].binding.is_none() {
-                        facts.locks[li].span.1 = i;
-                    }
-                }
-                let locks = &mut facts.locks;
-                open_locks.retain(|&(li, ld)| !(ld == depth && locks[li].binding.is_none()));
-                stmt_start = i + 1;
-            }
-            Tok::Ident(name) => {
-                let prev_dot = i > start && toks[i - 1].is_punct('.');
-                let next_paren = toks.get(i + 1).is_some_and(|t| t.is_punct('('));
-                // `drop(guard)` releases a bound guard early.
-                if name == "drop" && !prev_dot && next_paren {
-                    let args = paren_idents(toks, i + 1);
-                    for &(li, _) in &open_locks {
-                        if facts.locks[li]
-                            .binding
-                            .as_deref()
-                            .is_some_and(|b| args.iter().any(|a| a == b))
-                        {
-                            facts.locks[li].span.1 = i;
-                        }
-                    }
-                    let locks = &facts.locks;
-                    open_locks.retain(|&(li, _)| locks[li].span.1 > i);
-                }
-                // Lock acquisition: `recv.lock()` or a `lock_*` helper.
-                let lock_id = if name == "lock" && prev_dot && next_paren {
-                    i.checked_sub(2)
-                        .and_then(|j| toks[j].ident())
-                        .map(str::to_string)
-                        .or_else(|| Some("lock".to_string()))
-                } else if let Some(suffix) = name.strip_prefix("lock_") {
-                    if next_paren && !suffix.is_empty() {
-                        Some(suffix.to_string())
-                    } else {
-                        None
-                    }
-                } else {
-                    None
-                };
-                if let Some(lock) = lock_id {
-                    // The guard's binding: `let [mut] NAME = …` at the
-                    // head of the current statement.
-                    let binding = match toks.get(stmt_start).and_then(Token::ident) {
-                        Some("let") => {
-                            let mut j = stmt_start + 1;
-                            if toks.get(j).and_then(Token::ident) == Some("mut") {
-                                j += 1;
-                            }
-                            toks.get(j).and_then(Token::ident).map(str::to_string)
-                        }
-                        _ => None,
-                    };
-                    facts.locks.push(LockRegion { lock, line: t.line, binding, span: (i, end) });
-                    open_locks.push((facts.locks.len() - 1, depth));
-                }
-                // Blocking primitives (method position only).
-                if prev_dot && next_paren && is_blocking_name(name) {
-                    facts.blocking.push(BlockingOp {
-                        op: name.clone(),
-                        line: t.line,
-                        tok: i,
-                        args: paren_idents(toks, i + 1),
-                    });
-                }
-                // Call sites.
-                if let Some(site) = call_site_at(toks, i, start) {
-                    facts.calls.push(site);
-                }
-            }
-            _ => {}
-        }
-        i += 1;
-    }
-    facts
-}
-
 /// Classify the token at `i` as a call site, if it is one.
-fn call_site_at(toks: &[Token], i: usize, lo: usize) -> Option<CallSite> {
+fn call_site_at(toks: &[Token], i: usize) -> Option<CallSite> {
     let name = toks[i].ident()?;
     if is_keyword(name) {
         return None;
@@ -541,7 +524,7 @@ fn call_site_at(toks: &[Token], i: usize, lo: usize) -> Option<CallSite> {
     if next_bang {
         return None; // macros are matched by the construct lints, not the graph
     }
-    let prev = |k: usize| i.checked_sub(k).filter(|j| *j >= lo).map(|j| &toks[j]);
+    let prev = |k: usize| i.checked_sub(k).map(|j| &toks[j]);
     if prev(1).and_then(Token::ident) == Some("fn") {
         return None; // a nested `fn name(` declares, it does not call
     }
@@ -597,11 +580,4 @@ fn call_site_at(toks: &[Token], i: usize, lo: usize) -> Option<CallSite> {
         return Some(CallSite { callee: Callee::Free { name: name.to_string() }, line, tok: i });
     }
     None
-}
-
-/// Resolve a whole file: [`find_defs`] plus per-definition facts.
-pub fn resolve_file(file: &str, toks: &[Token]) -> FileSyms {
-    let mut syms = find_defs(file, toks);
-    syms.facts = syms.defs.iter().map(|d| extract_facts(toks, &syms.defs, d)).collect();
-    syms
 }

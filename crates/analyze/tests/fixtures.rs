@@ -3,7 +3,9 @@
 //! quiet), plus lexer edge cases that historically produce false
 //! positives in grep-based checkers (comments, strings, test scopes).
 
+use bconv_analyze::lexer::lex;
 use bconv_analyze::lints::{scan_source, Config, Lint};
+use bconv_analyze::resolve::find_defs;
 use bconv_analyze::{
     analyze_sources, apply_allowlist, check_ratchet, parse_allowlist, parse_ratchet,
     render_ratchet, WorkspaceReport,
@@ -242,6 +244,8 @@ fn graph_reports_unknown_callees_as_frontier() {
         fn worker_loop(f: impl Fn()) {
             mystery_dispatch();
             f();
+            let next = queue.pop_first();
+            let caught = std::panic::catch_unwind(|| f());
         }
         fn unreferenced() { also_unknown(); }
     "#;
@@ -249,10 +253,32 @@ fn graph_reports_unknown_callees_as_frontier() {
     let callees: Vec<&str> = rep.frontier.iter().map(|e| e.callee.as_str()).collect();
     assert!(callees.contains(&"mystery_dispatch"), "{callees:?}");
     assert!(callees.contains(&"f"), "{callees:?}");
+    // Standard-library names never resolve to workspace code: not frontier.
+    assert!(!callees.contains(&".pop_first"), "{callees:?}");
+    assert!(!callees.contains(&"catch_unwind"), "{callees:?}");
     // Frontier reporting is scoped to hot paths: unresolved callees in
     // unreachable code stay out of the report.
     assert!(!callees.contains(&"also_unknown"), "{callees:?}");
     assert!(rep.frontier.iter().all(|e| e.func == "worker_loop"));
+}
+
+#[test]
+fn attribute_tokens_are_not_call_sites() {
+    // `#[repr(align(4096))]` reads like two calls, but attributes are not
+    // code; the real unresolved call beside it stays a frontier edge.
+    let src = r#"
+        fn worker_loop() {
+            #[repr(align(4096))]
+            struct P(u8);
+            mystery_dispatch();
+        }
+    "#;
+    let rep = ws(&[("crates/graph/src/exec.rs", src)]);
+    let callees: Vec<&str> = rep.frontier.iter().map(|e| e.callee.as_str()).collect();
+    assert_eq!(callees, ["mystery_dispatch"]);
+    let defs = find_defs("crates/graph/src/exec.rs", &lex(src), |_, _, _| {});
+    let calls: Vec<&str> = defs.iter().flat_map(|d| &d.calls).map(|c| c.callee.name()).collect();
+    assert_eq!(calls, ["mystery_dispatch"]);
 }
 
 // --- L5 lock-order -----------------------------------------------------------
@@ -550,6 +576,17 @@ fn l3_fires_in_restricted_modules_only() {
 
     let free = scan("crates/train/src/optim.rs", src);
     assert!(free.findings.iter().all(|f| f.lint != Lint::UnorderedIteration));
+
+    // An `impl` header is read too, though it opens no definition.
+    let header = "impl Lanes for HashMap<u8, u8> { fn lanes(&self) -> usize { 2 } }";
+    let rep = scan("crates/graph/src/plan.rs", header);
+    let l3: Vec<&str> = rep
+        .findings
+        .iter()
+        .filter(|f| f.lint == Lint::UnorderedIteration)
+        .map(|f| f.func.as_str())
+        .collect();
+    assert_eq!(l3, ["-"], "{:?}", rep.findings);
 }
 
 #[test]

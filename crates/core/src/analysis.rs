@@ -1,13 +1,13 @@
 //! Analytical properties of block convolution: operation-count parity
-//! (Figure 3), boundary perturbation, receptive-field growth under the two
-//! blocking patterns, and blocking-ratio accounting (Table I's last column).
+//! (Figure 3), boundary perturbation, and blocking-ratio accounting (Table
+//! I's last column).
 
 use bconv_tensor::conv::Conv2d;
 use bconv_tensor::pad::PadMode;
 use bconv_tensor::{Tensor, TensorError};
 
 use crate::block_conv::BlockConv2d;
-use crate::blocking::{BlockGrid, BlockingPattern};
+use crate::blocking::BlockGrid;
 
 /// Number of spatial kernel applications (the paper's Figure 3 count): one
 /// per output position per input channel.
@@ -108,31 +108,6 @@ pub fn boundary_error(
     })
 }
 
-/// Receptive-field size (one axis) of an output block after `depth` stacked
-/// 3×3 stride-1 blocked layers under a pattern.
-///
-/// Under **hierarchical** blocking the receptive field of a block never
-/// grows past the block itself; under **fixed** blocking, pooling merges
-/// blocks so the receptive field keeps growing — the mechanism the paper
-/// credits for fixed blocking's higher accuracy (§II-F conclusion 2).
-pub fn receptive_field(pattern: BlockingPattern, map: usize, depth: usize) -> usize {
-    match pattern {
-        BlockingPattern::Hierarchical { gh, .. } => {
-            // Blocks stay independent: RF saturates at the block size.
-            map / gh
-        }
-        BlockingPattern::Fixed { th, .. } => {
-            // Each pooling (every `depth` proxy step) merges 2x2 blocks.
-            // RF in input pixels doubles per merge until it covers the map.
-            let mut rf = th;
-            for _ in 0..depth {
-                rf = (rf * 2).min(map);
-            }
-            rf
-        }
-    }
-}
-
 /// A conv layer's spatial facts needed for blocking-ratio accounting.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct ConvLayerSpatial {
@@ -146,6 +121,7 @@ pub struct ConvLayerSpatial {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::blocking::BlockingPattern;
     use crate::plan::NetworkPlan;
     use bconv_tensor::conv::ConvGeom;
     use bconv_tensor::init::{he_conv2d, seeded_rng, uniform_tensor};
@@ -194,19 +170,6 @@ mod tests {
         let e_coarse = boundary_error(&conv, &coarse, PadMode::Zero, &input).unwrap();
         let e_fine = boundary_error(&conv, &fine, PadMode::Zero, &input).unwrap();
         assert!(e_fine.frac_perturbed > e_coarse.frac_perturbed);
-    }
-
-    #[test]
-    fn receptive_field_grows_only_under_fixed_blocking() {
-        let map = 224;
-        let fixed = BlockingPattern::fixed(28);
-        let hier = BlockingPattern::hierarchical(8);
-        // Same initial granularity (28-pixel blocks).
-        assert_eq!(receptive_field(hier, map, 0), 28);
-        assert_eq!(receptive_field(fixed, map, 0), 28);
-        // After repeated pooling+merge, fixed blocking sees the whole map.
-        assert_eq!(receptive_field(fixed, map, 3), 224);
-        assert_eq!(receptive_field(hier, map, 3), 28);
     }
 
     #[test]

@@ -35,7 +35,6 @@ pub mod analysis;
 pub mod block_conv;
 pub mod blocking;
 pub mod fusion;
-pub mod overlap;
 pub mod padding_solver;
 pub mod plan;
 

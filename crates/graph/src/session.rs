@@ -83,8 +83,8 @@ fn default_calibration(graph: &Graph, seed: u64) -> Vec<Tensor> {
 
 /// Resolves the blocked backend's worker-thread count: the builder's
 /// setting, else 1 — on every row measured so far the threaded path is
-/// the slower one (ROADMAP item 4 flips the default back when a threaded
-/// row first beats serial).
+/// the slower one (ROADMAP item 3(c) flips the default back when a
+/// threaded row first beats serial).
 ///
 /// # Errors
 ///
