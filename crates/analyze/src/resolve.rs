@@ -423,9 +423,17 @@ pub fn find_defs(
                 let (brace, owner, trait_name) = if s == "trait" {
                     // `trait Name { … }`: the name is the next ident; the
                     // block may declare default methods (owner = trait).
+                    // The header ends at its `{` or `;`; `[u8; 2]` is a type.
                     let name = toks.get(i + 1).and_then(Token::ident).map(str::to_string);
-                    let mut j = i + 1;
-                    while j < toks.len() && !toks[j].is_punct('{') && !toks[j].is_punct(';') {
+                    let (mut j, mut brackets) = (i + 1, 0i32);
+                    while let Some(t) = toks.get(j) {
+                        match t.tok {
+                            Tok::Punct('{') => break,
+                            Tok::Punct(';') if brackets == 0 => break,
+                            Tok::Punct('[') => brackets += 1,
+                            Tok::Punct(']') => brackets -= 1,
+                            _ => {}
+                        }
                         j += 1;
                     }
                     (j, name.clone(), name)

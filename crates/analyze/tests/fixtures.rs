@@ -223,6 +223,23 @@ fn graph_resolves_direct_method_and_trait_calls() {
 }
 
 #[test]
+fn a_semicolon_inside_brackets_does_not_end_a_trait_header() {
+    // `[u8; 2]` in a supertrait bound is a type, as in an `impl` header: the
+    // default method belongs to `Lanes`, is hot, and its call resolves.
+    let src = r#"
+        trait Lanes: From<[u8; 2]> { fn width(&self) -> usize { 2 } }
+        fn run_scratch(x: &dyn Lanes) { x.width(); }
+    "#;
+    let defs = find_defs("crates/graph/src/exec.rs", &lex(src), |_, _, _| {});
+    let width = defs.iter().find(|d| d.name == "width").expect("width is a definition");
+    assert_eq!(width.owner.as_deref(), Some("Lanes"));
+    assert_eq!(width.trait_name.as_deref(), Some("Lanes"));
+    let rep = ws(&[("crates/graph/src/exec.rs", src)]);
+    assert!(rep.hot_fns.iter().any(|f| f == "Lanes::width"), "{:?}", rep.hot_fns);
+    assert!(rep.frontier.is_empty(), "{:?}", rep.frontier);
+}
+
+#[test]
 fn graph_attributes_closure_bodies_to_enclosing_fn() {
     // The closure's call is an edge out of `worker_loop`, not out of some
     // anonymous scope: `spawned_helper` must be reachable.

@@ -15,15 +15,16 @@
 //!
 //! # One block loop: every stage stores where the next one reads
 //!
-//! A chain is planned into *steps* — its convolutions and poolings, each
-//! with the ReLUs that follow it folded into its store — and a block runs
-//! through them in one routine with no copy between them:
+//! A chain is planned into *steps* — its convolutions, each with the ReLUs
+//! and the max pooling that follow it folded into its store, and the
+//! poolings no convolution precedes — and a block runs through them in one
+//! routine with no copy between them:
 //!
 //! * the first step reads the block straight out of the group's input map
 //!   (no crop): the rows go into the interior of its padded buffer;
 //! * every step stores into the interior of the next step's buffer — a
-//!   convolution's buffer is padded with that block's Equation 2 pads,
-//!   a pooling's is the bare block — so nothing is padded by copying;
+//!   convolution's buffer is padded with that block's Equation 2 pads, a
+//!   pooling step's is the bare block — so nothing is padded by copying;
 //! * the last step stores into the group's output map at the block's
 //!   origin (no paste).
 //!
@@ -35,6 +36,16 @@
 //! [`Epilogue`]: the folded ReLU and, on integer chains whose next
 //! convolution runs an exact-f32 kernel, quantization at *that*
 //! convolution's input parameters, so it reads its activations in place.
+//!
+//! A convolution a max pooling follows stores the pooled block
+//! ([`bconv_tensor::kernel::MaxPool`]): each output goes through the
+//! convolution's epilogue into its pooling window, whose maximum — taken in
+//! the pooling's order — is stored through the pooling's epilogue (its
+//! ReLUs, the next convolution's quantization). The pooling has no step,
+//! no buffer and no pass of its own, and the convolution's ping-pong pair
+//! holds its input and the pooled output — the paper's "a pool after a conv
+//! needs no buffer of its own". Compact-store kernels pool their block
+//! straight into the destination.
 //! Halos follow each block's pads: a zero halo is written by one fill of
 //! the buffer when its padded geometry changes (and stays zero, since
 //! stores touch only interiors); a replicate or reflect halo is copied from
@@ -116,21 +127,36 @@ enum Op {
 }
 
 /// A materialising stage of a chain — a convolution or a pooling — with
-/// the ReLU stages that follow it folded into its store.
+/// the ReLU stages that follow it folded into its store, and a convolution
+/// with the pooling that follows it.
 #[derive(Debug, Clone)]
 struct Step {
     op: Op,
     /// Grid on the step's input.
     in_grid: BlockGrid,
-    /// Grid on the step's output.
+    /// Grid on the step's output (pooled, when a pooling is folded in).
     out_grid: BlockGrid,
-    /// What the step does to each value it stores: the folded ReLUs, and
-    /// quantization at the next step's input parameters when that step
-    /// reads quantized activations.
+    /// What the step does to each value it computes: the folded ReLUs,
+    /// and quantization at the next step's input parameters when that step
+    /// reads quantized activations (never before a folded pooling).
     epi: Epilogue,
+    /// A `k × k` max pooling folded into a convolution's store
+    /// ([`bconv_tensor::kernel::MaxPool`]), with what is done to each
+    /// pooled value — the ReLUs after it and the next step's quantization
+    /// — in place of its own step, buffer and pass.
+    pool: Option<(usize, Epilogue)>,
 }
 
 impl Step {
+    /// The epilogue of the values the step stores: the folded pooling's,
+    /// or its own.
+    fn out_epi(&mut self) -> &mut Epilogue {
+        match &mut self.pool {
+            Some((_, post)) => post,
+            None => &mut self.epi,
+        }
+    }
+
     /// The input parameters a step's producer quantizes at, if the step
     /// reads quantized activations.
     fn reads_at(step: Option<&Step>) -> Option<QParams> {
@@ -196,9 +222,10 @@ impl MemStats {
 
 /// Reusable per-worker buffers for block-by-block chain execution: one
 /// input buffer per step of the chain (Figure 10's intermediate buffers —
-/// a convolution's padded, a pooling's bare), a compact block for the
-/// kernels that store only compact blocks, a threaded worker's output
-/// block, and the convolution temporaries. Buffers grow to the largest block seen and are reused
+/// a convolution's padded, a pooling step's bare; a pooling folded into a
+/// convolution's store has none), a compact block for the kernels that
+/// store only compact blocks, a threaded worker's output block, and the
+/// convolution temporaries. Buffers grow to the largest block seen and are reused
 /// across blocks, chains and runs — steady-state fused execution
 /// allocates nothing.
 #[derive(Debug, Default)]
@@ -357,7 +384,8 @@ impl FusedChain {
     /// groups — each reading exactly the grid the one before leaves behind
     /// — compile into one chain, every conv planned once. `quant` is the
     /// chain's precision and covers the convolutions of `ops` only; ReLUs
-    /// at the head of `ops` fold into the chain's last step.
+    /// at the head of `ops` fold into the chain's last step, and so does a
+    /// pooling into a last convolution's store, as inside one group.
     ///
     /// # Errors
     ///
@@ -420,15 +448,24 @@ impl FusedChain {
                 }
                 ChainOp::Relu => {
                     match self.steps.last_mut() {
-                        Some(step) => step.epi.relu = true,
+                        Some(step) => step.out_epi().relu = true,
                         None => self.load.relu = true,
                     }
                     continue;
                 }
-                ChainOp::MaxPool { k } => (Op::Pool { k }, cur.downscale(k)?),
+                ChainOp::MaxPool { k } => match self.steps.last_mut() {
+                    // A pooling after a convolution folds into its store.
+                    Some(step @ Step { op: Op::Conv { .. }, pool: None, .. }) => {
+                        step.out_grid = step.out_grid.downscale(k)?;
+                        step.pool = Some((k, Epilogue::NONE));
+                        self.out_grid = step.out_grid.clone();
+                        continue;
+                    }
+                    _ => (Op::Pool { k }, cur.downscale(k)?),
+                },
             };
             let in_grid = std::mem::replace(&mut self.out_grid, out_grid.clone());
-            self.steps.push(Step { op, in_grid, out_grid, epi: Epilogue::NONE });
+            self.steps.push(Step { op, in_grid, out_grid, epi: Epilogue::NONE, pool: None });
         }
         if let Some((_, act_params)) = quant {
             if act_params.len() != conv_idx {
@@ -443,7 +480,8 @@ impl FusedChain {
         let steps = &mut self.steps;
         self.load.requant = Step::reads_at(steps.first());
         for i in 0..steps.len() {
-            steps[i].epi.requant = Step::reads_at(steps.get(i + 1));
+            let next = Step::reads_at(steps.get(i + 1));
+            steps[i].out_epi().requant = next;
         }
         Ok(self)
     }
@@ -451,13 +489,14 @@ impl FusedChain {
     /// Stages the chain's output for `next`, its sole reader, when `next`
     /// is one block whose first step is a zero-padded convolution on an
     /// exact-f32 kernel ([`QuantChainOp::reads_quantized`]): the last
-    /// step's [`Epilogue`] then stores the output map quantized at that
-    /// convolution's input parameters, inside a zero border of its padding,
-    /// and `next` reads the map in place — no load into its padded buffer,
-    /// no taps on the border. Returns whether the pair staged. The bits are
-    /// those of the unstaged pair (`next` would quantize the same values
-    /// on its load, and quantize(0) = 0), and so are the [`MemStats`]: a
-    /// border is the padding the reader adds, not part of the map. Only
+    /// store's [`Epilogue`] (a folded pooling's, if any) then stores the
+    /// output map quantized at that convolution's input parameters, inside
+    /// a zero border of its padding, and `next` reads the map in place — no
+    /// load into its padded buffer, no taps on the border. Returns whether
+    /// the pair staged. The bits are those of the unstaged pair (`next`
+    /// would quantize the same values on its load, and quantize(0) = 0),
+    /// and so are the [`MemStats`]: a border is the padding the reader
+    /// adds, not part of the map. Only
     /// [`run_fused_into`](Self::run_fused_into) stores and reads staged
     /// maps; stage complete chains.
     pub fn stage_into(&mut self, next: &mut FusedChain) -> bool {
@@ -472,7 +511,7 @@ impl FusedChain {
         }
         // One block keeps the layer's symmetric padding.
         let (p, ..) = plan.block_padding(0, 0);
-        last.epi.requant = Some(params);
+        last.out_epi().requant = Some(params);
         self.out_border = p;
         next.staged_in = Some(p);
         true
@@ -547,7 +586,8 @@ impl FusedChain {
     /// its border (`None`: into the scratch's compact
     /// [`BlockScratch::last`] block).
     /// Returns the block's working-set peak: the largest unpadded input +
-    /// output block pair of a step.
+    /// output block pair of a step (a convolution's output being the pooled
+    /// block when a pooling is folded into its store).
     fn run_block(
         &self,
         input: &Tensor,
@@ -607,6 +647,11 @@ impl FusedChain {
                             &cur.t
                         }
                     };
+                    if step.pool.is_some() {
+                        run_pooled_conv(step, (padded, pads), (out, to), block, conv, qconv)?;
+                        c = c_out;
+                        continue;
+                    }
                     match (qop, plan.packed_weights()) {
                         (Some(op), _) if op.reads_quantized() => {
                             // A zero halo is free: the kernel skips its taps.
@@ -629,7 +674,9 @@ impl FusedChain {
                         }
                     }
                 }
-                Op::Pool { k } => max_pool2d_at(&cur.t, *k, out, to, |v| step.epi.apply(v))?,
+                Op::Pool { k } => {
+                    max_pool2d_at(&cur.t, *k, out, to, (|v| v, |v| step.epi.apply(v)))?;
+                }
             }
             c = c_out;
         }
@@ -786,6 +833,13 @@ impl FusedChain {
         if self.load.relu {
             relu_inplace(&mut cur);
         }
+        // Each layer reads `cur` and writes `next`. Intermediate maps make a
+        // DRAM round trip (write + read); the final output is written once.
+        let layer = |stats: &mut MemStats, cur: &Tensor, next: &Tensor, last: bool| {
+            let (i, o) = (cur.shape().numel(), next.shape().numel());
+            stats.peak_working_elems = stats.peak_working_elems.max(i + o);
+            stats.offchip_elems += if last { o } else { 2 * o };
+        };
         // The chain output is whatever the last step produces — a trailing
         // in-place ReLU must not push the final conv back into the 2x
         // (write + read-back) intermediate bucket.
@@ -804,15 +858,68 @@ impl FusedChain {
             if step.epi.relu {
                 relu_inplace(&mut next);
             }
-            stats.peak_working_elems =
-                stats.peak_working_elems.max(cur.shape().numel() + next.shape().numel());
-            // Intermediate maps make a DRAM round trip (write + read);
-            // the final output is written once.
-            stats.offchip_elems +=
-                if idx == last { next.shape().numel() } else { 2 * next.shape().numel() };
+            // A pooling folded into a convolution's store is a layer of its
+            // own here, on the convolution's map.
+            if let Some((k, post)) = step.pool {
+                let mut pooled = max_pool2d(&next, k, k)?;
+                if post.relu {
+                    relu_inplace(&mut pooled);
+                }
+                layer(&mut stats, &cur, &next, false);
+                cur = std::mem::replace(&mut next, pooled);
+            }
+            layer(&mut stats, &cur, &next, idx == last);
             cur = next;
         }
         Ok((cur, stats))
+    }
+}
+
+/// Runs a convolution step whose store a `k × k` max pooling is folded
+/// into, on its padded block (whose Equation 2 `pads` a zero-padded exact
+/// kernel skips), storing every output through `epi` into its pooling
+/// window and each window's maximum through `post` at `to` in `out`: the
+/// 3×3 sweeps pool as they store, every other kernel writes the compact
+/// `block` and pools it from there. Out of line, so that `run_block`'s
+/// frame — and with it where the kernels' stack sits, which moves their
+/// speed — stays that of a chain without pooled stores.
+#[inline(never)]
+fn run_pooled_conv(
+    step: &Step,
+    (padded, pads): (&Tensor, (usize, usize, usize, usize)),
+    (out, to): (&mut [f32], OutGeom),
+    block: &mut Tensor,
+    conv: &mut ConvScratch,
+    qconv: &mut QConvScratch,
+) -> Result<(), TensorError> {
+    let (Op::Conv { plan, qop }, Some((k, post))) = (&step.op, step.pool) else {
+        return Err(TensorError::invalid("a pooled store needs a convolution step"));
+    };
+    let epi = step.epi;
+    let pool = |block: &Tensor, out: &mut [f32]| {
+        max_pool2d_at(block, k, out, to, (|v| epi.apply(v), |v| post.apply(v)))
+    };
+    match (qop, plan.packed_weights()) {
+        (Some(op), _) if op.reads_quantized() => {
+            let (top, bottom, left, right) = pads;
+            let zero = match plan.pad_mode() {
+                PadMode::Zero => [top, bottom, left, right],
+                _ => [0; 4],
+            };
+            op.forward_quantized_pooled_at((padded, zero), (out, to), epi, (k, post))
+        }
+        (Some(op), _) => {
+            op.forward_prepadded_into(padded, block, qconv)?;
+            pool(block, out)
+        }
+        // A float chain quantizes nothing: the pooling's epilogue is its ReLU.
+        (None, Some(p)) if p.stores_at() => {
+            p.forward_prepadded_pooled_at(plan.conv(), padded, (out, to), epi.relu, (k, post.relu))
+        }
+        (None, _) => {
+            plan.conv_block_into(padded, block, conv)?;
+            pool(block, out)
+        }
     }
 }
 

@@ -2,10 +2,11 @@
 //! convolutions, ReLUs and 2×2 poolings, at every precision, under every
 //! block-padding mode and on hierarchical, fixed and irregular fixed grids,
 //! run fused at one and two threads, must equal the layer-by-layer schedule
-//! bit for bit, and report the unpadded working-set peak of the grids.
-//! Aligned fusion groups — each planned on the grid the one before leaves
-//! behind — planned as one chain over their union must run exactly like
-//! the pipeline of the groups.
+//! bit for bit, and report the unpadded working-set peak of the grids — a
+//! pooling that follows a convolution folds into its store, so the two are
+//! one input / output pair. Aligned fusion groups — each planned on the
+//! grid the one before leaves behind — planned as one chain over their
+//! union must run exactly like the pipeline of the groups.
 
 use bconv_core::blocking::{BlockGrid, BlockingPattern};
 use bconv_core::fusion::{BlockScratch, ChainOp, FusedChain, FusedPipeline};
@@ -16,6 +17,7 @@ use bconv_tensor::kernel::KernelPolicy;
 use bconv_tensor::pad::PadMode;
 use bconv_tensor::Tensor;
 use proptest::prelude::*;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// A small deterministic generator for the chain's shape (splitmix64).
 struct Draw(u64);
@@ -52,36 +54,71 @@ fn random_conv(d: &mut Draw, c_in: usize, big_map: bool) -> Conv2d {
     conv
 }
 
+/// A step of a chain as the oracle sees it: input grid and channels,
+/// output grid and channels, and whether a pooling may still fold into it
+/// (a convolution none has folded into yet).
+type OracleStep = (BlockGrid, usize, BlockGrid, usize, bool);
+
 /// The unpadded `cur + next` peak of running `ops` on `n` images of `c`
-/// channels tiled by `grid`: per conv or pool, the largest input block plus
-/// its output block.
-fn grid_peak(chain: &FusedChain, ops: &[ChainOp], n: usize, mut c: usize) -> usize {
+/// channels tiled by the chain's input grid — per step, the largest input
+/// block plus its output block, where a step is a conv with the pooling
+/// that follows it (ReLUs between them included) folded in, or a pooling of
+/// its own — and how many poolings folded right after their conv and after
+/// a ReLU.
+fn grid_peak(chain: &FusedChain, ops: &[ChainOp], n: usize, mut c: usize) -> (usize, [usize; 2]) {
     let mut grid = chain.in_grid().clone();
     let mut convs = chain.convs();
-    let mut peak = 0;
+    let (mut steps, mut folds, mut after_relu) = (Vec::<OracleStep>::new(), [0; 2], false);
     for op in ops {
-        let (out_grid, c_out) = match op {
+        match op {
             ChainOp::Conv(conv) => {
                 let plan = convs.next().unwrap();
                 assert_eq!(plan.grid(), &grid);
-                (plan.output_grid().unwrap(), conv.c_out())
+                let out_grid = plan.output_grid().unwrap();
+                steps.push((grid, c, out_grid.clone(), conv.c_out(), true));
+                (grid, c) = (out_grid, conv.c_out());
             }
-            ChainOp::MaxPool { k } => (grid.downscale(*k).unwrap(), c),
-            ChainOp::Relu => continue,
-        };
-        for row in 0..grid.num_rows() {
-            for col in 0..grid.num_cols() {
-                let (ib, ob) = (grid.block(row, col), out_grid.block(row, col));
+            ChainOp::MaxPool { k } => {
+                let out_grid = grid.downscale(*k).unwrap();
+                match steps.last_mut() {
+                    Some(step) if step.4 => {
+                        (step.2, step.4) = (out_grid.clone(), false);
+                        folds[after_relu as usize] += 1;
+                    }
+                    _ => steps.push((grid, c, out_grid.clone(), c, false)),
+                }
+                grid = out_grid;
+            }
+            ChainOp::Relu => {}
+        }
+        after_relu = matches!(op, ChainOp::Relu);
+    }
+    let mut peak = 0;
+    for (in_grid, c, out_grid, c_out, _) in steps {
+        for row in 0..in_grid.num_rows() {
+            for col in 0..in_grid.num_cols() {
+                let (ib, ob) = (in_grid.block(row, col), out_grid.block(row, col));
                 peak = peak.max(n * (c * ib.bh * ib.bw + c_out * ob.bh * ob.bw));
             }
         }
-        (grid, c) = (out_grid, c_out);
     }
-    peak
+    (peak, folds)
+}
+
+/// A `k × k` pooling of the grid `g`, `k` 2 or, at times, 3, if it stays
+/// aligned; `g` is left at its output.
+fn random_pool(d: &mut Draw, g: &mut BlockGrid) -> Option<ChainOp> {
+    let k = if d.below(4) == 0 { 3 } else { 2 };
+    let pooled = g.downscale(k).or_else(|_| g.downscale(2)).ok()?;
+    let k = g.w() / pooled.w();
+    *g = pooled;
+    Some(ChainOp::MaxPool { k })
 }
 
 /// 1–`max_ops` random ops on `c` channels tiled by `g`, pooling only where
-/// the grid stays aligned; `c` and `g` are left at the ops' output.
+/// the grid stays aligned — two convolutions in three go on to a pooling,
+/// half of them after a ReLU, which folds into the conv's store; `c` and `g` are
+/// left at the ops' output.
 fn random_ops(
     d: &mut Draw,
     c: &mut usize,
@@ -96,15 +133,16 @@ fn random_ops(
                 let conv = random_conv(d, *c, big_map);
                 *c = conv.c_out();
                 ops.push(ChainOp::conv(conv));
+                if d.below(3) > 0 {
+                    let relu = d.below(2) == 0;
+                    if let Some(pool) = random_pool(d, g) {
+                        ops.extend(relu.then_some(ChainOp::Relu));
+                        ops.push(pool);
+                    }
+                }
             }
             2 => ops.push(ChainOp::Relu),
-            _ => match g.downscale(2) {
-                Ok(pooled) => {
-                    *g = pooled;
-                    ops.push(ChainOp::MaxPool { k: 2 });
-                }
-                Err(_) => ops.push(ChainOp::Relu),
-            },
+            _ => ops.push(random_pool(d, g).unwrap_or(ChainOp::Relu)),
         }
     }
     ops
@@ -114,8 +152,17 @@ fn bits(t: &Tensor) -> Vec<u32> {
     t.data().iter().map(|v| v.to_bits()).collect()
 }
 
+/// Cases of `fused_block_loop_equals_layerwise_bit_for_bit`.
+const CASES: usize = 96;
+
+/// Cases of `fused_block_loop_equals_layerwise_bit_for_bit` run so far, and
+/// the poolings its chains folded into a conv's store per precision, right
+/// after the conv and after a ReLU: every kind must occur in the run.
+static CASES_RUN: AtomicUsize = AtomicUsize::new(0);
+static FOLDS: [[AtomicUsize; 2]; 4] = [const { [const { AtomicUsize::new(0) }; 2] }; 4];
+
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(96))]
+    #![proptest_config(ProptestConfig::with_cases(CASES as u32))]
 
     #[test]
     fn fused_block_loop_equals_layerwise_bit_for_bit(
@@ -136,6 +183,7 @@ proptest! {
         };
         let grid = BlockGrid::from_pattern(h, w, pattern).unwrap();
         let pad_mode = PadMode::ALL[mode];
+        let precision_index = precision;
         let precision = PRECISIONS[precision];
         let n = 1 + d.below(2);
         let c0 = d.pick(&[1, 2, 3, 4]);
@@ -152,6 +200,10 @@ proptest! {
         let policy = if d.below(6) == 0 { KernelPolicy::Direct } else { KernelPolicy::Auto };
         let quant = precision.map(|(wb, _)| (wb, &params[..]));
         let chain = FusedChain::plan(ops.clone(), grid, pad_mode, policy, quant).unwrap();
+        let (peak, folds) = grid_peak(&chain, &ops, n, c0);
+        for (count, folded) in FOLDS[precision_index].iter().zip(folds) {
+            count.fetch_add(folded, Ordering::Relaxed);
+        }
 
         let mut input = uniform_tensor([n, c0, h, w], -1.5, 1.5, &mut seeded_rng(seed ^ 7));
         // A NaN activation takes every path's saturation rule too.
@@ -168,7 +220,7 @@ proptest! {
                 (Ok((want, _)), Ok(stats)) => {
                     prop_assert_eq!(out.shape(), want.shape());
                     prop_assert_eq!(bits(&out), bits(want), "threads {}: {:?}", threads, ops);
-                    prop_assert_eq!(stats.peak_working_elems, grid_peak(&chain, &ops, n, c0));
+                    prop_assert_eq!(stats.peak_working_elems, peak);
                     prop_assert_eq!(stats.offchip_elems, input.shape().numel() + want.shape().numel());
                 }
                 // Reflect padding wider than a block fails on both schedules.
@@ -176,15 +228,20 @@ proptest! {
                 (l, f) => prop_assert!(false, "layerwise {:?} vs fused {:?}", l.is_ok(), f.is_ok()),
             }
         }
+        if CASES_RUN.fetch_add(1, Ordering::Relaxed) + 1 == CASES {
+            let folds = FOLDS.each_ref().map(|f| f.each_ref().map(|n| n.load(Ordering::Relaxed)));
+            prop_assert!(folds.iter().flatten().all(|&n| n > 0), "folds per precision: {:?}", folds);
+        }
     }
 
     /// 2–4 aligned groups — each planned on the grid the group before
     /// leaves behind, with and without pools — planned as one chain
     /// over their union on the first grid: the pipeline's and the
-    /// layer-wise bits, the same off-chip elements, the largest of the
-    /// groups' peaks, and for every conv the grid and per-block padding its
-    /// own group gives it. The chain `extend` grows group by group is the
-    /// same chain.
+    /// layer-wise bits, the same off-chip elements, the union's own peak
+    /// (a group may open at a pooling, which the union folds into the conv
+    /// that ends the group before), and for every conv the grid and
+    /// per-block padding its own group gives it. The chain `extend` grows
+    /// group by group is the same chain.
     #[test]
     fn aligned_groups_plan_as_one_chain(
         seed in 0u64..1_000_000_000,
@@ -199,14 +256,16 @@ proptest! {
         let pad_mode = PadMode::ALL[mode];
         let precision = PRECISIONS[precision];
         let (n, c0) = (1 + d.below(2), d.pick(&[1, 2, 3]));
-        // 2–4 groups, each opening at a conv (after a ReLU, at times) as
-        // the planner's groups do, then 1–3 random ops.
+        // 2–4 groups, each opening at a conv (after a ReLU or a pooling,
+        // at times), then 1–3 random ops.
         let (mut ops, mut bounds, mut c, mut g) = (Vec::new(), vec![0], c0, grid.clone());
         for k in 0..2 + d.below(3) {
             if k > 0 {
                 bounds.push(ops.len());
-                if d.below(3) == 0 {
-                    ops.push(ChainOp::Relu);
+                match d.below(3) {
+                    0 => ops.push(ChainOp::Relu),
+                    1 => ops.extend(random_pool(&mut d, &mut g)),
+                    _ => {}
                 }
             }
             let conv = random_conv(&mut d, c, h * w > 400);
@@ -269,12 +328,15 @@ proptest! {
             (Ok((want, _)), Ok((piped, _))) => {
                 prop_assert_eq!(bits(&piped), bits(&want), "pipeline: {:?}", ops);
                 // Each group on the boundary map the group before produced.
-                let (mut map, mut group_peak) = (input.clone(), 0);
-                for group in &groups {
+                let mut map = input.clone();
+                for (group, span) in groups.iter().zip(bounds.windows(2)) {
                     let (next, stats) = group.run_fused(&map).unwrap();
-                    group_peak = group_peak.max(stats.peak_working_elems);
+                    let c = map.shape().dims()[1];
+                    let (peak, _) = grid_peak(group, &ops[span[0]..span[1]], n, c);
+                    prop_assert_eq!(stats.peak_working_elems, peak);
                     map = next;
                 }
+                let (union_peak, _) = grid_peak(&union, &ops, n, c0);
                 let mut scratch = BlockScratch::new();
                 for (chain, threads) in [(&union, 1usize), (&union, 2), (&chained, 1)] {
                     let mut out = Tensor::filled([1, 1, 1, 1], f32::NAN);
@@ -282,7 +344,7 @@ proptest! {
                     prop_assert_eq!(bits(&out), bits(&want), "threads {}: {:?}", threads, ops);
                     let offchip = input.shape().numel() + want.shape().numel();
                     prop_assert_eq!(stats.offchip_elems, offchip);
-                    prop_assert_eq!(stats.peak_working_elems, group_peak);
+                    prop_assert_eq!(stats.peak_working_elems, union_peak);
                 }
             }
             // Reflect padding wider than a block fails on every schedule.

@@ -17,7 +17,7 @@
 //!   [`QParams`] as one quantized chain stage.
 
 use bconv_tensor::conv::{Conv2d, ConvGeom};
-use bconv_tensor::kernel::{KernelKind, OutGeom};
+use bconv_tensor::kernel::{KernelKind, MaxPool, OutGeom, Plain};
 use bconv_tensor::pad::{pad2d_asym_into, PadMode};
 use bconv_tensor::shape::conv_out_dim;
 use bconv_tensor::{Tensor, TensorError};
@@ -436,7 +436,32 @@ impl QuantChainOp {
         epi: Epilogue,
     ) -> Result<(), TensorError> {
         let (acts, to) = ((acts, zero_halo), (out, at, epi));
-        qgemm::quantized_conv_at(&self.qconv, self.act_params, acts, to)
+        qgemm::quantized_conv_at(&self.qconv, self.act_params, acts, to, Plain)
+    }
+
+    /// [`forward_quantized_at`](Self::forward_quantized_at) with a `k × k`
+    /// / stride-`k` max pool folded into the store ([`MaxPool`]): every
+    /// output goes through `epi` (the convolution's own epilogue) and into
+    /// its window, and each window's maximum is stored through `pooled` at
+    /// `at`, the geometry of the pooled outputs — a fused chain's
+    /// convolution followed by a pooling stores the pooled block. Bit for
+    /// bit the unpooled entry into a compact block followed by
+    /// [`bconv_tensor::pool::max_pool2d_at`] through `pooled`.
+    ///
+    /// # Errors
+    ///
+    /// As [`forward_quantized_at`](Self::forward_quantized_at), and when the
+    /// window does not fit the outputs.
+    pub fn forward_quantized_pooled_at(
+        &self,
+        (acts, zero_halo): (&Tensor, [usize; 4]),
+        (out, at): (&mut [f32], OutGeom),
+        epi: Epilogue,
+        (k, pooled): (usize, Epilogue),
+    ) -> Result<(), TensorError> {
+        let store = MaxPool { k, post: move |v| pooled.apply(v) };
+        let (acts, to) = ((acts, zero_halo), (out, at, epi));
+        qgemm::quantized_conv_at(&self.qconv, self.act_params, acts, to, store)
     }
 }
 

@@ -100,7 +100,11 @@
 //! none; the spatial-lane sweep, whose chunks span rows, runs every tap
 //! either way. Everything the GEMM runs (past the 2²⁴ bound, w8a16,
 //! non-3×3) reads float blocks through `forward_prepadded_into` and its
-//! compact output is copied through the same epilogue.
+//! compact output is copied through the same epilogue. A convolution a
+//! max pooling follows stores the pooled block instead
+//! ([`QuantChainOp::forward_quantized_pooled_at`](crate::qconv::QuantChainOp::forward_quantized_pooled_at):
+//! each output through its own epilogue into its window, each window's
+//! maximum through the pooling's, which requantizes for the next stage).
 //!
 //! # No reduction-length cutover
 //!
@@ -115,7 +119,7 @@
 use std::ops::Range;
 
 use bconv_tensor::kernel::lane_tile::{self, conv3x3, pack_lanes, Policy};
-use bconv_tensor::kernel::{KernelKind, OutGeom};
+use bconv_tensor::kernel::{KernelKind, OutGeom, Plain, Store};
 use bconv_tensor::shape::conv_out_dim;
 use bconv_tensor::{Tensor, TensorError};
 
@@ -239,19 +243,21 @@ pub(crate) fn exact_weights(q: &QConv2d, act_params: QParams) -> Option<&[f32]> 
 /// whose values are **already quantized** at `act_params` (integer-valued
 /// f32, as a previous stage's [`Epilogue`] stored them), whose `[top,
 /// bottom, left, right]` rows and columns `zero` hold zeros (`[0; 4]`:
-/// none declared), and every output is stored at `at` in `out` through
-/// `epi`. Bit for bit `qim2col_gemm` on the dequantized block followed by a
-/// copy through `epi`.
-pub(crate) fn quantized_conv_at(
+/// none declared), and every output goes through `epi` and `store` at `at`
+/// in `out`. Bit for bit `qim2col_gemm` on the dequantized block followed
+/// by a copy through `epi` (and the pool).
+pub(crate) fn quantized_conv_at<S: Store>(
     q: &QConv2d,
     act_params: QParams,
     (acts, zero): (&Tensor, [usize; 4]),
     (out, at, epi): (&mut [f32], OutGeom, Epilogue),
+    store: S,
 ) -> Result<(), TensorError> {
     let dims @ [n, c_in, ph, pw] = acts.shape().dims();
     q.check_channels("QConv2d quantized input channels", c_in)?;
     let (oh, ow) = (conv_out_dim(ph, 3, 1, 0)?, conv_out_dim(pw, 3, 1, 0)?);
-    at.check(n * q.c_out(), oh, ow, out.len())?;
+    let (sh, sw) = store.stored(oh, ow)?;
+    at.check(n * q.c_out(), sh, sw, out.len())?;
     let [top, bottom, left, right] = zero;
     if top + bottom > ph || left + right > pw {
         return Err(TensorError::invalid("QConv2d: the declared zero halo exceeds the block"));
@@ -263,7 +269,7 @@ pub(crate) fn quantized_conv_at(
     let Some(wl) = exact_weights(q, act_params) else {
         return Err(TensorError::invalid("QConv2d: the layer runs no exact-f32 kernel"));
     };
-    exact_conv(q, wl, (acts.data(), dims, zero), act_params.scale(), (out, at, epi));
+    exact_conv(q, wl, (acts.data(), dims, zero), act_params.scale(), (out, at, epi), store);
     Ok(())
 }
 
@@ -319,7 +325,7 @@ pub(crate) fn qim2col_gemm(
         out.reset([n, c_out, oh, ow]);
         let to = (out.data_mut(), OutGeom::compact(oh, ow), Epilogue::NONE);
         // A whole map declares no zero halo: it runs every tap.
-        exact_conv(q, wl, (actf, padded.shape().dims(), [0; 4]), act_params.scale(), to);
+        exact_conv(q, wl, (actf, padded.shape().dims(), [0; 4]), act_params.scale(), to, Plain);
         return Ok(());
     }
     let bound = reduction_bound(q, act_params);
@@ -424,8 +430,8 @@ fn mac(a: f32, b: f32, c: f32) -> f32 {
 /// The exact-f32 sweeps of a 3×3 stride-1 layer whose lane-major weights
 /// are `wl` on the quantized `acts` (`[n, c_in, ph, pw]`, whose declared
 /// zero halo `zero` the channel-lane tile skips), storing every output at
-/// `at` in `out` through `epi`: `bconv_tensor`'s `conv3x3` under the exact
-/// policy, [`Emit`] — channel lanes (a tile of up to eight consecutive
+/// `at` in `out` through `epi` and `store`: `bconv_tensor`'s `conv3x3`
+/// under the exact policy, [`Emit`] — channel lanes (a tile of up to eight consecutive
 /// output pixels of one row × 16 or 8 output channels held in registers
 /// across all input channels) or spatial lanes (a chunk of sixteen
 /// positions of the padded-width plane × up to four output channels), as
@@ -437,17 +443,18 @@ fn mac(a: f32, b: f32, c: f32) -> f32 {
 /// fused or not, and the rescale is the direct loop's expression verbatim
 /// — and for the same reason the taps that read the declared zero halo may
 /// be skipped.
-fn exact_conv(
+fn exact_conv<S: Store>(
     q: &QConv2d,
     wl: &[f32],
     (acts, dims, zero): (&[f32], [usize; 4], [usize; 4]),
     act_scale: f32,
     (out, at, epi): (&mut [f32], OutGeom, Epilogue),
+    store: S,
 ) {
     let [c_out, ..] = q.weight_dims;
     let emit =
         (|live| Emit::new(q, live, act_scale, epi), |live| Emit::new(q, live, act_scale, epi));
-    conv3x3(wl, (acts, dims), [q.groups, c_out / q.groups], zero, (out, at), emit);
+    conv3x3(wl, (acts, dims), [q.groups, c_out / q.groups], zero, (out, at), emit, store);
 }
 
 /// The exact policy of the shared 3×3 sweeps

@@ -19,7 +19,9 @@
 //! kernel's one output path (`sweep_lanes`) and takes an
 //! [`OutGeom`]: a compact tensor, the interior of a fused
 //! chain's next padded block buffer, or a block's place in a whole map are
-//! the same stores at a different row and plane pitch.
+//! the same stores at a different row and plane pitch. Under a pooling
+//! [`Store`] a tile folds its pixels into their pooling windows on the
+//! lanes instead and stores each window's cells (`pool_tile`).
 //!
 //! Both sweeps are generic over a [`Policy`] — how a lane accumulates and
 //! what happens to a finished sum:
@@ -63,7 +65,7 @@
 
 use std::ops::Range;
 
-use super::{plane, OutGeom};
+use super::{div_rem, plane, OutGeom, Store};
 use crate::conv::Conv2d;
 use crate::Tensor;
 
@@ -115,22 +117,27 @@ pub fn pack_lanes(weights: &[f32], [groups, cout_per_group, kk]: [usize; 3], dat
 /// choice of both precisions. A 16-lane channel tile of the output channels
 /// `live` runs under the policy `wide(live)`, an 8-lane one under
 /// `narrow(live)`; a group of fewer than [`VEC`] channels (one 8-lane tile)
-/// takes the spatial-lane sweep wherever its span fills a chunk, every
-/// other tile the channel-lane tile. `zero` declares the `[top, bottom,
-/// left, right]` rows and columns of every plane that hold zeros (see
-/// `sweep_lanes`); the spatial-lane sweep runs every tap regardless. The
-/// caller has checked that the outputs fit.
-pub fn conv3x3<W: Policy<{ 2 * VEC }>, N: Policy<VEC>>(
+/// takes the spatial-lane sweep wherever its span fills a chunk (under a
+/// pooling `store`, where its bands fit the sweep's stage too), every other
+/// tile the channel-lane tile. `zero` declares the `[top, bottom, left,
+/// right]` rows and columns of every plane that hold zeros (see
+/// `sweep_lanes`); the spatial-lane sweep runs every tap regardless. Every
+/// output goes through `store` ([`Store`]: `at` is the geometry of what it
+/// stores). The caller has checked that the stored outputs fit.
+pub fn conv3x3<W: Policy<{ 2 * VEC }>, N: Policy<VEC>, S: Store>(
     wl: &[f32],
     (acts, [n, c_in, ph, pw]): (&[f32], [usize; 4]),
     [groups, cout_per_group]: [usize; 2],
     zero: [usize; 4],
     (out, at): (&mut [f32], OutGeom),
     (wide, narrow): (impl Fn(Range<usize>) -> W, impl Fn(Range<usize>) -> N),
+    store: S,
 ) {
     let (cin_per_group, c_out, plane) = (c_in / groups, groups * cout_per_group, ph * pw);
     let dims = [ph - 2, pw - 2, pw, plane];
-    let spatial = cout_per_group < VEC && plane::fills_chunk(ph - 2, pw - 2);
+    let spatial = cout_per_group < VEC
+        && plane::fills_chunk(ph - 2, pw - 2)
+        && (!S::POOLS || plane::bands_fit(ph - 2, pw - 2, cout_per_group, store.k()));
     for ni in 0..n {
         let mut wrest = wl;
         for grp in 0..groups {
@@ -144,11 +151,13 @@ pub fn conv3x3<W: Policy<{ 2 * VEC }>, N: Policy<VEC>>(
                 let tile = (at, live.len());
                 let dst = &mut out[at.offset + (ni * c_out + m0) * at.plane..];
                 if lanes == 2 * VEC {
-                    sweep_lanes(wt, group, dims, zero, tile, &wide(live), dst);
+                    sweep_lanes(wt, group, dims, zero, tile, &wide(live), dst, store);
+                } else if spatial && S::POOLS {
+                    plane::sweep_bands(wt, group, dims, tile, &narrow(live), dst, store);
                 } else if spatial {
                     plane::sweep(wt, group, dims, tile, &narrow(live), dst);
                 } else {
-                    sweep_lanes(wt, group, dims, zero, tile, &narrow(live), dst);
+                    sweep_lanes(wt, group, dims, zero, tile, &narrow(live), dst, store);
                 }
             }
         }
@@ -242,8 +251,13 @@ fn finish<const P: usize, const L: usize, A: Policy<L>>(policy: &A, acc: &mut [[
 /// left tap, one that ends a row with a zero column on its right its last
 /// pixel's right tap (`FIRST` / `LAST`). An ordered policy runs every tap
 /// (module docs).
+///
+/// Under a pooling `store` the tiles' outputs fold into the windows of the
+/// pooled planes `at` holds (`pool_tile`): rows and tiles run in ascending
+/// order, so each plane's outputs arrive in row-major order.
 #[allow(clippy::out_of_bounds_indexing)] // `each_pixel!`'s dead `if 4 < 2 { acc[4] }` branches
-fn sweep_lanes<const L: usize, A: Policy<L>>(
+#[allow(clippy::too_many_arguments)] // the store last, out of the plain store's way
+fn sweep_lanes<const L: usize, A: Policy<L>, S: Store>(
     wt: &[f32],
     group: &[f32],
     [oh, ow, pw, plane]: [usize; 4],
@@ -251,7 +265,9 @@ fn sweep_lanes<const L: usize, A: Policy<L>>(
     (at, live): (OutGeom, usize),
     policy: &A,
     dst: &mut [f32],
+    store: S,
 ) {
+    let pooled = [oh / store.k(), ow / store.k()];
     let [top, bottom, left, right] = if A::EXACT { zero } else { [0; 4] };
     // The padded rows that are not declared zero; kernel row `r` of output
     // row `ohi` reads padded row `ohi + r`.
@@ -267,11 +283,15 @@ fn sweep_lanes<const L: usize, A: Policy<L>>(
                 const P: usize = $P;
                 let mut acc = $sum;
                 finish(policy, &mut acc);
-                for (l, start) in (to + owi..).step_by(at.plane).take(live).enumerate() {
-                    let row = &mut dst[start..start + P];
-                    each_pixel!(PX < P => {
-                        row[PX] = acc[PX][l];
-                    });
+                if S::POOLS {
+                    pool_tile(&acc, (ohi, owi), (at, live, pooled), &store, dst);
+                } else {
+                    for (l, start) in (to + owi..).step_by(at.plane).take(live).enumerate() {
+                        let row = &mut dst[start..start + P];
+                        each_pixel!(PX < P => {
+                            row[PX] = acc[PX][l];
+                        });
+                    }
                 }
                 P
             }};
@@ -311,6 +331,47 @@ fn sweep_lanes<const L: usize, A: Policy<L>>(
             let at = src + owi;
             tile!(1 => lane_tile::<1, L, false, false, A>(wt, group, at, pw, plane, policy, rows));
         }
+    }
+}
+
+/// Folds a finished tile — output pixels `x..x + P` of row `y` — into the
+/// windows of the `sh × sw` pooled planes of the `live` channels at `at` in
+/// `dst` (from the tile's first channel): per window the tile reaches, the
+/// cells of every channel are folded on the lanes, pixel by pixel in
+/// order, then stored; a row or column the pool drops is skipped.
+#[inline(always)]
+fn pool_tile<const P: usize, const L: usize, S: Store>(
+    acc: &[[f32; L]; P],
+    (y, x): (usize, usize),
+    (at, live, [sh, sw]): (OutGeom, usize, [usize; 2]),
+    store: &S,
+    dst: &mut [f32],
+) {
+    let k = store.k();
+    let ((cy, ry), (mut cx, mut rx)) = (div_rem(y, k), div_rem(x, k));
+    if cy >= sh {
+        return;
+    }
+    let mut pixels = acc.as_slice();
+    while cx < sw && !pixels.is_empty() {
+        let (window, rest) = pixels.split_at((k - rx).min(pixels.len()));
+        let (first, last) = (ry == 0 && rx == 0, ry == k - 1 && rx + window.len() == k);
+        let cell = cy * at.row + cx;
+        let mut m = [f32::NEG_INFINITY; L];
+        if !first {
+            for (l, m) in m.iter_mut().enumerate().take(live) {
+                *m = dst[l * at.plane + cell];
+            }
+        }
+        for pixel in window {
+            for (m, &v) in m.iter_mut().zip(pixel) {
+                *m = m.max(v);
+            }
+        }
+        for (l, &m) in m.iter().enumerate().take(live) {
+            dst[l * at.plane + cell] = if last { store.post(m) } else { m };
+        }
+        (cx, rx, pixels) = (cx + 1, 0, rest);
     }
 }
 
@@ -454,15 +515,17 @@ pub fn takes(k: usize, s: usize) -> bool {
 }
 
 /// Evaluates a 3×3 stride-1 `conv` whose [`pack_lanes`] weights are `wl` on
-/// `padded`, storing every output at `at` in `out` (ReLU'd when `relu`).
-/// The caller has checked [`takes`] and that the outputs fit.
-pub(super) fn lane_conv(
+/// `padded`, storing every output (ReLU'd when `relu`) through `store` at
+/// `at` in `out`. The caller has checked [`takes`] and that the stored
+/// outputs fit.
+pub(super) fn lane_conv<S: Store>(
     conv: &Conv2d,
     wl: &[f32],
     padded: &Tensor,
     out: &mut [f32],
     at: OutGeom,
     relu: bool,
+    store: S,
 ) {
     let bias = conv.bias();
     conv3x3(
@@ -472,5 +535,6 @@ pub(super) fn lane_conv(
         [0; 4],
         (out, at),
         (|live| Ordered::new(&bias[live], relu), |live| Ordered::new(&bias[live], relu)),
+        store,
     );
 }

@@ -48,18 +48,17 @@ pub fn max_pool2d_into(
     let ow = conv_out_dim(w, k, s, 0)?;
     out.reset([n, c, oh, ow]);
     let to = (out.data_mut(), OutGeom::compact(oh, ow));
-    match (k, s) {
-        (2, 2) => max_pool_2x2_rows(input, to, |v| v),
-        _ => max_pool_windows(input, k, s, to, |v| v),
-    }
+    pool_planes((input.data(), [n * c, h, w]), (k, s), to, (|v| v, |v| v));
     Ok(())
 }
 
-/// `k × k` / stride-`k` max pooling storing `epi(max)` at `at` in `out` —
-/// the fused-chain entry: a pool stage writes the interior of the next
-/// stage's padded buffer (its ReLU and, on integer chains, the next
-/// convolution's quantization folded into `epi`), bit for bit
-/// [`max_pool2d_into`] followed by a copy through `epi`.
+/// `k × k` / stride-`k` max pooling of `pre(v)` storing `post(max)` at
+/// `at` in `out` — the fused-chain entry: a pool stage writes the interior
+/// of the next stage's padded buffer (its ReLU and, on integer chains, the
+/// next convolution's quantization folded into `post`), and a convolution
+/// whose kernel stores only compact blocks pools its block through its own
+/// epilogue `pre` on the way. Bit for bit `pre` applied to `input`, then
+/// [`max_pool2d_into`] followed by a copy through `post`.
 ///
 /// # Errors
 ///
@@ -70,69 +69,86 @@ pub fn max_pool2d_at(
     k: usize,
     out: &mut [f32],
     at: OutGeom,
-    epi: impl Fn(f32) -> f32,
+    epi: (impl Fn(f32) -> f32, impl Fn(f32) -> f32),
 ) -> Result<(), TensorError> {
     let [n, c, h, w] = input.shape().dims();
     let oh = conv_out_dim(h, k, k, 0)?;
     let ow = conv_out_dim(w, k, k, 0)?;
     at.check(n * c, oh, ow, out.len())?;
-    if k == 2 {
-        max_pool_2x2_rows(input, (out, at), epi);
-    } else {
-        max_pool_windows(input, k, k, (out, at), epi);
-    }
+    pool_planes((input.data(), [n * c, h, w]), (k, k), (out, at), epi);
     Ok(())
 }
 
-/// Any max-pooling geometry, one `at()` per window element, stored through
-/// `epi` at the geometry `to` carries (whose outputs the caller has
-/// checked). Also the oracle the row-wise path is tested against.
-fn max_pool_windows(
-    input: &Tensor,
-    k: usize,
-    s: usize,
-    (out, to): (&mut [f32], OutGeom),
-    epi: impl Fn(f32) -> f32,
+/// `k × k` / stride-`s` max pooling of the `planes` compact `h × w` planes
+/// at the start of `src`, through `pre`, stored through `post` at the
+/// geometry `to` carries (whose outputs the caller has checked): the
+/// row-wise 2×2 path or the window loop. Also the pooled store of the
+/// spatial-lane sweep, which pools bands of its outputs from the stack.
+#[inline]
+pub(crate) fn pool_planes(
+    (src, [planes, h, w]): (&[f32], [usize; 3]),
+    (k, s): (usize, usize),
+    to: (&mut [f32], OutGeom),
+    epi: (impl Fn(f32) -> f32, impl Fn(f32) -> f32),
 ) {
-    let [n, c, h, w] = input.shape().dims();
+    let src = (&src[..planes * h * w], [h, w]);
+    match (k, s) {
+        (2, 2) => max_pool_2x2_rows(src, to, epi),
+        _ => max_pool_windows(src, (k, s), to, epi),
+    }
+}
+
+/// Any max-pooling geometry over the compact `h × w` planes `src`, one
+/// index per window element, through `pre`, stored through `post` at the
+/// geometry `to` carries. Also the oracle the row-wise path is tested
+/// against.
+fn max_pool_windows(
+    (src, [h, w]): (&[f32], [usize; 2]),
+    (k, s): (usize, usize),
+    (out, to): (&mut [f32], OutGeom),
+    (pre, post): (impl Fn(f32) -> f32, impl Fn(f32) -> f32),
+) {
     let (oh, ow) = ((h - k) / s + 1, (w - k) / s + 1);
-    for ni in 0..n {
-        for ci in 0..c {
-            let o0 = to.offset + (ni * c + ci) * to.plane;
-            for ohi in 0..oh {
-                for owi in 0..ow {
-                    let mut acc = f32::NEG_INFINITY;
-                    for khi in 0..k {
-                        for kwi in 0..k {
-                            acc = acc.max(input.at(ni, ci, ohi * s + khi, owi * s + kwi));
-                        }
+    for (p, plane) in src.chunks_exact(h * w).enumerate() {
+        let o0 = to.offset + p * to.plane;
+        for ohi in 0..oh {
+            for owi in 0..ow {
+                let mut acc = f32::NEG_INFINITY;
+                for khi in 0..k {
+                    for kwi in 0..k {
+                        acc = acc.max(pre(plane[(ohi * s + khi) * w + owi * s + kwi]));
                     }
-                    out[o0 + ohi * to.row + owi] = epi(acc);
                 }
+                out[o0 + ohi * to.row + owi] = post(acc);
             }
         }
     }
 }
 
 /// 2×2 / stride-2 max pooling — nearly every pool in the paper's networks —
-/// stored through `epi` at the geometry `to` carries: two source rows and
+/// of the compact `h × w` planes `src` through `pre`, stored through `post`
+/// at the geometry `to` carries: two source rows and
 /// one destination row at a time as slices, each window folded in
 /// [`max_pool_windows`]' order, so the result (NaN and signed-zero
 /// handling included) is that loop's bit for bit, without its index
 /// arithmetic and bounds check per element (the 4×224×224 map of
 /// `vgg224_f32_blocked` pools 16× faster). An odd last row or column is
 /// dropped, as there.
-fn max_pool_2x2_rows(input: &Tensor, (out, to): (&mut [f32], OutGeom), epi: impl Fn(f32) -> f32) {
-    let [_, _, h, w] = input.shape().dims();
+fn max_pool_2x2_rows(
+    (src, [h, w]): (&[f32], [usize; 2]),
+    (out, to): (&mut [f32], OutGeom),
+    (pre, post): (impl Fn(f32) -> f32, impl Fn(f32) -> f32),
+) {
     let (oh, ow) = (h / 2, w / 2);
-    for (p, src) in input.data().chunks_exact(h * w).enumerate() {
+    for (p, src) in src.chunks_exact(h * w).enumerate() {
         let dst = &mut out[to.offset + p * to.plane..];
         for (ohi, rows) in src.chunks_exact(2 * w).take(oh).enumerate() {
             let drow = &mut dst[ohi * to.row..][..ow];
             let (r0, r1) = rows.split_at(w);
             let windows = r0.chunks_exact(2).zip(r1.chunks_exact(2));
             for (d, (a, b)) in drow.iter_mut().zip(windows) {
-                *d = epi(f32::NEG_INFINITY.max(a[0]).max(a[1]).max(b[0]).max(b[1]));
+                let m = f32::NEG_INFINITY.max(pre(a[0])).max(pre(a[1]));
+                *d = post(m.max(pre(b[0])).max(pre(b[1])));
             }
         }
     }
@@ -308,7 +324,8 @@ mod tests {
         ) {
             let input = hostile_tensor([n, c, h, w], seed);
             let mut want = Tensor::zeros([n, c, h / 2, w / 2]);
-            max_pool_windows(&input, 2, 2, (want.data_mut(), OutGeom::compact(h / 2, w / 2)), |v| v);
+            let to = (want.data_mut(), OutGeom::compact(h / 2, w / 2));
+            max_pool_windows((input.data(), [h, w]), (2, 2), to, (|v| v, |v| v));
             let mut got = Tensor::filled([n + 1, c, h, w], f32::NAN);
             max_pool2d_into(&input, 2, 2, &mut got).unwrap();
             proptest::prop_assert_eq!(got.shape(), want.shape());

@@ -418,7 +418,10 @@ fn fixed_blocking_keeps_its_block_size_under_any_budget() {
 
 /// The repo benchmark's `vgg224_f32_blocked` plan: conv1-2's ping-pong
 /// pair is granted when it opens its group, so pool1 and everything up to
-/// conv4-3 reuse it; pool4 (7×7 blocks) and pool5 run whole-map.
+/// conv4-3 reuse it; pool4 (7×7 blocks) and pool5 run whole-map. Pools 1–3
+/// fold into the stores of conv1-2, conv2-2 and conv3-3, whose pairs then
+/// hold the pooled outputs (conv1-2's 56²×4 + 28²×4), so the peak is
+/// conv1-1's pair, 56²×(3 + 4).
 #[test]
 fn vgg224_fuses_pool1_inside_the_granted_buffers() {
     let net = bconv_models::small::vgg16_small(224);
@@ -464,6 +467,38 @@ fn vgg224_fuses_pool1_inside_the_granted_buffers() {
     let input = uniform_tensor([1, 3, 224, 224], -1.0, 1.0, &mut seeded_rng(2018));
     let run = session.run(&input).expect("run");
     assert_eq!(run.stats.offchip_bits(), 6_075_712);
-    assert_eq!(run.stats.peak_working_elems, 25_088);
+    assert_eq!(run.stats.peak_working_elems, 21_952);
     assert_eq!(run.output.data(), cut_at_every_conv(session.graph(), pattern, &input).data());
+}
+
+/// FNV-1a over the bit patterns of `t`'s elements.
+fn fnv1a(t: &Tensor) -> u64 {
+    t.data()
+        .iter()
+        .flat_map(|v| v.to_bits().to_le_bytes())
+        .fold(0xcbf2_9ce4_8422_2325, |h, b| (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3))
+}
+
+/// The repo benchmark's `serve_burst_w8a8` plan: vgg16_small on a 32×32
+/// input at w8a8 under the default planning. Every pool inside a chain
+/// folds into its conv's store, so the peak is conv1-1's pair, 16²×(3 + 4)
+/// on its 2×2 grid, and the output keeps the bits of the engine that ran
+/// each such pool as a step of its own (the hash below was taken there).
+#[test]
+fn serve_burst_plan_peaks_at_conv1_1() {
+    let net = bconv_models::small::vgg16_small(32);
+    let backend = Backend::Quantized { weight_bits: 8, act_bits: 8 };
+    let session = Session::builder()
+        .network(net)
+        .backend(backend)
+        .planner(PlanSpec::new())
+        .seed(2018)
+        .threads(1)
+        .build()
+        .expect("session");
+    let input = uniform_tensor([1, 3, 32, 32], -1.0, 1.0, &mut seeded_rng(2018));
+    let run = session.run(&input).expect("run");
+    assert_eq!(run.stats.offchip_bits(), 26_960, "{}", session.describe());
+    assert_eq!(run.stats.peak_working_elems, 1_792, "{}", session.describe());
+    assert_eq!(fnv1a(&run.output), 12_861_610_307_657_037_131, "{}", session.describe());
 }
