@@ -2,7 +2,8 @@
 //! parity means comparable runtime), the float fast path per call at the
 //! repo benchmark's block shapes — unpacked and packed — and across
 //! reduction lengths (`plane_*`),
-//! the integer fast path likewise (`qplane_*`), padding-mode
+//! the integer fast path likewise (`qplane_*`), a convolution's pooled
+//! store against its plain store plus the pool pass (`pooled_*`), padding-mode
 //! overhead (paper §II-F: block padding costs are negligible), fused vs
 //! layer-wise chain execution, quantized convolution, and DSE speed.
 
@@ -17,12 +18,14 @@ use bconv_core::BlockConv2d;
 use bconv_graph::{Graph, LowerOptions, Planner, PlannerOptions, Segment};
 use bconv_models::builder::{conv, maxpool, NetBuilder};
 use bconv_models::ActShape;
-use bconv_quant::qconv::{QConv2d, QConvScratch};
+use bconv_quant::qconv::{QConv2d, QConvScratch, QuantChainOp};
+use bconv_quant::qgemm::Epilogue;
 use bconv_quant::QParams;
 use bconv_tensor::conv::{Conv2d, ConvGeom};
 use bconv_tensor::init::{he_conv2d, seeded_rng, uniform_tensor};
-use bconv_tensor::kernel::{ConvScratch, KernelKind, PackedWeights};
+use bconv_tensor::kernel::{ConvScratch, KernelKind, OutGeom, PackedWeights};
 use bconv_tensor::pad::{pad2d, PadMode};
+use bconv_tensor::pool::max_pool2d_at;
 use bconv_tensor::Tensor;
 
 fn conv_fixture(c: usize, h: usize) -> (Conv2d, Tensor) {
@@ -279,6 +282,80 @@ fn bench_qplane_kk_sweep(c: &mut Criterion) {
     group.finish();
 }
 
+/// A convolution a 2×2 max pooling follows, per call, as fused chains run
+/// it: the pooled store (`PackedWeights::forward_prepadded_pooled_at`,
+/// `QuantChainOp::forward_quantized_pooled_at`) against the plain store
+/// into a compact block (`forward_prepadded_at`, `forward_quantized_at`)
+/// plus `max_pool2d_at`, each row's two entries timed back to back, at
+/// float and w8a8. Both store the pooled block into the interior of the
+/// next stage's padded buffer, through a ReLU before the pool (and, at
+/// w8a8, the next convolution's quantization after it). The rows are the
+/// pooled convolutions the repo benchmark's workloads run: 4→4 on 58×58
+/// and 18×18 padded blocks, 8→8 on 30×30 and 10×10, 16→16 on 16×16 and
+/// 6×6.
+fn bench_pooled_blocks(c: &mut Criterion) {
+    let mut group = c.benchmark_group("pooled_blocks");
+    for (ch, side) in [(4usize, 58usize), (4, 18), (8, 30), (8, 10), (16, 16), (16, 6)] {
+        let mut rng = seeded_rng(11);
+        let conv = he_conv2d(ch, ch, ConvGeom::same(3), 1, &mut rng).unwrap();
+        let (o, p) = (side - 2, (side - 2) / 2);
+        group.throughput(Throughput::Elements(conv.macs(o, o).unwrap()));
+        // The pooled block goes into the interior of a padded buffer.
+        let at = OutGeom::region(1, 1, [p + 2, p + 2]);
+        let mut next = vec![0.0; ch * (p + 2) * (p + 2)];
+        let mut block = Tensor::zeros([1, ch, o, o]);
+        let compact = OutGeom::compact(o, o);
+        let padded =
+            pad2d(&uniform_tensor([1, ch, o, o], -1.0, 1.0, &mut rng), 1, 1, PadMode::Zero)
+                .unwrap();
+        let packed = PackedWeights::pack(&conv);
+        let row = format!("{ch}to{ch}_{side}x{side}");
+        // The epilogues are run-time values on both sides, as a chain's are.
+        let pooled_relu = black_box(false);
+        group.bench_function(format!("f32/{row}/pooled"), |b| {
+            b.iter(|| {
+                let to = (next.as_mut_slice(), at);
+                packed.forward_prepadded_pooled_at(
+                    &conv,
+                    black_box(&padded),
+                    to,
+                    true,
+                    (2, pooled_relu),
+                )
+            })
+        });
+        group.bench_function(format!("f32/{row}/store+pool"), |b| {
+            b.iter(|| {
+                let out = block.data_mut();
+                packed.forward_prepadded_at(&conv, black_box(&padded), out, compact, true).unwrap();
+                let post = |v: f32| if pooled_relu && v < 0.0 { 0.0 } else { v };
+                max_pool2d_at(&block, 2, &mut next, at, (|v| v, post))
+            })
+        });
+        let act = QParams::from_abs_max(1.0, 8);
+        let q = QConv2d::from_conv_with_kernel(&conv, 8, KernelKind::Im2colGemm).unwrap();
+        let op = QuantChainOp::new(q, act);
+        let acts = padded.map(|v| act.quantize_value_f32(v));
+        let epi = black_box(Epilogue { relu: true, requant: None });
+        let post =
+            black_box(Epilogue { relu: false, requant: Some(QParams::from_abs_max(0.8, 8)) });
+        group.bench_function(format!("w8a8/{row}/pooled"), |b| {
+            b.iter(|| {
+                let to = (next.as_mut_slice(), at);
+                op.forward_quantized_pooled_at((black_box(&acts), [1; 4]), to, epi, (2, post))
+            })
+        });
+        group.bench_function(format!("w8a8/{row}/store+pool"), |b| {
+            b.iter(|| {
+                let out = block.data_mut();
+                op.forward_quantized_at(black_box(&acts), [1; 4], out, compact, epi).unwrap();
+                max_pool2d_at(&block, 2, &mut next, at, (|v| v, |v| post.apply(v)))
+            })
+        });
+    }
+    group.finish();
+}
+
 fn bench_padding_modes(c: &mut Criterion) {
     let mut group = c.benchmark_group("padding_modes");
     let (conv, input) = conv_fixture(16, 32);
@@ -347,6 +424,7 @@ criterion_group!(
     bench_plane_kk_sweep,
     bench_qplane_blocks,
     bench_qplane_kk_sweep,
+    bench_pooled_blocks,
     bench_padding_modes,
     bench_fused_chain,
     bench_quantized_conv,

@@ -37,15 +37,17 @@
 //! convolution runs an exact-f32 kernel, quantization at *that*
 //! convolution's input parameters, so it reads its activations in place.
 //!
-//! A convolution a max pooling follows stores the pooled block
-//! ([`bconv_tensor::kernel::MaxPool`]): each output goes through the
-//! convolution's epilogue into its pooling window, whose maximum — taken in
-//! the pooling's order — is stored through the pooling's epilogue (its
-//! ReLUs, the next convolution's quantization). The pooling has no step,
-//! no buffer and no pass of its own, and the convolution's ping-pong pair
-//! holds its input and the pooled output — the paper's "a pool after a conv
-//! needs no buffer of its own". Compact-store kernels pool their block
-//! straight into the destination.
+//! A convolution a max pooling follows stores the pooled block: the 3×3
+//! sweeps run one rectangle of whole pooling windows at a time into a
+//! small stage and pool it from there with the pooling's own code
+//! ([`bconv_tensor::kernel::lane_tile`]), each output through the
+//! convolution's epilogue and each window's maximum through the pooling's
+//! (its ReLUs, the next convolution's quantization). The pooling has no
+//! step, no buffer and no pass of its own, and the convolution's ping-pong
+//! pair holds its input and the pooled output — the paper's "a pool after
+//! a conv needs no buffer of its own". Compact-store kernels pool their
+//! block straight into the destination. A window too large for the stage
+//! (wider than [`lane_tile::MAX_POOL`], 11) stays a pooling step.
 //! Halos follow each block's pads: a zero halo is written by one fill of
 //! the buffer when its padded geometry changes (and stays zero, since
 //! stores touch only interiors); a replicate or reflect halo is copied from
@@ -75,7 +77,7 @@ use bconv_quant::qgemm::Epilogue;
 use bconv_quant::QParams;
 use bconv_tensor::activation::relu_inplace;
 use bconv_tensor::conv::Conv2d;
-use bconv_tensor::kernel::{ConvScratch, KernelPolicy, OutGeom};
+use bconv_tensor::kernel::{lane_tile, ConvScratch, KernelPolicy, OutGeom};
 use bconv_tensor::pad::{fill_halo, PadMode};
 use bconv_tensor::pool::{max_pool2d, max_pool2d_at};
 use bconv_tensor::{Tensor, TensorError};
@@ -140,10 +142,9 @@ struct Step {
     /// and quantization at the next step's input parameters when that step
     /// reads quantized activations (never before a folded pooling).
     epi: Epilogue,
-    /// A `k × k` max pooling folded into a convolution's store
-    /// ([`bconv_tensor::kernel::MaxPool`]), with what is done to each
-    /// pooled value — the ReLUs after it and the next step's quantization
-    /// — in place of its own step, buffer and pass.
+    /// A `k × k` max pooling folded into a convolution's store, with what
+    /// is done to each pooled value — the ReLUs after it and the next
+    /// step's quantization — in place of its own step, buffer and pass.
     pool: Option<(usize, Epilogue)>,
 }
 
@@ -174,7 +175,9 @@ impl Step {
 /// buffers and off-chip feature-map transfers — not host-process memory.
 /// CPU-side kernel temporaries (the padded block, the im2col patch
 /// matrix of [`bconv_tensor::kernel`]) are execution details of *this*
-/// reference implementation and are excluded, as is weight storage.
+/// reference implementation and are excluded, as is weight storage. So is
+/// the stage a pooled store runs through ([`lane_tile::STAGE`], at most
+/// 2 048 elements): a kernel line buffer, like the tile's registers.
 /// Both fields are scheduling-invariant: identical for any worker-thread
 /// count and any kernel choice.
 ///
@@ -454,8 +457,11 @@ impl FusedChain {
                     continue;
                 }
                 ChainOp::MaxPool { k } => match self.steps.last_mut() {
-                    // A pooling after a convolution folds into its store.
-                    Some(step @ Step { op: Op::Conv { .. }, pool: None, .. }) => {
+                    // A pooling after a convolution folds into its store
+                    // when one window fits the sweeps' stage.
+                    Some(step @ Step { op: Op::Conv { .. }, pool: None, .. })
+                        if k <= lane_tile::MAX_POOL =>
+                    {
                         step.out_grid = step.out_grid.downscale(k)?;
                         step.pool = Some((k, Epilogue::NONE));
                         self.out_grid = step.out_grid.clone();
@@ -879,8 +885,8 @@ impl FusedChain {
 /// into, on its padded block (whose Equation 2 `pads` a zero-padded exact
 /// kernel skips), storing every output through `epi` into its pooling
 /// window and each window's maximum through `post` at `to` in `out`: the
-/// 3×3 sweeps pool as they store, every other kernel writes the compact
-/// `block` and pools it from there. Out of line, so that `run_block`'s
+/// 3×3 sweeps pool a rectangle of windows at a time as they store, every
+/// other kernel writes the compact `block` and pools it from there. Out of line, so that `run_block`'s
 /// frame — and with it where the kernels' stack sits, which moves their
 /// speed — stays that of a chain without pooled stores.
 #[inline(never)]
@@ -1242,6 +1248,34 @@ mod tests {
         let (layerwise, _) = chain.run_layerwise(&input).unwrap();
         assert_eq!(fused.shape().dims(), [1, 1, 4, 4]);
         assert_eq!(fused.data(), layerwise.data(), "fusion is a schedule change only");
+    }
+
+    #[test]
+    fn a_pool_too_wide_for_the_stage_stays_a_step() {
+        // One 12×12 window of a 16-lane tile is 2 304 outputs, more than a
+        // pooled store stages: the pooling keeps its own step, buffer and
+        // pass, and the peak counts the convolution's full-size output.
+        // An 8×8 window folds, and the peak counts the pooled one.
+        let grid = BlockGrid::single(24, 24);
+        let input = uniform_tensor([1, 3, 24, 24], -1.0, 1.0, &mut seeded_rng(15));
+        let act = [QParams::from_abs_max(1.0, 8)];
+        for (k, folds) in [(12, false), (8, true)] {
+            let ops =
+                || vec![ChainOp::conv(conv(3, 16, 16)), ChainOp::Relu, ChainOp::MaxPool { k }];
+            let float = plan_float(ops(), grid.clone(), PadMode::Zero).unwrap();
+            let quant = plan_quant(ops(), grid.clone(), PadMode::Zero, 8, &act).unwrap();
+            for chain in [float, quant] {
+                assert_eq!(chain.steps.len(), if folds { 1 } else { 2 }, "k {k}");
+                let (fused, stats) = chain.run_fused(&input).unwrap();
+                let (layerwise, _) = chain.run_layerwise(&input).unwrap();
+                let p = 24 / k;
+                assert_eq!(fused.shape().dims(), [1, 16, p, p]);
+                let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&fused), bits(&layerwise), "k {k}");
+                let out = if folds { 16 * p * p } else { 16 * 24 * 24 };
+                assert_eq!(stats.peak_working_elems, 3 * 24 * 24 + out, "k {k}");
+            }
+        }
     }
 
     #[test]

@@ -378,3 +378,59 @@ fn float_chains_keep_every_halo_tap() {
     // The direct loop: `-0.0`, then every tap's product in order.
     assert!(fused.data().iter().all(|v| v.to_bits() == 0.0f32.to_bits()), "{:?}", fused.data());
 }
+
+/// Pooled convolutions on one block wide enough that the pooled store
+/// splits a row of windows into rectangles by columns (16 channels of
+/// 2×2 windows across 70 columns, or of 3×3 ones across 69, do not fit its
+/// stage), at every precision, zero-padded — whose exact kernels skip the
+/// zero halo in every rectangle that reaches it — and replicate-padded, at
+/// one and two threads: the layer-wise bits, and the (input, pooled output)
+/// peak of the one step.
+#[test]
+fn wide_pooled_blocks_split_their_windows_by_columns() {
+    for (c_in, c_out) in [(16, 16), (3, 7)] {
+        for (side, k) in [(70, 2), (69, 3)] {
+            let mut rng = seeded_rng((c_in * 100 + side) as u64);
+            let mut conv = he_conv2d(c_in, c_out, ConvGeom::same(3), 1, &mut rng).unwrap();
+            for (m, b) in conv.bias_mut().iter_mut().enumerate() {
+                *b = 0.1 * m as f32 - 0.3;
+            }
+            let ops = vec![ChainOp::conv(conv), ChainOp::Relu, ChainOp::MaxPool { k }];
+            let input = uniform_tensor([1, c_in, side, side], -1.5, 1.5, &mut rng);
+            let params = [QParams::from_abs_max(1.5, 8)];
+            for precision in PRECISIONS {
+                for pad_mode in [PadMode::Zero, PadMode::Replicate] {
+                    let quant = precision.map(|(wb, ab)| {
+                        (
+                            wb,
+                            if ab == 8 {
+                                params.to_vec()
+                            } else {
+                                vec![QParams::from_abs_max(1.5, ab)]
+                            },
+                        )
+                    });
+                    let quant = quant.as_ref().map(|(wb, p)| (*wb, &p[..]));
+                    let grid = BlockGrid::single(side, side);
+                    let chain =
+                        FusedChain::plan(ops.clone(), grid, pad_mode, KernelPolicy::Auto, quant)
+                            .unwrap();
+                    let (want, _) = chain.run_layerwise(&input).unwrap();
+                    let pooled = side / k;
+                    assert_eq!(want.shape().dims(), [1, c_out, pooled, pooled]);
+                    let mut scratch = BlockScratch::new();
+                    for threads in [1, 2] {
+                        let mut out = Tensor::filled([1, 1, 1, 1], f32::NAN);
+                        let stats =
+                            chain.run_fused_into(&input, threads, &mut out, &mut scratch).unwrap();
+                        let what =
+                            format!("{c_in}->{c_out} {side}² k{k} {precision:?} {pad_mode:?}");
+                        assert_eq!(bits(&out), bits(&want), "{what} threads {threads}");
+                        let peak = c_in * side * side + c_out * pooled * pooled;
+                        assert_eq!(stats.peak_working_elems, peak, "{what}");
+                    }
+                }
+            }
+        }
+    }
+}

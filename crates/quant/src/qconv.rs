@@ -17,7 +17,8 @@
 //!   [`QParams`] as one quantized chain stage.
 
 use bconv_tensor::conv::{Conv2d, ConvGeom};
-use bconv_tensor::kernel::{KernelKind, MaxPool, OutGeom, Plain};
+use bconv_tensor::kernel::lane_tile::no_pool;
+use bconv_tensor::kernel::{KernelKind, OutGeom};
 use bconv_tensor::pad::{pad2d_asym_into, PadMode};
 use bconv_tensor::shape::conv_out_dim;
 use bconv_tensor::{Tensor, TensorError};
@@ -436,22 +437,23 @@ impl QuantChainOp {
         epi: Epilogue,
     ) -> Result<(), TensorError> {
         let (acts, to) = ((acts, zero_halo), (out, at, epi));
-        qgemm::quantized_conv_at(&self.qconv, self.act_params, acts, to, Plain)
+        qgemm::quantized_conv_at(&self.qconv, self.act_params, acts, to, no_pool())
     }
 
     /// [`forward_quantized_at`](Self::forward_quantized_at) with a `k × k`
-    /// / stride-`k` max pool folded into the store ([`MaxPool`]): every
-    /// output goes through `epi` (the convolution's own epilogue) and into
-    /// its window, and each window's maximum is stored through `pooled` at
-    /// `at`, the geometry of the pooled outputs — a fused chain's
-    /// convolution followed by a pooling stores the pooled block. Bit for
-    /// bit the unpooled entry into a compact block followed by
+    /// / stride-`k` max pool folded into the store: every output goes
+    /// through `epi` (the convolution's own epilogue) and into its window,
+    /// and each window's maximum is stored through `pooled` at `at`, the
+    /// geometry of the pooled outputs — a fused chain's convolution
+    /// followed by a pooling stores the pooled block. Bit for bit the
+    /// unpooled entry into a compact block followed by
     /// [`bconv_tensor::pool::max_pool2d_at`] through `pooled`.
     ///
     /// # Errors
     ///
     /// As [`forward_quantized_at`](Self::forward_quantized_at), and when the
-    /// window does not fit the outputs.
+    /// window does not fit the outputs or the pooling does not fold
+    /// ([`bconv_tensor::kernel::lane_tile::MAX_POOL`]).
     pub fn forward_quantized_pooled_at(
         &self,
         (acts, zero_halo): (&Tensor, [usize; 4]),
@@ -459,9 +461,8 @@ impl QuantChainOp {
         epi: Epilogue,
         (k, pooled): (usize, Epilogue),
     ) -> Result<(), TensorError> {
-        let store = MaxPool { k, post: move |v| pooled.apply(v) };
-        let (acts, to) = ((acts, zero_halo), (out, at, epi));
-        qgemm::quantized_conv_at(&self.qconv, self.act_params, acts, to, store)
+        let (acts, to, post) = ((acts, zero_halo), (out, at, epi), move |v| pooled.apply(v));
+        qgemm::quantized_conv_at(&self.qconv, self.act_params, acts, to, Some((k, post)))
     }
 }
 
@@ -522,6 +523,29 @@ mod tests {
         let conv = Conv2d::zeros(1, 1, ConvGeom::same(3)).unwrap();
         assert!(QConv2d::from_conv(&conv, 8).is_none());
         assert!(QuantChainOp::from_conv(&conv, 8, QParams::from_abs_max(1.0, 8)).is_none());
+    }
+
+    #[test]
+    fn a_pool_window_too_large_for_the_stage_is_refused() {
+        let conv = he_conv2d(2, 16, ConvGeom::same(3), 1, &mut seeded_rng(5)).unwrap();
+        let act = QParams::from_abs_max(1.0, 8);
+        let q = QConv2d::from_conv_with_kernel(&conv, 8, KernelKind::Im2colGemm).unwrap();
+        let op = QuantChainOp::new(q, act);
+        let acts = Tensor::zeros([1, 2, 26, 26]);
+        let mut out = vec![0.0; 16 * 4];
+        for (k, fits) in [(12, false), (11, true)] {
+            let to = (&mut out[..], OutGeom::compact(24 / k, 24 / k));
+            let got = op.forward_quantized_pooled_at(
+                (&acts, [1; 4]),
+                to,
+                Epilogue::NONE,
+                (k, Epilogue::NONE),
+            );
+            match got {
+                Err(TensorError::InvalidParameter { .. }) => assert!(!fits, "k {k}"),
+                got => assert!(fits && got.is_ok(), "k {k}: {got:?}"),
+            }
+        }
     }
 
     #[test]

@@ -102,9 +102,12 @@
 //! non-3×3) reads float blocks through `forward_prepadded_into` and its
 //! compact output is copied through the same epilogue. A convolution a
 //! max pooling follows stores the pooled block instead
-//! ([`QuantChainOp::forward_quantized_pooled_at`](crate::qconv::QuantChainOp::forward_quantized_pooled_at):
-//! each output through its own epilogue into its window, each window's
-//! maximum through the pooling's, which requantizes for the next stage).
+//! ([`QuantChainOp::forward_quantized_pooled_at`](crate::qconv::QuantChainOp::forward_quantized_pooled_at)):
+//! `conv3x3` runs the same sweeps over one rectangle of whole windows at a
+//! time into a stage, each output through its own epilogue, and pools the
+//! stage, each window's maximum through the pooling's epilogue, which
+//! requantizes for the next stage. A declared zero halo is skipped in every
+//! rectangle that reaches it.
 //!
 //! # No reduction-length cutover
 //!
@@ -118,8 +121,8 @@
 
 use std::ops::Range;
 
-use bconv_tensor::kernel::lane_tile::{self, conv3x3, pack_lanes, Policy};
-use bconv_tensor::kernel::{KernelKind, OutGeom, Plain, Store};
+use bconv_tensor::kernel::lane_tile::{self, conv3x3, no_pool, pack_lanes, Policy};
+use bconv_tensor::kernel::{KernelKind, OutGeom};
 use bconv_tensor::shape::conv_out_dim;
 use bconv_tensor::{Tensor, TensorError};
 
@@ -243,20 +246,22 @@ pub(crate) fn exact_weights(q: &QConv2d, act_params: QParams) -> Option<&[f32]> 
 /// whose values are **already quantized** at `act_params` (integer-valued
 /// f32, as a previous stage's [`Epilogue`] stored them), whose `[top,
 /// bottom, left, right]` rows and columns `zero` hold zeros (`[0; 4]`:
-/// none declared), and every output goes through `epi` and `store` at `at`
-/// in `out`. Bit for bit `qim2col_gemm` on the dequantized block followed
-/// by a copy through `epi` (and the pool).
-pub(crate) fn quantized_conv_at<S: Store>(
+/// none declared), and every output goes through `epi` and is stored at
+/// `at` in `out` — or, with a `pool` `(k, post)`, `k × k`-max-pooled
+/// through `post` on the way (`conv3x3`; `lane_tile::no_pool` for none).
+/// Bit for bit `qim2col_gemm` on the dequantized block followed by a copy
+/// through `epi` (and the pooling).
+pub(crate) fn quantized_conv_at(
     q: &QConv2d,
     act_params: QParams,
     (acts, zero): (&Tensor, [usize; 4]),
     (out, at, epi): (&mut [f32], OutGeom, Epilogue),
-    store: S,
+    pool: Option<(impl Into<usize> + Copy, impl Fn(f32) -> f32 + Copy)>,
 ) -> Result<(), TensorError> {
     let dims @ [n, c_in, ph, pw] = acts.shape().dims();
     q.check_channels("QConv2d quantized input channels", c_in)?;
     let (oh, ow) = (conv_out_dim(ph, 3, 1, 0)?, conv_out_dim(pw, 3, 1, 0)?);
-    let (sh, sw) = store.stored(oh, ow)?;
+    let [sh, sw] = lane_tile::stored_dims([oh, ow], pool.map(|p| p.0.into()))?;
     at.check(n * q.c_out(), sh, sw, out.len())?;
     let [top, bottom, left, right] = zero;
     if top + bottom > ph || left + right > pw {
@@ -269,7 +274,7 @@ pub(crate) fn quantized_conv_at<S: Store>(
     let Some(wl) = exact_weights(q, act_params) else {
         return Err(TensorError::invalid("QConv2d: the layer runs no exact-f32 kernel"));
     };
-    exact_conv(q, wl, (acts.data(), dims, zero), act_params.scale(), (out, at, epi), store);
+    exact_conv(q, wl, (acts.data(), dims, zero), act_params.scale(), (out, at, epi), pool);
     Ok(())
 }
 
@@ -325,7 +330,7 @@ pub(crate) fn qim2col_gemm(
         out.reset([n, c_out, oh, ow]);
         let to = (out.data_mut(), OutGeom::compact(oh, ow), Epilogue::NONE);
         // A whole map declares no zero halo: it runs every tap.
-        exact_conv(q, wl, (actf, padded.shape().dims(), [0; 4]), act_params.scale(), to, Plain);
+        exact_conv(q, wl, (actf, padded.shape().dims(), [0; 4]), act_params.scale(), to, no_pool());
         return Ok(());
     }
     let bound = reduction_bound(q, act_params);
@@ -430,7 +435,7 @@ fn mac(a: f32, b: f32, c: f32) -> f32 {
 /// The exact-f32 sweeps of a 3×3 stride-1 layer whose lane-major weights
 /// are `wl` on the quantized `acts` (`[n, c_in, ph, pw]`, whose declared
 /// zero halo `zero` the channel-lane tile skips), storing every output at
-/// `at` in `out` through `epi` and `store`: `bconv_tensor`'s `conv3x3`
+/// `at` in `out` through `epi` (and `pool`): `bconv_tensor`'s `conv3x3`
 /// under the exact policy, [`Emit`] — channel lanes (a tile of up to eight consecutive
 /// output pixels of one row × 16 or 8 output channels held in registers
 /// across all input channels) or spatial lanes (a chunk of sixteen
@@ -443,18 +448,18 @@ fn mac(a: f32, b: f32, c: f32) -> f32 {
 /// fused or not, and the rescale is the direct loop's expression verbatim
 /// — and for the same reason the taps that read the declared zero halo may
 /// be skipped.
-fn exact_conv<S: Store>(
+fn exact_conv(
     q: &QConv2d,
     wl: &[f32],
     (acts, dims, zero): (&[f32], [usize; 4], [usize; 4]),
     act_scale: f32,
     (out, at, epi): (&mut [f32], OutGeom, Epilogue),
-    store: S,
+    pool: Option<(impl Into<usize> + Copy, impl Fn(f32) -> f32 + Copy)>,
 ) {
     let [c_out, ..] = q.weight_dims;
     let emit =
         (|live| Emit::new(q, live, act_scale, epi), |live| Emit::new(q, live, act_scale, epi));
-    conv3x3(wl, (acts, dims), [q.groups, c_out / q.groups], zero, (out, at), emit, store);
+    conv3x3(wl, (acts, dims), [q.groups, c_out / q.groups], zero, (out, at), emit, pool);
 }
 
 /// The exact policy of the shared 3×3 sweeps

@@ -6,12 +6,14 @@
 //! before and after the pool, into a region of a NaN-filled map of wider
 //! planes whose border must keep its bits.
 //!
-//! The shapes take both sweeps: thin layers on planes whose span fills a
-//! chunk and whose bands of whole windows' rows fit its stage run the
-//! spatial-lane sweep — whose last chunk is moved back onto lanes its
-//! predecessor already stored, and whose chunks start at odd columns and
-//! split pooling windows between them — and the rest the channel-lane
-//! tile, whose pixel tiles split windows too. Float inputs
+//! Both entries sweep one rectangle of whole pooling windows at a time
+//! into a stage and pool it from there. The shapes take both sweeps: thin
+//! layers on rectangles whose span fills a chunk run the spatial-lane
+//! sweep — whose last chunk is moved back onto lanes its predecessor
+//! already stored, and whose chunks start at odd columns and split pooling
+//! windows between them — and the rest the channel-lane tile, whose pixel
+//! tiles split windows too; planes too wide for one row of windows in the
+//! stage split it by columns. Float inputs
 //! carry NaNs and infinities, and a layer with zero weights and a `-0.0`
 //! bias over inputs of both signs stores both signed zeros into the same
 //! windows, so the fold must keep the pool's order exactly.
@@ -208,7 +210,7 @@ fn pooled_stores_match_the_pooled_direct_loop() {
         }
     }
     // The 18x17 output of a 20x19 plane (every layer below) runs the
-    // spatial-lane sweep in one band for up to six channels: its span is
+    // spatial-lane sweep in one rectangle for up to six channels: its span is
     // not a multiple of a chunk, so the last chunk is moved back, and
     // chunks start at odd columns inside a window (span 340, chunks at
     // columns 0, 16, 13, …).
@@ -216,12 +218,11 @@ fn pooled_stores_match_the_pooled_direct_loop() {
     assert!(!span(oh, ow).is_multiple_of(LANES));
     let starts: Vec<usize> = (0..span(oh, ow)).step_by(LANES).map(|f| f % (ow + 2)).collect();
     assert!(starts.iter().any(|&c| c % 2 == 1 && c < ow), "{starts:?}");
-    // Every layer on the 8x8 and 56x56 blocks the repo benchmark pools, and
-    // on thin planes whose span fills a chunk but whose bands do not fit
-    // the spatial-lane sweep's stage (bands of up to 2048 outputs: seven
-    // channels of 149-wide rows do not fit, nor do 3×6 outputs, a band of
-    // whose rows spans less than a chunk), which the channel-lane tile
-    // takes under a pooling store.
+    // Every layer on the 8x8 and 56x56 blocks the repo benchmark pools, on
+    // 149-wide rows, a row of whose windows does not fit the stage of 2048
+    // outputs for seven channels or more and splits by columns, and on the
+    // 3×6 outputs of a 5×8 plane, a row of whose windows spans less than a
+    // chunk, which the channel-lane tile takes.
     for (ph, pw) in [(10, 10), (20, 19), (58, 58), (8, 151), (5, 8)] {
         for k in [2, 3] {
             for combo in 0..24 {

@@ -61,11 +61,12 @@
 //! offset, a row pitch and a plane pitch into any slice
 //! ([`PackedWeights::forward_prepadded_at`]) — which is how a fused chain's
 //! stage writes the interior of the next stage's padded buffer, or its
-//! block of the group's output map, with no copy in between — and through a
-//! [`Store`], which may fold a max pooling into the store ([`MaxPool`],
-//! [`PackedWeights::forward_prepadded_pooled_at`]): a convolution a pooling
-//! follows stores the pooled block, and the pooling needs no buffer of its
-//! own.
+//! block of the group's output map, with no copy in between. A convolution
+//! a max pooling follows stores the pooled block
+//! ([`PackedWeights::forward_prepadded_pooled_at`]): the 3×3 sweeps run a
+//! rectangle of whole pooling windows at a time into a small per-thread
+//! stage and pool it into the destination (the module docs of
+//! [`lane_tile`]), so the pooling needs no buffer of its own.
 
 use crate::conv::Conv2d;
 use crate::shape::conv_out_dim;
@@ -207,98 +208,6 @@ impl OutGeom {
         } else {
             Err(TensorError::out_of_bounds("the outputs do not fit the destination at OutGeom"))
         }
-    }
-}
-
-/// What the 3×3 sweeps do with each finished output (after their policy's
-/// epilogue): store it at its place ([`Plain`]), or fold it into the window
-/// of a max pool whose outputs are what is stored ([`MaxPool`]) — a fused
-/// chain's convolution followed by a pooling, which then needs no buffer
-/// and no pass of its own. Each is an instantiation of its own: a plain
-/// store is the code of a kernel that never pools.
-pub trait Store: Copy {
-    /// Whether outputs fold into pooled windows.
-    const POOLS: bool;
-
-    /// The dims stored for an `oh × ow` output.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::InvalidParameter`] when a pool's window is
-    /// zero or larger than the output.
-    fn stored(&self, oh: usize, ow: usize) -> Result<(usize, usize), TensorError>;
-
-    /// The pool's window and stride (`1`: none).
-    fn k(&self) -> usize;
-
-    /// What is done to a pooled window's maximum before it is stored.
-    fn post(&self, v: f32) -> f32;
-}
-
-/// Every output stored at its place.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct Plain;
-
-impl Store for Plain {
-    const POOLS: bool = false;
-
-    fn stored(&self, oh: usize, ow: usize) -> Result<(usize, usize), TensorError> {
-        Ok((oh, ow))
-    }
-
-    #[inline(always)]
-    fn k(&self) -> usize {
-        1
-    }
-
-    #[inline(always)]
-    fn post(&self, v: f32) -> f32 {
-        v
-    }
-}
-
-/// A `k × k` / stride-`k` max pool folded into the store, storing
-/// `post(max)` per window — bit for bit the convolution stored compact and
-/// pooled by [`crate::pool::max_pool2d_at`] through `post`, NaN and signed
-/// zeros included: every window's maximum is taken in that pool's order,
-/// `-inf.max(v₀).max(v₁)…`, the channel-lane tile folding each pixel into
-/// its window's cell on its lanes as it reaches it, the spatial-lane sweep
-/// pooling bands of its outputs with the pool's own code. An odd last row
-/// or column is dropped, as there.
-#[derive(Debug, Clone, Copy)]
-pub struct MaxPool<F> {
-    /// Window and stride.
-    pub k: usize,
-    /// What is done to each window's maximum before it is stored.
-    pub post: F,
-}
-
-impl<F: Fn(f32) -> f32 + Copy> Store for MaxPool<F> {
-    const POOLS: bool = true;
-
-    fn stored(&self, oh: usize, ow: usize) -> Result<(usize, usize), TensorError> {
-        Ok((conv_out_dim(oh, self.k, self.k, 0)?, conv_out_dim(ow, self.k, self.k, 0)?))
-    }
-
-    #[inline(always)]
-    fn k(&self) -> usize {
-        self.k
-    }
-
-    #[inline(always)]
-    fn post(&self, v: f32) -> f32 {
-        (self.post)(v)
-    }
-}
-
-/// `(x / k, x % k)`, without a division for the 2×2 windows of nearly every
-/// pool.
-#[inline(always)]
-pub(crate) fn div_rem(x: usize, k: usize) -> (usize, usize) {
-    if k == 2 {
-        (x >> 1, x & 1)
-    } else {
-        (x / k, x % k)
     }
 }
 
@@ -484,20 +393,21 @@ impl PackedWeights {
         at: OutGeom,
         relu: bool,
     ) -> Result<(), TensorError> {
-        self.store_at(conv, padded, (out, at, Plain), relu)
+        self.store_at(conv, padded, (out, at), relu, lane_tile::no_pool())
     }
 
     /// [`forward_prepadded_at`](Self::forward_prepadded_at) with a `k × k`
-    /// / stride-`k` max pool folded into the store ([`MaxPool`]), a ReLU
-    /// after it when `pooled_relu`: `at` is the geometry of the pooled
-    /// outputs — a fused chain's convolution followed by a pooling stores
-    /// the pooled block. Bit for bit the compact call followed by a ReLU
-    /// (when `relu`) and [`crate::pool::max_pool2d_at`].
+    /// / stride-`k` max pool folded into the store, a ReLU after it when
+    /// `pooled_relu`: `at` is the geometry of the pooled outputs — a fused
+    /// chain's convolution followed by a pooling stores the pooled block.
+    /// Bit for bit the compact call followed by a ReLU (when `relu`) and
+    /// [`crate::pool::max_pool2d_at`].
     ///
     /// # Errors
     ///
     /// As [`forward_prepadded_at`](Self::forward_prepadded_at), and when
-    /// the window does not fit the outputs.
+    /// the window does not fit the outputs or the pooling does not fold
+    /// ([`lane_tile::MAX_POOL`]).
     pub fn forward_prepadded_pooled_at(
         &self,
         conv: &Conv2d,
@@ -507,16 +417,17 @@ impl PackedWeights {
         (k, pooled_relu): (usize, bool),
     ) -> Result<(), TensorError> {
         let post = move |v: f32| if pooled_relu && v < 0.0 { 0.0 } else { v };
-        self.store_at(conv, padded, (out, at, MaxPool { k, post }), relu)
+        self.store_at(conv, padded, (out, at), relu, Some((k, post)))
     }
 
-    /// The body of both fused-chain entries, storing through `store`.
-    fn store_at<S: Store>(
+    /// The body of both fused-chain entries, pooling when `pool` says so.
+    fn store_at(
         &self,
         conv: &Conv2d,
         padded: &Tensor,
-        (out, at, store): (&mut [f32], OutGeom, S),
+        (out, at): (&mut [f32], OutGeom),
         relu: bool,
+        pool: Option<(impl Into<usize> + Copy, impl Fn(f32) -> f32 + Copy)>,
     ) -> Result<(), TensorError> {
         if self.layer != Self::layer_of(conv) {
             return Err(TensorError::invalid("PackedWeights were packed from a different layer"));
@@ -525,9 +436,9 @@ impl PackedWeights {
         if !self.stores_at() {
             return Err(TensorError::invalid("this layer's kernel stores compact blocks only"));
         }
-        let (sh, sw) = store.stored(oh, ow)?;
+        let [sh, sw] = lane_tile::stored_dims([oh, ow], pool.map(|p| p.0.into()))?;
         at.check(n * conv.c_out(), sh, sw, out.len())?;
-        lane_tile::lane_conv(conv, &self.data, padded, out, at, relu, store);
+        lane_tile::lane_conv(conv, &self.data, padded, out, at, relu, pool);
         Ok(())
     }
 }
@@ -587,15 +498,8 @@ pub(crate) fn im2col_gemm(
 
     // 3×3 stride-1 layers skip the patch matrix altogether.
     if lane_tile::takes(k, s) {
-        lane_tile::lane_conv(
-            conv,
-            wp,
-            padded,
-            out.data_mut(),
-            OutGeom::compact(oh, ow),
-            false,
-            Plain,
-        );
+        let at = OutGeom::compact(oh, ow);
+        lane_tile::lane_conv(conv, wp, padded, out.data_mut(), at, false, lane_tile::no_pool());
         return Ok(());
     }
 
@@ -840,6 +744,30 @@ mod tests {
         let mut scratch = ConvScratch::new();
         for kind in [KernelKind::Direct, KernelKind::Im2colGemm] {
             assert!(conv.forward_prepadded_into(&bad, kind, &mut out, &mut scratch).is_err());
+        }
+    }
+
+    #[test]
+    fn a_pool_window_too_large_for_the_stage_is_refused() {
+        // 12×12 windows of a 16-lane tile do not fit the pooled store's
+        // stage; 11×11 ones do.
+        let conv = he_conv2d(2, 16, ConvGeom::same(3), 1, &mut seeded_rng(18)).unwrap();
+        let padded = Tensor::zeros([1, 2, 26, 26]);
+        let packed = PackedWeights::pack(&conv);
+        let mut out = vec![0.0; 16 * 4];
+        for (k, fits) in [(12, false), (11, true)] {
+            let at = OutGeom::compact(24 / k, 24 / k);
+            let got = packed.forward_prepadded_pooled_at(
+                &conv,
+                &padded,
+                (&mut out, at),
+                false,
+                (k, false),
+            );
+            match got {
+                Err(TensorError::InvalidParameter { .. }) => assert!(!fits, "k {k}"),
+                got => assert!(fits && got.is_ok(), "k {k}: {got:?}"),
+            }
         }
     }
 

@@ -19,9 +19,23 @@
 //! kernel's one output path (`sweep_lanes`) and takes an
 //! [`OutGeom`]: a compact tensor, the interior of a fused
 //! chain's next padded block buffer, or a block's place in a whole map are
-//! the same stores at a different row and plane pitch. Under a pooling
-//! [`Store`] a tile folds its pixels into their pooling windows on the
-//! lanes instead and stores each window's cells (`pool_tile`).
+//! the same stores at a different row and plane pitch.
+//!
+//! **A pooled store is a loop around the same sweeps.** A convolution a
+//! `k × k` / stride-`k` max pooling follows ([`conv3x3`]' `pool`) stores
+//! only the pooled block: per channel tile, `pool_bands` sweeps one
+//! rectangle of whole pooling windows at a time — as many window rows as
+//! fit the thread's stage of [`STAGE`] outputs, split by columns only
+//! when one window row does not — with the sweep the plain store would run,
+//! into the stage, and pools the stage into the destination with the
+//! pooling's own code (`crate::pool::pool_planes`), so every bit is the
+//! pooling's. Rows and columns the pooling drops are never computed. Both
+//! sweeps take a rectangle of the padded plane (`Tile::sweep`); the exact
+//! tile takes its zero-halo rows and edge columns from the rectangle's
+//! absolute rows and columns. A plain store passes [`no_pool`], a `None`
+//! whose `Some` has no values, so it is an instantiation of its own
+//! without the pooled path: the plain code and stack frames are those of
+//! a kernel that never pools.
 //!
 //! Both sweeps are generic over a [`Policy`] — how a lane accumulates and
 //! what happens to a finished sum:
@@ -63,11 +77,14 @@
 //! 3×3 stride-1 layer packs the one layout, and 8→8 measured faster on
 //! channel lanes at both precisions (module docs of `bconv_quant::qgemm`).
 
+use std::cell::RefCell;
 use std::ops::Range;
 
-use super::{div_rem, plane, OutGeom, Store};
+use super::{plane, OutGeom};
 use crate::conv::Conv2d;
-use crate::Tensor;
+use crate::pool::pool_planes;
+use crate::shape::conv_out_dim;
+use crate::{Tensor, TensorError};
 
 /// Vector width the kernel is laid out for: eight f32 lanes, one 256-bit
 /// register. Channel tiles are one or two vectors wide.
@@ -117,27 +134,28 @@ pub fn pack_lanes(weights: &[f32], [groups, cout_per_group, kk]: [usize; 3], dat
 /// choice of both precisions. A 16-lane channel tile of the output channels
 /// `live` runs under the policy `wide(live)`, an 8-lane one under
 /// `narrow(live)`; a group of fewer than [`VEC`] channels (one 8-lane tile)
-/// takes the spatial-lane sweep wherever its span fills a chunk (under a
-/// pooling `store`, where its bands fit the sweep's stage too), every other
-/// tile the channel-lane tile. `zero` declares the `[top, bottom, left,
-/// right]` rows and columns of every plane that hold zeros (see
-/// `sweep_lanes`); the spatial-lane sweep runs every tap regardless. Every
-/// output goes through `store` ([`Store`]: `at` is the geometry of what it
-/// stores). The caller has checked that the stored outputs fit.
-pub fn conv3x3<W: Policy<{ 2 * VEC }>, N: Policy<VEC>, S: Store>(
+/// takes the spatial-lane sweep wherever its span fills a chunk, every
+/// other tile the channel-lane tile. `zero` declares the `[top, bottom,
+/// left, right]` rows and columns of every plane that hold zeros (see
+/// `sweep_lanes`); the spatial-lane sweep runs every tap regardless.
+///
+/// With a `pool` `Some((k, post))`, a `k × k` / stride-`k` max pooling
+/// follows and `at` is the geometry of its outputs: each tile's outputs are
+/// pooled through `post` on the way (`pool_bands`, module docs) — bit for
+/// bit the compact store followed by [`crate::pool::max_pool2d_at`] through
+/// `post`. A plain store passes [`no_pool`]. The caller has checked that
+/// the stored outputs fit ([`stored_dims`]).
+pub fn conv3x3<W: Policy<{ 2 * VEC }>, N: Policy<VEC>>(
     wl: &[f32],
     (acts, [n, c_in, ph, pw]): (&[f32], [usize; 4]),
     [groups, cout_per_group]: [usize; 2],
     zero: [usize; 4],
     (out, at): (&mut [f32], OutGeom),
-    (wide, narrow): (impl Fn(Range<usize>) -> W, impl Fn(Range<usize>) -> N),
-    store: S,
+    policies: (impl Fn(Range<usize>) -> W, impl Fn(Range<usize>) -> N),
+    pool: Option<(impl Into<usize> + Copy, impl Fn(f32) -> f32 + Copy)>,
 ) {
     let (cin_per_group, c_out, plane) = (c_in / groups, groups * cout_per_group, ph * pw);
     let dims = [ph - 2, pw - 2, pw, plane];
-    let spatial = cout_per_group < VEC
-        && plane::fills_chunk(ph - 2, pw - 2)
-        && (!S::POOLS || plane::bands_fit(ph - 2, pw - 2, cout_per_group, store.k()));
     for ni in 0..n {
         let mut wrest = wl;
         for grp in 0..groups {
@@ -148,20 +166,132 @@ pub fn conv3x3<W: Policy<{ 2 * VEC }>, N: Policy<VEC>, S: Store>(
                 (wt, wrest) = wrest.split_at(cin_per_group * 9 * lanes);
                 let m0 = grp * cout_per_group + mo;
                 let live = m0..m0 + lanes.min(cout_per_group - mo);
-                let tile = (at, live.len());
+                let tile = Tile { wt, group, dims, zero, live, lanes, thin: cout_per_group < VEC };
                 let dst = &mut out[at.offset + (ni * c_out + m0) * at.plane..];
-                if lanes == 2 * VEC {
-                    sweep_lanes(wt, group, dims, zero, tile, &wide(live), dst, store);
-                } else if spatial && S::POOLS {
-                    plane::sweep_bands(wt, group, dims, tile, &narrow(live), dst, store);
-                } else if spatial {
-                    plane::sweep(wt, group, dims, tile, &narrow(live), dst);
-                } else {
-                    sweep_lanes(wt, group, dims, zero, tile, &narrow(live), dst, store);
+                match pool {
+                    None => tile.sweep([0..ph - 2, 0..pw - 2], (dst, at), &policies),
+                    Some((k, post)) => pool_bands(&tile, (k.into(), post), (dst, at), &policies),
                 }
             }
         }
     }
+}
+
+/// The `pool` of a plain store ([`conv3x3`]): its window is a [`NoPool`],
+/// a type with no values, so `Some` cannot be and takes no space, and a
+/// plain store is an instantiation of its own with no pooled path — the
+/// code and stack frames of a kernel that never pools.
+pub fn no_pool() -> Option<(NoPool, impl Fn(f32) -> f32 + Copy)> {
+    None::<NoPool>.map(|never| (never, |v| v))
+}
+
+/// The pooling window of a plain store, which has none ([`no_pool`]).
+#[derive(Clone, Copy)]
+pub enum NoPool {}
+
+impl From<NoPool> for usize {
+    fn from(never: NoPool) -> usize {
+        match never {}
+    }
+}
+
+/// Outputs a pooled store stages per rectangle of whole pooling windows
+/// (`pool_bands`): a kernel line buffer, like a tile's registers.
+pub const STAGE: usize = 2048;
+
+// The stage, one per thread: a stack stage, zeroed on every call, read the
+// small pooled blocks of `serve_burst_w8a8` +6.5 % quiet p50 (2-vCPU Xeon).
+thread_local!(static STAGE_BUF: RefCell<[f32; STAGE]> = const { RefCell::new([0.0; STAGE]) });
+
+/// The widest `k × k` max pooling that folds into the 3×3 sweeps' store:
+/// one window of a 16-lane tile fits the [`STAGE`] (11).
+pub const MAX_POOL: usize = (STAGE / (2 * VEC)).isqrt();
+
+/// The dims stored for an `oh × ow` output with a `k × k` / stride-`k` max
+/// pooling folded into the store (`None`: no pooling).
+///
+/// # Errors
+///
+/// Returns [`TensorError::InvalidParameter`] when the window is wider than
+/// [`MAX_POOL`], zero, or larger than the output.
+#[inline]
+pub fn stored_dims([oh, ow]: [usize; 2], pool: Option<usize>) -> Result<[usize; 2], TensorError> {
+    match pool {
+        None => Ok([oh, ow]),
+        Some(k) if k > MAX_POOL => Err(TensorError::invalid("pooling window too large")),
+        Some(k) => Ok([conv_out_dim(oh, k, k, 0)?, conv_out_dim(ow, k, k, 0)?]),
+    }
+}
+
+/// One channel tile of one image's group: weights `wt` (`lanes` wide) over
+/// the padded `group` planes, for the output channels `live`; `dims` is
+/// `[oh, ow, pw, plane]`, `zero` the declared zero halo, and `thin` says
+/// the group has fewer than [`VEC`] channels.
+struct Tile<'a> {
+    wt: &'a [f32],
+    group: &'a [f32],
+    dims: [usize; 4],
+    zero: [usize; 4],
+    live: Range<usize>,
+    lanes: usize,
+    thin: bool,
+}
+
+impl Tile<'_> {
+    /// Sweeps the outputs `[ys, xs]` (rows and columns of the output plane)
+    /// of the tile's channels into `dst`, which starts at the rectangle's
+    /// first output of the first channel, at the row and plane pitch of
+    /// `at`: the sweep [`conv3x3`] picks for the rectangle.
+    #[inline(always)]
+    fn sweep<W: Policy<{ 2 * VEC }>, N: Policy<VEC>>(
+        &self,
+        rect: [Range<usize>; 2],
+        (dst, at): (&mut [f32], OutGeom),
+        (wide, narrow): &(impl Fn(Range<usize>) -> W, impl Fn(Range<usize>) -> N),
+    ) {
+        let Tile { wt, group, dims, zero, ref live, lanes, thin } = *self;
+        let tile = (at, live.len());
+        if lanes == 2 * VEC {
+            sweep_lanes(wt, group, (dims, rect), zero, tile, &wide(live.clone()), dst);
+        } else if thin && (rect[0].len() - 1) * dims[2] + rect[1].len() >= plane::LANES {
+            plane::sweep(wt, group, [dims[2], dims[3]], rect, tile, &narrow(live.clone()), dst);
+        } else {
+            sweep_lanes(wt, group, (dims, rect), zero, tile, &narrow(live.clone()), dst);
+        }
+    }
+}
+
+/// A channel tile's pooled store: the windows of a `k × k` / stride-`k`
+/// max pooling, a rectangle at a time — as many whole window rows as fit
+/// the [`STAGE`], or, when one does not, as many windows of one row as fit
+/// — swept into the thread's compact stage and pooled from there through
+/// `post` into the pooled planes at `at` in `dst`. Out of line, and only
+/// the pooled instantiation of [`conv3x3`] calls it. The caller has checked
+/// [`stored_dims`].
+#[inline(never)]
+fn pool_bands<W: Policy<{ 2 * VEC }>, N: Policy<VEC>>(
+    tile: &Tile,
+    (k, post): (usize, impl Fn(f32) -> f32),
+    (dst, at): (&mut [f32], OutGeom),
+    policies: &(impl Fn(Range<usize>) -> W, impl Fn(Range<usize>) -> N),
+) {
+    let (sh, sw, cell) = (tile.dims[0] / k, tile.dims[1] / k, k * k * tile.live.len());
+    // Windows per rectangle: whole window rows while they fit, else as many
+    // windows of one row as fit.
+    let fit = STAGE / (cell * sw);
+    let (rows, cols) = if fit > 0 { (fit, sw) } else { (1, STAGE / cell) };
+    STAGE_BUF.with_borrow_mut(|stage| {
+        for y in (0..sh).step_by(rows) {
+            let ys = y * k..(y + rows).min(sh) * k;
+            for x in (0..sw).step_by(cols) {
+                let xs = x * k..(x + cols).min(sw) * k;
+                let planes @ [_, h, w] = [tile.live.len(), ys.len(), xs.len()];
+                tile.sweep([ys.clone(), xs], (&mut *stage, OutGeom::compact(h, w)), policies);
+                let to = OutGeom { offset: y * at.row + x, ..at };
+                pool_planes((&*stage, planes), (k, k), (&mut *dst, to), (|v| v, &post));
+            }
+        }
+    });
 }
 
 /// How the `L` lanes of a channel tile accumulate and what is done to a
@@ -235,12 +365,13 @@ fn finish<const P: usize, const L: usize, A: Policy<L>>(policy: &A, acc: &mut [[
     }
 }
 
-/// One channel tile (`L` lanes, weights `wt`) over every output pixel of
-/// one image's `group` planes: rows of 8-pixel tiles (4 without
-/// `TILE_8`), then a 4, a 2 and a 1 for whatever width is left. `dst`
-/// starts at the first output of the tile's first channel, and the `live`
-/// channels' outputs (a ragged last tile has fewer than `L`) are stored at
-/// the row and plane pitch of `at` — every one of them, and nothing else.
+/// One channel tile (`L` lanes, weights `wt`) over the output rectangle
+/// `[ys, xs]` of one image's `group` planes (`[oh, ow, pw, plane]`): rows of
+/// 8-pixel tiles (4 without `TILE_8`), then a 4, a 2 and a 1 for whatever
+/// width is left. `dst` starts at the rectangle's first output of the
+/// tile's first channel, and the `live` channels' outputs (a ragged last
+/// tile has fewer than `L`) are stored at the row and plane pitch of `at` —
+/// every one of them, and nothing else.
 ///
 /// `zero` declares the `[top, bottom, left, right]` rows and columns of
 /// every padded plane that hold zeros — a block's zero padding — and
@@ -249,49 +380,40 @@ fn finish<const P: usize, const L: usize, A: Policy<L>>(policy: &A, acc: &mut [[
 /// (`lane_tile`'s `rows` mask), and a tile of two pixels or more that
 /// starts a row with a zero column on its left drops its first pixel's
 /// left tap, one that ends a row with a zero column on its right its last
-/// pixel's right tap (`FIRST` / `LAST`). An ordered policy runs every tap
-/// (module docs).
-///
-/// Under a pooling `store` the tiles' outputs fold into the windows of the
-/// pooled planes `at` holds (`pool_tile`): rows and tiles run in ascending
-/// order, so each plane's outputs arrive in row-major order.
+/// pixel's right tap (`FIRST` / `LAST`) — rows and columns of the plane,
+/// not of the rectangle. An ordered policy runs every tap (module docs).
 #[allow(clippy::out_of_bounds_indexing)] // `each_pixel!`'s dead `if 4 < 2 { acc[4] }` branches
-#[allow(clippy::too_many_arguments)] // the store last, out of the plain store's way
-fn sweep_lanes<const L: usize, A: Policy<L>, S: Store>(
+#[inline(always)]
+fn sweep_lanes<const L: usize, A: Policy<L>>(
     wt: &[f32],
     group: &[f32],
-    [oh, ow, pw, plane]: [usize; 4],
+    ([oh, ow, pw, plane], [ys, xs]): ([usize; 4], [Range<usize>; 2]),
     zero: [usize; 4],
     (at, live): (OutGeom, usize),
     policy: &A,
     dst: &mut [f32],
-    store: S,
 ) {
-    let pooled = [oh / store.k(), ow / store.k()];
     let [top, bottom, left, right] = if A::EXACT { zero } else { [0; 4] };
     // The padded rows that are not declared zero; kernel row `r` of output
     // row `ohi` reads padded row `ohi + r`.
     let data_rows = top..(oh + 2).saturating_sub(bottom);
-    for ohi in 0..oh {
-        let (src, to) = (ohi * pw, ohi * at.row);
+    for ohi in ys.clone() {
+        let (src, to) = (ohi * pw, (ohi - ys.start) * at.row);
         let rows = (0..3).filter(|r| data_rows.contains(&(ohi + r))).fold(0, |m, r| m | 1 << r);
-        let mut owi = 0;
-        // Sums a `$P`-pixel tile, finishes it and transposes it into pixels
-        // `to + owi..` of each live channel's plane; evaluates to `$P`.
+        let mut owi = xs.start;
+        // Sums a `$P`-pixel tile, finishes it and transposes it into the
+        // rectangle's pixels `owi..` of each live channel's plane;
+        // evaluates to `$P`.
         macro_rules! tile {
             ($P:literal => $sum:expr) => {{
                 const P: usize = $P;
                 let mut acc = $sum;
                 finish(policy, &mut acc);
-                if S::POOLS {
-                    pool_tile(&acc, (ohi, owi), (at, live, pooled), &store, dst);
-                } else {
-                    for (l, start) in (to + owi..).step_by(at.plane).take(live).enumerate() {
-                        let row = &mut dst[start..start + P];
-                        each_pixel!(PX < P => {
-                            row[PX] = acc[PX][l];
-                        });
-                    }
+                for (l, start) in (to + owi - xs.start..).step_by(at.plane).take(live).enumerate() {
+                    let row = &mut dst[start..start + P];
+                    each_pixel!(PX < P => {
+                        row[PX] = acc[PX][l];
+                    });
                 }
                 P
             }};
@@ -316,62 +438,21 @@ fn sweep_lanes<const L: usize, A: Policy<L>, S: Store>(
                 })
             };
         }
-        while TILE_8 && owi + 8 <= ow {
+        while TILE_8 && owi + 8 <= xs.end {
             owi += tile!(8);
         }
-        while owi + 4 <= ow {
+        while owi + 4 <= xs.end {
             owi += tile!(4);
         }
-        if owi + 2 <= ow {
+        if owi + 2 <= xs.end {
             owi += tile!(2);
         }
-        if owi < ow {
+        if owi < xs.end {
             // One pixel drops no edge tap: its edge variants compiled to
             // degenerate code.
             let at = src + owi;
             tile!(1 => lane_tile::<1, L, false, false, A>(wt, group, at, pw, plane, policy, rows));
         }
-    }
-}
-
-/// Folds a finished tile — output pixels `x..x + P` of row `y` — into the
-/// windows of the `sh × sw` pooled planes of the `live` channels at `at` in
-/// `dst` (from the tile's first channel): per window the tile reaches, the
-/// cells of every channel are folded on the lanes, pixel by pixel in
-/// order, then stored; a row or column the pool drops is skipped.
-#[inline(always)]
-fn pool_tile<const P: usize, const L: usize, S: Store>(
-    acc: &[[f32; L]; P],
-    (y, x): (usize, usize),
-    (at, live, [sh, sw]): (OutGeom, usize, [usize; 2]),
-    store: &S,
-    dst: &mut [f32],
-) {
-    let k = store.k();
-    let ((cy, ry), (mut cx, mut rx)) = (div_rem(y, k), div_rem(x, k));
-    if cy >= sh {
-        return;
-    }
-    let mut pixels = acc.as_slice();
-    while cx < sw && !pixels.is_empty() {
-        let (window, rest) = pixels.split_at((k - rx).min(pixels.len()));
-        let (first, last) = (ry == 0 && rx == 0, ry == k - 1 && rx + window.len() == k);
-        let cell = cy * at.row + cx;
-        let mut m = [f32::NEG_INFINITY; L];
-        if !first {
-            for (l, m) in m.iter_mut().enumerate().take(live) {
-                *m = dst[l * at.plane + cell];
-            }
-        }
-        for pixel in window {
-            for (m, &v) in m.iter_mut().zip(pixel) {
-                *m = m.max(v);
-            }
-        }
-        for (l, &m) in m.iter().enumerate().take(live) {
-            dst[l * at.plane + cell] = if last { store.post(m) } else { m };
-        }
-        (cx, rx, pixels) = (cx + 1, 0, rest);
     }
 }
 
@@ -515,26 +596,20 @@ pub fn takes(k: usize, s: usize) -> bool {
 }
 
 /// Evaluates a 3×3 stride-1 `conv` whose [`pack_lanes`] weights are `wl` on
-/// `padded`, storing every output (ReLU'd when `relu`) through `store` at
-/// `at` in `out`. The caller has checked [`takes`] and that the stored
-/// outputs fit.
-pub(super) fn lane_conv<S: Store>(
+/// `padded`, storing every output (ReLU'd when `relu`) at `at` in `out`, or
+/// pooling them through `pool` (see [`conv3x3`]). The caller has checked
+/// [`takes`] and that the stored outputs fit.
+pub(super) fn lane_conv(
     conv: &Conv2d,
     wl: &[f32],
     padded: &Tensor,
     out: &mut [f32],
     at: OutGeom,
     relu: bool,
-    store: S,
+    pool: Option<(impl Into<usize> + Copy, impl Fn(f32) -> f32 + Copy)>,
 ) {
-    let bias = conv.bias();
-    conv3x3(
-        wl,
-        (padded.data(), padded.shape().dims()),
-        [conv.groups(), conv.c_out() / conv.groups()],
-        [0; 4],
-        (out, at),
-        (|live| Ordered::new(&bias[live], relu), |live| Ordered::new(&bias[live], relu)),
-        store,
-    );
+    let (bias, groups) = (conv.bias(), conv.groups());
+    let acts = (padded.data(), padded.shape().dims());
+    let policies = (|live| Ordered::new(&bias[live], relu), |live| Ordered::new(&bias[live], relu));
+    conv3x3(wl, acts, [groups, conv.c_out() / groups], [0; 4], (out, at), policies, pool);
 }

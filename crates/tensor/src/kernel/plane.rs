@@ -22,12 +22,11 @@
 //! short strips) has too few lanes to fill; `conv3x3` runs the
 //! channel-lane tile there, on the same weights.
 //!
-//! Under a pooling [`Store`] the sweep goes band by band ([`sweep_bands`]):
-//! each band of whole pooling windows' rows is swept into a compact stage
-//! on the stack and pooled from there by the pooling's own code, so a
-//! fused chain's convolution followed by a pooling stores only the pooled
-//! block. `conv3x3` runs the channel-lane tile on planes whose bands do
-//! not fit the stage ([`bands_fit`]).
+//! The sweep covers any rectangle of the output plane: its chunks run over
+//! the rectangle's span at the padded plane's row pitch, from the
+//! rectangle's first output — a whole plane for a plain store, one
+//! rectangle of whole pooling windows at a time for a pooled one
+//! (`lane_tile`'s module docs), whose compact stage it then stores into.
 //!
 //! # Junk lanes
 //!
@@ -57,52 +56,47 @@
 //! tap runs. `tests/plane_kernel_shapes.rs` of both crates sweeps every
 //! small plane shape against the direct loops.
 
+use std::ops::Range;
+
 use super::lane_tile::{Policy, VEC};
-use super::{OutGeom, Store};
-use crate::pool::pool_planes;
+use super::OutGeom;
 
 /// Accumulator chunk width: two 8-lane vectors per output channel, so a
-/// four-channel pass keeps eight independent chains in flight.
-const LANES: usize = 16;
-
-/// Accumulator lanes that can hold an output of an `oh`×`ow` map: the
-/// padded-width plane layout up to the last output of the last row.
-fn span(oh: usize, ow: usize) -> usize {
-    (oh - 1) * (ow + 2) + ow
-}
-
-/// Whether the span of an `oh`×`ow` output fills one chunk: the planes the
-/// spatial-lane sweep can take (square padded planes of 5×5 and below
-/// cannot).
-pub(super) fn fills_chunk(oh: usize, ow: usize) -> bool {
-    span(oh, ow) >= LANES
-}
+/// four-channel pass keeps eight independent chains in flight. A rectangle
+/// the sweep takes fills one chunk: its span, the padded-width layout up to
+/// its last output, is at least this wide (square padded planes of 5×5 and
+/// below are not).
+pub(super) const LANES: usize = 16;
 
 /// Sweeps one thin channel tile (`L` lanes, [`pack_lanes`] weights `wt`,
-/// `live` of them output channels) over every output of one image's
-/// `group` planes, storing each through `policy`'s epilogue at the row and
-/// plane pitch of `at` in `dst` (which starts at the first output of the
-/// tile's first channel) — every output, and nothing else. The caller has
-/// checked [`fills_chunk`].
+/// `live` of them output channels) over the outputs `[ys, xs]` of one
+/// image's `group` planes (padded width `pw`, `plane` elements each),
+/// storing each through `policy`'s epilogue at the row and plane pitch of
+/// `at` in `dst` (which starts at the rectangle's first output of the
+/// tile's first channel) — every output of the rectangle, and nothing
+/// else. The caller has checked that the rectangle fills a chunk
+/// ([`LANES`]).
 ///
 /// [`pack_lanes`]: super::lane_tile::pack_lanes
 pub(super) fn sweep<const L: usize, A: Policy<L>>(
     wt: &[f32],
     group: &[f32],
-    [oh, ow, pw, plane]: [usize; 4],
+    [pw, plane]: [usize; 2],
+    [ys, xs]: [Range<usize>; 2],
     (at, live): (OutGeom, usize),
     policy: &A,
     dst: &mut [f32],
 ) {
-    debug_assert!(fills_chunk(oh, ow));
-    let geom = PlaneGeom { pw, ow, plane, at, region: (oh - 1) * at.row + ow };
-    let span = span(oh, ow);
+    // The rectangle's span in the padded-width layout.
+    let (ow, span) = (xs.len(), (ys.len() - 1) * pw + xs.len());
+    debug_assert!(span >= LANES);
+    let geom = PlaneGeom { pw, ow, plane, at, region: (ys.len() - 1) * at.row + ow };
     // Chunks outermost: one chunk's source windows stay in L1 while every
     // pass of output channels sweeps them.
     for first in (0..span).step_by(LANES) {
         // The last chunk ends exactly with the span.
         let first = first.min(span - LANES);
-        let chunk = (first, (first / pw, first % pw));
+        let chunk = (ys.start * pw + xs.start + first, (first / pw, first % pw));
         let mut mo = 0;
         while mo < live {
             // Two channels left go as two single passes: the `<2>`
@@ -121,86 +115,11 @@ pub(super) fn sweep<const L: usize, A: Policy<L>>(
     }
 }
 
-/// Outputs [`sweep_bands`] stages on the stack: a band of whole windows'
-/// rows of every channel of the tile.
-const STAGE: usize = 2048;
-
-/// Pooled rows per band of [`sweep_bands`] for an `oh`×`ow` output of
-/// `live` channels under `k`×`k` windows — as many as the stage holds,
-/// spread evenly — or `None` when a band of one window row does not fit
-/// the stage or its span does not fill a chunk.
-fn band_rows(oh: usize, ow: usize, live: usize, k: usize) -> Option<usize> {
-    let sh = oh / k;
-    let most = (STAGE / (k * ow * live)).min(sh);
-    if most == 0 {
-        return None;
-    }
-    let wb = sh.div_ceil(sh.div_ceil(most));
-    (span(k * wb, ow) >= LANES).then_some(wb)
-}
-
-/// Whether [`sweep_bands`] can take an `oh`×`ow` output of `live` channels
-/// under `k`×`k` windows.
-pub(super) fn bands_fit(oh: usize, ow: usize, live: usize, k: usize) -> bool {
-    band_rows(oh, ow, live, k).is_some()
-}
-
-/// [`sweep`] under a pooling `store`, band by band: a band — as many rows
-/// of whole windows as the stage holds, the last band moved back to end
-/// with the pooled rows — is swept chunk by chunk like the plane and
-/// stored into a compact stage on the stack, which is then pooled into the
-/// planes `at` holds (`pool_planes`, the pooling's own code, so every bit
-/// is the pooling's). Rows the pool drops are never computed. The caller
-/// has checked [`bands_fit`].
-pub(super) fn sweep_bands<const L: usize, A: Policy<L>, S: Store>(
-    wt: &[f32],
-    group: &[f32],
-    [oh, ow, pw, plane]: [usize; 4],
-    (at, live): (OutGeom, usize),
-    policy: &A,
-    dst: &mut [f32],
-    store: S,
-) {
-    let k = store.k();
-    debug_assert!(bands_fit(oh, ow, live, k));
-    let (sh, wb) = (oh / k, band_rows(oh, ow, live, k).unwrap_or(oh / k));
-    let rows = k * wb;
-    let mut stage = [0.0f32; STAGE];
-    let region = rows * ow;
-    let at_stage = OutGeom { offset: 0, row: ow, plane: region };
-    let geom = PlaneGeom { pw, ow, plane, at: at_stage, region };
-    let band_span = span(rows, ow);
-    for band in (0..sh).step_by(wb) {
-        let band = band.min(sh - wb);
-        let base = band * k * pw;
-        for chunk_start in (0..band_span).step_by(LANES) {
-            let first = chunk_start.min(band_span - LANES);
-            let chunk = (base + first, (first / pw, first % pw));
-            let mut mo = 0;
-            while mo < live {
-                // As in `sweep`.
-                let left = live - mo;
-                let m = if left == 2 { 1 } else { left.min(4) };
-                let (pass_wt, stage) = ((wt, mo, policy), &mut stage[..]);
-                match m {
-                    1 => pass::<1, L, A>(group, chunk, &geom, pass_wt, stage),
-                    3 => pass::<3, L, A>(group, chunk, &geom, pass_wt, stage),
-                    _ => pass::<4, L, A>(group, chunk, &geom, pass_wt, stage),
-                }
-                mo += m;
-            }
-        }
-        let to = OutGeom { offset: band * at.row, ..at };
-        let post = |v| store.post(v);
-        pool_planes((&stage, [live, rows, ow]), (k, k), (&mut *dst, to), (|v| v, post));
-    }
-}
-
 /// The layout one call works in.
 struct PlaneGeom {
     /// Padded row width — the accumulator layout's row pitch.
     pw: usize,
-    /// Output row width (`pw - 2`).
+    /// Outputs per row of the swept rectangle.
     ow: usize,
     /// Elements per padded input plane.
     plane: usize,
@@ -211,13 +130,11 @@ struct PlaneGeom {
     region: usize,
 }
 
-/// One pass over the chunk whose first lane is `first` — position `(row,
-/// col)` of the padded-width layout — for the `M` output channels `mo..`
-/// of the tile whose weights are `wt`: summed, passed through `policy`'s
-/// epilogue and stored into their planes of `outs`. Always inlined:
-/// [`sweep_bands`] calls the passes too, and the inliner, left to itself,
-/// then kept one out of line in [`sweep`]'s loop, which ran the thin 3→4
-/// layer of `vgg224_f32_blocked` ≈ 20 % slower (2-vCPU AVX-512 Xeon).
+/// One pass over the chunk whose first lane is `first` of the plane —
+/// position `(row, col)` of the rectangle's padded-width layout — for the
+/// `M` output channels `mo..` of the tile whose weights are `wt`: summed,
+/// passed through `policy`'s epilogue and stored into their planes of
+/// `outs`.
 #[inline(always)]
 fn pass<const M: usize, const L: usize, A: Policy<L>>(
     group: &[f32],

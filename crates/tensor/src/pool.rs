@@ -82,8 +82,9 @@ pub fn max_pool2d_at(
 /// `k × k` / stride-`s` max pooling of the `planes` compact `h × w` planes
 /// at the start of `src`, through `pre`, stored through `post` at the
 /// geometry `to` carries (whose outputs the caller has checked): the
-/// row-wise 2×2 path or the window loop. Also the pooled store of the
-/// spatial-lane sweep, which pools bands of its outputs from the stack.
+/// row-wise 2×2 path or the window loop. Also the pooled store of the 3×3
+/// sweeps, which pool each rectangle of whole windows from their stage
+/// (`kernel::lane_tile`).
 #[inline]
 pub(crate) fn pool_planes(
     (src, [planes, h, w]): (&[f32], [usize; 3]),
