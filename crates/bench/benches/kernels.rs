@@ -3,12 +3,14 @@
 //! repo benchmark's block shapes — unpacked and packed — and across
 //! reduction lengths (`plane_*`),
 //! the integer fast path likewise (`qplane_*`), a convolution's pooled
-//! store against its plain store plus the pool pass (`pooled_*`), padding-mode
+//! store against its plain store plus the pool pass, timed alternately
+//! (`pooled_*`), padding-mode
 //! overhead (paper §II-F: block padding costs are negligible), fused vs
 //! layer-wise chain execution, quantized convolution, and DSE speed.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use std::hint::black_box;
+use std::time::Instant;
 
 use bconv_accel::dse::explore_vgg16;
 use bconv_accel::fusion::vgg16_shapes;
@@ -26,7 +28,7 @@ use bconv_tensor::init::{he_conv2d, seeded_rng, uniform_tensor};
 use bconv_tensor::kernel::{ConvScratch, KernelKind, OutGeom, PackedWeights};
 use bconv_tensor::pad::{pad2d, PadMode};
 use bconv_tensor::pool::max_pool2d_at;
-use bconv_tensor::Tensor;
+use bconv_tensor::{Tensor, TensorError};
 
 fn conv_fixture(c: usize, h: usize) -> (Conv2d, Tensor) {
     let mut rng = seeded_rng(1);
@@ -282,24 +284,25 @@ fn bench_qplane_kk_sweep(c: &mut Criterion) {
     group.finish();
 }
 
+/// Rounds of a `pooled_blocks` row.
+const ROUNDS: usize = 25;
+
 /// A convolution a 2×2 max pooling follows, per call, as fused chains run
-/// it: the pooled store (`PackedWeights::forward_prepadded_pooled_at`,
-/// `QuantChainOp::forward_quantized_pooled_at`) against the plain store
-/// into a compact block (`forward_prepadded_at`, `forward_quantized_at`)
-/// plus `max_pool2d_at`, each row's two entries timed back to back, at
-/// float and w8a8. Both store the pooled block into the interior of the
-/// next stage's padded buffer, through a ReLU before the pool (and, at
-/// w8a8, the next convolution's quantization after it). The rows are the
-/// pooled convolutions the repo benchmark's workloads run: 4→4 on 58×58
-/// and 18×18 padded blocks, 8→8 on 30×30 and 10×10, 16→16 on 16×16 and
-/// 6×6.
-fn bench_pooled_blocks(c: &mut Criterion) {
-    let mut group = c.benchmark_group("pooled_blocks");
+/// it: the pooled store (`PackedWeights::forward_prepadded_at`,
+/// `QuantChainOp::forward_quantized_at` given the pool) against the plain
+/// store into a compact block (the same entries given none) plus
+/// `max_pool2d_at`, at float and w8a8. Both store the pooled block into the
+/// interior of the next stage's padded buffer, through a ReLU before the
+/// pool (and, at w8a8, the next convolution's quantization after it). The
+/// rows are the pooled convolutions the repo benchmark's workloads run:
+/// 4→4 on 58×58 and 18×18 padded blocks, 8→8 on 30×30 and 10×10, 16→16 on
+/// 16×16 and 6×6. Each row times the two sides alternately
+/// ([`interleaved`]).
+fn bench_pooled_blocks(_: &mut Criterion) {
     for (ch, side) in [(4usize, 58usize), (4, 18), (8, 30), (8, 10), (16, 16), (16, 6)] {
         let mut rng = seeded_rng(11);
         let conv = he_conv2d(ch, ch, ConvGeom::same(3), 1, &mut rng).unwrap();
         let (o, p) = (side - 2, (side - 2) / 2);
-        group.throughput(Throughput::Elements(conv.macs(o, o).unwrap()));
         // The pooled block goes into the interior of a padded buffer.
         let at = OutGeom::region(1, 1, [p + 2, p + 2]);
         let mut next = vec![0.0; ch * (p + 2) * (p + 2)];
@@ -312,26 +315,21 @@ fn bench_pooled_blocks(c: &mut Criterion) {
         let row = format!("{ch}to{ch}_{side}x{side}");
         // The epilogues are run-time values on both sides, as a chain's are.
         let pooled_relu = black_box(false);
-        group.bench_function(format!("f32/{row}/pooled"), |b| {
-            b.iter(|| {
-                let to = (next.as_mut_slice(), at);
-                packed.forward_prepadded_pooled_at(
-                    &conv,
-                    black_box(&padded),
-                    to,
-                    true,
-                    (2, pooled_relu),
-                )
-            })
-        });
-        group.bench_function(format!("f32/{row}/store+pool"), |b| {
-            b.iter(|| {
+        let post = |v: f32| if pooled_relu && v < 0.0 { 0.0 } else { v };
+        interleaved(
+            &format!("pooled_blocks/f32/{row}"),
+            &mut next,
+            &mut block,
+            |next, _| {
+                let pool = Some((2, pooled_relu));
+                packed.forward_prepadded_at(&conv, black_box(&padded), next, at, true, pool)
+            },
+            |next, block| {
                 let out = block.data_mut();
-                packed.forward_prepadded_at(&conv, black_box(&padded), out, compact, true).unwrap();
-                let post = |v: f32| if pooled_relu && v < 0.0 { 0.0 } else { v };
-                max_pool2d_at(&block, 2, &mut next, at, (|v| v, post))
-            })
-        });
+                packed.forward_prepadded_at(&conv, black_box(&padded), out, compact, true, None)?;
+                max_pool2d_at(block, 2, next, at, (|v| v, post))
+            },
+        );
         let act = QParams::from_abs_max(1.0, 8);
         let q = QConv2d::from_conv_with_kernel(&conv, 8, KernelKind::Im2colGemm).unwrap();
         let op = QuantChainOp::new(q, act);
@@ -339,21 +337,66 @@ fn bench_pooled_blocks(c: &mut Criterion) {
         let epi = black_box(Epilogue { relu: true, requant: None });
         let post =
             black_box(Epilogue { relu: false, requant: Some(QParams::from_abs_max(0.8, 8)) });
-        group.bench_function(format!("w8a8/{row}/pooled"), |b| {
-            b.iter(|| {
-                let to = (next.as_mut_slice(), at);
-                op.forward_quantized_pooled_at((black_box(&acts), [1; 4]), to, epi, (2, post))
-            })
-        });
-        group.bench_function(format!("w8a8/{row}/store+pool"), |b| {
-            b.iter(|| {
+        interleaved(
+            &format!("pooled_blocks/w8a8/{row}"),
+            &mut next,
+            &mut block,
+            |next, _| {
+                op.forward_quantized_at(black_box(&acts), [1; 4], next, at, epi, Some((2, post)))
+            },
+            |next, block| {
                 let out = block.data_mut();
-                op.forward_quantized_at(black_box(&acts), [1; 4], out, compact, epi).unwrap();
-                max_pool2d_at(&block, 2, &mut next, at, (|v| v, |v| post.apply(v)))
-            })
-        });
+                op.forward_quantized_at(black_box(&acts), [1; 4], out, compact, epi, None)?;
+                max_pool2d_at(block, 2, next, at, (|v| v, |v| post.apply(v)))
+            },
+        );
     }
-    group.finish();
+}
+
+/// One side of a `pooled_blocks` row: a call that stores into the next
+/// stage's buffer, at times through a compact block.
+type Side<'a> = dyn FnMut(&mut [f32], &mut Tensor) -> Result<(), TensorError> + 'a;
+
+/// Times `pooled` and `plain` (each storing into `next`, `plain` through
+/// `block`) alternately — one batch of about 2 ms of calls of each per
+/// round, [`ROUNDS`] rounds — and prints each side's median time per call
+/// and the median of the rounds' `pooled / plain` ratios. This host's
+/// speed drifts 20–30 % between runs and for seconds within one, so one
+/// median per side cannot tell ±10 % apart; a ratio taken within a round
+/// sees both sides at one speed.
+fn interleaved(
+    name: &str,
+    next: &mut [f32],
+    block: &mut Tensor,
+    mut pooled: impl FnMut(&mut [f32], &mut Tensor) -> Result<(), TensorError>,
+    mut plain: impl FnMut(&mut [f32], &mut Tensor) -> Result<(), TensorError>,
+) {
+    if !criterion::selected(name) {
+        return;
+    }
+    let start = Instant::now();
+    plain(next, block).unwrap();
+    let calls = (2_000_000 / start.elapsed().as_nanos().max(50)).max(1) as u32;
+    let mut per_call = |f: &mut Side| {
+        let t = Instant::now();
+        for _ in 0..calls {
+            f(black_box(&mut *next), &mut *block).unwrap();
+        }
+        t.elapsed().as_secs_f64() * 1e6 / f64::from(calls)
+    };
+    let rounds: Vec<[f64; 2]> =
+        (0..ROUNDS).map(|_| [per_call(&mut pooled), per_call(&mut plain)]).collect();
+    let median = |f: &dyn Fn(&[f64; 2]) -> f64| {
+        let mut v: Vec<f64> = rounds.iter().map(f).collect();
+        v.sort_by(f64::total_cmp);
+        v[v.len() / 2]
+    };
+    println!(
+        "bench {name:<40} pooled {:>9.3} µs  store+pool {:>9.3} µs  ratio {:.3}",
+        median(&|r| r[0]),
+        median(&|r| r[1]),
+        median(&|r| r[0] / r[1])
+    );
 }
 
 fn bench_padding_modes(c: &mut Criterion) {

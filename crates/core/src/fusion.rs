@@ -15,16 +15,14 @@
 //!
 //! # One block loop: every stage stores where the next one reads
 //!
-//! A chain is planned into *steps* — its convolutions, each with the ReLUs
-//! and the max pooling that follow it folded into its store, and the
-//! poolings no convolution precedes — and a block runs through them in one
-//! routine with no copy between them:
+//! A chain is a list of convolutions: each *step* is one convolution, with
+//! the ReLUs and the max pooling that follow it folded into its store. A
+//! block runs through the steps in one routine with no copy between them:
 //!
 //! * the first step reads the block straight out of the group's input map
 //!   (no crop): the rows go into the interior of its padded buffer;
-//! * every step stores into the interior of the next step's buffer — a
-//!   convolution's buffer is padded with that block's Equation 2 pads, a
-//!   pooling step's is the bare block — so nothing is padded by copying;
+//! * every step stores into the interior of the next step's buffer, padded
+//!   with that block's Equation 2 pads, so nothing is padded by copying;
 //! * the last step stores into the group's output map at the block's
 //!   origin (no paste).
 //!
@@ -46,8 +44,11 @@
 //! step, no buffer and no pass of its own, and the convolution's ping-pong
 //! pair holds its input and the pooled output — the paper's "a pool after
 //! a conv needs no buffer of its own". Compact-store kernels pool their
-//! block straight into the destination. A window too large for the stage
-//! (wider than [`lane_tile::MAX_POOL`], 11) stays a pooling step.
+//! block straight into the destination. A pooling folds into the
+//! convolution before it or into nothing: a chain refuses an op ahead of
+//! its first convolution, a second pooling on one convolution and a window
+//! wider than [`lane_tile::MAX_POOL`] (11), and the planner runs such a
+//! pooling on the whole map.
 //! Halos follow each block's pads: a zero halo is written by one fill of
 //! the buffer when its padded geometry changes (and stays zero, since
 //! stores touch only interiors); a replicate or reflect halo is copied from
@@ -95,10 +96,12 @@ pub enum ChainOp {
     /// A convolution, executed as a block convolution: stride-1 on a grid
     /// of more than one block, any stride on one block.
     Conv(Arc<Conv2d>),
-    /// Element-wise ReLU.
+    /// Element-wise ReLU, folded into the store of the convolution before
+    /// it.
     Relu,
     /// `k × k` max pooling with stride `k` (the paper's baselines replace
-    /// strided convolution with stride-1 convolution + pooling, §II-F).
+    /// strided convolution with stride-1 convolution + pooling, §II-F),
+    /// folded into the store of the convolution before it.
     MaxPool {
         /// Pooling window and stride.
         k: usize,
@@ -113,38 +116,24 @@ impl ChainOp {
     }
 }
 
-#[derive(Debug, Clone)]
-#[allow(clippy::large_enum_variant)] // conv steps dominate by design
-enum Op {
-    /// A block convolution: `plan` carries the Equation 2 padding schedule
-    /// and grids (plus, on the float path, the packed weights). A quantized
-    /// step also carries `qop`, the integer arithmetic.
-    Conv {
-        plan: BlockConv2d,
-        qop: Option<QuantChainOp>,
-    },
-    Pool {
-        k: usize,
-    },
-}
-
-/// A materialising stage of a chain — a convolution or a pooling — with
-/// the ReLU stages that follow it folded into its store, and a convolution
-/// with the pooling that follows it.
+/// A step of a chain: one block convolution, with the ReLUs that follow it
+/// and the max pooling after them folded into its store.
 #[derive(Debug, Clone)]
 struct Step {
-    op: Op,
-    /// Grid on the step's input.
-    in_grid: BlockGrid,
+    /// The Equation 2 padding schedule and grids (plus, on the float path,
+    /// the packed weights).
+    plan: BlockConv2d,
+    /// The integer arithmetic of a quantized step.
+    qop: Option<QuantChainOp>,
     /// Grid on the step's output (pooled, when a pooling is folded in).
     out_grid: BlockGrid,
     /// What the step does to each value it computes: the folded ReLUs,
     /// and quantization at the next step's input parameters when that step
     /// reads quantized activations (never before a folded pooling).
     epi: Epilogue,
-    /// A `k × k` max pooling folded into a convolution's store, with what
-    /// is done to each pooled value — the ReLUs after it and the next
-    /// step's quantization — in place of its own step, buffer and pass.
+    /// A `k × k` max pooling folded into the store, with what is done to
+    /// each pooled value — the ReLUs after it and the next step's
+    /// quantization — in place of a step, buffer and pass of its own.
     pool: Option<(usize, Epilogue)>,
 }
 
@@ -161,9 +150,24 @@ impl Step {
     /// The input parameters a step's producer quantizes at, if the step
     /// reads quantized activations.
     fn reads_at(step: Option<&Step>) -> Option<QParams> {
-        match step.map(|s| &s.op) {
-            Some(Op::Conv { qop: Some(op), .. }) if op.reads_quantized() => Some(op.act_params()),
-            _ => None,
+        step?.qop.as_ref().filter(|op| op.reads_quantized()).map(QuantChainOp::act_params)
+    }
+
+    /// Stores the compact `block` a kernel without an [`OutGeom`] store
+    /// wrote at `to` in `out`: every value through the step's epilogue, and
+    /// with a pooling folded in, each window's maximum through the
+    /// pooling's.
+    fn store(&self, block: &Tensor, (out, to): (&mut [f32], OutGeom)) -> Result<(), TensorError> {
+        let epi = self.epi;
+        match self.pool {
+            None => {
+                let [n, c, h, w] = block.shape().dims();
+                store_rows((block.data(), OutGeom::compact(h, w)), (out, to), [n * c, h, w], epi);
+                Ok(())
+            }
+            Some((k, post)) => {
+                max_pool2d_at(block, k, out, to, (|v| epi.apply(v), |v| post.apply(v)))
+            }
         }
     }
 }
@@ -224,11 +228,10 @@ impl MemStats {
 }
 
 /// Reusable per-worker buffers for block-by-block chain execution: one
-/// input buffer per step of the chain (Figure 10's intermediate buffers —
-/// a convolution's padded, a pooling step's bare; a pooling folded into a
-/// convolution's store has none), a compact block for the kernels that
-/// store only compact blocks, a threaded worker's output block, and the
-/// convolution temporaries. Buffers grow to the largest block seen and are reused
+/// padded input buffer per convolution of the chain (Figure 10's
+/// intermediate buffers), a compact block for the kernels that store only
+/// compact blocks, a threaded worker's output block, and the convolution
+/// temporaries. Buffers grow to the largest block seen and are reused
 /// across blocks, chains and runs — steady-state fused execution
 /// allocates nothing.
 #[derive(Debug, Default)]
@@ -262,16 +265,10 @@ struct StepBuf {
 impl StepBuf {
     /// Shapes the buffer for `step`'s input block `(row, col)` of `n`
     /// images × `c` channels and returns where that block's values go: the
-    /// interior of the padded block for a convolution (whose zero halo is
-    /// rewritten — one fill — only when the padded geometry changes), the
-    /// bare block for a pooling.
+    /// interior of the padded block, whose zero halo is rewritten — one
+    /// fill — only when the padded geometry changes.
     fn prepare(&mut self, step: &Step, (row, col): (usize, usize), n: usize, c: usize) -> OutGeom {
-        let b = step.in_grid.block(row, col);
-        let Op::Conv { plan, .. } = &step.op else {
-            self.t.reset([n, c, b.bh, b.bw]);
-            self.zero_halo = None;
-            return OutGeom::compact(b.bh, b.bw);
-        };
+        let (plan, b) = (&step.plan, step.plan.grid().block(row, col));
         let (top, bottom, left, right) = plan.block_padding(row, col);
         let pads = [top, bottom, left, right];
         let dims @ [.., ph, pw] = [n, c, b.bh + top + bottom, b.bw + left + right];
@@ -318,10 +315,9 @@ impl PipelineScratch {
 #[derive(Debug, Clone)]
 pub struct FusedChain {
     steps: Vec<Step>,
-    /// Applied to the group input as a block is read in: the ReLUs ahead of
-    /// the first step, and quantization for a first step that reads
-    /// quantized activations.
-    load: Epilogue,
+    /// The input parameters the group input is quantized at as a block is
+    /// read in, when the first step reads quantized activations.
+    load: Option<QParams>,
     /// Planned ops, ReLUs included.
     len: usize,
     in_grid: BlockGrid,
@@ -337,11 +333,13 @@ impl FusedChain {
     /// Plans a fusion group for inputs tiled by `grid` — the one way to
     /// build a chain ([`extend`](Self::extend) continues one).
     ///
-    /// Convolutions on a grid of more than one block must be stride-1
-    /// (strided layers are expressed as conv + pool per the paper's
-    /// baseline rewrite); on one block any stride is the dense
-    /// convolution. Pooling requires the grid to stay aligned
-    /// ([`BlockGrid::downscale`]). Every conv stage
+    /// A chain opens at a convolution, and every ReLU and max pooling
+    /// folds into the convolution before it: at most one pooling per
+    /// convolution, at most [`lane_tile::MAX_POOL`] wide, on a grid it
+    /// keeps aligned ([`BlockGrid::downscale`]). Convolutions on a grid of
+    /// more than one block must be stride-1 (strided layers are expressed
+    /// as conv + pool per the paper's baseline rewrite); on one block any
+    /// stride is the dense convolution. Every conv stage
     /// resolves its kernel (direct loop vs im2col+GEMM) under `policy` at
     /// plan time, so execution carries no per-run dispatch.
     ///
@@ -357,8 +355,10 @@ impl FusedChain {
     ///
     /// # Errors
     ///
-    /// Returns [`TensorError::InvalidParameter`] when a stage cannot be
-    /// blocked under the running grid, when `act_params` does not cover
+    /// Returns [`TensorError::InvalidParameter`] when the chain holds no
+    /// convolution, an op comes before the first one, a pooling does not
+    /// fold into the convolution before it, a stage cannot be blocked
+    /// under the running grid, when `act_params` does not cover
     /// exactly the chain's convolutions, or when a quantized convolution's
     /// weights are all zero (no quantized form).
     pub fn plan(
@@ -370,7 +370,7 @@ impl FusedChain {
     ) -> Result<Self, TensorError> {
         let empty = Self {
             steps: Vec::with_capacity(ops.len()),
-            load: Epilogue::NONE,
+            load: None,
             len: 0,
             in_grid: grid.clone(),
             out_grid: grid,
@@ -388,7 +388,7 @@ impl FusedChain {
     /// — compile into one chain, every conv planned once. `quant` is the
     /// chain's precision and covers the convolutions of `ops` only; ReLUs
     /// at the head of `ops` fold into the chain's last step, and so does a
-    /// pooling into a last convolution's store, as inside one group.
+    /// pooling into its store if none has, as inside one group.
     ///
     /// # Errors
     ///
@@ -403,75 +403,69 @@ impl FusedChain {
         self.len += ops.len();
         let mut conv_idx = 0usize;
         for op in ops {
-            let cur = &self.out_grid;
-            let (op, out_grid) = match op {
-                ChainOp::Conv(conv) => {
-                    if conv.geom().stride != 1 && cur.num_blocks() > 1 {
-                        return Err(TensorError::invalid(
-                            "fused convolutions must be stride-1; express stride as conv + pool",
-                        ));
-                    }
-                    let plan = BlockConv2d::plan_with_kernel(
-                        Arc::clone(&conv),
-                        cur.clone(),
-                        pad_mode,
-                        policy,
-                    )?;
-                    let out_grid = plan.output_grid()?;
-                    let op = match quant {
-                        None => Op::Conv { plan: plan.with_packed_weights(), qop: None },
-                        // The plan's resolved kernel drives the *integer*
-                        // loops. Float weight packing is skipped — this
-                        // plan only ever pads blocks.
-                        Some((weight_bits, act_params)) => {
-                            let params = act_params.get(conv_idx).copied().ok_or_else(|| {
-                                TensorError::invalid(format!(
-                                    "FusedChain::plan: {} act-param sets for conv stage {}",
-                                    act_params.len(),
-                                    conv_idx + 1
-                                ))
-                            })?;
-                            let qop = QuantChainOp::from_conv_with_kernel(
-                                &conv,
-                                weight_bits,
-                                params,
-                                plan.kernel(),
-                            )
-                            .ok_or_else(|| {
-                                TensorError::invalid(format!(
-                                    "FusedChain::plan: conv stage {} has all-zero weights",
-                                    conv_idx + 1
-                                ))
-                            })?;
-                            Op::Conv { plan, qop: Some(qop) }
-                        }
-                    };
-                    conv_idx += 1;
-                    (op, out_grid)
-                }
+            let conv = match op {
+                ChainOp::Conv(conv) => conv,
                 ChainOp::Relu => {
-                    match self.steps.last_mut() {
-                        Some(step) => step.out_epi().relu = true,
-                        None => self.load.relu = true,
-                    }
+                    last_conv(&mut self.steps)?.out_epi().relu = true;
                     continue;
                 }
-                ChainOp::MaxPool { k } => match self.steps.last_mut() {
-                    // A pooling after a convolution folds into its store
-                    // when one window fits the sweeps' stage.
-                    Some(step @ Step { op: Op::Conv { .. }, pool: None, .. })
-                        if k <= lane_tile::MAX_POOL =>
-                    {
-                        step.out_grid = step.out_grid.downscale(k)?;
-                        step.pool = Some((k, Epilogue::NONE));
-                        self.out_grid = step.out_grid.clone();
-                        continue;
+                ChainOp::MaxPool { k } => {
+                    let step = last_conv(&mut self.steps)?;
+                    if step.pool.is_some() || k > lane_tile::MAX_POOL {
+                        return Err(TensorError::invalid(format!(
+                            "FusedChain: a {k}×{k} pooling does not fold into the convolution \
+                             before it"
+                        )));
                     }
-                    _ => (Op::Pool { k }, cur.downscale(k)?),
-                },
+                    step.out_grid = step.out_grid.downscale(k)?;
+                    step.pool = Some((k, Epilogue::NONE));
+                    self.out_grid = step.out_grid.clone();
+                    continue;
+                }
             };
-            let in_grid = std::mem::replace(&mut self.out_grid, out_grid.clone());
-            self.steps.push(Step { op, in_grid, out_grid, epi: Epilogue::NONE, pool: None });
+            let cur = &self.out_grid;
+            if conv.geom().stride != 1 && cur.num_blocks() > 1 {
+                return Err(TensorError::invalid(
+                    "fused convolutions must be stride-1; express stride as conv + pool",
+                ));
+            }
+            let plan =
+                BlockConv2d::plan_with_kernel(Arc::clone(&conv), cur.clone(), pad_mode, policy)?;
+            let out_grid = plan.output_grid()?;
+            let (plan, qop) = match quant {
+                None => (plan.with_packed_weights(), None),
+                // The plan's resolved kernel drives the *integer* loops.
+                // Float weight packing is skipped — this plan only ever
+                // pads blocks.
+                Some((weight_bits, act_params)) => {
+                    let params = act_params.get(conv_idx).copied().ok_or_else(|| {
+                        TensorError::invalid(format!(
+                            "FusedChain::plan: {} act-param sets for conv stage {}",
+                            act_params.len(),
+                            conv_idx + 1
+                        ))
+                    })?;
+                    let qop = QuantChainOp::from_conv_with_kernel(
+                        &conv,
+                        weight_bits,
+                        params,
+                        plan.kernel(),
+                    )
+                    .ok_or_else(|| {
+                        TensorError::invalid(format!(
+                            "FusedChain::plan: conv stage {} has all-zero weights",
+                            conv_idx + 1
+                        ))
+                    })?;
+                    (plan, Some(qop))
+                }
+            };
+            conv_idx += 1;
+            self.out_grid = out_grid.clone();
+            self.steps.push(Step { plan, qop, out_grid, epi: Epilogue::NONE, pool: None });
+        }
+        if self.steps.is_empty() {
+            return Err(TensorError::invalid("FusedChain: a chain needs a convolution"));
         }
         if let Some((_, act_params)) = quant {
             if act_params.len() != conv_idx {
@@ -484,7 +478,7 @@ impl FusedChain {
         }
         // Every store lands in the format of the step that reads it.
         let steps = &mut self.steps;
-        self.load.requant = Step::reads_at(steps.first());
+        self.load = Step::reads_at(steps.first());
         for i in 0..steps.len() {
             let next = Step::reads_at(steps.get(i + 1));
             steps[i].out_epi().requant = next;
@@ -506,17 +500,16 @@ impl FusedChain {
     /// [`run_fused_into`](Self::run_fused_into) stores and reads staged
     /// maps; stage complete chains.
     pub fn stage_into(&mut self, next: &mut FusedChain) -> bool {
-        let (Some(last), Some(first)) = (self.steps.last_mut(), next.steps.first()) else {
+        let (Some(last), Some(first), Some(params)) =
+            (self.steps.last_mut(), next.steps.first(), next.load)
+        else {
             return false;
         };
-        let (Op::Conv { plan, .. }, Some(params)) = (&first.op, next.load.requant) else {
-            return false;
-        };
-        if next.in_grid.num_blocks() != 1 || plan.pad_mode() != PadMode::Zero || next.load.relu {
+        if next.in_grid.num_blocks() != 1 || first.plan.pad_mode() != PadMode::Zero {
             return false;
         }
         // One block keeps the layer's symmetric padding.
-        let (p, ..) = plan.block_padding(0, 0);
+        let (p, ..) = first.plan.block_padding(0, 0);
         last.out_epi().requant = Some(params);
         self.out_border = p;
         next.staged_in = Some(p);
@@ -527,10 +520,7 @@ impl FusedChain {
     /// float chain. Quantized chains are planned with one activation
     /// bitwidth throughout, so the first quantized stage is authoritative.
     pub fn act_bits(&self) -> Option<u8> {
-        self.steps.iter().find_map(|s| match &s.op {
-            Op::Conv { qop: Some(op), .. } => Some(op.act_params().bits()),
-            _ => None,
-        })
+        self.steps.iter().find_map(|s| Some(s.qop.as_ref()?.act_params().bits()))
     }
 
     /// Grid on the group's input.
@@ -555,19 +545,13 @@ impl FusedChain {
 
     /// Output channel count given the input channel count.
     pub fn out_channels(&self, c_in: usize) -> usize {
-        self.steps.iter().fold(c_in, |c, s| match &s.op {
-            Op::Conv { plan, .. } => plan.conv().c_out(),
-            Op::Pool { .. } => c,
-        })
+        self.steps.last().map_or(c_in, |s| s.plan.conv().c_out())
     }
 
     /// The block-convolution plans of the chain's conv stages (float and
     /// quantized), in order.
     pub fn convs(&self) -> impl Iterator<Item = &BlockConv2d> {
-        self.steps.iter().filter_map(|s| match &s.op {
-            Op::Conv { plan, .. } => Some(plan),
-            Op::Pool { .. } => None,
-        })
+        self.steps.iter().map(|s| &s.plan)
     }
 
     /// Checks that every convolution receives the channels it was built
@@ -603,31 +587,22 @@ impl FusedChain {
     ) -> Result<usize, TensorError> {
         let [n, c, h, w] = input.shape().dims();
         let BlockScratch { bufs, block, last, conv, qconv } = scratch;
-        let ob = self.out_grid.block(row, col);
         if bufs.len() < self.steps.len() {
             bufs.resize_with(self.steps.len(), StepBuf::default);
         }
-        let b = self.in_grid.block(row, col);
-        let (from, planes) = (OutGeom::region(b.h0, b.w0, [h, w]), [n * c, b.bh, b.bw]);
-        let border = self.out_border;
-        match (self.steps.first(), bufs.first_mut()) {
-            _ if self.staged_in.is_some() => {}
-            (Some(first), Some(buf)) => {
-                let to = buf.prepare(first, (row, col), n, c);
-                store_rows((input.data(), from), (buf.t.data_mut(), to), planes, self.load);
-            }
-            _ => {
-                let to = last_store(dst.as_deref_mut(), last, ob, [n, c], border);
-                store_rows((input.data(), from), to, planes, self.load);
-            }
+        if let (None, Some(first), Some(buf)) =
+            (self.staged_in, self.steps.first(), bufs.first_mut())
+        {
+            let b = self.in_grid.block(row, col);
+            let from = OutGeom::region(b.h0, b.w0, [h, w]);
+            let to = buf.prepare(first, (row, col), n, c);
+            let load = Epilogue { relu: false, requant: self.load };
+            store_rows((input.data(), from), (buf.t.data_mut(), to), [n * c, b.bh, b.bw], load);
         }
         let (mut peak, mut c) = (0, c);
         for (i, step) in self.steps.iter().enumerate() {
-            let (ib, ob) = (step.in_grid.block(row, col), step.out_grid.block(row, col));
-            let c_out = match &step.op {
-                Op::Conv { plan, .. } => plan.conv().c_out(),
-                Op::Pool { .. } => c,
-            };
+            let (plan, c_out) = (&step.plan, step.plan.conv().c_out());
+            let (ib, ob) = (plan.grid().block(row, col), step.out_grid.block(row, col));
             // Input and output block buffers are alive simultaneously (the
             // paper's ping-pong intermediate buffers, Figure 10).
             peak = peak.max(n * (c * ib.area() + c_out * ob.area()));
@@ -639,49 +614,38 @@ impl FusedChain {
                     let to = buf.prepare(next, (row, col), n, c_out);
                     (buf.t.data_mut(), to)
                 }
-                _ => last_store(dst.as_deref_mut(), last, ob, [n, c_out], border),
+                _ => last_store(dst.as_deref_mut(), last, ob, [n, c_out], self.out_border),
             };
-            let stored = [n * c_out, ob.bh, ob.bw];
-            let compact = OutGeom::compact(ob.bh, ob.bw);
-            match &step.op {
-                Op::Conv { plan, qop } => {
-                    let pads @ (top, bottom, left, right) = plan.block_padding(row, col);
-                    let padded = match self.staged_in {
-                        Some(_) if i == 0 => input,
-                        _ => {
-                            fill_halo(&mut cur.t, pads, plan.pad_mode())?;
-                            &cur.t
-                        }
-                    };
-                    if step.pool.is_some() {
-                        run_pooled_conv(step, (padded, pads), (out, to), block, conv, qconv)?;
-                        c = c_out;
-                        continue;
-                    }
-                    match (qop, plan.packed_weights()) {
-                        (Some(op), _) if op.reads_quantized() => {
-                            // A zero halo is free: the kernel skips its taps.
-                            let zero = match plan.pad_mode() {
-                                PadMode::Zero => [top, bottom, left, right],
-                                _ => [0; 4],
-                            };
-                            op.forward_quantized_at(padded, zero, out, to, step.epi)?;
-                        }
-                        (Some(op), _) => {
-                            op.forward_prepadded_into(padded, block, qconv)?;
-                            store_rows((block.data(), compact), (out, to), stored, step.epi);
-                        }
-                        (None, Some(p)) if p.stores_at() => {
-                            p.forward_prepadded_at(plan.conv(), padded, out, to, step.epi.relu)?;
-                        }
-                        (None, _) => {
-                            plan.conv_block_into(padded, block, conv)?;
-                            store_rows((block.data(), compact), (out, to), stored, step.epi);
-                        }
-                    }
+            let pads @ (top, bottom, left, right) = plan.block_padding(row, col);
+            let padded = match self.staged_in {
+                Some(_) if i == 0 => input,
+                _ => {
+                    fill_halo(&mut cur.t, pads, plan.pad_mode())?;
+                    &cur.t
                 }
-                Op::Pool { k } => {
-                    max_pool2d_at(&cur.t, *k, out, to, (|v| v, |v| step.epi.apply(v)))?;
+            };
+            match (&step.qop, plan.packed_weights()) {
+                (Some(op), _) if op.reads_quantized() => {
+                    // A zero halo is free: the kernel skips its taps.
+                    let zero = match plan.pad_mode() {
+                        PadMode::Zero => [top, bottom, left, right],
+                        _ => [0; 4],
+                    };
+                    op.forward_quantized_at(padded, zero, out, to, step.epi, step.pool)?;
+                }
+                (Some(op), _) => {
+                    op.forward_prepadded_into(padded, block, qconv)?;
+                    step.store(block, (out, to))?;
+                }
+                // A float chain quantizes nothing: a pooling's epilogue is
+                // its ReLU.
+                (None, Some(p)) if p.stores_at() => {
+                    let pool = step.pool.map(|(k, post)| (k, post.relu));
+                    p.forward_prepadded_at(plan.conv(), padded, out, to, step.epi.relu, pool)?;
+                }
+                (None, _) => {
+                    plan.conv_block_into(padded, block, conv)?;
+                    step.store(block, (out, to))?;
                 }
             }
             c = c_out;
@@ -836,9 +800,6 @@ impl FusedChain {
             bits_per_elem: self.act_bits().unwrap_or(32),
         };
         let mut cur = input.clone();
-        if self.load.relu {
-            relu_inplace(&mut cur);
-        }
         // Each layer reads `cur` and writes `next`. Intermediate maps make a
         // DRAM round trip (write + read); the final output is written once.
         let layer = |stats: &mut MemStats, cur: &Tensor, next: &Tensor, last: bool| {
@@ -851,15 +812,14 @@ impl FusedChain {
         // (write + read-back) intermediate bucket.
         let last = self.steps.len().saturating_sub(1);
         for (idx, step) in self.steps.iter().enumerate() {
-            let mut next = match &step.op {
-                Op::Conv { plan, qop: None } => plan.forward(&cur)?,
-                Op::Conv { plan, qop: Some(op) } => {
+            let mut next = match &step.qop {
+                None => step.plan.forward(&cur)?,
+                Some(op) => {
                     let mut scratch = QConvScratch::new();
-                    plan.forward_blocks(&cur, op.qconv().c_out(), |padded, out| {
+                    step.plan.forward_blocks(&cur, op.qconv().c_out(), |padded, out| {
                         op.forward_prepadded_into(padded, out, &mut scratch)
                     })?
                 }
-                Op::Pool { k } => max_pool2d(&cur, *k, *k)?,
             };
             if step.epi.relu {
                 relu_inplace(&mut next);
@@ -881,52 +841,11 @@ impl FusedChain {
     }
 }
 
-/// Runs a convolution step whose store a `k × k` max pooling is folded
-/// into, on its padded block (whose Equation 2 `pads` a zero-padded exact
-/// kernel skips), storing every output through `epi` into its pooling
-/// window and each window's maximum through `post` at `to` in `out`: the
-/// 3×3 sweeps pool a rectangle of windows at a time as they store, every
-/// other kernel writes the compact `block` and pools it from there. Out of line, so that `run_block`'s
-/// frame — and with it where the kernels' stack sits, which moves their
-/// speed — stays that of a chain without pooled stores.
-#[inline(never)]
-fn run_pooled_conv(
-    step: &Step,
-    (padded, pads): (&Tensor, (usize, usize, usize, usize)),
-    (out, to): (&mut [f32], OutGeom),
-    block: &mut Tensor,
-    conv: &mut ConvScratch,
-    qconv: &mut QConvScratch,
-) -> Result<(), TensorError> {
-    let (Op::Conv { plan, qop }, Some((k, post))) = (&step.op, step.pool) else {
-        return Err(TensorError::invalid("a pooled store needs a convolution step"));
-    };
-    let epi = step.epi;
-    let pool = |block: &Tensor, out: &mut [f32]| {
-        max_pool2d_at(block, k, out, to, (|v| epi.apply(v), |v| post.apply(v)))
-    };
-    match (qop, plan.packed_weights()) {
-        (Some(op), _) if op.reads_quantized() => {
-            let (top, bottom, left, right) = pads;
-            let zero = match plan.pad_mode() {
-                PadMode::Zero => [top, bottom, left, right],
-                _ => [0; 4],
-            };
-            op.forward_quantized_pooled_at((padded, zero), (out, to), epi, (k, post))
-        }
-        (Some(op), _) => {
-            op.forward_prepadded_into(padded, block, qconv)?;
-            pool(block, out)
-        }
-        // A float chain quantizes nothing: the pooling's epilogue is its ReLU.
-        (None, Some(p)) if p.stores_at() => {
-            p.forward_prepadded_pooled_at(plan.conv(), padded, (out, to), epi.relu, (k, post.relu))
-        }
-        (None, _) => {
-            plan.conv_block_into(padded, block, conv)?;
-            pool(block, out)
-        }
-    }
+/// The chain's last step, which a ReLU or a pooling folds into.
+fn last_conv(steps: &mut [Step]) -> Result<&mut Step, TensorError> {
+    steps
+        .last_mut()
+        .ok_or_else(|| TensorError::invalid("FusedChain: a chain opens at a convolution"))
 }
 
 /// Where the last step of a block whose output block is `ob` stores: at
@@ -1251,30 +1170,60 @@ mod tests {
     }
 
     #[test]
-    fn a_pool_too_wide_for_the_stage_stays_a_step() {
-        // One 12×12 window of a 16-lane tile is 2 304 outputs, more than a
-        // pooled store stages: the pooling keeps its own step, buffer and
-        // pass, and the peak counts the convolution's full-size output.
-        // An 8×8 window folds, and the peak counts the pooled one.
+    fn a_chain_refuses_ops_that_fold_into_no_convolution() {
+        // A chain is its convolutions: an op before the first one, a
+        // second pooling on one, and a window wider than the pooled
+        // store's stage (12×12 windows of a 16-lane tile are 2 304
+        // outputs) are refused by `plan` and by `extend`, at both
+        // precisions.
         let grid = BlockGrid::single(24, 24);
-        let input = uniform_tensor([1, 3, 24, 24], -1.0, 1.0, &mut seeded_rng(15));
         let act = [QParams::from_abs_max(1.0, 8)];
-        for (k, folds) in [(12, false), (8, true)] {
-            let ops =
-                || vec![ChainOp::conv(conv(3, 16, 16)), ChainOp::Relu, ChainOp::MaxPool { k }];
-            let float = plan_float(ops(), grid.clone(), PadMode::Zero).unwrap();
-            let quant = plan_quant(ops(), grid.clone(), PadMode::Zero, 8, &act).unwrap();
-            for chain in [float, quant] {
-                assert_eq!(chain.steps.len(), if folds { 1 } else { 2 }, "k {k}");
-                let (fused, stats) = chain.run_fused(&input).unwrap();
-                let (layerwise, _) = chain.run_layerwise(&input).unwrap();
-                let p = 24 / k;
-                assert_eq!(fused.shape().dims(), [1, 16, p, p]);
-                let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
-                assert_eq!(bits(&fused), bits(&layerwise), "k {k}");
-                let out = if folds { 16 * p * p } else { 16 * 24 * 24 };
-                assert_eq!(stats.peak_working_elems, 3 * 24 * 24 + out, "k {k}");
+        let plan = |ops: Vec<ChainOp>, quant: bool| {
+            let quant = quant.then_some((8, &act[..]));
+            FusedChain::plan(ops, grid.clone(), PadMode::Zero, KernelPolicy::default(), quant)
+        };
+        let refused = |got: Result<FusedChain, TensorError>| {
+            matches!(got, Err(TensorError::InvalidParameter { .. }))
+        };
+        let cv = || ChainOp::conv(conv(3, 16, 16));
+        let pool = |k| ChainOp::MaxPool { k };
+        for quant in [false, true] {
+            for ops in [
+                vec![],
+                vec![ChainOp::Relu, cv()],
+                vec![pool(2), cv()],
+                vec![cv(), pool(2), pool(2)],
+                vec![cv(), ChainOp::Relu, pool(2), ChainOp::Relu, pool(2)],
+                vec![cv(), ChainOp::Relu, pool(12)],
+            ] {
+                assert!(refused(plan(ops.clone(), quant)), "{ops:?} quant {quant}");
             }
+            let extend = |head: Vec<ChainOp>, tail: Vec<ChainOp>| {
+                let quant = quant.then_some((8, &[][..]));
+                plan(head, quant.is_some()).unwrap().extend(
+                    tail,
+                    PadMode::Zero,
+                    KernelPolicy::default(),
+                    quant,
+                )
+            };
+            assert!(refused(extend(vec![cv(), pool(2)], vec![pool(2)])), "quant {quant}");
+            assert!(refused(extend(vec![cv(), ChainOp::Relu], vec![pool(12)])), "quant {quant}");
+            // A pooling at the head of a group folds into the chain's last
+            // convolution when that has none.
+            assert!(extend(vec![cv()], vec![ChainOp::Relu, pool(2)]).is_ok(), "quant {quant}");
+        }
+        // An 8×8 window folds, and the peak counts the pooled output.
+        let input = uniform_tensor([1, 3, 24, 24], -1.0, 1.0, &mut seeded_rng(15));
+        for quant in [false, true] {
+            let chain = plan(vec![cv(), ChainOp::Relu, pool(8)], quant).unwrap();
+            assert_eq!(chain.steps.len(), 1);
+            let (fused, stats) = chain.run_fused(&input).unwrap();
+            let (layerwise, _) = chain.run_layerwise(&input).unwrap();
+            assert_eq!(fused.shape().dims(), [1, 16, 3, 3]);
+            let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&fused), bits(&layerwise), "quant {quant}");
+            assert_eq!(stats.peak_working_elems, 3 * 24 * 24 + 16 * 3 * 3, "quant {quant}");
         }
     }
 
@@ -1525,10 +1474,15 @@ mod tests {
 
     #[test]
     fn pipeline_rejects_mismatched_groups() {
-        let g1 =
-            plan_float(vec![ChainOp::MaxPool { k: 2 }], BlockGrid::single(8, 8), PadMode::Zero)
+        let g1 = plan_float(
+            vec![ChainOp::conv(conv(1, 1, 53)), ChainOp::MaxPool { k: 2 }],
+            BlockGrid::single(8, 8),
+            PadMode::Zero,
+        )
+        .unwrap();
+        let g2 =
+            plan_float(vec![ChainOp::conv(conv(1, 1, 54))], BlockGrid::single(8, 8), PadMode::Zero)
                 .unwrap();
-        let g2 = plan_float(vec![ChainOp::Relu], BlockGrid::single(8, 8), PadMode::Zero).unwrap();
         assert!(FusedPipeline::new(vec![g1, g2]).is_err());
     }
 }

@@ -1,12 +1,14 @@
 //! Property test of the fused block loop: random chains of 3×3 and 1×1
-//! convolutions, ReLUs and 2×2 poolings, at every precision, under every
+//! convolutions, ReLUs and 2×2 / 3×3 poolings — as the planner builds
+//! them: each opens at a convolution, and a pooling folds into the store
+//! of the convolution before it — at every precision, under every
 //! block-padding mode and on hierarchical, fixed and irregular fixed grids,
 //! run fused at one and two threads, must equal the layer-by-layer schedule
-//! bit for bit, and report the unpadded working-set peak of the grids — a
-//! pooling that follows a convolution folds into its store, so the two are
-//! one input / output pair. Aligned fusion groups — each planned on the
-//! grid the one before leaves behind — planned as one chain over their
-//! union must run exactly like the pipeline of the groups.
+//! bit for bit, and report the unpadded working-set peak of the grids: a
+//! convolution and its pooling are one input / output pair. Aligned fusion
+//! groups — each planned on the grid the one before leaves behind —
+//! planned as one chain over their union must run exactly like the
+//! pipeline of the groups.
 
 use bconv_core::blocking::{BlockGrid, BlockingPattern};
 use bconv_core::fusion::{BlockScratch, ChainOp, FusedChain, FusedPipeline};
@@ -55,16 +57,14 @@ fn random_conv(d: &mut Draw, c_in: usize, big_map: bool) -> Conv2d {
 }
 
 /// A step of a chain as the oracle sees it: input grid and channels,
-/// output grid and channels, and whether a pooling may still fold into it
-/// (a convolution none has folded into yet).
-type OracleStep = (BlockGrid, usize, BlockGrid, usize, bool);
+/// output grid and channels.
+type OracleStep = (BlockGrid, usize, BlockGrid, usize);
 
 /// The unpadded `cur + next` peak of running `ops` on `n` images of `c`
 /// channels tiled by the chain's input grid — per step, the largest input
 /// block plus its output block, where a step is a conv with the pooling
-/// that follows it (ReLUs between them included) folded in, or a pooling of
-/// its own — and how many poolings folded right after their conv and after
-/// a ReLU.
+/// that follows it (ReLUs between them included) folded in — and how many
+/// poolings folded right after their conv and after a ReLU.
 fn grid_peak(chain: &FusedChain, ops: &[ChainOp], n: usize, mut c: usize) -> (usize, [usize; 2]) {
     let mut grid = chain.in_grid().clone();
     let mut convs = chain.convs();
@@ -75,26 +75,20 @@ fn grid_peak(chain: &FusedChain, ops: &[ChainOp], n: usize, mut c: usize) -> (us
                 let plan = convs.next().unwrap();
                 assert_eq!(plan.grid(), &grid);
                 let out_grid = plan.output_grid().unwrap();
-                steps.push((grid, c, out_grid.clone(), conv.c_out(), true));
+                steps.push((grid, c, out_grid.clone(), conv.c_out()));
                 (grid, c) = (out_grid, conv.c_out());
             }
             ChainOp::MaxPool { k } => {
-                let out_grid = grid.downscale(*k).unwrap();
-                match steps.last_mut() {
-                    Some(step) if step.4 => {
-                        (step.2, step.4) = (out_grid.clone(), false);
-                        folds[after_relu as usize] += 1;
-                    }
-                    _ => steps.push((grid, c, out_grid.clone(), c, false)),
-                }
-                grid = out_grid;
+                grid = grid.downscale(*k).unwrap();
+                steps.last_mut().unwrap().2 = grid.clone();
+                folds[after_relu as usize] += 1;
             }
             ChainOp::Relu => {}
         }
         after_relu = matches!(op, ChainOp::Relu);
     }
     let mut peak = 0;
-    for (in_grid, c, out_grid, c_out, _) in steps {
+    for (in_grid, c, out_grid, c_out) in steps {
         for row in 0..in_grid.num_rows() {
             for col in 0..in_grid.num_cols() {
                 let (ib, ob) = (in_grid.block(row, col), out_grid.block(row, col));
@@ -115,10 +109,11 @@ fn random_pool(d: &mut Draw, g: &mut BlockGrid) -> Option<ChainOp> {
     Some(ChainOp::MaxPool { k })
 }
 
-/// 1–`max_ops` random ops on `c` channels tiled by `g`, pooling only where
-/// the grid stays aligned — two convolutions in three go on to a pooling,
-/// half of them after a ReLU, which folds into the conv's store; `c` and `g` are
-/// left at the ops' output.
+/// 1–`max_ops` random ops on `c` channels tiled by `g`, opening at a
+/// convolution, pooling only where the grid stays aligned and only after a
+/// convolution no pooling has folded into yet — two convolutions in three
+/// go on to a pooling, half of them after a ReLU; `c` and `g` are left at
+/// the ops' output.
 fn random_ops(
     d: &mut Draw,
     c: &mut usize,
@@ -127,22 +122,32 @@ fn random_ops(
     big_map: bool,
 ) -> Vec<ChainOp> {
     let mut ops = Vec::new();
-    for _ in 0..1 + d.below(max_ops) {
+    // Whether a pooling may follow: the last conv has none yet.
+    let mut poolable = false;
+    for i in 0..1 + d.below(max_ops) {
         match d.below(5) {
-            0 | 1 => {
+            kind if i == 0 || kind < 2 => {
                 let conv = random_conv(d, *c, big_map);
                 *c = conv.c_out();
                 ops.push(ChainOp::conv(conv));
+                poolable = true;
                 if d.below(3) > 0 {
                     let relu = d.below(2) == 0;
                     if let Some(pool) = random_pool(d, g) {
                         ops.extend(relu.then_some(ChainOp::Relu));
                         ops.push(pool);
+                        poolable = false;
                     }
                 }
             }
-            2 => ops.push(ChainOp::Relu),
-            _ => ops.push(random_pool(d, g).unwrap_or(ChainOp::Relu)),
+            3 | 4 if poolable => match random_pool(d, g) {
+                Some(pool) => {
+                    ops.push(pool);
+                    poolable = false;
+                }
+                None => ops.push(ChainOp::Relu),
+            },
+            _ => ops.push(ChainOp::Relu),
         }
     }
     ops
@@ -237,10 +242,9 @@ proptest! {
     /// 2–4 aligned groups — each planned on the grid the group before
     /// leaves behind, with and without pools — planned as one chain
     /// over their union on the first grid: the pipeline's and the
-    /// layer-wise bits, the same off-chip elements, the union's own peak
-    /// (a group may open at a pooling, which the union folds into the conv
-    /// that ends the group before), and for every conv the grid and
-    /// per-block padding its own group gives it. The chain `extend` grows
+    /// layer-wise bits, the same off-chip elements, the union's own peak,
+    /// and for every conv the grid and per-block padding its own group
+    /// gives it. The chain `extend` grows
     /// group by group is the same chain.
     #[test]
     fn aligned_groups_plan_as_one_chain(
@@ -256,22 +260,11 @@ proptest! {
         let pad_mode = PadMode::ALL[mode];
         let precision = PRECISIONS[precision];
         let (n, c0) = (1 + d.below(2), d.pick(&[1, 2, 3]));
-        // 2–4 groups, each opening at a conv (after a ReLU or a pooling,
-        // at times), then 1–3 random ops.
-        let (mut ops, mut bounds, mut c, mut g) = (Vec::new(), vec![0], c0, grid.clone());
-        for k in 0..2 + d.below(3) {
-            if k > 0 {
-                bounds.push(ops.len());
-                match d.below(3) {
-                    0 => ops.push(ChainOp::Relu),
-                    1 => ops.extend(random_pool(&mut d, &mut g)),
-                    _ => {}
-                }
-            }
-            let conv = random_conv(&mut d, c, h * w > 400);
-            c = conv.c_out();
-            ops.push(ChainOp::conv(conv));
-            ops.extend(random_ops(&mut d, &mut c, &mut g, 3, h * w > 400));
+        // 2–4 groups of 1–4 random ops, each opening at a conv.
+        let (mut ops, mut bounds, mut c, mut g) = (Vec::new(), vec![], c0, grid.clone());
+        for _ in 0..2 + d.below(3) {
+            bounds.push(ops.len());
+            ops.extend(random_ops(&mut d, &mut c, &mut g, 4, h * w > 400));
         }
         bounds.push(ops.len());
         let convs_in = |ops: &[ChainOp]| ops.iter().filter(|op| matches!(op, ChainOp::Conv(_))).count();

@@ -46,7 +46,7 @@ use bconv_core::plan::{LayerBlocking, NetworkPlan};
 use bconv_core::BlockConv2d;
 use bconv_quant::qlinear::QLinear;
 use bconv_quant::QParams;
-use bconv_tensor::kernel::KernelPolicy;
+use bconv_tensor::kernel::{lane_tile, KernelPolicy};
 use bconv_tensor::pad::PadMode;
 use bconv_tensor::TensorError;
 
@@ -700,6 +700,9 @@ struct FusedRun {
     costs: Vec<StageCost>,
     /// Boundary-map sizes at the group joints (elements).
     boundaries: Vec<usize>,
+    /// Whether a pooling can fold here: the run ends at a convolution, or
+    /// at ReLUs after one, that no pooling has folded into.
+    poolable: bool,
 }
 
 /// One walked segment, before the splice pass.
@@ -1020,14 +1023,18 @@ impl Planner {
             out_grid,
             costs: cost.into_iter().collect(),
             boundaries: Vec::new(),
+            poolable: true,
         })
     }
 
-    /// Attempts to extend the open group with `node`. A stage whose
-    /// ping-pong pair fits the largest pair the group already holds reuses
-    /// buffers that are granted, so it extends without asking the cost
-    /// model; only a stage that would grow the group's buffers is the
-    /// model's decision.
+    /// Attempts to extend the open group with `node`. A max pooling joins
+    /// only by folding into the store of the convolution before it (ReLUs
+    /// between them allowed; one pooling per convolution, at most
+    /// [`lane_tile::MAX_POOL`] wide); any other pooling is a structural cut
+    /// and runs on the whole map. A stage whose ping-pong pair fits the
+    /// largest pair the group already holds reuses buffers that are
+    /// granted, so it extends without asking the cost model; only a stage
+    /// that would grow the group's buffers is the model's decision.
     fn try_extend(
         &self,
         run: &mut FusedRun,
@@ -1036,6 +1043,13 @@ impl Planner {
         layer_blocking: &[LayerBlocking],
         bits: u8,
     ) -> Extend {
+        let pool = match node.op {
+            NodeOp::MaxPool { k, .. } => Some(k),
+            _ => None,
+        };
+        if pool.is_some_and(|k| !run.poolable || k > lane_tile::MAX_POOL) {
+            return Extend::Cut;
+        }
         let Some((out_grid, cost)) = self.solve_stage(node, layer_blocking, &run.out_grid, bits)
         else {
             return Extend::Cut;
@@ -1052,6 +1066,11 @@ impl Planner {
         }
         run.last_node = id;
         run.out_grid = out_grid;
+        run.poolable = match node.op {
+            NodeOp::Conv { .. } => true,
+            NodeOp::MaxPool { .. } => false,
+            _ => run.poolable,
+        };
         Extend::Extended
     }
 }

@@ -423,11 +423,21 @@ impl QuantChainOp {
     /// `[0; 4]` declares none (a replicate or reflect halo). Debug builds
     /// check the promise.
     ///
+    /// With a `pool` `Some((k, pooled))`, a `k × k` / stride-`k` max
+    /// pooling follows: every output goes through `epi` (the convolution's
+    /// own epilogue) and into its window, and each window's maximum is
+    /// stored through `pooled` at `at`, the geometry of the pooled outputs
+    /// — a fused chain's convolution followed by a pooling stores the
+    /// pooled block. Bit for bit the unpooled call into a compact block
+    /// followed by [`bconv_tensor::pool::max_pool2d_at`] through `pooled`.
+    ///
     /// # Errors
     ///
     /// Returns shape errors on a channel mismatch, when the stage does not
     /// [`read_quantized`](Self::reads_quantized), when the outputs do not
-    /// fit `out` at `at`, or when the declared halo is wider than the block.
+    /// fit `out` at `at`, when the declared halo is wider than the block,
+    /// or when the pooling window does not fit the outputs or is wider
+    /// than [`bconv_tensor::kernel::lane_tile::MAX_POOL`].
     pub fn forward_quantized_at(
         &self,
         acts: &Tensor,
@@ -435,33 +445,27 @@ impl QuantChainOp {
         out: &mut [f32],
         at: OutGeom,
         epi: Epilogue,
+        pool: Option<(usize, Epilogue)>,
     ) -> Result<(), TensorError> {
         let (acts, to) = ((acts, zero_halo), (out, at, epi));
-        qgemm::quantized_conv_at(&self.qconv, self.act_params, acts, to, no_pool())
+        match pool {
+            None => qgemm::quantized_conv_at(&self.qconv, self.act_params, acts, to, no_pool()),
+            Some(pool) => self.store_pooled(acts, to, pool),
+        }
     }
 
-    /// [`forward_quantized_at`](Self::forward_quantized_at) with a `k × k`
-    /// / stride-`k` max pool folded into the store: every output goes
-    /// through `epi` (the convolution's own epilogue) and into its window,
-    /// and each window's maximum is stored through `pooled` at `at`, the
-    /// geometry of the pooled outputs — a fused chain's convolution
-    /// followed by a pooling stores the pooled block. Bit for bit the
-    /// unpooled entry into a compact block followed by
-    /// [`bconv_tensor::pool::max_pool2d_at`] through `pooled`.
-    ///
-    /// # Errors
-    ///
-    /// As [`forward_quantized_at`](Self::forward_quantized_at), and when the
-    /// window does not fit the outputs or the pooling does not fold
-    /// ([`bconv_tensor::kernel::lane_tile::MAX_POOL`]).
-    pub fn forward_quantized_pooled_at(
+    /// The pooled arm of [`forward_quantized_at`](Self::forward_quantized_at),
+    /// out of line so that the entry keeps the stack frame of one that
+    /// never pools, and the kernels below it their place on the stack,
+    /// which moves their speed.
+    #[inline(never)]
+    fn store_pooled(
         &self,
-        (acts, zero_halo): (&Tensor, [usize; 4]),
-        (out, at): (&mut [f32], OutGeom),
-        epi: Epilogue,
+        acts: (&Tensor, [usize; 4]),
+        to: (&mut [f32], OutGeom, Epilogue),
         (k, pooled): (usize, Epilogue),
     ) -> Result<(), TensorError> {
-        let (acts, to, post) = ((acts, zero_halo), (out, at, epi), move |v| pooled.apply(v));
+        let post = move |v| pooled.apply(v);
         qgemm::quantized_conv_at(&self.qconv, self.act_params, acts, to, Some((k, post)))
     }
 }
@@ -534,13 +538,9 @@ mod tests {
         let acts = Tensor::zeros([1, 2, 26, 26]);
         let mut out = vec![0.0; 16 * 4];
         for (k, fits) in [(12, false), (11, true)] {
-            let to = (&mut out[..], OutGeom::compact(24 / k, 24 / k));
-            let got = op.forward_quantized_pooled_at(
-                (&acts, [1; 4]),
-                to,
-                Epilogue::NONE,
-                (k, Epilogue::NONE),
-            );
+            let at = OutGeom::compact(24 / k, 24 / k);
+            let pool = Some((k, Epilogue::NONE));
+            let got = op.forward_quantized_at(&acts, [1; 4], &mut out, at, Epilogue::NONE, pool);
             match got {
                 Err(TensorError::InvalidParameter { .. }) => assert!(!fits, "k {k}"),
                 got => assert!(fits && got.is_ok(), "k {k}: {got:?}"),

@@ -100,13 +100,12 @@
 //! none; the spatial-lane sweep, whose chunks span rows, runs every tap
 //! either way. Everything the GEMM runs (past the 2²⁴ bound, w8a16,
 //! non-3×3) reads float blocks through `forward_prepadded_into` and its
-//! compact output is copied through the same epilogue. A convolution a
-//! max pooling follows stores the pooled block instead
-//! ([`QuantChainOp::forward_quantized_pooled_at`](crate::qconv::QuantChainOp::forward_quantized_pooled_at)):
-//! `conv3x3` runs the same sweeps over one rectangle of whole windows at a
-//! time into a stage, each output through its own epilogue, and pools the
-//! stage, each window's maximum through the pooling's epilogue, which
-//! requantizes for the next stage. A declared zero halo is skipped in every
+//! compact output is copied through the same epilogue. Given the max
+//! pooling that follows a convolution, the same entry stores the pooled
+//! block instead: `conv3x3` runs the same sweeps over one rectangle of
+//! whole windows at a time into a stage, each output through its own
+//! epilogue, and pools the stage, each window's maximum through the
+//! pooling's epilogue, which requantizes for the next stage. A declared zero halo is skipped in every
 //! rectangle that reaches it.
 //!
 //! # No reduction-length cutover

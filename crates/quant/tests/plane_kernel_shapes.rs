@@ -125,7 +125,7 @@ fn assert_stored_at_equals_direct(
     let acts = padded.map(|v| act.quantize_value_f32(v));
     let mut map = vec![f32::NAN; n * c_out * map_h * map_w];
     let at = OutGeom::region(top, left, [map_h, map_w]);
-    op.forward_quantized_at(&acts, [0; 4], &mut map, at, epi).unwrap();
+    op.forward_quantized_at(&acts, [0; 4], &mut map, at, epi, None).unwrap();
     for (p, plane) in map.chunks_exact(map_h * map_w).enumerate() {
         for (i, &got) in plane.iter().enumerate() {
             let (y, x) = (i / map_w, i % map_w);
@@ -280,7 +280,7 @@ fn check_halo(op: &QuantChainOp, n: usize, [ph, pw]: [usize; 2], halo: [usize; 4
     let run = |zero: [usize; 4]| {
         let mut out = vec![f32::NAN; n * op.qconv().c_out() * oh * ow];
         let at = OutGeom::compact(oh, ow);
-        op.forward_quantized_at(&acts, zero, &mut out, at, Epilogue::NONE).unwrap();
+        op.forward_quantized_at(&acts, zero, &mut out, at, Epilogue::NONE, None).unwrap();
         out.iter().map(|v| v.to_bits()).collect::<Vec<_>>()
     };
     let (skipped, full) = (run(halo), run([0; 4]));
@@ -334,10 +334,10 @@ fn a_declared_halo_wider_than_the_block_is_an_error() {
     let mut out = vec![0.0; op.qconv().c_out() * 2 * 3];
     let at = OutGeom::compact(2, 3);
     for halo in [[3, 2, 0, 0], [0, 0, 3, 3], [0, 5, 0, 0]] {
-        let res = op.forward_quantized_at(&acts, halo, &mut out, at, Epilogue::NONE);
+        let res = op.forward_quantized_at(&acts, halo, &mut out, at, Epilogue::NONE, None);
         assert!(res.is_err(), "{halo:?}");
     }
-    op.forward_quantized_at(&acts, [2, 2, 2, 3], &mut out, at, Epilogue::NONE).unwrap();
+    op.forward_quantized_at(&acts, [2, 2, 2, 3], &mut out, at, Epilogue::NONE, None).unwrap();
 }
 
 /// A caller that declares a halo whose cells are not zero — a replicate
@@ -352,5 +352,5 @@ fn debug_builds_check_that_a_declared_halo_is_zero() {
     acts.data_mut()[24] = 1.0;
     let mut out = vec![0.0; op.qconv().c_out() * 9];
     let at = OutGeom::compact(3, 3);
-    let _ = op.forward_quantized_at(&acts, [0, 1, 0, 0], &mut out, at, Epilogue::NONE);
+    let _ = op.forward_quantized_at(&acts, [0, 1, 0, 0], &mut out, at, Epilogue::NONE, None);
 }

@@ -1,9 +1,9 @@
 //! The pooled store of both 3×3 sweeps against the convolution stored
 //! compact and pooled by `max_pool2d_at`, **bit for bit**: a `k × k` max
 //! pool (k = 2 and 3) folded into the store of the float (ordered) and the
-//! integer (exact) entries, `PackedWeights::forward_prepadded_pooled_at`
-//! and `QuantChainOp::forward_quantized_pooled_at`, with and without a folded ReLU
-//! before and after the pool, into a region of a NaN-filled map of wider
+//! integer (exact) entries, `PackedWeights::forward_prepadded_at` and
+//! `QuantChainOp::forward_quantized_at` given the pool, with and without a
+//! folded ReLU before and after it, into a region of a NaN-filled map of wider
 //! planes whose border must keep its bits.
 //!
 //! Both entries sweep one rectangle of whole pooling windows at a time
@@ -122,7 +122,7 @@ fn check_float(conv: &Conv2d, padded: &Tensor, k: usize, (pre, post): (bool, boo
         (oh, ow, k),
         &want,
         |map, at| {
-            packed.forward_prepadded_pooled_at(conv, padded, (map, at), pre, (k, post)).unwrap();
+            packed.forward_prepadded_at(conv, padded, map, at, pre, Some((k, post))).unwrap();
         },
         what,
     );
@@ -156,7 +156,7 @@ fn check_integer(
         (oh, ow, k),
         &want,
         |map, at| {
-            op.forward_quantized_pooled_at((&acts, zero), (map, at), pre, (k, post)).unwrap();
+            op.forward_quantized_at(&acts, zero, map, at, pre, Some((k, post))).unwrap();
         },
         what,
     );
@@ -275,7 +275,7 @@ fn a_pool_wider_than_the_outputs_is_rejected() {
     let at = OutGeom::compact(1, 1);
     for k in [0, 4] {
         assert!(packed
-            .forward_prepadded_pooled_at(&conv, &padded, (&mut out, at), false, (k, false))
+            .forward_prepadded_at(&conv, &padded, &mut out, at, false, Some((k, false)))
             .is_err());
     }
 }

@@ -61,12 +61,12 @@
 //! offset, a row pitch and a plane pitch into any slice
 //! ([`PackedWeights::forward_prepadded_at`]) — which is how a fused chain's
 //! stage writes the interior of the next stage's padded buffer, or its
-//! block of the group's output map, with no copy in between. A convolution
-//! a max pooling follows stores the pooled block
-//! ([`PackedWeights::forward_prepadded_pooled_at`]): the 3×3 sweeps run a
-//! rectangle of whole pooling windows at a time into a small per-thread
-//! stage and pool it into the destination (the module docs of
-//! [`lane_tile`]), so the pooling needs no buffer of its own.
+//! block of the group's output map, with no copy in between. Given the
+//! max pooling that follows a convolution, the same entry stores the
+//! pooled block: the 3×3 sweeps run a rectangle of whole pooling windows
+//! at a time into a small per-thread stage and pool it into the
+//! destination (the module docs of [`lane_tile`]), so the pooling needs no
+//! buffer of its own.
 
 use crate::conv::Conv2d;
 use crate::shape::conv_out_dim;
@@ -379,13 +379,57 @@ impl PackedWeights {
     /// buffer, or its block of the group's output map, and touches nothing
     /// else. Bit for bit the compact call followed by a copy (and a ReLU).
     ///
+    /// With a `pool` `Some((k, pooled_relu))`, a `k × k` / stride-`k` max
+    /// pooling follows, a ReLU after it when `pooled_relu`, and `at` is the
+    /// geometry of the pooled outputs: a fused chain's convolution
+    /// followed by a pooling stores the pooled block, bit for bit the
+    /// compact call followed by a ReLU (when `relu`) and
+    /// [`crate::pool::max_pool2d_at`].
+    ///
     /// # Errors
     ///
     /// Returns [`TensorError`] on channel/shape mismatch, when `conv` is
     /// not the packed layer, when the layer is not one
-    /// [`stores_at`](Self::stores_at) takes, or when the outputs do not fit
-    /// `out` at `at`.
+    /// [`stores_at`](Self::stores_at) takes, when the outputs do not fit
+    /// `out` at `at`, or when the pooling window does not fit the outputs
+    /// or is wider than [`lane_tile::MAX_POOL`].
+    // Inlined, so that its caller calls one arm, each out of line: the
+    // plain arm has the stack frame of an entry that never pools, and the
+    // kernels below it keep their place on the stack, which moves their
+    // speed; the pooled arm adds nothing to the caller's frame.
+    #[inline]
     pub fn forward_prepadded_at(
+        &self,
+        conv: &Conv2d,
+        padded: &Tensor,
+        out: &mut [f32],
+        at: OutGeom,
+        relu: bool,
+        pool: Option<(usize, bool)>,
+    ) -> Result<(), TensorError> {
+        match pool {
+            None => self.store_plain(conv, padded, out, at, relu),
+            Some(pool) => self.store_pooled(conv, padded, (out, at), relu, pool),
+        }
+    }
+
+    /// The pooled arm of [`forward_prepadded_at`](Self::forward_prepadded_at).
+    #[inline(never)]
+    fn store_pooled(
+        &self,
+        conv: &Conv2d,
+        padded: &Tensor,
+        to: (&mut [f32], OutGeom),
+        relu: bool,
+        (k, pooled_relu): (usize, bool),
+    ) -> Result<(), TensorError> {
+        let post = move |v: f32| if pooled_relu && v < 0.0 { 0.0 } else { v };
+        self.store_at(conv, padded, to, relu, Some((k, post)))
+    }
+
+    /// The plain arm of [`forward_prepadded_at`](Self::forward_prepadded_at).
+    #[inline(never)]
+    fn store_plain(
         &self,
         conv: &Conv2d,
         padded: &Tensor,
@@ -396,31 +440,7 @@ impl PackedWeights {
         self.store_at(conv, padded, (out, at), relu, lane_tile::no_pool())
     }
 
-    /// [`forward_prepadded_at`](Self::forward_prepadded_at) with a `k × k`
-    /// / stride-`k` max pool folded into the store, a ReLU after it when
-    /// `pooled_relu`: `at` is the geometry of the pooled outputs — a fused
-    /// chain's convolution followed by a pooling stores the pooled block.
-    /// Bit for bit the compact call followed by a ReLU (when `relu`) and
-    /// [`crate::pool::max_pool2d_at`].
-    ///
-    /// # Errors
-    ///
-    /// As [`forward_prepadded_at`](Self::forward_prepadded_at), and when
-    /// the window does not fit the outputs or the pooling does not fold
-    /// ([`lane_tile::MAX_POOL`]).
-    pub fn forward_prepadded_pooled_at(
-        &self,
-        conv: &Conv2d,
-        padded: &Tensor,
-        (out, at): (&mut [f32], OutGeom),
-        relu: bool,
-        (k, pooled_relu): (usize, bool),
-    ) -> Result<(), TensorError> {
-        let post = move |v: f32| if pooled_relu && v < 0.0 { 0.0 } else { v };
-        self.store_at(conv, padded, (out, at), relu, Some((k, post)))
-    }
-
-    /// The body of both fused-chain entries, pooling when `pool` says so.
+    /// The body of the fused-chain entry, pooling when `pool` says so.
     fn store_at(
         &self,
         conv: &Conv2d,
@@ -757,13 +777,8 @@ mod tests {
         let mut out = vec![0.0; 16 * 4];
         for (k, fits) in [(12, false), (11, true)] {
             let at = OutGeom::compact(24 / k, 24 / k);
-            let got = packed.forward_prepadded_pooled_at(
-                &conv,
-                &padded,
-                (&mut out, at),
-                false,
-                (k, false),
-            );
+            let got =
+                packed.forward_prepadded_at(&conv, &padded, &mut out, at, false, Some((k, false)));
             match got {
                 Err(TensorError::InvalidParameter { .. }) => assert!(!fits, "k {k}"),
                 got => assert!(fits && got.is_ok(), "k {k}: {got:?}"),

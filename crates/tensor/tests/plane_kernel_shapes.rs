@@ -119,7 +119,7 @@ fn assert_fast_equals_direct(conv: &Conv2d, padded: &Tensor, buf: &mut Buffers, 
     let (top, left, [map_h, map_w]) = (1, 2, [oh + 3, ow + 4]);
     let mut map = vec![f32::NAN; n * c_out * map_h * map_w];
     let at = OutGeom::region(top, left, [map_h, map_w]);
-    packed.forward_prepadded_at(conv, padded, &mut map, at, true).unwrap();
+    packed.forward_prepadded_at(conv, padded, &mut map, at, true, None).unwrap();
     for (p, plane) in map.chunks_exact(map_h * map_w).enumerate() {
         for (i, &got) in plane.iter().enumerate() {
             let (y, x) = (i / map_w, i % map_w);

@@ -4,7 +4,8 @@
 //! the subset of the criterion API the workspace's benches use:
 //! [`Criterion`], `benchmark_group` / `bench_function`, [`Bencher::iter`],
 //! [`BenchmarkGroup::throughput`] and the [`criterion_group!`] /
-//! [`criterion_main!`] macros.
+//! [`criterion_main!`] macros — plus [`selected`], the name filter, for
+//! benches that time by hand.
 //!
 //! Measurement is deliberately simple — a short calibration pass sizes the
 //! iteration count to a wall-clock budget, then the median per-iteration
@@ -108,10 +109,15 @@ impl Criterion {
     }
 }
 
+/// Whether the benchmark `name` runs: like criterion, a positional
+/// argument keeps only the benchmarks whose name contains it (`cargo bench
+/// -p bconv-bench -- plane_`). For benches that time by hand.
+pub fn selected(name: &str) -> bool {
+    std::env::args().skip(1).all(|a| a.starts_with('-') || name.contains(a.as_str()))
+}
+
 fn run_one<F: FnMut(&mut Bencher)>(name: &str, throughput: Option<Throughput>, f: &mut F) {
-    // Like criterion: a positional argument keeps only the benchmarks whose
-    // name contains it (`cargo bench -p bconv-bench -- plane_`).
-    if std::env::args().skip(1).any(|a| !a.starts_with('-') && !name.contains(a.as_str())) {
+    if !selected(name) {
         return;
     }
     let mut b = Bencher { samples: Vec::new() };

@@ -502,3 +502,58 @@ fn serve_burst_plan_peaks_at_conv1_1() {
     assert_eq!(run.stats.peak_working_elems, 1_792, "{}", session.describe());
     assert_eq!(fnv1a(&run.output), 12_861_610_307_657_037_131, "{}", session.describe());
 }
+
+/// A pooling that does not fold into the store of the convolution before
+/// it — a second pooling on one conv, or a window wider than the pooled
+/// store's stage (`lane_tile::MAX_POOL`, 11) — is a structural cut: it runs
+/// on the whole map as a segment of its own, at both precisions. The
+/// outputs keep the bits of the engine that ran such a pooling as a fused
+/// step of its own (the hashes below were taken there), and the map the
+/// cut reads makes one off-chip round trip more: written, then read back.
+#[test]
+fn pools_that_do_not_fold_are_whole_map_cuts() {
+    let input = uniform_tensor([1, 2, 48, 48], -1.0, 1.0, &mut seeded_rng(2018));
+    // Per net: the poolings, the fused plan's off-chip elements (input +
+    // output), the elements of the map the cut reads, and the output
+    // hashes at float and w8a8.
+    let nets: [(&[usize], usize, usize, [u64; 2]); 2] = [
+        (
+            &[2, 2],
+            2 * 48 * 48 + 4 * 12 * 12,
+            4 * 24 * 24,
+            [13_470_229_360_025_324_266, 8_247_295_682_399_236_955],
+        ),
+        (
+            &[12],
+            2 * 48 * 48 + 4 * 4 * 4,
+            4 * 48 * 48,
+            [18_123_797_657_567_451_799, 7_060_548_307_360_089_280],
+        ),
+    ];
+    for (pools, fused_elems, cut_map, hashes) in nets {
+        let mut b = NetBuilder::new("unfolded_pools", ActShape { c: 2, h: 48, w: 48 });
+        b.push("conv1", conv(3, 1, 1, 2, 4));
+        for (i, &k) in pools.iter().enumerate() {
+            b.push(format!("pool{}", i + 1), maxpool(k, k, 0));
+        }
+        let net = b.build();
+        for (backend, hash) in BACKENDS.into_iter().zip(hashes) {
+            let session = builder(&net, backend, 2018)
+                .planner(PlanSpec::new().pattern(BlockingPattern::hierarchical(2)))
+                .build()
+                .expect("session");
+            let (segments, nodes) = (session.plan().segments(), session.graph().nodes());
+            let last = format!("pool{}", pools.len());
+            assert!(
+                matches!(segments, [Segment::Fused { .. }, Segment::Single(id)] if nodes[*id].name == last),
+                "{}",
+                session.describe()
+            );
+            let run = session.run(&input).expect("run");
+            assert_eq!(fnv1a(&run.output), hash, "{pools:?} {backend:?}");
+            let bits = u64::from(plan_bits(backend));
+            let offchip = (fused_elems + 2 * cut_map) as u64 * bits;
+            assert_eq!(run.stats.offchip_bits(), offchip, "{pools:?} {backend:?}");
+        }
+    }
+}
