@@ -17,6 +17,7 @@ use bconv_accel::fusion::vgg16_shapes;
 use bconv_accel::platform::zc706;
 use bconv_core::blocking::BlockingPattern;
 use bconv_core::BlockConv2d;
+use bconv_graph::exec::on_page_aligned_frame;
 use bconv_graph::{Graph, LowerOptions, Planner, PlannerOptions, Segment};
 use bconv_models::builder::{conv, maxpool, NetBuilder};
 use bconv_models::ActShape;
@@ -359,7 +360,8 @@ type Side<'a> = dyn FnMut(&mut [f32], &mut Tensor) -> Result<(), TensorError> + 
 
 /// Times `pooled` and `plain` (each storing into `next`, `plain` through
 /// `block`) alternately — one batch of about 2 ms of calls of each per
-/// round, [`ROUNDS`] rounds — and prints each side's median time per call
+/// round, [`ROUNDS`] rounds, each batch on a page-aligned frame
+/// ([`on_page_aligned_frame`]) — and prints each side's median time per call
 /// and the median of the rounds' `pooled / plain` ratios. This host's
 /// speed drifts 20–30 % between runs and for seconds within one, so one
 /// median per side cannot tell ±10 % apart; a ratio taken within a round
@@ -377,12 +379,18 @@ fn interleaved(
     let start = Instant::now();
     plain(next, block).unwrap();
     let calls = (2_000_000 / start.elapsed().as_nanos().max(50)).max(1) as u32;
+    // Both sides run on a page-aligned frame, as the executor runs every
+    // request: where a kernel's stack data sits within a page decides
+    // whether its stores alias the buffers it loads next, which read one
+    // side up to 39 % slower in some processes and not in others.
     let mut per_call = |f: &mut Side| {
-        let t = Instant::now();
-        for _ in 0..calls {
-            f(black_box(&mut *next), &mut *block).unwrap();
-        }
-        t.elapsed().as_secs_f64() * 1e6 / f64::from(calls)
+        on_page_aligned_frame(|| {
+            let t = Instant::now();
+            for _ in 0..calls {
+                f(black_box(&mut *next), &mut *block).unwrap();
+            }
+            t.elapsed().as_secs_f64() * 1e6 / f64::from(calls)
+        })
     };
     let rounds: Vec<[f64; 2]> =
         (0..ROUNDS).map(|_| [per_call(&mut pooled), per_call(&mut plain)]).collect();

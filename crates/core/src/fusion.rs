@@ -70,6 +70,17 @@
 //! map as the reader's first step reads it — quantized, inside a zero
 //! border of its padding — and the reader runs on it in place, skipping
 //! the border's taps, as a step inside one chain would.
+//!
+//! # A residual add: the last store plus the input block
+//!
+//! An element-wise add of two maps on one grid is block-local too. When a
+//! chain keeps its map's shape, [`FusedChain::run_residual_into`] adds
+//! each input block to the output block its last step stored — VDSR's
+//! global residual, a ResNet identity block's shortcut — so the chain's
+//! output map never makes the off-chip round trip the add would read it
+//! back through. The add is its own out-of-line pass after the block, in
+//! f32 on the stored values, bit for bit the whole-map add; the input
+//! block it reads counts in the block's peak.
 
 use std::sync::Arc;
 
@@ -183,7 +194,11 @@ impl Step {
 /// the stage a pooled store runs through ([`lane_tile::STAGE`], at most
 /// 2 048 elements): a kernel line buffer, like the tile's registers.
 /// Both fields are scheduling-invariant: identical for any worker-thread
-/// count and any kernel choice.
+/// count and any kernel choice. A chain that folds a residual add
+/// ([`FusedChain::run_residual_into`]) counts the input block the add
+/// holds in each block's peak; reading it is not a second off-chip read,
+/// since it is the block the chain loaded for its first step, and the
+/// input map counts once, as the chain's input.
 ///
 /// Element counts are bitwidth-agnostic; `bits_per_elem` records the word
 /// width one feature-map element occupies on the wire (32 for the float
@@ -705,6 +720,94 @@ impl FusedChain {
         out: &mut Tensor,
         scratch: &mut BlockScratch,
     ) -> Result<MemStats, TensorError> {
+        self.run_blocks(input, threads, out, scratch, false)
+    }
+
+    /// [`run_fused_into`](Self::run_fused_into) with the residual add of
+    /// the chain's input folded in: `out` receives `chain(input) + input`,
+    /// bit for bit the sum an element-wise add of the two maps computes
+    /// (IEEE-754 addition commutes, so in either operand order, but for
+    /// which payload the sum of two NaNs carries). Blocks
+    /// are independent, so the sum is too: after each block's last store,
+    /// an out-of-line helper adds the input block at the output block's
+    /// origin — into `out` on the serial path, into a worker's block
+    /// before its paste when threaded. Off-chip traffic stays the input
+    /// and output maps (the residual reads the block the chain already
+    /// loaded), and each block's peak counts the input block it holds
+    /// (`n × c ×` block area) on top of the chain's pair;
+    /// [`residual_peak`](Self::residual_peak) is that peak for one image.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`TensorError::InvalidParameter`] for a staged chain
+    /// ([`stage_into`](Self::stage_into)) and a chain whose output map
+    /// shape differs from its input's, and otherwise the errors of
+    /// [`run_fused_into`](Self::run_fused_into).
+    pub fn run_residual_into(
+        &self,
+        input: &Tensor,
+        threads: usize,
+        out: &mut Tensor,
+        scratch: &mut BlockScratch,
+    ) -> Result<MemStats, TensorError> {
+        if !self.keeps_map_shape() {
+            return Err(TensorError::invalid(
+                "FusedChain::run_residual_into: the chain is staged or changes the map's shape",
+            ));
+        }
+        self.run_blocks(input, threads, out, scratch, true)
+    }
+
+    /// The one-image working-set peak of
+    /// [`run_residual_into`](Self::run_residual_into): the largest, over
+    /// the blocks, of a block's widest step pair plus the input block the
+    /// residual holds. `None` for a chain that refuses a residual.
+    pub fn residual_peak(&self) -> Option<usize> {
+        let c = self.steps.first()?.plan.conv().c_in();
+        if !self.keeps_map_shape() {
+            return None;
+        }
+        let cols = self.in_grid.num_cols();
+        (0..self.in_grid.num_rows() * cols)
+            .map(|i| {
+                let (row, col) = (i / cols, i % cols);
+                let pairs = self.steps.iter().map(|s| {
+                    let conv = s.plan.conv();
+                    let (ib, ob) = (s.plan.grid().block(row, col), s.out_grid.block(row, col));
+                    conv.c_in() * ib.area() + conv.c_out() * ob.area()
+                });
+                pairs.max().unwrap_or(0) + c * self.out_grid.block(row, col).area()
+            })
+            .max()
+    }
+
+    /// Whether a residual add folds into the chain: it reads and stores
+    /// plain maps (nothing staged), and its output map has its input's
+    /// shape.
+    fn keeps_map_shape(&self) -> bool {
+        let (Some(first), Some(last)) = (self.steps.first(), self.steps.last()) else {
+            return false;
+        };
+        self.staged_in.is_none()
+            && self.out_border == 0
+            && first.plan.conv().c_in() == last.plan.conv().c_out()
+            && (self.in_grid.h(), self.in_grid.w()) == (self.out_grid.h(), self.out_grid.w())
+    }
+
+    /// The block loop of [`run_fused_into`](Self::run_fused_into) and, with
+    /// `residual`, of [`run_residual_into`](Self::run_residual_into), which
+    /// adds each block's input block after its last store ([`add_block`]).
+    /// Inlined into both, where `residual` is a constant, so the plain
+    /// loop keeps its stack frame (`scripts/same_code.sh`).
+    #[inline(always)]
+    fn run_blocks(
+        &self,
+        input: &Tensor,
+        threads: usize,
+        out: &mut Tensor,
+        scratch: &mut BlockScratch,
+        residual: bool,
+    ) -> Result<MemStats, TensorError> {
         let [n, c, h, w] = input.shape().dims();
         let (ih, iw) = (self.in_grid.h(), self.in_grid.w());
         let lead = 2 * self.staged_in.unwrap_or(0);
@@ -737,6 +840,13 @@ impl FusedChain {
             // The caller's scratch serves every block and step of the run.
             for i in 0..num_blocks {
                 let peak = self.run_block(input, (i / cols, i % cols), Some(&mut *out), scratch)?;
+                let peak = if residual {
+                    let ob = self.out_grid.block(i / cols, i % cols);
+                    let to = OutGeom::region(ob.h0, ob.w0, [oh, ow]);
+                    peak + add_block(input, ob, (out.data_mut(), to))
+                } else {
+                    peak
+                };
                 stats.peak_working_elems = stats.peak_working_elems.max(peak);
             }
             return Ok(stats);
@@ -760,7 +870,14 @@ impl FusedChain {
                     let mut peak = 0;
                     for i in start..end {
                         let (row, col) = (i / cols, i % cols);
-                        peak = peak.max(self.run_block(input, (row, col), None, &mut scratch)?);
+                        let mut block_peak =
+                            self.run_block(input, (row, col), None, &mut scratch)?;
+                        if residual {
+                            let ob = self.out_grid.block(row, col);
+                            let to = OutGeom::compact(ob.bh, ob.bw);
+                            block_peak += add_block(input, ob, (scratch.last.data_mut(), to));
+                        }
+                        peak = peak.max(block_peak);
                         // Poison-tolerant: pastes are disjoint, and a peer
                         // panic is surfaced as a typed error at join below
                         // (the partial output is discarded with it).
@@ -871,8 +988,33 @@ fn last_store<'a>(
     }
 }
 
+/// Adds block `ob` of `input` to the values stored at `to` in `dst` — the
+/// residual add of [`FusedChain::run_residual_into`], after a block's last
+/// store, kept out of the block loop's own code — and returns the elements
+/// of the input block it holds.
+#[inline(never)]
+fn add_block(input: &Tensor, ob: Block, (dst, to): (&mut [f32], OutGeom)) -> usize {
+    let [n, c, h, w] = input.shape().dims();
+    let from = OutGeom::region(ob.h0, ob.w0, [h, w]);
+    let src = input.data();
+    for p in 0..n * c {
+        for y in 0..ob.bh {
+            let s = &src[from.offset + p * from.plane + y * from.row..][..ob.bw];
+            let d = &mut dst[to.offset + p * to.plane + y * to.row..][..ob.bw];
+            for (d, &s) in d.iter_mut().zip(s) {
+                *d += s;
+            }
+        }
+    }
+    n * c * ob.area()
+}
+
 /// Shapes `map` as the `[n, c, h, w]` map `dims` inside a zero border `p`
 /// wide, zeroing only the border (the interior is about to be stored).
+/// Inlined into both block loops: called out of line, it shrinks
+/// `run_fused_into`'s stack frame, which moves every kernel below it on
+/// the stack (`scripts/same_code.sh`).
+#[inline(always)]
 fn reset_bordered(map: &mut Tensor, [n, c, h, w]: [usize; 4], p: usize) {
     let (ph, pw) = (h + 2 * p, w + 2 * p);
     map.reset([n, c, ph, pw]);

@@ -427,3 +427,117 @@ fn wide_pooled_blocks_split_their_windows_by_columns() {
         }
     }
 }
+
+/// A residual add folded into a chain ([`FusedChain::run_residual_into`])
+/// on random shape-keeping chains of 3×3 and 1×1 convolutions with ReLUs
+/// — at every precision, zero- and replicate-padded, on hierarchical and
+/// irregular fixed grids, at one and two threads, through recycled
+/// buffers: the bits of the chain's map plus its input through
+/// `add_into`, the chain's traffic, and its peak plus the input block the
+/// residual holds (every stage's largest pair sits on the grid's largest
+/// block), which is `n` × [`FusedChain::residual_peak`].
+#[test]
+fn residual_chains_are_the_chain_then_the_add() {
+    use bconv_tensor::elementwise::add_into;
+    let mut d = Draw(0x5EED);
+    let mut scratch = BlockScratch::new();
+    for case in 0..48 {
+        let (h, w, pattern) = match case % 3 {
+            0 => (12, 16, BlockingPattern::hierarchical(2)),
+            1 => (16, 8, BlockingPattern::hierarchical(4)),
+            // Irregular fixed blocking: F28 on 41 splits 28 + 13.
+            _ => (41, 41, BlockingPattern::fixed(28)),
+        };
+        let grid = BlockGrid::from_pattern(h, w, pattern).unwrap();
+        let precision = PRECISIONS[case % 4];
+        let pad_mode = [PadMode::Zero, PadMode::Replicate][case / 4 % 2];
+        let (n, c0) = (1 + d.below(2), d.pick(&[1, 2, 3]));
+        // 1–3 convolutions back to `c0` channels, ReLUs between them.
+        let mut ops = Vec::new();
+        let mut c = c0;
+        let convs = 1 + d.below(3);
+        for i in 0..convs {
+            let mut conv = random_conv(&mut d, c, h * w > 400);
+            if i + 1 == convs {
+                let geom = if d.below(4) == 0 { ConvGeom::new(1, 1, 0) } else { ConvGeom::same(3) };
+                conv = he_conv2d(c, c0, geom, 1, &mut seeded_rng(case as u64)).unwrap();
+            }
+            c = conv.c_out();
+            ops.push(ChainOp::conv(conv));
+            if d.below(2) == 0 {
+                ops.push(ChainOp::Relu);
+            }
+        }
+        let act_bits = precision.map_or(8, |(_, a)| a);
+        let params: Vec<QParams> = (0..convs)
+            .map(|_| QParams::from_abs_max(0.25 + d.below(300) as f32 / 100.0, act_bits))
+            .collect();
+        let quant = precision.map(|(wb, _)| (wb, &params[..]));
+        let chain =
+            FusedChain::plan(ops.clone(), grid.clone(), pad_mode, KernelPolicy::Auto, quant)
+                .unwrap();
+        let mut input = uniform_tensor([n, c0, h, w], -1.5, 1.5, &mut seeded_rng(case as u64));
+        if d.below(4) == 0 {
+            let at = d.below(input.data().len());
+            input.data_mut()[at] = f32::NAN;
+        }
+        let largest = (0..grid.num_rows())
+            .flat_map(|r| (0..grid.num_cols()).map(move |c| (r, c)))
+            .map(|(r, c)| chain.out_grid().block(r, c).area())
+            .max()
+            .unwrap();
+        let what = format!("case {case}: {precision:?} {pad_mode:?} {ops:?}");
+        for threads in [1usize, 2] {
+            let (mut fused, mut want) = (Tensor::default(), Tensor::default());
+            let fs = chain.run_fused_into(&input, threads, &mut fused, &mut scratch).unwrap();
+            add_into(&fused, &input, &mut want).unwrap();
+            let mut out = Tensor::filled([1, 1, 2, 3], f32::NAN);
+            let rs = chain.run_residual_into(&input, threads, &mut out, &mut scratch).unwrap();
+            assert_eq!(out.shape(), want.shape(), "{what}");
+            assert!(bits(&out) == bits(&want), "{what} threads {threads}");
+            assert_eq!(rs.offchip_elems, fs.offchip_elems, "{what}");
+            assert_eq!(rs.bits_per_elem, fs.bits_per_elem, "{what}");
+            let held = n * c0 * largest;
+            assert_eq!(rs.peak_working_elems, fs.peak_working_elems + held, "{what}");
+            assert_eq!(Some(rs.peak_working_elems), chain.residual_peak().map(|p| n * p), "{what}");
+        }
+    }
+}
+
+/// A residual folds only into a chain whose output map has its input's
+/// shape and that neither reads nor stores a staged map: other chains are
+/// refused at run time, and have no residual peak.
+#[test]
+fn residual_chains_refuse_other_shapes_and_staged_maps() {
+    let refused = |chain: &FusedChain, input: &Tensor| {
+        let got =
+            chain.run_residual_into(input, 1, &mut Tensor::default(), &mut BlockScratch::new());
+        matches!(got, Err(bconv_tensor::TensorError::InvalidParameter { .. }))
+            && chain.residual_peak().is_none()
+    };
+    let grid = BlockGrid::from_pattern(8, 8, BlockingPattern::hierarchical(2)).unwrap();
+    let conv = |c_in, c_out, seed| {
+        he_conv2d(c_in, c_out, ConvGeom::same(3), 1, &mut seeded_rng(seed)).unwrap()
+    };
+    let plan = |ops: Vec<ChainOp>, grid: BlockGrid, quant: Option<(u8, &[QParams])>| {
+        FusedChain::plan(ops, grid, PadMode::Zero, KernelPolicy::Auto, quant).unwrap()
+    };
+    let input = uniform_tensor([1, 2, 8, 8], -1.0, 1.0, &mut seeded_rng(1));
+    // More channels out than in; a map pooled to a quarter.
+    let wider = plan(vec![ChainOp::conv(conv(2, 3, 2))], grid.clone(), None);
+    assert!(refused(&wider, &input));
+    let pooled =
+        plan(vec![ChainOp::conv(conv(2, 2, 3)), ChainOp::MaxPool { k: 2 }], grid.clone(), None);
+    assert!(refused(&pooled, &input));
+    // A blocked chain staging its map for a one-block exact-f32 reader:
+    // the producer stores a bordered map, the reader reads one.
+    let act = [QParams::from_abs_max(1.0, 8)];
+    let mut from = plan(vec![ChainOp::conv(conv(2, 2, 4))], grid, Some((8, &act)));
+    let mut to = plan(vec![ChainOp::conv(conv(2, 2, 5))], BlockGrid::single(8, 8), Some((8, &act)));
+    assert!(from.residual_peak().is_some() && to.residual_peak().is_some());
+    assert!(from.stage_into(&mut to));
+    assert!(refused(&from, &input));
+    let mut staged = Tensor::default();
+    from.run_fused_into(&input, 1, &mut staged, &mut BlockScratch::new()).unwrap();
+    assert!(refused(&to, &staged));
+}

@@ -34,6 +34,13 @@
 //! adds on the way in, not part of a feature map. The node evaluator's
 //! conv arm serves only the reference backend and calibration.
 //!
+//! A residual `Add` the plan folds into the fused segment before it runs
+//! there: the segment's chain stores the sum
+//! ([`bconv_core::fusion::FusedChain::run_residual_into`]) as the `Add`'s
+//! value, counted once, as the `Add`'s output, and the `Add`'s own segment
+//! runs nothing and counts nothing. The chain's output map, which the
+//! whole-map add would read back, never crosses the off-chip boundary.
+//!
 //! The kernels are bit-identical by contract, so a graph with an unblocked
 //! float plan produces bit-identical outputs on `Reference` and `Blocked`;
 //! blocking itself only perturbs block-boundary pixels (paper §II-C). A
@@ -492,19 +499,35 @@ impl PlanExecutor {
             bits_per_elem: plan.act_bits().unwrap_or(32),
         };
         let segments = plan.segments();
-        let last_seg = segments.len().saturating_sub(1);
-        for (si, seg) in segments.iter().enumerate() {
+        for seg in segments {
+            // A residual add folded into the chain before it already has
+            // its value: its segment runs nothing and counts nothing.
+            if let Segment::Single(id) = seg {
+                if plan.folded(*id) {
+                    release_used(values, remaining, pool, &nodes[*id]);
+                    continue;
+                }
+            }
             let mut out = pool.pop().unwrap_or_default();
             let out_id = match seg {
                 Segment::Fused { nodes: ids, chain, input: src } => {
                     let in_t = resolve(values, input, *src)?;
-                    let gs = chain.run_fused_into(in_t, threads, &mut out, pipeline.block_mut())?;
+                    let id = ids.last();
+                    let id =
+                        *id.ok_or_else(|| TensorError::invalid("fused segment covers no nodes"))?;
+                    // With a folded residual add, the chain stores the sum:
+                    // the add's value, and the segment's output.
+                    let folded = plan.folded(id + 1);
+                    let block = pipeline.block_mut();
+                    let gs = match folded {
+                        true => chain.run_residual_into(in_t, threads, &mut out, block)?,
+                        false => chain.run_fused_into(in_t, threads, &mut out, block)?,
+                    };
                     // Per-block buffers are the group's working set; its
                     // input/output traffic is accounted at the segment
                     // boundaries below.
                     stats.peak_working_elems = stats.peak_working_elems.max(gs.peak_working_elems);
-                    let id = ids.last();
-                    *id.ok_or_else(|| TensorError::invalid("fused segment covers no nodes"))?
+                    id + usize::from(folded)
                 }
                 Segment::Spliced { nodes: ids, pipeline: pipe, input: src } => {
                     let in_t = resolve(values, input, *src)?;
@@ -557,7 +580,8 @@ impl PlanExecutor {
             let in_place_relu =
                 matches!(seg, Segment::Single(id) if matches!(nodes[*id].op, NodeOp::Relu));
             if !in_place_relu {
-                stats.offchip_elems += if si == last_seg { out_elems } else { 2 * out_elems };
+                let network_output = out_id + 1 == nodes.len();
+                stats.offchip_elems += if network_output { out_elems } else { 2 * out_elems };
             }
             values[out_id] = Some(out);
             match seg {
@@ -600,9 +624,11 @@ impl Executor for PlanExecutor {
 /// buffers they load next in the CPU's store-to-load check, which can cost
 /// a request 10–25 % of its time. Without the boundary it followed the
 /// caller's stack: the process's randomised stack start on the main
-/// thread, the thread-spawn glue's frames on a serve worker.
+/// thread, the thread-spawn glue's frames on a serve worker. Public so a
+/// benchmark timing kernels outside the executor can put its calls on the
+/// same footing.
 #[inline(never)]
-fn on_page_aligned_frame<R>(f: impl FnOnce() -> R) -> R {
+pub fn on_page_aligned_frame<R>(f: impl FnOnce() -> R) -> R {
     #[repr(align(4096))]
     struct PageAligned(u8);
     let anchor = PageAligned(0);

@@ -310,6 +310,10 @@ pub struct ExecPlan {
     /// Per node id: set for whole-map convs, and for the FC nodes of a
     /// quantized plan that have an integer form.
     whole_map: Vec<Option<WholeMap>>,
+    /// Per node id: set for an `Add` folded into the fused segment before
+    /// it ([`FusedChain::run_residual_into`]). The `Add` keeps its own
+    /// [`Segment::Single`], which runs nothing.
+    folded: Vec<bool>,
     decisions: PlanDecisions,
     blocked_convs: usize,
     total_convs: usize,
@@ -331,6 +335,13 @@ impl ExecPlan {
     /// integer form).
     pub(crate) fn whole_map(&self, id: NodeId) -> Option<&WholeMap> {
         self.whole_map.get(id)?.as_ref()
+    }
+
+    /// Whether node `id` is an `Add` folded into the fused segment before
+    /// it: that segment's chain stores the sum as the `Add`'s value, and the
+    /// `Add`'s own segment runs nothing.
+    pub(crate) fn folded(&self, id: NodeId) -> bool {
+        self.folded.get(id).copied().unwrap_or(false)
     }
 
     /// The chains of `seg` with the nodes each covers: a fused or spliced
@@ -406,7 +417,8 @@ impl ExecPlan {
     }
 
     /// Human-readable plan summary, one line per segment. A fused segment
-    /// that holds several aligned groups says how many.
+    /// that holds several aligned groups says how many, and one that folds
+    /// the residual add after it names the add, whose line says so.
     pub fn describe(&self, graph: &Graph) -> String {
         let names = |ids: &[NodeId]| -> String {
             let names: Vec<&str> = ids.iter().map(|&n| graph.nodes()[n].name.as_str()).collect();
@@ -424,8 +436,13 @@ impl ExecPlan {
                     } else {
                         String::new()
                     };
+                    let add = seg.output_node() + 1;
+                    let residual = match self.folded(add) {
+                        true => format!(" + {}", graph.nodes()[add].name),
+                        false => String::new(),
+                    };
                     out.push_str(&format!(
-                        "segment {i}: fused [{}] under {pattern} ({} blocks{aligned})\n",
+                        "segment {i}: fused [{}] under {pattern} ({} blocks{aligned}){residual}\n",
                         names(nodes),
                         chain.in_grid().num_blocks(),
                     ));
@@ -440,8 +457,12 @@ impl ExecPlan {
                 }
                 Segment::Single(id) => {
                     let node = &graph.nodes()[*id];
+                    let how = match self.folded(*id) {
+                        true => format!("folded into segment {}", i.saturating_sub(1)),
+                        false => "whole-map".to_string(),
+                    };
                     out.push_str(&format!(
-                        "segment {i}: {} ({}, whole-map)\n",
+                        "segment {i}: {} ({}, {how})\n",
                         node.name,
                         node.op.mnemonic(),
                     ));
@@ -463,7 +484,10 @@ impl ExecPlan {
 /// a build over, unlike a conv trunk). Staging is one rule: the chain that
 /// stores a segment's output stages it for the node's sole reader when
 /// that is a one-block chain on an exact-f32 conv
-/// ([`FusedChain::stage_into`]).
+/// ([`FusedChain::stage_into`]). Folding is another: a residual `Add` that
+/// sums a fused segment's output with the segment's own input runs inside
+/// that segment's chain when the fold holds no more on chip than the add
+/// ([`folds_residual`]).
 ///
 /// Decisions may come from a cache file, so they are checked against the
 /// graph rather than trusted: segments must cover the nodes exactly once
@@ -494,6 +518,7 @@ pub(crate) fn assemble(
             }
         }
     }
+    let mut folded = vec![false; nodes.len()];
     let mut blocked_convs = 0usize;
     let mut next_id: NodeId = 0;
     for seg in &decisions.segments {
@@ -540,7 +565,12 @@ pub(crate) fn assemble(
                 blocked_convs += chains.iter().map(|chain| chain.convs().count()).sum::<usize>();
                 let (ids, input) = ((first..next_id).collect(), nodes[first].input);
                 segments.push(match <[FusedChain; 1]>::try_from(chains) {
-                    Ok([chain]) => Segment::Fused { nodes: ids, chain, input },
+                    Ok([chain]) => {
+                        if folds_residual(graph, next_id - 1, input, &chain) {
+                            folded[next_id] = true;
+                        }
+                        Segment::Fused { nodes: ids, chain, input }
+                    }
                     Err(chains) => Segment::Spliced {
                         nodes: ids,
                         pipeline: FusedPipeline::new(chains)?,
@@ -556,6 +586,7 @@ pub(crate) fn assemble(
     Ok(ExecPlan {
         segments,
         whole_map,
+        folded,
         decisions,
         blocked_convs,
         total_convs: graph.conv_count(),
@@ -618,6 +649,30 @@ fn stage_output(
     if let Some(Some(WholeMap::Conv(to))) = reader.map(|j| &mut whole_map[j]) {
         from.stage_into(to);
     }
+}
+
+/// Whether the node after fused segment output `id` is a residual `Add`
+/// that folds into the segment's chain ([`FusedChain::run_residual_into`]):
+/// it reads `id`, the only reader of `id`, and the segment's `input`, in
+/// either order; the chain's output map has its input's shape; and the
+/// chain's one-image peak with the residual's input block held
+/// ([`FusedChain::residual_peak`]) is at most the add's own three maps, so
+/// the fold never raises a plan's peak. A spliced pipeline never folds: it
+/// runs every block of a group before the next group, so it would hold the
+/// whole input map.
+fn folds_residual(graph: &Graph, id: NodeId, input: NodeRef, chain: &FusedChain) -> bool {
+    let Some(add) = graph.nodes().get(id + 1) else {
+        return false;
+    };
+    let NodeOp::Add { other } = add.op else {
+        return false;
+    };
+    let out = NodeRef::Node(id);
+    let operands = [(out, input), (input, out)].contains(&(add.input, other));
+    let add_live = 3 * add.out_shape.numel();
+    operands
+        && graph.consumer_count(id) == 1
+        && chain.residual_peak().is_some_and(|peak| peak <= add_live)
 }
 
 /// The chain ops of one decided group, which must cover the nodes from

@@ -161,7 +161,10 @@ impl TuneReport {
 /// Modeled off-chip feature-map traffic of a plan, in elements: every
 /// segment reads its input map from DRAM and writes its output map back,
 /// so each inter-segment boundary counts a write plus a read-back —
-/// the same convention as [`crate::plan::SpliceReport`]'s savings.
+/// the same convention as [`crate::plan::SpliceReport`]'s savings. A fused
+/// segment and the residual add folded into it are one segment: the
+/// chain's input in, the sum out (the chain's output map has the add's
+/// shape), and the add's own segment moves nothing.
 pub fn modeled_offchip_elems(graph: &Graph, plan: &ExecPlan) -> u64 {
     let map_elems = |id: usize| -> u64 {
         graph.nodes().get(id).map_or(0, |n| (n.out_shape.c * n.out_shape.h * n.out_shape.w) as u64)
@@ -172,6 +175,7 @@ pub fn modeled_offchip_elems(graph: &Graph, plan: &ExecPlan) -> u64 {
     let mut total = 0u64;
     for seg in plan.segments() {
         match seg {
+            Segment::Single(id) if plan.folded(*id) => {}
             Segment::Single(id) => total += in_elems(*id) + map_elems(*id),
             Segment::Fused { nodes, .. } | Segment::Spliced { nodes, .. } => {
                 let first = nodes.first().copied().unwrap_or_default();

@@ -35,7 +35,11 @@ lane_conv=9lane_tile9lane_conv17h
 conv3x3=9lane_tile7conv3x317h
 qgemm::exact_conv=5qgemm10exact_conv17h
 qgemm::quantized_conv_at=5qgemm17quantized_conv_at17h
-FusedChain::run_block=10FusedChain9run_block17h'
+FusedChain::run_block=10FusedChain9run_block17h
+PlanExecutor::run_image=12PlanExecutor9run_image17h
+FusedChain::run_fused_into=10FusedChain14run_fused_into17h
+QuantChainOp::forward_quantized_at=12QuantChainOp20forward_quantized_at17h
+PackedWeights::store_plain=13PackedWeights11store_plain17h'
 
 tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT
@@ -60,12 +64,18 @@ extract() {
                     count[i]++
                     out = dir "/" label[i] "." count[i]
                     frame = "-"
+                    pushes = 0
+                    prologue = 1
                 }
             }
             next
         }
         /^$/ {
-            if (out != "") print frame > (out ".frame")
+            if (out != "") {
+                if (frame == "-" && pushes > 0) frame = ""
+                if (pushes > 0) frame = pushes "p" (frame == "" ? "" : "+" frame)
+                print frame > (out ".frame")
+            }
             out = ""
             next
         }
@@ -79,6 +89,8 @@ extract() {
             gsub(/\+0x[0-9a-f]+>/, ">", line)
             gsub(/[0-9a-f]+ </, "<", line)
             gsub(/-?0x[0-9a-f]+\(%rip\)/, "(%rip)", line)
+            if (prologue && line ~ /^push /) pushes++
+            else prologue = 0
             if (frame == "-" && line ~ /^sub +\$0x[0-9a-f]+,%rsp$/) {
                 frame = line
                 sub(/^sub +\$/, "", frame)
@@ -120,7 +132,7 @@ echo "$SYMBOLS" | while IFS='=' read -r label _; do
         verdict="$verdict, FRAMES DIFFER"
         verdict=${verdict#same, }
     fi
-    printf '%-26s parent %2d: [ %s]  change %2d: [ %s]  %s\n' "$label" "$pn" "$pf" "$cn" "$cf" "$verdict"
+    printf '%-34s parent %2d: [ %s]  change %2d: [ %s]  %s\n' "$label" "$pn" "$pf" "$cn" "$cf" "$verdict"
     [ "$verdict" = same ] || echo differ >>"$tmp/status"
 done
 if [ -f "$tmp/status" ]; then

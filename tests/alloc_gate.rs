@@ -34,7 +34,7 @@ use std::sync::Mutex;
 
 use bconv_core::{BlockingPattern, NetworkPlan};
 use bconv_graph::{Backend, ExecScratch, PlanSpec, Router, ServeConfig, Session};
-use bconv_models::small::{vdsr_small, vgg16_small};
+use bconv_models::small::{resnet18_small, vdsr_small, vgg16_small};
 use bconv_models::Network;
 use bconv_tensor::init::{seeded_rng, uniform_tensor};
 use bconv_tensor::kernel::KernelPolicy;
@@ -264,6 +264,28 @@ fn run_with_is_allocation_free_staging_from_fused_groups() {
     };
     assert_zero_steady_state("staging from fused groups", 1, build);
     assert_zero_steady_state("staging from fused groups, batch 8", 8, build);
+}
+
+/// Identity residual blocks whose add folds into the chain before it: the
+/// chain adds each input block to its output block in place, so a warm
+/// run allocates nothing, at both precisions, for one image or a batch.
+#[test]
+fn run_with_is_allocation_free_folded_residuals() {
+    for backend in [Backend::Blocked, QUANT] {
+        let build = || {
+            let session = Session::builder()
+                .network(resnet18_small(32))
+                .backend(backend)
+                .seed(2018)
+                .threads(1)
+                .build()
+                .expect("session builds");
+            assert!(session.describe().contains("folded into segment"), "{}", session.describe());
+            session
+        };
+        assert_zero_steady_state("folded residuals", 1, build);
+        assert_zero_steady_state("folded residuals, batch 8", 8, build);
+    }
 }
 
 /// The integer im2col+GEMM backend holds the strict-zero bar too: the

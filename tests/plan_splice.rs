@@ -12,19 +12,31 @@
 //! peak may grow only under a splice whose joint re-grids: that boundary
 //! map moves from DRAM into the on-chip extra buffer, which is the whole
 //! trade.
+//!
+//! A residual add folds into the chain that computes it when its other
+//! operand is the chain's own input and the fold fits in the add's three
+//! maps: the output keeps the bits of the unfolded schedule, the chain's
+//! output map no longer makes its off-chip round trip, and no peak rises.
 
 mod common;
 
 use bconv_accel::platform::zc706;
 use bconv_core::analysis::ConvLayerSpatial;
 use bconv_core::blocking::BlockGrid;
+use bconv_core::fusion::BlockScratch;
 use bconv_core::plan::{LayerBlocking, NetworkPlan};
 use bconv_core::{BlockConv2d, BlockingPattern};
-use bconv_graph::{AccelCost, Backend, Graph, NodeOp, PlanSpec, Segment, Session, SessionBuilder};
+use bconv_graph::{
+    modeled_offchip_elems, AccelCost, Backend, Graph, GraphQuantSpec, NodeOp, NodeRef,
+    PlanProvenance, PlanSpec, Segment, Session, SessionBuilder, DEFAULT_CALIBRATION_BATCHES,
+};
 use bconv_models::builder::{conv, maxpool, NetBuilder};
 use bconv_models::{ActShape, Network};
+use bconv_quant::qlinear::{QLinear, QLinearScratch};
+use bconv_tensor::elementwise::add;
 use bconv_tensor::init::{seeded_rng, uniform_tensor};
 use bconv_tensor::pad::PadMode;
+use bconv_tensor::pool::global_avg_pool;
 use bconv_tensor::Tensor;
 use proptest::prelude::*;
 
@@ -554,6 +566,217 @@ fn pools_that_do_not_fold_are_whole_map_cuts() {
             let bits = u64::from(plan_bits(backend));
             let offchip = (fused_elems + 2 * cut_map) as u64 * bits;
             assert_eq!(run.stats.offchip_bits(), offchip, "{pools:?} {backend:?}");
+        }
+    }
+}
+
+/// What the walk of a plan's segments measured, in the executor's terms.
+struct Walk {
+    output: Tensor,
+    offchip_elems: usize,
+    peak_working_elems: usize,
+}
+
+/// `session`'s plan walked segment by segment, as the repo benchmark's
+/// replay walks it (`--trace 1`): every chain through `run_fused_into`,
+/// every `Add` — folded or not — through `add_into` on its two maps, and
+/// GAP and FC heads as the executor runs them (an FC at `quant`'s
+/// calibrated input range when it has an integer form). Traffic and peak
+/// follow the executor's rules for unfolded plans: the input, then every
+/// segment output written and, unless it is the network output, read back;
+/// a whole-map node's peak is its live maps. Covers the plans below.
+fn unfolded_walk(session: &Session, quant: Option<&GraphQuantSpec>, input: &Tensor) -> Walk {
+    let nodes = session.graph().nodes();
+    let mut values: Vec<Option<Tensor>> = vec![None; nodes.len()];
+    let value = |values: &[Option<Tensor>], r: NodeRef| match r {
+        NodeRef::Input => input.clone(),
+        NodeRef::Node(i) => values[i].clone().expect("a value the walk produced"),
+    };
+    let (mut offchip, mut peak) = (input.shape().numel(), 0);
+    for seg in session.plan().segments() {
+        let out = match seg {
+            Segment::Fused { chain, input: src, .. } => {
+                let mut out = Tensor::default();
+                let from = value(&values, *src);
+                let stats = chain.run_fused_into(&from, 1, &mut out, &mut BlockScratch::new());
+                peak = peak.max(stats.unwrap().peak_working_elems);
+                out
+            }
+            Segment::Spliced { .. } => panic!("no pipeline in these plans"),
+            Segment::Single(id) => {
+                let node = &nodes[*id];
+                let x = value(&values, node.input);
+                let (out, aux) = match &node.op {
+                    NodeOp::Add { other } => {
+                        let y = value(&values, *other);
+                        (add(&x, &y).unwrap(), y.shape().numel())
+                    }
+                    NodeOp::GlobalAvgPool => (global_avg_pool(&x), 0),
+                    NodeOp::Fc(linear) => {
+                        let integer = quant.and_then(|q| {
+                            Some((QLinear::from_linear(linear, q.weight_bits)?, q.act_params(*id)?))
+                        });
+                        let out = match integer {
+                            Some((q, params)) => {
+                                let mut out = Tensor::default();
+                                let mut scratch = QLinearScratch::new();
+                                q.forward_into(&x, params, &mut out, &mut scratch).unwrap();
+                                out
+                            }
+                            None => linear.forward(&x).unwrap(),
+                        };
+                        (out, 0)
+                    }
+                    op => panic!("{} is not a whole-map node of these plans", op.mnemonic()),
+                };
+                peak = peak.max(x.shape().numel() + out.shape().numel() + aux);
+                out
+            }
+        };
+        let id = seg.output_node();
+        offchip += if id + 1 == nodes.len() { 1 } else { 2 } * out.shape().numel();
+        values[id] = Some(out);
+    }
+    let output = values.pop().flatten().expect("the network output");
+    Walk { output, offchip_elems: offchip, peak_working_elems: peak }
+}
+
+/// The `Add` nodes `session`'s plan folds into the fused segment before
+/// them, as `describe()` names them.
+fn folded_adds(session: &Session) -> Vec<usize> {
+    let (segments, describe) = (session.plan().segments(), session.describe());
+    describe
+        .lines()
+        .filter(|line| line.contains(", folded into segment "))
+        .map(|line| {
+            let i: usize = line["segment ".len()..line.find(':').unwrap()].parse().unwrap();
+            match segments[i] {
+                Segment::Single(id) => id,
+                _ => panic!("a folded add is a whole-map segment: {line}"),
+            }
+        })
+        .collect()
+}
+
+/// Calibration inputs and a session built as the repo benchmark builds
+/// `vdsr96_w8a8_blocked` / `_direct`: vdsr_small(96, 10, 16) at w8a8 under
+/// F8, blocked or with every conv on the whole map.
+fn vdsr96_session(blocked: bool, cache: Option<&std::path::Path>) -> (Session, Vec<Tensor>) {
+    let net = bconv_models::small::vdsr_small(96, 10, 16);
+    let calibration: Vec<Tensor> = (0..DEFAULT_CALIBRATION_BATCHES as u64)
+        .map(|i| {
+            let mut rng = seeded_rng(2018 ^ 0x5143_414C ^ ((i + 1) << 32));
+            uniform_tensor([1, 1, 96, 96], -1.0, 1.0, &mut rng)
+        })
+        .collect();
+    let mut spec = PlanSpec::new().pattern(BlockingPattern::fixed(8));
+    if !blocked {
+        spec = spec.network_plan(NetworkPlan::unblocked(10));
+    }
+    let builder = Session::builder()
+        .network(net)
+        .backend(Backend::Quantized { weight_bits: 8, act_bits: 8 })
+        .planner(spec)
+        .seed(2018)
+        .threads(1)
+        .relu_after_conv(false)
+        .calibration(calibration.clone());
+    let builder = match cache {
+        Some(dir) => builder.plan_cache(dir),
+        None => builder,
+    };
+    (builder.build().expect("session"), calibration)
+}
+
+/// The repo benchmark's `vdsr96_w8a8_blocked`: the global residual add
+/// folds into the F8 chain of the ten convs, so only the input and the
+/// output cross the off-chip boundary (2 × 96² elements, half the unfolded
+/// plan's) and the peak is the chain's widest pair, 16 channels in and out
+/// of an 8×8 block, plus the one-channel input block the residual holds.
+/// The output keeps the bits of the schedule the benchmark's replay runs —
+/// the chain, then the add on the whole maps — and so does a plan-cache
+/// hit. Unblocked, conv10 is a whole-map conv: its add stays whole-map,
+/// the paper's layer-by-layer baseline, and its numbers do not move.
+#[test]
+fn vdsr96_blocked_folds_its_residual_add() {
+    let input = uniform_tensor([1, 1, 96, 96], -1.0, 1.0, &mut seeded_rng(7));
+    let (session, calibration) = vdsr96_session(true, None);
+    let spec = GraphQuantSpec::calibrate(session.graph(), &calibration, 8, 8).unwrap();
+    let run = session.run(&input).expect("run");
+    assert_eq!(folded_adds(&session).len(), 1, "{}", session.describe());
+    assert_eq!(run.stats.offchip_elems, 18_432, "{}", session.describe());
+    assert_eq!(run.stats.offchip_bits(), 147_456);
+    assert_eq!(run.stats.peak_working_elems, 2 * 16 * 64 + 64);
+    // The modeled traffic the tuner ranks plans by, and the benchmark's
+    // `cost.model_gap_share` reads, counts the pair as one segment.
+    assert_eq!(modeled_offchip_elems(session.graph(), session.plan()), 18_432);
+    let walk = unfolded_walk(&session, Some(&spec), &input);
+    assert_eq!(fnv1a(&run.output), fnv1a(&walk.output));
+    assert_eq!(walk.offchip_elems, 2 * 18_432);
+    assert_eq!(walk.peak_working_elems, 3 * 96 * 96);
+
+    let dir = std::env::temp_dir().join(format!("bconv-residual-fold-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let (cold, _) = vdsr96_session(true, Some(&dir));
+    let (warm, _) = vdsr96_session(true, Some(&dir));
+    assert!(matches!(warm.plan().report().provenance, PlanProvenance::CacheLoaded { .. }));
+    assert_eq!(warm.describe(), session.describe().replace("fresh", "cache-loaded"));
+    for cached in [&cold, &warm] {
+        let got = cached.run(&input).expect("run");
+        assert_eq!(got.stats, run.stats);
+        assert_eq!(fnv1a(&got.output), fnv1a(&run.output));
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+
+    let (direct, _) = vdsr96_session(false, None);
+    let stats = direct.run(&input).expect("run").stats;
+    assert!(folded_adds(&direct).is_empty(), "{}", direct.describe());
+    assert_eq!((stats.offchip_bits(), stats.peak_working_bits()), (21_528_576, 2_359_296));
+}
+
+/// Every identity block of resnet18_small(64) under H2 is one chain whose
+/// residual add folds into it, at float and w8a8: the outputs keep the
+/// bits of the unfolded walk, each folded add's map no longer makes its
+/// off-chip round trip, and the peak does not rise. vdsr_small(24, 6, 8)
+/// under H2 does not fold: its chain's widest pair on a 12×12 block plus
+/// the held block (2 304 + 144 elements) outgrows the add's three maps
+/// (1 728).
+#[test]
+fn identity_blocks_fold_their_residual_adds_where_the_fold_fits() {
+    let cases = [
+        (bconv_models::small::resnet18_small(64), 5),
+        (bconv_models::small::vdsr_small(24, 6, 8), 0),
+    ];
+    for (net, folds) in cases {
+        let s = net.input;
+        let input = uniform_tensor([1, s.c, s.h, s.w], -1.0, 1.0, &mut seeded_rng(2018));
+        let calibration = vec![uniform_tensor([1, s.c, s.h, s.w], -1.0, 1.0, &mut seeded_rng(9))];
+        for backend in BACKENDS {
+            let session = builder(&net, backend, 2018)
+                .planner(PlanSpec::new().pattern(BlockingPattern::hierarchical(2)))
+                .calibration(calibration.clone())
+                .build()
+                .expect("session");
+            let quant = match backend {
+                Backend::Quantized { weight_bits, act_bits } => Some(
+                    GraphQuantSpec::calibrate(session.graph(), &calibration, weight_bits, act_bits)
+                        .unwrap(),
+                ),
+                _ => None,
+            };
+            let what = format!("{} {backend:?}\n{}", net.name, session.describe());
+            let folded = folded_adds(&session);
+            assert_eq!(folded.len(), folds, "{what}");
+            let run = session.run(&input).expect("run");
+            let walk = unfolded_walk(&session, quant.as_ref(), &input);
+            assert_eq!(fnv1a(&run.output), fnv1a(&walk.output), "{what}");
+            let nodes = session.graph().nodes();
+            let saved: usize = folded.iter().map(|&id| 2 * nodes[id].out_shape.numel()).sum();
+            assert_eq!(run.stats.offchip_elems + saved, walk.offchip_elems, "{what}");
+            assert!(run.stats.peak_working_elems <= walk.peak_working_elems, "{what}");
+            if folds == 0 {
+                assert_eq!(run.stats.peak_working_elems, walk.peak_working_elems, "{what}");
+            }
         }
     }
 }
